@@ -120,7 +120,7 @@ BenchResult CheckpointBench(const std::string& name, size_t tuples) {
   rel::Database db = MakeDb(tuples);
 
   auto start = Clock::now();
-  Status saved = storage::SaveCheckpoint(db, dir);
+  Status saved = storage::SaveCheckpoint(db, dir, storage::SyncMode::kSync);
   double save_ms = MsSince(start);
   if (!saved.ok()) return result;
 

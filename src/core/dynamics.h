@@ -33,10 +33,13 @@ struct AtomicChange {
 
 using ChangeScript = std::vector<AtomicChange>;
 
-/// Peer churn, beyond Definition 8's link changes: a peer process crashes at
-/// a simulated time (its in-memory state and in-flight messages are lost) and
-/// may later restart, recovering its database from durable storage
-/// (checkpoint + WAL replay) and rejoining via the discovery/session path.
+/// Peer churn, beyond Definition 8's link changes: a peer process crashes
+/// (its in-memory state and in-flight messages are lost) and may later
+/// restart, recovering its database from durable storage (checkpoint + WAL
+/// replay) and rejoining via the discovery/session path. `at_micros` is an
+/// offset from the start of the update: Session::RunUpdateWithChurn fires the
+/// event at its entry-time NowMicros() + at_micros, whatever discovery or
+/// earlier updates already spent on the runtime's clock.
 struct ChurnEvent {
   enum class Kind { kCrash, kRestart };
   Kind kind = Kind::kCrash;

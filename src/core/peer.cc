@@ -113,22 +113,13 @@ Status Peer::AttachStorage(std::unique_ptr<storage::Storage> storage) {
 }
 
 void Peer::OnDeltaApplied(const storage::DeltaMap& delta) {
-  // MVCC commit point: fold the whole batch into the successor snapshot and
-  // swap it in before any durability work. Readers observe either none or
-  // all of this chase application (a prefix of committed batches), and
-  // visibility is decoupled from fsync — safe because the protocol is
-  // monotone and a crash loses nothing a reader could not re-derive.
-  {
-    uint64_t committed = snapshots_->NoteBatchCommitted();
-    std::vector<std::string> touched;
-    touched.reserve(delta.size());
-    for (const auto& [relation, tuples] : delta) {
-      (void)tuples;
-      touched.push_back(relation);
-    }
-    snapshots_->Publish(
-        rel::AdvanceSnapshot(snapshots_->Acquire(), db_, touched, committed));
-  }
+  // MVCC commit point: publish the logs' new sizes before any durability
+  // work. Readers observe either none or all of this chase application (a
+  // prefix of committed batches), and visibility is decoupled from fsync —
+  // safe because the protocol is monotone and a crash loses nothing a reader
+  // could not re-derive.
+  uint64_t committed = snapshots_->NoteBatchCommitted();
+  snapshots_->Publish(rel::BuildSnapshot(db_, committed));
   if (storage_ == nullptr) return;
   uint64_t wal_start = span_open_ ? runtime_->NowMicros() : 0;
   Status logged = storage_->LogDelta(delta);

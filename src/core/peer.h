@@ -97,7 +97,8 @@ class Peer : public net::PeerHandler {
     return snapshots_;
   }
 
-  /// Rebuilds and publishes a full snapshot of the live database. Called
+  /// Publishes a snapshot of the live database as it stands now (each
+  /// relation's log at its current size; nothing is copied). Called
   /// from the construction/recovery paths; also the hook for callers that
   /// mutate db() directly (tests, examples) and want readers to see it.
   void PublishFullSnapshot();

@@ -50,8 +50,8 @@ Result<bool> SnapshotQueryPoint(const rel::SnapshotStore& store,
                                 const rel::Tuple& key) {
   rel::SnapshotPtr snap = store.Acquire();
   uint64_t start = NowMicros();
-  const rel::Relation* rel = snap->FindRelation(relation);
-  bool found = rel != nullptr && rel->Contains(key);
+  const rel::LogView view = snap->View(relation);
+  bool found = view && view.Contains(key);
   RecordServed(store, *snap, NowMicros() - start);
   return found;
 }

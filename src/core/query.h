@@ -1,8 +1,9 @@
 // The read path of the query plane: answers point lookups and conjunctive
 // queries from a peer's SnapshotStore. Safe to call from any thread, any
 // number of threads at once — acquisition is one atomic pointer load and
-// evaluation runs over a fully pre-indexed immutable snapshot (no mutex,
-// no condvar, no RunExclusive anywhere on this path).
+// evaluation reads the snapshot's tuple logs below their published
+// watermarks, which the writer never changes (no mutex, no condvar, no
+// RunExclusive anywhere on this path).
 //
 // Every call records the obs instruments of the read plane:
 //   query.eval_micros                histogram, per-query evaluation time

@@ -212,6 +212,8 @@ Status Session::RestartPeer(NodeId id) {
 
 Status Session::RunUpdateWithChurn(const ChurnScript& churn) {
   P2PDB_RETURN_IF_ERROR(ValidateChurnScript(churn, peers_.size()));
+  // Event times are offsets from here, the start of this update.
+  const uint64_t start = runtime_->NowMicros();
   // Durability must be in place before the crash: attach storage to every
   // peer the script will kill (base checkpoint now, WAL from here on).
   for (const ChurnEvent& e : churn) {
@@ -232,7 +234,7 @@ Status Session::RunUpdateWithChurn(const ChurnScript& churn) {
   });
   bool restarted = false;
   for (const ChurnEvent& e : churn) {
-    P2PDB_RETURN_IF_ERROR(runtime_->RunUntil(e.at_micros));
+    P2PDB_RETURN_IF_ERROR(runtime_->RunUntil(start + e.at_micros));
     if (e.kind == ChurnEvent::Kind::kCrash) {
       P2PDB_RETURN_IF_ERROR(CrashPeer(e.node));
     } else {

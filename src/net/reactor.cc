@@ -587,7 +587,13 @@ void Reactor::FlushConn(Worker* w, const std::shared_ptr<Connection>& c) {
     // The deque entries referenced by iov are stable outside the lock: other
     // threads only push_back (std::deque never moves existing elements) and
     // only this worker pops.
-    ssize_t n = ::writev(c->fd_, iov, static_cast<int>(niov));
+    // writev by another name: sendmsg takes MSG_NOSIGNAL, so writing to a
+    // peer that has already closed fails with EPIPE below instead of
+    // raising SIGPIPE, which would kill the whole process.
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = niov;
+    ssize_t n = ::sendmsg(c->fd_, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {

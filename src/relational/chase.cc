@@ -38,8 +38,9 @@ uint32_t MaxNullDepth(const Binding& binding) {
 // True if some tuple of `relation` agrees with the atom on every position
 // whose term is bound under `binding` (constants are always bound). Uses the
 // column index on the first bound position to avoid full scans.
-bool ProjectionPresent(const Relation& relation, const Atom& atom,
+bool ProjectionPresent(const LogView& relation, const Atom& atom,
                        const Binding& binding) {
+  if (atom.terms.size() != relation.arity()) return false;
   auto matches = [&](const Tuple& tuple) {
     for (size_t i = 0; i < atom.terms.size(); ++i) {
       const Term& t = atom.terms[i];
@@ -65,14 +66,14 @@ bool ProjectionPresent(const Relation& relation, const Atom& atom,
       if (it != binding.end()) key = &it->second;
     }
     if (key == nullptr) continue;
-    auto [begin, end] = relation.IndexOn(i).equal_range(*key);
-    for (auto it = begin; it != end; ++it) {
-      if (matches(*it->second)) return true;
+    for (size_t e = relation.First(i, *key); e != TupleLog::kNone;
+         e = relation.Next(i, e)) {
+      if (matches(relation.at(e))) return true;
     }
     return false;
   }
   // Fully existential atom: any tuple witnesses it.
-  return !relation.empty();
+  return relation.size() > 0;
 }
 
 // True if `binding` extends to a homomorphism making every head atom present.
@@ -134,7 +135,9 @@ Status ApplyRuleHead(Database* db, const std::vector<Atom>& head_atoms,
       for (const Atom& a : head_atoms) {
         auto rel = db->Get(a.relation);
         if (!rel.ok()) return rel.status();
-        if (!ProjectionPresent(**rel, a, binding)) to_insert.push_back(&a);
+        if (!ProjectionPresent((*rel)->View(), a, binding)) {
+          to_insert.push_back(&a);
+        }
       }
       if (to_insert.empty()) {
         ++stats->skipped;

@@ -11,17 +11,18 @@
 
 namespace p2pdb::rel {
 
-/// Something conjunctive queries can be evaluated against: a name-to-relation
-/// lookup. Implemented by the live Database and by immutable MVCC snapshots
-/// (src/relational/mvcc.h), so the evaluator serves both the chase (writer
-/// side) and concurrent readers without knowing which it is looking at.
+/// Something conjunctive queries can be evaluated against: a name-to-log-view
+/// lookup. The live Database answers with each relation's log at its current
+/// size and an MVCC snapshot (src/relational/mvcc.h) with the size it
+/// recorded, so the evaluator serves both the chase (writer side) and
+/// concurrent readers through one path.
 class ReadView {
  public:
   virtual ~ReadView() = default;
 
-  /// The named relation, or nullptr when it does not exist (the evaluator
-  /// treats a missing relation as empty).
-  virtual const Relation* FindRelation(const std::string& name) const = 0;
+  /// The named relation's log up to this view's watermark, or an empty
+  /// LogView when it does not exist (the evaluator treats that as empty).
+  virtual LogView View(const std::string& relation) const = 0;
 };
 
 /// One node's local database. Relation names are unique within a node; the
@@ -39,9 +40,14 @@ class Database : public ReadView {
   Result<const Relation*> Get(const std::string& name) const;
   Result<Relation*> GetMutable(const std::string& name);
 
-  const Relation* FindRelation(const std::string& name) const override {
+  const Relation* FindRelation(const std::string& name) const {
     auto it = relations_.find(name);
     return it == relations_.end() ? nullptr : &it->second;
+  }
+
+  LogView View(const std::string& relation) const override {
+    const Relation* found = FindRelation(relation);
+    return found == nullptr ? LogView() : found->View();
   }
 
   /// Convenience: inserts into a named relation; true if the tuple was new.

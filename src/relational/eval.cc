@@ -45,8 +45,8 @@ void Backtrack(EvalContext* ctx, size_t depth, Binding* binding) {
     return;
   }
   const Atom& atom = *ctx->order[depth];
-  const Relation* rel = ctx->db->FindRelation(atom.relation);
-  if (rel == nullptr) return;  // Missing relation: empty answer.
+  const LogView rel = ctx->db->View(atom.relation);
+  if (!rel) return;  // Missing relation: empty answer.
 
   auto try_tuple = [&](const Tuple& tuple) {
     Binding extended = *binding;
@@ -78,18 +78,16 @@ void Backtrack(EvalContext* ctx, size_t depth, Binding* binding) {
       break;
     }
   }
-  // The index path is gated on column < arity so a pre-indexed immutable
-  // snapshot never builds an index on demand (the lazy build mutates under
-  // const — unsafe with concurrent readers). An arity-mismatched atom falls
-  // through to the scan, where unification rejects every tuple anyway.
-  if (indexed_pos >= 0 &&
-      static_cast<size_t>(indexed_pos) < rel->schema().arity()) {
-    const Relation::ColumnIndex& index =
-        rel->IndexOn(static_cast<size_t>(indexed_pos));
-    auto [begin, end] = index.equal_range(key);
-    for (auto it = begin; it != end; ++it) try_tuple(*it->second);
+  // An arity-mismatched atom has no column index to use; it falls through to
+  // the scan, where unification rejects every tuple anyway.
+  if (indexed_pos >= 0 && static_cast<size_t>(indexed_pos) < rel.arity()) {
+    const size_t column = static_cast<size_t>(indexed_pos);
+    for (size_t e = rel.First(column, key); e != TupleLog::kNone;
+         e = rel.Next(column, e)) {
+      try_tuple(rel.at(e));
+    }
   } else {
-    for (const Tuple& tuple : rel->tuples()) try_tuple(tuple);
+    for (size_t e = 0; e < rel.size(); ++e) try_tuple(rel.at(e));
   }
 }
 

@@ -2,56 +2,11 @@
 
 namespace p2pdb::rel {
 
-namespace {
-
-/// Copies one live relation into an immutable, fully indexed instance. The
-/// copy drops the source's index state (see Relation's copy constructor) and
-/// rebuilds it here, on the writer thread, before any reader can see it.
-std::shared_ptr<const Relation> FreezeRelation(const Relation& live) {
-  auto frozen = std::make_shared<Relation>(live);
-  frozen->PrebuildIndexes();
-  return frozen;
-}
-
-}  // namespace
-
-size_t DbSnapshot::TotalTuples() const {
-  size_t total = 0;
-  for (const auto& [name, relation] : relations_) {
-    (void)name;
-    total += relation->size();
-  }
-  return total;
-}
-
 SnapshotPtr BuildSnapshot(const Database& db, uint64_t version) {
   DbSnapshot::RelationMap relations;
   for (const auto& [name, relation] : db.relations()) {
-    relations.emplace(name, FreezeRelation(relation));
-  }
-  return std::make_shared<const DbSnapshot>(version, std::move(relations));
-}
-
-SnapshotPtr AdvanceSnapshot(const SnapshotPtr& prev, const Database& db,
-                            const std::vector<std::string>& touched,
-                            uint64_t version) {
-  // Start from the previous snapshot's relations (cheap shared_ptr copies),
-  // then re-freeze exactly what changed. The chase only inserts, so a
-  // relation absent from `touched` is bit-identical to its previous frozen
-  // copy — that sharing is what makes per-batch publication affordable.
-  DbSnapshot::RelationMap relations =
-      prev != nullptr ? prev->relations() : DbSnapshot::RelationMap{};
-  for (const std::string& name : touched) {
-    const Relation* live = db.FindRelation(name);
-    if (live == nullptr) continue;  // Touched then dropped: nothing to carry.
-    relations[name] = FreezeRelation(*live);
-  }
-  // A relation created since `prev` that the batch did not name (schema
-  // growth outside the delta path) must still appear.
-  for (const auto& [name, relation] : db.relations()) {
-    if (relations.count(name) == 0) {
-      relations.emplace(name, FreezeRelation(relation));
-    }
+    relations.emplace(name, DbSnapshot::PublishedLog{relation.log(),
+                                                     relation.View().size()});
   }
   return std::make_shared<const DbSnapshot>(version, std::move(relations));
 }

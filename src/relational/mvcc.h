@@ -3,13 +3,18 @@
 // of reader threads can answer point lookups and conjunctive queries while
 // the chase keeps applying deltas to the live database underneath.
 //
+// A snapshot copies no tuples. Relations only grow, and each one appends to
+// a TupleLog (tuple_log.h), so a past state of a relation is a prefix of its
+// log: a snapshot is a map from relation name to (log, watermark), where the
+// watermark is the log's size at publication.
+//
 // Writer protocol (one writer per store — the peer's runtime-serialized
-// update path): on each committed delta batch, copy only the relations the
-// batch touched (sharing every untouched relation with the previous snapshot
-// by shared_ptr), pre-build all column indexes on the copies, then Publish()
-// with a release store. Readers Acquire() with a single atomic raw-pointer
-// load — no mutex, no condvar, and nothing a reader does can block the
-// writer or other readers.
+// update path): on each committed delta batch, BuildSnapshot records every
+// relation's current log size, O(#relations), then Publish() makes it
+// visible with a release store. That store is what orders the writer's
+// appends below each watermark before any reader's lookups. Readers
+// Acquire() with a single atomic raw-pointer load — no mutex, no condvar,
+// and nothing a reader does can block the writer or other readers.
 //
 // Why not std::atomic<std::shared_ptr>: libstdc++'s _Sp_atomic guards its
 // pointer field with a lock bit but unlocks the read side with a relaxed
@@ -19,9 +24,9 @@
 // published in a writer-locked list and hands readers an aliasing
 // shared_ptr onto that list: the read path is one acquire load plus one
 // refcount increment on the long-lived anchor, wait-free and TSan-clean.
-// Retention is bounded by what an update allocates anyway (copy-on-write
-// shares untouched relations) and is released when the last reader and the
-// store are gone.
+// Each retained snapshot costs O(#relations): the tuples live once, in the
+// logs the snapshots share with the live database. Retention is released
+// when the last reader and the store are gone.
 #ifndef P2PDB_RELATIONAL_MVCC_H_
 #define P2PDB_RELATIONAL_MVCC_H_
 
@@ -37,25 +42,30 @@
 namespace p2pdb::rel {
 
 /// An immutable point-in-time view of one peer's database. Evaluates queries
-/// directly (it is a ReadView) and is safe to share across threads: every
-/// column index is pre-built before publication, so reads never mutate.
+/// directly (it is a ReadView) and is safe to share across threads: it only
+/// reads its logs below the watermarks it recorded, which the writer never
+/// changes again.
 class DbSnapshot : public ReadView {
  public:
-  using RelationMap = std::map<std::string, std::shared_ptr<const Relation>>;
+  struct PublishedLog {
+    std::shared_ptr<const TupleLog> log;
+    size_t watermark = 0;
+  };
+  using RelationMap = std::map<std::string, PublishedLog>;
 
   DbSnapshot() = default;
   DbSnapshot(uint64_t version, RelationMap relations)
       : version_(version), relations_(std::move(relations)) {}
 
-  const Relation* FindRelation(const std::string& name) const override {
-    auto it = relations_.find(name);
-    return it == relations_.end() ? nullptr : it->second.get();
+  LogView View(const std::string& relation) const override {
+    auto it = relations_.find(relation);
+    return it == relations_.end()
+               ? LogView()
+               : LogView(it->second.log.get(), it->second.watermark);
   }
 
   /// Number of delta batches folded in (0 = the peer's initial database).
   uint64_t version() const { return version_; }
-  size_t relation_count() const { return relations_.size(); }
-  size_t TotalTuples() const;
   const RelationMap& relations() const { return relations_; }
 
  private:
@@ -65,17 +75,10 @@ class DbSnapshot : public ReadView {
 
 using SnapshotPtr = std::shared_ptr<const DbSnapshot>;
 
-/// Deep-copies `db` into a fresh snapshot tagged `version`, pre-building all
-/// indexes. Used at peer construction and after recovery.
+/// Snapshots `db` as of now, tagged `version`: each relation's log and its
+/// current size. Copies no tuples; the only publish call, used at peer
+/// construction, after recovery and at every committed delta batch.
 SnapshotPtr BuildSnapshot(const Database& db, uint64_t version);
-
-/// Copy-on-write step: relations named in `touched` are re-copied from `db`
-/// (which already holds the committed batch); everything else is shared with
-/// `prev`. Relations present in `db` but absent from `prev` are copied too,
-/// so a relation created since the last snapshot is never dropped.
-SnapshotPtr AdvanceSnapshot(const SnapshotPtr& prev, const Database& db,
-                            const std::vector<std::string>& touched,
-                            uint64_t version);
 
 /// Lock-free publication point between one writer and any number of reader
 /// threads. The store always holds a snapshot (initially an empty one), so

@@ -4,48 +4,32 @@
 
 namespace p2pdb::rel {
 
+Relation::Relation(RelationSchema schema)
+    : schema_(std::move(schema)),
+      log_(std::make_shared<TupleLog>(schema_.arity())) {}
+
+Relation::Relation(const Relation& other)
+    : schema_(other.schema_),
+      tuples_(other.tuples_),
+      log_(std::make_shared<TupleLog>(schema_.arity())) {
+  const LogView source = other.View();
+  for (size_t i = 0; i < source.size(); ++i) log_->Append(source.at(i));
+}
+
+Relation& Relation::operator=(const Relation& other) {
+  if (this != &other) *this = Relation(other);
+  return *this;
+}
+
 Result<bool> Relation::Insert(Tuple tuple) {
   if (tuple.arity() != schema_.arity()) {
     return Status::InvalidArgument(
         StrFormat("arity mismatch inserting into %s: got %zu, want %zu",
                   schema_.name().c_str(), tuple.arity(), schema_.arity()));
   }
-  auto [it, added] = tuples_.insert(std::move(tuple));
-  if (added) {
-    // Keep live indexes fresh incrementally: rebuilding on every insert would
-    // make chase loops quadratic.
-    bool indexes_were_fresh = indexed_version_ == version_;
-    ++version_;
-    if (indexes_were_fresh && !indexes_.empty()) {
-      for (auto& [column, index] : indexes_) {
-        if (column < it->arity()) index.emplace(it->at(column), &*it);
-      }
-      indexed_version_ = version_;
-    }
-  }
-  return added;
-}
-
-const Relation::ColumnIndex& Relation::IndexOn(size_t column) const {
-  if (indexed_version_ != version_) {
-    indexes_.clear();
-    indexed_version_ = version_;
-  }
-  auto it = indexes_.find(column);
-  if (it == indexes_.end()) {
-    ColumnIndex index;
-    for (const Tuple& t : tuples_) {
-      if (column < t.arity()) index.emplace(t.at(column), &t);
-    }
-    it = indexes_.emplace(column, std::move(index)).first;
-  }
-  return it->second;
-}
-
-void Relation::PrebuildIndexes() const {
-  for (size_t column = 0; column < schema_.arity(); ++column) {
-    (void)IndexOn(column);
-  }
+  if (!log_->Append(tuple)) return false;
+  tuples_.insert(std::move(tuple));
+  return true;
 }
 
 std::set<Tuple> Relation::CertainTuples() const {

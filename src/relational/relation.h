@@ -2,40 +2,32 @@
 #ifndef P2PDB_RELATIONAL_RELATION_H_
 #define P2PDB_RELATIONAL_RELATION_H_
 
-#include <map>
+#include <memory>
 #include <set>
 #include <string>
 
 #include "src/relational/schema.h"
 #include "src/relational/tuple.h"
+#include "src/relational/tuple_log.h"
 #include "src/util/status.h"
 
 namespace p2pdb::rel {
 
-/// An extensional relation instance. Tuples are kept in a sorted set so that
-/// iteration, printing and comparison are deterministic.
+/// An extensional relation instance. Every tuple is held twice: in a sorted
+/// set, so that iteration, printing, codecs and comparison are deterministic,
+/// and in an append-only TupleLog, which answers membership and per-column
+/// lookups by hashing and which MVCC snapshots share instead of copying
+/// (tuple_log.h). Relations only grow: the protocol never retracts data.
 class Relation {
  public:
-  Relation() = default;
-  explicit Relation(RelationSchema schema) : schema_(std::move(schema)) {}
+  Relation() : Relation(RelationSchema()) {}
+  explicit Relation(RelationSchema schema);
 
-  /// Copies drop index state: a copied ColumnIndex would point at the SOURCE
-  /// relation's tuple nodes, not the copy's — dangling the moment the source
-  /// mutates. The copy rebuilds its indexes lazily (or via PrebuildIndexes).
-  Relation(const Relation& other)
-      : schema_(other.schema_), tuples_(other.tuples_),
-        version_(other.version_) {}
-  Relation& operator=(const Relation& other) {
-    if (this == &other) return *this;
-    schema_ = other.schema_;
-    tuples_ = other.tuples_;
-    version_ = other.version_;
-    indexed_version_ = 0;
-    indexes_.clear();
-    return *this;
-  }
-  // Moves keep indexes: std::set is node-based, so the moved-from set's tuple
-  // nodes (and the index pointers into them) stay valid in the destination.
+  /// A copy gets its own log, filled in the source's insertion order, so
+  /// evaluation visits its tuples in the same order; snapshots taken of the
+  /// source keep sharing the source's log.
+  Relation(const Relation& other);
+  Relation& operator=(const Relation& other);
   Relation(Relation&&) = default;
   Relation& operator=(Relation&&) = default;
 
@@ -46,40 +38,18 @@ class Relation {
   /// Inserts a tuple; returns true if it was new. Fails on arity mismatch.
   Result<bool> Insert(Tuple tuple);
 
-  bool Contains(const Tuple& tuple) const { return tuples_.count(tuple) > 0; }
-
-  /// Removes a tuple; returns true if present.
-  bool Erase(const Tuple& tuple) {
-    bool removed = tuples_.erase(tuple) > 0;
-    if (removed) ++version_;
-    return removed;
-  }
-
-  void Clear() {
-    tuples_.clear();
-    ++version_;
-  }
+  bool Contains(const Tuple& tuple) const { return View().Contains(tuple); }
 
   const std::set<Tuple>& tuples() const { return tuples_; }
 
   /// Tuples containing no labeled null (the "certain" part of the instance).
   std::set<Tuple> CertainTuples() const;
 
-  /// Lazy hash index: value at `column` -> tuples. Built on first use and
-  /// invalidated by any mutation; lets the evaluator turn nested-loop joins
-  /// into index lookups. Pointers remain valid while the relation is unchanged
-  /// (tuples_ is node-based).
-  using ColumnIndex = std::multimap<Value, const Tuple*>;
-  const ColumnIndex& IndexOn(size_t column) const;
+  /// Every tuple inserted so far, in insertion order, as evaluation reads it.
+  LogView View() const { return LogView(log_.get(), log_->size()); }
 
-  /// Eagerly builds the index for every schema column. An immutable relation
-  /// (an MVCC snapshot's) must call this before being shared across threads:
-  /// afterwards concurrent IndexOn(c) calls for c < arity are pure reads,
-  /// whereas the lazy path mutates `mutable` state under const.
-  void PrebuildIndexes() const;
-
-  /// Monotone mutation counter; lets callers cheaply detect change.
-  uint64_t version() const { return version_; }
+  /// The log itself, for snapshots that must outlive this relation.
+  std::shared_ptr<const TupleLog> log() const { return log_; }
 
   /// Multi-line listing for debugging / example output.
   std::string ToString() const;
@@ -87,9 +57,7 @@ class Relation {
  private:
   RelationSchema schema_;
   std::set<Tuple> tuples_;
-  mutable uint64_t indexed_version_ = 0;
-  uint64_t version_ = 1;
-  mutable std::map<size_t, ColumnIndex> indexes_;
+  std::shared_ptr<TupleLog> log_;
 };
 
 }  // namespace p2pdb::rel

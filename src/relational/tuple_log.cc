@@ -1,0 +1,161 @@
+#include "src/relational/tuple_log.h"
+
+#include <cstdlib>
+
+namespace p2pdb::rel {
+
+namespace {
+
+constexpr size_t kFirstTableCapacity = 16;
+// Entry + 1 must fit the 32-bit link and slot fields.
+constexpr size_t kMaxEntries = UINT32_MAX - 1;
+
+/// Finalizes a hash into a well-mixed 32-bit tag (murmur3's fmix64):
+/// Value::Hash keeps integers' low bits, which would cluster probe runs.
+uint32_t Tag(size_t h) {
+  uint64_t x = h;
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ULL;
+  x ^= x >> 33;
+  return static_cast<uint32_t>(x);
+}
+
+uint64_t Pack(uint32_t tag, size_t entry) {
+  return (static_cast<uint64_t>(tag) << 32) | (entry + 1);
+}
+uint32_t TagOf(uint64_t slot) { return static_cast<uint32_t>(slot >> 32); }
+size_t EntryOf(uint64_t slot) { return (slot & 0xffffffffu) - 1; }
+
+}  // namespace
+
+TupleLog::Chunk::Chunk(size_t slots, size_t arity)
+    : tuples(std::make_unique<Tuple[]>(slots)),
+      links(std::make_unique<std::atomic<uint32_t>[]>(slots * arity)) {}
+
+TupleLog::Table::Table(size_t capacity, bool with_tails)
+    : mask(capacity - 1),
+      slots(std::make_unique<std::atomic<uint64_t>[]>(capacity)) {
+  if (with_tails) tails = std::make_unique<uint32_t[]>(capacity);
+}
+
+TupleLog::TupleLog(size_t arity)
+    : arity_(arity),
+      columns_(std::make_unique<std::atomic<Table*>[]>(arity)),
+      column_keys_(arity, 0) {}
+
+TupleLog::~TupleLog() {
+  for (auto& chunk : chunks_) delete chunk.load(std::memory_order_relaxed);
+}
+
+bool TupleLog::Append(const Tuple& tuple) {
+  const size_t n = size_.load(std::memory_order_relaxed);
+  if (Contains(tuple, n)) return false;
+  if (n >= kMaxEntries) std::abort();  // 4G tuples in one relation.
+
+  const Slot s = Locate(n);
+  Chunk* chunk = chunks_[s.chunk].load(std::memory_order_relaxed);
+  if (chunk == nullptr) {
+    chunk = new Chunk(size_t{1} << (kFirstChunkLog2 + s.chunk), arity_);
+    chunks_[s.chunk].store(chunk, std::memory_order_release);
+  }
+  chunk->tuples[s.offset] = tuple;
+
+  for (size_t column = 0; column < arity_; ++column) IndexColumn(column, n);
+
+  const uint32_t tag = Tag(tuple.Hash());
+  Table* members = Reserve(&members_, n + 1, /*with_tails=*/false);
+  size_t pos = tag & members->mask;
+  while (members->slots[pos].load(std::memory_order_relaxed) != 0) {
+    pos = (pos + 1) & members->mask;
+  }
+  members->slots[pos].store(Pack(tag, n), std::memory_order_release);
+  size_.store(n + 1, std::memory_order_release);
+  return true;
+}
+
+void TupleLog::IndexColumn(size_t column, size_t entry) {
+  const Value& key = at(entry).at(column);
+  const uint32_t tag = Tag(key.Hash());
+  Table* table = columns_[column].load(std::memory_order_relaxed);
+  if (table != nullptr) {
+    for (size_t pos = tag & table->mask;; pos = (pos + 1) & table->mask) {
+      const uint64_t slot = table->slots[pos].load(std::memory_order_relaxed);
+      if (slot == 0) break;
+      if (TagOf(slot) == tag && at(EntryOf(slot)).at(column) == key) {
+        // Known value: chain the entry behind the newest one holding it.
+        Link(table->tails[pos], column)
+            .store(static_cast<uint32_t>(entry + 1), std::memory_order_release);
+        table->tails[pos] = static_cast<uint32_t>(entry);
+        return;
+      }
+    }
+  }
+  table = Reserve(&columns_[column], ++column_keys_[column],
+                  /*with_tails=*/true);
+  size_t pos = tag & table->mask;
+  while (table->slots[pos].load(std::memory_order_relaxed) != 0) {
+    pos = (pos + 1) & table->mask;
+  }
+  table->tails[pos] = static_cast<uint32_t>(entry);
+  table->slots[pos].store(Pack(tag, entry), std::memory_order_release);
+}
+
+TupleLog::Table* TupleLog::Reserve(std::atomic<Table*>* table, size_t keys,
+                                   bool with_tails) {
+  Table* old = table->load(std::memory_order_relaxed);
+  if (old != nullptr && 2 * keys <= old->mask + 1) return old;
+  const size_t capacity =
+      old == nullptr ? kFirstTableCapacity : 2 * (old->mask + 1);
+  auto grown = std::make_unique<Table>(capacity, with_tails);
+  if (old != nullptr) {
+    for (size_t i = 0; i <= old->mask; ++i) {
+      const uint64_t slot = old->slots[i].load(std::memory_order_relaxed);
+      if (slot == 0) continue;
+      size_t pos = TagOf(slot) & grown->mask;
+      while (grown->slots[pos].load(std::memory_order_relaxed) != 0) {
+        pos = (pos + 1) & grown->mask;
+      }
+      grown->slots[pos].store(slot, std::memory_order_relaxed);
+      if (with_tails) grown->tails[pos] = old->tails[i];
+    }
+  }
+  // The release store publishes the fully populated table; `old` is never
+  // written again but stays alive for readers that already loaded it.
+  Table* raw = grown.get();
+  table->store(raw, std::memory_order_release);
+  tables_.push_back(std::move(grown));
+  return raw;
+}
+
+bool TupleLog::Contains(const Tuple& tuple, size_t watermark) const {
+  const Table* table = members_.load(std::memory_order_acquire);
+  if (table == nullptr || watermark == 0) return false;
+  const uint32_t tag = Tag(tuple.Hash());
+  for (size_t pos = tag & table->mask;; pos = (pos + 1) & table->mask) {
+    const uint64_t slot = table->slots[pos].load(std::memory_order_acquire);
+    if (slot == 0) return false;
+    if (TagOf(slot) != tag) continue;
+    const size_t entry = EntryOf(slot);
+    if (entry < watermark && at(entry) == tuple) return true;
+  }
+}
+
+size_t TupleLog::First(size_t column, const Value& key,
+                       size_t watermark) const {
+  const Table* table = columns_[column].load(std::memory_order_acquire);
+  if (table == nullptr || watermark == 0) return kNone;
+  const uint32_t tag = Tag(key.Hash());
+  for (size_t pos = tag & table->mask;; pos = (pos + 1) & table->mask) {
+    const uint64_t slot = table->slots[pos].load(std::memory_order_acquire);
+    if (slot == 0) return kNone;
+    if (TagOf(slot) != tag) continue;
+    // A chain head at or above the watermark means the value is newer than
+    // this reader (or a different value with the same tag): keep probing.
+    const size_t head = EntryOf(slot);
+    if (head < watermark && at(head).at(column) == key) return head;
+  }
+}
+
+}  // namespace p2pdb::rel

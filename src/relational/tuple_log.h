@@ -1,0 +1,172 @@
+// TupleLog: the append-only store behind every relation. The update protocol
+// is monotone (the chase only inserts and Section 4 never retracts data), so
+// any earlier state of a relation is a prefix of its log. An MVCC snapshot
+// therefore copies nothing: it records a (log, watermark) pair per relation,
+// and publishing a delta batch costs O(#relations).
+//
+// Layout:
+//  * Storage: entries live in chunks of 8, 16, 32, ... slots, so an entry
+//    never moves once written and the chunk directory is a fixed array.
+//  * Membership: an open-addressing hash set of entry numbers.
+//  * Per-column index: one open-addressing table per column mapping a value
+//    to the oldest entry holding it there, plus one `next` link per entry and
+//    column to the next newer entry with the same value in that column. A
+//    lookup walks the chain from old to new and stops at the first link at or
+//    above the reader's watermark, so it never touches a newer entry.
+//
+// Concurrency contract (one writer, any number of readers):
+//  * Only the peer's serialized writer appends.
+//  * The writer fills an entry before it release-stores the hash slot or
+//    chain link that points at it.
+//  * Chunk pointers and table pointers are atomics. A grown table is fully
+//    populated before its pointer is release-stored.
+//  * A hash table that growth has replaced is never written again. The old
+//    tables stay owned by the log, so a reader still probing one is safe.
+//  * Readers dereference only entries below their watermark. The watermark
+//    reaches them through SnapshotStore's release/acquire publication, which
+//    orders every write to those entries before the read.
+//  * Snapshots hold their logs by shared_ptr, so a crashed peer's last
+//    snapshot keeps its logs alive after the peer's Database is gone.
+#ifndef P2PDB_RELATIONAL_TUPLE_LOG_H_
+#define P2PDB_RELATIONAL_TUPLE_LOG_H_
+
+#include <atomic>
+#include <bit>
+#include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <vector>
+
+#include "src/relational/tuple.h"
+
+namespace p2pdb::rel {
+
+class TupleLog {
+ public:
+  /// Entry number returned by lookups when nothing (more) matches.
+  static constexpr size_t kNone = SIZE_MAX;
+
+  explicit TupleLog(size_t arity);
+  ~TupleLog();
+
+  TupleLog(const TupleLog&) = delete;
+  TupleLog& operator=(const TupleLog&) = delete;
+
+  size_t arity() const { return arity_; }
+
+  /// Entries appended so far. Exact on the writer thread; readers use the
+  /// watermark they were handed instead.
+  size_t size() const { return size_.load(std::memory_order_acquire); }
+
+  /// Writer only. Appends a copy of `tuple` unless an equal entry exists and
+  /// returns whether it did. `tuple.arity()` must equal arity().
+  bool Append(const Tuple& tuple);
+
+  /// Entry `i`, for `i` below the caller's watermark.
+  const Tuple& at(size_t i) const {
+    const Slot s = Locate(i);
+    return chunks_[s.chunk].load(std::memory_order_acquire)->tuples[s.offset];
+  }
+
+  /// True iff an entry equal to `tuple` lies below `watermark`.
+  bool Contains(const Tuple& tuple, size_t watermark) const;
+
+  /// The oldest entry below `watermark` whose value at `column` (< arity)
+  /// equals `key`, or kNone.
+  size_t First(size_t column, const Value& key, size_t watermark) const;
+
+  /// The next newer entry after `entry` with the same value at `column`,
+  /// if it lies below `watermark`; else kNone.
+  size_t Next(size_t column, size_t entry, size_t watermark) const {
+    const uint32_t next = Link(entry, column).load(std::memory_order_acquire);
+    return next == 0 || next - 1 >= watermark ? kNone : next - 1;
+  }
+
+ private:
+  static constexpr size_t kFirstChunkLog2 = 3;
+  // Entry numbers are 32-bit; 29 doubling chunks from 8 cover all of them.
+  static constexpr size_t kMaxChunks = 29;
+
+  struct Chunk {
+    Chunk(size_t slots, size_t arity);
+    std::unique_ptr<Tuple[]> tuples;
+    // links[slot * arity + column]: next newer entry + 1, or 0 for none.
+    std::unique_ptr<std::atomic<uint32_t>[]> links;
+  };
+
+  /// Open addressing with linear probing, kept at most half full. A slot
+  /// packs a 32-bit hash tag (which also picks the home position) above
+  /// entry + 1; 0 is empty.
+  struct Table {
+    Table(size_t capacity, bool with_tails);
+    size_t mask;
+    std::unique_ptr<std::atomic<uint64_t>[]> slots;
+    // Writer-only: the newest entry of each slot's chain (column tables).
+    std::unique_ptr<uint32_t[]> tails;
+  };
+
+  struct Slot {
+    size_t chunk;
+    size_t offset;
+  };
+  static Slot Locate(size_t i) {
+    const size_t chunk = std::bit_width((i >> kFirstChunkLog2) + 1) - 1;
+    return {chunk, i - (((size_t{1} << chunk) - 1) << kFirstChunkLog2)};
+  }
+
+  std::atomic<uint32_t>& Link(size_t entry, size_t column) const {
+    const Slot s = Locate(entry);
+    return chunks_[s.chunk]
+        .load(std::memory_order_acquire)
+        ->links[s.offset * arity_ + column];
+  }
+
+  /// Writer only: grows `*table` (doubling, retiring the old table) if
+  /// holding `keys` keys would pass half load, and returns the table to
+  /// insert into.
+  Table* Reserve(std::atomic<Table*>* table, size_t keys, bool with_tails);
+  void IndexColumn(size_t column, size_t entry);
+
+  const size_t arity_;
+  std::atomic<size_t> size_{0};
+  std::atomic<Chunk*> chunks_[kMaxChunks] = {};
+  std::atomic<Table*> members_{nullptr};
+  std::unique_ptr<std::atomic<Table*>[]> columns_;
+  // Writer-only bookkeeping.
+  std::vector<size_t> column_keys_;              // Distinct keys per column.
+  std::vector<std::unique_ptr<Table>> tables_;  // Every table ever built.
+};
+
+/// What evaluation reads: one relation's log up to a watermark. The live
+/// Database hands out views at the log's current size, an MVCC snapshot at
+/// the size it recorded when published. A default view stands for a missing
+/// relation.
+class LogView {
+ public:
+  LogView() = default;
+  LogView(const TupleLog* log, size_t watermark)
+      : log_(log), watermark_(watermark) {}
+
+  explicit operator bool() const { return log_ != nullptr; }
+  size_t size() const { return watermark_; }
+  size_t arity() const { return log_->arity(); }
+  const Tuple& at(size_t i) const { return log_->at(i); }
+
+  bool Contains(const Tuple& tuple) const {
+    return log_->Contains(tuple, watermark_);
+  }
+  size_t First(size_t column, const Value& key) const {
+    return log_->First(column, key, watermark_);
+  }
+  size_t Next(size_t column, size_t entry) const {
+    return log_->Next(column, entry, watermark_);
+  }
+
+ private:
+  const TupleLog* log_ = nullptr;
+  size_t watermark_ = 0;
+};
+
+}  // namespace p2pdb::rel
+
+#endif  // P2PDB_RELATIONAL_TUPLE_LOG_H_

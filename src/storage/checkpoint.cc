@@ -20,13 +20,15 @@ bool CheckpointExists(const std::string& dir) {
   return ::access(CheckpointPath(dir).c_str(), F_OK) == 0;
 }
 
-Status SaveCheckpoint(const rel::Database& db, const std::string& dir) {
+Status SaveCheckpoint(const rel::Database& db, const std::string& dir,
+                      SyncMode sync) {
   const std::string tmp = dir + "/checkpoint.tmp";
   std::vector<uint8_t> bytes = rel::SerializeDatabase(db);
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) return Status::Internal("cannot open " + tmp);
   size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  bool flushed = std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
+  bool flushed = std::fflush(f) == 0 &&
+                 (sync == SyncMode::kNoSync || ::fsync(::fileno(f)) == 0);
   int close_rc = std::fclose(f);
   if (written != bytes.size() || !flushed || close_rc != 0) {
     std::remove(tmp.c_str());
@@ -37,7 +39,7 @@ Status SaveCheckpoint(const rel::Database& db, const std::string& dir) {
     return Status::Internal("cannot publish checkpoint in " + dir + ": " +
                             std::strerror(errno));
   }
-  return FsyncDirectory(dir);
+  return sync == SyncMode::kSync ? FsyncDirectory(dir) : Status::OK();
 }
 
 Result<rel::Database> LoadCheckpoint(const std::string& dir) {

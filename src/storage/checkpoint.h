@@ -9,6 +9,7 @@
 #include <string>
 
 #include "src/relational/database.h"
+#include "src/storage/wal.h"
 #include "src/util/status.h"
 
 namespace p2pdb::storage {
@@ -19,9 +20,12 @@ std::string CheckpointPath(const std::string& dir);
 bool CheckpointExists(const std::string& dir);
 
 /// Atomically replaces the checkpoint in `dir` with a snapshot of `db`:
-/// serializes to "checkpoint.tmp", fsyncs, renames over "checkpoint.p2db",
-/// then fsyncs the directory so the rename itself is durable.
-Status SaveCheckpoint(const rel::Database& db, const std::string& dir);
+/// serializes to "checkpoint.tmp", renames it over "checkpoint.p2db". Under
+/// kSync it fsyncs the file before the rename and the directory after it, so
+/// the rename itself is durable; under kNoSync it only flushes to the OS,
+/// which still survives a process crash.
+Status SaveCheckpoint(const rel::Database& db, const std::string& dir,
+                      SyncMode sync);
 
 /// Loads the checkpoint in `dir`; NotFound when none has been written yet.
 Result<rel::Database> LoadCheckpoint(const std::string& dir);

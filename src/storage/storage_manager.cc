@@ -155,7 +155,7 @@ Status StorageManager::MaybeCheckpoint(const rel::Database& db) {
 
 Status StorageManager::Checkpoint(const rel::Database& db) {
   auto start = std::chrono::steady_clock::now();
-  P2PDB_RETURN_IF_ERROR(SaveCheckpoint(db, options_.dir));
+  P2PDB_RETURN_IF_ERROR(SaveCheckpoint(db, options_.dir, options_.sync));
   static obs::Histogram* duration =
       obs::Registry::Global().GetHistogram("storage.checkpoint_micros");
   duration->Record(static_cast<uint64_t>(

@@ -228,7 +228,13 @@ Status WalWriter::Reset(const std::vector<std::vector<uint8_t>>& retained) {
     bytes.insert(bytes.end(), payload.begin(), payload.end());
   }
   size_t written = std::fwrite(bytes.data(), 1, bytes.size(), fresh);
-  bool flushed = std::fflush(fresh) == 0 && ::fsync(::fileno(fresh)) == 0;
+  // Under kNoSync the fresh log, like every append, only reaches the OS.
+  const bool sync = sync_ == SyncMode::kSync;
+  bool flushed = std::fflush(fresh) == 0;
+  if (flushed && sync) {
+    ++syncs_performed_;
+    flushed = ::fsync(::fileno(fresh)) == 0;
+  }
   int close_rc = std::fclose(fresh);
   if (written != bytes.size() || !flushed || close_rc != 0) {
     std::remove(tmp.c_str());
@@ -245,7 +251,8 @@ Status WalWriter::Reset(const std::vector<std::vector<uint8_t>>& retained) {
     size_bytes_ = bytes.size();
     pending_appends_ = 0;  // The old file's open window died with it.
     size_t slash = path_.find_last_of('/');
-    if (slash != std::string::npos) {
+    if (sync && slash != std::string::npos) {
+      ++syncs_performed_;
       published = FsyncDirectory(path_.substr(0, slash));
     }
   }

@@ -91,16 +91,18 @@ class WalWriter {
   /// Truncates the log back to a fresh state holding exactly `retained` (by
   /// default none); used after a checkpoint has made the logged deltas
   /// redundant while rule-change records must survive. Atomic: the fresh log
-  /// is built in a temp file, fsync'd, and renamed over the old one, so a
-  /// crash at any point leaves either the full old log or the full new one —
-  /// never a log missing its retained records.
+  /// is built in a temp file and renamed over the old one, so a crash at any
+  /// point leaves either the full old log or the full new one — never a log
+  /// missing its retained records. Under kSync the temp file is fsync'd
+  /// before the rename and the directory after it; kNoSync skips both.
   Status Reset(const std::vector<std::vector<uint8_t>>& retained = {});
 
   /// Current file size in bytes (header + intact records).
   uint64_t size_bytes() const { return size_bytes_; }
   /// Records appended through this writer (excludes pre-existing ones).
   uint64_t appended_records() const { return appended_records_; }
-  /// fsyncs issued by this writer (group commit makes this < appended).
+  /// fsyncs issued by this writer, Reset's included (group commit makes
+  /// this < appended).
   uint64_t syncs_performed() const { return syncs_performed_; }
   /// Appends flushed to the OS but not yet covered by an fsync.
   uint64_t pending_appends() const { return pending_appends_; }

@@ -1,6 +1,6 @@
 // Query plane: the lock-free MVCC read path (src/core/query.h) and its
 // snapshot machinery (src/relational/mvcc.h). Covers snapshot/live
-// equivalence before and after updates, copy-on-write sharing, point
+// equivalence before and after updates, log sharing at watermarks, point
 // lookups, crashed-peer reads, the generated query workload, and a
 // TSan-targeted hammer: reader threads on Session::Query while a churned
 // TCP update propagates underneath.
@@ -11,6 +11,7 @@
 #include <atomic>
 #include <filesystem>
 #include <map>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -111,24 +112,40 @@ TEST(QueryPlaneTest, SnapshotAdvancesWithCommittedUpdate) {
   EXPECT_TRUE(derived->count(rel::Tuple({S("u"), S("v")})));  // From E.e.
 }
 
-TEST(QueryPlaneTest, AdvanceSharesUntouchedRelations) {
-  rel::Database db;
-  ASSERT_TRUE(db.CreateRelation(rel::RelationSchema("hot", {"x", "y"})).ok());
-  ASSERT_TRUE(db.CreateRelation(rel::RelationSchema("cold", {"x"})).ok());
-  ASSERT_TRUE(*db.Insert("hot", rel::Tuple({S("a"), S("b")})));
-  ASSERT_TRUE(*db.Insert("cold", rel::Tuple({S("k")})));
+TEST(QueryPlaneTest, SnapshotsShareLogsAtWatermarks) {
+  rel::SnapshotPtr v0, v1;
+  {
+    rel::Database db;
+    ASSERT_TRUE(
+        db.CreateRelation(rel::RelationSchema("hot", {"x", "y"})).ok());
+    ASSERT_TRUE(db.CreateRelation(rel::RelationSchema("cold", {"x"})).ok());
+    ASSERT_TRUE(*db.Insert("hot", rel::Tuple({S("a"), S("b")})));
+    ASSERT_TRUE(*db.Insert("cold", rel::Tuple({S("k")})));
 
-  rel::SnapshotPtr v0 = rel::BuildSnapshot(db, 0);
-  ASSERT_TRUE(*db.Insert("hot", rel::Tuple({S("c"), S("d")})));
-  rel::SnapshotPtr v1 = rel::AdvanceSnapshot(v0, db, {"hot"}, 1);
+    v0 = rel::BuildSnapshot(db, 0);
+    ASSERT_TRUE(*db.Insert("hot", rel::Tuple({S("c"), S("d")})));
+    v1 = rel::BuildSnapshot(db, 1);
 
-  // Copy-on-write: the untouched relation is the same frozen object; the
-  // touched one was re-frozen. The old snapshot still serves the old data.
-  EXPECT_EQ(v0->relations().at("cold"), v1->relations().at("cold"));
-  EXPECT_NE(v0->relations().at("hot"), v1->relations().at("hot"));
-  EXPECT_EQ(v0->FindRelation("hot")->size(), 1u);
-  EXPECT_EQ(v1->FindRelation("hot")->size(), 2u);
-  EXPECT_EQ(v1->version(), 1u);
+    // Both snapshots share the live relations' logs and differ only in
+    // where they stop reading.
+    for (const char* name : {"hot", "cold"}) {
+      EXPECT_EQ(v0->relations().at(name).log, v1->relations().at(name).log);
+      EXPECT_EQ(v0->relations().at(name).log, db.FindRelation(name)->log());
+    }
+    EXPECT_EQ(v0->View("hot").size(), 1u);
+    EXPECT_EQ(v1->View("hot").size(), 2u);
+    EXPECT_EQ(v1->version(), 1u);
+  }  // The database goes away, as a crashed peer's does.
+
+  // v0 still answers as of its publication: 1 tuple, not the 2 of v1.
+  auto old_rows = rel::EvaluateQuery(*v0, AllPairs("hot"));
+  ASSERT_TRUE(old_rows.ok());
+  EXPECT_EQ(*old_rows, (std::set<rel::Tuple>{rel::Tuple({S("a"), S("b")})}));
+  EXPECT_FALSE(v0->View("hot").Contains(rel::Tuple({S("c"), S("d")})));
+  auto new_rows = rel::EvaluateQuery(*v1, AllPairs("hot"));
+  ASSERT_TRUE(new_rows.ok());
+  EXPECT_EQ(new_rows->size(), 2u);
+  EXPECT_TRUE(v1->View("cold").Contains(rel::Tuple({S("k")})));
 }
 
 TEST(QueryPlaneTest, PointLookupsHitMissAndBoundsCheck) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/relational/database.h"
 
 namespace p2pdb::rel {
@@ -45,14 +47,13 @@ TEST(RelationTest, InsertChecksArity) {
   EXPECT_FALSE(r.Insert(Tuple({Value::Int(1)})).ok());
 }
 
-TEST(RelationTest, EraseAndContains) {
+TEST(RelationTest, Contains) {
   Relation r(PairSchema());
   Tuple t({Value::Int(1), Value::Int(2)});
+  EXPECT_FALSE(r.Contains(t));
   (void)r.Insert(t);
   EXPECT_TRUE(r.Contains(t));
-  EXPECT_TRUE(r.Erase(t));
-  EXPECT_FALSE(r.Contains(t));
-  EXPECT_FALSE(r.Erase(t));
+  EXPECT_FALSE(r.Contains(Tuple({Value::Int(2), Value::Int(1)})));
 }
 
 TEST(RelationTest, CertainTuplesExcludeNulls) {
@@ -63,29 +64,56 @@ TEST(RelationTest, CertainTuplesExcludeNulls) {
   EXPECT_EQ(r.CertainTuples().size(), 1u);
 }
 
+// Entries of `view` whose value at `column` is `key`, via the column index.
+std::vector<Tuple> Lookup(const LogView& view, size_t column,
+                          const Value& key) {
+  std::vector<Tuple> out;
+  for (size_t e = view.First(column, key); e != TupleLog::kNone;
+       e = view.Next(column, e)) {
+    out.push_back(view.at(e));
+  }
+  return out;
+}
+
 TEST(RelationTest, IndexFindsMatches) {
   Relation r(PairSchema());
   for (int i = 0; i < 10; ++i) {
     (void)r.Insert(Tuple({Value::Int(i % 3), Value::Int(i)}));
   }
-  const Relation::ColumnIndex& index = r.IndexOn(0);
-  auto [begin, end] = index.equal_range(Value::Int(1));
-  size_t count = 0;
-  for (auto it = begin; it != end; ++it) {
-    EXPECT_EQ(it->second->at(0), Value::Int(1));
-    ++count;
-  }
-  EXPECT_EQ(count, 3u);  // i = 1, 4, 7.
+  // i = 1, 4, 7, in insertion order.
+  EXPECT_EQ(Lookup(r.View(), 0, Value::Int(1)),
+            (std::vector<Tuple>{Tuple({Value::Int(1), Value::Int(1)}),
+                                Tuple({Value::Int(1), Value::Int(4)}),
+                                Tuple({Value::Int(1), Value::Int(7)})}));
+  EXPECT_EQ(Lookup(r.View(), 1, Value::Int(9)).size(), 1u);
+  EXPECT_TRUE(Lookup(r.View(), 0, Value::Int(5)).empty());
 }
 
-TEST(RelationTest, IndexInvalidatedByMutation) {
+TEST(RelationTest, IndexFollowsInserts) {
   Relation r(PairSchema());
   (void)r.Insert(Tuple({Value::Int(1), Value::Int(1)}));
-  EXPECT_EQ(r.IndexOn(0).count(Value::Int(1)), 1u);
+  const LogView before = r.View();
+  EXPECT_EQ(Lookup(before, 0, Value::Int(1)).size(), 1u);
   (void)r.Insert(Tuple({Value::Int(1), Value::Int(2)}));
-  EXPECT_EQ(r.IndexOn(0).count(Value::Int(1)), 2u);
-  r.Clear();
-  EXPECT_EQ(r.IndexOn(0).count(Value::Int(1)), 0u);
+  (void)r.Insert(Tuple({Value::Int(1), Value::Int(2)}));  // Duplicate.
+  EXPECT_EQ(Lookup(r.View(), 0, Value::Int(1)).size(), 2u);
+  // A view taken earlier keeps its watermark.
+  EXPECT_EQ(Lookup(before, 0, Value::Int(1)).size(), 1u);
+}
+
+TEST(RelationTest, CopyGetsItsOwnLog) {
+  Relation r(PairSchema());
+  (void)r.Insert(Tuple({Value::Int(2), Value::Int(0)}));
+  (void)r.Insert(Tuple({Value::Int(1), Value::Int(0)}));
+  Relation copy = r;
+  EXPECT_NE(copy.log(), r.log());
+  (void)copy.Insert(Tuple({Value::Int(3), Value::Int(0)}));
+  EXPECT_EQ(r.size(), 2u);
+  EXPECT_EQ(r.View().size(), 2u);
+  EXPECT_EQ(copy.View().size(), 3u);
+  // The copy's log keeps the source's insertion order.
+  EXPECT_EQ(copy.View().at(0), r.View().at(0));
+  EXPECT_EQ(copy.View().at(1), r.View().at(1));
 }
 
 TEST(DatabaseTest, CreateAndLookup) {

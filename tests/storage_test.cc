@@ -101,11 +101,39 @@ TEST(StorageManagerTest, GroupCommitOptionsReachTheWal) {
   auto manager = StorageManager::Open(options);
   ASSERT_TRUE(manager.ok());
   ASSERT_TRUE((*manager)->EnsureBase(BaseDb()).ok());
+  const uint64_t base_syncs = (*manager)->wal_syncs();  // The base's Reset.
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE((*manager)->LogDelta(OneDelta(10 + i, "d")).ok());
   }
-  EXPECT_EQ((*manager)->wal_syncs(), 2u);  // Two batches of four.
+  EXPECT_EQ((*manager)->wal_syncs() - base_syncs, 2u);  // Two batches of 4.
   std::filesystem::remove_all(options.dir);
+}
+
+TEST(StorageManagerTest, CheckpointFsyncsOnlyUnderSyncMode) {
+  for (SyncMode mode : {SyncMode::kNoSync, SyncMode::kSync}) {
+    StorageOptions options;
+    options.dir =
+        FreshDir(mode == SyncMode::kSync ? "ckpt_sync" : "ckpt_nosync");
+    options.sync = mode;
+    auto manager = StorageManager::Open(options);
+    ASSERT_TRUE(manager.ok()) << manager.status().ToString();
+    rel::Database db = BaseDb();
+    ASSERT_TRUE((*manager)->EnsureBase(db).ok());
+    ASSERT_TRUE((*manager)->LogDelta(OneDelta(2, "x")).ok());
+    const uint64_t before = (*manager)->wal_syncs();
+    ASSERT_TRUE((*manager)->Checkpoint(db).ok());  // Forced.
+    const uint64_t reset_syncs = (*manager)->wal_syncs() - before;
+    if (mode == SyncMode::kSync) {
+      EXPECT_GE(reset_syncs, 1u);
+    } else {
+      EXPECT_EQ((*manager)->wal_syncs(), 0u);
+    }
+    // Either way the checkpoint is published and recoverable.
+    auto recovered = (*manager)->Recover(nullptr);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_TRUE(*recovered == db);
+    std::filesystem::remove_all(options.dir);
+  }
 }
 
 TEST(StorageManagerTest, EnsureBaseCheckpointsOnlyOnce) {

@@ -486,12 +486,10 @@ TEST(TcpRuntimeTest, ChurnScriptWithSocketCloseCrashes) {
 
   auto victim = system->NodeByName("B");
   ASSERT_TRUE(victim.ok());
-  // Churn times are elapsed wall-clock micros on this runtime: crash shortly
-  // after the update starts, restart 100ms later.
-  uint64_t now = rt.NowMicros();
-  core::ChurnScript churn = {
-      core::ChurnEvent::Crash(now + 5'000, *victim),
-      core::ChurnEvent::Restart(now + 100'000, *victim)};
+  // Churn times are wall-clock micros since the update starts: crash
+  // shortly after it, restart 100ms later.
+  core::ChurnScript churn = {core::ChurnEvent::Crash(5'000, *victim),
+                             core::ChurnEvent::Restart(100'000, *victim)};
   ScopedLogCapture quiet;  // Kernel-refused deliveries are expected.
   ASSERT_TRUE(session.RunUpdateWithChurn(churn).ok());
   ASSERT_TRUE(session.AllClosed());
@@ -521,11 +519,10 @@ TEST(TcpRuntimeTest, MultiPeerChurnOnGeneratedScenario) {
   core::Session session(*system, &rt, session_options);
   ASSERT_TRUE(session.RunDiscovery().ok());
 
-  uint64_t now = rt.NowMicros();
-  core::ChurnScript churn = {core::ChurnEvent::Crash(now + 3'000, 2),
-                             core::ChurnEvent::Crash(now + 6'000, 5),
-                             core::ChurnEvent::Restart(now + 80'000, 2),
-                             core::ChurnEvent::Restart(now + 90'000, 5)};
+  core::ChurnScript churn = {core::ChurnEvent::Crash(3'000, 2),
+                             core::ChurnEvent::Crash(6'000, 5),
+                             core::ChurnEvent::Restart(80'000, 2),
+                             core::ChurnEvent::Restart(90'000, 5)};
   ScopedLogCapture quiet;
   ASSERT_TRUE(session.RunUpdateWithChurn(churn).ok());
   ASSERT_TRUE(session.AllClosed());

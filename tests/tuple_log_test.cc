@@ -1,0 +1,161 @@
+// TupleLog: parity with a std::set reference, watermark isolation across
+// chunk and table growth, and one writer appending under concurrent readers
+// (a TSan target).
+#include "src/relational/tuple_log.h"
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <map>
+#include <set>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "src/util/rng.h"
+
+namespace p2pdb::rel {
+namespace {
+
+/// Entries of `view` whose value at `column` is `key`, via the column index.
+std::vector<Tuple> Lookup(const LogView& view, size_t column,
+                          const Value& key) {
+  std::vector<Tuple> out;
+  for (size_t e = view.First(column, key); e != TupleLog::kNone;
+       e = view.Next(column, e)) {
+    out.push_back(view.at(e));
+  }
+  return out;
+}
+
+/// A random 3-ary tuple: a low-cardinality int column (long chains), a
+/// high-cardinality string column (many column-table growths) and a column
+/// mixing ints and nulls.
+Tuple RandomTuple(Rng* rng) {
+  const uint64_t third = rng->NextBelow(50);
+  return Tuple({Value::Int(static_cast<int64_t>(rng->NextBelow(13))),
+                Value::Str("s" + std::to_string(rng->NextBelow(4000))),
+                third % 2 == 0 ? Value::Int(static_cast<int64_t>(third))
+                               : Value::Null(third)});
+}
+
+TEST(TupleLogTest, MatchesSetReference) {
+  Rng rng(7);
+  TupleLog log(3);
+  std::set<Tuple> reference;
+  std::vector<Tuple> order;  // Reference insertion order.
+  // 6000 draws cross ten chunk boundaries (8, 24, 56, ...) and grow every
+  // table several times; the draws repeat tuples, so Append must dedup.
+  for (int i = 0; i < 6000; ++i) {
+    Tuple t = RandomTuple(&rng);
+    const bool added = reference.insert(t).second;
+    EXPECT_EQ(log.Append(t), added);
+    if (added) order.push_back(t);
+  }
+  ASSERT_EQ(log.size(), reference.size());
+  const LogView view(&log, log.size());
+
+  // Scan: exactly the reference, in insertion order.
+  for (size_t e = 0; e < view.size(); ++e) EXPECT_EQ(view.at(e), order[e]);
+
+  // Membership: every member hits; near misses do not.
+  for (const Tuple& t : reference) EXPECT_TRUE(view.Contains(t));
+  for (int i = 0; i < 500; ++i) {
+    Tuple probe = RandomTuple(&rng);
+    EXPECT_EQ(view.Contains(probe), reference.count(probe) > 0);
+  }
+  EXPECT_FALSE(view.Contains(Tuple({Value::Int(0), Value::Str("s0")})));
+
+  // Per-column lookup: each key's chain is the reference's tuples with that
+  // value, oldest first.
+  for (size_t column = 0; column < 3; ++column) {
+    std::map<Value, std::vector<Tuple>> expected;
+    for (const Tuple& t : order) expected[t.at(column)].push_back(t);
+    for (const auto& [key, tuples] : expected) {
+      EXPECT_EQ(Lookup(view, column, key), tuples) << "column " << column;
+    }
+    EXPECT_TRUE(Lookup(view, column, Value::Str("absent")).empty());
+  }
+}
+
+TEST(TupleLogTest, ViewNeverSeesLaterAppends) {
+  TupleLog log(2);
+  auto row = [](int i) { return Tuple({Value::Int(i % 5), Value::Int(i)}); };
+  for (int i = 0; i < 20; ++i) ASSERT_TRUE(log.Append(row(i)));
+  const LogView early(&log, log.size());
+  // Grow past several chunks and every table's first capacity.
+  for (int i = 20; i < 5000; ++i) ASSERT_TRUE(log.Append(row(i)));
+  const LogView late(&log, log.size());
+
+  EXPECT_EQ(early.size(), 20u);
+  EXPECT_TRUE(early.Contains(row(19)));
+  EXPECT_FALSE(early.Contains(row(20)));
+  EXPECT_FALSE(early.Contains(row(4999)));
+  EXPECT_TRUE(late.Contains(row(4999)));
+  EXPECT_EQ(Lookup(early, 0, Value::Int(3)).size(), 4u);    // 3, 8, 13, 18.
+  EXPECT_EQ(Lookup(late, 0, Value::Int(3)).size(), 1000u);
+  EXPECT_TRUE(Lookup(early, 1, Value::Int(20)).empty());
+  EXPECT_EQ(Lookup(late, 1, Value::Int(20)).size(), 1u);
+
+  // An empty view and a missing relation answer nothing.
+  const LogView none(&log, 0);
+  EXPECT_FALSE(none.Contains(row(0)));
+  EXPECT_EQ(none.First(0, Value::Int(0)), TupleLog::kNone);
+  EXPECT_FALSE(LogView());
+}
+
+TEST(TupleLogTest, ReadersSeeConsistentPrefixesWhileWriterAppends) {
+  constexpr int kKeys = 7;
+  constexpr int kEntries = 20000;
+  auto row = [](int i) {
+    return Tuple({Value::Int(i % kKeys), Value::Str("v" + std::to_string(i))});
+  };
+  TupleLog log(2);
+  // Stands in for SnapshotStore: the writer release-stores a watermark after
+  // appending below it; readers acquire it.
+  std::atomic<size_t> published{0};
+  std::atomic<bool> done{false};
+
+  auto reader = [&](int id) {
+    Rng rng(static_cast<uint64_t>(id) + 1);
+    size_t last = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      const size_t w = published.load(std::memory_order_acquire);
+      ASSERT_GE(w, last);  // Monotone size.
+      last = w;
+      ASSERT_LE(w, log.size());
+      const LogView view(&log, w);
+      if (w > 0) {
+        const int below = static_cast<int>(rng.NextBelow(w));
+        ASSERT_TRUE(view.Contains(row(below)));
+        ASSERT_EQ(view.at(static_cast<size_t>(below)), row(below));
+      }
+      ASSERT_FALSE(view.Contains(row(static_cast<int>(w))));
+      // Exact per-key count: entries i < w with i % kKeys == key.
+      const int key = static_cast<int>(rng.NextBelow(kKeys));
+      const size_t expected =
+          w / kKeys + (static_cast<size_t>(key) < w % kKeys ? 1 : 0);
+      size_t count = 0;
+      for (size_t e = view.First(0, Value::Int(key)); e != TupleLog::kNone;
+           e = view.Next(0, e)) {
+        ASSERT_EQ(view.at(e).at(0), Value::Int(key));
+        ++count;
+      }
+      ASSERT_EQ(count, expected);
+    }
+  };
+
+  std::thread r1(reader, 1), r2(reader, 2);
+  for (int i = 0; i < kEntries; ++i) {
+    EXPECT_TRUE(log.Append(row(i)));
+    if (i % 16 == 15) published.store(log.size(), std::memory_order_release);
+  }
+  published.store(log.size(), std::memory_order_release);
+  done.store(true, std::memory_order_release);
+  r1.join();
+  r2.join();
+  EXPECT_EQ(log.size(), static_cast<size_t>(kEntries));
+}
+
+}  // namespace
+}  // namespace p2pdb::rel
