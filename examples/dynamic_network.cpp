@@ -81,7 +81,7 @@ rule mirror:  Archive.doc(S) => Mirror.copy(S);
     const rel::Relation* r = *session.peer(n).db().Get(relation);
     std::printf("  %s.%s (%zu):", system->node(n).name.c_str(), relation,
                 r->size());
-    for (const rel::Tuple& t : r->tuples()) {
+    for (const rel::Tuple& t : r->SortedTuples()) {
       std::printf(" %s", t.ToString().c_str());
     }
     std::printf("\n");

@@ -91,8 +91,9 @@ Result<GlobalFixpointResult> ComputeGlobalFixpoint(
       auto final_rel = db.Get(name);
       if (!final_rel.ok()) return final_rel.status();
       rel::Relation* dst = *out.GetMutable(name);
-      for (const rel::Tuple& t : (*final_rel)->tuples()) {
-        P2PDB_RETURN_IF_ERROR(dst->Insert(t).status());
+      const rel::LogView final_log = (*final_rel)->View();
+      for (size_t i = 0; i < final_log.size(); ++i) {
+        P2PDB_RETURN_IF_ERROR(dst->Insert(final_log.at(i)).status());
       }
     }
   }

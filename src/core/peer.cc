@@ -112,7 +112,7 @@ Status Peer::AttachStorage(std::unique_ptr<storage::Storage> storage) {
   return storage_->EnsureBase(db_);
 }
 
-void Peer::OnDeltaApplied(const storage::DeltaMap& delta) {
+void Peer::OnDeltaApplied(const std::map<std::string, size_t>& starts) {
   // MVCC commit point: publish the logs' new sizes before any durability
   // work. Readers observe either none or all of this chase application (a
   // prefix of committed batches), and visibility is decoupled from fsync —
@@ -122,6 +122,13 @@ void Peer::OnDeltaApplied(const storage::DeltaMap& delta) {
   snapshots_->Publish(rel::BuildSnapshot(db_, committed));
   if (storage_ == nullptr) return;
   uint64_t wal_start = span_open_ ? runtime_->NowMicros() : 0;
+  storage::DeltaMap delta;
+  for (const auto& [relation, start] : starts) {
+    const rel::LogView log = db_.View(relation);
+    if (start >= log.size()) continue;
+    std::set<rel::Tuple>& appended = delta[relation];
+    for (size_t i = start; i < log.size(); ++i) appended.insert(log.at(i));
+  }
   Status logged = storage_->LogDelta(delta);
   if (span_open_) RecordWalMicros(runtime_->NowMicros() - wal_start);
   if (!logged.ok()) {
@@ -209,8 +216,9 @@ Result<storage::RecoveryInfo> Peer::Recover() {
   // advance the factory past all of them so fresh nulls cannot collide.
   for (const auto& [name, relation] : db_.relations()) {
     (void)name;
-    for (const rel::Tuple& t : relation.tuples()) {
-      for (const rel::Value& v : t.values()) {
+    const rel::LogView log = relation.View();
+    for (size_t i = 0; i < log.size(); ++i) {
+      for (const rel::Value& v : log.at(i).values()) {
         if (!v.is_null()) continue;
         if (rel::NullFactory::NodeOf(v.null_id()) != id_) continue;
         nulls_.ReserveThrough(rel::NullFactory::SeqOf(v.null_id()) & 0xffffffu);

@@ -4,6 +4,7 @@
 #ifndef P2PDB_CORE_PEER_H_
 #define P2PDB_CORE_PEER_H_
 
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -111,10 +112,13 @@ class Peer : public net::PeerHandler {
   Status AttachStorage(std::unique_ptr<storage::Storage> storage);
   storage::Storage* storage() { return storage_.get(); }
 
-  /// Called by the update engine after the chase inserts `delta`; logs it and
-  /// lets the backend checkpoint. Errors are logged, not propagated — the
+  /// Called by the update engine after a chase application appended to the
+  /// relations named in `starts`, each from the log entry it maps to (its
+  /// size before the application). Publishes a snapshot; with storage
+  /// attached, logs entries [start, size) of each as one WAL delta and lets
+  /// the backend checkpoint. Errors are logged, not propagated — the
   /// protocol must keep running even if the disk misbehaves.
-  void OnDeltaApplied(const storage::DeltaMap& delta);
+  void OnDeltaApplied(const std::map<std::string, size_t>& starts);
 
   /// Called by the update engine after a dynamic rule change mutates this
   /// node's rule list; logs it so Recover() replays the change. Errors are

@@ -211,7 +211,9 @@ Result<rel::Database> P2PSystem::CombinedDatabase() const {
     for (const auto& [name, relation] : n.db.relations()) {
       P2PDB_RETURN_IF_ERROR(combined.CreateRelation(relation.schema()));
       rel::Relation* dst = *combined.GetMutable(name);
-      for (const rel::Tuple& t : relation.tuples()) {
+      // Sorted, so the oracle's chase (and its null count) does not depend
+      // on the order the node's tuples were inserted in.
+      for (const rel::Tuple& t : relation.SortedTuples()) {
         P2PDB_RETURN_IF_ERROR(dst->Insert(t).status());
       }
     }

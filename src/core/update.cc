@@ -1,6 +1,7 @@
 #include "src/core/update.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "src/core/dependency.h"
 #include "src/core/peer.h"
@@ -64,15 +65,38 @@ void UpdateEngine::RefreshScc() {
   }
 }
 
+rel::LogView UpdateEngine::RuleRuntime::View(
+    const std::string& relation) const {
+  for (size_t p = 0; p < join.atoms.size(); ++p) {
+    if (join.atoms[p].relation == relation) {
+      return rel::LogView(part_answers[p].get(), part_answers[p]->size());
+    }
+  }
+  return rel::LogView();
+}
+
 UpdateEngine::RuleRuntime* UpdateEngine::EnsureRuleRuntime(
     const CoordinationRule& rule) {
-  auto it = rule_runtimes_.find(rule.id);
-  if (it != rule_runtimes_.end()) return &it->second;
-  RuleRuntime rr;
+  auto [it, inserted] = rule_runtimes_.try_emplace(rule.id);
+  RuleRuntime& rr = it->second;
+  if (!inserted) return &rr;
   rr.rule = rule;
-  rr.part_answers.resize(rule.body.size());
   rr.part_closed.assign(rule.body.size(), false);
-  return &rule_runtimes_.emplace(rule.id, std::move(rr)).first->second;
+  // One atom per part over the part's exported variables: the natural join
+  // on shared variable names. The bindings cover every exported variable,
+  // which includes all frontier variables of the head.
+  for (size_t p = 0; p < rule.body.size(); ++p) {
+    rel::Atom atom;
+    atom.relation = "$" + std::to_string(p);
+    for (std::string& v : rule.PartExportVars(p)) {
+      atom.terms.push_back(rel::Term::Var(std::move(v)));
+    }
+    rr.part_answers.push_back(
+        std::make_unique<rel::TupleLog>(atom.terms.size()));
+    rr.join.atoms.push_back(std::move(atom));
+  }
+  rr.join.builtins = rule.cross_builtins;
+  return &rr;
 }
 
 void UpdateEngine::SubscribeParts(const RuleRuntime& rr) {
@@ -129,11 +153,11 @@ void UpdateEngine::OnQueryRequest(NodeId from, const wire::QueryRequest& msg) {
   ans.part = msg.part;
   ans.is_delta = true;  // Initial answer: delta from the empty set.
   ans.source_closed = state_ == State::kClosed;
-  ans.tuples = *result;
+  ans.tuples = std::move(*result);
   CountIntraSccSend(from);
   ++stats_.answers_sent;
   peer_->Send(from, net::MessageType::kQueryAnswer, ans.Encode());
-  sub->last_sent = std::move(*result);
+  sub->last_sent.insert(ans.tuples.begin(), ans.tuples.end());
   sub->announced_closed = ans.source_closed;
 }
 
@@ -145,23 +169,24 @@ void UpdateEngine::OnQueryAnswer(NodeId from, const wire::QueryAnswer& msg) {
   if (msg.part >= rr.part_answers.size()) return;
 
   // Monotone union: with deltas only new tuples travel; with full answers the
-  // union is the same set. The rule's domain relation (if any) translates
+  // log drops the repeats. The rule's domain relation (if any) translates
   // foreign constants into this node's vocabulary first. Only genuinely new
-  // tuples feed the semi-naive join below.
-  std::set<rel::Tuple> delta;
-  std::set<rel::Tuple> mapped_storage;
-  const std::set<rel::Tuple>* source = &msg.tuples;
-  if (!rr.rule.domain_map.empty()) {
-    mapped_storage = rr.rule.domain_map.ApplyToSet(msg.tuples);
-    source = &mapped_storage;
-  }
-  for (const rel::Tuple& t : *source) {
-    if (rr.part_answers[msg.part].insert(t).second) delta.insert(t);
+  // tuples, the entries appended here, feed the semi-naive join below.
+  rel::TupleLog& answers = *rr.part_answers[msg.part];
+  const size_t first_new = answers.size();
+  for (const rel::Tuple& t : msg.tuples) {
+    if (t.arity() != answers.arity()) continue;  // Malformed answer; skip.
+    if (rr.rule.domain_map.empty()) {
+      answers.Append(t);
+    } else {
+      answers.Append(rr.rule.domain_map.ApplyToTuple(t));
+    }
   }
   bool part_was_closed = rr.part_closed[msg.part];
   rr.part_closed[msg.part] = msg.source_closed;
 
-  bool changed = delta.empty() ? false : JoinAndApply(&rr, msg.part, delta);
+  bool changed =
+      answers.size() > first_new && JoinAndApply(&rr, msg.part, first_new);
 
   // Dynamics: a source that re-opened, or new data after our closure,
   // re-opens this node (Section 4).
@@ -196,7 +221,7 @@ void UpdateEngine::PokeRingIfReady() {
 }
 
 bool UpdateEngine::JoinAndApply(RuleRuntime* rr, uint32_t delta_part,
-                                const std::set<rel::Tuple>& delta) {
+                                size_t first_new) {
   ++stats_.joins_evaluated;
   const CoordinationRule& rule = rr->rule;
   // Chase apply time = semi-naive join + head application (WAL time is
@@ -204,44 +229,28 @@ bool UpdateEngine::JoinAndApply(RuleRuntime* rr, uint32_t delta_part,
   // noise next to the join itself, so this is not gated.
   const uint64_t chase_start = peer_->runtime()->NowMicros();
 
-  // Semi-naive join: the delta part contributes only its new tuples, every
-  // other part its full accumulated answers; one scratch relation per part,
-  // an atom over each, natural join on shared variable names, plus the rule's
-  // cross-part built-ins. The resulting bindings cover every exported
-  // variable, which includes all frontier variables of the head.
-  rel::Database scratch;
-  rel::ConjunctiveQuery join;
-  for (size_t p = 0; p < rule.body.size(); ++p) {
-    std::vector<std::string> vars = rule.PartExportVars(p);
-    std::string scratch_name = "$" + rule.id + ":" + std::to_string(p);
-    if (!scratch.CreateRelation(rel::RelationSchema(scratch_name, vars)).ok()) {
-      return false;
-    }
-    rel::Relation* scratch_rel = *scratch.GetMutable(scratch_name);
-    const std::set<rel::Tuple>& tuples =
-        p == delta_part ? delta : rr->part_answers[p];
-    for (const rel::Tuple& t : tuples) {
-      if (t.arity() != vars.size()) continue;  // Malformed answer; skip.
-      (void)scratch_rel->Insert(t);
-    }
-    rel::Atom atom;
-    atom.relation = scratch_name;
-    for (const std::string& v : vars) atom.terms.push_back(rel::Term::Var(v));
-    join.atoms.push_back(std::move(atom));
-  }
-  join.builtins = rule.cross_builtins;
-
-  auto bindings = rel::EvaluateBindings(scratch, join);
+  // Semi-naive join over the part logs in place: the delta part seeds from
+  // its new entries, every other part contributes its full log.
+  const rel::TupleLog& grown = *rr->part_answers[delta_part];
+  auto bindings = rel::EvaluateBindingsDelta(
+      *rr, rr->join, delta_part, rel::LogView(&grown, grown.size()),
+      first_new);
   if (!bindings.ok()) {
     P2PDB_LOG(kWarn) << "rule join failed for " << rule.id << ": "
                      << bindings.status().ToString();
     return false;
   }
-  // Collect this application's insertions separately so they can be logged
-  // to durable storage as one delta, then merge them into the semi-naive feed.
-  std::map<std::string, std::set<rel::Tuple>> applied;
+  // Where this application's appends begin in each head relation's log: the
+  // WAL logs entries [start, size) as one delta, and subscribers are
+  // notified from the oldest mark they have not consumed.
+  std::map<std::string, size_t> starts;
+  for (const rel::Atom& a : rule.head_atoms) {
+    const rel::Relation* relation = peer_->db().FindRelation(a.relation);
+    if (relation == nullptr) continue;
+    starts.try_emplace(a.relation, relation->size());
+    notify_from_.try_emplace(a.relation, relation->size());
+  }
   rel::ChaseStats chase_stats;
-  chase_stats.collect_inserted = &applied;
   Status st = rel::ApplyRuleHeadAll(&peer_->db(), rule.head_atoms, *bindings,
                                     &peer_->nulls(), options_.chase,
                                     &chase_stats);
@@ -254,12 +263,7 @@ bool UpdateEngine::JoinAndApply(RuleRuntime* rr, uint32_t delta_part,
   }
   // Even a failed application may have inserted tuples for earlier bindings;
   // they are in the database, so they must reach subscribers and the WAL.
-  if (chase_stats.inserted > 0) {
-    for (const auto& [relation, tuples] : applied) {
-      pending_delta_[relation].insert(tuples.begin(), tuples.end());
-    }
-    peer_->OnDeltaApplied(applied);
-  }
+  if (chase_stats.inserted > 0) peer_->OnDeltaApplied(starts);
   if (!st.ok()) {
     P2PDB_LOG(kError) << "chase failed for rule " << rule.id << ": "
                       << st.ToString();
@@ -273,35 +277,37 @@ bool UpdateEngine::JoinAndApply(RuleRuntime* rr, uint32_t delta_part,
 
 void UpdateEngine::NotifySubscribers() {
   bool closed = state_ == State::kClosed;
-  std::map<std::string, std::set<rel::Tuple>> db_delta =
-      std::move(pending_delta_);
-  pending_delta_.clear();
+  const std::map<std::string, size_t> marks = std::move(notify_from_);
+  notify_from_.clear();
+  const rel::Database& db = peer_->db();
   for (Subscription& sub : subscriptions_) {
     bool flag_changed = closed != sub.announced_closed;
     // Semi-naive: new answers of the subscription query are exactly those
-    // using at least one freshly inserted tuple in at least one atom.
-    std::set<rel::Tuple> new_results;
+    // using at least one entry past its relation's mark in at least one atom.
+    std::vector<rel::Tuple> found;
     bool eval_ok = true;
-    for (size_t i = 0; i < sub.query.atoms.size() && eval_ok; ++i) {
-      auto it = db_delta.find(sub.query.atoms[i].relation);
-      if (it == db_delta.end()) continue;
+    for (size_t i = 0; i < sub.query.atoms.size(); ++i) {
+      const std::string& relation = sub.query.atoms[i].relation;
+      auto mark = marks.find(relation);
+      if (mark == marks.end()) continue;
+      const rel::LogView log = db.View(relation);
+      if (mark->second >= log.size()) continue;
       auto partial =
-          rel::EvaluateQueryDelta(peer_->db(), sub.query, i, it->second);
+          rel::EvaluateQueryDelta(db, sub.query, i, log, mark->second);
       if (!partial.ok()) {
         P2PDB_LOG(kWarn) << "delta evaluation failed at node " << peer_->id()
                          << ": " << partial.status().ToString();
         eval_ok = false;
         break;
       }
-      new_results.insert(partial->begin(), partial->end());
+      std::move(partial->begin(), partial->end(), std::back_inserter(found));
     }
     if (!eval_ok) continue;
     std::set<rel::Tuple> delta;
-    for (const rel::Tuple& t : new_results) {
-      if (!sub.last_sent.count(t)) delta.insert(t);
+    for (rel::Tuple& t : found) {
+      if (sub.last_sent.insert(t).second) delta.insert(std::move(t));
     }
     if (delta.empty() && !flag_changed) continue;
-    sub.last_sent.insert(delta.begin(), delta.end());
     wire::QueryAnswer ans;
     ans.session = session_;
     ans.rule_id = sub.rule_id;
@@ -310,7 +316,10 @@ void UpdateEngine::NotifySubscribers() {
     ans.source_closed = closed;
     // Full mode retransmits the whole accumulated result (the paper's
     // baseline behaviour); delta mode ships only the new tuples.
-    ans.tuples = options_.delta_answers ? delta : sub.last_sent;
+    ans.tuples = options_.delta_answers
+                     ? std::move(delta)
+                     : std::set<rel::Tuple>(sub.last_sent.begin(),
+                                            sub.last_sent.end());
     CountIntraSccSend(sub.subscriber);
     ++stats_.answers_sent;
     peer_->Send(sub.subscriber, net::MessageType::kQueryAnswer, ans.Encode());

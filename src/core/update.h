@@ -9,6 +9,13 @@
 // labeled nulls for existential head variables; any change ripples to its own
 // subscribers. Data thus iterates around dependency cycles until fix-point.
 //
+// Semi-naive feed: everything the engine joins or re-evaluates is a range of
+// an append-only log (src/relational/tuple_log.h). A rule part's answers
+// accumulate in a log of their own, and a join seeds from the entries the
+// latest answer appended. Subscribers are notified from a per-relation
+// watermark: the first entry of each local log they have not been evaluated
+// against. Nothing is copied into a separate delta set.
+//
 // Fix-point detection (the paper's Rules/Paths flag machinery made precise):
 //  * a subscription is flagged when its source reports state_u = closed with
 //    a final answer (A5's `state == complete`);
@@ -31,9 +38,11 @@
 #define P2PDB_CORE_UPDATE_H_
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "src/core/system.h"
@@ -99,11 +108,19 @@ class UpdateEngine {
   void RefreshScc();
 
  private:
-  /// Head-side state of one rule: accumulated answers per body part.
-  struct RuleRuntime {
+  /// Head-side state of one rule. It is the join's ReadView: atom p of
+  /// `join` reads part p's accumulated answers in place.
+  struct RuleRuntime : rel::ReadView {
     CoordinationRule rule;
-    std::vector<std::set<rel::Tuple>> part_answers;
+    /// Per body part, every answer received so far, in arrival order (one
+    /// log each; its arity is the part's export arity).
+    std::vector<std::unique_ptr<rel::TupleLog>> part_answers;
     std::vector<bool> part_closed;
+    /// The natural join of the parts on their exported variables, plus the
+    /// rule's cross-part built-ins; built once per rule.
+    rel::ConjunctiveQuery join;
+
+    rel::LogView View(const std::string& relation) const override;
   };
 
   /// Body-side state of one subscription from a head node.
@@ -112,24 +129,25 @@ class UpdateEngine {
     std::string rule_id;
     uint32_t part = 0;
     rel::ConjunctiveQuery query;
-    std::set<rel::Tuple> last_sent;
+    /// Answers already shipped; only ever asked for membership.
+    std::unordered_set<rel::Tuple> last_sent;
     bool announced_closed = false;
   };
 
   void JoinSession(uint64_t session, bool flood);
   RuleRuntime* EnsureRuleRuntime(const CoordinationRule& rule);
   void SubscribeParts(const RuleRuntime& rr);
-  /// Semi-naive rule application: joins the *new* tuples of part
-  /// `delta_part` against the full accumulated answers of the other parts and
-  /// applies the rule head; returns true if the local database changed.
-  /// Complete for monotone answers — bindings made only of old tuples were
-  /// applied by an earlier call.
-  bool JoinAndApply(RuleRuntime* rr, uint32_t delta_part,
-                    const std::set<rel::Tuple>& delta);
+  /// Semi-naive rule application: joins the new answers of part
+  /// `delta_part` (its log entries from `first_new` on) against the full
+  /// accumulated answers of the other parts and applies the rule head;
+  /// returns true if the local database changed. Complete for monotone
+  /// answers, and no binding is evaluated twice: a binding is joined by the
+  /// call for whichever of its tuples arrived last.
+  bool JoinAndApply(RuleRuntime* rr, uint32_t delta_part, size_t first_new);
   /// Sends deltas / closure flags to subscribers whose view is stale.
-  /// Incremental: consumes the tuples the chase inserted since the last call
-  /// (pending_delta_) and evaluates each subscription semi-naively against
-  /// just that delta instead of re-running the full query.
+  /// Incremental: evaluates each subscription semi-naively against the log
+  /// entries appended since the last call (notify_from_) instead of
+  /// re-running the full query.
   void NotifySubscribers();
   /// Closes this node if it is open, externally ready, and not in a
   /// non-trivial SCC; then notifies subscribers.
@@ -164,9 +182,11 @@ class UpdateEngine {
 
   std::map<std::string, RuleRuntime> rule_runtimes_;
   std::vector<Subscription> subscriptions_;
-  /// Tuples inserted by the chase since the last subscriber notification,
-  /// keyed by relation (the semi-naive evaluation feed).
-  std::map<std::string, std::set<rel::Tuple>> pending_delta_;
+  /// The semi-naive evaluation feed: per local relation the chase grew, the
+  /// first log entry subscribers have not been evaluated against. Set before
+  /// a chase application's appends (an older mark wins) and consumed by
+  /// NotifySubscribers.
+  std::map<std::string, size_t> notify_from_;
 
   // SCC termination detection.
   std::set<NodeId> scc_;

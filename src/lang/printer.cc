@@ -69,7 +69,7 @@ std::string PrintSystem(const core::P2PSystem& system) {
              JoinStrings(relation.schema().attributes(), ", ") + ");\n";
     }
     for (const auto& [name, relation] : info.db.relations()) {
-      for (const rel::Tuple& t : relation.tuples()) {
+      for (const rel::Tuple& t : relation.SortedTuples()) {
         std::vector<std::string> values;
         for (const rel::Value& v : t.values()) values.push_back(PrintValue(v));
         out += "  fact " + name + "(" + JoinStrings(values, ", ") + ");\n";

@@ -151,15 +151,9 @@ Status ApplyRuleHead(Database* db, const std::vector<Atom>& head_atoms,
       extended.emplace(v, nulls->Fresh(base_depth));
     }
     for (const Atom* a : to_insert) {
-      Tuple tuple = InstantiateAtom(*a, extended);
-      auto added = db->Insert(a->relation, tuple);
+      auto added = db->Insert(a->relation, InstantiateAtom(*a, extended));
       if (!added.ok()) return added.status();
-      if (*added) {
-        ++stats->inserted;
-        if (stats->collect_inserted != nullptr) {
-          (*stats->collect_inserted)[a->relation].insert(std::move(tuple));
-        }
-      }
+      if (*added) ++stats->inserted;
     }
     return Status::OK();
   }
@@ -167,15 +161,11 @@ Status ApplyRuleHead(Database* db, const std::vector<Atom>& head_atoms,
   // Fully bound head: plain set insertion.
   bool any_inserted = false;
   for (const Atom& a : head_atoms) {
-    Tuple tuple = InstantiateAtom(a, binding);
-    auto added = db->Insert(a.relation, tuple);
+    auto added = db->Insert(a.relation, InstantiateAtom(a, binding));
     if (!added.ok()) return added.status();
     if (*added) {
       ++stats->inserted;
       any_inserted = true;
-      if (stats->collect_inserted != nullptr) {
-        (*stats->collect_inserted)[a.relation].insert(std::move(tuple));
-      }
     }
   }
   if (!any_inserted) ++stats->skipped;

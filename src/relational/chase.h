@@ -4,8 +4,6 @@
 #ifndef P2PDB_RELATIONAL_CHASE_H_
 #define P2PDB_RELATIONAL_CHASE_H_
 
-#include <map>
-#include <set>
 #include <vector>
 
 #include "src/relational/cq.h"
@@ -38,14 +36,13 @@ struct ChaseStats {
   size_t inserted = 0;   ///< Tuples actually added.
   size_t skipped = 0;    ///< Redundant applications.
   size_t truncated = 0;  ///< Applications suppressed by the depth bound.
-  /// When set, every inserted tuple is also recorded here keyed by relation —
-  /// the feed for incremental (semi-naive) view maintenance downstream.
-  std::map<std::string, std::set<Tuple>>* collect_inserted = nullptr;
 };
 
 /// Applies one rule head under one binding. `head_atoms` may share existential
 /// variables (fresh nulls are minted once per application and reused across
 /// the head's atoms). Relations referenced by head atoms must exist in `db`.
+/// Inserted tuples are appended to their relations' logs, so a caller that
+/// noted the logs' sizes beforehand finds them at entries [size, new size).
 Status ApplyRuleHead(Database* db, const std::vector<Atom>& head_atoms,
                      const Binding& binding, NullFactory* nulls,
                      const ChaseOptions& options, ChaseStats* stats);

@@ -48,6 +48,9 @@ void EncodeTuple(const Tuple& t, Writer* w) {
 Result<Tuple> DecodeTuple(Reader* r) {
   auto n = r->GetVarint();
   if (!n.ok()) return n.status();
+  // Every value takes at least one byte, so a larger arity cannot be genuine
+  // (and must not reach reserve()).
+  if (*n > r->remaining()) return Status::ParseError("tuple arity past end");
   std::vector<Value> values;
   values.reserve(*n);
   for (uint64_t i = 0; i < *n; ++i) {
@@ -58,9 +61,20 @@ Result<Tuple> DecodeTuple(Reader* r) {
   return Tuple(std::move(values));
 }
 
-void EncodeTupleSet(const std::set<Tuple>& tuples, Writer* w) {
+namespace {
+template <typename Tuples>
+void EncodeTuples(const Tuples& tuples, Writer* w) {
   w->PutVarint(tuples.size());
   for (const Tuple& t : tuples) EncodeTuple(t, w);
+}
+}  // namespace
+
+void EncodeTupleSet(const std::set<Tuple>& tuples, Writer* w) {
+  EncodeTuples(tuples, w);
+}
+
+void EncodeTupleSet(const std::vector<Tuple>& sorted, Writer* w) {
+  EncodeTuples(sorted, w);
 }
 
 Result<std::set<Tuple>> DecodeTupleSet(Reader* r) {

@@ -37,10 +37,16 @@ size_t Database::TotalTuples() const {
 bool Database::operator==(const Database& other) const {
   if (relations_.size() != other.relations_.size()) return false;
   for (const auto& [name, relation] : relations_) {
-    auto it = other.relations_.find(name);
-    if (it == other.relations_.end()) return false;
-    if (!(relation.schema() == it->second.schema())) return false;
-    if (relation.tuples() != it->second.tuples()) return false;
+    const Relation* theirs = other.FindRelation(name);
+    if (theirs == nullptr || !(relation.schema() == theirs->schema()) ||
+        relation.size() != theirs->size()) {
+      return false;
+    }
+    // Equal sizes of duplicate-free relations: containment one way suffices.
+    const LogView mine = relation.View();
+    for (size_t i = 0; i < mine.size(); ++i) {
+      if (!theirs->Contains(mine.at(i))) return false;
+    }
   }
   return true;
 }

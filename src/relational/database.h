@@ -60,7 +60,8 @@ class Database : public ReadView {
   /// Total number of tuples across all relations.
   size_t TotalTuples() const;
 
-  /// Deep equality (same relations, same tuple sets).
+  /// Deep equality (same relations, same tuple sets), whatever order the
+  /// tuples were inserted in.
   bool operator==(const Database& other) const;
 
   std::string ToString() const;

@@ -24,57 +24,127 @@ bool BuiltinReady(const Builtin& b, const std::set<std::string>& bound) {
   return true;
 }
 
-Value ResolveTerm(const Term& t, const Binding& binding) {
-  if (!t.is_var()) return t.constant;
-  auto it = binding.find(t.var);
-  return it->second;
+// Moves the built-ins of `*unplaced` that `bound` decides to `*ready`,
+// keeping their order.
+void PlaceReady(const std::set<std::string>& bound,
+                std::vector<const Builtin*>* unplaced,
+                std::vector<const Builtin*>* ready) {
+  auto it = unplaced->begin();
+  while (it != unplaced->end()) {
+    if (BuiltinReady(**it, bound)) {
+      ready->push_back(*it);
+      it = unplaced->erase(it);
+    } else {
+      ++it;
+    }
+  }
 }
 
-struct EvalContext {
-  const ReadView* db;
-  const ConjunctiveQuery* query;
+const Value& ResolveTerm(const Term& t, const Binding& binding) {
+  if (!t.is_var()) return t.constant;
+  return binding.find(t.var)->second;
+}
+
+bool BuiltinsHold(const std::vector<const Builtin*>& builtins,
+                  const Binding& binding) {
+  for (const Builtin* b : builtins) {
+    if (!EvalBuiltin(b->op, ResolveTerm(b->lhs, binding),
+                     ResolveTerm(b->rhs, binding))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// How to finish a query once a seed binding is fixed: the remaining atoms in
+// greedy join order, each with its relation already resolved against the
+// view, and every built-in placed where it first becomes decidable. Built
+// once per call and shared by every seed, which is what makes a delta range
+// cost one plan instead of one per entry.
+struct Plan {
   std::vector<const Atom*> order;
+  std::vector<LogView> views;  // views[i]: order[i]'s relation.
   // builtins_at[i] = builtins that become checkable right after atom order[i].
   std::vector<std::vector<const Builtin*>> builtins_at;
-  std::vector<Binding> results;
+  // Built-ins decidable from the seed alone, checked before any scan.
+  std::vector<const Builtin*> immediate;
 };
 
-void Backtrack(EvalContext* ctx, size_t depth, Binding* binding) {
-  if (depth == ctx->order.size()) {
-    ctx->results.push_back(*binding);
+// Plans `query` over `db` with atom `seed_atom` (SIZE_MAX = none) already
+// matched by the seed: its variables count as bound, and it is left out of
+// the join order.
+Result<Plan> MakePlan(const ReadView& db, const ConjunctiveQuery& query,
+                      size_t seed_atom) {
+  Plan plan;
+  std::set<std::string> bound;
+  std::vector<const Atom*> pending;
+  pending.reserve(query.atoms.size());
+  for (size_t i = 0; i < query.atoms.size(); ++i) {
+    if (i == seed_atom) {
+      for (const std::string& v : query.atoms[i].Variables()) bound.insert(v);
+    } else {
+      pending.push_back(&query.atoms[i]);
+    }
+  }
+  std::vector<const Builtin*> unplaced;
+  for (const Builtin& b : query.builtins) unplaced.push_back(&b);
+  PlaceReady(bound, &unplaced, &plan.immediate);
+
+  // Greedy ordering: repeatedly pick the atom with the most bound positions.
+  while (!pending.empty()) {
+    auto best = std::max_element(
+        pending.begin(), pending.end(), [&](const Atom* a, const Atom* b) {
+          return BoundScore(*a, bound) < BoundScore(*b, bound);
+        });
+    const Atom* chosen = *best;
+    pending.erase(best);
+    plan.order.push_back(chosen);
+    plan.views.push_back(db.View(chosen->relation));
+    for (const std::string& v : chosen->Variables()) bound.insert(v);
+    plan.builtins_at.emplace_back();
+    PlaceReady(bound, &unplaced, &plan.builtins_at.back());
+  }
+  if (!unplaced.empty()) {
+    return Status::Unsupported("built-in over unbound variables: " +
+                               unplaced.front()->ToString());
+  }
+  return plan;
+}
+
+// Extends `*binding` through atoms order[depth..], appending each complete
+// binding to `results`. A complete binding is moved out of `*binding`.
+void Backtrack(const Plan& plan, size_t depth, Binding* binding,
+               std::vector<Binding>* results) {
+  if (depth == plan.order.size()) {
+    results->push_back(std::move(*binding));
     return;
   }
-  const Atom& atom = *ctx->order[depth];
-  const LogView rel = ctx->db->View(atom.relation);
+  const Atom& atom = *plan.order[depth];
+  const LogView& rel = plan.views[depth];
   if (!rel) return;  // Missing relation: empty answer.
 
   auto try_tuple = [&](const Tuple& tuple) {
     Binding extended = *binding;
     if (!UnifyAtomWithTuple(atom, tuple, &extended)) return;
-    for (const Builtin* b : ctx->builtins_at[depth]) {
-      if (!EvalBuiltin(b->op, ResolveTerm(b->lhs, extended),
-                       ResolveTerm(b->rhs, extended))) {
-        return;
-      }
-    }
-    Backtrack(ctx, depth + 1, &extended);
+    if (!BuiltinsHold(plan.builtins_at[depth], extended)) return;
+    Backtrack(plan, depth + 1, &extended, results);
   };
 
   // Index lookup on the first position whose term is already a known value;
   // fall back to a full scan when every position is free.
   int indexed_pos = -1;
-  Value key;
+  const Value* key = nullptr;
   for (size_t i = 0; i < atom.terms.size(); ++i) {
     const Term& t = atom.terms[i];
     if (!t.is_var()) {
       indexed_pos = static_cast<int>(i);
-      key = t.constant;
+      key = &t.constant;
       break;
     }
     auto it = binding->find(t.var);
     if (it != binding->end()) {
       indexed_pos = static_cast<int>(i);
-      key = it->second;
+      key = &it->second;
       break;
     }
   }
@@ -82,7 +152,7 @@ void Backtrack(EvalContext* ctx, size_t depth, Binding* binding) {
   // the scan, where unification rejects every tuple anyway.
   if (indexed_pos >= 0 && static_cast<size_t>(indexed_pos) < rel.arity()) {
     const size_t column = static_cast<size_t>(indexed_pos);
-    for (size_t e = rel.First(column, key); e != TupleLog::kNone;
+    for (size_t e = rel.First(column, *key); e != TupleLog::kNone;
          e = rel.Next(column, e)) {
       try_tuple(rel.at(e));
     }
@@ -91,92 +161,17 @@ void Backtrack(EvalContext* ctx, size_t depth, Binding* binding) {
   }
 }
 
-// Evaluates `query` with `skip_atom` removed (SIZE_MAX = none) and an
-// optional seed binding whose variables count as already bound.
-Result<std::vector<Binding>> EvaluateSeeded(const ReadView& db,
-                                            const ConjunctiveQuery& query,
-                                            size_t skip_atom,
-                                            const Binding* seed) {
-  EvalContext ctx;
-  ctx.db = &db;
-  ctx.query = &query;
-
-  // Greedy ordering: repeatedly pick the atom with the most bound positions.
-  std::vector<const Atom*> pending;
-  pending.reserve(query.atoms.size());
-  for (size_t i = 0; i < query.atoms.size(); ++i) {
-    if (i != skip_atom) pending.push_back(&query.atoms[i]);
-  }
-  std::set<std::string> bound;
-  if (seed != nullptr) {
-    for (const auto& [name, value] : *seed) bound.insert(name);
-  }
-  std::vector<const Builtin*> pending_builtins;
-  for (const Builtin& b : query.builtins) pending_builtins.push_back(&b);
-  // Builtins already decidable from the seed alone are checked up front.
-  std::vector<const Builtin*> immediate;
-  {
-    auto it = pending_builtins.begin();
-    while (it != pending_builtins.end()) {
-      if (BuiltinReady(**it, bound)) {
-        immediate.push_back(*it);
-        it = pending_builtins.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-
-  while (!pending.empty()) {
-    auto best = std::max_element(
-        pending.begin(), pending.end(), [&](const Atom* a, const Atom* b) {
-          return BoundScore(*a, bound) < BoundScore(*b, bound);
-        });
-    const Atom* chosen = *best;
-    pending.erase(best);
-    ctx.order.push_back(chosen);
-    for (const std::string& v : chosen->Variables()) bound.insert(v);
-    // Attach builtins that just became fully bound.
-    std::vector<const Builtin*> now;
-    auto it = pending_builtins.begin();
-    while (it != pending_builtins.end()) {
-      if (BuiltinReady(**it, bound)) {
-        now.push_back(*it);
-        it = pending_builtins.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    ctx.builtins_at.push_back(std::move(now));
-  }
-  if (!pending_builtins.empty()) {
-    return Status::Unsupported("built-in over unbound variables: " +
-                               pending_builtins.front()->ToString());
-  }
-
-  // Check seed-decidable builtins before any scanning.
-  Binding binding = seed != nullptr ? *seed : Binding{};
-  auto resolve = [&](const Term& t) {
-    return t.is_var() ? binding.at(t.var) : t.constant;
-  };
-  for (const Builtin* b : immediate) {
-    if (!EvalBuiltin(b->op, resolve(b->lhs), resolve(b->rhs))) {
-      return ctx.results;  // Seed contradicts a builtin: empty.
-    }
-  }
-
-  if (ctx.order.empty()) {
-    ctx.results.push_back(binding);
-    return ctx.results;
-  }
-  Backtrack(&ctx, 0, &binding);
-  return ctx.results;
+// Evaluates `plan` from `seed`, appending every answer binding to `results`.
+void Run(const Plan& plan, Binding seed, std::vector<Binding>* results) {
+  if (!BuiltinsHold(plan.immediate, seed)) return;  // Seed contradicts one.
+  Backtrack(plan, 0, &seed, results);
 }
 
-Result<std::vector<Binding>> EvaluateImpl(const ReadView& db,
-                                          const ConjunctiveQuery& query) {
-  P2PDB_RETURN_IF_ERROR(query.CheckSafe());
-  return EvaluateSeeded(db, query, /*skip_atom=*/SIZE_MAX, /*seed=*/nullptr);
+Tuple Project(const Binding& binding, const std::vector<std::string>& vars) {
+  std::vector<Value> row;
+  row.reserve(vars.size());
+  for (const std::string& v : vars) row.push_back(binding.at(v));
+  return Tuple(std::move(row));
 }
 
 }  // namespace
@@ -185,80 +180,77 @@ bool UnifyAtomWithTuple(const Atom& atom, const Tuple& tuple,
                         Binding* binding) {
   if (atom.terms.size() != tuple.arity()) return false;
   // Record variables newly bound here so we can roll back on failure.
-  std::vector<std::string> added;
+  std::vector<const std::string*> added;
+  auto roll_back = [&] {
+    for (const std::string* name : added) binding->erase(*name);
+    return false;
+  };
   for (size_t i = 0; i < atom.terms.size(); ++i) {
     const Term& t = atom.terms[i];
     const Value& v = tuple.at(i);
     if (!t.is_var()) {
-      if (!(t.constant == v)) {
-        for (const auto& name : added) binding->erase(name);
-        return false;
-      }
+      if (!(t.constant == v)) return roll_back();
       continue;
     }
     auto it = binding->find(t.var);
     if (it == binding->end()) {
       binding->emplace(t.var, v);
-      added.push_back(t.var);
+      added.push_back(&t.var);
     } else if (!(it->second == v)) {
-      for (const auto& name : added) binding->erase(name);
-      return false;
+      return roll_back();
     }
   }
   return true;
 }
 
+Result<std::vector<Binding>> EvaluateBindings(const ReadView& db,
+                                              const ConjunctiveQuery& query) {
+  P2PDB_RETURN_IF_ERROR(query.CheckSafe());
+  auto plan = MakePlan(db, query, /*seed_atom=*/SIZE_MAX);
+  if (!plan.ok()) return plan.status();
+  std::vector<Binding> results;
+  Run(*plan, Binding{}, &results);
+  return results;
+}
+
 Result<std::set<Tuple>> EvaluateQuery(const ReadView& db,
                                       const ConjunctiveQuery& query) {
-  auto bindings = EvaluateImpl(db, query);
+  auto bindings = EvaluateBindings(db, query);
   if (!bindings.ok()) return bindings.status();
   std::set<Tuple> out;
-  for (const Binding& b : *bindings) {
-    std::vector<Value> row;
-    row.reserve(query.head_vars.size());
-    for (const std::string& v : query.head_vars) {
-      row.push_back(b.at(v));
-    }
-    out.insert(Tuple(std::move(row)));
-  }
+  for (const Binding& b : *bindings) out.insert(Project(b, query.head_vars));
   return out;
 }
 
-Result<std::vector<Binding>> EvaluateBindings(const ReadView& db,
-                                              const ConjunctiveQuery& query) {
-  return EvaluateImpl(db, query);
-}
-
-Result<std::set<Tuple>> EvaluateQueryDelta(const ReadView& db,
-                                           const ConjunctiveQuery& query,
-                                           size_t delta_atom,
-                                           const std::set<Tuple>& delta) {
+Result<std::vector<Binding>> EvaluateBindingsDelta(
+    const ReadView& db, const ConjunctiveQuery& query, size_t delta_atom,
+    LogView delta, size_t from) {
   if (delta_atom >= query.atoms.size()) {
     return Status::InvalidArgument("delta_atom out of range");
   }
   P2PDB_RETURN_IF_ERROR(query.CheckSafe());
-  std::set<Tuple> out;
+  auto plan = MakePlan(db, query, delta_atom);
+  if (!plan.ok()) return plan.status();
   const Atom& atom = query.atoms[delta_atom];
-  for (const Tuple& t : delta) {
+  std::vector<Binding> results;
+  for (size_t e = from; e < delta.size(); ++e) {
     Binding seed;
-    if (!UnifyAtomWithTuple(atom, t, &seed)) continue;
-    auto bindings = EvaluateSeeded(db, query, delta_atom, &seed);
-    if (!bindings.ok()) return bindings.status();
-    for (const Binding& b : *bindings) {
-      std::vector<Value> row;
-      row.reserve(query.head_vars.size());
-      bool complete = true;
-      for (const std::string& v : query.head_vars) {
-        auto it = b.find(v);
-        if (it == b.end()) {
-          complete = false;
-          break;
-        }
-        row.push_back(it->second);
-      }
-      if (complete) out.insert(Tuple(std::move(row)));
+    if (UnifyAtomWithTuple(atom, delta.at(e), &seed)) {
+      Run(*plan, std::move(seed), &results);
     }
   }
+  return results;
+}
+
+Result<std::vector<Tuple>> EvaluateQueryDelta(const ReadView& db,
+                                              const ConjunctiveQuery& query,
+                                              size_t delta_atom, LogView delta,
+                                              size_t from) {
+  auto bindings = EvaluateBindingsDelta(db, query, delta_atom, delta, from);
+  if (!bindings.ok()) return bindings.status();
+  std::vector<Tuple> out;
+  out.reserve(bindings->size());
+  for (const Binding& b : *bindings) out.push_back(Project(b, query.head_vars));
   return out;
 }
 

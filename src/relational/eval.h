@@ -26,15 +26,29 @@ Result<std::set<Tuple>> EvaluateQuery(const ReadView& db,
 Result<std::vector<Binding>> EvaluateBindings(const ReadView& db,
                                               const ConjunctiveQuery& query);
 
-/// Semi-naive (incremental) evaluation: answers of `query` that use at least
-/// one tuple of `delta` in the occurrence `delta_atom` (index into
-/// query.atoms). The delta atom is matched against `delta` only; the other
-/// atoms read the (already updated) database. Union over all atom occurrences
-/// of a changed relation yields the exact new answers of a monotone update.
-Result<std::set<Tuple>> EvaluateQueryDelta(const ReadView& db,
-                                           const ConjunctiveQuery& query,
-                                           size_t delta_atom,
-                                           const std::set<Tuple>& delta);
+/// Semi-naive (incremental) evaluation over a log range: the answers of
+/// `query` whose atom `delta_atom` (index into query.atoms) matches one of
+/// the entries [from, delta.size()) of `delta`. The other atoms read `db`
+/// whole. When a monotone update appended exactly those entries to the
+/// delta atom's relation, the union over every atom occurrence of that
+/// relation is exactly the update's new answers.
+///
+/// The join order and built-in placement are planned once per call, from the
+/// delta atom's variables, and each matching entry seeds one binding; a
+/// built-in decidable from the delta atom alone is checked before any scan.
+/// Returns the head projection of every answer binding in entry order, not
+/// deduplicated: an answer two entries (or two bindings) derive appears
+/// twice.
+Result<std::vector<Tuple>> EvaluateQueryDelta(const ReadView& db,
+                                              const ConjunctiveQuery& query,
+                                              size_t delta_atom, LogView delta,
+                                              size_t from);
+
+/// EvaluateQueryDelta's bindings, one per answer, before projection: the
+/// semi-naive rule join, which needs every body variable.
+Result<std::vector<Binding>> EvaluateBindingsDelta(
+    const ReadView& db, const ConjunctiveQuery& query, size_t delta_atom,
+    LogView delta, size_t from);
 
 /// True if the atom matches the tuple under `binding`, extending it in place.
 /// On mismatch the binding is left unchanged.

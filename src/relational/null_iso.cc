@@ -8,6 +8,7 @@ namespace p2pdb::rel {
 namespace {
 
 // One relational fact as (relation name, tuple), flattened for matching.
+// `tuple` points into the relation's log, where entries never move.
 struct Fact {
   const std::string* relation;
   const Tuple* tuple;
@@ -16,7 +17,9 @@ struct Fact {
 std::vector<Fact> Flatten(const Database& db, bool nulls_only) {
   std::vector<Fact> out;
   for (const auto& [name, relation] : db.relations()) {
-    for (const Tuple& t : relation.tuples()) {
+    const LogView log = relation.View();
+    for (size_t i = 0; i < log.size(); ++i) {
+      const Tuple& t = log.at(i);
       if (!nulls_only || t.HasNull()) out.push_back(Fact{&name, &t});
     }
   }
@@ -32,7 +35,9 @@ bool MatchFacts(const std::vector<Fact>& a_facts, size_t index,
   const Fact& f = a_facts[index];
   auto rel = b.Get(*f.relation);
   if (!rel.ok()) return false;
-  for (const Tuple& candidate : (*rel)->tuples()) {
+  const LogView candidates = (*rel)->View();
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    const Tuple& candidate = candidates.at(c);
     if (candidate.arity() != f.tuple->arity()) continue;
     // Try to extend the mapping so f.tuple -> candidate.
     std::vector<uint64_t> added;

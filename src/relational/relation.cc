@@ -1,5 +1,7 @@
 #include "src/relational/relation.h"
 
+#include <algorithm>
+
 #include "src/util/string_util.h"
 
 namespace p2pdb::rel {
@@ -10,7 +12,6 @@ Relation::Relation(RelationSchema schema)
 
 Relation::Relation(const Relation& other)
     : schema_(other.schema_),
-      tuples_(other.tuples_),
       log_(std::make_shared<TupleLog>(schema_.arity())) {
   const LogView source = other.View();
   for (size_t i = 0; i < source.size(); ++i) log_->Append(source.at(i));
@@ -27,23 +28,31 @@ Result<bool> Relation::Insert(Tuple tuple) {
         StrFormat("arity mismatch inserting into %s: got %zu, want %zu",
                   schema_.name().c_str(), tuple.arity(), schema_.arity()));
   }
-  if (!log_->Append(tuple)) return false;
-  tuples_.insert(std::move(tuple));
-  return true;
+  return log_->Append(std::move(tuple));
+}
+
+std::vector<Tuple> Relation::SortedTuples() const {
+  const LogView view = View();
+  std::vector<Tuple> out;
+  out.reserve(view.size());
+  for (size_t i = 0; i < view.size(); ++i) out.push_back(view.at(i));
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 std::set<Tuple> Relation::CertainTuples() const {
+  const LogView view = View();
   std::set<Tuple> out;
-  for (const Tuple& t : tuples_) {
-    if (!t.HasNull()) out.insert(t);
+  for (size_t i = 0; i < view.size(); ++i) {
+    if (!view.at(i).HasNull()) out.insert(view.at(i));
   }
   return out;
 }
 
 std::string Relation::ToString() const {
-  std::string out = schema_.ToString() + " {" +
-                    std::to_string(tuples_.size()) + " tuples}\n";
-  for (const Tuple& t : tuples_) {
+  std::string out =
+      schema_.ToString() + " {" + std::to_string(size()) + " tuples}\n";
+  for (const Tuple& t : SortedTuples()) {
     out += "  " + t.ToString() + "\n";
   }
   return out;

@@ -5,6 +5,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/relational/schema.h"
 #include "src/relational/tuple.h"
@@ -13,11 +14,13 @@
 
 namespace p2pdb::rel {
 
-/// An extensional relation instance. Every tuple is held twice: in a sorted
-/// set, so that iteration, printing, codecs and comparison are deterministic,
-/// and in an append-only TupleLog, which answers membership and per-column
-/// lookups by hashing and which MVCC snapshots share instead of copying
-/// (tuple_log.h). Relations only grow: the protocol never retracts data.
+/// An extensional relation instance. Its tuples live once, in an append-only
+/// TupleLog that answers membership and per-column lookups by hashing and
+/// that MVCC snapshots share instead of copying (tuple_log.h). Relations only
+/// grow: the protocol never retracts data. Evaluation and every other
+/// order-free pass iterate the log in insertion order (View()); codecs,
+/// printing and anything else that must not depend on arrival order ask for
+/// SortedTuples().
 class Relation {
  public:
   Relation() : Relation(RelationSchema()) {}
@@ -32,15 +35,17 @@ class Relation {
   Relation& operator=(Relation&&) = default;
 
   const RelationSchema& schema() const { return schema_; }
-  size_t size() const { return tuples_.size(); }
-  bool empty() const { return tuples_.empty(); }
+  size_t size() const { return log_->size(); }
+  bool empty() const { return size() == 0; }
 
   /// Inserts a tuple; returns true if it was new. Fails on arity mismatch.
   Result<bool> Insert(Tuple tuple);
 
   bool Contains(const Tuple& tuple) const { return View().Contains(tuple); }
 
-  const std::set<Tuple>& tuples() const { return tuples_; }
+  /// A sorted copy of every tuple: the canonical order, independent of the
+  /// order tuples arrived in. Costs a copy and a sort per call.
+  std::vector<Tuple> SortedTuples() const;
 
   /// Tuples containing no labeled null (the "certain" part of the instance).
   std::set<Tuple> CertainTuples() const;
@@ -56,7 +61,6 @@ class Relation {
 
  private:
   RelationSchema schema_;
-  std::set<Tuple> tuples_;
   std::shared_ptr<TupleLog> log_;
 };
 

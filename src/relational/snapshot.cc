@@ -21,7 +21,7 @@ std::vector<uint8_t> SerializeDatabase(const Database& db) {
     const RelationSchema& schema = relation.schema();
     w.PutVarint(schema.arity());
     for (const std::string& attr : schema.attributes()) w.PutString(attr);
-    EncodeTupleSet(relation.tuples(), &w);
+    EncodeTupleSet(relation.SortedTuples(), &w);
   }
   return w.bytes();
 }

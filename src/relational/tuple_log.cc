@@ -49,9 +49,10 @@ TupleLog::~TupleLog() {
   for (auto& chunk : chunks_) delete chunk.load(std::memory_order_relaxed);
 }
 
-bool TupleLog::Append(const Tuple& tuple) {
+bool TupleLog::Append(Tuple tuple) {
   const size_t n = size_.load(std::memory_order_relaxed);
-  if (Contains(tuple, n)) return false;
+  const uint32_t tag = Tag(tuple.Hash());
+  if (Find(tuple, tag, n)) return false;
   if (n >= kMaxEntries) std::abort();  // 4G tuples in one relation.
 
   const Slot s = Locate(n);
@@ -60,11 +61,10 @@ bool TupleLog::Append(const Tuple& tuple) {
     chunk = new Chunk(size_t{1} << (kFirstChunkLog2 + s.chunk), arity_);
     chunks_[s.chunk].store(chunk, std::memory_order_release);
   }
-  chunk->tuples[s.offset] = tuple;
+  chunk->tuples[s.offset] = std::move(tuple);
 
   for (size_t column = 0; column < arity_; ++column) IndexColumn(column, n);
 
-  const uint32_t tag = Tag(tuple.Hash());
   Table* members = Reserve(&members_, n + 1, /*with_tails=*/false);
   size_t pos = tag & members->mask;
   while (members->slots[pos].load(std::memory_order_relaxed) != 0) {
@@ -130,9 +130,12 @@ TupleLog::Table* TupleLog::Reserve(std::atomic<Table*>* table, size_t keys,
 }
 
 bool TupleLog::Contains(const Tuple& tuple, size_t watermark) const {
+  return Find(tuple, Tag(tuple.Hash()), watermark);
+}
+
+bool TupleLog::Find(const Tuple& tuple, uint32_t tag, size_t watermark) const {
   const Table* table = members_.load(std::memory_order_acquire);
   if (table == nullptr || watermark == 0) return false;
-  const uint32_t tag = Tag(tuple.Hash());
   for (size_t pos = tag & table->mask;; pos = (pos + 1) & table->mask) {
     const uint64_t slot = table->slots[pos].load(std::memory_order_acquire);
     if (slot == 0) return false;

@@ -58,9 +58,9 @@ class TupleLog {
   /// watermark they were handed instead.
   size_t size() const { return size_.load(std::memory_order_acquire); }
 
-  /// Writer only. Appends a copy of `tuple` unless an equal entry exists and
-  /// returns whether it did. `tuple.arity()` must equal arity().
-  bool Append(const Tuple& tuple);
+  /// Writer only. Appends `tuple` unless an equal entry exists and returns
+  /// whether it did. `tuple.arity()` must equal arity().
+  bool Append(Tuple tuple);
 
   /// Entry `i`, for `i` below the caller's watermark.
   const Tuple& at(size_t i) const {
@@ -121,6 +121,8 @@ class TupleLog {
         ->links[s.offset * arity_ + column];
   }
 
+  /// Contains() for a tuple whose hash tag is already known.
+  bool Find(const Tuple& tuple, uint32_t tag, size_t watermark) const;
   /// Writer only: grows `*table` (doubling, retiring the old table) if
   /// holding `keys` keys would pass half load, and returns the table to
   /// insert into.

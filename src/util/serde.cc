@@ -88,7 +88,8 @@ Result<int64_t> Reader::GetI64() {
 }
 
 Result<const uint8_t*> Reader::GetRaw(size_t n) {
-  if (pos_ + n > size_) return Status::OutOfRange("GetRaw past end");
+  // Against remaining(), not pos_ + n, which a hostile length can wrap.
+  if (n > remaining()) return Status::OutOfRange("GetRaw past end");
   const uint8_t* out = data_ + pos_;
   pos_ += n;
   return out;
@@ -97,7 +98,7 @@ Result<const uint8_t*> Reader::GetRaw(size_t n) {
 Result<std::string> Reader::GetString() {
   auto len = GetVarint();
   if (!len.ok()) return len.status();
-  if (pos_ + *len > size_) return Status::OutOfRange("GetString past end");
+  if (*len > remaining()) return Status::OutOfRange("GetString past end");
   std::string s(reinterpret_cast<const char*>(data_ + pos_),
                 static_cast<size_t>(*len));
   pos_ += static_cast<size_t>(*len);

@@ -1,28 +1,27 @@
 #include "src/workload/queries.h"
 
-#include <iterator>
-
 namespace p2pdb::workload {
 
 namespace {
 
 /// A relation with data at some node — the population reads are drawn from.
+/// Its tuples are kept sorted, so the k-th pick does not depend on the order
+/// they were inserted in.
 struct ReadTarget {
   NodeId node;
   const rel::Relation* relation;
   std::string name;
+  std::vector<rel::Tuple> sorted;
 };
 
-const rel::Tuple& PickTuple(const rel::Relation& relation, Rng* rng) {
-  auto it = relation.tuples().begin();
-  std::advance(it, static_cast<long>(rng->NextBelow(relation.size())));
-  return *it;
+const rel::Tuple& PickTuple(const ReadTarget& target, Rng* rng) {
+  return target.sorted[rng->NextBelow(target.sorted.size())];
 }
 
 /// Single-atom selection: R(c, X1, ..., Xk-1) projected onto all variables,
 /// with c drawn from a real tuple so the answer is non-empty.
 rel::ConjunctiveQuery MakeSelection(const ReadTarget& target, Rng* rng) {
-  const rel::Tuple& sample = PickTuple(*target.relation, rng);
+  const rel::Tuple& sample = PickTuple(target, rng);
   rel::ConjunctiveQuery cq;
   rel::Atom atom;
   atom.relation = target.name;
@@ -46,7 +45,7 @@ rel::ConjunctiveQuery MakeSelection(const ReadTarget& target, Rng* rng) {
 /// column j — "other tuples agreeing with this one on column j" (e.g. same
 /// author, same year), answered via the column index on the snapshot.
 rel::ConjunctiveQuery MakeJoin(const ReadTarget& target, Rng* rng) {
-  const rel::Tuple& sample = PickTuple(*target.relation, rng);
+  const rel::Tuple& sample = PickTuple(target, rng);
   size_t arity = sample.arity();
   size_t j = 1 + rng->NextBelow(arity - 1);
   rel::ConjunctiveQuery cq;
@@ -75,7 +74,9 @@ Result<std::vector<QueryOp>> BuildQueryWorkload(
   std::vector<ReadTarget> targets;
   for (const core::NodeInfo& info : system.nodes()) {
     for (const auto& [name, relation] : info.db.relations()) {
-      if (!relation.empty()) targets.push_back({info.id, &relation, name});
+      if (!relation.empty()) {
+        targets.push_back({info.id, &relation, name, relation.SortedTuples()});
+      }
     }
   }
   if (targets.empty()) {
@@ -93,7 +94,7 @@ Result<std::vector<QueryOp>> BuildQueryWorkload(
     op.relation = target.name;
     if (rng.NextBool(options.point_fraction)) {
       op.is_point = true;
-      op.key = PickTuple(*target.relation, &rng);
+      op.key = PickTuple(target, &rng);
       if (rng.NextBool(options.miss_fraction)) {
         // Deliberate miss: no generator string ever starts with "~miss:", and
         // the chase only moves existing values around, so this key can never

@@ -53,7 +53,7 @@ TEST(ChaseTest, ExistentialInventsNull) {
   EXPECT_EQ(stats.inserted, 1u);
   const Relation* parent = *db.Get("parent");
   ASSERT_EQ(parent->size(), 1u);
-  const Tuple& t = *parent->tuples().begin();
+  const Tuple& t = parent->View().at(0);
   EXPECT_EQ(t.at(0), S("ann"));
   EXPECT_TRUE(t.at(1).is_null());
 }
@@ -106,8 +106,8 @@ TEST(ChaseTest, SharedExistentialAcrossHeadAtoms) {
                             &stats)
                   .ok());
   EXPECT_EQ(stats.inserted, 2u);
-  const Tuple& p = *(*db.Get("pub"))->tuples().begin();
-  const Tuple& w = *(*db.Get("wrote"))->tuples().begin();
+  const Tuple& p = (*db.Get("pub"))->View().at(0);
+  const Tuple& w = (*db.Get("wrote"))->View().at(0);
   EXPECT_TRUE(p.at(0).is_null());
   EXPECT_EQ(p.at(0), w.at(1));  // Same invented witness in both atoms.
 }
@@ -165,7 +165,9 @@ TEST(ChaseTest, DepthBoundSuppressesRunawayNulls) {
     ASSERT_TRUE(ApplyRuleHead(&db, {head}, b, &nulls, options, &stats).ok());
     // Find the invented witness for the next round, if any.
     bool found = false;
-    for (const Tuple& t : (*db.Get("parent"))->tuples()) {
+    const LogView parents = (*db.Get("parent"))->View();
+    for (size_t i = 0; i < parents.size(); ++i) {
+      const Tuple& t = parents.at(i);
       if (t.at(0) == x && t.at(1).is_null()) {
         x = t.at(1);
         found = true;

@@ -1,5 +1,6 @@
-// Semi-naive (incremental) evaluation: EvaluateQueryDelta must account for
-// exactly the answers a monotone insertion adds.
+// Semi-naive (incremental) evaluation over log ranges: EvaluateQueryDelta
+// must account for exactly the answers a monotone insertion adds, seeding
+// only from the entries at or past `from`.
 #include <gtest/gtest.h>
 
 #include "src/relational/eval.h"
@@ -21,21 +22,53 @@ ConjunctiveQuery TwoHop() {
   return q;
 }
 
+ConjunctiveQuery Unary(const std::string& relation) {
+  ConjunctiveQuery q;
+  q.head_vars = {"X"};
+  Atom a;
+  a.relation = relation;
+  a.terms = {Term::Var("X")};
+  q.atoms = {a};
+  return q;
+}
+
 TEST(EvalDeltaTest, SingleAtomDelta) {
   Database db;
   (void)db.CreateRelation(RelationSchema("p", {"x"}));
   (void)db.Insert("p", Tuple({I(1)}));
   (void)db.Insert("p", Tuple({I(2)}));
-  ConjunctiveQuery q;
-  q.head_vars = {"X"};
-  Atom a;
-  a.relation = "p";
-  a.terms = {Term::Var("X")};
-  q.atoms = {a};
-  std::set<Tuple> delta{Tuple({I(2)})};  // Pretend only 2 is new.
-  auto result = EvaluateQueryDelta(db, q, 0, delta);
+  // Only entry 1 (the tuple 2) is new.
+  auto result = EvaluateQueryDelta(db, Unary("p"), 0, db.View("p"), 1);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(*result, (std::set<Tuple>{Tuple({I(2)})}));
+  EXPECT_EQ(*result, (std::vector<Tuple>{Tuple({I(2)})}));
+}
+
+TEST(EvalDeltaTest, EntriesBelowFromNeverSeed) {
+  Database db;
+  (void)db.CreateRelation(RelationSchema("p", {"x"}));
+  for (int64_t v : {4, 1, 3, 2}) (void)db.Insert("p", Tuple({I(v)}));
+  const LogView log = db.View("p");
+  for (size_t from = 0; from <= log.size(); ++from) {
+    auto result = EvaluateQueryDelta(db, Unary("p"), 0, log, from);
+    ASSERT_TRUE(result.ok());
+    std::vector<Tuple> expected;
+    for (size_t e = from; e < log.size(); ++e) expected.push_back(log.at(e));
+    EXPECT_EQ(*result, expected) << "from " << from;
+  }
+  // In a join, an old entry still matches the other atom, but never seeds:
+  // edge(1,2) is old, edge(2,3) new. Seeding occurrence 0 with (2,3) finds
+  // no edge out of 3; seeding occurrence 1 with it joins the old (1,2).
+  Database graph;
+  (void)graph.CreateRelation(RelationSchema("edge", {"a", "b"}));
+  (void)graph.Insert("edge", Tuple({I(1), I(2)}));
+  (void)graph.Insert("edge", Tuple({I(2), I(3)}));
+  const ConjunctiveQuery q = TwoHop();
+  auto first = EvaluateQueryDelta(graph, q, 0, graph.View("edge"), 1);
+  auto second = EvaluateQueryDelta(graph, q, 1, graph.View("edge"), 1);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  EXPECT_TRUE(first->empty());
+  EXPECT_EQ(*second, (std::vector<Tuple>{Tuple({I(1), I(3)})}));
 }
 
 TEST(EvalDeltaTest, JoinDeltaCoversBothSides) {
@@ -43,13 +76,13 @@ TEST(EvalDeltaTest, JoinDeltaCoversBothSides) {
   (void)db.CreateRelation(RelationSchema("edge", {"a", "b"}));
   (void)db.Insert("edge", Tuple({I(1), I(2)}));
   // Now insert 2->3 and compute what two-hop answers appeared.
+  const size_t from = db.View("edge").size();
   (void)db.Insert("edge", Tuple({I(2), I(3)}));
-  std::set<Tuple> delta{Tuple({I(2), I(3)})};
 
   ConjunctiveQuery q = TwoHop();
   std::set<Tuple> incremental;
   for (size_t occurrence : {0u, 1u}) {
-    auto part = EvaluateQueryDelta(db, q, occurrence, delta);
+    auto part = EvaluateQueryDelta(db, q, occurrence, db.View("edge"), from);
     ASSERT_TRUE(part.ok());
     incremental.insert(part->begin(), part->end());
   }
@@ -61,31 +94,62 @@ TEST(EvalDeltaTest, BuiltinsRespectedInDeltaPath) {
   (void)db.CreateRelation(RelationSchema("n", {"v"}));
   (void)db.Insert("n", Tuple({I(1)}));
   (void)db.Insert("n", Tuple({I(5)}));
-  ConjunctiveQuery q;
-  q.head_vars = {"V"};
-  Atom a;
-  a.relation = "n";
-  a.terms = {Term::Var("V")};
-  q.atoms = {a};
+  ConjunctiveQuery q = Unary("n");
   Builtin b;
   b.op = BuiltinOp::kLt;
-  b.lhs = Term::Var("V");
+  b.lhs = Term::Var("X");
   b.rhs = Term::Const(I(3));
   q.builtins = {b};
-  std::set<Tuple> delta{Tuple({I(1)}), Tuple({I(5)})};
-  auto result = EvaluateQueryDelta(db, q, 0, delta);
+  auto result = EvaluateQueryDelta(db, q, 0, db.View("n"), 0);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(*result, (std::set<Tuple>{Tuple({I(1)})}));  // 5 filtered out.
+  EXPECT_EQ(*result, (std::vector<Tuple>{Tuple({I(1)})}));  // 5 filtered out.
+}
+
+// One range whose entries pass and fail a built-in decidable from the delta
+// atom alone: the single plan checks it per seed, before the join.
+TEST(EvalDeltaTest, OnePlanServesPassingAndFailingSeeds) {
+  Database db;
+  (void)db.CreateRelation(RelationSchema("n", {"x"}));
+  (void)db.CreateRelation(RelationSchema("m", {"x", "y"}));
+  for (int64_t v : {1, 5, 2, 7}) {
+    (void)db.Insert("n", Tuple({I(v)}));
+    (void)db.Insert("m", Tuple({I(v), I(10 * v)}));
+  }
+  ConjunctiveQuery q;
+  q.head_vars = {"X", "Y"};
+  Atom n, m;
+  n.relation = "n";
+  n.terms = {Term::Var("X")};
+  m.relation = "m";
+  m.terms = {Term::Var("X"), Term::Var("Y")};
+  q.atoms = {n, m};
+  Builtin b;
+  b.op = BuiltinOp::kLt;
+  b.lhs = Term::Var("X");
+  b.rhs = Term::Const(I(3));
+  q.builtins = {b};
+
+  auto result = EvaluateQueryDelta(db, q, 0, db.View("n"), 0);
+  ASSERT_TRUE(result.ok());
+  // Entry order: 1 passes, 5 fails, 2 passes, 7 fails.
+  EXPECT_EQ(*result, (std::vector<Tuple>{Tuple({I(1), I(10)}),
+                                         Tuple({I(2), I(20)})}));
+  auto bindings = EvaluateBindingsDelta(db, q, 0, db.View("n"), 0);
+  ASSERT_TRUE(bindings.ok());
+  ASSERT_EQ(bindings->size(), 2u);
+  EXPECT_EQ(bindings->at(1).at("Y"), I(20));
 }
 
 TEST(EvalDeltaTest, OutOfRangeAtomRejected) {
   Database db;
   ConjunctiveQuery q = TwoHop();
-  EXPECT_FALSE(EvaluateQueryDelta(db, q, 5, {}).ok());
+  EXPECT_FALSE(EvaluateQueryDelta(db, q, 5, LogView(), 0).ok());
+  EXPECT_FALSE(EvaluateBindingsDelta(db, q, 5, LogView(), 0).ok());
 }
 
-// Property: incremental accumulation across random insertions equals a fresh
-// full evaluation after every step.
+// Property: incremental accumulation over random batches equals a fresh full
+// evaluation at every cut point. Each batch is the range between two random
+// cut points of the log.
 TEST(EvalDeltaTest, IncrementalMatchesFullEvaluationUnderRandomInserts) {
   Rng rng(1234);
   Database db;
@@ -93,22 +157,26 @@ TEST(EvalDeltaTest, IncrementalMatchesFullEvaluationUnderRandomInserts) {
   ConjunctiveQuery q = TwoHop();
 
   std::set<Tuple> accumulated;  // Maintained incrementally.
-  for (int step = 0; step < 120; ++step) {
+  size_t from = 0;              // First entry not yet evaluated.
+  size_t cuts = 0;
+  for (int step = 0; step < 240; ++step) {
     Tuple t({I(static_cast<int64_t>(rng.NextBelow(12))),
              I(static_cast<int64_t>(rng.NextBelow(12)))});
-    auto inserted = db.Insert("edge", t);
-    ASSERT_TRUE(inserted.ok());
-    if (!*inserted) continue;  // Duplicate: no delta.
-    std::set<Tuple> delta{t};
+    ASSERT_TRUE(db.Insert("edge", t).ok());
+    if (step + 1 < 240 && !rng.NextBool(0.25)) continue;  // Not a cut point.
+    const LogView log = db.View("edge");
     for (size_t occurrence = 0; occurrence < q.atoms.size(); ++occurrence) {
-      auto part = EvaluateQueryDelta(db, q, occurrence, delta);
+      auto part = EvaluateQueryDelta(db, q, occurrence, log, from);
       ASSERT_TRUE(part.ok());
       accumulated.insert(part->begin(), part->end());
     }
+    from = log.size();
+    ++cuts;
     auto full = EvaluateQuery(db, q);
     ASSERT_TRUE(full.ok());
     ASSERT_EQ(accumulated, *full) << "diverged at step " << step;
   }
+  EXPECT_GT(cuts, 20u);
 }
 
 }  // namespace

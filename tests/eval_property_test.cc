@@ -40,8 +40,9 @@ std::set<Tuple> ReferenceEvaluate(const Database& db,
       results.insert(Tuple(std::move(row)));
       return;
     }
-    for (const Tuple& t : relations[depth]->tuples()) {
-      chosen[depth] = &t;
+    const LogView view = relations[depth]->View();
+    for (size_t i = 0; i < view.size(); ++i) {
+      chosen[depth] = &view.at(i);
       enumerate(depth + 1);
     }
   };

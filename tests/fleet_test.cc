@@ -96,6 +96,45 @@ bool AwaitExit(pid_t pid, int* exit_status,
   return false;
 }
 
+/// The p2pdb_peerd children of one test, one slot per node. Every ASSERT
+/// after a spawn returns early, so the destructor SIGKILLs and reaps each
+/// child still running: a failed run leaves no daemon behind. A reaped
+/// child's slot is cleared first, since its pid may be reused.
+class Daemons {
+ public:
+  Daemons() = default;
+  Daemons(const Daemons&) = delete;
+  Daemons& operator=(const Daemons&) = delete;
+  ~Daemons() {
+    for (pid_t pid : pids_) {
+      if (pid <= 0) continue;
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, nullptr, 0);
+    }
+  }
+
+  /// Forks a daemon into the empty slot `node`; returns its pid (<= 0 when
+  /// the fork failed).
+  pid_t Spawn(size_t node, const std::string& config_path,
+              const std::string& log_path) {
+    if (pids_.size() <= node) pids_.resize(node + 1, -1);
+    pids_[node] = SpawnPeerd(config_path, log_path);
+    return pids_[node];
+  }
+
+  pid_t pid(size_t node) const { return pids_[node]; }
+
+  /// Reaps the daemon in slot `node` (see AwaitExit) and clears the slot.
+  bool Reap(size_t node, int* exit_status) {
+    if (!AwaitExit(pids_[node], exit_status)) return false;
+    pids_[node] = -1;
+    return true;
+  }
+
+ private:
+  std::vector<pid_t> pids_;
+};
+
 TEST(PeerdConfigTest, RoundTripsThroughToString) {
   PeerdConfig config;
   config.node = 2;
@@ -183,18 +222,19 @@ TEST(FleetTest, FleetConvergesAndSurvivesKillNineReExec) {
   ASSERT_TRUE(configs.ok()) << configs.status().ToString();
 
   std::vector<std::string> config_paths;
-  std::vector<pid_t> pids;
+  Daemons daemons;
   for (const PeerdConfig& cfg : *configs) {
     const std::string path =
         root + "/peer" + std::to_string(cfg.node) + ".conf";
     ASSERT_TRUE(WriteFile(path, cfg.ToString()).ok());
     config_paths.push_back(path);
-    pids.push_back(SpawnPeerd(path, root + "/peer" +
-                                        std::to_string(cfg.node) + ".log"));
-    ASSERT_GT(pids.back(), 0);
+    ASSERT_GT(daemons.Spawn(cfg.node, path,
+                            root + "/peer" + std::to_string(cfg.node) +
+                                ".log"),
+              0);
   }
   for (NodeId n = 0; n < system->node_count(); ++n) {
-    ASSERT_TRUE(AwaitPidFile((*configs)[n].pid_file, pids[n]))
+    ASSERT_TRUE(AwaitPidFile((*configs)[n].pid_file, daemons.pid(n)))
         << "peer " << n << " never became ready";
   }
 
@@ -214,9 +254,9 @@ TEST(FleetTest, FleetConvergesAndSurvivesKillNineReExec) {
   // no shutdown path, in-flight frames die with its sockets.
   ASSERT_TRUE((*controller)->StartUpdate(1).ok());
   const NodeId victim = 1;
-  ASSERT_EQ(::kill(pids[victim], SIGKILL), 0);
+  ASSERT_EQ(::kill(daemons.pid(victim), SIGKILL), 0);
   int status = 0;
-  ASSERT_TRUE(AwaitExit(pids[victim], &status));
+  ASSERT_TRUE(daemons.Reap(victim, &status));
   ASSERT_TRUE(WIFSIGNALED(status));
   EXPECT_EQ(WTERMSIG(status), SIGKILL);
 
@@ -231,10 +271,10 @@ TEST(FleetTest, FleetConvergesAndSurvivesKillNineReExec) {
   // Re-exec from the SAME config file: same node id, same fixed port (the
   // other daemons' endpoint tables stay valid), recovery from checkpoint +
   // WAL before the listener accepts a frame.
-  pids[victim] = SpawnPeerd(config_paths[victim],
-                            root + "/peer1.reexec.log");
-  ASSERT_GT(pids[victim], 0);
-  ASSERT_TRUE(AwaitPidFile((*configs)[victim].pid_file, pids[victim]))
+  ASSERT_GT(daemons.Spawn(victim, config_paths[victim],
+                          root + "/peer1.reexec.log"),
+            0);
+  ASSERT_TRUE(AwaitPidFile((*configs)[victim].pid_file, daemons.pid(victim)))
       << "re-exec'ed peer never became ready";
 
   // Rejoin: re-bootstrap the fresh process (installs the controller's reply
@@ -268,7 +308,7 @@ TEST(FleetTest, FleetConvergesAndSurvivesKillNineReExec) {
   // cleanly on the kShutdown control frame.
   ASSERT_TRUE((*controller)->SendShutdown(all).ok());
   for (NodeId n : all) {
-    ASSERT_TRUE(AwaitExit(pids[n], &status)) << "peer " << n << " hung";
+    ASSERT_TRUE(daemons.Reap(n, &status)) << "peer " << n << " hung";
     EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
         << "peer " << n << " exited abnormally";
   }

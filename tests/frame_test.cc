@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "src/core/control.h"
 #include "src/util/crc32.h"
+#include "src/util/serde.h"
 #include "src/workload/scenario.h"
 
 namespace p2pdb::net {
@@ -398,6 +401,31 @@ TEST(BatchFrameTest, TruncatedInnerPayloadRejectsWholeBatch) {
                    .FeedViews(empty_frame.data(), empty_frame.size(),
                               [&](const FrameView&) { ++sinks; })
                    .ok());
+  EXPECT_EQ(sinks, 0);
+}
+
+TEST(BatchFrameTest, WrappingPayloadLengthRejectsWholeBatch) {
+  // A CRC-valid batch whose first entry's payload length is 2^64 - 18: from
+  // position 18, a wrapping bounds check would accept it and rewind to 0,
+  // where the body re-parses as a second, well-formed entry ending exactly
+  // at the end — so both validation passes would succeed.
+  Writer body;
+  const uint8_t entry[] = {0x02, 0x0c, 0x00, 0x01, 0x00, 0x00, 0x00, 0x0a};
+  body.PutRaw(entry, sizeof(entry));
+  body.PutVarint(UINT64_MAX - 17);
+  ASSERT_EQ(body.size(), 18u);
+  Message batch;
+  batch.type = MessageType::kBatch;
+  batch.from = 0;
+  batch.to = 1;
+  batch.payload = body.TakeBytes();
+  std::vector<uint8_t> frame = EncodeFrame(batch);
+
+  FrameAssembler assembler;
+  int sinks = 0;
+  Status fed = assembler.FeedViews(frame.data(), frame.size(),
+                                   [&](const FrameView&) { ++sinks; });
+  EXPECT_FALSE(fed.ok());
   EXPECT_EQ(sinks, 0);
 }
 

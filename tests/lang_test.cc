@@ -115,7 +115,7 @@ node N { rel t(a, b, c); fact t("s", 42, lowercase_is_string); }
   ASSERT_TRUE(system.ok()) << system.status().ToString();
   const rel::Relation* r = *system->node(0).db.Get("t");
   ASSERT_EQ(r->size(), 1u);
-  const rel::Tuple& t = *r->tuples().begin();
+  const rel::Tuple& t = r->View().at(0);
   EXPECT_EQ(t.at(0), rel::Value::Str("s"));
   EXPECT_EQ(t.at(1), rel::Value::Int(42));
   EXPECT_EQ(t.at(2), rel::Value::Str("lowercase_is_string"));

@@ -290,6 +290,36 @@ TEST(QueryWorkloadTest, DeterministicSafeAndHonestAboutHits) {
   EXPECT_LT(points, a->size());
 }
 
+// Reads draw the k-th tuple of each relation's sorted copy, so the stream
+// does not depend on the order the initial tuples were inserted in.
+TEST(QueryWorkloadTest, StreamIgnoresInsertionOrder) {
+  auto system = workload::MakeRunningExample();
+  ASSERT_TRUE(system.ok());
+  P2PSystem reversed = *system;
+  for (NodeId n = 0; n < reversed.node_count(); ++n) {
+    rel::Database refilled;
+    for (const auto& [name, relation] : system->node(n).db.relations()) {
+      ASSERT_TRUE(refilled.CreateRelation(relation.schema()).ok());
+      const rel::LogView log = relation.View();
+      for (size_t i = log.size(); i-- > 0;) {
+        ASSERT_TRUE(refilled.Insert(name, log.at(i)).ok());
+      }
+    }
+    *reversed.mutable_db(n) = std::move(refilled);
+  }
+  workload::QueryWorkloadOptions options;
+  options.ops = 256;
+  auto a = workload::BuildQueryWorkload(*system, options);
+  auto b = workload::BuildQueryWorkload(reversed, options);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  ASSERT_EQ(a->size(), b->size());
+  for (size_t i = 0; i < a->size(); ++i) {
+    EXPECT_EQ((*a)[i].key, (*b)[i].key) << "op " << i;
+    EXPECT_EQ((*a)[i].cq.ToString(), (*b)[i].cq.ToString()) << "op " << i;
+  }
+}
+
 // The TSan target: reader threads hammer the query plane over real sockets
 // while an update propagates and a peer crashes and recovers underneath.
 // Readers assert three invariants per node: every read succeeds, snapshot

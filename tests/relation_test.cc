@@ -56,6 +56,24 @@ TEST(RelationTest, Contains) {
   EXPECT_FALSE(r.Contains(Tuple({Value::Int(2), Value::Int(1)})));
 }
 
+TEST(RelationTest, SortedTuplesIgnoreInsertionOrder) {
+  Relation r(PairSchema());
+  for (int64_t x : {3, 1, 2, 1}) {
+    (void)r.Insert(Tuple({Value::Int(x), Value::Int(-x)}));
+  }
+  EXPECT_EQ(r.size(), 3u);
+  EXPECT_FALSE(r.empty());
+  EXPECT_TRUE(r.Contains(Tuple({Value::Int(2), Value::Int(-2)})));
+  EXPECT_FALSE(r.Contains(Tuple({Value::Int(2), Value::Int(2)})));
+  // The log keeps arrival order; the sorted copy does not depend on it.
+  EXPECT_EQ(r.View().at(0), Tuple({Value::Int(3), Value::Int(-3)}));
+  EXPECT_EQ(r.SortedTuples(),
+            (std::vector<Tuple>{Tuple({Value::Int(1), Value::Int(-1)}),
+                                Tuple({Value::Int(2), Value::Int(-2)}),
+                                Tuple({Value::Int(3), Value::Int(-3)})}));
+  EXPECT_TRUE(Relation(PairSchema()).SortedTuples().empty());
+}
+
 TEST(RelationTest, CertainTuplesExcludeNulls) {
   Relation r(PairSchema());
   (void)r.Insert(Tuple({Value::Int(1), Value::Int(2)}));
@@ -143,6 +161,24 @@ TEST(DatabaseTest, DeepEquality) {
   EXPECT_FALSE(a == b);
   (void)b.Insert("r", Tuple({Value::Int(1), Value::Int(2)}));
   EXPECT_TRUE(a == b);
+}
+
+TEST(DatabaseTest, EqualityIgnoresInsertionOrder) {
+  Database a, b;
+  (void)a.CreateRelation(PairSchema());
+  (void)b.CreateRelation(PairSchema());
+  for (int64_t x = 0; x < 20; ++x) {
+    (void)a.Insert("r", Tuple({Value::Int(x), Value::Int(x % 3)}));
+    (void)b.Insert("r", Tuple({Value::Int(19 - x), Value::Int((19 - x) % 3)}));
+  }
+  EXPECT_NE(a.View("r").at(0), b.View("r").at(0));
+  EXPECT_TRUE(a == b);
+  EXPECT_TRUE(b == a);
+  // Same size, one tuple different: not equal either way.
+  (void)a.Insert("r", Tuple({Value::Int(100), Value::Int(0)}));
+  (void)b.Insert("r", Tuple({Value::Int(101), Value::Int(0)}));
+  EXPECT_FALSE(a == b);
+  EXPECT_FALSE(b == a);
 }
 
 }  // namespace

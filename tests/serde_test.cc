@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "src/util/rng.h"
 
 namespace p2pdb {
@@ -53,6 +55,29 @@ TEST(SerdeTest, TruncatedStringFails) {
   w.PutVarint(100);  // Length prefix without the bytes.
   Reader r(w.bytes());
   EXPECT_FALSE(r.GetString().ok());
+}
+
+// Lengths near 2^64 must not wrap the bounds check: each read returns an
+// error instead of throwing or moving the position backwards.
+TEST(SerdeTest, HostileLengthsFailWithoutWrapping) {
+  Writer w;
+  w.PutVarint(UINT64_MAX - 1);  // String length prefix.
+  w.PutString("abc");
+  Reader strings(w.bytes());
+  EXPECT_NO_THROW(EXPECT_FALSE(strings.GetString().ok()));
+
+  std::vector<uint8_t> bytes{1, 2, 3, 4, 5, 6};
+  Reader raw(bytes.data(), bytes.size());
+  ASSERT_TRUE(raw.GetU32().ok());
+  ASSERT_TRUE(raw.GetU8().ok());
+  // At position 5, position + (SIZE_MAX - 3) wraps around to 1.
+  EXPECT_NO_THROW(EXPECT_FALSE(raw.GetRaw(SIZE_MAX - 3).ok()));
+  EXPECT_EQ(raw.remaining(), 1u);
+  EXPECT_FALSE(raw.GetRaw(2).ok());
+  auto last = raw.GetRaw(1);
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(**last, 6);
+  EXPECT_TRUE(raw.AtEnd());
 }
 
 TEST(SerdeTest, MalformedVarintFails) {

@@ -27,6 +27,22 @@ TEST(SnapshotTest, BytesRoundTrip) {
   EXPECT_TRUE(*back == db);
 }
 
+// Checkpoint bytes are canonical: the same tuples inserted in another order
+// encode identically, so relations write in sorted order, not log order.
+TEST(SnapshotTest, BytesDoNotDependOnInsertionOrder) {
+  Database reversed;
+  (void)reversed.CreateRelation(RelationSchema("r", {"x", "y"}));
+  (void)reversed.CreateRelation(RelationSchema("empty", {"a"}));
+  (void)reversed.Insert("r",
+                        Tuple({Value::Null(0x700000001ULL), Value::Int(-2)}));
+  (void)reversed.Insert("r", Tuple({Value::Int(1), Value::Str("one")}));
+  const std::vector<uint8_t> bytes = SerializeDatabase(SampleDb());
+  EXPECT_EQ(SerializeDatabase(reversed), bytes);
+  auto back = DeserializeDatabase(bytes);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(SerializeDatabase(*back), bytes);
+}
+
 TEST(SnapshotTest, EmptyDatabaseRoundTrips) {
   Database db;
   auto back = DeserializeDatabase(SerializeDatabase(db));

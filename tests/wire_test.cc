@@ -38,6 +38,22 @@ TEST(WireTest, TupleSetRoundTrip) {
   EXPECT_EQ(*back, tuples);
 }
 
+TEST(WireTest, HostileTupleArityIsRejected) {
+  // An arity larger than the bytes left cannot be genuine; decoding must
+  // fail before it sizes anything by it.
+  Writer w;
+  w.PutVarint(uint64_t{1} << 40);
+  EncodeValue(I(1), &w);
+  Reader r(w.bytes());
+  EXPECT_NO_THROW(EXPECT_FALSE(DecodeTuple(&r).ok()));
+
+  Writer set;
+  set.PutVarint(1);  // One tuple, of that arity.
+  set.PutVarint(uint64_t{1} << 40);
+  Reader rs(set.bytes());
+  EXPECT_NO_THROW(EXPECT_FALSE(DecodeTupleSet(&rs).ok()));
+}
+
 TEST(WireTest, QueryRoundTrip) {
   rel::ConjunctiveQuery q;
   q.head_vars = {"X", "Y"};
