@@ -328,19 +328,13 @@ BenchResult CoalescingFanoutBench(const std::string& name, size_t peers,
 }
 
 /// Fixpoint termination latency: one ping-pong chain injected, then Run() to
-/// quiescence; wall time covers the chain AND the termination decision. With
-/// quiet_window 0 the credit protocol ends Run() at the exact moment the
-/// last frame is credited; a nonzero window adds its full wait-out-the-clock
-/// sleep on top — the delta between the two rows is the quiet window's cost
-/// per fixpoint, paid again at every Run() in a churn script.
+/// quiescence; wall time covers the chain AND the termination decision. The
+/// credit protocol ends Run() at the exact moment the last frame is credited.
 BenchResult FixpointQuiescenceBench(const std::string& name,
-                                    std::chrono::microseconds quiet_window,
                                     size_t exchanges) {
   BenchResult result;
   result.name = name;
-  net::TcpRuntime::Options options;
-  options.quiet_window = quiet_window;
-  net::TcpRuntime rt(options);
+  net::TcpRuntime rt;
   PongPeer a(0, &rt, exchanges);
   PongPeer b(1, &rt, exchanges);
   rt.RegisterPeer(0, &a);
@@ -356,7 +350,6 @@ BenchResult FixpointQuiescenceBench(const std::string& name,
   double wall_ms = MsSince(start);
   result.metrics = {
       {"wall_ms", wall_ms},
-      {"quiet_window_us", static_cast<double>(quiet_window.count())},
       {"exchanges", static_cast<double>(exchanges)},
       {"messages", static_cast<double>(rt.stats().total_messages())},
   };
@@ -477,21 +470,19 @@ BenchResult Best(BenchResult a, BenchResult b) {
 }
 
 /// The `coalescing` summary: headline numbers for the batched-frames +
-/// credit-ack work, derived from the bench rows when the relevant quartet
+/// credit-ack work, derived from the bench rows when the relevant rows
 /// ran (skipped under --filter otherwise). frame_reduction is solo frames /
-/// batched frames at equal message count; fixpoint_saving_ms is the quiet
-/// window's per-Run() cost removed by exact ack-based termination.
+/// batched frames at equal message count; fixpoint_ack_ms is the exact
+/// ack-based termination's detection latency on one ping-pong chain.
 std::vector<std::pair<std::string, double>> CoalescingSummary(
     const std::vector<BenchResult>& results) {
   const BenchResult* batched = nullptr;
   const BenchResult* solo = nullptr;
   const BenchResult* ack = nullptr;
-  const BenchResult* quiet = nullptr;
   for (const BenchResult& r : results) {
     if (r.name == "tcp_coalesce_64peers_batched") batched = &r;
     if (r.name == "tcp_coalesce_64peers_solo") solo = &r;
     if (r.name == "tcp_fixpoint_ack") ack = &r;
-    if (r.name == "tcp_fixpoint_quiet10ms") quiet = &r;
   }
   std::vector<std::pair<std::string, double>> summary;
   if (batched != nullptr && solo != nullptr &&
@@ -509,11 +500,8 @@ std::vector<std::pair<std::string, double>> CoalescingSummary(
     summary.emplace_back("frames_per_writev_batched",
                          batched->Metric("frames_per_writev"));
   }
-  if (ack != nullptr && quiet != nullptr) {
+  if (ack != nullptr) {
     summary.emplace_back("fixpoint_ack_ms", ack->Metric("wall_ms"));
-    summary.emplace_back("fixpoint_quiet_window_ms", quiet->Metric("wall_ms"));
-    summary.emplace_back("fixpoint_saving_ms",
-                         quiet->Metric("wall_ms") - ack->Metric("wall_ms"));
   }
   return summary;
 }
@@ -621,18 +609,11 @@ int Main(int argc, char** argv) {
          return CoalescingFanoutBench("tcp_coalesce_64peers_solo", 64,
                                       coalesce_msgs, coalesce_rounds, 0);
        }},
-      // Termination pair: exact credit-ack quiescence vs the legacy 10ms
-      // quiet window, same ping-pong chain.
+      // Termination latency: exact credit-ack quiescence after a ping-pong
+      // chain.
       {"tcp_fixpoint_ack",
        [&] {
          return FixpointQuiescenceBench("tcp_fixpoint_ack",
-                                        std::chrono::microseconds(0),
-                                        fixpoint_exchanges);
-       }},
-      {"tcp_fixpoint_quiet10ms",
-       [&] {
-         return FixpointQuiescenceBench("tcp_fixpoint_quiet10ms",
-                                        std::chrono::microseconds(10'000),
                                         fixpoint_exchanges);
        }},
       {"update_thread_tree8",

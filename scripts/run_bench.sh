@@ -10,7 +10,7 @@
 #   recovery  WAL/checkpoint/crash-recovery suite (emits BENCH_recovery.json)
 #   tcp       frame codec + loopback socket runtime suite (emits BENCH_tcp.json
 #             — including the `coalescing` section: frames-per-update with and
-#             without batching, and exact-ack vs quiet-window fixpoint latency
+#             without batching, and the exact-ack fixpoint detection latency
 #             — plus obs.json, the observability snapshot of the fully traced
 #             durable update: metrics registry + trace reports)
 #   queries   MVCC query plane suite: QPS quiescent vs concurrent with a

@@ -46,7 +46,7 @@ Result<EndpointEntry> DecodeEndpointEntry(Reader* r) {
   return out;
 }
 
-/// Shared by the epoch-only control payloads (start/refresh/poll/shutdown).
+/// Shared by the epoch-only control payloads (start/refresh/dump/shutdown).
 std::vector<uint8_t> EncodeEpochOnly(uint64_t epoch) {
   Writer w;
   w.PutVarint(epoch);
@@ -56,6 +56,7 @@ std::vector<uint8_t> EncodeEpochOnly(uint64_t epoch) {
 Result<uint64_t> DecodeEpochOnly(ByteView bytes) {
   Reader r(bytes);
   WIRE_TRY(epoch, r.GetVarint());
+  P2PDB_RETURN_IF_ERROR(r.ExpectEnd());
   return epoch;
 }
 
@@ -106,9 +107,7 @@ Result<SessionBootstrap> SessionBootstrap::Decode(ByteView bytes) {
     WIRE_TRY(e, DecodeEndpointEntry(&r));
     out.endpoints.push_back(std::move(e));
   }
-  if (!r.AtEnd()) {
-    return Status::ParseError("trailing bytes after bootstrap payload");
-  }
+  P2PDB_RETURN_IF_ERROR(r.ExpectEnd());
   return out;
 }
 
@@ -135,6 +134,7 @@ Result<BootstrapAck> BootstrapAck::Decode(ByteView bytes) {
   out.accepted = accepted != 0;
   WIRE_TRY(error, r.GetString());
   out.error = std::move(error);
+  P2PDB_RETURN_IF_ERROR(r.ExpectEnd());
   return out;
 }
 
@@ -161,6 +161,7 @@ Result<ControlStartUpdate> ControlStartUpdate::Decode(ByteView bytes) {
   out.epoch = epoch;
   WIRE_TRY(session, r.GetVarint());
   out.session = session;
+  P2PDB_RETURN_IF_ERROR(r.ExpectEnd());
   return out;
 }
 
@@ -174,27 +175,37 @@ Result<ControlRefreshScc> ControlRefreshScc::Decode(ByteView bytes) {
 }
 
 std::vector<uint8_t> StatusRequest::Encode() const {
-  return EncodeEpochOnly(epoch);
+  Writer w;
+  w.PutVarint(epoch);
+  w.PutVarint(id);
+  w.PutU8(static_cast<uint8_t>(until));
+  w.PutVarint(session);
+  return w.TakeBytes();
 }
 
 Result<StatusRequest> StatusRequest::Decode(ByteView bytes) {
-  WIRE_TRY(epoch, DecodeEpochOnly(bytes));
-  return StatusRequest{epoch};
-}
-
-bool StatusReport::operator==(const StatusReport& other) const {
-  return epoch == other.epoch && node == other.node && name == other.name &&
-         state_discovery == other.state_discovery &&
-         state_update == other.state_update && tuples == other.tuples &&
-         tuples_inserted == other.tuples_inserted &&
-         joins_evaluated == other.joins_evaluated &&
-         answers_sent == other.answers_sent &&
-         token_passes == other.token_passes && reopens == other.reopens;
+  Reader r(bytes);
+  StatusRequest out;
+  WIRE_TRY(epoch, r.GetVarint());
+  out.epoch = epoch;
+  WIRE_TRY(id, r.GetVarint());
+  out.id = id;
+  WIRE_TRY(until, r.GetU8());
+  if (until > static_cast<uint8_t>(Until::kUpdateClosed)) {
+    return Status::ParseError("unknown status condition " +
+                              std::to_string(until));
+  }
+  out.until = static_cast<Until>(until);
+  WIRE_TRY(session, r.GetVarint());
+  out.session = session;
+  P2PDB_RETURN_IF_ERROR(r.ExpectEnd());
+  return out;
 }
 
 std::vector<uint8_t> StatusReport::Encode() const {
   Writer w;
   w.PutVarint(epoch);
+  w.PutVarint(id);
   w.PutU32(node);
   w.PutString(name);
   w.PutU8(state_discovery);
@@ -213,6 +224,8 @@ Result<StatusReport> StatusReport::Decode(ByteView bytes) {
   StatusReport out;
   WIRE_TRY(epoch, r.GetVarint());
   out.epoch = epoch;
+  WIRE_TRY(id, r.GetVarint());
+  out.id = id;
   WIRE_TRY(node, r.GetU32());
   out.node = node;
   WIRE_TRY(name, r.GetString());
@@ -233,6 +246,7 @@ Result<StatusReport> StatusReport::Decode(ByteView bytes) {
   out.token_passes = passes;
   WIRE_TRY(reopens, r.GetVarint());
   out.reopens = reopens;
+  P2PDB_RETURN_IF_ERROR(r.ExpectEnd());
   return out;
 }
 
@@ -264,6 +278,7 @@ Result<DumpReply> DumpReply::Decode(ByteView bytes) {
   WIRE_TRY(size, r.GetVarint());
   WIRE_TRY(data, r.GetRaw(size));
   out.database.assign(data, data + size);
+  P2PDB_RETURN_IF_ERROR(r.ExpectEnd());
   return out;
 }
 

@@ -10,8 +10,12 @@
 //   kStartDiscovery controller -> peer   Peer::StartDiscovery
 //   kStartUpdate    controller -> peer   Peer::StartUpdate(session)
 //   kRefreshScc     controller -> peer   UpdateEngine::RefreshScc (rejoin)
-//   kStatusRequest  controller -> peer   poll phase states + statistics
-//   kStatusReport   peer -> controller   the paper's Section-5 statistics row
+//   kStatusRequest  controller -> peer   ask for the statistics row once a
+//                                        named condition holds (now, discovery
+//                                        closed, update closed in session s)
+//   kStatusReport   peer -> controller   the paper's Section-5 statistics row,
+//                                        sent by the dispatch that made the
+//                                        request's condition true
 //   kDumpRequest    controller -> peer   fetch the full local database
 //   kDumpReply      peer -> controller   SerializeDatabase bytes
 //   kShutdown       controller -> peer   graceful daemon exit
@@ -23,13 +27,16 @@
 #ifndef P2PDB_CORE_CONTROL_H_
 #define P2PDB_CORE_CONTROL_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/core/system.h"
 #include "src/core/wire.h"
+#include "src/net/message.h"
 #include "src/relational/schema.h"
 #include "src/util/ids.h"
+#include "src/util/logging.h"
 #include "src/util/serde.h"
 #include "src/util/status.h"
 
@@ -108,20 +115,36 @@ struct ControlRefreshScc {
   static Result<ControlRefreshScc> Decode(ByteView bytes);
 };
 
-/// Statistics poll, controller -> peer.
+/// Statistics request, controller -> peer. The peer answers once `until`
+/// holds: at once, or from the dispatch that closes its discovery phase or
+/// its update phase in `session`. Both closures are stable (the paper's
+/// closure protocol closes a node only when its sources are closed), so the
+/// answer is exact and never needs to be polled for again.
 struct StatusRequest {
+  enum class Until : uint8_t {
+    kNow = 0,
+    kDiscoveryClosed = 1,
+    kUpdateClosed = 2,
+  };
+
   uint64_t epoch = 0;
+  /// Controller-chosen, echoed in the report; replies are matched by id.
+  uint64_t id = 0;
+  Until until = Until::kNow;
+  uint64_t session = 0;  // Read only for kUpdateClosed.
 
   std::vector<uint8_t> Encode() const;
   static Result<StatusRequest> Decode(ByteView bytes);
 };
 
 /// One peer's statistics row (the super-peer's Section-5 statistics duty):
-/// phase states plus the update counters Session::CollectStatistics prints.
-/// The driver declares fixpoint when every participant reports both phases
-/// closed and two consecutive reports are identical.
+/// phase states plus the update counters Session::CollectStatistics prints,
+/// answering the StatusRequest with the same id. The controller declares the
+/// update's fixpoint when every participant has answered "update closed in
+/// this session".
 struct StatusReport {
   uint64_t epoch = 0;
+  uint64_t id = 0;  // The StatusRequest this answers.
   NodeId node = kNoNode;
   std::string name;
   uint8_t state_discovery = 0;  // core::DiscoveryEngine::State
@@ -132,8 +155,6 @@ struct StatusReport {
   uint64_t answers_sent = 0;
   uint64_t token_passes = 0;
   uint64_t reopens = 0;
-
-  bool operator==(const StatusReport& other) const;
 
   std::vector<uint8_t> Encode() const;
   static Result<StatusReport> Decode(ByteView bytes);
@@ -164,6 +185,20 @@ struct ControlShutdown {
   std::vector<uint8_t> Encode() const;
   static Result<ControlShutdown> Decode(ByteView bytes);
 };
+
+/// Decodes `msg`'s control payload. Both ends of the control plane drop a
+/// malformed payload with a warning instead of acting on it.
+template <typename Payload>
+std::optional<Payload> DecodeControl(const net::Message& msg) {
+  auto decoded = Payload::Decode(msg.payload);
+  if (!decoded.ok()) {
+    P2PDB_LOG(kWarn) << "dropping malformed " << net::MessageTypeName(msg.type)
+                     << " from node " << msg.from << ": "
+                     << decoded.status().ToString();
+    return std::nullopt;
+  }
+  return std::move(*decoded);
+}
 
 }  // namespace p2pdb::core::wire
 

@@ -10,7 +10,7 @@ namespace p2pdb::core {
 
 Session::Session(const P2PSystem& system, net::Runtime* runtime,
                  Options options)
-    : runtime_(runtime), network_(runtime), options_(std::move(options)) {
+    : runtime_(runtime), options_(std::move(options)) {
   peers_.reserve(system.node_count());
   stores_.reserve(system.node_count());
   initial_rules_ = system.rules();
@@ -31,11 +31,6 @@ Session::Session(const P2PSystem& system, net::Runtime* runtime,
     // in PeerBootstrap, and IsAlive() reports it as a crashed node.
     peers_.push_back(built.ok() ? std::move(*built) : nullptr);
     names_.push_back(info.name);
-  }
-  for (const CoordinationRule& rule : initial_rules_) {
-    for (const CoordinationRule::BodyPart& p : rule.body) {
-      network_.AddRuleLink(rule.head_node, p.node);
-    }
   }
 }
 
@@ -127,9 +122,6 @@ void Session::ScheduleChange(const AtomicChange& change) {
     msg.from = change.rule.head_node;
     msg.to = change.rule.head_node;
     msg.payload = payload.Encode();
-    for (const CoordinationRule::BodyPart& p : change.rule.body) {
-      network_.AddRuleLink(change.rule.head_node, p.node);
-    }
   } else {
     wire::DeleteRuleChange payload{change.rule_id};
     msg.type = net::MessageType::kDeleteRule;

@@ -14,7 +14,6 @@
 #include "src/core/dynamics.h"
 #include "src/core/peer.h"
 #include "src/core/system.h"
-#include "src/net/network.h"
 #include "src/net/runtime.h"
 #include "src/storage/storage.h"
 
@@ -162,12 +161,10 @@ class Session {
   std::string CollectStatistics() const;
 
   net::Runtime* runtime() { return runtime_; }
-  net::Network& network() { return network_; }
   uint64_t last_session_id() const { return next_session_ - 1; }
 
  private:
   net::Runtime* runtime_;
-  net::Network network_;
   Options options_;
   std::vector<std::unique_ptr<Peer>> peers_;  // null entry = crashed peer
   /// One snapshot store per node, fixed at construction and shared with

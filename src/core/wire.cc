@@ -192,6 +192,7 @@ Result<DiscoverRequest> DiscoverRequest::Decode(ByteView bytes) {
   DiscoverRequest out;
   WIRE_TRY(origin, r.GetU32());
   out.origin = origin;
+  P2PDB_RETURN_IF_ERROR(r.ExpectEnd());
   return out;
 }
 
@@ -212,6 +213,7 @@ Result<DiscoverAnswer> DiscoverAnswer::Decode(ByteView bytes) {
   out.visited = visited != 0;
   WIRE_TRY(edges, DecodeEdges(&r));
   out.edges = std::move(edges);
+  P2PDB_RETURN_IF_ERROR(r.ExpectEnd());
   return out;
 }
 
@@ -229,6 +231,7 @@ Result<DiscoverClosure> DiscoverClosure::Decode(ByteView bytes) {
   out.origin = origin;
   WIRE_TRY(edges, DecodeEdges(&r));
   out.edges = std::move(edges);
+  P2PDB_RETURN_IF_ERROR(r.ExpectEnd());
   return out;
 }
 
@@ -243,6 +246,7 @@ Result<UpdateStart> UpdateStart::Decode(ByteView bytes) {
   UpdateStart out;
   WIRE_TRY(session, r.GetU64());
   out.session = session;
+  P2PDB_RETURN_IF_ERROR(r.ExpectEnd());
   return out;
 }
 
@@ -266,6 +270,7 @@ Result<QueryRequest> QueryRequest::Decode(ByteView bytes) {
   out.part = part;
   WIRE_TRY(query, DecodeQuery(&r));
   out.query = std::move(query);
+  P2PDB_RETURN_IF_ERROR(r.ExpectEnd());
   return out;
 }
 
@@ -295,6 +300,7 @@ Result<QueryAnswer> QueryAnswer::Decode(ByteView bytes) {
   out.source_closed = closed != 0;
   WIRE_TRY(tuples, DecodeTupleSet(&r));
   out.tuples = std::move(tuples);
+  P2PDB_RETURN_IF_ERROR(r.ExpectEnd());
   return out;
 }
 
@@ -315,6 +321,7 @@ Result<Unsubscribe> Unsubscribe::Decode(ByteView bytes) {
   out.rule_id = std::move(rule_id);
   WIRE_TRY(part, r.GetU32());
   out.part = part;
+  P2PDB_RETURN_IF_ERROR(r.ExpectEnd());
   return out;
 }
 
@@ -343,6 +350,7 @@ Result<PartialUpdate> PartialUpdate::Decode(ByteView bytes) {
     WIRE_TRY(n, r.GetU32());
     out.sn_path.push_back(n);
   }
+  P2PDB_RETURN_IF_ERROR(r.ExpectEnd());
   return out;
 }
 
@@ -372,6 +380,7 @@ Result<Token> Token::Decode(ByteView bytes) {
   out.sum_recv = sum_recv;
   WIRE_TRY(ready, r.GetU8());
   out.all_ready = ready != 0;
+  P2PDB_RETURN_IF_ERROR(r.ExpectEnd());
   return out;
 }
 
@@ -386,6 +395,7 @@ Result<SccClosed> SccClosed::Decode(ByteView bytes) {
   SccClosed out;
   WIRE_TRY(session, r.GetU64());
   out.session = session;
+  P2PDB_RETURN_IF_ERROR(r.ExpectEnd());
   return out;
 }
 
@@ -400,6 +410,7 @@ Result<Reopen> Reopen::Decode(ByteView bytes) {
   Reopen out;
   WIRE_TRY(session, r.GetU64());
   out.session = session;
+  P2PDB_RETURN_IF_ERROR(r.ExpectEnd());
   return out;
 }
 
@@ -414,6 +425,7 @@ Result<AddRuleChange> AddRuleChange::Decode(ByteView bytes) {
   AddRuleChange out;
   WIRE_TRY(rule, DecodeRule(&r));
   out.rule = std::move(rule);
+  P2PDB_RETURN_IF_ERROR(r.ExpectEnd());
   return out;
 }
 
@@ -428,6 +440,7 @@ Result<DeleteRuleChange> DeleteRuleChange::Decode(ByteView bytes) {
   DeleteRuleChange out;
   WIRE_TRY(rule_id, r.GetString());
   out.rule_id = std::move(rule_id);
+  P2PDB_RETURN_IF_ERROR(r.ExpectEnd());
   return out;
 }
 
@@ -472,6 +485,7 @@ Result<RuleChangeRecord> RuleChangeRecord::Decode(ByteView bytes) {
     return Status::ParseError("unknown rule-change kind " +
                               std::to_string(kind));
   }
+  P2PDB_RETURN_IF_ERROR(r.ExpectEnd());
   return out;
 }
 

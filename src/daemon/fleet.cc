@@ -8,10 +8,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <set>
 #include <utility>
 
-#include "src/core/discovery.h"
-#include "src/core/update.h"
+#include "src/core/dependency.h"
 #include "src/relational/snapshot.h"
 #include "src/util/logging.h"
 
@@ -126,6 +126,10 @@ Result<std::unique_ptr<FleetController>> FleetController::Connect(
     P2PDB_RETURN_IF_ERROR(controller->runtime_->AddRemoteEndpoint(
         e.node, net::TcpRuntime::Endpoint{e.host, e.port}));
   }
+  // Run() on the idle runtime returns at once, having started the mailbox
+  // workers and the reactor: replies are dispatched on them, and the
+  // controller's waits never call into the runtime again.
+  P2PDB_RETURN_IF_ERROR(controller->runtime_->Run());
   return controller;
 }
 
@@ -151,48 +155,41 @@ void FleetController::SendControl(NodeId to, net::MessageType type,
   runtime_->Send(std::move(msg));
 }
 
-uint64_t FleetController::Deadline() const {
-  return runtime_->NowMicros() +
-         static_cast<uint64_t>(options_.timeout.count()) * 1000;
-}
-
-void FleetController::Nap() {
-  (void)runtime_->RunUntil(runtime_->NowMicros() + 20'000);
+std::chrono::steady_clock::time_point FleetController::Deadline() const {
+  return std::chrono::steady_clock::now() + options_.timeout;
 }
 
 void FleetController::OnMessage(const net::Message& msg) {
   switch (msg.type) {
     case net::MessageType::kBootstrapAck: {
-      auto ack = wire::BootstrapAck::Decode(msg.payload);
-      if (!ack.ok()) {
-        P2PDB_LOG(kWarn) << "bad bootstrap ack from " << msg.from << ": "
-                         << ack.status().ToString();
-        return;
-      }
+      auto ack = wire::DecodeControl<wire::BootstrapAck>(msg);
+      if (!ack) return;
       std::lock_guard<std::mutex> lock(mutex_);
       acks_[ack->node] = std::move(*ack);
+      replied_.notify_all();
       return;
     }
     case net::MessageType::kStatusReport: {
-      auto report = wire::StatusReport::Decode(msg.payload);
-      if (!report.ok()) {
-        P2PDB_LOG(kWarn) << "bad status report from " << msg.from << ": "
-                         << report.status().ToString();
+      auto report = wire::DecodeControl<wire::StatusReport>(msg);
+      if (!report) return;
+      std::lock_guard<std::mutex> lock(mutex_);
+      auto it = reports_.find(report->id);
+      if (it == reports_.end()) {
+        // The answer to a request whose wait already gave up.
+        P2PDB_LOG(kDebug) << "dropping status report " << report->id
+                          << " from " << msg.from;
         return;
       }
-      std::lock_guard<std::mutex> lock(mutex_);
-      reports_[report->node] = std::move(*report);
+      it->second = std::move(*report);
+      replied_.notify_all();
       return;
     }
     case net::MessageType::kDumpReply: {
-      auto dump = wire::DumpReply::Decode(msg.payload);
-      if (!dump.ok()) {
-        P2PDB_LOG(kWarn) << "bad dump reply from " << msg.from << ": "
-                         << dump.status().ToString();
-        return;
-      }
+      auto dump = wire::DecodeControl<wire::DumpReply>(msg);
+      if (!dump) return;
       std::lock_guard<std::mutex> lock(mutex_);
       dumps_[dump->node] = std::move(*dump);
+      replied_.notify_all();
       return;
     }
     default:
@@ -226,83 +223,90 @@ Status FleetController::Bootstrap(const std::vector<NodeId>& nodes) {
     bootstrap.endpoints = table;
     return bootstrap.Encode();
   };
-  for (NodeId n : nodes) {
-    SendControl(n, net::MessageType::kBootstrap, encode(n));
-  }
-  const uint64_t deadline = Deadline();
-  uint64_t resend_at = runtime_->NowMicros() + kBootstrapResendMicros;
-  while (true) {
-    std::vector<NodeId> missing;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      for (NodeId n : nodes) {
-        auto it = acks_.find(n);
-        if (it == acks_.end()) {
-          missing.push_back(n);
-          continue;
-        }
-        if (!it->second.accepted) {
-          return Status::ProtocolError("node " + std::to_string(n) + " (" +
-                                       it->second.name +
-                                       ") rejected bootstrap: " +
-                                       it->second.error);
-        }
-      }
-      if (missing.empty()) return Status::OK();
+  // Both called with mutex_ held.
+  auto rejected = [&]() -> const wire::BootstrapAck* {
+    for (NodeId n : nodes) {
+      auto it = acks_.find(n);
+      if (it != acks_.end() && !it->second.accepted) return &it->second;
     }
-    if (runtime_->NowMicros() >= deadline) {
+    return nullptr;
+  };
+  auto unacked = [&] {
+    std::vector<NodeId> out;
+    for (NodeId n : nodes) {
+      if (acks_.count(n) == 0) out.push_back(n);
+    }
+    return out;
+  };
+  const auto deadline = Deadline();
+  std::vector<NodeId> missing = nodes;
+  for (;;) {
+    for (NodeId n : missing) {
+      SendControl(n, net::MessageType::kBootstrap, encode(n));
+    }
+    // A bootstrap frame sent before the daemon's listener is bound is
+    // dropped by the failed connect, so unacked nodes get it again every
+    // kBootstrapResend: the daemon side is idempotent (re-validate, re-apply
+    // endpoints, re-ack).
+    std::unique_lock<std::mutex> lock(mutex_);
+    replied_.wait_until(
+        lock,
+        std::min(deadline,
+                 std::chrono::steady_clock::now() + kBootstrapResend),
+        [&] { return rejected() != nullptr || unacked().empty(); });
+    if (const wire::BootstrapAck* ack = rejected()) {
+      return Status::ProtocolError("node " + std::to_string(ack->node) +
+                                   " (" + ack->name +
+                                   ") rejected bootstrap: " + ack->error);
+    }
+    missing = unacked();
+    if (missing.empty()) return Status::OK();
+    if (std::chrono::steady_clock::now() >= deadline) {
       return Status::Internal("bootstrap timed out");
     }
-    // A bootstrap frame sent before the daemon's listener is bound is dropped
-    // by the failed connect, so keep re-sending to unacked nodes: the daemon
-    // side is idempotent (re-validate, re-apply endpoints, re-ack).
-    if (runtime_->NowMicros() >= resend_at) {
-      for (NodeId n : missing) {
-        SendControl(n, net::MessageType::kBootstrap, encode(n));
-      }
-      resend_at = runtime_->NowMicros() + kBootstrapResendMicros;
-    }
-    Nap();
   }
 }
 
-Result<std::vector<wire::StatusReport>> FleetController::PollStatus(
-    const std::vector<NodeId>& nodes) {
-  // Replies are matched to this round positionally: the previous round only
-  // returned once EVERY reply had arrived, and replies ride per-connection
-  // FIFO streams, so nothing stale can land after the clear below.
+Result<std::vector<wire::StatusReport>> FleetController::StatusRound(
+    const std::vector<NodeId>& nodes, const std::function<Until(NodeId)>& until,
+    uint64_t session) {
+  std::vector<uint64_t> ids;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    reports_.clear();
-  }
-  wire::StatusRequest request;
-  request.epoch = options_.epoch;
-  for (NodeId n : nodes) {
-    SendControl(n, net::MessageType::kStatusRequest, request.Encode());
-  }
-  const uint64_t deadline = Deadline();
-  while (true) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      bool complete = true;
-      for (NodeId n : nodes) {
-        if (reports_.find(n) == reports_.end()) {
-          complete = false;
-          break;
-        }
-      }
-      if (complete) {
-        std::vector<wire::StatusReport> round;
-        round.reserve(nodes.size());
-        for (NodeId n : nodes) round.push_back(reports_[n]);
-        return round;
-      }
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      ids.push_back(next_request_id_++);
+      reports_[ids.back()];
     }
-    if (runtime_->NowMicros() >= deadline) {
-      return Status::Internal("status poll timed out");
-    }
-    Nap();
   }
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    wire::StatusRequest request;
+    request.epoch = options_.epoch;
+    request.id = ids[i];
+    request.until = until(nodes[i]);
+    request.session = session;
+    SendControl(nodes[i], net::MessageType::kStatusRequest, request.Encode());
+  }
+  std::unique_lock<std::mutex> lock(mutex_);
+  replied_.wait_until(lock, Deadline(), [&] {
+    return std::all_of(ids.begin(), ids.end(), [&](uint64_t id) {
+      return reports_[id].has_value();
+    });
+  });
+  std::vector<wire::StatusReport> round;
+  std::string silent;
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    std::optional<wire::StatusReport>& report = reports_[ids[i]];
+    if (report.has_value()) {
+      round.push_back(std::move(*report));
+    } else {
+      silent += " " + std::to_string(nodes[i]);
+    }
+    reports_.erase(ids[i]);  // A late answer is now stale.
+  }
+  if (!silent.empty()) {
+    return Status::Internal("no status answer in time from node(s)" + silent);
+  }
+  return round;
 }
 
 Status FleetController::StartDiscovery(const std::vector<NodeId>& nodes) {
@@ -316,23 +320,13 @@ Status FleetController::StartDiscovery(const std::vector<NodeId>& nodes) {
 
 Status FleetController::AwaitDiscoveryClosed(
     const std::vector<NodeId>& nodes) {
-  const uint64_t deadline = Deadline();
-  const auto closed =
-      static_cast<uint8_t>(core::DiscoveryEngine::State::kClosed);
-  while (true) {
-    auto round = PollStatus(nodes);
-    if (!round.ok()) return round.status();
-    if (std::all_of(round->begin(), round->end(),
-                    [closed](const wire::StatusReport& r) {
-                      return r.state_discovery == closed;
-                    })) {
-      return Status::OK();
-    }
-    if (runtime_->NowMicros() >= deadline) {
-      return Status::Internal("discovery did not close in time");
-    }
-    Nap();
+  auto round = StatusRound(
+      nodes, [](NodeId) { return Until::kDiscoveryClosed; }, 0);
+  if (!round.ok()) {
+    return Status::Internal("discovery did not close: " +
+                            round.status().message());
   }
+  return Status::OK();
 }
 
 Status FleetController::RefreshScc(const std::vector<NodeId>& nodes) {
@@ -343,7 +337,9 @@ Status FleetController::RefreshScc(const std::vector<NodeId>& nodes) {
   }
   // Status barrier: a reply proves the refresh was dispatched first (same
   // connection, FIFO) — the cross-process Session::Rediscover barrier.
-  return PollStatus(nodes).status();
+  return StatusRound(
+             nodes, [](NodeId) { return Until::kNow; }, 0)
+      .status();
 }
 
 Status FleetController::StartUpdate(uint64_t session) {
@@ -355,53 +351,25 @@ Status FleetController::StartUpdate(uint64_t session) {
 }
 
 Status FleetController::AwaitUpdateFixpoint(
-    const std::vector<NodeId>& nodes,
+    uint64_t session, const std::vector<NodeId>& nodes,
     std::vector<wire::StatusReport>* final_reports) {
-  const uint64_t deadline = Deadline();
-  const auto open = static_cast<uint8_t>(core::UpdateEngine::State::kOpen);
-  const auto closed = static_cast<uint8_t>(core::UpdateEngine::State::kClosed);
-  std::vector<wire::StatusReport> previous;
-  while (true) {
-    auto round = PollStatus(nodes);
-    if (!round.ok()) return round.status();
-    const bool none_open =
-        std::none_of(round->begin(), round->end(),
-                     [open](const wire::StatusReport& r) {
-                       return r.state_update == open;
-                     });
-    // The super-peer must have closed: kStartUpdate and kStatusRequest ride
-    // the same FIFO connection, so its first report already reflects the
-    // started session — an all-idle fleet can never satisfy this, which is
-    // what keeps the probe from declaring fixpoint before the update starts.
-    bool super_closed = true;
-    for (const wire::StatusReport& r : *round) {
-      if (r.node == super_peer_) super_closed = (r.state_update == closed);
-    }
-    if (none_open && super_closed && *round == previous) {
-      if (final_reports != nullptr) *final_reports = std::move(*round);
-      return Status::OK();
-    }
-    previous = std::move(*round);
-    if (runtime_->NowMicros() >= deadline) {
-      return Status::Internal("update did not reach fixpoint in time");
-    }
-    Nap();
+  std::set<NodeId> participants =
+      core::DependencyGraph::FromRules(system_.rules())
+          .ReachableFrom(super_peer_);
+  participants.insert(super_peer_);
+  auto round = StatusRound(
+      nodes,
+      [&](NodeId n) {
+        return participants.count(n) > 0 ? Until::kUpdateClosed : Until::kNow;
+      },
+      session);
+  if (!round.ok()) {
+    return Status::Internal("update session " + std::to_string(session) +
+                            " did not reach fixpoint: " +
+                            round.status().message());
   }
-}
-
-Status FleetController::AwaitStable(const std::vector<NodeId>& nodes) {
-  const uint64_t deadline = Deadline();
-  std::vector<wire::StatusReport> previous;
-  while (true) {
-    auto round = PollStatus(nodes);
-    if (!round.ok()) return round.status();
-    if (*round == previous) return Status::OK();
-    previous = std::move(*round);
-    if (runtime_->NowMicros() >= deadline) {
-      return Status::Internal("fleet did not stabilize in time");
-    }
-    Nap();
-  }
+  if (final_reports != nullptr) *final_reports = std::move(*round);
+  return Status::OK();
 }
 
 Result<rel::Database> FleetController::Dump(NodeId node) {
@@ -412,21 +380,16 @@ Result<rel::Database> FleetController::Dump(NodeId node) {
   wire::DumpRequest request;
   request.epoch = options_.epoch;
   SendControl(node, net::MessageType::kDumpRequest, request.Encode());
-  const uint64_t deadline = Deadline();
-  while (true) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      auto it = dumps_.find(node);
-      if (it != dumps_.end()) {
-        return rel::DeserializeDatabase(it->second.database);
-      }
-    }
-    if (runtime_->NowMicros() >= deadline) {
-      return Status::Internal("dump of node " + std::to_string(node) +
-                              " timed out");
-    }
-    Nap();
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (!replied_.wait_until(lock, Deadline(),
+                           [&] { return dumps_.count(node) > 0; })) {
+    return Status::Internal("dump of node " + std::to_string(node) +
+                            " timed out");
   }
+  std::vector<uint8_t> database = std::move(dumps_[node].database);
+  dumps_.erase(node);
+  lock.unlock();
+  return rel::DeserializeDatabase(database);
 }
 
 Status FleetController::SendShutdown(const std::vector<NodeId>& nodes) {

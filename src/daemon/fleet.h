@@ -4,16 +4,22 @@
 // ports, shared system file, per-node data/pid/obs paths), PickFreePorts
 // reserves the ports, and FleetController is the process that plays the
 // in-process Session's role against remote p2pdb_peerd daemons: bootstrap
-// handshake, start discovery, start the update session, poll the Section-5
-// statistics until the global fixpoint, fetch database dumps, shut the fleet
-// down. p2pdb_fleetctl and tests/fleet_test.cc both drive fleets through it.
+// handshake, start discovery, start the update session, wait for the global
+// fixpoint, fetch database dumps, shut the fleet down. Every wait is exact:
+// each daemon is asked once per phase for its Section-5 statistics row "once
+// your phase is closed", and answers from the dispatch that closes it — no
+// polling, no guessing from unchanged rows. p2pdb_fleetctl and
+// tests/fleet_test.cc both drive fleets through it.
 #ifndef P2PDB_DAEMON_FLEET_H_
 #define P2PDB_DAEMON_FLEET_H_
 
 #include <chrono>
+#include <condition_variable>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -57,8 +63,8 @@ class FleetController : public net::PeerHandler {
     uint64_t epoch = 1;
   };
 
-  /// Builds the controller runtime and installs `fleet` as its endpoint
-  /// table. Does not touch the network: the daemons first hear from the
+  /// Builds and starts the controller runtime and installs `fleet` as its
+  /// endpoint table. Sends nothing: the daemons first hear from the
   /// controller when Bootstrap() runs.
   static Result<std::unique_ptr<FleetController>> Connect(
       core::P2PSystem system, std::vector<core::wire::EndpointEntry> fleet,
@@ -74,7 +80,9 @@ class FleetController : public net::PeerHandler {
   /// Sends kStartDiscovery to `nodes` (no wait).
   Status StartDiscovery(const std::vector<NodeId>& nodes);
 
-  /// Polls until every node in `nodes` reports its discovery phase closed.
+  /// Waits until every node in `nodes` has closed its discovery phase. Each
+  /// request rides behind the node's kStartDiscovery on the same FIFO
+  /// connection, so the answer is about the discovery just started.
   Status AwaitDiscoveryClosed(const std::vector<NodeId>& nodes);
 
   /// Sends kRefreshScc to `nodes`, then runs a status barrier: per-connection
@@ -85,21 +93,16 @@ class FleetController : public net::PeerHandler {
   /// peer-to-peer from there.
   Status StartUpdate(uint64_t session);
 
-  /// Polls until no node in `nodes` reports an open update phase AND two
-  /// consecutive status rounds are identical — the cross-process analogue of
-  /// the in-process session returning from RunUpdate. Fills `final_reports`
-  /// (optional) with the last round.
-  Status AwaitUpdateFixpoint(const std::vector<NodeId>& nodes,
+  /// Waits until every participant of the update in `nodes` has closed its
+  /// update phase in `session` — the cross-process analogue of the
+  /// in-process session returning from RunUpdate. The participants are the
+  /// super-peer and the nodes reachable from it over the system's rule edges
+  /// (Session::Participants); each one must answer, since an SCC member
+  /// closes after its ring leader. The other nodes answer at once. Fills
+  /// `final_reports` (optional) with one row per node of `nodes`.
+  Status AwaitUpdateFixpoint(uint64_t session,
+                             const std::vector<NodeId>& nodes,
                              std::vector<core::wire::StatusReport>* final);
-
-  /// Polls until two consecutive status rounds from `nodes` are identical,
-  /// with no phase-state requirement — used to let in-flight work drain
-  /// after a peer was killed mid-propagation.
-  Status AwaitStable(const std::vector<NodeId>& nodes);
-
-  /// One round of kStatusRequest to `nodes`, waiting for every reply.
-  Result<std::vector<core::wire::StatusReport>> PollStatus(
-      const std::vector<NodeId>& nodes);
 
   /// Fetches and deserializes one peer's full local database.
   Result<rel::Database> Dump(NodeId node);
@@ -113,13 +116,16 @@ class FleetController : public net::PeerHandler {
   const core::P2PSystem& system() const { return system_; }
   NodeId controller_id() const { return id_; }
 
-  // net::PeerHandler: collects daemon replies (runs on runtime workers).
+  // net::PeerHandler: collects daemon replies (runs on runtime workers) and
+  // wakes the waiting call.
   void OnMessage(const net::Message& msg) override;
 
  private:
+  using Until = core::wire::StatusRequest::Until;
+
   /// How often Bootstrap() re-sends to nodes that have not acked yet — a
   /// frame sent before a daemon's listener is bound is dropped, not queued.
-  static constexpr uint64_t kBootstrapResendMicros = 250'000;
+  static constexpr std::chrono::milliseconds kBootstrapResend{250};
 
   FleetController(core::P2PSystem system,
                   std::vector<core::wire::EndpointEntry> fleet,
@@ -127,9 +133,14 @@ class FleetController : public net::PeerHandler {
 
   void SendControl(NodeId to, net::MessageType type,
                    std::vector<uint8_t> payload);
-  uint64_t Deadline() const;
-  /// Sleeps ~20ms on the runtime clock (keeps delivery machinery alive).
-  void Nap();
+  std::chrono::steady_clock::time_point Deadline() const;
+
+  /// Sends each node of `nodes` one status request with a fresh id, asking
+  /// it to answer once `until(node)` holds (`session` names the update
+  /// session for Until::kUpdateClosed), and waits for every answer.
+  Result<std::vector<core::wire::StatusReport>> StatusRound(
+      const std::vector<NodeId>& nodes,
+      const std::function<Until(NodeId)>& until, uint64_t session);
 
   core::P2PSystem system_;
   std::vector<core::wire::EndpointEntry> fleet_;
@@ -139,8 +150,12 @@ class FleetController : public net::PeerHandler {
   std::unique_ptr<net::TcpRuntime> runtime_;
 
   std::mutex mutex_;
+  std::condition_variable replied_;  // Notified by OnMessage.
   std::map<NodeId, core::wire::BootstrapAck> acks_;
-  std::map<NodeId, core::wire::StatusReport> reports_;
+  /// One entry per outstanding status request id; a report with any other
+  /// id is stale and dropped.
+  std::map<uint64_t, std::optional<core::wire::StatusReport>> reports_;
+  uint64_t next_request_id_ = 1;
   std::map<NodeId, core::wire::DumpReply> dumps_;
 };
 

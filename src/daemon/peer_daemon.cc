@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "src/core/bootstrap.h"
+#include "src/core/discovery.h"
+#include "src/core/update.h"
 #include "src/lang/parser.h"
 #include "src/obs/export.h"
 #include "src/obs/metrics.h"
@@ -191,7 +193,54 @@ void PeerDaemon::Reply(NodeId to, net::MessageType type,
   runtime_->Send(std::move(msg));
 }
 
+bool PeerDaemon::Holds(const wire::StatusRequest& request) const {
+  switch (request.until) {
+    case wire::StatusRequest::Until::kNow:
+      return true;
+    case wire::StatusRequest::Until::kDiscoveryClosed:
+      return peer_->discovery().state() ==
+             core::DiscoveryEngine::State::kClosed;
+    case wire::StatusRequest::Until::kUpdateClosed:
+      return peer_->update().state() == core::UpdateEngine::State::kClosed &&
+             peer_->update().session() == request.session;
+  }
+  return false;
+}
+
 void PeerDaemon::OnMessage(const net::Message& msg) {
+  Dispatch(msg);
+  // The reply to a parked request leaves from the dispatch that made its
+  // condition true — a closure is answered the moment it happens.
+  for (auto it = parked_.begin(); it != parked_.end();) {
+    if (!Holds(it->request)) {
+      ++it;
+      continue;
+    }
+    Reply(it->from, net::MessageType::kStatusReport,
+          StatusRow(it->request.id).Encode());
+    it = parked_.erase(it);
+  }
+}
+
+wire::StatusReport PeerDaemon::StatusRow(uint64_t request_id) const {
+  wire::StatusReport report;
+  report.epoch = epoch_.load();
+  report.id = request_id;
+  report.node = config_.node;
+  report.name = config_.name;
+  report.state_discovery = static_cast<uint8_t>(peer_->discovery().state());
+  report.state_update = static_cast<uint8_t>(peer_->update().state());
+  report.tuples = peer_->db().TotalTuples();
+  const core::UpdateEngine::Stats& stats = peer_->update().stats();
+  report.tuples_inserted = stats.tuples_inserted;
+  report.joins_evaluated = stats.joins_evaluated;
+  report.answers_sent = stats.answers_sent;
+  report.token_passes = stats.token_passes;
+  report.reopens = stats.reopens;
+  return report;
+}
+
+void PeerDaemon::Dispatch(const net::Message& msg) {
   // Dispatch runs under the runtime's per-peer exclusion, so touching the
   // peer's engines directly here is exactly as safe as the peer's own
   // protocol dispatch.
@@ -219,40 +268,28 @@ void PeerDaemon::OnMessage(const net::Message& msg) {
       return;
     }
     case net::MessageType::kStartDiscovery:
-      peer_->StartDiscovery();
-      return;
-    case net::MessageType::kStartUpdate: {
-      auto start = wire::ControlStartUpdate::Decode(msg.payload);
-      if (!start.ok()) {
-        P2PDB_LOG(kWarn) << "bad kStartUpdate payload: "
-                         << start.status().ToString();
-        return;
+      if (wire::DecodeControl<wire::ControlStartDiscovery>(msg)) {
+        peer_->StartDiscovery();
       }
-      peer_->StartUpdate(start->session);
       return;
-    }
+    case net::MessageType::kStartUpdate:
+      if (auto start = wire::DecodeControl<wire::ControlStartUpdate>(msg)) {
+        peer_->StartUpdate(start->session);
+      }
+      return;
     case net::MessageType::kRefreshScc:
-      peer_->update().RefreshScc();
+      if (wire::DecodeControl<wire::ControlRefreshScc>(msg)) {
+        peer_->update().RefreshScc();
+      }
       return;
-    case net::MessageType::kStatusRequest: {
-      wire::StatusReport report;
-      report.epoch = epoch_.load();
-      report.node = config_.node;
-      report.name = config_.name;
-      report.state_discovery =
-          static_cast<uint8_t>(peer_->discovery().state());
-      report.state_update = static_cast<uint8_t>(peer_->update().state());
-      report.tuples = peer_->db().TotalTuples();
-      const core::UpdateEngine::Stats& stats = peer_->update().stats();
-      report.tuples_inserted = stats.tuples_inserted;
-      report.joins_evaluated = stats.joins_evaluated;
-      report.answers_sent = stats.answers_sent;
-      report.token_passes = stats.token_passes;
-      report.reopens = stats.reopens;
-      Reply(msg.from, net::MessageType::kStatusReport, report.Encode());
+    case net::MessageType::kStatusRequest:
+      // Answered by OnMessage once it holds, which may be right away.
+      if (auto request = wire::DecodeControl<wire::StatusRequest>(msg)) {
+        parked_.push_back({msg.from, std::move(*request)});
+      }
       return;
-    }
     case net::MessageType::kDumpRequest: {
+      if (!wire::DecodeControl<wire::DumpRequest>(msg)) return;
       wire::DumpReply reply;
       reply.epoch = epoch_.load();
       reply.node = config_.node;
@@ -261,6 +298,7 @@ void PeerDaemon::OnMessage(const net::Message& msg) {
       return;
     }
     case net::MessageType::kShutdown:
+      if (!wire::DecodeControl<wire::ControlShutdown>(msg)) return;
       P2PDB_LOG(kInfo) << "node " << config_.node
                        << ": shutdown requested by node " << msg.from;
       stop_.store(true);

@@ -3,7 +3,9 @@
 // in-process Session uses), registers ITSELF as the runtime handler for the
 // peer's node id, and intercepts the control-plane message types
 // (src/core/control.h) a fleet controller drives it with; everything else is
-// forwarded untouched to the peer's normal protocol dispatch. The config
+// forwarded untouched to the peer's normal protocol dispatch. A status
+// request whose condition does not hold yet is parked and answered by the
+// dispatch that makes it true, so the controller never polls. The config
 // file is authoritative for identity, endpoint, schema and rules — a wire
 // bootstrap is validated against it (and applies the endpoint table), so the
 // two provisioning paths cannot silently disagree.
@@ -19,7 +21,9 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "src/core/control.h"
 #include "src/core/peer.h"
 #include "src/core/system.h"
 #include "src/daemon/config.h"
@@ -47,7 +51,8 @@ class PeerDaemon : public net::PeerHandler {
   void RequestStop() { stop_.store(true); }
   bool stopping() const { return stop_.load(); }
 
-  // net::PeerHandler: control plane here, protocol to the peer.
+  // net::PeerHandler: control plane here, protocol to the peer. Ends by
+  // answering every parked status request the dispatch made true.
   void OnMessage(const net::Message& msg) override;
 
   core::Peer& peer() { return *peer_; }
@@ -66,6 +71,21 @@ class PeerDaemon : public net::PeerHandler {
   /// Sends one urgent control reply back to `to`.
   void Reply(NodeId to, net::MessageType type, std::vector<uint8_t> payload);
 
+  /// OnMessage without the parked-request check.
+  void Dispatch(const net::Message& msg);
+
+  /// Whether `request`'s condition holds at this peer now.
+  bool Holds(const core::wire::StatusRequest& request) const;
+
+  /// This peer's statistics row, answering request `request_id`.
+  core::wire::StatusReport StatusRow(uint64_t request_id) const;
+
+  /// A status request waiting for its condition, and who asked.
+  struct ParkedRequest {
+    NodeId from = kNoNode;
+    core::wire::StatusRequest request;
+  };
+
   PeerdConfig config_;
   core::P2PSystem system_;
   std::unique_ptr<net::TcpRuntime> runtime_;
@@ -75,6 +95,8 @@ class PeerDaemon : public net::PeerHandler {
   /// Last controller epoch seen, echoed into replies so a driver can discard
   /// replies provoked by an earlier incarnation of itself.
   std::atomic<uint64_t> epoch_{0};
+  /// Touched only inside OnMessage, i.e. in the peer's serialization domain.
+  std::vector<ParkedRequest> parked_;
 };
 
 }  // namespace p2pdb::daemon

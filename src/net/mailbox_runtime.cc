@@ -47,7 +47,7 @@ void MailboxRuntime::UnregisterPeer(NodeId id) {
   box->handler = nullptr;
   if (!box->queue.empty()) {
     dropped_.fetch_add(box->queue.size());
-    in_flight_.fetch_sub(box->queue.size());
+    ReleaseWork(box->queue.size());
     box->queue.clear();
   }
   // The caller will destroy the handler object; wait out any dispatch that
@@ -132,7 +132,6 @@ void MailboxRuntime::DispatchFromTransport(Message&& msg) {
         obs::Registry::Global().GetHistogram("net.mailbox_wait_micros");
     wait->Record(0);
   }
-  if (tracer_) tracer_(NowMicros(), msg);
   BeginDispatch();
   handler->OnMessage(msg);
   EndDispatch();
@@ -141,7 +140,7 @@ void MailboxRuntime::DispatchFromTransport(Message&& msg) {
     box->busy = false;
   }
   box->cv.notify_all();
-  in_flight_.fetch_sub(1);
+  ReleaseWork();
 }
 
 void MailboxRuntime::RunExclusive(NodeId id, const std::function<void()>& fn) {
@@ -214,7 +213,6 @@ void MailboxRuntime::PeerLoop(Mailbox* box) {
       wait->Record(msg.queued_micros);
     }
     if (handler != nullptr) {
-      if (tracer_) tracer_(NowMicros(), msg);
       BeginDispatch();
       handler->OnMessage(msg);
       EndDispatch();
@@ -226,7 +224,7 @@ void MailboxRuntime::PeerLoop(Mailbox* box) {
       box->busy = false;
     }
     box->cv.notify_all();
-    in_flight_.fetch_sub(1);
+    ReleaseWork();
   }
 }
 
@@ -234,7 +232,7 @@ void MailboxRuntime::TimerLoop() {
   std::unique_lock<std::mutex> lock(timer_mutex_);
   while (!stop_.load()) {
     if (timer_queue_.empty()) {
-      timer_cv_.wait_for(lock, std::chrono::milliseconds(1));
+      timer_cv_.wait(lock);  // ScheduleSend and Shutdown notify.
       continue;
     }
     auto soonest = std::min_element(
@@ -250,7 +248,7 @@ void MailboxRuntime::TimerLoop() {
     timer_queue_.erase(soonest);
     lock.unlock();
     Send(std::move(msg));
-    in_flight_.fetch_sub(1);  // The ScheduleSend hold.
+    ReleaseWork();  // The ScheduleSend hold.
     lock.lock();
   }
 }
@@ -298,41 +296,32 @@ void MailboxRuntime::EnsureStarted() {
   StartIo();
 }
 
+void MailboxRuntime::ReleaseWork(uint64_t units) {
+  if (in_flight_.fetch_sub(units) != units) return;
+  // Taking the lock orders this release against Run()'s predicate check, so
+  // the notify cannot fall between that check and its wait.
+  std::lock_guard<std::mutex> lock(idle_mutex_);
+  idle_cv_.notify_all();
+}
+
 Status MailboxRuntime::Run() {
   EnsureStarted();
-  auto deadline = std::chrono::steady_clock::now() + options_.timeout;
-  // Quiescence: in_flight_ observed zero continuously for the quiet window
-  // (handlers only send from within handlers, so zero is stable once true
-  // unless a timer later fires; pending timers keep in_flight_ > 0).
-  std::chrono::steady_clock::time_point zero_since{};
-  bool was_zero = false;
-  for (;;) {
-    auto now = std::chrono::steady_clock::now();
-    if (now > deadline) {
-      std::string pending = PendingWorkReport();
-      P2PDB_LOG(kWarn) << "quiescence not reached by deadline; pending work:\n"
-                       << (pending.empty() ? "  (untracked in-flight holds)\n"
-                                           : pending);
-      return Status::Internal(
-          "MailboxRuntime: quiescence not reached in time (in flight: " +
-          std::to_string(in_flight_.load()) + ")\n" + pending);
+  {
+    std::unique_lock<std::mutex> lock(idle_mutex_);
+    if (idle_cv_.wait_until(lock,
+                            std::chrono::steady_clock::now() + options_.timeout,
+                            [this] { return in_flight_.load() == 0; })) {
+      return Status::OK();
     }
-    if (in_flight_.load() == 0) {
-      // A zero quiet window means the accounting is exact (every unit of
-      // work is held from creation to consumption), so the first observed
-      // zero IS quiescence — no wall-clock heuristic.
-      if (options_.quiet_window.count() == 0) return Status::OK();
-      if (!was_zero) {
-        was_zero = true;
-        zero_since = now;
-      } else if (now - zero_since >= options_.quiet_window) {
-        return Status::OK();
-      }
-    } else {
-      was_zero = false;
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
+  // Built after releasing idle_mutex_: the report takes the mailbox locks.
+  std::string pending = PendingWorkReport();
+  P2PDB_LOG(kWarn) << "quiescence not reached by deadline; pending work:\n"
+                   << (pending.empty() ? "  (untracked in-flight holds)\n"
+                                       : pending);
+  return Status::Internal(
+      "MailboxRuntime: quiescence not reached in time (in flight: " +
+      std::to_string(in_flight_.load()) + ")\n" + pending);
 }
 
 Status MailboxRuntime::RunUntil(uint64_t time_micros) {
@@ -340,11 +329,8 @@ Status MailboxRuntime::RunUntil(uint64_t time_micros) {
   // Wall clock is not controllable: let the delivery threads work until the
   // requested elapsed time, then hand control back (used by churn drivers to
   // crash a peer mid-run).
-  while (NowMicros() < time_micros) {
-    uint64_t remaining = time_micros - NowMicros();
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(std::min<uint64_t>(remaining, 1'000)));
-  }
+  std::this_thread::sleep_until(start_time_ +
+                                std::chrono::microseconds(time_micros));
   if (uint64_t holds = in_flight_.load(); holds != 0) {
     // Expected under churn (that is what RunUntil is for), but say what is
     // still moving so a stuck fixpoint is debuggable from the log alone.
@@ -366,12 +352,19 @@ void MailboxRuntime::Shutdown() {
     stop_.store(true);
     workers.swap(threads_);
     timer.swap(timer_thread_);
+    // Each notify is made under the lock its waiter checks stop_ under: a
+    // bare notify can land between a worker's predicate check and its wait,
+    // and that worker would then sleep through the join.
     for (auto& [id, box] : mailboxes_) {
       (void)id;
+      std::lock_guard<std::mutex> box_lock(box->mutex);
       box->cv.notify_all();
     }
   }
-  timer_cv_.notify_all();
+  {
+    std::lock_guard<std::mutex> lock(timer_mutex_);
+    timer_cv_.notify_all();
+  }
   for (std::thread& t : workers) t.join();
   if (timer.joinable()) timer.join();
 }

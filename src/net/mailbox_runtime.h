@@ -1,8 +1,8 @@
 // MailboxRuntime: the connection-independent half of the concurrent runtimes.
 // Owns everything ThreadRuntime and TcpRuntime share — one mailbox per peer
 // with a worker thread that serializes OnMessage dispatch, a timer thread for
-// ScheduleSend, dropped-message accounting, and wall-clock quiescence
-// detection for Run(). Subclasses decide only how a sent message reaches the
+// ScheduleSend, dropped-message accounting, and the exact in-flight count
+// Run() waits on. Subclasses decide only how a sent message reaches the
 // destination mailbox: ThreadRuntime enqueues directly, TcpRuntime pushes the
 // frame through a socket whose reader calls Deliver().
 #ifndef P2PDB_NET_MAILBOX_RUNTIME_H_
@@ -27,13 +27,6 @@ class MailboxRuntime : public Runtime {
   struct Options {
     /// Run() fails if quiescence is not reached within this bound.
     std::chrono::milliseconds timeout{30'000};
-    /// Run() declares quiescence once no message has been queued, timed, or
-    /// in a handler for this long, continuously. 0 means the in-flight
-    /// accounting is exact and the first observed zero terminates Run()
-    /// immediately — TcpRuntime's default, since its credit-ack protocol
-    /// tracks every frame from Send() until the receiver consumed it.
-    /// ThreadRuntime keeps a small nonzero window.
-    std::chrono::microseconds quiet_window{600};
   };
 
   ~MailboxRuntime() override;
@@ -55,6 +48,10 @@ class MailboxRuntime : public Runtime {
   void RunExclusive(NodeId id, const std::function<void()>& fn) override;
 
   void ScheduleSend(uint64_t time_micros, Message msg) override;
+  /// Blocks until the in-flight count reaches zero. The count is exact: a
+  /// message is held from Send() until its handler and EndDispatch return,
+  /// and a timer from ScheduleSend() until it is handed to Send(), so zero
+  /// is quiescence and the last release wakes Run() directly.
   Status Run() override;
   /// Wall-clock churn hook: lets delivery threads run until `time_micros` of
   /// elapsed time, then returns (the network need not be quiescent).
@@ -78,13 +75,14 @@ class MailboxRuntime : public Runtime {
   void DispatchFromTransport(Message&& msg);
 
   uint64_t NextSeq() { return next_seq_.fetch_add(1); }
-  void CountDrop() { dropped_.fetch_add(1); }
+  void CountDrop(uint64_t n = 1) { dropped_.fetch_add(n); }
 
   /// Work visible to quiescence detection beyond queued messages — e.g. a
   /// TCP reader holding a partially reassembled frame. Every Hold must be
-  /// paired with a Release.
+  /// paired with a Release. ReleaseWork is the only way the in-flight count
+  /// goes down; the release that reaches zero wakes Run().
   void HoldWork() { in_flight_.fetch_add(1); }
-  void ReleaseWork() { in_flight_.fetch_sub(1); }
+  void ReleaseWork(uint64_t units = 1);
 
   /// Starts worker/timer threads (and the subclass's I/O) if not yet running.
   void EnsureStarted();
@@ -137,6 +135,10 @@ class MailboxRuntime : public Runtime {
   std::vector<std::pair<uint64_t, Message>> timer_queue_;
 
   std::atomic<uint64_t> in_flight_{0};  // queued + being processed + timed
+  // Run() waits on idle_cv_ for in_flight_ == 0. A leaf lock: nothing else
+  // is taken while it is held.
+  std::mutex idle_mutex_;
+  std::condition_variable idle_cv_;
   std::atomic<uint64_t> next_seq_{0};
   std::atomic<uint64_t> dropped_{0};
   std::atomic<bool> stop_{false};

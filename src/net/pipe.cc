@@ -1,28 +1,10 @@
 #include "src/net/pipe.h"
 
-#include "src/util/string_util.h"
-
 namespace p2pdb::net {
 
 uint64_t LatencyModel::Sample(Rng* rng) const {
   if (jitter_micros == 0 || rng == nullptr) return base_micros;
   return base_micros + rng->NextBelow(jitter_micros + 1);
-}
-
-void PipeTable::Open(NodeId a, NodeId b) { refcount_[Key(a, b)] += 1; }
-
-bool PipeTable::Close(NodeId a, NodeId b) {
-  auto it = refcount_.find(Key(a, b));
-  if (it == refcount_.end()) return false;
-  if (--it->second <= 0) {
-    refcount_.erase(it);
-    return true;
-  }
-  return false;
-}
-
-bool PipeTable::IsOpen(NodeId a, NodeId b) const {
-  return refcount_.count(Key(a, b)) > 0;
 }
 
 LatencyModel PipeTable::LatencyOf(NodeId a, NodeId b) const {
@@ -32,14 +14,6 @@ LatencyModel PipeTable::LatencyOf(NodeId a, NodeId b) const {
 
 void PipeTable::SetLatency(NodeId a, NodeId b, LatencyModel latency) {
   overrides_[Key(a, b)] = latency;
-}
-
-std::string PipeTable::ToString() const {
-  std::string out;
-  for (const auto& [key, count] : refcount_) {
-    out += StrFormat("pipe %u<->%u (refs %d)\n", key.first, key.second, count);
-  }
-  return out;
 }
 
 }  // namespace p2pdb::net

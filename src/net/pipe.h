@@ -1,16 +1,13 @@
-// Pipes: point-to-point communication links (JXTA's pipe abstraction).
-// The prototype in Section 5 opens one pipe per acquainted node pair, shares
-// it across coordination rules, and closes it when the last rule using it is
-// dropped; PipeTable reproduces that life cycle and drives the latency model.
+// Pipes: point-to-point communication links (JXTA's pipe abstraction). The
+// simulator gives every link a latency model; PipeTable holds the default
+// model and per-link overrides.
 #ifndef P2PDB_NET_PIPE_H_
 #define P2PDB_NET_PIPE_H_
 
 #include <map>
-#include <string>
 
 #include "src/util/ids.h"
 #include "src/util/rng.h"
-#include "src/util/status.h"
 
 namespace p2pdb::net {
 
@@ -23,33 +20,19 @@ struct LatencyModel {
   uint64_t Sample(Rng* rng) const;
 };
 
-/// Reference-counted registry of open pipes between unordered node pairs.
+/// Link latencies between unordered node pairs.
 class PipeTable {
  public:
   explicit PipeTable(LatencyModel default_latency = LatencyModel{})
       : default_latency_(default_latency) {}
 
-  /// Opens (or references) the pipe between a and b. Several rules share one
-  /// pipe; each Open must be paired with a Close.
-  void Open(NodeId a, NodeId b);
-
-  /// Releases one reference; the pipe is removed when the count reaches zero.
-  /// Returns true if the pipe was fully closed.
-  bool Close(NodeId a, NodeId b);
-
-  bool IsOpen(NodeId a, NodeId b) const;
-  size_t open_count() const { return refcount_.size(); }
-
-  /// Latency of the (possibly closed) link a->b; per-link overrides fall back
-  /// to the default model. Direction-insensitive.
+  /// Latency of the link a->b; per-link overrides fall back to the default
+  /// model. Direction-insensitive.
   LatencyModel LatencyOf(NodeId a, NodeId b) const;
   void SetLatency(NodeId a, NodeId b, LatencyModel latency);
-  const LatencyModel& default_latency() const { return default_latency_; }
   void set_default_latency(LatencyModel latency) {
     default_latency_ = latency;
   }
-
-  std::string ToString() const;
 
  private:
   static std::pair<NodeId, NodeId> Key(NodeId a, NodeId b) {
@@ -57,7 +40,6 @@ class PipeTable {
   }
 
   LatencyModel default_latency_;
-  std::map<std::pair<NodeId, NodeId>, int> refcount_;
   std::map<std::pair<NodeId, NodeId>, LatencyModel> overrides_;
 };
 

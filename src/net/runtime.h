@@ -10,7 +10,6 @@
 #include <functional>
 
 #include "src/net/message.h"
-#include "src/net/pipe.h"
 #include "src/net/stats.h"
 #include "src/util/status.h"
 
@@ -23,9 +22,6 @@ class PeerHandler {
   virtual ~PeerHandler() = default;
   virtual void OnMessage(const Message& msg) = 0;
 };
-
-/// Observes every delivered message (used by the Figure-1 trace bench).
-using MessageTracer = std::function<void(uint64_t time_micros, const Message&)>;
 
 /// Abstract asynchronous runtime.
 class Runtime {
@@ -90,14 +86,9 @@ class Runtime {
   virtual uint64_t dropped_count() const { return 0; }
 
   NetStats& stats() { return stats_; }
-  PipeTable& pipes() { return pipes_; }
-
-  void set_tracer(MessageTracer tracer) { tracer_ = std::move(tracer); }
 
  protected:
   NetStats stats_;
-  PipeTable pipes_;
-  MessageTracer tracer_;
 };
 
 }  // namespace p2pdb::net

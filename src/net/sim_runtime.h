@@ -4,14 +4,19 @@
 #ifndef P2PDB_NET_SIM_RUNTIME_H_
 #define P2PDB_NET_SIM_RUNTIME_H_
 
+#include <functional>
 #include <map>
 #include <queue>
 #include <vector>
 
+#include "src/net/pipe.h"
 #include "src/net/runtime.h"
 #include "src/util/rng.h"
 
 namespace p2pdb::net {
+
+/// Observes every delivered message (used by the Figure-1 trace bench).
+using MessageTracer = std::function<void(uint64_t time_micros, const Message&)>;
 
 class SimRuntime : public Runtime {
  public:
@@ -49,6 +54,11 @@ class SimRuntime : public Runtime {
   /// Messages dropped because their destination was unregistered (crashed).
   uint64_t dropped_count() const override { return dropped_; }
 
+  /// Per-link latency model every Send() samples.
+  PipeTable& pipes() { return pipes_; }
+
+  void set_tracer(MessageTracer tracer) { tracer_ = std::move(tracer); }
+
  private:
   Status Drain(uint64_t until_micros);
 
@@ -63,6 +73,8 @@ class SimRuntime : public Runtime {
 
   Options options_;
   Rng rng_;
+  PipeTable pipes_;
+  MessageTracer tracer_;
   uint64_t now_micros_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t delivered_ = 0;

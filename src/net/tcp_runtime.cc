@@ -35,8 +35,7 @@ Result<TcpRuntime::Endpoint> TcpRuntime::Endpoint::Parse(
 }
 
 TcpRuntime::TcpRuntime(Options options)
-    : MailboxRuntime(MailboxRuntime::Options{options.timeout,
-                                             options.quiet_window}),
+    : MailboxRuntime(MailboxRuntime::Options{options.timeout}),
       options_(std::move(options)) {
   Reactor::Options reactor_options;
   reactor_options.workers = options_.io_workers;
@@ -187,7 +186,7 @@ void TcpRuntime::DrainAckedLocked(ConnState& st) {
     uint32_t messages = st.ledger.front();
     st.ledger.pop_front();
     st.frames_acked += 1;
-    for (uint32_t i = 0; i < messages; ++i) ReleaseWork();
+    ReleaseWork(messages);
   }
 }
 
@@ -200,13 +199,13 @@ void TcpRuntime::HandleCredit(Connection* conn, uint64_t credit) {
 
 void TcpRuntime::TransmitFrame(NodeId to, std::vector<uint8_t> frame,
                                uint32_t messages) {
+  // Every drop below is counted before its holds are released: Run() returns
+  // the moment the last hold goes, and its caller may read dropped_count().
   for (int attempt = 0; attempt < 2; ++attempt) {
     std::shared_ptr<Connection> conn = OutboundFor(to);
     if (conn == nullptr) {
-      for (uint32_t i = 0; i < messages; ++i) {
-        ReleaseWork();
-        CountDrop();
-      }
+      CountDrop(messages);
+      ReleaseWork(messages);
       P2PDB_LOG(kWarn) << "dropping " << messages
                        << " message(s) to unknown endpoint (node " << to
                        << ")";
@@ -222,10 +221,8 @@ void TcpRuntime::TransmitFrame(NodeId to, std::vector<uint8_t> frame,
       if (st->send_closed) {
         // OnClose already drained this connection's ledger, so the reactor
         // cleared its queue and this frame died with it: account it here.
-        for (uint32_t i = 0; i < messages; ++i) {
-          ReleaseWork();
-          CountDrop();
-        }
+        CountDrop(messages);
+        ReleaseWork(messages);
         return;
       }
       st->ledger.push_back(messages);
@@ -236,10 +233,8 @@ void TcpRuntime::TransmitFrame(NodeId to, std::vector<uint8_t> frame,
       return;
     }
   }
-  for (uint32_t i = 0; i < messages; ++i) {
-    ReleaseWork();
-    CountDrop();
-  }
+  CountDrop(messages);
+  ReleaseWork(messages);
   P2PDB_LOG(kWarn) << "kernel refused delivery of " << messages
                    << " message(s) to node " << to;
 }
@@ -380,6 +375,7 @@ void TcpRuntime::OnClose(Connection* conn, size_t dropped_frames) {
   }
   if (state->holding) ReleaseWork();  // Partial inbound frame dies with the fd.
   uint64_t dropped_messages = 0;
+  uint64_t held_messages = 0;
   {
     std::lock_guard<std::mutex> lock(state->mutex);
     state->send_closed = true;
@@ -395,10 +391,11 @@ void TcpRuntime::OnClose(Connection* conn, size_t dropped_frames) {
       state->ledger.pop_front();
       ++index;
       if (index > written) dropped_messages += messages;
-      for (uint32_t i = 0; i < messages; ++i) ReleaseWork();
+      held_messages += messages;
     }
   }
-  for (uint64_t i = 0; i < dropped_messages; ++i) CountDrop();
+  CountDrop(dropped_messages);
+  if (held_messages > 0) ReleaseWork(held_messages);  // After the count.
   if (dropped_messages > 0) {
     P2PDB_LOG(kWarn) << "kernel refused delivery of " << dropped_messages
                      << " message(s) to node " << conn->token();

@@ -44,16 +44,11 @@ class TcpRuntime : public MailboxRuntime, private Reactor::Handler {
   };
 
   struct Options {
-    /// Run() fails if quiescence is not reached within this bound.
+    /// Run() fails if quiescence is not reached within this bound. Run()
+    /// itself is exact: every message is held in-flight from Send() until
+    /// the receiving runtime credits its frame back as consumed (kCredit
+    /// acks), so it returns the moment the global in-flight count hits zero.
     std::chrono::milliseconds timeout{30'000};
-    /// Quiescence quiet window. 0 (the default) means termination is exact:
-    /// every message is held in-flight from Send() until the receiving
-    /// runtime credits its frame back as consumed (kCredit acks), so Run()
-    /// returns the moment the global in-flight count hits zero — no
-    /// heuristic sleep. A nonzero window restores the legacy wait-out-the-
-    /// clock behavior (kept for benchmarking the heuristic against exact
-    /// termination; not needed for correctness).
-    std::chrono::microseconds quiet_window{0};
     /// Address listeners bind to (and the host recorded for local peers).
     std::string host = "127.0.0.1";
     /// Fixed listening port; 0 (the default) lets the kernel pick. A daemon

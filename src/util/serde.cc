@@ -95,6 +95,12 @@ Result<const uint8_t*> Reader::GetRaw(size_t n) {
   return out;
 }
 
+Status Reader::ExpectEnd() const {
+  if (AtEnd()) return Status::OK();
+  return Status::ParseError(std::to_string(remaining()) +
+                            " trailing bytes after payload");
+}
+
 Result<std::string> Reader::GetString() {
   auto len = GetVarint();
   if (!len.ok()) return len.status();

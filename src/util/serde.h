@@ -73,6 +73,9 @@ class Reader {
 
   /// True when all bytes have been consumed.
   bool AtEnd() const { return pos_ == size_; }
+  /// A payload decoder's last step: fails when bytes are left over, so a
+  /// payload is decoded whole or rejected.
+  Status ExpectEnd() const;
   size_t remaining() const { return size_ - pos_; }
 
  private:

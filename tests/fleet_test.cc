@@ -25,7 +25,9 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/dependency.h"
 #include "src/core/session.h"
+#include "src/core/update.h"
 #include "src/daemon/config.h"
 #include "src/daemon/fleet.h"
 #include "src/lang/printer.h"
@@ -194,6 +196,109 @@ TEST(FleetHelpersTest, PickFreePortsReturnsDistinctPorts) {
   for (uint16_t port : *ports) EXPECT_GT(port, 0);
 }
 
+/// One running fleet under test: a tree-shaped system, one p2pdb_peerd per
+/// node, and the controller driving them (super-peer 0).
+struct Fleet {
+  std::string root;
+  core::P2PSystem system;
+  std::vector<PeerdConfig> configs;
+  std::vector<std::string> config_paths;
+  Daemons daemons;
+  std::unique_ptr<FleetController> controller;
+  std::vector<NodeId> all;
+};
+
+/// Writes a `nodes`-node tree system and its configs under a fresh root,
+/// spawns one daemon per node, waits until each is ready, and connects a
+/// controller whose every wait is bounded by `timeout`.
+void LaunchFleet(const std::string& name, size_t nodes,
+                 std::chrono::milliseconds timeout, Fleet* fleet) {
+  fleet->root = FreshRoot(name);
+  workload::ScenarioOptions scenario;
+  scenario.topology.kind = workload::TopologySpec::Kind::kTree;
+  scenario.topology.nodes = nodes;
+  scenario.records_per_node = 150;
+  scenario.link_overlap_prob = 0.5;
+  auto system = workload::BuildScenario(scenario);
+  ASSERT_TRUE(system.ok()) << system.status().ToString();
+  fleet->system = std::move(*system);
+
+  const std::string system_file = fleet->root + "/fleet.p2p";
+  ASSERT_TRUE(WriteFile(system_file, lang::PrintSystem(fleet->system)).ok());
+  auto ports = PickFreePorts("127.0.0.1", nodes);
+  ASSERT_TRUE(ports.ok()) << ports.status().ToString();
+  auto configs = MakeFleetConfigs(fleet->system, system_file, fleet->root,
+                                  "127.0.0.1", *ports, /*super_peer=*/0,
+                                  /*no_sync=*/true);
+  ASSERT_TRUE(configs.ok()) << configs.status().ToString();
+  fleet->configs = std::move(*configs);
+
+  for (const PeerdConfig& cfg : fleet->configs) {
+    const std::string base = fleet->root + "/peer" + std::to_string(cfg.node);
+    ASSERT_TRUE(WriteFile(base + ".conf", cfg.ToString()).ok());
+    fleet->config_paths.push_back(base + ".conf");
+    ASSERT_GT(fleet->daemons.Spawn(cfg.node, base + ".conf", base + ".log"),
+              0);
+  }
+  for (const PeerdConfig& cfg : fleet->configs) {
+    ASSERT_TRUE(AwaitPidFile(cfg.pid_file, fleet->daemons.pid(cfg.node)))
+        << "peer " << cfg.node << " never became ready";
+  }
+
+  FleetController::Options options;
+  options.timeout = timeout;
+  auto controller = FleetController::Connect(
+      fleet->system, fleet->configs[0].peers, /*super_peer=*/0, options);
+  ASSERT_TRUE(controller.ok()) << controller.status().ToString();
+  fleet->controller = std::move(*controller);
+  fleet->all = fleet->controller->AllNodes();
+}
+
+/// Every participant of the update (the super-peer and the nodes reachable
+/// from it) reported its update phase closed.
+void ExpectParticipantsClosed(
+    const core::P2PSystem& system,
+    const std::vector<core::wire::StatusReport>& rows) {
+  std::set<NodeId> participants =
+      core::DependencyGraph::FromRules(system.rules()).ReachableFrom(0);
+  participants.insert(0);
+  const auto closed =
+      static_cast<uint8_t>(core::UpdateEngine::State::kClosed);
+  for (const core::wire::StatusReport& row : rows) {
+    if (participants.count(row.node) == 0) continue;
+    EXPECT_EQ(row.state_update, closed)
+        << "participant " << row.node << " answered before closing";
+  }
+}
+
+/// The parity oracle: the same system run in one process on the
+/// deterministic simulator. Every fleet database must match up to null
+/// renaming.
+void ExpectFleetMatchesOracle(Fleet& fleet) {
+  net::SimRuntime sim;
+  core::Session oracle(fleet.system, &sim);
+  ASSERT_TRUE(oracle.RunDiscovery().ok());
+  ASSERT_TRUE(oracle.RunUpdate().ok());
+  const std::vector<rel::Database> expected = oracle.SnapshotDatabases();
+  for (NodeId n : fleet.all) {
+    auto dump = fleet.controller->Dump(n);
+    ASSERT_TRUE(dump.ok()) << dump.status().ToString();
+    EXPECT_TRUE(rel::DatabasesIsomorphic(*dump, expected[n]))
+        << "node " << n << " diverged from the in-process fixpoint";
+  }
+}
+
+/// Graceful teardown: every daemon exits cleanly on the kShutdown frame.
+void ShutDownFleet(Fleet& fleet) {
+  ASSERT_TRUE(fleet.controller->SendShutdown(fleet.all).ok());
+  for (NodeId n : fleet.all) {
+    int status = 0;
+    ASSERT_TRUE(fleet.daemons.Reap(n, &status)) << "peer " << n << " hung";
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "peer " << n << " exited abnormally";
+  }
+}
+
 // The acceptance path: 4 peerd processes converge to the in-process
 // fixpoint, survive kill -9 of a non-super-peer mid-propagation, and
 // re-converge after the victim is re-exec'ed from the same config file.
@@ -201,117 +306,99 @@ TEST(FleetTest, FleetConvergesAndSurvivesKillNineReExec) {
   if (g_peerd_path.empty()) {
     GTEST_SKIP() << "p2pdb_peerd path not provided (--peerd or P2PDB_PEERD)";
   }
-  const std::string root = FreshRoot("kill9");
+  Fleet fleet;
+  ASSERT_NO_FATAL_FAILURE(
+      LaunchFleet("kill9", 4, std::chrono::seconds(60), &fleet));
+  FleetController& controller = *fleet.controller;
+  const std::vector<NodeId>& all = fleet.all;
 
-  workload::ScenarioOptions scenario;
-  scenario.topology.kind = workload::TopologySpec::Kind::kTree;
-  scenario.topology.nodes = 4;
-  scenario.records_per_node = 150;
-  scenario.link_overlap_prob = 0.5;
-  auto system = workload::BuildScenario(scenario);
-  ASSERT_TRUE(system.ok()) << system.status().ToString();
-
-  const std::string system_file = root + "/fleet.p2p";
-  ASSERT_TRUE(WriteFile(system_file, lang::PrintSystem(*system)).ok());
-
-  auto ports = PickFreePorts("127.0.0.1", system->node_count());
-  ASSERT_TRUE(ports.ok()) << ports.status().ToString();
-  auto configs = MakeFleetConfigs(*system, system_file, root, "127.0.0.1",
-                                  *ports, /*super_peer=*/0,
-                                  /*no_sync=*/true);
-  ASSERT_TRUE(configs.ok()) << configs.status().ToString();
-
-  std::vector<std::string> config_paths;
-  Daemons daemons;
-  for (const PeerdConfig& cfg : *configs) {
-    const std::string path =
-        root + "/peer" + std::to_string(cfg.node) + ".conf";
-    ASSERT_TRUE(WriteFile(path, cfg.ToString()).ok());
-    config_paths.push_back(path);
-    ASSERT_GT(daemons.Spawn(cfg.node, path,
-                            root + "/peer" + std::to_string(cfg.node) +
-                                ".log"),
-              0);
-  }
-  for (NodeId n = 0; n < system->node_count(); ++n) {
-    ASSERT_TRUE(AwaitPidFile((*configs)[n].pid_file, daemons.pid(n)))
-        << "peer " << n << " never became ready";
-  }
-
-  FleetController::Options options;
-  options.timeout = std::chrono::seconds(60);
-  std::vector<core::wire::EndpointEntry> table = (*configs)[0].peers;
-  auto controller =
-      FleetController::Connect(*system, table, /*super_peer=*/0, options);
-  ASSERT_TRUE(controller.ok()) << controller.status().ToString();
-  const std::vector<NodeId> all = (*controller)->AllNodes();
-
-  ASSERT_TRUE((*controller)->Bootstrap(all).ok());
-  ASSERT_TRUE((*controller)->StartDiscovery(all).ok());
-  ASSERT_TRUE((*controller)->AwaitDiscoveryClosed(all).ok());
+  ASSERT_TRUE(controller.Bootstrap(all).ok());
+  ASSERT_TRUE(controller.StartDiscovery(all).ok());
+  ASSERT_TRUE(controller.AwaitDiscoveryClosed(all).ok());
 
   // Start the global update and kill a non-super-peer immediately: SIGKILL,
   // no shutdown path, in-flight frames die with its sockets.
-  ASSERT_TRUE((*controller)->StartUpdate(1).ok());
+  ASSERT_TRUE(controller.StartUpdate(1).ok());
   const NodeId victim = 1;
-  ASSERT_EQ(::kill(daemons.pid(victim), SIGKILL), 0);
+  ASSERT_EQ(::kill(fleet.daemons.pid(victim), SIGKILL), 0);
   int status = 0;
-  ASSERT_TRUE(daemons.Reap(victim, &status));
+  ASSERT_TRUE(fleet.daemons.Reap(victim, &status));
   ASSERT_TRUE(WIFSIGNALED(status));
   EXPECT_EQ(WTERMSIG(status), SIGKILL);
 
-  // Survivors drain: statistics stop changing (no closed-state requirement —
-  // peers blocked on the dead victim legitimately stay open).
-  std::vector<NodeId> survivors;
-  for (NodeId n : all) {
-    if (n != victim) survivors.push_back(n);
-  }
-  ASSERT_TRUE((*controller)->AwaitStable(survivors).ok());
-
-  // Re-exec from the SAME config file: same node id, same fixed port (the
-  // other daemons' endpoint tables stay valid), recovery from checkpoint +
-  // WAL before the listener accepts a frame.
-  ASSERT_GT(daemons.Spawn(victim, config_paths[victim],
-                          root + "/peer1.reexec.log"),
+  // Re-exec at once from the SAME config file: same node id, same fixed
+  // port (the other daemons' endpoint tables stay valid), recovery from
+  // checkpoint + WAL before the listener accepts a frame. Session 1 need
+  // not drain first: on every surviving link, per-link FIFO order puts any
+  // session-1 message ahead of session 2's, and the victim's old sockets
+  // died with it.
+  ASSERT_GT(fleet.daemons.Spawn(victim, fleet.config_paths[victim],
+                                fleet.root + "/peer1.reexec.log"),
             0);
-  ASSERT_TRUE(AwaitPidFile((*configs)[victim].pid_file, daemons.pid(victim)))
+  ASSERT_TRUE(AwaitPidFile(fleet.configs[victim].pid_file,
+                           fleet.daemons.pid(victim)))
       << "re-exec'ed peer never became ready";
 
   // Rejoin: re-bootstrap the fresh process (installs the controller's reply
   // route), re-run discovery everywhere, refresh SCC views behind a status
   // barrier, then drive a fresh update session — monotone set-union
   // semantics make the second session idempotent on the survivors.
-  ASSERT_TRUE((*controller)->Bootstrap({victim}).ok());
-  ASSERT_TRUE((*controller)->StartDiscovery(all).ok());
-  ASSERT_TRUE((*controller)->AwaitDiscoveryClosed(all).ok());
-  ASSERT_TRUE((*controller)->RefreshScc(all).ok());
-  ASSERT_TRUE((*controller)->StartUpdate(2).ok());
+  ASSERT_TRUE(controller.Bootstrap({victim}).ok());
+  ASSERT_TRUE(controller.StartDiscovery(all).ok());
+  ASSERT_TRUE(controller.AwaitDiscoveryClosed(all).ok());
+  ASSERT_TRUE(controller.RefreshScc(all).ok());
+  ASSERT_TRUE(controller.StartUpdate(2).ok());
   std::vector<core::wire::StatusReport> reports;
-  ASSERT_TRUE((*controller)->AwaitUpdateFixpoint(all, &reports).ok());
+  Status fixpoint = controller.AwaitUpdateFixpoint(2, all, &reports);
+  ASSERT_TRUE(fixpoint.ok()) << fixpoint.ToString();
   ASSERT_EQ(reports.size(), all.size());
+  ExpectParticipantsClosed(fleet.system, reports);
 
-  // Parity oracle: the same system run in one process on the deterministic
-  // simulator. Every fleet database must match up to null renaming.
-  net::SimRuntime sim;
-  core::Session oracle(*system, &sim);
-  ASSERT_TRUE(oracle.RunDiscovery().ok());
-  ASSERT_TRUE(oracle.RunUpdate().ok());
-  const std::vector<rel::Database> expected = oracle.SnapshotDatabases();
-  for (NodeId n : all) {
-    auto dump = (*controller)->Dump(n);
-    ASSERT_TRUE(dump.ok()) << dump.status().ToString();
-    EXPECT_TRUE(rel::DatabasesIsomorphic(*dump, expected[n]))
-        << "node " << n << " diverged from the in-process fixpoint";
-  }
+  ASSERT_NO_FATAL_FAILURE(ExpectFleetMatchesOracle(fleet));
+  ASSERT_NO_FATAL_FAILURE(ShutDownFleet(fleet));
+}
 
-  // Graceful teardown: every daemon (including the re-exec'ed victim) exits
-  // cleanly on the kShutdown control frame.
-  ASSERT_TRUE((*controller)->SendShutdown(all).ok());
-  for (NodeId n : all) {
-    ASSERT_TRUE(daemons.Reap(n, &status)) << "peer " << n << " hung";
-    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
-        << "peer " << n << " exited abnormally";
+// The fixpoint verdict is exact, not guessed from unchanged statistics: a
+// session that never started never reaches fixpoint, however quiet the
+// fleet is, and a session that has reached it answers at once.
+TEST(FleetTest, FixpointWaitNamesItsSession) {
+  if (g_peerd_path.empty()) {
+    GTEST_SKIP() << "p2pdb_peerd path not provided (--peerd or P2PDB_PEERD)";
   }
+  Fleet fleet;
+  ASSERT_NO_FATAL_FAILURE(
+      LaunchFleet("session", 3, std::chrono::seconds(2), &fleet));
+  FleetController& controller = *fleet.controller;
+  const std::vector<NodeId>& all = fleet.all;
+
+  ASSERT_TRUE(controller.Bootstrap(all).ok());
+  ASSERT_TRUE(controller.StartDiscovery(all).ok());
+  ASSERT_TRUE(controller.AwaitDiscoveryClosed(all).ok());
+  ASSERT_TRUE(controller.StartUpdate(1).ok());
+  std::vector<core::wire::StatusReport> reports;
+  Status fixpoint = controller.AwaitUpdateFixpoint(1, all, &reports);
+  ASSERT_TRUE(fixpoint.ok()) << fixpoint.ToString();
+  ExpectParticipantsClosed(fleet.system, reports);
+
+  // Every peer is closed and idle, but in session 1: a wait for session 7
+  // must run into the controller's timeout.
+  Status never = controller.AwaitUpdateFixpoint(7, all, nullptr);
+  EXPECT_FALSE(never.ok());
+  EXPECT_NE(never.message().find("session 7"), std::string::npos)
+      << never.ToString();
+
+  // Session 1's closure is stable: asking again is answered at once.
+  auto start = std::chrono::steady_clock::now();
+  reports.clear();
+  fixpoint = controller.AwaitUpdateFixpoint(1, all, &reports);
+  ASSERT_TRUE(fixpoint.ok()) << fixpoint.ToString();
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(500));
+  ASSERT_EQ(reports.size(), all.size());
+  ExpectParticipantsClosed(fleet.system, reports);
+
+  ASSERT_NO_FATAL_FAILURE(ExpectFleetMatchesOracle(fleet));
+  ASSERT_NO_FATAL_FAILURE(ShutDownFleet(fleet));
 }
 
 }  // namespace

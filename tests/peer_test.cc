@@ -134,17 +134,6 @@ rule rx: Y.y(V) => X.x(V);
   EXPECT_EQ((*session.peer(2).db().Get("x"))->size(), 1u);
 }
 
-TEST(SessionTest, NetworkTracksPipesPerRuleLink) {
-  auto system = workload::MakeRunningExample();
-  ASSERT_TRUE(system.ok());
-  net::SimRuntime rt;
-  Session session(*system, &rt);
-  // r2 and r3 share the B<->C pipe; 7 rules but only 6 distinct pairs.
-  EXPECT_EQ(session.network().open_pipe_count(), 6u);
-  EXPECT_EQ(session.network().Acquaintances(1),
-            (std::set<NodeId>{0, 2, 4}));  // B: rules with A, C, E.
-}
-
 TEST(SessionTest, SnapshotDatabasesDeepCopies) {
   auto system = workload::MakeRunningExample();
   ASSERT_TRUE(system.ok());

@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <mutex>
+#include <thread>
 
 #include "src/net/sim_runtime.h"
 #include "src/net/thread_runtime.h"
+#include "src/util/log_capture.h"
 
 namespace p2pdb::net {
 namespace {
@@ -227,15 +234,70 @@ TEST(ThreadRuntimeTest, RegisterWhileRunningSpawnsWorker) {
   EXPECT_EQ(late.received(), 1);
 }
 
-TEST(PipeTableTest, RefCountingLifecycle) {
-  PipeTable pipes;
-  pipes.Open(1, 2);
-  pipes.Open(2, 1);  // Same unordered pair.
-  EXPECT_TRUE(pipes.IsOpen(1, 2));
-  EXPECT_EQ(pipes.open_count(), 1u);
-  EXPECT_FALSE(pipes.Close(1, 2));  // Still one ref.
-  EXPECT_TRUE(pipes.Close(2, 1));   // Fully closed.
-  EXPECT_FALSE(pipes.IsOpen(1, 2));
+TEST(ThreadRuntimeTest, RunWaitsForPendingTimer) {
+  ThreadRuntime rt;
+  EchoPeer a(0, &rt, 0), b(1, &rt, 0);
+  rt.RegisterPeer(0, &a);
+  rt.RegisterPeer(1, &b);
+  ASSERT_TRUE(rt.Run().ok());  // Threads are up, nothing in flight.
+  auto start = std::chrono::steady_clock::now();
+  rt.ScheduleSend(rt.NowMicros() + 20'000, Make(0, 1));
+  ASSERT_TRUE(rt.Run().ok());
+  // The timer holds its in-flight unit until it hands the message to Send,
+  // so Run() cannot return before the handler has seen it.
+  EXPECT_EQ(b.received(), 1);
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(20));
+}
+
+TEST(ThreadRuntimeTest, RunGivesUpAtDeadlineAndNamesPendingWork) {
+  ThreadRuntime rt(ThreadRuntime::Options{std::chrono::milliseconds(50)});
+  // Peers that reply forever, four chains at once.
+  EchoPeer a(0, &rt, 1 << 30), b(1, &rt, 1 << 30);
+  rt.RegisterPeer(0, &a);
+  rt.RegisterPeer(1, &b);
+  ScopedLogCapture capture;  // The deadline warning and the final drops.
+  for (int i = 0; i < 4; ++i) rt.Send(Make(0, 1));
+  Status st = rt.Run();
+  EXPECT_EQ(st.code(), StatusCode::kInternal);
+  EXPECT_NE(st.message().find("quiescence not reached"), std::string::npos);
+  EXPECT_NE(st.message().find(" queued"), std::string::npos)
+      << "the error names no mailbox: " << st.message();
+  // Stop the chains before the handlers go out of scope.
+  rt.UnregisterPeer(0);
+  rt.UnregisterPeer(1);
+}
+
+TEST(ThreadRuntimeTest, ShutdownRightAfterDispatchNeverHangs) {
+  // Destroying the runtime the moment a handler has run races Shutdown's
+  // wake-up against the worker re-entering its wait, and against the timer
+  // thread entering its first one. A notify that lands between a waiter's
+  // predicate check and its wait is lost and the join hangs forever; many
+  // cycles make that likely. The watchdog turns a hang into a failure.
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool done = false;
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    if (!cv.wait_for(lock, std::chrono::minutes(3), [&] { return done; })) {
+      std::fprintf(stderr, "runtime teardown hung\n");
+      std::abort();
+    }
+  });
+  for (int cycle = 0; cycle < 20'000; ++cycle) {
+    EchoPeer peer(0, nullptr, 0);  // Outlives the runtime's threads.
+    ThreadRuntime rt;
+    rt.RegisterPeer(0, &peer);
+    EXPECT_TRUE(rt.RunUntil(0).ok());  // Starts the worker and timer.
+    rt.Send(Make(0, 0));
+    while (peer.received() == 0) std::this_thread::yield();
+  }
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    done = true;
+  }
+  cv.notify_one();
+  watchdog.join();
 }
 
 TEST(PipeTableTest, LatencyOverrides) {

@@ -226,12 +226,11 @@ TEST(TcpRuntimeTest, EndpointParseAndTable) {
   EXPECT_NE(table.find("3 127.0.0.1:"), std::string::npos);
 }
 
-// --- Exact quiescence (credit acks, no quiet window) ---------------------
+// --- Exact quiescence (credit acks) ----------------------------------------
 
 TEST(TcpRuntimeTest, ExactQuiescenceReturnsImmediately) {
-  // Default options: quiet_window is 0 and termination is credit-exact, so a
-  // Run() on a quiescent network returns on its first in-flight==0
-  // observation instead of waiting out a heuristic clock (10ms before).
+  // Termination is credit-exact, so a Run() on a quiescent network returns
+  // at once instead of waiting out a heuristic clock.
   TcpRuntime rt;
   CountingPeer a(0, &rt, 0), b(1, &rt, 0);
   rt.RegisterPeer(0, &a);
@@ -246,26 +245,6 @@ TEST(TcpRuntimeTest, ExactQuiescenceReturnsImmediately) {
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
                 .count(),
             8);
-}
-
-TEST(TcpRuntimeTest, LegacyQuietWindowKnobStillWaitsOutTheClock) {
-  // The heuristic survives as an opt-in benchmark baseline: with a nonzero
-  // window, even a quiescent Run() must sit through it.
-  TcpRuntime::Options options;
-  options.quiet_window = std::chrono::microseconds(10'000);
-  TcpRuntime rt(options);
-  CountingPeer a(0, &rt, 0), b(1, &rt, 0);
-  rt.RegisterPeer(0, &a);
-  rt.RegisterPeer(1, &b);
-  rt.Send(Make(0, 1));
-  ASSERT_TRUE(rt.Run().ok());
-
-  auto start = std::chrono::steady_clock::now();
-  ASSERT_TRUE(rt.Run().ok());
-  auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_GE(std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
-                .count(),
-            10'000);
 }
 
 TEST(TcpRuntimeTest, CrashHoldingUncreditedFramesStillReachesQuiescence) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <type_traits>
+
 #include "src/workload/scenario.h"
 
 namespace p2pdb::core::wire {
@@ -196,6 +199,72 @@ TEST(WireTest, ChangePayloadsRoundTrip) {
   auto del2 = DeleteRuleChange::Decode(del.Encode());
   ASSERT_TRUE(del2.ok());
   EXPECT_EQ(del2->rule_id, "r7");
+}
+
+/// One payload under test: its name, a valid encoding, and its decoder.
+struct PayloadCase {
+  std::string name;
+  std::vector<uint8_t> bytes;
+  std::function<bool(ByteView)> decodes;
+};
+
+template <typename Payload>
+PayloadCase CaseOf(std::string name, const Payload& payload) {
+  return {std::move(name), payload.Encode(),
+          [](ByteView bytes) { return Payload::Decode(bytes).ok(); }};
+}
+
+TEST(WireTest, EveryPayloadDecodesWholeOrNotAtAll) {
+  auto system = workload::MakeRunningExample();
+  ASSERT_TRUE(system.ok());
+  const CoordinationRule& rule = system->rules().front();
+
+  QueryRequest request;
+  request.session = 3;
+  request.rule_id = rule.id;
+  request.part = 1;
+  request.query.head_vars = {"X"};
+  request.query.atoms = rule.body.front().atoms;
+  QueryAnswer answer;
+  answer.session = 3;
+  answer.rule_id = rule.id;
+  answer.part = 1;
+  answer.is_delta = true;
+  answer.tuples = {rel::Tuple({I(1), S("a")}), rel::Tuple({I(2), S("b")})};
+  PartialUpdate partial;
+  partial.session = 4;
+  partial.relations = {"a", "b"};
+  partial.sn_path = {3, 1, 2};
+  Token token{2, 1, 10, 100, 99, true};
+
+  const std::vector<PayloadCase> cases = {
+      CaseOf("DiscoverRequest", DiscoverRequest{7}),
+      CaseOf("DiscoverAnswer", DiscoverAnswer{3, true, {{1, 2}, {2, 0}}}),
+      CaseOf("DiscoverClosure", DiscoverClosure{9, {{0, 1}, {1, 0}}}),
+      CaseOf("UpdateStart", UpdateStart{5}),
+      CaseOf("QueryRequest", request),
+      CaseOf("QueryAnswer", answer),
+      CaseOf("Unsubscribe", Unsubscribe{1, "rX", 1}),
+      CaseOf("PartialUpdate", partial),
+      CaseOf("Token", token),
+      CaseOf("SccClosed", SccClosed{6}),
+      CaseOf("Reopen", Reopen{6}),
+      CaseOf("AddRuleChange", AddRuleChange{rule}),
+      CaseOf("DeleteRuleChange", DeleteRuleChange{"r7"}),
+      CaseOf("RuleChangeRecord(add)", RuleChangeRecord::Add(rule)),
+      CaseOf("RuleChangeRecord(delete)", RuleChangeRecord::Delete("r7")),
+  };
+  for (const PayloadCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    ASSERT_TRUE(c.decodes(c.bytes));
+    std::vector<uint8_t> trailing = c.bytes;
+    trailing.push_back(0);
+    EXPECT_FALSE(c.decodes(trailing)) << "decoded with a trailing byte";
+    for (size_t cut = 0; cut < c.bytes.size(); ++cut) {
+      EXPECT_FALSE(c.decodes(ByteView(c.bytes.data(), cut)))
+          << "prefix of " << cut << " bytes decoded";
+    }
+  }
 }
 
 TEST(WireTest, DecodeRejectsGarbage) {

@@ -215,7 +215,9 @@ int RunDrive(int argc, char** argv) {
 
   st = (*controller)->StartUpdate(session);
   std::vector<p2pdb::core::wire::StatusReport> reports;
-  if (st.ok()) st = (*controller)->AwaitUpdateFixpoint(all, &reports);
+  if (st.ok()) {
+    st = (*controller)->AwaitUpdateFixpoint(session, all, &reports);
+  }
   if (!st.ok()) return Fail(st);
 
   std::printf("update session %llu reached fixpoint:\n",
