@@ -66,8 +66,9 @@ void OrderDependenceDemo() {
   rel::Atom wrote;
   wrote.relation = "wrote";
   wrote.terms = {rel::Term::Var("A"), rel::Term::Var("I")};
-  rel::Binding binding{{"T", rel::Value::Str("t1")},
-                       {"A", rel::Value::Str("alice")}};
+  rel::RuleHead head({pub, wrote}, {"T", "A"});
+  const std::vector<rel::Value> binding{rel::Value::Str("t1"),
+                                        rel::Value::Str("alice")};
 
   for (bool pre : {false, true}) {
     for (rel::ChasePolicy policy : {rel::ChasePolicy::kProjectionCheck,
@@ -77,8 +78,7 @@ void OrderDependenceDemo() {
       rel::ChaseOptions chase;
       chase.policy = policy;
       rel::ChaseStats stats;
-      (void)rel::ApplyRuleHead(&db, {pub, wrote}, binding, &nulls, chase,
-                               &stats);
+      (void)head.Apply(&db, binding, &nulls, chase, &stats);
       // Does a *linked* witness exist afterwards?
       rel::ConjunctiveQuery probe;
       probe.head_vars = {"I"};

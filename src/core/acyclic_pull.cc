@@ -80,12 +80,10 @@ Result<AcyclicPullResult> RunAcyclicPull(
       }
       if (!parts_ok) continue;
       join.builtins = rule->cross_builtins;
-      auto bindings = rel::EvaluateBindings(scratch, join);
-      if (!bindings.ok()) return bindings.status();
       rel::ChaseStats step;
-      P2PDB_RETURN_IF_ERROR(
-          rel::ApplyRuleHeadAll(&result.node_dbs[node], rule->head_atoms,
-                                *bindings, &nulls, chase_options, &step));
+      P2PDB_RETURN_IF_ERROR(rel::ApplyRule(&result.node_dbs[node], scratch,
+                                           join, rule->head_atoms, &nulls,
+                                           chase_options, &step));
     }
   }
   return result;

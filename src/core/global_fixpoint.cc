@@ -23,8 +23,7 @@ Result<GlobalFixpointResult> ComputeGlobalFixpoint(
     changed = false;
     ++result.iterations;
     for (const CoordinationRule& rule : system.rules()) {
-      Result<std::vector<rel::Binding>> bindings =
-          Status::Internal("unevaluated");
+      rel::ChaseStats step;
       if (rule.domain_map.empty()) {
         // Node signatures are disjoint, so the full body evaluates directly
         // against the union database.
@@ -36,24 +35,20 @@ Result<GlobalFixpointResult> ComputeGlobalFixpoint(
         }
         body.builtins.insert(body.builtins.end(), rule.cross_builtins.begin(),
                              rule.cross_builtins.end());
-        bindings = rel::EvaluateBindings(db, body);
+        P2PDB_RETURN_IF_ERROR(rel::ApplyRule(&db, db, body, rule.head_atoms,
+                                             &nulls, chase_options, &step));
       } else {
         // Domain relation: evaluate each part, translate its exported values,
         // then join — mirroring what the distributed head node does.
         rel::Database scratch;
         rel::ConjunctiveQuery join;
-        Status scratch_status = Status::OK();
-        for (size_t p = 0; p < rule.body.size() && scratch_status.ok(); ++p) {
+        for (size_t p = 0; p < rule.body.size(); ++p) {
           std::vector<std::string> vars = rule.PartExportVars(p);
           std::string name = "$" + rule.id + ":" + std::to_string(p);
-          scratch_status = scratch.CreateRelation(
-              rel::RelationSchema(name, vars));
-          if (!scratch_status.ok()) break;
+          P2PDB_RETURN_IF_ERROR(
+              scratch.CreateRelation(rel::RelationSchema(name, vars)));
           auto part_result = rel::EvaluateQuery(db, rule.PartQuery(p));
-          if (!part_result.ok()) {
-            scratch_status = part_result.status();
-            break;
-          }
+          if (!part_result.ok()) return part_result.status();
           rel::Relation* scratch_rel = *scratch.GetMutable(name);
           for (const rel::Tuple& t :
                rule.domain_map.ApplyToSet(*part_result)) {
@@ -66,14 +61,11 @@ Result<GlobalFixpointResult> ComputeGlobalFixpoint(
           }
           join.atoms.push_back(std::move(atom));
         }
-        if (!scratch_status.ok()) return scratch_status;
         join.builtins = rule.cross_builtins;
-        bindings = rel::EvaluateBindings(scratch, join);
+        P2PDB_RETURN_IF_ERROR(rel::ApplyRule(&db, scratch, join,
+                                             rule.head_atoms, &nulls,
+                                             chase_options, &step));
       }
-      if (!bindings.ok()) return bindings.status();
-      rel::ChaseStats step;
-      P2PDB_RETURN_IF_ERROR(rel::ApplyRuleHeadAll(
-          &db, rule.head_atoms, *bindings, &nulls, chase_options, &step));
       result.chase.inserted += step.inserted;
       result.chase.skipped += step.skipped;
       result.chase.truncated += step.truncated;

@@ -1,7 +1,6 @@
 #include "src/core/update.h"
 
 #include <algorithm>
-#include <iterator>
 
 #include "src/core/dependency.h"
 #include "src/core/peer.h"
@@ -96,6 +95,19 @@ UpdateEngine::RuleRuntime* UpdateEngine::EnsureRuleRuntime(
     rr.join.atoms.push_back(std::move(atom));
   }
   rr.join.builtins = rule.cross_builtins;
+  for (size_t p = 0; p < rule.body.size(); ++p) {
+    auto plan = rel::QueryPlan::Compile(rr.join, p);
+    if (!plan.ok()) {
+      P2PDB_LOG(kWarn) << "rule join failed for " << rule.id << ": "
+                       << plan.status().ToString();
+      rr.join_plans.clear();
+      break;
+    }
+    rr.join_plans.push_back(plan.MoveValue());
+  }
+  if (!rr.join_plans.empty()) {
+    rr.head = rel::RuleHead(rule.head_atoms, rr.join_plans[0].slots());
+  }
   return &rr;
 }
 
@@ -119,41 +131,45 @@ void UpdateEngine::OnUpdateStart(NodeId from, const wire::UpdateStart& msg) {
 
 void UpdateEngine::OnQueryRequest(NodeId from, const wire::QueryRequest& msg) {
   CountIntraSccRecv(from);
+  auto same = [&](const Subscription& s) {
+    return s.subscriber == from && s.rule_id == msg.rule_id &&
+           s.part == msg.part;
+  };
+  // Compile before subscribing: a query that cannot be evaluated is warned
+  // about once and keeps no subscription, not even one it would replace.
+  auto full = rel::QueryPlan::Compile(msg.query);
+  std::vector<rel::QueryPlan> plans;
+  // A seeded plan fails only where the full plan does.
+  for (size_t i = 0; full.ok() && i < msg.query.atoms.size(); ++i) {
+    plans.push_back(rel::QueryPlan::Compile(msg.query, i).MoveValue());
+  }
+  if (!full.ok()) {
+    P2PDB_LOG(kWarn) << "subscription query failed at node " << peer_->id()
+                     << ": " << full.status().ToString();
+    std::erase_if(subscriptions_, same);
+    return;
+  }
   // Replace any previous subscription for the same (subscriber, rule, part):
   // re-subscription resets the delta baseline, so the subscriber receives the
   // full current result again.
-  Subscription* sub = nullptr;
-  for (Subscription& s : subscriptions_) {
-    if (s.subscriber == from && s.rule_id == msg.rule_id &&
-        s.part == msg.part) {
-      sub = &s;
-      break;
-    }
-  }
-  if (sub == nullptr) {
-    subscriptions_.emplace_back();
-    sub = &subscriptions_.back();
-  }
+  auto it = std::find_if(subscriptions_.begin(), subscriptions_.end(), same);
+  Subscription* sub = it != subscriptions_.end()
+                          ? &*it
+                          : &subscriptions_.emplace_back();
   sub->subscriber = from;
   sub->rule_id = msg.rule_id;
   sub->part = msg.part;
-  sub->query = msg.query;
+  sub->plans = std::move(plans);
   sub->last_sent.clear();
   sub->announced_closed = false;
 
-  auto result = rel::EvaluateQuery(peer_->db(), sub->query);
-  if (!result.ok()) {
-    P2PDB_LOG(kWarn) << "subscription query failed at node " << peer_->id()
-                     << ": " << result.status().ToString();
-    return;
-  }
   wire::QueryAnswer ans;
   ans.session = msg.session;
   ans.rule_id = msg.rule_id;
   ans.part = msg.part;
   ans.is_delta = true;  // Initial answer: delta from the empty set.
   ans.source_closed = state_ == State::kClosed;
-  ans.tuples = std::move(*result);
+  ans.tuples = rel::EvaluateQuery(peer_->db(), *full);
   CountIntraSccSend(from);
   ++stats_.answers_sent;
   peer_->Send(from, net::MessageType::kQueryAnswer, ans.Encode());
@@ -223,23 +239,13 @@ void UpdateEngine::PokeRingIfReady() {
 bool UpdateEngine::JoinAndApply(RuleRuntime* rr, uint32_t delta_part,
                                 size_t first_new) {
   ++stats_.joins_evaluated;
+  if (rr->join_plans.empty()) return false;  // Warned about when built.
   const CoordinationRule& rule = rr->rule;
   // Chase apply time = semi-naive join + head application (WAL time is
   // charged separately inside OnDeltaApplied). One clock pair per join is
   // noise next to the join itself, so this is not gated.
   const uint64_t chase_start = peer_->runtime()->NowMicros();
 
-  // Semi-naive join over the part logs in place: the delta part seeds from
-  // its new entries, every other part contributes its full log.
-  const rel::TupleLog& grown = *rr->part_answers[delta_part];
-  auto bindings = rel::EvaluateBindingsDelta(
-      *rr, rr->join, delta_part, rel::LogView(&grown, grown.size()),
-      first_new);
-  if (!bindings.ok()) {
-    P2PDB_LOG(kWarn) << "rule join failed for " << rule.id << ": "
-                     << bindings.status().ToString();
-    return false;
-  }
   // Where this application's appends begin in each head relation's log: the
   // WAL logs entries [start, size) as one delta, and subscribers are
   // notified from the oldest mark they have not consumed.
@@ -250,10 +256,20 @@ bool UpdateEngine::JoinAndApply(RuleRuntime* rr, uint32_t delta_part,
     starts.try_emplace(a.relation, relation->size());
     notify_from_.try_emplace(a.relation, relation->size());
   }
+  // Semi-naive join over the part logs in place: the delta part seeds from
+  // its new entries, every other part contributes its full log. The join
+  // reads only the part logs, so each binding goes straight to the head.
+  const rel::TupleLog& grown = *rr->part_answers[delta_part];
   rel::ChaseStats chase_stats;
-  Status st = rel::ApplyRuleHeadAll(&peer_->db(), rule.head_atoms, *bindings,
-                                    &peer_->nulls(), options_.chase,
-                                    &chase_stats);
+  Status st;
+  std::vector<rel::Value> binding;
+  rr->join_plans[delta_part].RunSeeded(
+      *rr, rel::LogView(&grown, grown.size()), first_new, &binding,
+      [&](const std::vector<rel::Value>& b) {
+        st = rr->head.Apply(&peer_->db(), b, &peer_->nulls(), options_.chase,
+                            &chase_stats);
+        return st.ok();
+      });
   {
     uint64_t micros = peer_->runtime()->NowMicros() - chase_start;
     static obs::Histogram* chase =
@@ -280,32 +296,25 @@ void UpdateEngine::NotifySubscribers() {
   const std::map<std::string, size_t> marks = std::move(notify_from_);
   notify_from_.clear();
   const rel::Database& db = peer_->db();
+  std::vector<rel::Value> binding;
   for (Subscription& sub : subscriptions_) {
     bool flag_changed = closed != sub.announced_closed;
     // Semi-naive: new answers of the subscription query are exactly those
     // using at least one entry past its relation's mark in at least one atom.
-    std::vector<rel::Tuple> found;
-    bool eval_ok = true;
-    for (size_t i = 0; i < sub.query.atoms.size(); ++i) {
-      const std::string& relation = sub.query.atoms[i].relation;
-      auto mark = marks.find(relation);
-      if (mark == marks.end()) continue;
-      const rel::LogView log = db.View(relation);
-      if (mark->second >= log.size()) continue;
-      auto partial =
-          rel::EvaluateQueryDelta(db, sub.query, i, log, mark->second);
-      if (!partial.ok()) {
-        P2PDB_LOG(kWarn) << "delta evaluation failed at node " << peer_->id()
-                         << ": " << partial.status().ToString();
-        eval_ok = false;
-        break;
-      }
-      std::move(partial->begin(), partial->end(), std::back_inserter(found));
-    }
-    if (!eval_ok) continue;
     std::set<rel::Tuple> delta;
-    for (rel::Tuple& t : found) {
-      if (sub.last_sent.insert(t).second) delta.insert(std::move(t));
+    for (const rel::QueryPlan& plan : sub.plans) {
+      auto mark = marks.find(plan.seed_relation());
+      if (mark == marks.end()) continue;
+      const rel::LogView log = db.View(plan.seed_relation());
+      if (mark->second >= log.size()) continue;
+      plan.RunSeeded(db, log, mark->second, &binding,
+                     [&](const std::vector<rel::Value>& b) {
+                       rel::Tuple t = plan.Project(b);
+                       if (sub.last_sent.insert(t).second) {
+                         delta.insert(std::move(t));
+                       }
+                       return true;
+                     });
     }
     if (delta.empty() && !flag_changed) continue;
     wire::QueryAnswer ans;

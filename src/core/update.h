@@ -16,6 +16,14 @@
 // watermark: the first entry of each local log they have not been evaluated
 // against. Nothing is copied into a separate delta set.
 //
+// Compiled plans: every query the engine runs more than once is compiled
+// once into a slot-indexed plan (src/relational/eval.h) where it is kept. A
+// rule's head node compiles one join plan per body part, seeded at that
+// part, and the rule head (src/relational/chase.h) when the rule's runtime
+// is built; each join binding streams straight into the head. A body node
+// compiles a subscription's per-atom plans when the request arrives, and a
+// request whose query cannot be compiled gets no subscription.
+//
 // Fix-point detection (the paper's Rules/Paths flag machinery made precise):
 //  * a subscription is flagged when its source reports state_u = closed with
 //    a final answer (A5's `state == complete`);
@@ -48,6 +56,7 @@
 #include "src/core/system.h"
 #include "src/core/wire.h"
 #include "src/relational/chase.h"
+#include "src/relational/eval.h"
 #include "src/util/ids.h"
 
 namespace p2pdb::core {
@@ -117,8 +126,13 @@ class UpdateEngine {
     std::vector<std::unique_ptr<rel::TupleLog>> part_answers;
     std::vector<bool> part_closed;
     /// The natural join of the parts on their exported variables, plus the
-    /// rule's cross-part built-ins; built once per rule.
+    /// rule's cross-part built-ins.
     rel::ConjunctiveQuery join;
+    /// join_plans[p]: `join` seeded at part p. Empty when the join cannot be
+    /// compiled (a cross-part built-in over no exported variable).
+    std::vector<rel::QueryPlan> join_plans;
+    /// The rule head over the join plans' slots.
+    rel::RuleHead head;
 
     rel::LogView View(const std::string& relation) const override;
   };
@@ -128,7 +142,8 @@ class UpdateEngine {
     NodeId subscriber = kNoNode;
     std::string rule_id;
     uint32_t part = 0;
-    rel::ConjunctiveQuery query;
+    /// The subscription query seeded at each of its atoms, in atom order.
+    std::vector<rel::QueryPlan> plans;
     /// Answers already shipped; only ever asked for membership.
     std::unordered_set<rel::Tuple> last_sent;
     bool announced_closed = false;

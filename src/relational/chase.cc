@@ -1,157 +1,149 @@
 #include "src/relational/chase.h"
 
-#include <set>
-
-#include "src/relational/eval.h"
+#include <algorithm>
 
 namespace p2pdb::rel {
 
 namespace {
 
-// Collects head variables that are not bound by the body binding: these are
-// the existential variables of the rule.
-std::vector<std::string> ExistentialVars(const std::vector<Atom>& head_atoms,
-                                         const Binding& binding) {
-  std::vector<std::string> out;
-  std::set<std::string> seen;
-  for (const Atom& a : head_atoms) {
-    for (const Term& t : a.terms) {
-      if (t.is_var() && !binding.count(t.var) && seen.insert(t.var).second) {
-        out.push_back(t.var);
-      }
-    }
-  }
-  return out;
-}
-
-uint32_t MaxNullDepth(const Binding& binding) {
+uint32_t MaxNullDepth(const std::vector<Value>& binding) {
   uint32_t depth = 0;
-  for (const auto& [name, value] : binding) {
+  for (const Value& value : binding) {
     if (value.is_null()) {
-      uint32_t d = NullFactory::DepthBitsOf(value.null_id());
-      if (d > depth) depth = d;
+      depth = std::max(depth, NullFactory::DepthBitsOf(value.null_id()));
     }
   }
   return depth;
 }
 
+}  // namespace
+
+RuleHead::RuleHead(const std::vector<Atom>& head_atoms,
+                   const std::vector<std::string>& body_slots) {
+  // The frontier: head variables the binding supplies, in order of first
+  // appearance.
+  std::vector<std::string> frontier;
+  for (const Atom& a : head_atoms) {
+    for (const Term& t : a.terms) {
+      if (!t.is_var() ||
+          std::find(frontier.begin(), frontier.end(), t.var) != frontier.end()) {
+        continue;
+      }
+      auto it = std::find(body_slots.begin(), body_slots.end(), t.var);
+      if (it == body_slots.end()) continue;
+      frontier.push_back(t.var);
+      frontier_.push_back(static_cast<uint32_t>(it - body_slots.begin()));
+    }
+  }
+  // The probe numbers the frontier first and the existential variables after
+  // it in order of first appearance: exactly the frame's layout. With no
+  // head variables and no built-ins the query is always safe.
+  ConjunctiveQuery probe;
+  probe.atoms = head_atoms;
+  probe_ = QueryPlan::CompileBound(probe, frontier).MoveValue();
+  existentials_ = probe_.slot_count() - frontier_.size();
+  frame_.resize(probe_.slot_count());
+
+  const std::vector<std::string>& slots = probe_.slots();
+  for (const Atom& a : head_atoms) {
+    HeadAtom atom;
+    atom.relation = a.relation;
+    for (const Term& t : a.terms) {
+      Operand operand;
+      if (t.is_var()) {
+        auto slot = std::find(slots.begin(), slots.end(), t.var);
+        operand = {false, static_cast<uint32_t>(slot - slots.begin())};
+      } else {
+        constants_.push_back(t.constant);
+        operand = {true, static_cast<uint32_t>(constants_.size() - 1)};
+      }
+      if (atom.key == SIZE_MAX && !IsExistential(operand)) {
+        atom.key = atom.terms.size();
+      }
+      atom.terms.push_back(operand);
+    }
+    atoms_.push_back(std::move(atom));
+  }
+}
+
+Tuple RuleHead::Instantiate(const HeadAtom& atom) const {
+  std::vector<Value> row;
+  row.reserve(atom.terms.size());
+  for (Operand operand : atom.terms) row.push_back(ValueOf(operand));
+  return Tuple(std::move(row));
+}
+
 // True if some tuple of `relation` agrees with the atom on every position
-// whose term is bound under `binding` (constants are always bound). Uses the
-// column index on the first bound position to avoid full scans.
-bool ProjectionPresent(const LogView& relation, const Atom& atom,
-                       const Binding& binding) {
+// that is not existential. Uses the column index on the first such position
+// to avoid full scans.
+bool RuleHead::ProjectionPresent(const LogView& relation,
+                                 const HeadAtom& atom) const {
   if (atom.terms.size() != relation.arity()) return false;
+  // Fully existential atom: any tuple witnesses it.
+  if (atom.key == SIZE_MAX) return relation.size() > 0;
   auto matches = [&](const Tuple& tuple) {
     for (size_t i = 0; i < atom.terms.size(); ++i) {
-      const Term& t = atom.terms[i];
-      if (!t.is_var()) {
-        if (!(t.constant == tuple.at(i))) return false;
-      } else {
-        auto it = binding.find(t.var);
-        if (it != binding.end() && !(it->second == tuple.at(i))) return false;
-        // Unbound (existential) position: any value matches.
+      if (!IsExistential(atom.terms[i]) &&
+          ValueOf(atom.terms[i]) != tuple.at(i)) {
+        return false;
       }
     }
     return true;
   };
-
-  // First bound position, if any, narrows the candidates via the index.
-  for (size_t i = 0; i < atom.terms.size(); ++i) {
-    const Term& t = atom.terms[i];
-    const Value* key = nullptr;
-    if (!t.is_var()) {
-      key = &t.constant;
-    } else {
-      auto it = binding.find(t.var);
-      if (it != binding.end()) key = &it->second;
-    }
-    if (key == nullptr) continue;
-    for (size_t e = relation.First(i, *key); e != TupleLog::kNone;
-         e = relation.Next(i, e)) {
-      if (matches(relation.at(e))) return true;
-    }
-    return false;
+  for (size_t e = relation.First(atom.key, ValueOf(atom.terms[atom.key]));
+       e != TupleLog::kNone; e = relation.Next(atom.key, e)) {
+    if (matches(relation.at(e))) return true;
   }
-  // Fully existential atom: any tuple witnesses it.
-  return relation.size() > 0;
+  return false;
 }
 
-// True if `binding` extends to a homomorphism making every head atom present.
-// Runs the head itself as a query, with the bound variables frozen to
-// constants.
-bool HomomorphismPresent(const Database& db,
-                         const std::vector<Atom>& head_atoms,
-                         const Binding& binding) {
-  ConjunctiveQuery probe;
-  for (const Atom& a : head_atoms) {
-    Atom frozen;
-    frozen.relation = a.relation;
-    for (const Term& t : a.terms) {
-      if (t.is_var()) {
-        auto it = binding.find(t.var);
-        frozen.terms.push_back(it == binding.end() ? t
-                                                   : Term::Const(it->second));
-      } else {
-        frozen.terms.push_back(t);
-      }
-    }
-    probe.atoms.push_back(std::move(frozen));
+Status RuleHead::Apply(Database* db, const std::vector<Value>& binding,
+                       NullFactory* nulls, const ChaseOptions& options,
+                       ChaseStats* stats) {
+  if (options.max_null_depth > kMaxNullDepthLimit) {
+    return Status::InvalidArgument(
+        "max_null_depth " + std::to_string(options.max_null_depth) +
+        " exceeds " + std::to_string(kMaxNullDepthLimit));
   }
-  auto result = EvaluateBindings(db, probe);
-  return result.ok() && !result->empty();
-}
-
-Tuple InstantiateAtom(const Atom& atom, const Binding& binding) {
-  std::vector<Value> row;
-  row.reserve(atom.terms.size());
-  for (const Term& t : atom.terms) {
-    row.push_back(t.is_var() ? binding.at(t.var) : t.constant);
+  for (size_t i = 0; i < frontier_.size(); ++i) {
+    frame_[i] = binding[frontier_[i]];
   }
-  return Tuple(std::move(row));
-}
 
-}  // namespace
-
-Status ApplyRuleHead(Database* db, const std::vector<Atom>& head_atoms,
-                     const Binding& binding, NullFactory* nulls,
-                     const ChaseOptions& options, ChaseStats* stats) {
-  std::vector<std::string> existentials = ExistentialVars(head_atoms, binding);
-
-  if (!existentials.empty()) {
-    uint32_t base_depth = MaxNullDepth(binding);
+  if (existentials_ > 0) {
+    const uint32_t base_depth = MaxNullDepth(binding);
     if (base_depth + 1 >= options.max_null_depth) {
       ++stats->truncated;
       return Status::OK();
     }
+    // A witness stops the probe, so its run reports being stopped.
     if (options.policy == ChasePolicy::kHomomorphismCheck &&
-        HomomorphismPresent(*db, head_atoms, binding)) {
+        !probe_.Run(*db, &frame_,
+                    [](const std::vector<Value>&) { return false; })) {
       ++stats->skipped;
       return Status::OK();
     }
     // Decide which atoms to insert *before* minting nulls so both policies
     // share the instantiation path.
-    std::vector<const Atom*> to_insert;
+    std::vector<bool> present(atoms_.size(), false);
     if (options.policy == ChasePolicy::kProjectionCheck) {
-      for (const Atom& a : head_atoms) {
-        auto rel = db->Get(a.relation);
+      bool all_present = true;
+      for (size_t i = 0; i < atoms_.size(); ++i) {
+        auto rel = db->Get(atoms_[i].relation);
         if (!rel.ok()) return rel.status();
-        if (!ProjectionPresent((*rel)->View(), a, binding)) {
-          to_insert.push_back(&a);
-        }
+        present[i] = ProjectionPresent((*rel)->View(), atoms_[i]);
+        all_present = all_present && present[i];
       }
-      if (to_insert.empty()) {
+      if (all_present) {
         ++stats->skipped;
         return Status::OK();
       }
-    } else {
-      for (const Atom& a : head_atoms) to_insert.push_back(&a);
     }
-    Binding extended = binding;
-    for (const std::string& v : existentials) {
-      extended.emplace(v, nulls->Fresh(base_depth));
+    for (size_t i = frontier_.size(); i < frame_.size(); ++i) {
+      frame_[i] = nulls->Fresh(base_depth);
     }
-    for (const Atom* a : to_insert) {
-      auto added = db->Insert(a->relation, InstantiateAtom(*a, extended));
+    for (size_t i = 0; i < atoms_.size(); ++i) {
+      if (present[i]) continue;
+      auto added = db->Insert(atoms_[i].relation, Instantiate(atoms_[i]));
       if (!added.ok()) return added.status();
       if (*added) ++stats->inserted;
     }
@@ -160,8 +152,8 @@ Status ApplyRuleHead(Database* db, const std::vector<Atom>& head_atoms,
 
   // Fully bound head: plain set insertion.
   bool any_inserted = false;
-  for (const Atom& a : head_atoms) {
-    auto added = db->Insert(a.relation, InstantiateAtom(a, binding));
+  for (const HeadAtom& atom : atoms_) {
+    auto added = db->Insert(atom.relation, Instantiate(atom));
     if (!added.ok()) return added.status();
     if (*added) {
       ++stats->inserted;
@@ -172,13 +164,21 @@ Status ApplyRuleHead(Database* db, const std::vector<Atom>& head_atoms,
   return Status::OK();
 }
 
-Status ApplyRuleHeadAll(Database* db, const std::vector<Atom>& head_atoms,
-                        const std::vector<Binding>& bindings,
-                        NullFactory* nulls, const ChaseOptions& options,
-                        ChaseStats* stats) {
-  for (const Binding& b : bindings) {
-    P2PDB_RETURN_IF_ERROR(
-        ApplyRuleHead(db, head_atoms, b, nulls, options, stats));
+Status ApplyRule(Database* db, const ReadView& source,
+                 const ConjunctiveQuery& body,
+                 const std::vector<Atom>& head_atoms, NullFactory* nulls,
+                 const ChaseOptions& options, ChaseStats* stats) {
+  auto plan = QueryPlan::Compile(body);
+  if (!plan.ok()) return plan.status();
+  std::vector<std::vector<Value>> bindings;
+  std::vector<Value> binding;
+  plan->Run(source, &binding, [&](const std::vector<Value>& b) {
+    bindings.push_back(b);
+    return true;
+  });
+  RuleHead head(head_atoms, plan->slots());
+  for (const std::vector<Value>& b : bindings) {
+    P2PDB_RETURN_IF_ERROR(head.Apply(db, b, nulls, options, stats));
   }
   return Status::OK();
 }

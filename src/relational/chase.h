@@ -1,13 +1,20 @@
 // Chase-style application of rule heads (algorithm A6, UpdateLocalData):
 // given a binding computed from a rule body, insert the head atoms into the
 // local database, inventing fresh labeled nulls for existential variables.
+//
+// A head is compiled once (RuleHead) against the slots of the bindings it
+// will receive (QueryPlan::slots()), so applying it reads values by index:
+// the existential variables, their minting order, the instantiation of each
+// atom and the homomorphism probe are all fixed at compile time.
 #ifndef P2PDB_RELATIONAL_CHASE_H_
 #define P2PDB_RELATIONAL_CHASE_H_
 
+#include <string>
 #include <vector>
 
 #include "src/relational/cq.h"
 #include "src/relational/database.h"
+#include "src/relational/eval.h"
 #include "src/util/status.h"
 
 namespace p2pdb::rel {
@@ -24,11 +31,17 @@ enum class ChasePolicy {
   kHomomorphismCheck,
 };
 
+/// The largest max_null_depth head application accepts. NullFactory keeps a
+/// null's depth in 8 bits and saturates at 255, so a larger bound could never
+/// stop a runaway chase.
+inline constexpr uint32_t kMaxNullDepthLimit = 256;
+
 struct ChaseOptions {
   ChasePolicy policy = ChasePolicy::kProjectionCheck;
-  /// Safeguard for rule sets that are not weakly acyclic: a fresh null whose
-  /// binding already contains nulls at depth >= max_null_depth is not created
-  /// and the application is skipped (counted in `truncated`).
+  /// Safeguard for rule sets that are not weakly acyclic: no null of depth
+  /// >= max_null_depth is ever minted. An application that would mint one
+  /// (its binding holds a null of depth max_null_depth - 1 or more) is
+  /// skipped and counted in `truncated`. At most kMaxNullDepthLimit.
   uint32_t max_null_depth = 16;
 };
 
@@ -38,20 +51,71 @@ struct ChaseStats {
   size_t truncated = 0;  ///< Applications suppressed by the depth bound.
 };
 
-/// Applies one rule head under one binding. `head_atoms` may share existential
-/// variables (fresh nulls are minted once per application and reused across
-/// the head's atoms). Relations referenced by head atoms must exist in `db`.
-/// Inserted tuples are appended to their relations' logs, so a caller that
-/// noted the logs' sizes beforehand finds them at entries [size, new size).
-Status ApplyRuleHead(Database* db, const std::vector<Atom>& head_atoms,
-                     const Binding& binding, NullFactory* nulls,
-                     const ChaseOptions& options, ChaseStats* stats);
+/// A rule head compiled against the slots of the bindings it is applied to.
+/// Head variables that are not binding slots are existential; fresh nulls
+/// are minted for them once per application, in order of first appearance
+/// across the head atoms, and shared by every atom. Holds scratch space, so
+/// one RuleHead serves one thread.
+class RuleHead {
+ public:
+  RuleHead() = default;
+  /// `body_slots[i]` names the variable binding slot i holds.
+  RuleHead(const std::vector<Atom>& head_atoms,
+           const std::vector<std::string>& body_slots);
 
-/// Applies a rule head for every binding in `bindings`. Convenience wrapper.
-Status ApplyRuleHeadAll(Database* db, const std::vector<Atom>& head_atoms,
-                        const std::vector<Binding>& bindings,
-                        NullFactory* nulls, const ChaseOptions& options,
-                        ChaseStats* stats);
+  /// Applies the head under `binding` (one value per body slot). Relations
+  /// referenced by head atoms must exist in `db`. Inserted tuples are
+  /// appended to their relations' logs, so a caller that noted the logs'
+  /// sizes beforehand finds them at entries [size, new size). Under
+  /// kHomomorphismCheck the probe reads the live relations, so it sees what
+  /// earlier applications inserted. Fails with InvalidArgument when
+  /// options.max_null_depth exceeds kMaxNullDepthLimit.
+  Status Apply(Database* db, const std::vector<Value>& binding,
+               NullFactory* nulls, const ChaseOptions& options,
+               ChaseStats* stats);
+
+ private:
+  /// A head atom position: a frame slot or a constant.
+  struct Operand {
+    bool is_const = false;
+    uint32_t index = 0;
+  };
+  struct HeadAtom {
+    std::string relation;
+    std::vector<Operand> terms;
+    /// First position that is not existential (the projection check's
+    /// lookup column), or SIZE_MAX.
+    size_t key = SIZE_MAX;
+  };
+
+  const Value& ValueOf(Operand operand) const {
+    return operand.is_const ? constants_[operand.index] : frame_[operand.index];
+  }
+  bool IsExistential(Operand operand) const {
+    return !operand.is_const && operand.index >= frontier_.size();
+  }
+  Tuple Instantiate(const HeadAtom& atom) const;
+  bool ProjectionPresent(const LogView& relation, const HeadAtom& atom) const;
+
+  std::vector<HeadAtom> atoms_;
+  std::vector<Value> constants_;
+  /// Frame slot i < frontier_.size() holds binding slot frontier_[i]; the
+  /// existential variables follow.
+  std::vector<uint32_t> frontier_;
+  size_t existentials_ = 0;
+  /// The head atoms as a query with the frontier pre-bound: a witness is a
+  /// homomorphism extending the binding.
+  QueryPlan probe_;
+  std::vector<Value> frame_;
+};
+
+/// One centralized chase step: evaluates `body` over `source` and applies
+/// `head_atoms` to `*db` for every binding, in emission order. Every binding
+/// is collected before the first application, so `source` may be `*db`.
+Status ApplyRule(Database* db, const ReadView& source,
+                 const ConjunctiveQuery& body,
+                 const std::vector<Atom>& head_atoms, NullFactory* nulls,
+                 const ChaseOptions& options, ChaseStats* stats);
 
 }  // namespace p2pdb::rel
 

@@ -22,14 +22,6 @@ std::string Atom::ToString() const {
   return out + ")";
 }
 
-std::vector<std::string> Atom::Variables() const {
-  std::vector<std::string> out;
-  for (const Term& t : terms) {
-    if (t.is_var()) out.push_back(t.var);
-  }
-  return out;
-}
-
 const char* BuiltinOpName(BuiltinOp op) {
   switch (op) {
     case BuiltinOp::kEq:
@@ -68,17 +60,6 @@ bool EvalBuiltin(BuiltinOp op, const Value& lhs, const Value& rhs) {
       return rhs < lhs || lhs == rhs;
   }
   return false;
-}
-
-std::vector<std::string> ConjunctiveQuery::BodyVariables() const {
-  std::vector<std::string> out;
-  std::set<std::string> seen;
-  for (const Atom& a : atoms) {
-    for (const Term& t : a.terms) {
-      if (t.is_var() && seen.insert(t.var).second) out.push_back(t.var);
-    }
-  }
-  return out;
 }
 
 Status ConjunctiveQuery::CheckSafe() const {

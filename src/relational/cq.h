@@ -4,7 +4,6 @@
 #ifndef P2PDB_RELATIONAL_CQ_H_
 #define P2PDB_RELATIONAL_CQ_H_
 
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -44,8 +43,6 @@ struct Atom {
   std::vector<Term> terms;
 
   std::string ToString() const;
-  /// Names of all variables occurring in the atom, in order of appearance.
-  std::vector<std::string> Variables() const;
 };
 
 enum class BuiltinOp { kEq, kNe, kLt, kLe, kGt, kGe };
@@ -65,18 +62,12 @@ struct Builtin {
 /// Value::operator< (ints < strings < nulls); nulls compare by identity.
 bool EvalBuiltin(BuiltinOp op, const Value& lhs, const Value& rhs);
 
-/// A variable binding produced by query evaluation.
-using Binding = std::map<std::string, Value>;
-
 /// A conjunctive query: answer variables, relational atoms, built-ins.
 /// With an empty atom list it denotes a boolean/constant query.
 struct ConjunctiveQuery {
   std::vector<std::string> head_vars;
   std::vector<Atom> atoms;
   std::vector<Builtin> builtins;
-
-  /// Distinct variables appearing in atoms, in order of first appearance.
-  std::vector<std::string> BodyVariables() const;
 
   /// OK iff every head variable and every built-in variable occurs in some
   /// atom (range restriction; the evaluator requires it).

@@ -4,254 +4,256 @@
 
 namespace p2pdb::rel {
 
-namespace {
-
-// Counts how many variables of `atom` are bound under `binding`; constants
-// count as bound positions too. Used for greedy join ordering.
-size_t BoundScore(const Atom& atom, const std::set<std::string>& bound) {
-  size_t score = 0;
-  for (const Term& t : atom.terms) {
-    if (!t.is_var() || bound.count(t.var)) ++score;
+Result<QueryPlan> QueryPlan::Compile(const ConjunctiveQuery& query,
+                                     size_t seed_atom) {
+  if (seed_atom != kNoSeed && seed_atom >= query.atoms.size()) {
+    return Status::InvalidArgument("seed atom out of range");
   }
-  return score;
+  return Build(query, seed_atom, {});
 }
 
-// Returns builtins whose variables are all bound.
-bool BuiltinReady(const Builtin& b, const std::set<std::string>& bound) {
-  for (const Term* t : {&b.lhs, &b.rhs}) {
-    if (t->is_var() && !bound.count(t->var)) return false;
+Result<QueryPlan> QueryPlan::CompileBound(
+    const ConjunctiveQuery& query, const std::vector<std::string>& bound) {
+  return Build(query, kNoSeed, bound);
+}
+
+Result<QueryPlan> QueryPlan::Build(const ConjunctiveQuery& query,
+                                   size_t seed_atom,
+                                   const std::vector<std::string>& bound) {
+  P2PDB_RETURN_IF_ERROR(query.CheckSafe());
+  QueryPlan plan;
+  // Queries are small: a linear search over the slots beats hashing, which
+  // matters to ad-hoc reads that compile per call.
+  auto slot_of = [&](const std::string& var) {
+    return static_cast<uint32_t>(
+        std::find(plan.slots_.begin(), plan.slots_.end(), var) -
+        plan.slots_.begin());
+  };
+  auto add_slot = [&](const std::string& var) {
+    if (slot_of(var) == plan.slots_.size()) plan.slots_.push_back(var);
+  };
+  for (const std::string& v : bound) add_slot(v);
+  for (const Atom& a : query.atoms) {
+    for (const Term& t : a.terms) {
+      if (t.is_var()) add_slot(t.var);
+    }
+  }
+  std::vector<bool> is_bound(plan.slots_.size(), false);
+  for (size_t i = 0; i < bound.size(); ++i) is_bound[i] = true;
+
+  auto add_constant = [&](const Value& v) {
+    plan.constants_.push_back(v);
+    return static_cast<uint32_t>(plan.constants_.size() - 1);
+  };
+  // Compiles one atom against the slots bound so far, then marks its
+  // variables bound. A variable's first occurrence in an unbound position
+  // binds it; any later occurrence, in this atom or after, checks it.
+  auto compile_atom = [&](const Atom& atom) {
+    Step step;
+    step.relation = atom.relation;
+    std::vector<uint32_t> fresh;
+    for (size_t i = 0; i < atom.terms.size(); ++i) {
+      const Term& t = atom.terms[i];
+      Position p;
+      bool key = false;
+      if (!t.is_var()) {
+        p = {Position::Op::kConst, add_constant(t.constant)};
+        key = true;
+      } else {
+        const uint32_t slot = slot_of(t.var);
+        if (is_bound[slot]) {
+          p = {Position::Op::kCheck, slot};
+          key = true;
+        } else if (std::find(fresh.begin(), fresh.end(), slot) !=
+                   fresh.end()) {
+          p = {Position::Op::kCheck, slot};
+        } else {
+          p = {Position::Op::kBind, slot};
+          fresh.push_back(slot);
+        }
+      }
+      if (key && step.lookup == kScan) step.lookup = i;
+      step.positions.push_back(p);
+    }
+    for (uint32_t slot : fresh) is_bound[slot] = true;
+    return step;
+  };
+  auto operand = [&](const Term& t) {
+    return t.is_var() ? Operand{false, slot_of(t.var)}
+                      : Operand{true, add_constant(t.constant)};
+  };
+  // Moves the built-ins of `unplaced` that the bound slots decide to
+  // `*ready`, keeping their order.
+  std::vector<const Builtin*> unplaced;
+  for (const Builtin& b : query.builtins) unplaced.push_back(&b);
+  auto place_ready = [&](std::vector<CompiledBuiltin>* ready) {
+    auto decided = [&](const Term& t) {
+      return !t.is_var() || is_bound[slot_of(t.var)];
+    };
+    auto it = unplaced.begin();
+    while (it != unplaced.end()) {
+      const Builtin& b = **it;
+      if (decided(b.lhs) && decided(b.rhs)) {
+        ready->push_back({b.op, operand(b.lhs), operand(b.rhs)});
+        it = unplaced.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  };
+
+  std::vector<const Atom*> pending;
+  for (size_t i = 0; i < query.atoms.size(); ++i) {
+    if (i == seed_atom) {
+      plan.seed_ = compile_atom(query.atoms[i]);
+    } else {
+      pending.push_back(&query.atoms[i]);
+    }
+  }
+  place_ready(&plan.immediate_);
+  auto score = [&](const Atom& atom) {
+    size_t n = 0;
+    for (const Term& t : atom.terms) {
+      if (!t.is_var() || is_bound[slot_of(t.var)]) ++n;
+    }
+    return n;
+  };
+  while (!pending.empty()) {
+    auto best = pending.begin();
+    size_t best_score = score(**best);
+    for (auto it = pending.begin() + 1; it != pending.end(); ++it) {
+      const size_t s = score(**it);
+      if (s > best_score) {
+        best = it;
+        best_score = s;
+      }
+    }
+    plan.steps_.push_back(compile_atom(**best));
+    pending.erase(best);
+    place_ready(&plan.steps_.back().builtins);
+  }
+  for (const std::string& v : query.head_vars) {
+    plan.head_.push_back(slot_of(v));
+  }
+  return plan;
+}
+
+Tuple QueryPlan::Project(const std::vector<Value>& binding) const {
+  std::vector<Value> row;
+  row.reserve(head_.size());
+  for (uint32_t slot : head_) row.push_back(binding[slot]);
+  return Tuple(std::move(row));
+}
+
+bool QueryPlan::Match(const Step& step, const Tuple& tuple,
+                      std::vector<Value>* binding) const {
+  for (size_t i = 0; i < step.positions.size(); ++i) {
+    const Position p = step.positions[i];
+    const Value& v = tuple.at(i);
+    switch (p.op) {
+      case Position::Op::kBind:
+        (*binding)[p.index] = v;
+        break;
+      case Position::Op::kCheck:
+        if ((*binding)[p.index] != v) return false;
+        break;
+      case Position::Op::kConst:
+        if (constants_[p.index] != v) return false;
+        break;
+    }
   }
   return true;
 }
 
-// Moves the built-ins of `*unplaced` that `bound` decides to `*ready`,
-// keeping their order.
-void PlaceReady(const std::set<std::string>& bound,
-                std::vector<const Builtin*>* unplaced,
-                std::vector<const Builtin*>* ready) {
-  auto it = unplaced->begin();
-  while (it != unplaced->end()) {
-    if (BuiltinReady(**it, bound)) {
-      ready->push_back(*it);
-      it = unplaced->erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-const Value& ResolveTerm(const Term& t, const Binding& binding) {
-  if (!t.is_var()) return t.constant;
-  return binding.find(t.var)->second;
-}
-
-bool BuiltinsHold(const std::vector<const Builtin*>& builtins,
-                  const Binding& binding) {
-  for (const Builtin* b : builtins) {
-    if (!EvalBuiltin(b->op, ResolveTerm(b->lhs, binding),
-                     ResolveTerm(b->rhs, binding))) {
+bool QueryPlan::Holds(const std::vector<CompiledBuiltin>& builtins,
+                      const std::vector<Value>& binding) const {
+  for (const CompiledBuiltin& b : builtins) {
+    if (!EvalBuiltin(b.op, Resolve(b.lhs, binding), Resolve(b.rhs, binding))) {
       return false;
     }
   }
   return true;
 }
 
-// How to finish a query once a seed binding is fixed: the remaining atoms in
-// greedy join order, each with its relation already resolved against the
-// view, and every built-in placed where it first becomes decidable. Built
-// once per call and shared by every seed, which is what makes a delta range
-// cost one plan instead of one per entry.
-struct Plan {
-  std::vector<const Atom*> order;
-  std::vector<LogView> views;  // views[i]: order[i]'s relation.
-  // builtins_at[i] = builtins that become checkable right after atom order[i].
-  std::vector<std::vector<const Builtin*>> builtins_at;
-  // Built-ins decidable from the seed alone, checked before any scan.
-  std::vector<const Builtin*> immediate;
-};
-
-// Plans `query` over `db` with atom `seed_atom` (SIZE_MAX = none) already
-// matched by the seed: its variables count as bound, and it is left out of
-// the join order.
-Result<Plan> MakePlan(const ReadView& db, const ConjunctiveQuery& query,
-                      size_t seed_atom) {
-  Plan plan;
-  std::set<std::string> bound;
-  std::vector<const Atom*> pending;
-  pending.reserve(query.atoms.size());
-  for (size_t i = 0; i < query.atoms.size(); ++i) {
-    if (i == seed_atom) {
-      for (const std::string& v : query.atoms[i].Variables()) bound.insert(v);
-    } else {
-      pending.push_back(&query.atoms[i]);
-    }
-  }
-  std::vector<const Builtin*> unplaced;
-  for (const Builtin& b : query.builtins) unplaced.push_back(&b);
-  PlaceReady(bound, &unplaced, &plan.immediate);
-
-  // Greedy ordering: repeatedly pick the atom with the most bound positions.
-  while (!pending.empty()) {
-    auto best = std::max_element(
-        pending.begin(), pending.end(), [&](const Atom* a, const Atom* b) {
-          return BoundScore(*a, bound) < BoundScore(*b, bound);
-        });
-    const Atom* chosen = *best;
-    pending.erase(best);
-    plan.order.push_back(chosen);
-    plan.views.push_back(db.View(chosen->relation));
-    for (const std::string& v : chosen->Variables()) bound.insert(v);
-    plan.builtins_at.emplace_back();
-    PlaceReady(bound, &unplaced, &plan.builtins_at.back());
-  }
-  if (!unplaced.empty()) {
-    return Status::Unsupported("built-in over unbound variables: " +
-                               unplaced.front()->ToString());
-  }
-  return plan;
-}
-
-// Extends `*binding` through atoms order[depth..], appending each complete
-// binding to `results`. A complete binding is moved out of `*binding`.
-void Backtrack(const Plan& plan, size_t depth, Binding* binding,
-               std::vector<Binding>* results) {
-  if (depth == plan.order.size()) {
-    results->push_back(std::move(*binding));
-    return;
-  }
-  const Atom& atom = *plan.order[depth];
-  const LogView& rel = plan.views[depth];
-  if (!rel) return;  // Missing relation: empty answer.
-
-  auto try_tuple = [&](const Tuple& tuple) {
-    Binding extended = *binding;
-    if (!UnifyAtomWithTuple(atom, tuple, &extended)) return;
-    if (!BuiltinsHold(plan.builtins_at[depth], extended)) return;
-    Backtrack(plan, depth + 1, &extended, results);
-  };
-
-  // Index lookup on the first position whose term is already a known value;
-  // fall back to a full scan when every position is free.
-  int indexed_pos = -1;
-  const Value* key = nullptr;
-  for (size_t i = 0; i < atom.terms.size(); ++i) {
-    const Term& t = atom.terms[i];
-    if (!t.is_var()) {
-      indexed_pos = static_cast<int>(i);
-      key = &t.constant;
-      break;
-    }
-    auto it = binding->find(t.var);
-    if (it != binding->end()) {
-      indexed_pos = static_cast<int>(i);
-      key = &it->second;
-      break;
-    }
-  }
-  // An arity-mismatched atom has no column index to use; it falls through to
-  // the scan, where unification rejects every tuple anyway.
-  if (indexed_pos >= 0 && static_cast<size_t>(indexed_pos) < rel.arity()) {
-    const size_t column = static_cast<size_t>(indexed_pos);
-    for (size_t e = rel.First(column, *key); e != TupleLog::kNone;
-         e = rel.Next(column, e)) {
-      try_tuple(rel.at(e));
-    }
-  } else {
-    for (size_t e = 0; e < rel.size(); ++e) try_tuple(rel.at(e));
-  }
-}
-
-// Evaluates `plan` from `seed`, appending every answer binding to `results`.
-void Run(const Plan& plan, Binding seed, std::vector<Binding>* results) {
-  if (!BuiltinsHold(plan.immediate, seed)) return;  // Seed contradicts one.
-  Backtrack(plan, 0, &seed, results);
-}
-
-Tuple Project(const Binding& binding, const std::vector<std::string>& vars) {
-  std::vector<Value> row;
-  row.reserve(vars.size());
-  for (const std::string& v : vars) row.push_back(binding.at(v));
-  return Tuple(std::move(row));
-}
-
-}  // namespace
-
-bool UnifyAtomWithTuple(const Atom& atom, const Tuple& tuple,
-                        Binding* binding) {
-  if (atom.terms.size() != tuple.arity()) return false;
-  // Record variables newly bound here so we can roll back on failure.
-  std::vector<const std::string*> added;
-  auto roll_back = [&] {
-    for (const std::string* name : added) binding->erase(*name);
-    return false;
-  };
-  for (size_t i = 0; i < atom.terms.size(); ++i) {
-    const Term& t = atom.terms[i];
-    const Value& v = tuple.at(i);
-    if (!t.is_var()) {
-      if (!(t.constant == v)) return roll_back();
-      continue;
-    }
-    auto it = binding->find(t.var);
-    if (it == binding->end()) {
-      binding->emplace(t.var, v);
-      added.push_back(&t.var);
-    } else if (!(it->second == v)) {
-      return roll_back();
-    }
+bool QueryPlan::ResolveViews(const ReadView& db,
+                             std::vector<LogView>* views) const {
+  views->reserve(steps_.size());
+  for (const Step& step : steps_) {
+    const LogView view = db.View(step.relation);
+    if (!view || view.arity() != step.positions.size()) return false;
+    views->push_back(view);
   }
   return true;
 }
 
-Result<std::vector<Binding>> EvaluateBindings(const ReadView& db,
-                                              const ConjunctiveQuery& query) {
-  P2PDB_RETURN_IF_ERROR(query.CheckSafe());
-  auto plan = MakePlan(db, query, /*seed_atom=*/SIZE_MAX);
-  if (!plan.ok()) return plan.status();
-  std::vector<Binding> results;
-  Run(*plan, Binding{}, &results);
-  return results;
+bool QueryPlan::Search(const std::vector<LogView>& views, size_t depth,
+                       std::vector<Value>* binding,
+                       const BindingSink& emit) const {
+  if (depth == steps_.size()) return emit(*binding);
+  const Step& step = steps_[depth];
+  const LogView& view = views[depth];
+  auto visit = [&](size_t entry) {
+    if (!Match(step, view.at(entry), binding)) return true;
+    if (!Holds(step.builtins, *binding)) return true;
+    return Search(views, depth + 1, binding, emit);
+  };
+  if (step.lookup == kScan) {
+    for (size_t e = 0; e < view.size(); ++e) {
+      if (!visit(e)) return false;
+    }
+    return true;
+  }
+  // The key's slot was bound before this step, so deeper steps never
+  // rewrite it while the chain is walked.
+  const Position key = step.positions[step.lookup];
+  const Value& value = key.op == Position::Op::kConst ? constants_[key.index]
+                                                      : (*binding)[key.index];
+  for (size_t e = view.First(step.lookup, value); e != TupleLog::kNone;
+       e = view.Next(step.lookup, e)) {
+    if (!visit(e)) return false;
+  }
+  return true;
+}
+
+bool QueryPlan::Run(const ReadView& db, std::vector<Value>* binding,
+                    const BindingSink& emit) const {
+  binding->resize(slots_.size());
+  std::vector<LogView> views;
+  if (!ResolveViews(db, &views)) return true;
+  if (!Holds(immediate_, *binding)) return true;
+  return Search(views, 0, binding, emit);
+}
+
+bool QueryPlan::RunSeeded(const ReadView& db, LogView seed, size_t from,
+                          std::vector<Value>* binding,
+                          const BindingSink& emit) const {
+  binding->resize(slots_.size());
+  if (!seed || seed.arity() != seed_.positions.size()) return true;
+  std::vector<LogView> views;
+  if (!ResolveViews(db, &views)) return true;
+  for (size_t e = from; e < seed.size(); ++e) {
+    if (!Match(seed_, seed.at(e), binding)) continue;
+    if (!Holds(immediate_, *binding)) continue;
+    if (!Search(views, 0, binding, emit)) return false;
+  }
+  return true;
+}
+
+std::set<Tuple> EvaluateQuery(const ReadView& db, const QueryPlan& plan) {
+  std::set<Tuple> out;
+  std::vector<Value> binding;
+  plan.Run(db, &binding, [&](const std::vector<Value>& b) {
+    out.insert(plan.Project(b));
+    return true;
+  });
+  return out;
 }
 
 Result<std::set<Tuple>> EvaluateQuery(const ReadView& db,
                                       const ConjunctiveQuery& query) {
-  auto bindings = EvaluateBindings(db, query);
-  if (!bindings.ok()) return bindings.status();
-  std::set<Tuple> out;
-  for (const Binding& b : *bindings) out.insert(Project(b, query.head_vars));
-  return out;
-}
-
-Result<std::vector<Binding>> EvaluateBindingsDelta(
-    const ReadView& db, const ConjunctiveQuery& query, size_t delta_atom,
-    LogView delta, size_t from) {
-  if (delta_atom >= query.atoms.size()) {
-    return Status::InvalidArgument("delta_atom out of range");
-  }
-  P2PDB_RETURN_IF_ERROR(query.CheckSafe());
-  auto plan = MakePlan(db, query, delta_atom);
+  auto plan = QueryPlan::Compile(query);
   if (!plan.ok()) return plan.status();
-  const Atom& atom = query.atoms[delta_atom];
-  std::vector<Binding> results;
-  for (size_t e = from; e < delta.size(); ++e) {
-    Binding seed;
-    if (UnifyAtomWithTuple(atom, delta.at(e), &seed)) {
-      Run(*plan, std::move(seed), &results);
-    }
-  }
-  return results;
-}
-
-Result<std::vector<Tuple>> EvaluateQueryDelta(const ReadView& db,
-                                              const ConjunctiveQuery& query,
-                                              size_t delta_atom, LogView delta,
-                                              size_t from) {
-  auto bindings = EvaluateBindingsDelta(db, query, delta_atom, delta, from);
-  if (!bindings.ok()) return bindings.status();
-  std::vector<Tuple> out;
-  out.reserve(bindings->size());
-  for (const Binding& b : *bindings) out.push_back(Project(b, query.head_vars));
-  return out;
+  return EvaluateQuery(db, *plan);
 }
 
 }  // namespace p2pdb::rel

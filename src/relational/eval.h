@@ -1,9 +1,19 @@
 // Conjunctive query evaluation over any ReadView (a live database or an
 // immutable MVCC snapshot).
+//
+// A query is compiled once into a QueryPlan whose variables are integer
+// slots. Evaluation fills one std::vector<Value> in place, slot i holding the
+// value of variable slots()[i], and hands each complete binding to a
+// callback. Long-lived plans sit with their users: a rule's head node keeps
+// one join plan per body part (src/core/update.h), a subscription one plan
+// per atom of its query. Ad-hoc reads compile per call (EvaluateQuery).
 #ifndef P2PDB_RELATIONAL_EVAL_H_
 #define P2PDB_RELATIONAL_EVAL_H_
 
+#include <cstdint>
+#include <functional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "src/relational/cq.h"
@@ -12,47 +22,132 @@
 
 namespace p2pdb::rel {
 
-/// Evaluates the query body and returns the projection onto head_vars as a
-/// sorted, duplicate-free set of tuples (set semantics).
+/// Receives each complete binding of a run; returning false stops the run.
+using BindingSink = std::function<bool(const std::vector<Value>& binding)>;
+
+/// A conjunctive query compiled into a join plan over integer slots.
 ///
-/// Strategy: greedy atom reordering (most-bound atom first) with backtracking
-/// unification; built-ins are applied as soon as both sides are bound. This is
-/// adequate for the paper's workloads (~10^3 tuples per node).
+/// Slots number the variables: first any pre-bound ones (CompileBound), then
+/// the rest in order of first appearance in the atoms. Every plan of one
+/// query therefore numbers its variables alike, whatever its seed atom.
+///
+/// The join order is greedy: repeatedly the pending atom with the most
+/// constant or already-bound positions, the first one on a tie. Each step
+/// looks up the column of its first position that holds a constant or a
+/// variable bound before the step (a variable repeated within the atom is
+/// checked, never looked up), and scans when there is none. Each built-in is
+/// checked as soon as its variables are bound. A plan keeps no state between
+/// runs.
+class QueryPlan {
+ public:
+  static constexpr size_t kNoSeed = SIZE_MAX;
+
+  QueryPlan() = default;
+
+  /// Compiles `query`. With `seed_atom` set, that atom is matched against a
+  /// log range (RunSeeded) and the rest is planned with its variables bound.
+  /// Fails when the query is unsafe (ConjunctiveQuery::CheckSafe) or
+  /// `seed_atom` is out of range.
+  static Result<QueryPlan> Compile(const ConjunctiveQuery& query,
+                                   size_t seed_atom = kNoSeed);
+
+  /// Compiles `query` for runs that start with the variables `bound` already
+  /// set: they take slots [0, bound.size()) in that order and count as bound
+  /// when the join order is planned.
+  static Result<QueryPlan> CompileBound(const ConjunctiveQuery& query,
+                                        const std::vector<std::string>& bound);
+
+  /// The variable each slot holds.
+  const std::vector<std::string>& slots() const { return slots_; }
+  size_t slot_count() const { return slots_.size(); }
+
+  /// The seed atom's relation; empty for a plan compiled without one.
+  const std::string& seed_relation() const { return seed_.relation; }
+
+  /// The query's answer tuple for a complete binding: its head variables.
+  Tuple Project(const std::vector<Value>& binding) const;
+
+  /// Runs a plan compiled without a seed atom over `db`. `*binding` is the
+  /// run's scratch, resized to slot_count(); a CompileBound plan reads the
+  /// pre-bound values from its first slots. Each complete binding goes to
+  /// `emit`, in backtracking order. Returns false iff `emit` stopped the run.
+  /// Relation views are resolved once per run.
+  bool Run(const ReadView& db, std::vector<Value>* binding,
+           const BindingSink& emit) const;
+
+  /// Semi-naive run of a seeded plan: every entry [from, seed.size()) of
+  /// `seed` that matches the seed atom starts one search, in entry order,
+  /// while the other atoms read `db` whole. When a monotone update appended
+  /// exactly those entries to the seed atom's relation, the union over every
+  /// atom occurrence of that relation is exactly the update's new answers.
+  /// An answer two entries (or two bindings) derive is emitted twice.
+  bool RunSeeded(const ReadView& db, LogView seed, size_t from,
+                 std::vector<Value>* binding, const BindingSink& emit) const;
+
+ private:
+  /// What one atom position does against the binding.
+  struct Position {
+    enum class Op : uint8_t { kBind, kCheck, kConst };
+    Op op = Op::kBind;
+    uint32_t index = 0;  // Slot (kBind, kCheck) or constant (kConst).
+  };
+  /// A built-in's side: a slot or a constant.
+  struct Operand {
+    bool is_const = false;
+    uint32_t index = 0;
+  };
+  struct CompiledBuiltin {
+    BuiltinOp op = BuiltinOp::kEq;
+    Operand lhs;
+    Operand rhs;
+  };
+  static constexpr size_t kScan = SIZE_MAX;
+  struct Step {
+    std::string relation;
+    std::vector<Position> positions;
+    /// The column looked up, or kScan. Its position is a constant or a slot
+    /// bound before this step.
+    size_t lookup = kScan;
+    /// Built-ins decidable once this step has matched.
+    std::vector<CompiledBuiltin> builtins;
+  };
+
+  static Result<QueryPlan> Build(const ConjunctiveQuery& query,
+                                 size_t seed_atom,
+                                 const std::vector<std::string>& bound);
+
+  const Value& Resolve(Operand operand,
+                       const std::vector<Value>& binding) const {
+    return operand.is_const ? constants_[operand.index]
+                            : binding[operand.index];
+  }
+  /// Matches `tuple` against `step`, binding its fresh slots in place.
+  bool Match(const Step& step, const Tuple& tuple,
+             std::vector<Value>* binding) const;
+  bool Holds(const std::vector<CompiledBuiltin>& builtins,
+             const std::vector<Value>& binding) const;
+  /// Views of the steps' relations, or false when one is missing or has
+  /// another arity (the query then has no answer).
+  bool ResolveViews(const ReadView& db, std::vector<LogView>* views) const;
+  bool Search(const std::vector<LogView>& views, size_t depth,
+              std::vector<Value>* binding, const BindingSink& emit) const;
+
+  std::vector<std::string> slots_;
+  std::vector<Value> constants_;
+  std::vector<uint32_t> head_;  // The slot of each head variable.
+  Step seed_;
+  /// Built-ins decidable before the first step.
+  std::vector<CompiledBuiltin> immediate_;
+  std::vector<Step> steps_;
+};
+
+/// The answers of a plan compiled without a seed atom, projected onto its
+/// head variables, as a sorted, duplicate-free set (set semantics).
+std::set<Tuple> EvaluateQuery(const ReadView& db, const QueryPlan& plan);
+
+/// Compiles `query` and returns its answers (the ad-hoc read path).
 Result<std::set<Tuple>> EvaluateQuery(const ReadView& db,
                                       const ConjunctiveQuery& query);
-
-/// Like EvaluateQuery but returns the full bindings (one per result), used by
-/// the chase when applying rule heads that need body variable values.
-Result<std::vector<Binding>> EvaluateBindings(const ReadView& db,
-                                              const ConjunctiveQuery& query);
-
-/// Semi-naive (incremental) evaluation over a log range: the answers of
-/// `query` whose atom `delta_atom` (index into query.atoms) matches one of
-/// the entries [from, delta.size()) of `delta`. The other atoms read `db`
-/// whole. When a monotone update appended exactly those entries to the
-/// delta atom's relation, the union over every atom occurrence of that
-/// relation is exactly the update's new answers.
-///
-/// The join order and built-in placement are planned once per call, from the
-/// delta atom's variables, and each matching entry seeds one binding; a
-/// built-in decidable from the delta atom alone is checked before any scan.
-/// Returns the head projection of every answer binding in entry order, not
-/// deduplicated: an answer two entries (or two bindings) derive appears
-/// twice.
-Result<std::vector<Tuple>> EvaluateQueryDelta(const ReadView& db,
-                                              const ConjunctiveQuery& query,
-                                              size_t delta_atom, LogView delta,
-                                              size_t from);
-
-/// EvaluateQueryDelta's bindings, one per answer, before projection: the
-/// semi-naive rule join, which needs every body variable.
-Result<std::vector<Binding>> EvaluateBindingsDelta(
-    const ReadView& db, const ConjunctiveQuery& query, size_t delta_atom,
-    LogView delta, size_t from);
-
-/// True if the atom matches the tuple under `binding`, extending it in place.
-/// On mismatch the binding is left unchanged.
-bool UnifyAtomWithTuple(const Atom& atom, const Tuple& tuple, Binding* binding);
 
 }  // namespace p2pdb::rel
 

@@ -1,6 +1,6 @@
-// Semi-naive (incremental) evaluation over log ranges: EvaluateQueryDelta
-// must account for exactly the answers a monotone insertion adds, seeding
-// only from the entries at or past `from`.
+// Semi-naive (incremental) evaluation over log ranges: a plan seeded at one
+// atom must account for exactly the answers a monotone insertion adds,
+// seeding only from the entries at or past `from`.
 #include <gtest/gtest.h>
 
 #include "src/relational/eval.h"
@@ -22,6 +22,22 @@ ConjunctiveQuery TwoHop() {
   return q;
 }
 
+// The projected answers of `query` seeded at `atom` from entries
+// [from, log.size()) of `log`, in emission order.
+std::vector<Tuple> Delta(const ReadView& db, const ConjunctiveQuery& query,
+                         size_t atom, LogView log, size_t from) {
+  auto plan = QueryPlan::Compile(query, atom);
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+  std::vector<Tuple> out;
+  if (!plan.ok()) return out;
+  std::vector<Value> binding;
+  plan->RunSeeded(db, log, from, &binding, [&](const std::vector<Value>& b) {
+    out.push_back(plan->Project(b));
+    return true;
+  });
+  return out;
+}
+
 ConjunctiveQuery Unary(const std::string& relation) {
   ConjunctiveQuery q;
   q.head_vars = {"X"};
@@ -38,9 +54,8 @@ TEST(EvalDeltaTest, SingleAtomDelta) {
   (void)db.Insert("p", Tuple({I(1)}));
   (void)db.Insert("p", Tuple({I(2)}));
   // Only entry 1 (the tuple 2) is new.
-  auto result = EvaluateQueryDelta(db, Unary("p"), 0, db.View("p"), 1);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(*result, (std::vector<Tuple>{Tuple({I(2)})}));
+  EXPECT_EQ(Delta(db, Unary("p"), 0, db.View("p"), 1),
+            (std::vector<Tuple>{Tuple({I(2)})}));
 }
 
 TEST(EvalDeltaTest, EntriesBelowFromNeverSeed) {
@@ -49,11 +64,9 @@ TEST(EvalDeltaTest, EntriesBelowFromNeverSeed) {
   for (int64_t v : {4, 1, 3, 2}) (void)db.Insert("p", Tuple({I(v)}));
   const LogView log = db.View("p");
   for (size_t from = 0; from <= log.size(); ++from) {
-    auto result = EvaluateQueryDelta(db, Unary("p"), 0, log, from);
-    ASSERT_TRUE(result.ok());
     std::vector<Tuple> expected;
     for (size_t e = from; e < log.size(); ++e) expected.push_back(log.at(e));
-    EXPECT_EQ(*result, expected) << "from " << from;
+    EXPECT_EQ(Delta(db, Unary("p"), 0, log, from), expected) << "from " << from;
   }
   // In a join, an old entry still matches the other atom, but never seeds:
   // edge(1,2) is old, edge(2,3) new. Seeding occurrence 0 with (2,3) finds
@@ -63,12 +76,9 @@ TEST(EvalDeltaTest, EntriesBelowFromNeverSeed) {
   (void)graph.Insert("edge", Tuple({I(1), I(2)}));
   (void)graph.Insert("edge", Tuple({I(2), I(3)}));
   const ConjunctiveQuery q = TwoHop();
-  auto first = EvaluateQueryDelta(graph, q, 0, graph.View("edge"), 1);
-  auto second = EvaluateQueryDelta(graph, q, 1, graph.View("edge"), 1);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  EXPECT_TRUE(first->empty());
-  EXPECT_EQ(*second, (std::vector<Tuple>{Tuple({I(1), I(3)})}));
+  EXPECT_TRUE(Delta(graph, q, 0, graph.View("edge"), 1).empty());
+  EXPECT_EQ(Delta(graph, q, 1, graph.View("edge"), 1),
+            (std::vector<Tuple>{Tuple({I(1), I(3)})}));
 }
 
 TEST(EvalDeltaTest, JoinDeltaCoversBothSides) {
@@ -82,9 +92,8 @@ TEST(EvalDeltaTest, JoinDeltaCoversBothSides) {
   ConjunctiveQuery q = TwoHop();
   std::set<Tuple> incremental;
   for (size_t occurrence : {0u, 1u}) {
-    auto part = EvaluateQueryDelta(db, q, occurrence, db.View("edge"), from);
-    ASSERT_TRUE(part.ok());
-    incremental.insert(part->begin(), part->end());
+    std::vector<Tuple> part = Delta(db, q, occurrence, db.View("edge"), from);
+    incremental.insert(part.begin(), part.end());
   }
   EXPECT_EQ(incremental, (std::set<Tuple>{Tuple({I(1), I(3)})}));
 }
@@ -100,9 +109,8 @@ TEST(EvalDeltaTest, BuiltinsRespectedInDeltaPath) {
   b.lhs = Term::Var("X");
   b.rhs = Term::Const(I(3));
   q.builtins = {b};
-  auto result = EvaluateQueryDelta(db, q, 0, db.View("n"), 0);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(*result, (std::vector<Tuple>{Tuple({I(1)})}));  // 5 filtered out.
+  EXPECT_EQ(Delta(db, q, 0, db.View("n"), 0),
+            (std::vector<Tuple>{Tuple({I(1)})}));  // 5 filtered out.
 }
 
 // One range whose entries pass and fail a built-in decidable from the delta
@@ -129,22 +137,28 @@ TEST(EvalDeltaTest, OnePlanServesPassingAndFailingSeeds) {
   b.rhs = Term::Const(I(3));
   q.builtins = {b};
 
-  auto result = EvaluateQueryDelta(db, q, 0, db.View("n"), 0);
-  ASSERT_TRUE(result.ok());
   // Entry order: 1 passes, 5 fails, 2 passes, 7 fails.
-  EXPECT_EQ(*result, (std::vector<Tuple>{Tuple({I(1), I(10)}),
-                                         Tuple({I(2), I(20)})}));
-  auto bindings = EvaluateBindingsDelta(db, q, 0, db.View("n"), 0);
-  ASSERT_TRUE(bindings.ok());
-  ASSERT_EQ(bindings->size(), 2u);
-  EXPECT_EQ(bindings->at(1).at("Y"), I(20));
+  EXPECT_EQ(Delta(db, q, 0, db.View("n"), 0),
+            (std::vector<Tuple>{Tuple({I(1), I(10)}), Tuple({I(2), I(20)})}));
+  auto plan = QueryPlan::Compile(q, 0);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_EQ(plan->slots(), (std::vector<std::string>{"X", "Y"}));
+  std::vector<std::vector<Value>> bindings;
+  std::vector<Value> binding;
+  plan->RunSeeded(db, db.View("n"), 0, &binding,
+                  [&](const std::vector<Value>& b) {
+                    bindings.push_back(b);
+                    return true;
+                  });
+  ASSERT_EQ(bindings.size(), 2u);
+  EXPECT_EQ(bindings[1][1], I(20));
 }
 
 TEST(EvalDeltaTest, OutOfRangeAtomRejected) {
-  Database db;
   ConjunctiveQuery q = TwoHop();
-  EXPECT_FALSE(EvaluateQueryDelta(db, q, 5, LogView(), 0).ok());
-  EXPECT_FALSE(EvaluateBindingsDelta(db, q, 5, LogView(), 0).ok());
+  EXPECT_FALSE(QueryPlan::Compile(q, 5).ok());
+  EXPECT_FALSE(QueryPlan::Compile(q, 2).ok());
+  EXPECT_TRUE(QueryPlan::Compile(q, 1).ok());
 }
 
 // Property: incremental accumulation over random batches equals a fresh full
@@ -166,9 +180,8 @@ TEST(EvalDeltaTest, IncrementalMatchesFullEvaluationUnderRandomInserts) {
     if (step + 1 < 240 && !rng.NextBool(0.25)) continue;  // Not a cut point.
     const LogView log = db.View("edge");
     for (size_t occurrence = 0; occurrence < q.atoms.size(); ++occurrence) {
-      auto part = EvaluateQueryDelta(db, q, occurrence, log, from);
-      ASSERT_TRUE(part.ok());
-      accumulated.insert(part->begin(), part->end());
+      std::vector<Tuple> part = Delta(db, q, occurrence, log, from);
+      accumulated.insert(part.begin(), part.end());
     }
     from = log.size();
     ++cuts;

@@ -195,13 +195,69 @@ TEST(EvalTest, BindingsIncludeAllBodyVariables) {
   Database db = EdgeDb();
   ConjunctiveQuery q;
   q.atoms = {EdgeAtom("X", "Y")};
-  auto bindings = EvaluateBindings(db, q);
-  ASSERT_TRUE(bindings.ok());
-  EXPECT_EQ(bindings->size(), 4u);
-  for (const Binding& b : *bindings) {
-    EXPECT_TRUE(b.count("X"));
-    EXPECT_TRUE(b.count("Y"));
-  }
+  auto plan = QueryPlan::Compile(q);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(plan->slots(), (std::vector<std::string>{"X", "Y"}));
+  std::vector<std::vector<Value>> bindings;
+  std::vector<Value> binding;
+  EXPECT_TRUE(plan->Run(db, &binding, [&](const std::vector<Value>& b) {
+    bindings.push_back(b);
+    return true;
+  }));
+  ASSERT_EQ(bindings.size(), 4u);
+  // A scan visits the log in insertion order.
+  EXPECT_EQ(bindings[0], (std::vector<Value>{S("a"), S("b")}));
+  EXPECT_EQ(bindings[3], (std::vector<Value>{S("a"), S("c")}));
+}
+
+TEST(EvalTest, SinkStopsTheRun) {
+  Database db = EdgeDb();
+  ConjunctiveQuery q;
+  q.atoms = {EdgeAtom("X", "Y"), EdgeAtom("Y", "Z")};
+  auto plan = QueryPlan::Compile(q);
+  ASSERT_TRUE(plan.ok());
+  size_t seen = 0;
+  std::vector<Value> binding;
+  EXPECT_FALSE(plan->Run(db, &binding, [&](const std::vector<Value>&) {
+    ++seen;
+    return false;
+  }));
+  EXPECT_EQ(seen, 1u);
+}
+
+// Every plan of one query numbers its variables alike, so one head or
+// projection serves the plans seeded at each atom.
+TEST(EvalTest, SlotsFollowFirstAppearanceWhateverTheSeed) {
+  ConjunctiveQuery q;
+  q.head_vars = {"Z", "X"};
+  q.atoms = {EdgeAtom("X", "Y"), EdgeAtom("Y", "Z")};
+  auto full = QueryPlan::Compile(q);
+  auto seeded = QueryPlan::Compile(q, 1);
+  ASSERT_TRUE(full.ok());
+  ASSERT_TRUE(seeded.ok());
+  EXPECT_EQ(full->slots(), (std::vector<std::string>{"X", "Y", "Z"}));
+  EXPECT_EQ(seeded->slots(), full->slots());
+  EXPECT_EQ(seeded->seed_relation(), "edge");
+  EXPECT_EQ(full->Project({S("a"), S("b"), S("c")}), Tuple({S("c"), S("a")}));
+}
+
+TEST(EvalTest, PreBoundVariablesTakeTheFirstSlots) {
+  Database db = EdgeDb();
+  ConjunctiveQuery q;
+  q.atoms = {EdgeAtom("X", "Y"), EdgeAtom("Y", "Z")};
+  auto plan = QueryPlan::CompileBound(q, {"Z"});
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(plan->slots(), (std::vector<std::string>{"Z", "X", "Y"}));
+  std::vector<Value> binding{S("d")};
+  std::set<Tuple> found;
+  plan->Run(db, &binding, [&](const std::vector<Value>& b) {
+    EXPECT_EQ(b[0], S("d"));
+    found.insert(Tuple({b[1], b[2]}));
+    return true;
+  });
+  // Two-hop paths into d: a->c->d and b->c->d.
+  EXPECT_EQ(found, (std::set<Tuple>{Tuple({S("a"), S("c")}),
+                                    Tuple({S("b"), S("c")})}));
 }
 
 TEST(EvalTest, LargerJoinUsesIndexCorrectly) {
@@ -225,14 +281,6 @@ TEST(EvalTest, LargerJoinUsesIndexCorrectly) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->size(), static_cast<size_t>(n - 2));
   EXPECT_TRUE(result->count(Tuple({I(0), I(3)})));
-}
-
-TEST(UnifyTest, RollbackOnMismatch) {
-  Atom a = EdgeAtom("X", "X");
-  Binding binding;
-  Tuple t({S("p"), S("q")});
-  EXPECT_FALSE(UnifyAtomWithTuple(a, t, &binding));
-  EXPECT_TRUE(binding.empty());  // X must not remain bound.
 }
 
 }  // namespace

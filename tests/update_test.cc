@@ -10,6 +10,7 @@
 #include "src/net/thread_runtime.h"
 #include "src/relational/eval.h"
 #include "src/relational/null_iso.h"
+#include "src/util/log_capture.h"
 #include "src/workload/scenario.h"
 
 namespace p2pdb::core {
@@ -259,6 +260,58 @@ TEST(UpdateTest, InterleavedAnswerBatchesJoinEachBindingOnce) {
   EXPECT_EQ(stats.joins_evaluated, 6u);
   EXPECT_EQ(stats.tuples_inserted, expected);
   EXPECT_EQ(stats.applications_skipped, 0u);
+}
+
+// A subscription request whose query cannot be compiled is warned about once
+// and leaves no subscription behind, not even one it would have replaced, so
+// the notifies of a later update never re-run it.
+TEST(UpdateTest, UncompilableSubscriptionWarnsOnceAndIsDropped) {
+  const char* text = R"(
+node A { rel a(x); }
+node B { rel b(x); }
+node C { rel c(x); }
+node D { rel d(x); fact d("v1"); fact d("v2"); }
+rule r1: B.b(X) => A.a(X);
+rule r2: C.c(X) => B.b(X);
+rule r3: D.d(X) => C.c(X);
+)";
+  auto system = lang::ParseSystem(text);
+  ASSERT_TRUE(system.ok()) << system.status().ToString();
+  const NodeId a = *system->NodeByName("A");
+  const NodeId b = *system->NodeByName("B");
+  auto request = [](bool safe) {
+    wire::QueryRequest req;
+    req.session = 1;
+    req.rule_id = "injected";
+    rel::Atom atom;
+    atom.relation = "b";
+    atom.terms = {rel::Term::Var("X")};
+    req.query.atoms = {atom};
+    req.query.head_vars = {safe ? "X" : "Z"};  // Z is bound by no atom.
+    return req;
+  };
+  // Answers B sends in one update after the injected requests; every line
+  // logged meanwhile counts as a warning.
+  auto run = [&](bool subscribe_first, size_t* warnings) {
+    net::SimRuntime rt;
+    Session session(*system, &rt);
+    EXPECT_TRUE(session.RunDiscovery().ok());
+    ScopedLogCapture capture;
+    UpdateEngine& engine = session.peer(b).update();
+    if (subscribe_first) engine.OnQueryRequest(a, request(true));
+    engine.OnQueryRequest(a, request(false));
+    const uint64_t before = engine.stats().answers_sent;
+    EXPECT_TRUE(session.RunUpdate().ok());
+    EXPECT_TRUE(session.AllClosed());
+    ExpectMatchesGlobalFixpoint(*system, &session);
+    *warnings = capture.lines().size();
+    return engine.stats().answers_sent - before;
+  };
+  size_t warnings = 0;
+  const uint64_t plain = run(false, &warnings);
+  EXPECT_EQ(warnings, 1u);
+  EXPECT_EQ(run(true, &warnings), plain);
+  EXPECT_EQ(warnings, 1u);
 }
 
 TEST(UpdateTest, TokenRingClosesLargerCycle) {
