@@ -56,7 +56,7 @@ Result<AcyclicPullResult> RunAcyclicPull(
         wire::QueryAnswer ans;
         ans.rule_id = rule->id;
         ans.part = static_cast<uint32_t>(p);
-        ans.tuples = *answer;
+        ans.tuples.assign(answer->begin(), answer->end());
         result.messages += 2;
         result.bytes += req.Encode().size() + ans.Encode().size() + 26;
 

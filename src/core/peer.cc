@@ -335,7 +335,9 @@ void Peer::DispatchMessage(const net::Message& msg) {
     }
     case net::MessageType::kQueryAnswer: {
       auto payload = wire::QueryAnswer::Decode(msg.payload);
-      if (payload.ok()) update_->OnQueryAnswer(msg.from, *payload);
+      if (payload.ok()) {
+        update_->OnQueryAnswer(msg.from, payload.MoveValue());
+      }
       break;
     }
     case net::MessageType::kUnsubscribe: {

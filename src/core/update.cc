@@ -90,8 +90,6 @@ UpdateEngine::RuleRuntime* UpdateEngine::EnsureRuleRuntime(
     for (std::string& v : rule.PartExportVars(p)) {
       atom.terms.push_back(rel::Term::Var(std::move(v)));
     }
-    rr.part_answers.push_back(
-        std::make_unique<rel::TupleLog>(atom.terms.size()));
     rr.join.atoms.push_back(std::move(atom));
   }
   rr.join.builtins = rule.cross_builtins;
@@ -107,6 +105,16 @@ UpdateEngine::RuleRuntime* UpdateEngine::EnsureRuleRuntime(
   }
   if (!rr.join_plans.empty()) {
     rr.head = rel::RuleHead(rule.head_atoms, rr.join_plans[0].slots());
+  }
+  // The join plans are a part log's only readers besides its seed scans, so
+  // it indexes exactly the columns they look up.
+  for (const rel::Atom& atom : rr.join.atoms) {
+    std::vector<size_t> columns;
+    for (const rel::QueryPlan& plan : rr.join_plans) {
+      for (size_t c : plan.LookupColumns(atom.relation)) columns.push_back(c);
+    }
+    rr.part_answers.push_back(std::make_unique<rel::TupleLog>(
+        atom.terms.size(), std::move(columns)));
   }
   return &rr;
 }
@@ -160,43 +168,57 @@ void UpdateEngine::OnQueryRequest(NodeId from, const wire::QueryRequest& msg) {
   sub->rule_id = msg.rule_id;
   sub->part = msg.part;
   sub->plans = std::move(plans);
-  sub->last_sent.clear();
-  sub->announced_closed = false;
+  sub->last_sent = std::make_unique<rel::TupleLog>(
+      msg.query.head_vars.size(), std::vector<size_t>{});
 
+  // The initial answer is the delta from the empty set: every answer, in the
+  // order evaluation finds it.
+  rel::TupleLog& sent = *sub->last_sent;
+  std::vector<rel::Value> binding;
+  full->Run(peer_->db(), &binding, [&](const std::vector<rel::Value>& b) {
+    sent.Append(full->Project(b));
+    return true;
+  });
   wire::QueryAnswer ans;
   ans.session = msg.session;
   ans.rule_id = msg.rule_id;
   ans.part = msg.part;
-  ans.is_delta = true;  // Initial answer: delta from the empty set.
+  ans.is_delta = true;
   ans.source_closed = state_ == State::kClosed;
-  ans.tuples = rel::EvaluateQuery(peer_->db(), *full);
   CountIntraSccSend(from);
   ++stats_.answers_sent;
-  peer_->Send(from, net::MessageType::kQueryAnswer, ans.Encode());
-  sub->last_sent.insert(ans.tuples.begin(), ans.tuples.end());
+  peer_->Send(from, net::MessageType::kQueryAnswer,
+              ans.EncodeFromLog(rel::LogView(&sent, sent.size()), 0));
   sub->announced_closed = ans.source_closed;
 }
 
-void UpdateEngine::OnQueryAnswer(NodeId from, const wire::QueryAnswer& msg) {
+void UpdateEngine::OnQueryAnswer(NodeId from, wire::QueryAnswer msg) {
   CountIntraSccRecv(from);
   auto it = rule_runtimes_.find(msg.rule_id);
   if (it == rule_runtimes_.end()) return;  // Rule deleted meanwhile.
   RuleRuntime& rr = it->second;
   if (msg.part >= rr.part_answers.size()) return;
 
+  // A malformed answer is rejected whole: nothing is appended and the part's
+  // closed flag stays as it was. It was still received, as counted above.
+  rel::TupleLog& answers = *rr.part_answers[msg.part];
+  for (const rel::Tuple& t : msg.tuples) {
+    if (t.arity() != answers.arity()) {
+      P2PDB_LOG(kWarn) << "node " << peer_->id() << " drops an answer from "
+                       << from << " for rule " << msg.rule_id << " part "
+                       << msg.part << ": a tuple has arity " << t.arity()
+                       << ", want " << answers.arity();
+      return;
+    }
+  }
   // Monotone union: with deltas only new tuples travel; with full answers the
   // log drops the repeats. The rule's domain relation (if any) translates
   // foreign constants into this node's vocabulary first. Only genuinely new
   // tuples, the entries appended here, feed the semi-naive join below.
-  rel::TupleLog& answers = *rr.part_answers[msg.part];
   const size_t first_new = answers.size();
-  for (const rel::Tuple& t : msg.tuples) {
-    if (t.arity() != answers.arity()) continue;  // Malformed answer; skip.
-    if (rr.rule.domain_map.empty()) {
-      answers.Append(t);
-    } else {
-      answers.Append(rr.rule.domain_map.ApplyToTuple(t));
-    }
+  for (rel::Tuple& t : msg.tuples) {
+    if (!rr.rule.domain_map.empty()) t = rr.rule.domain_map.ApplyToTuple(t);
+    answers.Append(std::move(t));
   }
   bool part_was_closed = rr.part_closed[msg.part];
   rr.part_closed[msg.part] = msg.source_closed;
@@ -301,7 +323,10 @@ void UpdateEngine::NotifySubscribers() {
     bool flag_changed = closed != sub.announced_closed;
     // Semi-naive: new answers of the subscription query are exactly those
     // using at least one entry past its relation's mark in at least one atom.
-    std::set<rel::Tuple> delta;
+    // The ones not shipped before are appended to last_sent, in the order
+    // evaluation finds them.
+    rel::TupleLog& sent = *sub.last_sent;
+    const size_t first_new = sent.size();
     for (const rel::QueryPlan& plan : sub.plans) {
       auto mark = marks.find(plan.seed_relation());
       if (mark == marks.end()) continue;
@@ -309,14 +334,11 @@ void UpdateEngine::NotifySubscribers() {
       if (mark->second >= log.size()) continue;
       plan.RunSeeded(db, log, mark->second, &binding,
                      [&](const std::vector<rel::Value>& b) {
-                       rel::Tuple t = plan.Project(b);
-                       if (sub.last_sent.insert(t).second) {
-                         delta.insert(std::move(t));
-                       }
+                       sent.Append(plan.Project(b));
                        return true;
                      });
     }
-    if (delta.empty() && !flag_changed) continue;
+    if (sent.size() == first_new && !flag_changed) continue;
     wire::QueryAnswer ans;
     ans.session = session_;
     ans.rule_id = sub.rule_id;
@@ -325,13 +347,11 @@ void UpdateEngine::NotifySubscribers() {
     ans.source_closed = closed;
     // Full mode retransmits the whole accumulated result (the paper's
     // baseline behaviour); delta mode ships only the new tuples.
-    ans.tuples = options_.delta_answers
-                     ? std::move(delta)
-                     : std::set<rel::Tuple>(sub.last_sent.begin(),
-                                            sub.last_sent.end());
     CountIntraSccSend(sub.subscriber);
     ++stats_.answers_sent;
-    peer_->Send(sub.subscriber, net::MessageType::kQueryAnswer, ans.Encode());
+    peer_->Send(sub.subscriber, net::MessageType::kQueryAnswer,
+                ans.EncodeFromLog(rel::LogView(&sent, sent.size()),
+                                  options_.delta_answers ? first_new : 0));
     sub.announced_closed = closed;
   }
 }

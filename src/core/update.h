@@ -9,12 +9,18 @@
 // labeled nulls for existential head variables; any change ripples to its own
 // subscribers. Data thus iterates around dependency cycles until fix-point.
 //
-// Semi-naive feed: everything the engine joins or re-evaluates is a range of
-// an append-only log (src/relational/tuple_log.h). A rule part's answers
-// accumulate in a log of their own, and a join seeds from the entries the
-// latest answer appended. Subscribers are notified from a per-relation
-// watermark: the first entry of each local log they have not been evaluated
-// against. Nothing is copied into a separate delta set.
+// Semi-naive feed: everything the engine joins, re-evaluates or ships is a
+// range of an append-only log (src/relational/tuple_log.h), and answers
+// travel in log order. A rule part's answers accumulate in a log of their
+// own: the head decodes an answer whole, then moves its tuples into that log
+// in the order they arrived, and a join seeds from the entries they
+// appended. The part log indexes exactly the columns the rule's join plans
+// look up. Subscribers are notified from a per-relation watermark: the first
+// entry of each local log they have not been evaluated against. Each
+// subscription keeps what it has shipped in a log of its own, indexing no
+// column; evaluation appends the projected answers to it, and the message
+// is encoded straight from the entries just appended (from the whole log in
+// full-answer mode). No answer passes through a sorted or hashed set.
 //
 // Compiled plans: every query the engine runs more than once is compiled
 // once into a slot-indexed plan (src/relational/eval.h) where it is kept. A
@@ -50,7 +56,6 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "src/core/system.h"
@@ -98,7 +103,8 @@ class UpdateEngine {
 
   void OnUpdateStart(NodeId from, const wire::UpdateStart& msg);
   void OnQueryRequest(NodeId from, const wire::QueryRequest& msg);
-  void OnQueryAnswer(NodeId from, const wire::QueryAnswer& msg);
+  /// Moves the answer's tuples into the rule part's log.
+  void OnQueryAnswer(NodeId from, wire::QueryAnswer msg);
   void OnUnsubscribe(NodeId from, const wire::Unsubscribe& msg);
   void OnPartialUpdate(NodeId from, const wire::PartialUpdate& msg);
   void OnToken(NodeId from, const wire::Token& msg);
@@ -122,7 +128,8 @@ class UpdateEngine {
   struct RuleRuntime : rel::ReadView {
     CoordinationRule rule;
     /// Per body part, every answer received so far, in arrival order (one
-    /// log each; its arity is the part's export arity).
+    /// log each; its arity is the part's export arity). Each log indexes the
+    /// columns the join plans look up in it, and no other.
     std::vector<std::unique_ptr<rel::TupleLog>> part_answers;
     std::vector<bool> part_closed;
     /// The natural join of the parts on their exported variables, plus the
@@ -144,8 +151,9 @@ class UpdateEngine {
     uint32_t part = 0;
     /// The subscription query seeded at each of its atoms, in atom order.
     std::vector<rel::QueryPlan> plans;
-    /// Answers already shipped; only ever asked for membership.
-    std::unordered_set<rel::Tuple> last_sent;
+    /// Answers already shipped, in the order they were shipped. Only scanned
+    /// and asked for membership, so it indexes no column.
+    std::unique_ptr<rel::TupleLog> last_sent;
     bool announced_closed = false;
   };
 

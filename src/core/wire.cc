@@ -8,7 +8,7 @@ namespace {
 
 // Small helpers to keep payload Encode/Decode bodies uniform.
 
-std::vector<uint8_t> Finish(const Writer& w) { return w.bytes(); }
+std::vector<uint8_t> Finish(Writer& w) { return w.TakeBytes(); }
 
 #define WIRE_TRY(lhs, expr)          \
   auto lhs##_res = (expr);           \
@@ -274,14 +274,28 @@ Result<QueryRequest> QueryRequest::Decode(ByteView bytes) {
   return out;
 }
 
+namespace {
+void EncodeAnswerHeader(const QueryAnswer& answer, Writer* w) {
+  w->PutU64(answer.session);
+  w->PutString(answer.rule_id);
+  w->PutU32(answer.part);
+  w->PutU8(answer.is_delta ? 1 : 0);
+  w->PutU8(answer.source_closed ? 1 : 0);
+}
+}  // namespace
+
 std::vector<uint8_t> QueryAnswer::Encode() const {
   Writer w;
-  w.PutU64(session);
-  w.PutString(rule_id);
-  w.PutU32(part);
-  w.PutU8(is_delta ? 1 : 0);
-  w.PutU8(source_closed ? 1 : 0);
-  EncodeTupleSet(tuples, &w);
+  EncodeAnswerHeader(*this, &w);
+  EncodeTupleList(tuples, &w);
+  return Finish(w);
+}
+
+std::vector<uint8_t> QueryAnswer::EncodeFromLog(const rel::LogView& log,
+                                                size_t from) const {
+  Writer w;
+  EncodeAnswerHeader(*this, &w);
+  rel::EncodeTupleRange(log, from, &w);
   return Finish(w);
 }
 
@@ -298,7 +312,7 @@ Result<QueryAnswer> QueryAnswer::Decode(ByteView bytes) {
   out.is_delta = is_delta != 0;
   WIRE_TRY(closed, r.GetU8());
   out.source_closed = closed != 0;
-  WIRE_TRY(tuples, DecodeTupleSet(&r));
+  WIRE_TRY(tuples, DecodeTupleList(&r));
   out.tuples = std::move(tuples);
   P2PDB_RETURN_IF_ERROR(r.ExpectEnd());
   return out;

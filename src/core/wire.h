@@ -24,9 +24,11 @@ namespace p2pdb::core::wire {
 // Value/tuple codecs live in relational/codec.h (shared with snapshots);
 // re-exported here for wire users.
 using rel::DecodeTuple;
+using rel::DecodeTupleList;
 using rel::DecodeTupleSet;
 using rel::DecodeValue;
 using rel::EncodeTuple;
+using rel::EncodeTupleList;
 using rel::EncodeTupleSet;
 using rel::EncodeValue;
 
@@ -110,9 +112,16 @@ struct QueryAnswer {
   uint32_t part = 0;
   bool is_delta = true;
   bool source_closed = false;
-  std::set<rel::Tuple> tuples;
+  /// In the sender's log order. A sender never repeats a tuple within one
+  /// answer, but the decoder does not rely on it.
+  std::vector<rel::Tuple> tuples;
 
   std::vector<uint8_t> Encode() const;
+  /// The bytes Encode() writes when `tuples` holds entries [from,
+  /// log.size()) of `log`, written straight from the log; `tuples` itself
+  /// is not read.
+  std::vector<uint8_t> EncodeFromLog(const rel::LogView& log,
+                                     size_t from) const;
   static Result<QueryAnswer> Decode(ByteView bytes);
 };
 

@@ -61,20 +61,34 @@ Result<Tuple> DecodeTuple(Reader* r) {
   return Tuple(std::move(values));
 }
 
-namespace {
-template <typename Tuples>
-void EncodeTuples(const Tuples& tuples, Writer* w) {
+void EncodeTupleSet(const std::set<Tuple>& tuples, Writer* w) {
   w->PutVarint(tuples.size());
   for (const Tuple& t : tuples) EncodeTuple(t, w);
 }
-}  // namespace
 
-void EncodeTupleSet(const std::set<Tuple>& tuples, Writer* w) {
-  EncodeTuples(tuples, w);
+void EncodeTupleList(const std::vector<Tuple>& tuples, Writer* w) {
+  w->PutVarint(tuples.size());
+  for (const Tuple& t : tuples) EncodeTuple(t, w);
 }
 
-void EncodeTupleSet(const std::vector<Tuple>& sorted, Writer* w) {
-  EncodeTuples(sorted, w);
+void EncodeTupleRange(const LogView& log, size_t from, Writer* w) {
+  w->PutVarint(log.size() - from);
+  for (size_t i = from; i < log.size(); ++i) EncodeTuple(log.at(i), w);
+}
+
+Result<std::vector<Tuple>> DecodeTupleList(Reader* r) {
+  auto n = r->GetVarint();
+  if (!n.ok()) return n.status();
+  // Every tuple takes at least one byte (its arity).
+  if (*n > r->remaining()) return Status::ParseError("tuple count past end");
+  std::vector<Tuple> out;
+  out.reserve(*n);
+  for (uint64_t i = 0; i < *n; ++i) {
+    auto t = DecodeTuple(r);
+    if (!t.ok()) return t.status();
+    out.push_back(t.MoveValue());
+  }
+  return out;
 }
 
 Result<std::set<Tuple>> DecodeTupleSet(Reader* r) {

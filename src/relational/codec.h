@@ -1,5 +1,11 @@
 // Binary codecs for values and tuples, shared by the wire format (core/wire)
 // and database snapshots (relational/snapshot).
+//
+// A tuple sequence is encoded as a count and then the tuples. Snapshots,
+// checkpoints and WAL deltas write sorted tuple sets, so their bytes do not
+// depend on arrival order. Subscription answers travel as tuple lists in the
+// sender's log order: encoded straight from a log range, decoded into a
+// vector whose tuples the receiver moves into its own log.
 #ifndef P2PDB_RELATIONAL_CODEC_H_
 #define P2PDB_RELATIONAL_CODEC_H_
 
@@ -7,6 +13,7 @@
 #include <vector>
 
 #include "src/relational/tuple.h"
+#include "src/relational/tuple_log.h"
 #include "src/util/serde.h"
 #include "src/util/status.h"
 
@@ -18,11 +25,20 @@ Result<Value> DecodeValue(Reader* r);
 void EncodeTuple(const Tuple& t, Writer* w);
 Result<Tuple> DecodeTuple(Reader* r);
 
-/// A count, then the tuples in the given order. Callers pass sorted,
-/// duplicate-free tuples, so equal sets encode to equal bytes.
+/// A count, then the tuples in sorted order, so equal sets encode to equal
+/// bytes. EncodeTupleList of a sorted, duplicate-free vector writes the
+/// same bytes.
 void EncodeTupleSet(const std::set<Tuple>& tuples, Writer* w);
-void EncodeTupleSet(const std::vector<Tuple>& sorted, Writer* w);
 Result<std::set<Tuple>> DecodeTupleSet(Reader* r);
+
+/// A count, then the tuples in the given order, repeats included.
+void EncodeTupleList(const std::vector<Tuple>& tuples, Writer* w);
+/// EncodeTupleList of entries [from, log.size()) of `log`, without copying
+/// them into a vector first.
+void EncodeTupleRange(const LogView& log, size_t from, Writer* w);
+/// The whole list or an error. A count larger than the bytes left cannot be
+/// genuine and is rejected before anything is sized by it.
+Result<std::vector<Tuple>> DecodeTupleList(Reader* r);
 
 }  // namespace p2pdb::rel
 

@@ -138,6 +138,17 @@ Result<QueryPlan> QueryPlan::Build(const ConjunctiveQuery& query,
   return plan;
 }
 
+std::vector<size_t> QueryPlan::LookupColumns(
+    const std::string& relation) const {
+  std::vector<size_t> columns;
+  for (const Step& step : steps_) {
+    if (step.relation == relation && step.lookup != kScan) {
+      columns.push_back(step.lookup);
+    }
+  }
+  return columns;
+}
+
 Tuple QueryPlan::Project(const std::vector<Value>& binding) const {
   std::vector<Value> row;
   row.reserve(head_.size());
@@ -239,21 +250,17 @@ bool QueryPlan::RunSeeded(const ReadView& db, LogView seed, size_t from,
   return true;
 }
 
-std::set<Tuple> EvaluateQuery(const ReadView& db, const QueryPlan& plan) {
-  std::set<Tuple> out;
-  std::vector<Value> binding;
-  plan.Run(db, &binding, [&](const std::vector<Value>& b) {
-    out.insert(plan.Project(b));
-    return true;
-  });
-  return out;
-}
-
 Result<std::set<Tuple>> EvaluateQuery(const ReadView& db,
                                       const ConjunctiveQuery& query) {
   auto plan = QueryPlan::Compile(query);
   if (!plan.ok()) return plan.status();
-  return EvaluateQuery(db, *plan);
+  std::set<Tuple> out;
+  std::vector<Value> binding;
+  plan->Run(db, &binding, [&](const std::vector<Value>& b) {
+    out.insert(plan->Project(b));
+    return true;
+  });
+  return out;
 }
 
 }  // namespace p2pdb::rel

@@ -64,6 +64,11 @@ class QueryPlan {
   /// The seed atom's relation; empty for a plan compiled without one.
   const std::string& seed_relation() const { return seed_.relation; }
 
+  /// The columns of `relation` this plan's steps look up, in step order (the
+  /// seed atom is scanned, not looked up). A log read only by compiled plans
+  /// needs indexes on these columns alone.
+  std::vector<size_t> LookupColumns(const std::string& relation) const;
+
   /// The query's answer tuple for a complete binding: its head variables.
   Tuple Project(const std::vector<Value>& binding) const;
 
@@ -141,11 +146,8 @@ class QueryPlan {
   std::vector<Step> steps_;
 };
 
-/// The answers of a plan compiled without a seed atom, projected onto its
-/// head variables, as a sorted, duplicate-free set (set semantics).
-std::set<Tuple> EvaluateQuery(const ReadView& db, const QueryPlan& plan);
-
-/// Compiles `query` and returns its answers (the ad-hoc read path).
+/// Compiles `query` and returns its answers, projected onto its head
+/// variables, as a sorted, duplicate-free set (the ad-hoc read path).
 Result<std::set<Tuple>> EvaluateQuery(const ReadView& db,
                                       const ConjunctiveQuery& query);
 

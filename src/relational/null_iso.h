@@ -15,8 +15,10 @@ namespace p2pdb::rel {
 /// case; intended for test-sized instances.
 bool DatabasesIsomorphic(const Database& a, const Database& b);
 
-/// Weaker, cheap check used by large property tests: the null-free (certain)
-/// tuples agree exactly, and per relation the tuple counts agree.
+/// Weaker, cheap check used by large property tests: both databases have the
+/// same relations, and in each the null-free (certain) tuples agree exactly.
+/// Null-carrying tuples are not compared, not even by count: under
+/// kHomomorphismCheck how many a run keeps depends on arrival order.
 bool DatabasesCertainEqual(const Database& a, const Database& b);
 
 /// True if every tuple of `sub` appears in `sup` after some (not necessarily

@@ -21,7 +21,7 @@ std::vector<uint8_t> SerializeDatabase(const Database& db) {
     const RelationSchema& schema = relation.schema();
     w.PutVarint(schema.arity());
     for (const std::string& attr : schema.attributes()) w.PutString(attr);
-    EncodeTupleSet(relation.SortedTuples(), &w);
+    EncodeTupleList(relation.SortedTuples(), &w);  // A sorted set's bytes.
   }
   return w.bytes();
 }

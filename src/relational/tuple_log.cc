@@ -1,6 +1,9 @@
 #include "src/relational/tuple_log.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cstdlib>
+#include <numeric>
 
 namespace p2pdb::rel {
 
@@ -30,9 +33,9 @@ size_t EntryOf(uint64_t slot) { return (slot & 0xffffffffu) - 1; }
 
 }  // namespace
 
-TupleLog::Chunk::Chunk(size_t slots, size_t arity)
+TupleLog::Chunk::Chunk(size_t slots, size_t indexed)
     : tuples(std::make_unique<Tuple[]>(slots)),
-      links(std::make_unique<std::atomic<uint32_t>[]>(slots * arity)) {}
+      links(std::make_unique<std::atomic<uint32_t>[]>(slots * indexed)) {}
 
 TupleLog::Table::Table(size_t capacity, bool with_tails)
     : mask(capacity - 1),
@@ -41,9 +44,26 @@ TupleLog::Table::Table(size_t capacity, bool with_tails)
 }
 
 TupleLog::TupleLog(size_t arity)
+    : TupleLog(arity, [arity] {
+        std::vector<size_t> all(arity);
+        std::iota(all.begin(), all.end(), size_t{0});
+        return all;
+      }()) {}
+
+TupleLog::TupleLog(size_t arity, std::vector<size_t> columns)
     : arity_(arity),
-      columns_(std::make_unique<std::atomic<Table*>[]>(arity)),
-      column_keys_(arity, 0) {}
+      indexed_(std::move(columns)),
+      position_(arity, kUnindexed) {
+  std::sort(indexed_.begin(), indexed_.end());
+  indexed_.erase(std::unique(indexed_.begin(), indexed_.end()),
+                 indexed_.end());
+  for (size_t i = 0; i < indexed_.size(); ++i) {
+    assert(indexed_[i] < arity_);
+    position_[indexed_[i]] = static_cast<uint32_t>(i);
+  }
+  columns_ = std::make_unique<std::atomic<Table*>[]>(indexed_.size());
+  column_keys_.assign(indexed_.size(), 0);
+}
 
 TupleLog::~TupleLog() {
   for (auto& chunk : chunks_) delete chunk.load(std::memory_order_relaxed);
@@ -58,12 +78,15 @@ bool TupleLog::Append(Tuple tuple) {
   const Slot s = Locate(n);
   Chunk* chunk = chunks_[s.chunk].load(std::memory_order_relaxed);
   if (chunk == nullptr) {
-    chunk = new Chunk(size_t{1} << (kFirstChunkLog2 + s.chunk), arity_);
+    chunk = new Chunk(size_t{1} << (kFirstChunkLog2 + s.chunk),
+                      indexed_.size());
     chunks_[s.chunk].store(chunk, std::memory_order_release);
   }
   chunk->tuples[s.offset] = std::move(tuple);
 
-  for (size_t column = 0; column < arity_; ++column) IndexColumn(column, n);
+  for (size_t position = 0; position < indexed_.size(); ++position) {
+    IndexColumn(position, n);
+  }
 
   Table* members = Reserve(&members_, n + 1, /*with_tails=*/false);
   size_t pos = tag & members->mask;
@@ -75,24 +98,25 @@ bool TupleLog::Append(Tuple tuple) {
   return true;
 }
 
-void TupleLog::IndexColumn(size_t column, size_t entry) {
+void TupleLog::IndexColumn(size_t position, size_t entry) {
+  const size_t column = indexed_[position];
   const Value& key = at(entry).at(column);
   const uint32_t tag = Tag(key.Hash());
-  Table* table = columns_[column].load(std::memory_order_relaxed);
+  Table* table = columns_[position].load(std::memory_order_relaxed);
   if (table != nullptr) {
     for (size_t pos = tag & table->mask;; pos = (pos + 1) & table->mask) {
       const uint64_t slot = table->slots[pos].load(std::memory_order_relaxed);
       if (slot == 0) break;
       if (TagOf(slot) == tag && at(EntryOf(slot)).at(column) == key) {
         // Known value: chain the entry behind the newest one holding it.
-        Link(table->tails[pos], column)
+        Link(table->tails[pos], position)
             .store(static_cast<uint32_t>(entry + 1), std::memory_order_release);
         table->tails[pos] = static_cast<uint32_t>(entry);
         return;
       }
     }
   }
-  table = Reserve(&columns_[column], ++column_keys_[column],
+  table = Reserve(&columns_[position], ++column_keys_[position],
                   /*with_tails=*/true);
   size_t pos = tag & table->mask;
   while (table->slots[pos].load(std::memory_order_relaxed) != 0) {
@@ -147,7 +171,9 @@ bool TupleLog::Find(const Tuple& tuple, uint32_t tag, size_t watermark) const {
 
 size_t TupleLog::First(size_t column, const Value& key,
                        size_t watermark) const {
-  const Table* table = columns_[column].load(std::memory_order_acquire);
+  assert(indexed(column));
+  const Table* table =
+      columns_[position_[column]].load(std::memory_order_acquire);
   if (table == nullptr || watermark == 0) return kNone;
   const uint32_t tag = Tag(key.Hash());
   for (size_t pos = tag & table->mask;; pos = (pos + 1) & table->mask) {

@@ -7,12 +7,17 @@
 // Layout:
 //  * Storage: entries live in chunks of 8, 16, 32, ... slots, so an entry
 //    never moves once written and the chunk directory is a fixed array.
-//  * Membership: an open-addressing hash set of entry numbers.
-//  * Per-column index: one open-addressing table per column mapping a value
-//    to the oldest entry holding it there, plus one `next` link per entry and
-//    column to the next newer entry with the same value in that column. A
-//    lookup walks the chain from old to new and stops at the first link at or
-//    above the reader's watermark, so it never touches a newer entry.
+//  * Membership: an open-addressing hash set of entry numbers, always kept.
+//  * Column index, only for the columns the log is given at construction:
+//    one open-addressing table per indexed column mapping a value to the
+//    oldest entry holding it there, plus one `next` link per entry and
+//    indexed column to the next newer entry with the same value in that
+//    column. A lookup walks the chain from old to new and stops at the first
+//    link at or above the reader's watermark, so it never touches a newer
+//    entry. A relation indexes every column, since ad-hoc reads may look any
+//    of them up; a log whose readers are all compiled plans indexes exactly
+//    the columns those plans look up, and a log that is only scanned and
+//    asked for membership indexes none.
 //
 // Concurrency contract (one writer, any number of readers):
 //  * Only the peer's serialized writer appends.
@@ -46,13 +51,20 @@ class TupleLog {
   /// Entry number returned by lookups when nothing (more) matches.
   static constexpr size_t kNone = SIZE_MAX;
 
+  /// Indexes every column.
   explicit TupleLog(size_t arity);
+  /// Indexes only `columns` (each below `arity`; repeats are ignored):
+  /// First() and Next() may be asked about those columns alone.
+  TupleLog(size_t arity, std::vector<size_t> columns);
   ~TupleLog();
 
   TupleLog(const TupleLog&) = delete;
   TupleLog& operator=(const TupleLog&) = delete;
 
   size_t arity() const { return arity_; }
+
+  /// Whether `column` has an index, i.e. may be passed to First()/Next().
+  bool indexed(size_t column) const { return position_[column] != kUnindexed; }
 
   /// Entries appended so far. Exact on the writer thread; readers use the
   /// watermark they were handed instead.
@@ -71,14 +83,15 @@ class TupleLog {
   /// True iff an entry equal to `tuple` lies below `watermark`.
   bool Contains(const Tuple& tuple, size_t watermark) const;
 
-  /// The oldest entry below `watermark` whose value at `column` (< arity)
+  /// The oldest entry below `watermark` whose value at the indexed `column`
   /// equals `key`, or kNone.
   size_t First(size_t column, const Value& key, size_t watermark) const;
 
-  /// The next newer entry after `entry` with the same value at `column`,
-  /// if it lies below `watermark`; else kNone.
+  /// The next newer entry after `entry` with the same value at the indexed
+  /// `column`, if it lies below `watermark`; else kNone.
   size_t Next(size_t column, size_t entry, size_t watermark) const {
-    const uint32_t next = Link(entry, column).load(std::memory_order_acquire);
+    const uint32_t next =
+        Link(entry, position_[column]).load(std::memory_order_acquire);
     return next == 0 || next - 1 >= watermark ? kNone : next - 1;
   }
 
@@ -86,11 +99,13 @@ class TupleLog {
   static constexpr size_t kFirstChunkLog2 = 3;
   // Entry numbers are 32-bit; 29 doubling chunks from 8 cover all of them.
   static constexpr size_t kMaxChunks = 29;
+  static constexpr uint32_t kUnindexed = UINT32_MAX;
 
   struct Chunk {
-    Chunk(size_t slots, size_t arity);
+    Chunk(size_t slots, size_t indexed);
     std::unique_ptr<Tuple[]> tuples;
-    // links[slot * arity + column]: next newer entry + 1, or 0 for none.
+    // links[slot * indexed + position]: for the column at that position of
+    // `indexed_`, the next newer entry + 1, or 0 for none.
     std::unique_ptr<std::atomic<uint32_t>[]> links;
   };
 
@@ -114,11 +129,11 @@ class TupleLog {
     return {chunk, i - (((size_t{1} << chunk) - 1) << kFirstChunkLog2)};
   }
 
-  std::atomic<uint32_t>& Link(size_t entry, size_t column) const {
+  std::atomic<uint32_t>& Link(size_t entry, size_t position) const {
     const Slot s = Locate(entry);
     return chunks_[s.chunk]
         .load(std::memory_order_acquire)
-        ->links[s.offset * arity_ + column];
+        ->links[s.offset * indexed_.size() + position];
   }
 
   /// Contains() for a tuple whose hash tag is already known.
@@ -127,15 +142,18 @@ class TupleLog {
   /// holding `keys` keys would pass half load, and returns the table to
   /// insert into.
   Table* Reserve(std::atomic<Table*>* table, size_t keys, bool with_tails);
-  void IndexColumn(size_t column, size_t entry);
+  void IndexColumn(size_t position, size_t entry);
 
   const size_t arity_;
+  std::vector<size_t> indexed_;     // Indexed columns, ascending.
+  std::vector<uint32_t> position_;  // Per column: its place in indexed_.
   std::atomic<size_t> size_{0};
   std::atomic<Chunk*> chunks_[kMaxChunks] = {};
   std::atomic<Table*> members_{nullptr};
+  // One table per indexed column, in indexed_ order.
   std::unique_ptr<std::atomic<Table*>[]> columns_;
   // Writer-only bookkeeping.
-  std::vector<size_t> column_keys_;              // Distinct keys per column.
+  std::vector<size_t> column_keys_;  // Distinct keys per indexed column.
   std::vector<std::unique_ptr<Table>> tables_;  // Every table ever built.
 };
 

@@ -241,6 +241,31 @@ TEST(EvalTest, SlotsFollowFirstAppearanceWhateverTheSeed) {
   EXPECT_EQ(full->Project({S("a"), S("b"), S("c")}), Tuple({S("c"), S("a")}));
 }
 
+// A seeded plan scans its seed atom and looks each later step up on its
+// first bound position; LookupColumns lists exactly those columns.
+TEST(EvalTest, LookupColumnsNameTheColumnsStepsProbe) {
+  Atom left;
+  left.relation = "$0";
+  left.terms = {Term::Var("K"), Term::Var("V")};
+  Atom right;
+  right.relation = "$1";
+  right.terms = {Term::Var("V"), Term::Var("K"), Term::Var("W")};
+  ConjunctiveQuery q;
+  q.atoms = {left, right};
+  auto seed_left = QueryPlan::Compile(q, 0);
+  auto seed_right = QueryPlan::Compile(q, 1);
+  auto unseeded = QueryPlan::Compile(q);
+  ASSERT_TRUE(seed_left.ok() && seed_right.ok() && unseeded.ok());
+  EXPECT_TRUE(seed_left->LookupColumns("$0").empty());
+  EXPECT_EQ(seed_left->LookupColumns("$1"), std::vector<size_t>{0});
+  EXPECT_EQ(seed_right->LookupColumns("$0"), std::vector<size_t>{0});
+  EXPECT_TRUE(seed_right->LookupColumns("$1").empty());
+  // Unseeded: the first step scans $0, the second looks $1 up on V.
+  EXPECT_TRUE(unseeded->LookupColumns("$0").empty());
+  EXPECT_EQ(unseeded->LookupColumns("$1"), std::vector<size_t>{0});
+  EXPECT_TRUE(unseeded->LookupColumns("edge").empty());
+}
+
 TEST(EvalTest, PreBoundVariablesTakeTheFirstSlots) {
   Database db = EdgeDb();
   ConjunctiveQuery q;

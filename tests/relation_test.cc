@@ -107,6 +107,14 @@ TEST(RelationTest, IndexFindsMatches) {
   EXPECT_TRUE(Lookup(r.View(), 0, Value::Int(5)).empty());
 }
 
+TEST(RelationTest, LogIndexesEveryColumn) {
+  Relation r(RelationSchema("t", {"a", "b", "c"}));
+  for (size_t column = 0; column < 3; ++column) {
+    EXPECT_TRUE(r.log()->indexed(column)) << "column " << column;
+  }
+  EXPECT_TRUE(Relation(r).log()->indexed(2));
+}
+
 TEST(RelationTest, IndexFollowsInserts) {
   Relation r(PairSchema());
   (void)r.Insert(Tuple({Value::Int(1), Value::Int(1)}));

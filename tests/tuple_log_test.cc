@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <set>
@@ -39,9 +40,11 @@ Tuple RandomTuple(Rng* rng) {
                                : Value::Null(third)});
 }
 
-TEST(TupleLogTest, MatchesSetReference) {
+/// Fills `log` (arity 3) with random draws and checks it against a std::set
+/// reference: scan order, membership, and lookups on every column it
+/// indexes. The other columns must report no index.
+void ExpectSetParity(TupleLog* log, const std::vector<size_t>& indexed) {
   Rng rng(7);
-  TupleLog log(3);
   std::set<Tuple> reference;
   std::vector<Tuple> order;  // Reference insertion order.
   // 6000 draws cross ten chunk boundaries (8, 24, 56, ...) and grow every
@@ -49,11 +52,11 @@ TEST(TupleLogTest, MatchesSetReference) {
   for (int i = 0; i < 6000; ++i) {
     Tuple t = RandomTuple(&rng);
     const bool added = reference.insert(t).second;
-    EXPECT_EQ(log.Append(t), added);
+    EXPECT_EQ(log->Append(t), added);
     if (added) order.push_back(t);
   }
-  ASSERT_EQ(log.size(), reference.size());
-  const LogView view(&log, log.size());
+  ASSERT_EQ(log->size(), reference.size());
+  const LogView view(log, log->size());
 
   // Scan: exactly the reference, in insertion order.
   for (size_t e = 0; e < view.size(); ++e) EXPECT_EQ(view.at(e), order[e]);
@@ -69,12 +72,32 @@ TEST(TupleLogTest, MatchesSetReference) {
   // Per-column lookup: each key's chain is the reference's tuples with that
   // value, oldest first.
   for (size_t column = 0; column < 3; ++column) {
+    const bool want = std::count(indexed.begin(), indexed.end(), column) > 0;
+    ASSERT_EQ(log->indexed(column), want) << "column " << column;
+    if (!want) continue;
     std::map<Value, std::vector<Tuple>> expected;
     for (const Tuple& t : order) expected[t.at(column)].push_back(t);
     for (const auto& [key, tuples] : expected) {
       EXPECT_EQ(Lookup(view, column, key), tuples) << "column " << column;
     }
     EXPECT_TRUE(Lookup(view, column, Value::Str("absent")).empty());
+  }
+}
+
+TEST(TupleLogTest, MatchesSetReference) {
+  TupleLog log(3);
+  ExpectSetParity(&log, {0, 1, 2});
+}
+
+// A log given a subset of its columns keeps the same entries and membership
+// and answers lookups on those columns alike; repeats in the subset count
+// once.
+TEST(TupleLogTest, ColumnSubsetMatchesSetReference) {
+  for (const std::vector<size_t>& columns :
+       std::vector<std::vector<size_t>>{{}, {2}, {1}, {2, 0, 2}}) {
+    SCOPED_TRACE(::testing::PrintToString(columns));
+    TupleLog log(3, columns);
+    ExpectSetParity(&log, columns);
   }
 }
 

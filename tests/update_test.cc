@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/core/global_fixpoint.h"
 #include "src/core/peer.h"
 #include "src/core/session.h"
@@ -242,7 +244,7 @@ TEST(UpdateTest, InterleavedAnswerBatchesJoinEachBindingOnce) {
     ans.rule_id = rule.id;
     ans.part = part;
     ans.is_delta = true;
-    ans.tuples = tuples;
+    ans.tuples.assign(tuples.begin(), tuples.end());
     head.update().OnQueryAnswer(part, ans);
   };
   for (size_t b = 0; b < 3; ++b) {
@@ -260,6 +262,173 @@ TEST(UpdateTest, InterleavedAnswerBatchesJoinEachBindingOnce) {
   EXPECT_EQ(stats.joins_evaluated, 6u);
   EXPECT_EQ(stats.tuples_inserted, expected);
   EXPECT_EQ(stats.applications_skipped, 0u);
+}
+
+// A body answer holding a tuple of the wrong arity is dropped whole: none of
+// its tuples reach the part log and its closed flag does not close the part,
+// so the head stays open until a well-formed final answer arrives.
+TEST(UpdateTest, MalformedAnswerIsRejectedWhole) {
+  const char* text = R"(
+node A { rel a(x); }
+node B { rel b(x); }
+rule r1: B.b(X) => A.a(X);
+)";
+  auto system = lang::ParseSystem(text);
+  ASSERT_TRUE(system.ok()) << system.status().ToString();
+  const CoordinationRule& rule = system->rules().at(0);
+  net::SimRuntime rt;  // Never run: answers are fed by hand.
+  Peer head(0, "A", system->node(0).db, &rt);
+  ASSERT_TRUE(head.AddInitialRule(rule).ok());
+  head.StartUpdate(1);
+  wire::QueryAnswer ans;
+  ans.session = 1;
+  ans.rule_id = rule.id;
+  ans.part = 0;
+  ans.source_closed = true;
+  ans.tuples = {rel::Tuple({S("v1")}), rel::Tuple({S("v2"), S("extra")})};
+  {
+    ScopedLogCapture capture;
+    head.update().OnQueryAnswer(1, ans);
+    EXPECT_EQ(capture.lines().size(), 1u);
+  }
+  EXPECT_EQ((*head.db().Get("a"))->size(), 0u);
+  EXPECT_EQ(head.update().state(), UpdateEngine::State::kOpen);
+
+  ans.tuples = {rel::Tuple({S("v1")})};
+  head.update().OnQueryAnswer(1, ans);
+  EXPECT_EQ((*head.db().Get("a"))->size(), 1u);
+  EXPECT_EQ(head.update().state(), UpdateEngine::State::kClosed);
+}
+
+/// Stands in for a subscriber node: keeps every answer delivered to it.
+struct AnswerSink : net::PeerHandler {
+  void OnMessage(const net::Message& msg) override {
+    if (msg.type != net::MessageType::kQueryAnswer) return;
+    auto ans = wire::QueryAnswer::Decode(msg.payload);
+    ASSERT_TRUE(ans.ok()) << ans.status().ToString();
+    answers.push_back(ans.MoveValue());
+  }
+  std::vector<wire::QueryAnswer> answers;
+};
+
+std::vector<rel::Tuple> Rows(std::initializer_list<const char*> values) {
+  std::vector<rel::Tuple> rows;
+  for (const char* v : values) rows.push_back(rel::Tuple({S(v)}));
+  return rows;
+}
+
+// B holds b in insertion order v3, v1, v2 and heads rule r. A is an answer
+// sink subscribed to b; C's answer for r (v5, v1, v4) is fed to B by hand,
+// which appends v5 and v4 to b and notifies A. Returns what A received and
+// checks that B appended exactly those two entries.
+std::vector<wire::QueryAnswer> SubscribeAndGrow(bool delta_answers) {
+  const char* text = R"(
+node A { rel a(x); }
+node B { rel b(x); fact b("v3"); fact b("v1"); fact b("v2"); }
+node C { rel c(x); }
+rule r: C.c(X) => B.b(X);
+)";
+  auto system = lang::ParseSystem(text);
+  EXPECT_TRUE(system.ok()) << system.status().ToString();
+  net::SimRuntime rt;
+  AnswerSink sink;
+  rt.RegisterPeer(0, &sink);
+  Peer::Config config;
+  config.update.delta_answers = delta_answers;
+  Peer b(1, "B", system->node(1).db, &rt, config);
+  EXPECT_TRUE(b.AddInitialRule(system->rules().at(0)).ok());
+  b.StartUpdate(1);
+
+  wire::QueryRequest req;
+  req.session = 1;
+  req.rule_id = "watch";
+  rel::Atom atom;
+  atom.relation = "b";
+  atom.terms = {rel::Term::Var("X")};
+  req.query.atoms = {atom};
+  req.query.head_vars = {"X"};
+  b.update().OnQueryRequest(0, req);
+
+  wire::QueryAnswer from_c;
+  from_c.session = 1;
+  from_c.rule_id = "r";
+  from_c.tuples = Rows({"v5", "v1", "v4"});
+  b.update().OnQueryAnswer(2, from_c);
+  EXPECT_TRUE(rt.Run().ok());
+
+  const rel::LogView log = (*b.db().Get("b"))->View();
+  EXPECT_EQ(log.size(), 5u);
+  if (log.size() == 5) {
+    EXPECT_EQ(log.at(3), rel::Tuple({S("v5")}));
+    EXPECT_EQ(log.at(4), rel::Tuple({S("v4")}));
+  }
+  return sink.answers;
+}
+
+TEST(UpdateTest, InitialAnswerListsTuplesInInsertionOrder) {
+  const std::vector<wire::QueryAnswer> answers = SubscribeAndGrow(true);
+  ASSERT_FALSE(answers.empty());
+  EXPECT_TRUE(answers[0].is_delta);
+  EXPECT_EQ(answers[0].tuples, Rows({"v3", "v1", "v2"}));
+}
+
+TEST(UpdateTest, DeltaHoldsNewEntriesInAppendOrder) {
+  const std::vector<wire::QueryAnswer> answers = SubscribeAndGrow(true);
+  ASSERT_EQ(answers.size(), 2u);
+  EXPECT_TRUE(answers[1].is_delta);
+  EXPECT_EQ(answers[1].tuples, Rows({"v5", "v4"}));
+}
+
+TEST(UpdateTest, FullModeShipsWholeSentLogInOrder) {
+  const std::vector<wire::QueryAnswer> answers = SubscribeAndGrow(false);
+  ASSERT_EQ(answers.size(), 2u);
+  EXPECT_EQ(answers[0].tuples, Rows({"v3", "v1", "v2"}));
+  EXPECT_FALSE(answers[1].is_delta);
+  EXPECT_EQ(answers[1].tuples, Rows({"v3", "v1", "v2", "v5", "v4"}));
+}
+
+// Answers arrive in the sender's log order, so the order a head mints nulls
+// in follows it. Two heads fed the same answer tuples in opposite orders
+// name their nulls differently but reach isomorphic instances. The
+// homomorphism check makes that hold with shared join values; the paper's
+// per-atom projection check is order-dependent there by design.
+TEST(UpdateTest, ReversedAnswerOrderReachesIsomorphicInstance) {
+  const char* text = R"(
+node R { rel rec(a, t); }
+node P { rel pub(i, t, y); rel wrote(a, i); }
+rule x: R.rec(A, T) => P.pub(I, T, Y), P.wrote(A, I);
+)";
+  auto system = lang::ParseSystem(text);
+  ASSERT_TRUE(system.ok()) << system.status().ToString();
+  const CoordinationRule& rule = system->rules().at(0);
+  std::vector<rel::Tuple> recs = {
+      rel::Tuple({S("alice"), S("t1")}), rel::Tuple({S("bob"), S("t1")}),
+      rel::Tuple({S("carol"), S("t2")}), rel::Tuple({S("dave"), S("t3")}),
+      rel::Tuple({S("erin"), S("t2")})};
+  auto run = [&](std::vector<rel::Tuple> tuples) {
+    net::SimRuntime rt;  // Never run: answers are fed by hand.
+    Peer::Config config;
+    config.update.chase.policy = rel::ChasePolicy::kHomomorphismCheck;
+    Peer head(1, "P", system->node(1).db, &rt, config);
+    EXPECT_TRUE(head.AddInitialRule(rule).ok());
+    head.StartUpdate(1);
+    wire::QueryAnswer ans;
+    ans.session = 1;
+    ans.rule_id = rule.id;
+    ans.source_closed = true;
+    ans.tuples = std::move(tuples);
+    head.update().OnQueryAnswer(0, ans);
+    EXPECT_EQ(head.update().state(), UpdateEngine::State::kClosed);
+    return head.db();
+  };
+  const rel::Database forward = run(recs);
+  std::reverse(recs.begin(), recs.end());
+  const rel::Database backward = run(recs);
+  EXPECT_EQ((*forward.Get("wrote"))->size(), 5u);
+  EXPECT_FALSE(forward == backward) << "the same nulls were minted";
+  EXPECT_TRUE(rel::DatabasesIsomorphic(forward, backward))
+      << "forward:\n" << forward.ToString() << "\nbackward:\n"
+      << backward.ToString();
 }
 
 // A subscription request whose query cannot be compiled is warned about once

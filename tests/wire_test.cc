@@ -5,6 +5,7 @@
 #include <functional>
 #include <type_traits>
 
+#include "src/relational/tuple_log.h"
 #include "src/workload/scenario.h"
 
 namespace p2pdb::core::wire {
@@ -55,6 +56,65 @@ TEST(WireTest, HostileTupleArityIsRejected) {
   set.PutVarint(uint64_t{1} << 40);
   Reader rs(set.bytes());
   EXPECT_NO_THROW(EXPECT_FALSE(DecodeTupleSet(&rs).ok()));
+}
+
+TEST(WireTest, QueryAnswerKeepsTupleOrderAndRepeats) {
+  QueryAnswer ans;
+  ans.session = 2;
+  ans.rule_id = "r3";
+  ans.part = 1;
+  ans.tuples = {rel::Tuple({I(9), S("z")}), rel::Tuple({I(1), S("a")}),
+                rel::Tuple({I(9), S("z")}), rel::Tuple({rel::Value::Null(4)}),
+                rel::Tuple({I(5), S("m")})};
+  auto back = QueryAnswer::Decode(ans.Encode());
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->tuples, ans.tuples);
+}
+
+TEST(WireTest, QueryAnswerCountPastEndIsRejected) {
+  // A count no remaining bytes could hold fails as a parse error before the
+  // decoder sizes anything by it (a reserve of 2^40 tuples would throw).
+  QueryAnswer header;
+  header.rule_id = "r1";
+  std::vector<uint8_t> bytes = header.Encode();
+  bytes.pop_back();  // The empty list's count.
+  Writer w;
+  w.PutVarint(uint64_t{1} << 40);
+  EncodeTuple(rel::Tuple({I(1)}), &w);
+  bytes.insert(bytes.end(), w.bytes().begin(), w.bytes().end());
+  EXPECT_NO_THROW({
+    auto decoded = QueryAnswer::Decode(bytes);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kParseError);
+  });
+
+  Reader r(w.bytes());
+  EXPECT_NO_THROW({
+    auto list = DecodeTupleList(&r);
+    ASSERT_FALSE(list.ok());
+    EXPECT_EQ(list.status().code(), StatusCode::kParseError);
+  });
+}
+
+TEST(WireTest, LogRangeEncodingMatchesVectorEncoding) {
+  rel::TupleLog log(2, {});
+  for (int i : {7, 3, 11, 3, 5, 0}) log.Append(rel::Tuple({I(i), S("x")}));
+  ASSERT_EQ(log.size(), 5u);  // The repeated 3 is not appended.
+  const rel::LogView view(&log, log.size());
+  QueryAnswer ans;
+  ans.session = 8;
+  ans.rule_id = "r2";
+  ans.part = 3;
+  ans.is_delta = false;
+  ans.source_closed = true;
+  for (size_t from = 0; from <= view.size(); ++from) {
+    SCOPED_TRACE(from);
+    ans.tuples.clear();
+    for (size_t i = from; i < view.size(); ++i) {
+      ans.tuples.push_back(view.at(i));
+    }
+    EXPECT_EQ(ans.EncodeFromLog(view, from), ans.Encode());
+  }
 }
 
 TEST(WireTest, QueryRoundTrip) {
