@@ -76,24 +76,23 @@ BENCHMARK(BM_RuleHeadApply)
     ->Args({0, 1024})
     ->Args({1, 1024});
 
-void BM_WireTupleSetRoundTrip(benchmark::State& state) {
-  std::set<rel::Tuple> tuples;
-  Rng rng(9);
+void BM_WireTupleListRoundTrip(benchmark::State& state) {
+  std::vector<rel::Tuple> tuples;
   for (int64_t i = 0; i < state.range(0); ++i) {
-    tuples.insert(rel::Tuple({rel::Value::Int(i),
-                              rel::Value::Str("title-" + std::to_string(i)),
-                              rel::Value::Int(1990 + (i % 15))}));
+    tuples.push_back(rel::Tuple({rel::Value::Int(i),
+                                 rel::Value::Str("title-" + std::to_string(i)),
+                                 rel::Value::Int(1990 + (i % 15))}));
   }
   for (auto _ : state) {
     Writer w;
-    core::wire::EncodeTupleSet(tuples, &w);
+    core::wire::EncodeTupleList(tuples, &w);
     Reader r(w.bytes());
-    auto back = core::wire::DecodeTupleSet(&r);
+    auto back = core::wire::DecodeTupleList(&r);
     benchmark::DoNotOptimize(back);
   }
   state.SetBytesProcessed(state.iterations() * state.range(0) * 24);
 }
-BENCHMARK(BM_WireTupleSetRoundTrip)->Arg(100)->Arg(1000);
+BENCHMARK(BM_WireTupleListRoundTrip)->Arg(100)->Arg(1000);
 
 void BM_DiscoveryWave(benchmark::State& state) {
   workload::ScenarioOptions options;

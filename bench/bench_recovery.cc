@@ -1,7 +1,9 @@
-// Durability bench: WAL append throughput (sync and nosync), checkpoint
-// save/load cost, and recovery (checkpoint + WAL replay) time as a function
-// of database size, plus one end-to-end crash/restart churn run on the sim
-// runtime. Emits BENCH_recovery.json in the same shape as bench_main.
+// Durability bench: log append throughput (sync, nosync and group commit)
+// and recovery (base + delta replay) time as a function of database size,
+// plus one end-to-end crash/restart churn run on the sim runtime. Every
+// recovery row checks that it rebuilt the logged database, log order
+// included, and the binary exits nonzero when one did not. Emits
+// BENCH_recovery.json in the same shape as bench_main.
 //
 //   ./bench_recovery [--out FILE] [--repeat N] [--filter SUBSTR]
 #include <algorithm>
@@ -16,7 +18,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "src/storage/checkpoint.h"
 #include "src/storage/storage_manager.h"
 #include "src/util/log_capture.h"
 
@@ -37,30 +38,45 @@ std::string FreshDir(const std::string& name) {
   return dir.string();
 }
 
+/// Appends `tuples` new publication rows to `db`'s "pub" relation.
+void AddPubs(rel::Database* db, size_t tuples) {
+  const size_t first = db->View("pub").size();
+  for (size_t i = first; i < first + tuples; ++i) {
+    int64_t year = 1990 + static_cast<int64_t>(i % 30);
+    (void)db->Insert(
+        "pub", rel::Tuple({rel::Value::Int(static_cast<int64_t>(i)),
+                           rel::Value::Str("title-" + std::to_string(i)),
+                           rel::Value::Int(year)}));
+  }
+}
+
 /// A flat publication-style database with `tuples` rows.
 rel::Database MakeDb(size_t tuples) {
   rel::Database db;
   (void)db.CreateRelation(
       rel::RelationSchema("pub", {"id", "title", "year"}));
-  for (size_t i = 0; i < tuples; ++i) {
-    int64_t year = 1990 + static_cast<int64_t>(i % 30);
-    (void)db.Insert(
-        "pub", rel::Tuple({rel::Value::Int(static_cast<int64_t>(i)),
-                           rel::Value::Str("title-" + std::to_string(i)),
-                           rel::Value::Int(year)}));
-  }
+  AddPubs(&db, tuples);
   return db;
 }
 
-storage::DeltaMap MakeDelta(size_t base, size_t tuples) {
-  storage::DeltaMap delta;
-  for (size_t i = 0; i < tuples; ++i) {
-    delta["pub"].insert(
-        rel::Tuple({rel::Value::Int(static_cast<int64_t>(base + i)),
-                    rel::Value::Str("delta-" + std::to_string(base + i)),
-                    rel::Value::Int(2024)}));
+/// True when `a` and `b` hold the same relations, with the same attributes
+/// and the same entries in the same log order.
+bool SameLogs(const rel::Database& a, const rel::Database& b) {
+  if (a.relations().size() != b.relations().size()) return false;
+  for (const auto& [name, relation] : a.relations()) {
+    const rel::Relation* other = b.FindRelation(name);
+    if (other == nullptr ||
+        other->schema().attributes() != relation.schema().attributes() ||
+        other->size() != relation.size()) {
+      return false;
+    }
+    const rel::LogView mine = relation.View();
+    const rel::LogView theirs = other->View();
+    for (size_t i = 0; i < mine.size(); ++i) {
+      if (!(mine.at(i) == theirs.at(i))) return false;
+    }
   }
-  return delta;
+  return true;
 }
 
 struct BenchResult {
@@ -78,6 +94,7 @@ struct BenchResult {
 /// WAL append throughput: `batches` deltas of `batch_tuples` tuples each.
 /// A nonzero `group_commit` window coalesces kSync fsyncs (the group-commit
 /// satellite: most of the nosync throughput, bounded durability window).
+/// Only the LogDelta calls are timed, not growing the relation they log.
 BenchResult WalAppendBench(const std::string& name, storage::SyncMode sync,
                            size_t batches, size_t batch_tuples,
                            storage::GroupCommitOptions group_commit = {}) {
@@ -87,14 +104,20 @@ BenchResult WalAppendBench(const std::string& name, storage::SyncMode sync,
   options.dir = FreshDir(name);
   options.sync = sync;
   options.group_commit = group_commit;
-  options.checkpoint_wal_bytes = ~0ull;  // Never checkpoint: measure the log.
   auto manager = storage::StorageManager::Open(options);
   if (!manager.ok()) return result;
-  auto start = Clock::now();
+  rel::Database db = MakeDb(0);
+  Clock::duration logging{};
   for (size_t b = 0; b < batches; ++b) {
-    (void)(*manager)->LogDelta(MakeDelta(b * batch_tuples, batch_tuples));
+    const size_t start = db.View("pub").size();
+    AddPubs(&db, batch_tuples);
+    auto logged_at = Clock::now();
+    Status logged = (*manager)->LogDelta(db, {{"pub", start}});
+    logging += Clock::now() - logged_at;
+    if (!logged.ok()) return result;
   }
-  double wall_ms = MsSince(start);
+  double wall_ms =
+      std::chrono::duration<double, std::milli>(logging).count();
   double wall_s = wall_ms / 1000.0;
   double bytes = static_cast<double>((*manager)->wal_bytes());
   result.metrics = {
@@ -111,39 +134,9 @@ BenchResult WalAppendBench(const std::string& name, storage::SyncMode sync,
   return result;
 }
 
-/// Checkpoint save + load cost for a database of `tuples` rows.
-BenchResult CheckpointBench(const std::string& name, size_t tuples) {
-  BenchResult result;
-  result.name = name;
-  std::string dir = FreshDir(name);
-  fs::create_directories(dir);
-  rel::Database db = MakeDb(tuples);
-
-  auto start = Clock::now();
-  Status saved = storage::SaveCheckpoint(db, dir, storage::SyncMode::kSync);
-  double save_ms = MsSince(start);
-  if (!saved.ok()) return result;
-
-  start = Clock::now();
-  auto loaded = storage::LoadCheckpoint(dir);
-  double load_ms = MsSince(start);
-  if (!loaded.ok()) return result;
-
-  double bytes =
-      static_cast<double>(fs::file_size(storage::CheckpointPath(dir)));
-  result.metrics = {
-      {"wall_ms", save_ms + load_ms},
-      {"tuples", static_cast<double>(tuples)},
-      {"save_ms", save_ms},
-      {"load_ms", load_ms},
-      {"checkpoint_bytes", bytes},
-      {"save_tuples_per_sec", save_ms > 0 ? tuples / (save_ms / 1000.0) : 0},
-  };
-  fs::remove_all(dir);
-  return result;
-}
-
-/// Full recovery (checkpoint of `base_tuples` + `wal_records` deltas) time.
+/// Full recovery (a base of `base_tuples` + `wal_records` deltas) time.
+/// Fails unless the recovered database equals the logged one, log order
+/// included.
 BenchResult RecoveryBench(const std::string& name, size_t base_tuples,
                           size_t wal_records, size_t batch_tuples) {
   BenchResult result;
@@ -151,20 +144,25 @@ BenchResult RecoveryBench(const std::string& name, size_t base_tuples,
   storage::StorageOptions options;
   options.dir = FreshDir(name);
   options.sync = storage::SyncMode::kNoSync;
-  options.checkpoint_wal_bytes = ~0ull;
   auto manager = storage::StorageManager::Open(options);
   if (!manager.ok()) return result;
-  if (!(*manager)->EnsureBase(MakeDb(base_tuples)).ok()) return result;
+  rel::Database db = MakeDb(base_tuples);
+  if (!(*manager)->EnsureBase(db).ok()) return result;
   for (size_t r = 0; r < wal_records; ++r) {
-    (void)(*manager)->LogDelta(
-        MakeDelta(base_tuples + r * batch_tuples, batch_tuples));
+    const size_t start = db.View("pub").size();
+    AddPubs(&db, batch_tuples);
+    if (!(*manager)->LogDelta(db, {{"pub", start}}).ok()) return result;
   }
 
   auto start = Clock::now();
   storage::RecoveryInfo info;
   auto recovered = (*manager)->Recover(&info);
   double wall_ms = MsSince(start);
-  if (!recovered.ok()) return result;
+  if (!recovered.ok() || !SameLogs(*recovered, db)) {
+    std::fprintf(stderr, "error: %s did not rebuild the logged database\n",
+                 name.c_str());
+    return result;
+  }
   result.metrics = {
       {"wall_ms", wall_ms},
       {"base_tuples", static_cast<double>(base_tuples)},
@@ -229,7 +227,6 @@ BenchResult ChurnBench(const std::string& name, size_t nodes,
 
 BenchResult Best(BenchResult a, BenchResult b) {
   if (a.metrics.empty()) return b;
-  if (b.metrics.empty()) return a;
   return a.Metric("wall_ms") <= b.Metric("wall_ms") ? a : b;
 }
 
@@ -296,10 +293,6 @@ int Main(int argc, char** argv) {
          return WalAppendBench("wal_append_group", storage::SyncMode::kSync,
                                large / 10, 10, group);
        }},
-      {"checkpoint_small",
-       [&] { return CheckpointBench("checkpoint_small", small); }},
-      {"checkpoint_large",
-       [&] { return CheckpointBench("checkpoint_large", large); }},
       {"recover_small",
        [&] { return RecoveryBench("recover_small", small, 100, 10); }},
       {"recover_large",
@@ -308,7 +301,7 @@ int Main(int argc, char** argv) {
        [&] { return ChurnBench("churn_tree12", 12, FullScale() ? 200 : 50); }},
   };
 
-  PrintHeader("bench_recovery: WAL / checkpoint / crash-recovery suite");
+  PrintHeader("bench_recovery: log append / recovery / crash-restart suite");
   std::printf("%-22s %10s %14s %14s\n", "bench", "wall_ms", "tuples",
               "tuples/s");
 
@@ -316,16 +309,18 @@ int Main(int argc, char** argv) {
   for (const auto& [name, make] : cases) {
     if (!filter.empty() && name.find(filter) == std::string::npos) continue;
     BenchResult best;
-    for (int r = 0; r < repeat; ++r) best = Best(std::move(best), make());
-    if (best.metrics.empty()) {
-      std::fprintf(stderr, "error: bench %s failed\n", name.c_str());
-      return 1;
+    for (int r = 0; r < repeat; ++r) {
+      BenchResult run = make();
+      if (run.metrics.empty()) {
+        std::fprintf(stderr, "error: bench %s failed\n", name.c_str());
+        return 1;
+      }
+      best = Best(std::move(best), std::move(run));
     }
     double tuples = best.Metric("tuples") + best.Metric("tuples_recovered") +
                     best.Metric("tuples_inserted");
     double rate = best.Metric("tuples_per_sec") +
-                  best.Metric("recover_tuples_per_sec") +
-                  best.Metric("save_tuples_per_sec");
+                  best.Metric("recover_tuples_per_sec");
     std::printf("%-22s %10.2f %14.0f %14.0f\n", best.name.c_str(),
                 best.Metric("wall_ms"), tuples, rate);
     results.push_back(std::move(best));

@@ -52,7 +52,7 @@ int main() {
               session.AllClosed() ? "yes" : "no");
 
   // Crash/recover peer B: attach durable storage, close its sockets, restart
-  // it from checkpoint + WAL on a fresh port, and re-converge.
+  // it from its log on a fresh port, and re-converge.
   NodeId victim = *system->NodeByName("B");
   if (!session.AttachStorage(victim).ok()) return 1;
   uint16_t old_port = runtime.ListenPort(victim);

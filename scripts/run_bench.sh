@@ -7,7 +7,7 @@
 # --bench selects which harness runs (so a single suite, e.g. the recovery
 # bench, can be run/emitted without the full update suite):
 #   main      end-to-end update suite (default; emits BENCH_p2pdb.json)
-#   recovery  WAL/checkpoint/crash-recovery suite (emits BENCH_recovery.json)
+#   recovery  WAL append / recovery / crash-restart suite (emits BENCH_recovery.json)
 #   tcp       frame codec + loopback socket runtime suite (emits BENCH_tcp.json
 #             — including the `coalescing` section: frames-per-update with and
 #             without batching, and the exact-ack fixpoint detection latency

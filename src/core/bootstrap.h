@@ -29,7 +29,7 @@ class PeerBootstrap {
     NodeId id = kNoNode;
     std::string name;
     /// Initial database contents; ignored on the recover path (the state
-    /// comes from the storage backend's checkpoint + WAL instead).
+    /// comes from the storage backend's log instead).
     rel::Database db;
     /// The system's coordination rules; Build installs the subset headed at
     /// `id` ("initially each node knows all rules of which it is a target")

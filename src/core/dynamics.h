@@ -35,8 +35,8 @@ using ChangeScript = std::vector<AtomicChange>;
 
 /// Peer churn, beyond Definition 8's link changes: a peer process crashes
 /// (its in-memory state and in-flight messages are lost) and may later
-/// restart, recovering its database from durable storage (checkpoint + WAL
-/// replay) and rejoining via the discovery/session path. `at_micros` is an
+/// restart, recovering its database from durable storage (log replay) and
+/// rejoining via the discovery/session path. `at_micros` is an
 /// offset from the start of the update: Session::RunUpdateWithChurn fires the
 /// event at its entry-time NowMicros() + at_micros, whatever discovery or
 /// earlier updates already spent on the runtime's clock.

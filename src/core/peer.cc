@@ -9,14 +9,6 @@
 
 namespace p2pdb::core {
 
-namespace {
-std::vector<uint8_t> EncodeRuleBytes(const CoordinationRule& rule) {
-  Writer w;
-  wire::EncodeRule(rule, &w);
-  return w.bytes();
-}
-}  // namespace
-
 Peer::Peer(NodeId id, std::string name, rel::Database db,
            net::Runtime* runtime, Config config)
     : id_(id),
@@ -122,24 +114,11 @@ void Peer::OnDeltaApplied(const std::map<std::string, size_t>& starts) {
   snapshots_->Publish(rel::BuildSnapshot(db_, committed));
   if (storage_ == nullptr) return;
   uint64_t wal_start = span_open_ ? runtime_->NowMicros() : 0;
-  storage::DeltaMap delta;
-  for (const auto& [relation, start] : starts) {
-    const rel::LogView log = db_.View(relation);
-    if (start >= log.size()) continue;
-    std::set<rel::Tuple>& appended = delta[relation];
-    for (size_t i = start; i < log.size(); ++i) appended.insert(log.at(i));
-  }
-  Status logged = storage_->LogDelta(delta);
+  Status logged = storage_->LogDelta(db_, starts);
   if (span_open_) RecordWalMicros(runtime_->NowMicros() - wal_start);
   if (!logged.ok()) {
     P2PDB_LOG(kError) << "WAL append failed at node " << id_ << ": "
                       << logged.ToString();
-    return;
-  }
-  Status checkpointed = storage_->MaybeCheckpoint(db_);
-  if (!checkpointed.ok()) {
-    P2PDB_LOG(kError) << "checkpoint failed at node " << id_ << ": "
-                      << checkpointed.ToString();
   }
 }
 
@@ -160,56 +139,32 @@ Result<storage::RecoveryInfo> Peer::Recover() {
   storage::RecoveryInfo info;
   auto db = storage_->Recover(&info);
   if (!db.ok()) return db.status();
-  db_ = std::move(*db);
-  // Replay mid-session rule changes over the (re-registered) initial rules,
-  // in log order: an add of a known id is a no-op, a delete of an unknown id
-  // is a no-op, so replay is idempotent like the data replay.
-  std::map<std::string, std::vector<uint8_t>> initial_rules;
-  for (const CoordinationRule& r : rules_) {
-    initial_rules[r.id] = EncodeRuleBytes(r);
-  }
+  // Decode every rule change before touching live state, so a damaged
+  // record fails the recovery whole.
+  std::vector<wire::RuleChangeRecord> changes;
   for (const std::vector<uint8_t>& blob : info.rule_changes) {
     auto record = wire::RuleChangeRecord::Decode(blob);
     if (!record.ok()) return record.status();
-    if (record->kind == wire::RuleChangeRecord::Kind::kAdd) {
-      Status added = AddInitialRule(record->rule);
+    changes.push_back(record.MoveValue());
+  }
+  db_ = std::move(*db);
+  // Replay mid-session rule changes over the (re-registered) initial rules,
+  // in log order: an add of a known id is a no-op, a delete of an unknown id
+  // is a no-op, so replaying the full history lands on the pre-crash rules.
+  for (const wire::RuleChangeRecord& record : changes) {
+    if (record.kind == wire::RuleChangeRecord::Kind::kAdd) {
+      Status added = AddInitialRule(record.rule);
       if (!added.ok() && added.code() != StatusCode::kAlreadyExists) {
         return added;
       }
     } else {
       for (auto it = rules_.begin(); it != rules_.end(); ++it) {
-        if (it->id == record->rule_id) {
+        if (it->id == record.rule_id) {
           rules_.erase(it);
           break;
         }
       }
     }
-  }
-  if (!info.rule_changes.empty()) {
-    // Compact the durable history to the net initial->current diff, so it
-    // stays bounded by the rule count instead of the lifetime change count
-    // (an add cancelled by a later delete leaves no record at all).
-    std::vector<std::vector<uint8_t>> canonical;
-    std::set<std::string> current_ids;
-    for (const CoordinationRule& r : rules_) {
-      current_ids.insert(r.id);
-      auto initial = initial_rules.find(r.id);
-      if (initial == initial_rules.end()) {
-        canonical.push_back(wire::RuleChangeRecord::Add(r).Encode());
-      } else if (initial->second != EncodeRuleBytes(r)) {
-        // Same id, different rule (deleted and re-added): replay must clear
-        // the initial version before the add can take effect.
-        canonical.push_back(wire::RuleChangeRecord::Delete(r.id).Encode());
-        canonical.push_back(wire::RuleChangeRecord::Add(r).Encode());
-      }
-    }
-    for (const auto& [id, bytes] : initial_rules) {
-      (void)bytes;
-      if (current_ids.count(id) == 0) {
-        canonical.push_back(wire::RuleChangeRecord::Delete(id).Encode());
-      }
-    }
-    P2PDB_RETURN_IF_ERROR(storage_->ResetRuleChanges(std::move(canonical)));
   }
   // The recovered instance contains every null this node minted before the
   // crash (heads insert invented nulls locally, and data is never retracted);
@@ -225,9 +180,6 @@ Result<storage::RecoveryInfo> Peer::Recover() {
       }
     }
   }
-  // Compact: fold the replayed WAL into a fresh checkpoint so the next
-  // recovery starts from this state directly.
-  P2PDB_RETURN_IF_ERROR(storage_->Checkpoint(db_));
   // Readers switch from the pre-crash snapshot (still served by the shared
   // store while this peer was down) to the recovered state in one swap.
   PublishFullSnapshot();

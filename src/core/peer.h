@@ -107,7 +107,7 @@ class Peer : public net::PeerHandler {
   // --- Durability (optional; peers without storage behave as before) ---
 
   /// Takes ownership of a storage backend and establishes its base state
-  /// (checkpoints the current database iff the backend has none yet). From
+  /// (records the current database iff the backend has no base yet). From
   /// here on every delta the chase applies is logged through it.
   Status AttachStorage(std::unique_ptr<storage::Storage> storage);
   storage::Storage* storage() { return storage_.get(); }
@@ -115,9 +115,9 @@ class Peer : public net::PeerHandler {
   /// Called by the update engine after a chase application appended to the
   /// relations named in `starts`, each from the log entry it maps to (its
   /// size before the application). Publishes a snapshot; with storage
-  /// attached, logs entries [start, size) of each as one WAL delta and lets
-  /// the backend checkpoint. Errors are logged, not propagated — the
-  /// protocol must keep running even if the disk misbehaves.
+  /// attached, logs entries [start, size) of each as one WAL delta. Errors
+  /// are logged, not propagated — the protocol must keep running even if the
+  /// disk misbehaves.
   void OnDeltaApplied(const std::map<std::string, size_t>& starts);
 
   /// Called by the update engine after a dynamic rule change mutates this
@@ -125,12 +125,13 @@ class Peer : public net::PeerHandler {
   /// logged, not propagated (same policy as OnDeltaApplied).
   void LogRuleChange(const wire::RuleChangeRecord& record);
 
-  /// Rebuilds the database from storage (checkpoint + WAL replay), advances
-  /// the null factory past every recovered null this node minted, replays
-  /// logged rule changes on top of the current rule list, and compacts the
-  /// recovered state into a fresh checkpoint. Must be called before any
-  /// protocol activity on this peer — and, for rule replay to land on the
-  /// right base, after the initial rules have been re-registered.
+  /// Rebuilds the database from storage (base + delta replay, in log order),
+  /// advances the null factory past every recovered null this node minted,
+  /// and replays logged rule changes on top of the current rule list. Writes
+  /// nothing to storage; a log that fails to decode fails the call before
+  /// the database or rules change. Must be called before any protocol
+  /// activity on this peer — and, for rule replay to land on the right base,
+  /// after the initial rules have been re-registered.
   Result<storage::RecoveryInfo> Recover();
 
   // net::PeerHandler: decode and dispatch.

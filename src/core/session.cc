@@ -207,7 +207,7 @@ Status Session::RunUpdateWithChurn(const ChurnScript& churn) {
   // Event times are offsets from here, the start of this update.
   const uint64_t start = runtime_->NowMicros();
   // Durability must be in place before the crash: attach storage to every
-  // peer the script will kill (base checkpoint now, WAL from here on).
+  // peer the script will kill (base record now, deltas from here on).
   for (const ChurnEvent& e : churn) {
     if (e.kind != ChurnEvent::Kind::kCrash) continue;
     if (!IsAlive(e.node)) continue;

@@ -107,9 +107,9 @@ class Session {
   // RestartPeer ask the provider for node `id`'s backend, so the restart
   // reuses exactly the storage the crash left behind.
 
-  /// Attaches node `id`'s storage backend to its live peer (checkpoints the
-  /// current database as the base state; every applied delta is logged from
-  /// here on). Requires Options::storage.
+  /// Attaches node `id`'s storage backend to its live peer (logs the current
+  /// database as the base state; every applied delta is logged from here
+  /// on). Requires Options::storage.
   Status AttachStorage(NodeId id);
 
   /// Simulates a process crash: destroys the peer object and unregisters it
@@ -118,7 +118,7 @@ class Session {
   Status CrashPeer(NodeId id);
 
   /// Restarts a crashed peer: rebuilds it from Options::storage's backend
-  /// for `id` via Peer::Recover() (checkpoint + WAL replay), re-registers
+  /// for `id` via Peer::Recover() (log replay), re-registers
   /// the initial coordination rules headed at it, and re-registers it with
   /// the runtime. The caller then rejoins it via the normal
   /// discovery/session path.

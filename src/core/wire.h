@@ -29,7 +29,6 @@ using rel::DecodeTupleSet;
 using rel::DecodeValue;
 using rel::EncodeTuple;
 using rel::EncodeTupleList;
-using rel::EncodeTupleSet;
 using rel::EncodeValue;
 
 void EncodeTerm(const rel::Term& t, Writer* w);

@@ -56,7 +56,7 @@ Result<std::unique_ptr<PeerDaemon>> PeerDaemon::Start(PeerdConfig config) {
   net_options.listen_port = cfg.listen.port;
   daemon->runtime_ = std::make_unique<net::TcpRuntime>(net_options);
 
-  // Fresh boot vs re-exec: an existing checkpoint means a previous
+  // Fresh boot vs re-exec: a base record in the log means a previous
   // incarnation of this process already established the durable base, so
   // the peer must recover its state instead of reseeding from the system
   // file (which would silently discard everything propagated pre-crash).

@@ -10,11 +10,11 @@
 // bootstrap is validated against it (and applies the endpoint table), so the
 // two provisioning paths cannot silently disagree.
 //
-// Startup picks fresh-vs-recover by looking at the data directory: no
-// checkpoint yet means first boot (seed the durable base from the system
-// file's initial database), an existing checkpoint means this process is a
-// re-exec of a crashed daemon and the peer recovers from checkpoint + WAL
-// before the listener accepts a single frame.
+// Startup picks fresh-vs-recover by looking at the data directory's log: no
+// base record yet (no log, or a base torn by a crash) means first boot (seed
+// the durable base from the system file's initial database), a base record
+// means this process is a re-exec of a crashed daemon and the peer replays
+// its log before the listener accepts a single frame.
 #ifndef P2PDB_DAEMON_PEER_DAEMON_H_
 #define P2PDB_DAEMON_PEER_DAEMON_H_
 
@@ -58,7 +58,7 @@ class PeerDaemon : public net::PeerHandler {
   core::Peer& peer() { return *peer_; }
   net::TcpRuntime& runtime() { return *runtime_; }
   const PeerdConfig& config() const { return config_; }
-  /// True when this boot recovered from an existing checkpoint (re-exec).
+  /// True when this boot recovered from an existing log (re-exec).
   bool recovered() const { return recovered_; }
 
  private:

@@ -61,11 +61,6 @@ Result<Tuple> DecodeTuple(Reader* r) {
   return Tuple(std::move(values));
 }
 
-void EncodeTupleSet(const std::set<Tuple>& tuples, Writer* w) {
-  w->PutVarint(tuples.size());
-  for (const Tuple& t : tuples) EncodeTuple(t, w);
-}
-
 void EncodeTupleList(const std::vector<Tuple>& tuples, Writer* w) {
   w->PutVarint(tuples.size());
   for (const Tuple& t : tuples) EncodeTuple(t, w);

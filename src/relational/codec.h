@@ -1,11 +1,11 @@
 // Binary codecs for values and tuples, shared by the wire format (core/wire)
 // and database snapshots (relational/snapshot).
 //
-// A tuple sequence is encoded as a count and then the tuples. Snapshots,
-// checkpoints and WAL deltas write sorted tuple sets, so their bytes do not
-// depend on arrival order. Subscription answers travel as tuple lists in the
-// sender's log order: encoded straight from a log range, decoded into a
-// vector whose tuples the receiver moves into its own log.
+// A tuple sequence is encoded as a count and then the tuples. Snapshots write
+// sorted tuple sets, so their bytes do not depend on arrival order.
+// Subscription answers and WAL records carry tuple lists in the writer's log
+// order: encoded straight from a log range, decoded into a vector whose
+// tuples the receiver moves into its own log.
 #ifndef P2PDB_RELATIONAL_CODEC_H_
 #define P2PDB_RELATIONAL_CODEC_H_
 
@@ -25,10 +25,9 @@ Result<Value> DecodeValue(Reader* r);
 void EncodeTuple(const Tuple& t, Writer* w);
 Result<Tuple> DecodeTuple(Reader* r);
 
-/// A count, then the tuples in sorted order, so equal sets encode to equal
-/// bytes. EncodeTupleList of a sorted, duplicate-free vector writes the
-/// same bytes.
-void EncodeTupleSet(const std::set<Tuple>& tuples, Writer* w);
+/// Decodes a count, then that many tuples, into a set: the bytes
+/// EncodeTupleList writes for a sorted, duplicate-free vector, so equal sets
+/// have equal bytes.
 Result<std::set<Tuple>> DecodeTupleSet(Reader* r);
 
 /// A count, then the tuples in the given order, repeats included.

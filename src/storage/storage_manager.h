@@ -1,26 +1,22 @@
-// StorageManager: the durable Storage implementation — a per-peer directory
-// holding one checkpoint plus a write-ahead log of the deltas applied since.
+// StorageManager: the durable Storage implementation — one append-only log
+// per peer, <dir>/wal.log (framing in wal.h), holding three kinds of record:
 //
-//   <dir>/checkpoint.p2db   last full snapshot (atomic rename publish)
-//   <dir>/wal.log           CRC-framed records: deltas applied after that
-//                           snapshot, plus dynamic rule changes (which are
-//                           re-appended across truncations — the snapshot
-//                           format does not store rules)
+//   base         written once, first, by EnsureBase: each relation's name,
+//                attributes and entries in log order, in one record so the
+//                base is atomic
+//   delta        one per applied chase step: entries [start, size) of each
+//                relation the step appended to, in log order
+//   rule change  one per dynamic rule change (addLink/deleteLink), opaque
 //
-// Appends go to the WAL; when the log outgrows `checkpoint_wal_bytes` — or
-// its oldest uncheckpointed record ages past `checkpoint_interval` — the
-// manager snapshots the live database and truncates the log. A crash between
-// the snapshot publish and the log truncation merely leaves already-
-// checkpointed deltas in the WAL — replay is a set-union, so recovery stays
-// correct (idempotent), just momentarily redundant.
+// A relation is a prefix of its append-only log, so the base plus the deltas
+// after it is the database. Recover replays every record in order into fresh
+// relations; a restarted peer's logs equal the crashed peer's entry for
+// entry. Nothing is rewritten, and recovery writes nothing.
 #ifndef P2PDB_STORAGE_STORAGE_MANAGER_H_
 #define P2PDB_STORAGE_STORAGE_MANAGER_H_
 
-#include <chrono>
-#include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "src/storage/storage.h"
 #include "src/storage/wal.h"
@@ -30,68 +26,45 @@ namespace p2pdb::storage {
 struct StorageOptions {
   /// Per-peer directory; created (with parents) by Open when missing.
   std::string dir;
-  /// kSync fsyncs every WAL append and is the durable default; kNoSync only
-  /// flushes to the OS — benches use it so measurements are not fsync-bound.
+  /// kSync fsyncs every append and is the durable default; kNoSync only
+  /// writes to the OS and never fsyncs — benches use it so measurements are
+  /// not fsync-bound.
   SyncMode sync = SyncMode::kSync;
   /// Group commit for kSync (see GroupCommitOptions): a nonzero window
-  /// coalesces appends into one fsync per window/batch.
+  /// coalesces appends into one fsync per window/batch. The base record is
+  /// synced before EnsureBase returns regardless.
   GroupCommitOptions group_commit;
-  /// Checkpoint and truncate the WAL once it grows past this many bytes.
-  uint64_t checkpoint_wal_bytes = 4u << 20;
-  /// Also checkpoint when the oldest uncheckpointed WAL record is older than
-  /// this, even below the size threshold — bounds replay time for peers that
-  /// trickle small deltas. Zero disables the time trigger. Checked on the
-  /// delta path (MaybeCheckpoint); there is no background timer thread, so
-  /// a fully idle peer checkpoints at its next applied delta.
-  std::chrono::microseconds checkpoint_interval{0};
-  /// Clock for the time trigger, overridable so tests can pin it; defaults
-  /// to std::chrono::steady_clock when unset.
-  std::function<uint64_t()> now_micros;
 };
-
-/// Encodes/decodes one WAL record payload: a tagged delta map.
-std::vector<uint8_t> EncodeDelta(const DeltaMap& delta);
-Result<DeltaMap> DecodeDelta(const std::vector<uint8_t>& payload);
 
 class StorageManager : public Storage {
  public:
-  /// Opens (or creates) the storage directory and its WAL; an existing log
-  /// has any torn tail truncated before new appends.
+  /// Opens (or creates) the storage directory and its log; an existing log
+  /// has any torn tail truncated before new appends. A log of another format
+  /// version fails as Unsupported.
   static Result<std::unique_ptr<StorageManager>> Open(
       const StorageOptions& options);
 
-  Status LogDelta(const DeltaMap& delta) override;
+  Status LogDelta(const rel::Database& db,
+                  const std::map<std::string, size_t>& starts) override;
   Status LogRuleChange(const std::vector<uint8_t>& record) override;
-  Status ResetRuleChanges(std::vector<std::vector<uint8_t>> records) override;
   Status EnsureBase(const rel::Database& db) override;
-  bool HasBase() const override;
-  Status MaybeCheckpoint(const rel::Database& db) override;
-  Status Checkpoint(const rel::Database& db) override;
+  /// True when the log's first record is a base record.
+  bool HasBase() const override { return has_base_; }
   Result<rel::Database> Recover(RecoveryInfo* info) override;
 
-  const StorageOptions& options() const { return options_; }
   uint64_t wal_bytes() const { return wal_->size_bytes(); }
-  uint64_t checkpoints_taken() const { return checkpoints_taken_; }
   uint64_t wal_syncs() const { return wal_->syncs_performed(); }
 
  private:
   StorageManager(StorageOptions options, std::unique_ptr<WalWriter> wal,
-                 std::vector<std::vector<uint8_t>> rule_changes)
-      : options_(std::move(options)), wal_(std::move(wal)),
-        rule_changes_(std::move(rule_changes)) {}
-
-  uint64_t NowMicros() const;
+                 bool has_base)
+      : options_(std::move(options)),
+        wal_(std::move(wal)),
+        has_base_(has_base) {}
 
   StorageOptions options_;
   std::unique_ptr<WalWriter> wal_;
-  uint64_t checkpoints_taken_ = 0;
-  /// When the first record after the last checkpoint hit the WAL (0 = the
-  /// log holds nothing newer than the checkpoint); drives the time trigger.
-  uint64_t wal_dirty_since_micros_ = 0;
-  /// Every rule-change record in the WAL (seeded from disk at Open): the
-  /// checkpoint format stores only the database, so these are re-appended
-  /// after each WAL truncation to keep the change history durable.
-  std::vector<std::vector<uint8_t>> rule_changes_;
+  bool has_base_;
 };
 
 }  // namespace p2pdb::storage

@@ -1,11 +1,15 @@
 #include "src/storage/wal.h"
 
 #include <fcntl.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <limits>
 
 #include "src/obs/metrics.h"
 #include "src/util/serde.h"
@@ -22,20 +26,11 @@ uint64_t MonotonicMicros() {
 }
 
 constexpr uint32_t kWalMagic = 0x4c573250;  // "P2WL" little-endian.
-constexpr uint32_t kWalVersion = 1;
+// Version 2 logs hold a peer's whole durable state. Version 1 logs held only
+// the deltas after a separate checkpoint file and cannot be read as one.
+constexpr uint32_t kWalVersion = 2;
 constexpr size_t kHeaderBytes = 8;        // magic + version
 constexpr size_t kRecordHeaderBytes = 8;  // length + crc
-
-Status FsyncFile(std::FILE* f, const std::string& path) {
-  if (std::fflush(f) != 0) {
-    return Status::Internal("fflush failed for " + path);
-  }
-  if (::fsync(::fileno(f)) != 0) {
-    return Status::Internal("fsync failed for " + path + ": " +
-                            std::strerror(errno));
-  }
-  return Status::OK();
-}
 
 std::vector<uint8_t> EncodeHeader() {
   Writer w;
@@ -44,10 +39,12 @@ std::vector<uint8_t> EncodeHeader() {
   return w.bytes();
 }
 
-}  // namespace
-
-Status FsyncDirectory(const std::string& dir) {
-  int fd = ::open(dir.c_str(), O_RDONLY);
+/// fsyncs the directory holding `path`, so a file just created there
+/// survives power loss.
+Status FsyncParentDirectory(const std::string& path) {
+  std::string dir = std::filesystem::path(path).parent_path().string();
+  if (dir.empty()) dir = ".";
+  int fd = ::open(dir.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     return Status::Internal("cannot open directory " + dir + ": " +
                             std::strerror(errno));
@@ -59,6 +56,8 @@ Status FsyncDirectory(const std::string& dir) {
   }
   return Status::OK();
 }
+
+}  // namespace
 
 Result<WalContents> ReadWalFile(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -72,8 +71,8 @@ Result<WalContents> ReadWalFile(const std::string& path) {
   std::fclose(f);
 
   if (bytes.size() < kHeaderBytes) {
-    // A crash during WAL creation (or Reset) can leave a partial header:
-    // torn tail at offset zero, not a foreign file. No records survive it.
+    // A crash during WAL creation can leave a partial header: torn tail at
+    // offset zero, not a foreign file. No records survive it.
     WalContents out;
     out.valid_bytes = 0;
     out.tail_corrupt = !bytes.empty();
@@ -83,8 +82,10 @@ Result<WalContents> ReadWalFile(const std::string& path) {
   if (*header.GetU32() != kWalMagic) {
     return Status::ParseError(path + " is not a p2pdb WAL");
   }
-  if (*header.GetU32() != kWalVersion) {
-    return Status::Unsupported("WAL format version in " + path);
+  uint32_t version = *header.GetU32();
+  if (version != kWalVersion) {
+    return Status::Unsupported("WAL format version " +
+                               std::to_string(version) + " in " + path);
   }
 
   WalContents out;
@@ -106,54 +107,52 @@ Result<WalContents> ReadWalFile(const std::string& path) {
 }
 
 Result<std::unique_ptr<WalWriter>> WalWriter::Open(
-    const std::string& path, SyncMode sync, GroupCommitOptions group_commit,
-    std::vector<std::vector<uint8_t>>* existing_records) {
-  if (existing_records != nullptr) existing_records->clear();
-  uint64_t valid_bytes = kHeaderBytes;
+    const std::string& path, SyncMode sync, GroupCommitOptions group_commit) {
   auto existing = ReadWalFile(path);
-  if (existing.ok() && existing->valid_bytes >= kHeaderBytes) {
-    valid_bytes = existing->valid_bytes;
-    if (existing_records != nullptr) {
-      *existing_records = std::move(existing->records);
-    }
-    if (existing->tail_corrupt &&
-        ::truncate(path.c_str(), static_cast<off_t>(valid_bytes)) != 0) {
-      return Status::Internal("cannot truncate torn tail of " + path);
-    }
-  } else if (existing.ok() ||
-             existing.status().code() == StatusCode::kNotFound) {
-    // Missing file, or a header torn by a crash mid-creation: start fresh.
-    std::FILE* fresh = std::fopen(path.c_str(), "wb");
-    if (fresh == nullptr) return Status::Internal("cannot create " + path);
-    std::vector<uint8_t> header = EncodeHeader();
-    size_t written = std::fwrite(header.data(), 1, header.size(), fresh);
-    Status st = sync == SyncMode::kSync ? FsyncFile(fresh, path) : Status::OK();
-    if (std::fclose(fresh) != 0 || written != header.size() || !st.ok()) {
-      return Status::Internal("cannot write WAL header to " + path);
-    }
-  } else {
-    return existing.status();  // Foreign file; refuse to append to it.
+  if (!existing.ok() && existing.status().code() != StatusCode::kNotFound) {
+    return existing.status();  // Foreign or other-version file: keep out.
   }
-
-  std::FILE* f = std::fopen(path.c_str(), "ab");
-  if (f == nullptr) return Status::Internal("cannot open " + path);
-  return std::unique_ptr<WalWriter>(
-      new WalWriter(path, sync, group_commit, f, valid_bytes));
+  // Zero for a missing file or a header torn by a crash mid-creation: both
+  // start a fresh log.
+  const uint64_t valid_bytes = existing.ok() ? existing->valid_bytes : 0;
+  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
+                  0644);
+  if (fd < 0) {
+    return Status::Internal("cannot open " + path + ": " +
+                            std::strerror(errno));
+  }
+  auto writer = std::unique_ptr<WalWriter>(
+      new WalWriter(path, sync, group_commit, fd, valid_bytes));
+  if (existing.ok() && existing->tail_corrupt &&
+      ::ftruncate(fd, static_cast<off_t>(valid_bytes)) != 0) {
+    return Status::Internal("cannot truncate torn tail of " + path);
+  }
+  if (valid_bytes == 0) {
+    P2PDB_RETURN_IF_ERROR(writer->Write(EncodeHeader(), {}));
+    if (sync == SyncMode::kSync) {
+      P2PDB_RETURN_IF_ERROR(writer->SyncNow());
+      ++writer->syncs_performed_;
+      P2PDB_RETURN_IF_ERROR(FsyncParentDirectory(path));
+    }
+  }
+  return writer;
 }
 
 WalWriter::~WalWriter() {
-  if (file_ != nullptr) {
-    // Best effort: close an open group-commit window so its records are not
-    // left OS-buffered only.
-    if (pending_appends_ > 0) (void)SyncNow();
-    std::fclose(file_);
-  }
+  if (fd_ < 0) return;
+  // Best effort: close an open group-commit window so its records are not
+  // left OS-buffered only.
+  if (pending_appends_ > 0) (void)SyncNow();
+  ::close(fd_);
 }
 
 Status WalWriter::Append(const std::vector<uint8_t>& payload) {
-  if (file_ == nullptr) return Status::Internal(path_ + " is not open");
-  // Appends are already buffered writes plus an occasional fsync; a clock
-  // pair per record is cheap relative to the fflush below, so not gated.
+  if (fd_ < 0) return Status::Internal(path_ + " is not open");
+  if (payload.size() > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument("WAL record too large for " + path_);
+  }
+  // A clock pair per record is cheap next to the write system call below,
+  // so not gated.
   struct AppendTimer {
     uint64_t start = MonotonicMicros();
     ~AppendTimer() {
@@ -165,21 +164,9 @@ Status WalWriter::Append(const std::vector<uint8_t>& payload) {
   Writer header;
   header.PutU32(static_cast<uint32_t>(payload.size()));
   header.PutU32(Crc32(payload));
-  if (std::fwrite(header.bytes().data(), 1, header.size(), file_) !=
-      header.size()) {
-    return Status::Internal("short write to " + path_);
-  }
-  if (!payload.empty() &&
-      std::fwrite(payload.data(), 1, payload.size(), file_) !=
-          payload.size()) {
-    return Status::Internal("short write to " + path_);
-  }
-  // Flush to the OS always (the record survives a process crash); reach
+  // Written to the OS always (the record survives a process crash); reaches
   // stable media per the sync mode and group-commit window.
-  if (std::fflush(file_) != 0) {
-    return Status::Internal("fflush failed for " + path_);
-  }
-  size_bytes_ += header.size() + payload.size();
+  P2PDB_RETURN_IF_ERROR(Write(header.bytes(), payload));
   ++appended_records_;
   if (sync_ == SyncMode::kSync) {
     if (group_commit_.window.count() == 0) {
@@ -196,8 +183,32 @@ Status WalWriter::Append(const std::vector<uint8_t>& payload) {
   return Status::OK();
 }
 
+Status WalWriter::Write(const std::vector<uint8_t>& head,
+                        const std::vector<uint8_t>& body) {
+  iovec parts[2] = {{const_cast<uint8_t*>(head.data()), head.size()},
+                    {const_cast<uint8_t*>(body.data()), body.size()}};
+  const size_t total = head.size() + body.size();
+  const ssize_t written = ::writev(fd_, parts, 2);
+  if (written >= 0 && static_cast<size_t>(written) == total) {
+    size_bytes_ += total;
+    return Status::OK();
+  }
+  const std::string reason = written < 0 ? std::strerror(errno) : "short write";
+  // Take back whatever part of the record landed: left in place, it would
+  // end replay there and strand every later record behind it.
+  if (::ftruncate(fd_, static_cast<off_t>(size_bytes_)) != 0) {
+    // The torn bytes stay, so refuse every later append instead.
+    ::close(fd_);
+    fd_ = -1;
+    return Status::Internal("cannot write to " + path_ + " (" + reason +
+                            ") nor truncate the torn record: " +
+                            std::strerror(errno));
+  }
+  return Status::Internal("cannot write to " + path_ + ": " + reason);
+}
+
 Status WalWriter::Sync() {
-  if (file_ == nullptr) return Status::Internal(path_ + " is not open");
+  if (fd_ < 0) return Status::Internal(path_ + " is not open");
   return SyncNow();
 }
 
@@ -205,66 +216,15 @@ Status WalWriter::SyncNow() {
   pending_appends_ = 0;
   ++syncs_performed_;
   uint64_t start = MonotonicMicros();
-  Status synced = FsyncFile(file_, path_);
+  const bool synced = ::fsync(fd_) == 0;
   static obs::Histogram* h =
       obs::Registry::Global().GetHistogram("wal.fsync_micros");
   h->Record(MonotonicMicros() - start);
-  return synced;
-}
-
-Status WalWriter::Reset(const std::vector<std::vector<uint8_t>>& retained) {
-  // Build the fresh log beside the old one and rename it into place, like
-  // checkpoint publication: retained records are on disk before the old log
-  // (still holding them) can disappear.
-  const std::string tmp = path_ + ".tmp";
-  std::FILE* fresh = std::fopen(tmp.c_str(), "wb");
-  if (fresh == nullptr) return Status::Internal("cannot open " + tmp);
-  std::vector<uint8_t> bytes = EncodeHeader();
-  for (const std::vector<uint8_t>& payload : retained) {
-    Writer record;
-    record.PutU32(static_cast<uint32_t>(payload.size()));
-    record.PutU32(Crc32(payload));
-    bytes.insert(bytes.end(), record.bytes().begin(), record.bytes().end());
-    bytes.insert(bytes.end(), payload.begin(), payload.end());
+  if (!synced) {
+    return Status::Internal("fsync failed for " + path_ + ": " +
+                            std::strerror(errno));
   }
-  size_t written = std::fwrite(bytes.data(), 1, bytes.size(), fresh);
-  // Under kNoSync the fresh log, like every append, only reaches the OS.
-  const bool sync = sync_ == SyncMode::kSync;
-  bool flushed = std::fflush(fresh) == 0;
-  if (flushed && sync) {
-    ++syncs_performed_;
-    flushed = ::fsync(::fileno(fresh)) == 0;
-  }
-  int close_rc = std::fclose(fresh);
-  if (written != bytes.size() || !flushed || close_rc != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("short write to " + tmp);
-  }
-  std::fclose(file_);
-  file_ = nullptr;
-  Status published = Status::OK();
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    published = Status::Internal("cannot publish fresh WAL at " + path_ +
-                                 ": " + std::strerror(errno));
-  } else {
-    size_bytes_ = bytes.size();
-    pending_appends_ = 0;  // The old file's open window died with it.
-    size_t slash = path_.find_last_of('/');
-    if (sync && slash != std::string::npos) {
-      ++syncs_performed_;
-      published = FsyncDirectory(path_.substr(0, slash));
-    }
-  }
-  // Reopen whichever log now lives at path_ — the old one when the rename
-  // failed, the fresh one otherwise — so a transient failure here does not
-  // permanently wedge the writer (appends would fail forever, silently
-  // un-logging every later delta).
-  file_ = std::fopen(path_.c_str(), "ab");
-  if (file_ == nullptr) {
-    return Status::Internal("cannot reopen " + path_);
-  }
-  return published;
+  return Status::OK();
 }
 
 }  // namespace p2pdb::storage

@@ -1,6 +1,7 @@
 // Write-ahead log: an append-only file of CRC-checked, length-prefixed binary
-// records. The peer's storage manager appends one record per applied update
-// delta; on recovery the log is replayed on top of the last checkpoint.
+// records. A peer's storage manager keeps its whole durable state in one such
+// log (storage_manager.h lists the record kinds); nothing in it is ever
+// rewritten.
 //
 // On-disk layout:
 //   header:  u32 magic "P2WL", u32 format version
@@ -8,14 +9,14 @@
 //
 // A crash can leave a torn tail (a partially written record). Readers stop at
 // the first incomplete or CRC-mismatching record and report the clean prefix;
-// WalWriter::Open truncates that torn tail before appending, so a log never
-// accumulates garbage in the middle.
+// WalWriter::Open truncates that torn tail before appending, and a failed
+// append takes back its own partial bytes, so a log never accumulates garbage
+// in the middle.
 #ifndef P2PDB_STORAGE_WAL_H_
 #define P2PDB_STORAGE_WAL_H_
 
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,7 +26,7 @@
 
 namespace p2pdb::storage {
 
-/// Whether appends are flushed to the OS only (fast, loses the tail on power
+/// Whether appends are written to the OS only (fast, loses the tail on power
 /// failure) or fsync'd to stable media (durable, slow).
 enum class SyncMode { kNoSync, kSync };
 
@@ -36,12 +37,12 @@ using p2pdb::Crc32;
 /// Group commit for `kSync` mode: instead of fsync'ing every append, appends
 /// are coalesced and one fsync covers the whole batch once `max_pending`
 /// records accumulate or an append finds `window` elapsed since the batch
-/// opened. Records in the open window are flushed to the OS (they survive a
-/// process crash) but reach stable media only at the NEXT append, Sync(),
-/// Reset(), or close — there is no background flusher, so an idle writer's
-/// tail batch stays OS-buffered indefinitely (a power failure can lose it).
-/// Callers needing a hard bound call Sync() at their commit points. A zero
-/// window keeps the classic fsync-per-append behaviour.
+/// opened. Records in the open window are written to the OS (they survive a
+/// process crash) but reach stable media only at the NEXT append, Sync(), or
+/// close — there is no background flusher, so an idle writer's tail batch
+/// stays OS-buffered indefinitely (a power failure can lose it). Callers
+/// needing a hard bound call Sync() at their commit points. A zero window
+/// keeps the classic fsync-per-append behaviour.
 struct GroupCommitOptions {
   std::chrono::microseconds window{0};
   uint64_t max_pending = 64;
@@ -56,63 +57,60 @@ struct WalContents {
 };
 
 /// Reads every intact record of a WAL file. Missing file => NotFound; a file
-/// too short to hold the header or with a foreign magic => ParseError. A torn
-/// or corrupt tail is tolerated: replay stops there and `tail_corrupt` is set.
+/// with a foreign magic => ParseError; another format version => Unsupported.
+/// A torn or corrupt tail is tolerated: replay stops there and `tail_corrupt`
+/// is set.
 Result<WalContents> ReadWalFile(const std::string& path);
 
-/// fsyncs a directory so a just-renamed file inside it survives power loss.
-Status FsyncDirectory(const std::string& dir);
-
-/// Appends records to a WAL file. Open() creates the file (with header) when
-/// missing and truncates any torn tail of an existing log before appending.
+/// Appends records to a WAL file.
 class WalWriter {
  public:
-  /// `existing_records`, when given, receives every intact record already in
-  /// the log — Open scans the file anyway to find the clean prefix, so
-  /// callers that need the contents (e.g. to reload retained rule changes)
-  /// avoid a second full read.
+  /// Opens the log at `path`, creating it (header only) when missing or when
+  /// a crash tore its header; under kSync a created log's header and
+  /// directory entry are fsync'd before Open returns. An existing log has
+  /// any torn tail truncated before new appends.
   static Result<std::unique_ptr<WalWriter>> Open(
       const std::string& path, SyncMode sync,
-      GroupCommitOptions group_commit = {},
-      std::vector<std::vector<uint8_t>>* existing_records = nullptr);
+      GroupCommitOptions group_commit = {});
   ~WalWriter();
 
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Appends one record. Always flushed to the OS; under kSync it is fsync'd
+  /// Appends one record with a single write. Under kSync it is fsync'd
   /// immediately, or at the next group-commit boundary when a window is set.
+  /// A failed or short write is truncated away before the error returns, so
+  /// the next append lands right after the last intact record.
   Status Append(const std::vector<uint8_t>& payload);
 
   /// Forces an fsync (of any pending group-commit batch too) regardless of
   /// the sync mode.
   Status Sync();
 
-  /// Truncates the log back to a fresh state holding exactly `retained` (by
-  /// default none); used after a checkpoint has made the logged deltas
-  /// redundant while rule-change records must survive. Atomic: the fresh log
-  /// is built in a temp file and renamed over the old one, so a crash at any
-  /// point leaves either the full old log or the full new one — never a log
-  /// missing its retained records. Under kSync the temp file is fsync'd
-  /// before the rename and the directory after it; kNoSync skips both.
-  Status Reset(const std::vector<std::vector<uint8_t>>& retained = {});
-
   /// Current file size in bytes (header + intact records).
   uint64_t size_bytes() const { return size_bytes_; }
   /// Records appended through this writer (excludes pre-existing ones).
   uint64_t appended_records() const { return appended_records_; }
-  /// fsyncs issued by this writer, Reset's included (group commit makes
-  /// this < appended).
+  /// fsyncs issued by this writer, including the file and directory fsyncs
+  /// that create a log under kSync (group commit makes this < appended).
   uint64_t syncs_performed() const { return syncs_performed_; }
-  /// Appends flushed to the OS but not yet covered by an fsync.
+  /// Appends written to the OS but not yet covered by an fsync.
   uint64_t pending_appends() const { return pending_appends_; }
   const std::string& path() const { return path_; }
 
  private:
   WalWriter(std::string path, SyncMode sync, GroupCommitOptions group_commit,
-            std::FILE* file, uint64_t size_bytes)
-      : path_(std::move(path)), sync_(sync), group_commit_(group_commit),
-        file_(file), size_bytes_(size_bytes) {}
+            int fd, uint64_t size_bytes)
+      : path_(std::move(path)),
+        sync_(sync),
+        group_commit_(group_commit),
+        fd_(fd),
+        size_bytes_(size_bytes) {}
+
+  /// Writes `head` then `body` with one writev at the end of the log; on a
+  /// short or failed write, truncates the log back to size_bytes().
+  Status Write(const std::vector<uint8_t>& head,
+               const std::vector<uint8_t>& body);
 
   /// fsyncs and resets the group-commit window bookkeeping.
   Status SyncNow();
@@ -120,7 +118,7 @@ class WalWriter {
   std::string path_;
   SyncMode sync_;
   GroupCommitOptions group_commit_;
-  std::FILE* file_ = nullptr;
+  int fd_ = -1;
   uint64_t size_bytes_ = 0;
   uint64_t appended_records_ = 0;
   uint64_t syncs_performed_ = 0;

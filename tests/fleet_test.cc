@@ -328,7 +328,7 @@ TEST(FleetTest, FleetConvergesAndSurvivesKillNineReExec) {
 
   // Re-exec at once from the SAME config file: same node id, same fixed
   // port (the other daemons' endpoint tables stay valid), recovery from
-  // checkpoint + WAL before the listener accepts a frame. Session 1 need
+  // its log before the listener accepts a frame. Session 1 need
   // not drain first: on every surviving link, per-link FIFO order puts any
   // session-1 message ahead of session 2's, and the victim's old sockets
   // died with it.

@@ -243,7 +243,7 @@ TEST(QueryPlaneTest, RestartedPeerPublishesRecoveredSnapshot) {
   ASSERT_TRUE(session.RunUpdateWithChurn(churn).ok());
   ASSERT_TRUE(session.AllClosed());
 
-  // After checkpoint + WAL replay and re-convergence, the published
+  // After log replay and re-convergence, the published
   // snapshot matches the live recovered database.
   auto via_snapshot = session.Query(*victim, AllPairs("b"));
   ASSERT_TRUE(via_snapshot.ok());

@@ -1,12 +1,14 @@
 // Crash-recovery integration on the deterministic sim runtime: a peer with
 // durable storage crashes mid-propagation, loses its volatile state and every
-// in-flight message, restarts from checkpoint + WAL replay, rejoins through
-// the ordinary discovery/session path, and the network re-converges to the
-// same global fix-point a never-crashed run reaches (up to renaming of
-// labeled nulls).
+// in-flight message, restarts by replaying its log, rejoins through the
+// ordinary discovery/session path, and the network re-converges to the same
+// global fix-point a never-crashed run reaches (up to renaming of labeled
+// nulls). A restarted peer's relations hold their entries in the logged
+// order, and a damaged log fails recovery whole.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 
 #include "src/core/global_fixpoint.h"
 #include "src/core/session.h"
@@ -44,6 +46,17 @@ Session::Options DurableOptions(const std::string& root) {
   Session::Options options;
   options.storage = DirProvider(root);
   return options;
+}
+
+/// Every relation's entries in log order.
+std::map<std::string, std::vector<rel::Tuple>> Logs(const rel::Database& db) {
+  std::map<std::string, std::vector<rel::Tuple>> out;
+  for (const auto& [name, relation] : db.relations()) {
+    const rel::LogView log = relation.View();
+    std::vector<rel::Tuple>& entries = out[name];
+    for (size_t i = 0; i < log.size(); ++i) entries.push_back(log.at(i));
+  }
+  return out;
 }
 
 /// Runs discovery + one full update with no churn and returns the final
@@ -94,7 +107,7 @@ TEST(RecoveryTest, CrashedPeerRecoversItsExactPreCrashDatabase) {
 
 TEST(RecoveryTest, RunningExampleChurnReachesNeverCrashedFixpoint) {
   // The acceptance scenario: crash B mid-propagation of the Section-2
-  // running example, restart it from checkpoint + WAL, and compare the
+  // running example, restart it from its log, and compare the
   // re-converged network against a never-crashed run, node by node.
   auto system = workload::MakeRunningExample();
   ASSERT_TRUE(system.ok());
@@ -280,8 +293,8 @@ rule r1: B.b(X) => A.a(X);
   ASSERT_EQ(rules.size(), 1u);
   EXPECT_EQ(rules[0].id, "r2");
 
-  // Recovery compacts the four-record history to the net diff (add r2,
-  // delete r1), so the durable history is bounded by the rule count.
+  // The durable history holds all four changes; replaying them in order
+  // gives the rule set above.
   {
     storage::StorageOptions probe;
     probe.dir = root + "/peer" + std::to_string(head);
@@ -289,10 +302,10 @@ rule r1: B.b(X) => A.a(X);
     ASSERT_TRUE(manager.ok());
     storage::RecoveryInfo info;
     ASSERT_TRUE((*manager)->Recover(&info).ok());
-    EXPECT_EQ(info.rule_changes.size(), 2u);
+    EXPECT_EQ(info.rule_changes.size(), 4u);
   }
 
-  // A second crash/restart cycle replays the compacted history identically.
+  // A second crash/restart cycle replays the same history identically.
   ASSERT_TRUE(session.CrashPeer(head).ok());
   ASSERT_TRUE(session.RestartPeer(head).ok());
   ASSERT_EQ(session.peer(head).rules().size(), 1u);
@@ -302,6 +315,155 @@ rule r1: B.b(X) => A.a(X);
   ASSERT_TRUE(session.Rediscover().ok());
   ASSERT_TRUE(session.RunUpdate().ok());
   EXPECT_TRUE(session.AllClosed());
+  std::filesystem::remove_all(root);
+}
+
+TEST(RecoveryTest, RestartedPeersKeepTheirLogOrder) {
+  // Replay appends each logged entry in turn to a fresh relation, so every
+  // restarted peer's relations list their entries in the crashed peer's
+  // order, not merely the same set.
+  workload::ScenarioOptions options;
+  options.topology.kind = workload::TopologySpec::Kind::kTree;
+  options.topology.nodes = 7;
+  options.records_per_node = 6;
+  auto system = workload::BuildScenario(options);
+  ASSERT_TRUE(system.ok());
+
+  std::string root = FreshRoot("log_order");
+  net::SimRuntime rt;
+  Session session(*system, &rt, DurableOptions(root));
+  ASSERT_TRUE(session.RunDiscovery().ok());
+  for (NodeId n = 0; n < session.peer_count(); ++n) {
+    ASSERT_TRUE(session.AttachStorage(n).ok());
+  }
+  ASSERT_TRUE(session.RunUpdate().ok());
+  ASSERT_TRUE(session.AllClosed());
+
+  ScopedLogCapture quiet;
+  for (NodeId n = 0; n < session.peer_count(); ++n) {
+    const auto before = Logs(session.peer(n).db());
+    ASSERT_TRUE(session.CrashPeer(n).ok());
+    ASSERT_TRUE(session.RestartPeer(n).ok());
+    EXPECT_EQ(Logs(session.peer(n).db()), before) << "node " << n;
+  }
+  std::filesystem::remove_all(root);
+}
+
+TEST(RecoveryTest, RestartLogsNothingTwice) {
+  // Attach, update, crash/restart, then a second update that brings one new
+  // tuple: the log's base and delta records hold each tuple exactly once.
+  auto system = lang::ParseSystem(R"(
+node A { rel a(x); }
+node B { rel b(x); fact b("b1"); }
+rule r1: B.b(X) => A.a(X);
+)");
+  ASSERT_TRUE(system.ok()) << system.status().ToString();
+  NodeId head = *system->NodeByName("A");
+  NodeId source = *system->NodeByName("B");
+
+  std::string root = FreshRoot("logged_once");
+  net::SimRuntime rt;
+  Session session(*system, &rt, DurableOptions(root));
+  ASSERT_TRUE(session.RunDiscovery().ok());
+  ASSERT_TRUE(session.AttachStorage(head).ok());
+  ASSERT_TRUE(session.RunUpdate().ok());
+
+  ScopedLogCapture quiet;
+  ASSERT_TRUE(session.CrashPeer(head).ok());
+  ASSERT_TRUE(session.RestartPeer(head).ok());
+  rel::Database& source_db = session.peer(source).db();
+  ASSERT_TRUE(source_db.Insert("b", rel::Tuple({rel::Value::Str("b2")})).ok());
+  ASSERT_TRUE(session.Rediscover().ok());
+  ASSERT_TRUE(session.RunUpdate().ok());
+  ASSERT_TRUE(session.AllClosed());
+
+  const rel::Database& live = session.peer(head).db();
+  ASSERT_EQ(live.TotalTuples(), 2u);
+  storage::StorageOptions probe;
+  probe.dir = root + "/peer" + std::to_string(head);
+  auto manager = storage::StorageManager::Open(probe);
+  ASSERT_TRUE(manager.ok());
+  storage::RecoveryInfo info;
+  auto logged = (*manager)->Recover(&info);
+  ASSERT_TRUE(logged.ok()) << logged.status().ToString();
+  EXPECT_EQ(info.tuples_recovered, live.TotalTuples());
+  EXPECT_EQ(Logs(*logged), Logs(live));
+  std::filesystem::remove_all(root);
+}
+
+TEST(RecoveryTest, DamagedRecordFailsRecoveryWhole) {
+  // Every truncation of a base, a delta and a rule-change payload, and a
+  // flip of the byte that selects how the rest decodes, each re-framed with
+  // its length and CRC recomputed so that only the decoders can notice.
+  // Recovery fails, and the restarting peer keeps its empty database and
+  // initial rules.
+  const std::string root = FreshRoot("damaged");
+  net::SimRuntime rt;
+  CoordinationRule r1;
+  r1.id = "r1";
+  r1.head_node = 0;
+  auto open = [](const std::string& dir) {
+    storage::StorageOptions options;
+    options.dir = dir;
+    options.sync = storage::SyncMode::kNoSync;
+    return storage::StorageManager::Open(options);
+  };
+  {
+    rel::Database db;
+    ASSERT_TRUE(db.CreateRelation(rel::RelationSchema("a", {"x"})).ok());
+    ASSERT_TRUE(db.Insert("a", rel::Tuple({rel::Value::Str("seed")})).ok());
+    Peer peer(0, "A", std::move(db), &rt);
+    auto manager = open(root + "/intact");
+    ASSERT_TRUE(manager.ok());
+    ASSERT_TRUE(peer.AttachStorage(std::move(*manager)).ok());
+    ASSERT_TRUE(peer.db().Insert("a", rel::Tuple({rel::Value::Str("x")})).ok());
+    peer.OnDeltaApplied({{"a", 1}});
+    peer.LogRuleChange(wire::RuleChangeRecord::Delete("r1"));
+  }
+  auto intact = storage::ReadWalFile(root + "/intact/wal.log");
+  ASSERT_TRUE(intact.ok());
+  ASSERT_EQ(intact->records.size(), 3u);  // Base, delta, rule change.
+
+  using Records = std::vector<std::vector<uint8_t>>;
+  auto recover = [&](const Records& records) -> Status {
+    const std::string dir = root + "/damaged";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    {
+      auto wal = storage::WalWriter::Open(dir + "/wal.log",
+                                          storage::SyncMode::kNoSync);
+      EXPECT_TRUE(wal.ok());
+      for (const std::vector<uint8_t>& payload : records) {
+        EXPECT_TRUE((*wal)->Append(payload).ok());
+      }
+    }
+    Peer peer(0, "A", rel::Database(), &rt);
+    EXPECT_TRUE(peer.AddInitialRule(r1).ok());
+    auto manager = open(dir);
+    EXPECT_TRUE(manager.ok());
+    EXPECT_TRUE(peer.AttachStorage(std::move(*manager)).ok());
+    auto recovered = peer.Recover();
+    if (!recovered.ok()) {
+      EXPECT_TRUE(peer.db().relations().empty());
+      EXPECT_EQ(peer.rules().size(), 1u);
+      return recovered.status();
+    }
+    return Status::OK();
+  };
+
+  ASSERT_TRUE(recover(intact->records).ok());
+  for (size_t i = 0; i < intact->records.size(); ++i) {
+    for (size_t length = 0; length < intact->records[i].size(); ++length) {
+      Records records = intact->records;
+      records[i].resize(length);
+      EXPECT_FALSE(recover(records).ok())
+          << "record " << i << " cut to " << length << " bytes";
+    }
+    // The record kind, or for a rule change the kind inside its body.
+    Records records = intact->records;
+    records[i][i == 2 ? 1 : 0] ^= 0xff;
+    EXPECT_FALSE(recover(records).ok()) << "record " << i << " flipped";
+  }
   std::filesystem::remove_all(root);
 }
 

@@ -27,7 +27,7 @@ TEST(SnapshotTest, BytesRoundTrip) {
   EXPECT_TRUE(*back == db);
 }
 
-// Checkpoint bytes are canonical: the same tuples inserted in another order
+// Snapshot bytes are canonical: the same tuples inserted in another order
 // encode identically, so relations write in sorted order, not log order.
 TEST(SnapshotTest, BytesDoNotDependOnInsertionOrder) {
   Database reversed;

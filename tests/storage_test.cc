@@ -1,17 +1,20 @@
-// StorageManager: checkpoint + WAL working together — base establishment,
-// delta logging, threshold-driven checkpointing with WAL truncation, and
-// recovery equivalence (including isomorphism on instances with labeled
-// nulls, against the relational/snapshot round trip).
+// StorageManager: the per-peer log as the whole durable state — base
+// establishment, delta and rule-change logging, recovery in log order
+// (including isomorphism on instances with labeled nulls, against the
+// relational/snapshot round trip), fsyncs per sync mode, and rejection of
+// malformed record sequences.
 #include "src/storage/storage_manager.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
+#include <map>
 
 #include "src/relational/null_iso.h"
 #include "src/relational/snapshot.h"
-#include "src/storage/checkpoint.h"
+#include "src/util/serde.h"
 
 namespace p2pdb::storage {
 namespace {
@@ -20,6 +23,10 @@ std::string FreshDir(const std::string& name) {
   std::string dir = ::testing::TempDir() + "/p2pdb_storage_" + name;
   std::filesystem::remove_all(dir);
   return dir;
+}
+
+std::string WalPath(const StorageOptions& options) {
+  return options.dir + "/wal.log";
 }
 
 rel::Database BaseDb() {
@@ -31,28 +38,56 @@ rel::Database BaseDb() {
   return db;
 }
 
-DeltaMap OneDelta(int64_t id, const std::string& title) {
-  DeltaMap delta;
-  delta["pub"].insert(rel::Tuple({rel::Value::Int(id),
-                                  rel::Value::Str(title)}));
-  return delta;
+rel::Tuple Pub(int64_t id, const std::string& title) {
+  return rel::Tuple({rel::Value::Int(id), rel::Value::Str(title)});
+}
+
+/// Inserts one pub tuple into `db` and logs it as one applied delta.
+Status InsertAndLog(StorageManager* manager, rel::Database* db, int64_t id,
+                    const std::string& title) {
+  const size_t start = db->View("pub").size();
+  (void)db->Insert("pub", Pub(id, title));
+  return manager->LogDelta(*db, {{"pub", start}});
+}
+
+/// Every relation's entries in log order.
+std::map<std::string, std::vector<rel::Tuple>> Logs(const rel::Database& db) {
+  std::map<std::string, std::vector<rel::Tuple>> out;
+  for (const auto& [name, relation] : db.relations()) {
+    const rel::LogView log = relation.View();
+    std::vector<rel::Tuple>& entries = out[name];
+    for (size_t i = 0; i < log.size(); ++i) entries.push_back(log.at(i));
+  }
+  return out;
 }
 
 TEST(StorageManagerTest, DeltaCodecRoundTrip) {
-  DeltaMap delta;
-  delta["pub"].insert(rel::Tuple({rel::Value::Int(7),
-                                  rel::Value::Str("x")}));
-  delta["wrote"].insert(rel::Tuple({rel::Value::Str("ada"),
-                                    rel::Value::Null(0x300000005ULL)}));
-  auto back = DecodeDelta(EncodeDelta(delta));
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(*back, delta);
+  // One delta over two relations, appended out of sorted order: replay
+  // rebuilds both logs entry for entry.
+  StorageOptions options;
+  options.dir = FreshDir("delta_codec");
+  options.sync = SyncMode::kNoSync;
+  auto manager = StorageManager::Open(options);
+  ASSERT_TRUE(manager.ok());
+  rel::Database db = BaseDb();
+  ASSERT_TRUE((*manager)->EnsureBase(db).ok());
 
-  EXPECT_FALSE(DecodeDelta({}).ok());
-  EXPECT_FALSE(DecodeDelta({99}).ok());  // Unknown record kind.
+  const std::map<std::string, size_t> starts = {{"pub", 1}, {"wrote", 0}};
+  const rel::Tuple bob({rel::Value::Str("bob"), rel::Value::Int(7)});
+  const rel::Tuple ada({rel::Value::Str("ada"), rel::Value::Null(0x3000005)});
+  ASSERT_TRUE(db.Insert("pub", Pub(9, "z")).ok());
+  ASSERT_TRUE(db.Insert("pub", Pub(7, "x")).ok());
+  ASSERT_TRUE(db.Insert("wrote", bob).ok());
+  ASSERT_TRUE(db.Insert("wrote", ada).ok());
+  ASSERT_TRUE((*manager)->LogDelta(db, starts).ok());
+
+  auto back = (*manager)->Recover(nullptr);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(Logs(*back), Logs(db));
+  std::filesystem::remove_all(options.dir);
 }
 
-TEST(StorageManagerTest, RuleChangeRecordsSurviveCheckpointTruncation) {
+TEST(StorageManagerTest, RuleChangeRecordsKeepOrderAcrossReopen) {
   StorageOptions options;
   options.dir = FreshDir("rule_records");
   options.sync = SyncMode::kNoSync;
@@ -64,31 +99,20 @@ TEST(StorageManagerTest, RuleChangeRecordsSurviveCheckpointTruncation) {
   std::vector<uint8_t> change_a = {0xaa, 1, 2, 3};
   std::vector<uint8_t> change_b = {0xbb};
   ASSERT_TRUE((*manager)->LogRuleChange(change_a).ok());
-  ASSERT_TRUE((*manager)->LogDelta(OneDelta(2, "mid")).ok());
+  ASSERT_TRUE(InsertAndLog(manager->get(), &db, 2, "mid").ok());
   ASSERT_TRUE((*manager)->LogRuleChange(change_b).ok());
 
-  // Checkpointing folds deltas into the snapshot and truncates the WAL, but
-  // must not lose the rule-change history (the snapshot stores no rules).
-  ASSERT_TRUE((*manager)->Checkpoint(db).ok());
-
+  // A reopened manager (fresh process) sees the same history, in order.
+  manager->reset();
+  auto reopened = StorageManager::Open(options);
+  ASSERT_TRUE(reopened.ok());
   RecoveryInfo info;
-  auto recovered = (*manager)->Recover(&info);
+  auto recovered = (*reopened)->Recover(&info);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   ASSERT_EQ(info.rule_changes.size(), 2u);
   EXPECT_EQ(info.rule_changes[0], change_a);
   EXPECT_EQ(info.rule_changes[1], change_b);
-
-  // A reopened manager (fresh process) re-learns the retained records from
-  // disk, so its next checkpoint keeps carrying them.
-  manager->reset();
-  auto reopened = StorageManager::Open(options);
-  ASSERT_TRUE(reopened.ok());
-  ASSERT_TRUE((*reopened)->Checkpoint(db).ok());
-  RecoveryInfo info2;
-  ASSERT_TRUE((*reopened)->Recover(&info2).ok());
-  ASSERT_EQ(info2.rule_changes.size(), 2u);
-  EXPECT_EQ(info2.rule_changes[0], change_a);
-
+  EXPECT_TRUE(*recovered == db);
   std::filesystem::remove_all(options.dir);
 }
 
@@ -100,58 +124,108 @@ TEST(StorageManagerTest, GroupCommitOptionsReachTheWal) {
   options.group_commit.max_pending = 4;
   auto manager = StorageManager::Open(options);
   ASSERT_TRUE(manager.ok());
-  ASSERT_TRUE((*manager)->EnsureBase(BaseDb()).ok());
-  const uint64_t base_syncs = (*manager)->wal_syncs();  // The base's Reset.
+  rel::Database db = BaseDb();
+  // The base is synced before EnsureBase returns, although the window would
+  // hold it for a minute.
+  const uint64_t open_syncs = (*manager)->wal_syncs();
+  ASSERT_TRUE((*manager)->EnsureBase(db).ok());
+  const uint64_t base_syncs = (*manager)->wal_syncs();
+  EXPECT_EQ(base_syncs, open_syncs + 1);
   for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE((*manager)->LogDelta(OneDelta(10 + i, "d")).ok());
+    ASSERT_TRUE(InsertAndLog(manager->get(), &db, 10 + i, "d").ok());
   }
   EXPECT_EQ((*manager)->wal_syncs() - base_syncs, 2u);  // Two batches of 4.
   std::filesystem::remove_all(options.dir);
 }
 
-TEST(StorageManagerTest, CheckpointFsyncsOnlyUnderSyncMode) {
+TEST(StorageManagerTest, FsyncsFollowSyncMode) {
+  // kNoSync never fsyncs, from Open through recovery. kSync fsyncs a created
+  // log's header and directory, then each record. Recovery writes nothing.
   for (SyncMode mode : {SyncMode::kNoSync, SyncMode::kSync}) {
+    const bool sync = mode == SyncMode::kSync;
     StorageOptions options;
-    options.dir =
-        FreshDir(mode == SyncMode::kSync ? "ckpt_sync" : "ckpt_nosync");
+    options.dir = FreshDir(sync ? "fsync_sync" : "fsync_nosync");
     options.sync = mode;
     auto manager = StorageManager::Open(options);
     ASSERT_TRUE(manager.ok()) << manager.status().ToString();
+    EXPECT_EQ((*manager)->wal_syncs(), sync ? 2u : 0u);
     rel::Database db = BaseDb();
     ASSERT_TRUE((*manager)->EnsureBase(db).ok());
-    ASSERT_TRUE((*manager)->LogDelta(OneDelta(2, "x")).ok());
-    const uint64_t before = (*manager)->wal_syncs();
-    ASSERT_TRUE((*manager)->Checkpoint(db).ok());  // Forced.
-    const uint64_t reset_syncs = (*manager)->wal_syncs() - before;
-    if (mode == SyncMode::kSync) {
-      EXPECT_GE(reset_syncs, 1u);
-    } else {
-      EXPECT_EQ((*manager)->wal_syncs(), 0u);
-    }
-    // Either way the checkpoint is published and recoverable.
+    ASSERT_TRUE(InsertAndLog(manager->get(), &db, 2, "x").ok());
+    ASSERT_TRUE((*manager)->LogRuleChange({0x01}).ok());
+    EXPECT_EQ((*manager)->wal_syncs(), sync ? 5u : 0u);
+
+    const uint64_t bytes = (*manager)->wal_bytes();
     auto recovered = (*manager)->Recover(nullptr);
     ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
     EXPECT_TRUE(*recovered == db);
+    EXPECT_EQ((*manager)->wal_syncs(), sync ? 5u : 0u);
+    EXPECT_EQ((*manager)->wal_bytes(), bytes);
+    EXPECT_EQ(std::filesystem::file_size(WalPath(options)), bytes);
+
+    // A restarted process reopens the existing log: no fsync either way.
+    manager->reset();
+    auto reopened = StorageManager::Open(options);
+    ASSERT_TRUE(reopened.ok());
+    ASSERT_TRUE((*reopened)->EnsureBase(rel::Database()).ok());
+    ASSERT_TRUE((*reopened)->Recover(nullptr).ok());
+    EXPECT_EQ((*reopened)->wal_syncs(), 0u);
+    EXPECT_EQ(std::filesystem::file_size(WalPath(options)), bytes);
     std::filesystem::remove_all(options.dir);
   }
 }
 
-TEST(StorageManagerTest, EnsureBaseCheckpointsOnlyOnce) {
+TEST(StorageManagerTest, EnsureBaseWritesTheBaseOnce) {
   StorageOptions options;
   options.dir = FreshDir("ensure_base");
   auto manager = StorageManager::Open(options);
   ASSERT_TRUE(manager.ok()) << manager.status().ToString();
+  EXPECT_FALSE((*manager)->HasBase());
 
   rel::Database db = BaseDb();
   ASSERT_TRUE((*manager)->EnsureBase(db).ok());
-  EXPECT_TRUE(CheckpointExists(options.dir));
+  EXPECT_TRUE((*manager)->HasBase());
+  const uint64_t bytes = (*manager)->wal_bytes();
 
-  // A second EnsureBase with different contents must NOT overwrite the base.
+  // A second EnsureBase with different contents must NOT add a base, in
+  // this process or the next.
   rel::Database other;
   ASSERT_TRUE((*manager)->EnsureBase(other).ok());
-  auto recovered = (*manager)->Recover(nullptr);
+  manager->reset();
+  auto reopened = StorageManager::Open(options);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_TRUE((*reopened)->HasBase());
+  ASSERT_TRUE((*reopened)->EnsureBase(other).ok());
+  EXPECT_EQ((*reopened)->wal_bytes(), bytes);
+  auto recovered = (*reopened)->Recover(nullptr);
   ASSERT_TRUE(recovered.ok());
   EXPECT_TRUE(*recovered == db);
+}
+
+TEST(StorageManagerTest, TornBaseReadsAsNoBase) {
+  // A crash mid-way through the base record leaves no base: the daemon
+  // re-seeds instead of recovering half of one.
+  StorageOptions options;
+  options.dir = FreshDir("torn_base");
+  options.sync = SyncMode::kNoSync;
+  rel::Database db = BaseDb();
+  {
+    auto manager = StorageManager::Open(options);
+    ASSERT_TRUE(manager.ok());
+    ASSERT_TRUE((*manager)->EnsureBase(db).ok());
+  }
+  const std::string wal = WalPath(options);
+  std::filesystem::resize_file(wal, std::filesystem::file_size(wal) - 3);
+  auto reopened = StorageManager::Open(options);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_FALSE((*reopened)->HasBase());
+  EXPECT_FALSE((*reopened)->Recover(nullptr).ok());
+
+  ASSERT_TRUE((*reopened)->EnsureBase(db).ok());
+  EXPECT_TRUE((*reopened)->HasBase());
+  auto recovered = (*reopened)->Recover(nullptr);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(Logs(*recovered), Logs(db));
 }
 
 TEST(StorageManagerTest, LogDeltaThenRecoverRebuildsState) {
@@ -163,30 +237,28 @@ TEST(StorageManagerTest, LogDeltaThenRecoverRebuildsState) {
   rel::Database db = BaseDb();
   ASSERT_TRUE((*manager)->EnsureBase(db).ok());
   for (int64_t i = 2; i <= 5; ++i) {
-    DeltaMap delta = OneDelta(i, "t" + std::to_string(i));
-    for (const auto& [relation, tuples] : delta) {
-      for (const rel::Tuple& t : tuples) {
-        ASSERT_TRUE(db.Insert(relation, t).ok());
-      }
-    }
-    ASSERT_TRUE((*manager)->LogDelta(delta).ok());
+    ASSERT_TRUE(
+        InsertAndLog(manager->get(), &db, i, "t" + std::to_string(i)).ok());
   }
-  ASSERT_TRUE((*manager)->LogDelta({}).ok());  // Empty delta: no record.
+  // Steps that grew nothing write no record.
+  const uint64_t bytes = (*manager)->wal_bytes();
+  ASSERT_TRUE((*manager)->LogDelta(db, {}).ok());
+  ASSERT_TRUE((*manager)->LogDelta(db, {{"pub", 5}, {"wrote", 0}}).ok());
+  EXPECT_EQ((*manager)->wal_bytes(), bytes);
 
   RecoveryInfo info;
   auto recovered = (*manager)->Recover(&info);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_TRUE(*recovered == db);
-  EXPECT_TRUE(info.had_checkpoint);
-  EXPECT_EQ(info.wal_records_replayed, 4u);
+  EXPECT_EQ(Logs(*recovered), Logs(db));
+  EXPECT_EQ(info.wal_records_replayed, 5u);  // The base and four deltas.
   EXPECT_FALSE(info.wal_tail_truncated);
   EXPECT_EQ(info.tuples_recovered, db.TotalTuples());
 }
 
 TEST(StorageManagerTest, RecoveryIsIsomorphicToSnapshotRoundTrip) {
-  // A database with labeled nulls, rebuilt two ways: checkpoint+WAL replay
-  // and the direct snapshot round trip. Both must be isomorphic (here even
-  // equal: both paths keep null identifiers verbatim).
+  // A database with labeled nulls, rebuilt two ways: log replay and the
+  // direct snapshot round trip. Both must be isomorphic (here even equal:
+  // both paths keep null identifiers verbatim).
   StorageOptions options;
   options.dir = FreshDir("iso");
   auto manager = StorageManager::Open(options);
@@ -194,52 +266,17 @@ TEST(StorageManagerTest, RecoveryIsIsomorphicToSnapshotRoundTrip) {
 
   rel::Database db = BaseDb();
   ASSERT_TRUE((*manager)->EnsureBase(db).ok());
-  DeltaMap delta;
-  delta["wrote"].insert(rel::Tuple({rel::Value::Str("ada"),
-                                    rel::Value::Null(0x200000001ULL)}));
-  delta["wrote"].insert(rel::Tuple({rel::Value::Str("bob"),
-                                    rel::Value::Null(0x200000002ULL)}));
-  for (const auto& [relation, tuples] : delta) {
-    for (const rel::Tuple& t : tuples) {
-      ASSERT_TRUE(db.Insert(relation, t).ok());
-    }
-  }
-  ASSERT_TRUE((*manager)->LogDelta(delta).ok());
+  const rel::Value ada = rel::Value::Str("ada");
+  const rel::Value bob = rel::Value::Str("bob");
+  ASSERT_TRUE(db.Insert("wrote", rel::Tuple({ada, rel::Value::Null(1)})).ok());
+  ASSERT_TRUE(db.Insert("wrote", rel::Tuple({bob, rel::Value::Null(2)})).ok());
+  ASSERT_TRUE((*manager)->LogDelta(db, {{"wrote", 0}}).ok());
 
   auto recovered = (*manager)->Recover(nullptr);
   ASSERT_TRUE(recovered.ok());
   auto snapshotted = rel::DeserializeDatabase(rel::SerializeDatabase(db));
   ASSERT_TRUE(snapshotted.ok());
   EXPECT_TRUE(rel::DatabasesIsomorphic(*recovered, *snapshotted));
-  EXPECT_TRUE(*recovered == db);
-}
-
-TEST(StorageManagerTest, WalGrowthTriggersCheckpointAndTruncation) {
-  StorageOptions options;
-  options.dir = FreshDir("threshold");
-  options.checkpoint_wal_bytes = 128;  // Tiny: checkpoint after a few deltas.
-  auto manager = StorageManager::Open(options);
-  ASSERT_TRUE(manager.ok());
-
-  rel::Database db = BaseDb();
-  ASSERT_TRUE((*manager)->EnsureBase(db).ok());
-  for (int64_t i = 2; i <= 40; ++i) {
-    DeltaMap delta = OneDelta(i, "title number " + std::to_string(i));
-    for (const auto& [relation, tuples] : delta) {
-      for (const rel::Tuple& t : tuples) {
-        ASSERT_TRUE(db.Insert(relation, t).ok());
-      }
-    }
-    ASSERT_TRUE((*manager)->LogDelta(delta).ok());
-    ASSERT_TRUE((*manager)->MaybeCheckpoint(db).ok());
-  }
-  EXPECT_GT((*manager)->checkpoints_taken(), 1u);
-  // The log was truncated at the last checkpoint, so it holds at most a few
-  // trailing deltas, not all 39.
-  EXPECT_LT((*manager)->wal_bytes(), 10u * options.checkpoint_wal_bytes);
-
-  auto recovered = (*manager)->Recover(nullptr);
-  ASSERT_TRUE(recovered.ok());
   EXPECT_TRUE(*recovered == db);
 }
 
@@ -252,9 +289,7 @@ TEST(StorageManagerTest, NoSyncModeStillRecovers) {
 
   rel::Database db = BaseDb();
   ASSERT_TRUE((*manager)->EnsureBase(db).ok());
-  DeltaMap delta = OneDelta(2, "nosync");
-  ASSERT_TRUE(db.Insert("pub", *delta["pub"].begin()).ok());
-  ASSERT_TRUE((*manager)->LogDelta(delta).ok());
+  ASSERT_TRUE(InsertAndLog(manager->get(), &db, 2, "nosync").ok());
 
   // A fresh manager over the same directory (a restarted process).
   auto reopened = StorageManager::Open(options);
@@ -270,32 +305,30 @@ TEST(StorageManagerTest, CorruptWalTailReplaysCleanPrefix) {
   auto manager = StorageManager::Open(options);
   ASSERT_TRUE(manager.ok());
 
-  rel::Database base = BaseDb();
-  ASSERT_TRUE((*manager)->EnsureBase(base).ok());
-  ASSERT_TRUE((*manager)->LogDelta(OneDelta(2, "kept")).ok());
-  ASSERT_TRUE((*manager)->LogDelta(OneDelta(3, "torn")).ok());
+  rel::Database db = BaseDb();
+  ASSERT_TRUE((*manager)->EnsureBase(db).ok());
+  ASSERT_TRUE(InsertAndLog(manager->get(), &db, 2, "kept").ok());
+  rel::Database expected = db;
+  ASSERT_TRUE(InsertAndLog(manager->get(), &db, 3, "torn").ok());
 
   // Tear the last record (a crash mid-write): chop 3 bytes off the log.
-  std::string wal_path = options.dir + "/wal.log";
-  auto size = std::filesystem::file_size(wal_path);
-  std::filesystem::resize_file(wal_path, size - 3);
+  const std::string wal = WalPath(options);
+  std::filesystem::resize_file(wal, std::filesystem::file_size(wal) - 3);
 
   RecoveryInfo info;
   auto recovered = (*manager)->Recover(&info);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_TRUE(info.wal_tail_truncated);
-  EXPECT_EQ(info.wal_records_replayed, 1u);
-  rel::Database expected = BaseDb();
-  ASSERT_TRUE(
-      expected.Insert("pub", *OneDelta(2, "kept")["pub"].begin()).ok());
+  EXPECT_EQ(info.wal_records_replayed, 2u);  // The base and "kept".
   EXPECT_TRUE(*recovered == expected);
 }
 
-TEST(StorageManagerTest, RecoverWithoutCheckpointFails) {
+TEST(StorageManagerTest, RecoverWithoutBaseFails) {
   StorageOptions options;
-  options.dir = FreshDir("no_checkpoint");
+  options.dir = FreshDir("no_base");
   auto manager = StorageManager::Open(options);
   ASSERT_TRUE(manager.ok());
+  EXPECT_FALSE((*manager)->HasBase());
   auto recovered = (*manager)->Recover(nullptr);
   ASSERT_FALSE(recovered.ok());
   EXPECT_EQ(recovered.status().code(), StatusCode::kNotFound);
@@ -307,103 +340,72 @@ TEST(StorageManagerTest, DeltaForUnknownRelationIsAnError) {
   auto manager = StorageManager::Open(options);
   ASSERT_TRUE(manager.ok());
   ASSERT_TRUE((*manager)->EnsureBase(BaseDb()).ok());
-  DeltaMap delta;
-  delta["ghost"].insert(rel::Tuple({rel::Value::Int(1)}));
-  ASSERT_TRUE((*manager)->LogDelta(delta).ok());
+  rel::Database ghost;
+  ASSERT_TRUE(ghost.CreateRelation(rel::RelationSchema("ghost", {"x"})).ok());
+  ASSERT_TRUE(ghost.Insert("ghost", rel::Tuple({rel::Value::Int(1)})).ok());
+  ASSERT_TRUE((*manager)->LogDelta(ghost, {{"ghost", 0}}).ok());
   EXPECT_FALSE((*manager)->Recover(nullptr).ok());
 }
 
-TEST(StorageManagerTest, WalAgeTriggersCheckpoint) {
-  // Time-based trigger: a small WAL that would never hit the byte threshold
-  // still gets checkpointed once its oldest uncheckpointed record ages past
-  // checkpoint_interval. The clock is injected so the test is instant.
-  uint64_t fake_now = 1'000'000;
+TEST(StorageManagerTest, BaseMustComeFirstAndOnlyOnce) {
+  // Record sequences the manager never writes: a second base, and a delta
+  // ahead of the base. Both fail recovery instead of replaying partly.
   StorageOptions options;
-  options.dir = FreshDir("time_trigger");
+  options.dir = FreshDir("record_order");
   options.sync = SyncMode::kNoSync;
-  options.checkpoint_interval = std::chrono::seconds(5);
-  options.now_micros = [&fake_now] { return fake_now; };
-  auto manager = StorageManager::Open(options);
-  ASSERT_TRUE(manager.ok());
-
-  rel::Database db = BaseDb();
-  ASSERT_TRUE((*manager)->EnsureBase(db).ok());
-  uint64_t base = (*manager)->checkpoints_taken();
-
-  DeltaMap delta = OneDelta(2, "young record");
-  ASSERT_TRUE(db.Insert("pub", *delta["pub"].begin()).ok());
-  ASSERT_TRUE((*manager)->LogDelta(delta).ok());
-  ASSERT_TRUE((*manager)->MaybeCheckpoint(db).ok());
-  EXPECT_EQ((*manager)->checkpoints_taken(), base);  // Age 0: no trigger.
-
-  fake_now += 4'999'999;
-  ASSERT_TRUE((*manager)->MaybeCheckpoint(db).ok());
-  EXPECT_EQ((*manager)->checkpoints_taken(), base);  // One tick short.
-
-  fake_now += 1;
-  ASSERT_TRUE((*manager)->MaybeCheckpoint(db).ok());
-  EXPECT_EQ((*manager)->checkpoints_taken(), base + 1);
-
-  // A checkpointed (clean) WAL never re-triggers, no matter how stale the
-  // clock gets — the timer measures dirty records, not idle time.
-  fake_now += 60'000'000;
-  ASSERT_TRUE((*manager)->MaybeCheckpoint(db).ok());
-  EXPECT_EQ((*manager)->checkpoints_taken(), base + 1);
-
-  // The next logged delta restarts the age clock from its own append time.
-  DeltaMap next = OneDelta(3, "second epoch");
-  ASSERT_TRUE(db.Insert("pub", *next["pub"].begin()).ok());
-  ASSERT_TRUE((*manager)->LogDelta(next).ok());
-  fake_now += 4'000'000;
-  ASSERT_TRUE((*manager)->MaybeCheckpoint(db).ok());
-  EXPECT_EQ((*manager)->checkpoints_taken(), base + 1);
-  fake_now += 1'000'000;
-  ASSERT_TRUE((*manager)->MaybeCheckpoint(db).ok());
-  EXPECT_EQ((*manager)->checkpoints_taken(), base + 2);
-
-  auto recovered = (*manager)->Recover(nullptr);
-  ASSERT_TRUE(recovered.ok());
-  EXPECT_TRUE(*recovered == db);
-}
-
-TEST(StorageManagerTest, ReopenedDirtyWalAgesFromReopenTime) {
-  // Records that survive a process restart restart their age clock at Open:
-  // the reopened manager checkpoints within one interval of the reopen, not
-  // immediately (wall-clock age across the restart is unknowable).
-  uint64_t fake_now = 1'000'000;
-  StorageOptions options;
-  options.dir = FreshDir("reopen_age");
-  options.sync = SyncMode::kNoSync;
-  options.checkpoint_interval = std::chrono::seconds(5);
-  options.now_micros = [&fake_now] { return fake_now; };
-
-  rel::Database db = BaseDb();
   {
     auto manager = StorageManager::Open(options);
     ASSERT_TRUE(manager.ok());
+    rel::Database db = BaseDb();
     ASSERT_TRUE((*manager)->EnsureBase(db).ok());
-    DeltaMap delta = OneDelta(2, "survives restart");
-    ASSERT_TRUE(db.Insert("pub", *delta["pub"].begin()).ok());
-    ASSERT_TRUE((*manager)->LogDelta(delta).ok());
+    ASSERT_TRUE(InsertAndLog(manager->get(), &db, 2, "delta").ok());
   }
+  auto records = ReadWalFile(WalPath(options));
+  ASSERT_TRUE(records.ok());
+  ASSERT_EQ(records->records.size(), 2u);
+  const std::vector<uint8_t>& base = records->records[0];
+  const std::vector<uint8_t>& delta = records->records[1];
 
-  fake_now += 100'000'000;  // Long downtime.
-  auto reopened = StorageManager::Open(options);
-  ASSERT_TRUE(reopened.ok());
-  uint64_t base = (*reopened)->checkpoints_taken();
-  ASSERT_TRUE((*reopened)->MaybeCheckpoint(db).ok());
-  EXPECT_EQ((*reopened)->checkpoints_taken(), base);  // Clock restarted.
-  fake_now += 5'000'000;
-  ASSERT_TRUE((*reopened)->MaybeCheckpoint(db).ok());
-  EXPECT_EQ((*reopened)->checkpoints_taken(), base + 1);
+  using Sequence = std::vector<std::vector<uint8_t>>;
+  std::vector<Sequence> sequences;
+  sequences.push_back({base, base});
+  sequences.push_back({base, delta, base});
+  sequences.push_back({delta, base});
+  for (const Sequence& sequence : sequences) {
+    StorageOptions damaged = options;
+    damaged.dir = FreshDir("record_order_damaged");
+    {
+      std::filesystem::create_directories(damaged.dir);
+      auto wal = WalWriter::Open(WalPath(damaged), SyncMode::kNoSync);
+      ASSERT_TRUE(wal.ok());
+      for (const std::vector<uint8_t>& payload : sequence) {
+        ASSERT_TRUE((*wal)->Append(payload).ok());
+      }
+    }
+    auto manager = StorageManager::Open(damaged);
+    ASSERT_TRUE(manager.ok());
+    EXPECT_EQ((*manager)->HasBase(), sequence[0] == base);
+    EXPECT_FALSE((*manager)->Recover(nullptr).ok());
+  }
 }
 
-TEST(StorageManagerTest, NullStorageIsInert) {
-  NullStorage storage;
-  EXPECT_TRUE(storage.LogDelta(OneDelta(1, "x")).ok());
-  EXPECT_TRUE(storage.EnsureBase(BaseDb()).ok());
-  EXPECT_TRUE(storage.Checkpoint(BaseDb()).ok());
-  EXPECT_FALSE(storage.Recover(nullptr).ok());
+TEST(StorageManagerTest, VersionOneLogIsUnsupported) {
+  // A directory from before the log held the whole state (version 1, next to
+  // a checkpoint file) must not read as an empty one.
+  StorageOptions options;
+  options.dir = FreshDir("version_one");
+  std::filesystem::create_directories(options.dir);
+  Writer header;
+  header.PutU32(0x4c573250);  // "P2WL"
+  header.PutU32(1);
+  std::FILE* f = std::fopen(WalPath(options).c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(header.bytes().data(), 1, header.size(), f);
+  std::fclose(f);
+
+  auto manager = StorageManager::Open(options);
+  ASSERT_FALSE(manager.ok());
+  EXPECT_EQ(manager.status().code(), StatusCode::kUnsupported);
 }
 
 }  // namespace

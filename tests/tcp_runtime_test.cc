@@ -448,7 +448,7 @@ core::Session::StorageProvider DirProvider(const std::string& root) {
 TEST(TcpRuntimeTest, ChurnScriptWithSocketCloseCrashes) {
   // PR 2's churn scenario, but the crash is a literal connection teardown:
   // the victim's listener closes mid-update, in-flight frames die in the
-  // kernel, and the restarted peer rejoins from checkpoint + WAL on a fresh
+  // kernel, and the restarted peer rejoins from its log on a fresh
   // port. The re-converged network must match a never-crashed run.
   auto system = workload::MakeRunningExample();
   ASSERT_TRUE(system.ok());

@@ -1,12 +1,14 @@
 // WAL framing: CRC-checked records, torn-write and corrupt-tail tolerance
 // (replay stops at the first damaged record; Open truncates the damage away
-// before appending).
+// before appending, and a failed append takes back its own partial bytes).
 #include "src/storage/wal.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -208,26 +210,43 @@ TEST(WalTest, OpenTruncatesTornTailBeforeAppending) {
   std::remove(path.c_str());
 }
 
-TEST(WalTest, ResetEmptiesTheLog) {
-  std::string path = TestPath("reset");
+TEST(WalTest, FailedAppendLeavesNoTornBytes) {
+  // The file-size limit lets only part of the second record land. That
+  // append fails, and the third must follow the first directly: replay
+  // would stop at torn bytes and lose every record after them.
+  std::string path = TestPath("failed_append");
   std::remove(path.c_str());
   auto writer = WalWriter::Open(path, SyncMode::kNoSync);
   ASSERT_TRUE(writer.ok());
-  ASSERT_TRUE((*writer)->Append(Payload({1, 2})).ok());
-  ASSERT_TRUE((*writer)->Reset().ok());
-  EXPECT_EQ((*writer)->size_bytes(), 8u);
-  ASSERT_TRUE((*writer)->Append(Payload({3})).ok());
+  ASSERT_TRUE((*writer)->Append(Payload({1, 2, 3})).ok());
+
+  rlimit saved;
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  auto saved_handler = std::signal(SIGXFSZ, SIG_IGN);
+  rlimit limited = saved;
+  limited.rlim_cur = (*writer)->size_bytes() + 8 + 4;  // Room for record 3.
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &limited), 0);
+  Status torn = (*writer)->Append(std::vector<uint8_t>(64, 0x5a));
+  Status after = (*writer)->Append(Payload({7, 8, 9, 10}));
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+  std::signal(SIGXFSZ, saved_handler);
+
+  EXPECT_FALSE(torn.ok());
+  EXPECT_TRUE(after.ok()) << after.ToString();
   auto contents = ReadWalFile(path);
   ASSERT_TRUE(contents.ok());
-  ASSERT_EQ(contents->records.size(), 1u);
-  EXPECT_EQ(contents->records[0], Payload({3}));
+  ASSERT_EQ(contents->records.size(), 2u);
+  EXPECT_EQ(contents->records[0], Payload({1, 2, 3}));
+  EXPECT_EQ(contents->records[1], Payload({7, 8, 9, 10}));
+  EXPECT_FALSE(contents->tail_corrupt);
+  EXPECT_EQ(contents->valid_bytes, (*writer)->size_bytes());
   std::remove(path.c_str());
 }
 
 TEST(WalTest, TornHeaderStartsFresh) {
-  // A crash during WAL creation (or Reset) can leave fewer bytes than the
-  // header; that must read as an empty log and Open must rewrite it, not
-  // brick the peer's storage.
+  // A crash during WAL creation can leave fewer bytes than the header; that
+  // must read as an empty log and Open must rewrite it, not brick the peer's
+  // storage.
   std::string path = TestPath("torn_file_header");
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
@@ -257,10 +276,12 @@ TEST(WalTest, SyncModeFsyncsEveryAppend) {
   std::remove(path.c_str());
   auto writer = WalWriter::Open(path, SyncMode::kSync);
   ASSERT_TRUE(writer.ok());
+  // Creating the log syncs its header and its directory entry.
+  EXPECT_EQ((*writer)->syncs_performed(), 2u);
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE((*writer)->Append(Payload({i})).ok());
   }
-  EXPECT_EQ((*writer)->syncs_performed(), 5u);
+  EXPECT_EQ((*writer)->syncs_performed(), 2u + 5u);
   EXPECT_EQ((*writer)->pending_appends(), 0u);
   std::remove(path.c_str());
 }
@@ -273,14 +294,15 @@ TEST(WalTest, GroupCommitCoalescesFsyncs) {
   group.max_pending = 10;
   auto writer = WalWriter::Open(path, SyncMode::kSync, group);
   ASSERT_TRUE(writer.ok());
+  const uint64_t created = (*writer)->syncs_performed();
   for (int i = 0; i < 25; ++i) {
     ASSERT_TRUE((*writer)->Append(Payload({i})).ok());
   }
   // 25 appends = two full batches of 10 plus 5 pending.
-  EXPECT_EQ((*writer)->syncs_performed(), 2u);
+  EXPECT_EQ((*writer)->syncs_performed() - created, 2u);
   EXPECT_EQ((*writer)->pending_appends(), 5u);
   ASSERT_TRUE((*writer)->Sync().ok());  // Closes the open window.
-  EXPECT_EQ((*writer)->syncs_performed(), 3u);
+  EXPECT_EQ((*writer)->syncs_performed() - created, 3u);
   EXPECT_EQ((*writer)->pending_appends(), 0u);
 
   // Every record is readable regardless of which batch carried it.

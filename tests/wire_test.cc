@@ -35,7 +35,7 @@ TEST(WireTest, TupleSetRoundTrip) {
       rel::Tuple({rel::Value::Null(7), S("c")}),
   };
   Writer w;
-  EncodeTupleSet(tuples, &w);
+  EncodeTupleList(std::vector<rel::Tuple>(tuples.begin(), tuples.end()), &w);
   Reader r(w.bytes());
   auto back = DecodeTupleSet(&r);
   ASSERT_TRUE(back.ok());

@@ -1,7 +1,7 @@
 // p2pdb_peerd: one peer as one OS process. Reads a single config file (see
 // src/daemon/config.h for the format), binds its fixed listen endpoint,
-// recovers from its data directory when a checkpoint exists (re-exec after a
-// crash), and serves until a kShutdown control frame or SIGTERM/SIGINT.
+// recovers from its data directory when its log holds a base (re-exec after
+// a crash), and serves until a kShutdown control frame or SIGTERM/SIGINT.
 //
 //   p2pdb_peerd --config /path/to/peer2.conf
 //
@@ -32,8 +32,8 @@ void Usage(std::FILE* out) {
                "entirely by its config file (identity, listen endpoint,\n"
                "system description, durable data directory, fleet endpoint\n"
                "table). Exits on SIGTERM/SIGINT or a kShutdown control\n"
-               "frame; on a data_dir with an existing checkpoint it recovers\n"
-               "checkpoint + WAL before serving.\n");
+               "frame; on a data_dir whose log already holds a base it\n"
+               "replays that log before serving.\n");
 }
 
 }  // namespace
