@@ -25,7 +25,6 @@ namespace p2pdb::core::wire {
 // re-exported here for wire users.
 using rel::DecodeTuple;
 using rel::DecodeTupleList;
-using rel::DecodeTupleSet;
 using rel::DecodeValue;
 using rel::EncodeTuple;
 using rel::EncodeTupleList;

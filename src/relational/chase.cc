@@ -139,7 +139,9 @@ Status RuleHead::Apply(Database* db, const std::vector<Value>& binding,
       }
     }
     for (size_t i = frontier_.size(); i < frame_.size(); ++i) {
-      frame_[i] = nulls->Fresh(base_depth);
+      auto null = nulls->Fresh(base_depth);
+      if (!null.ok()) return null.status();  // Before any insert.
+      frame_[i] = *null;
     }
     for (size_t i = 0; i < atoms_.size(); ++i) {
       if (present[i]) continue;

@@ -27,9 +27,9 @@ Result<Value> DecodeValue(Reader* r) {
       return Value::Int(*i);
     }
     case ValueKind::kString: {
-      auto s = r->GetString();
+      auto s = r->GetStringView();
       if (!s.ok()) return s.status();
-      return Value::Str(std::move(*s));
+      return Value::Str(*s);
     }
     case ValueKind::kNull: {
       auto id = r->GetU64();
@@ -56,7 +56,7 @@ Result<Tuple> DecodeTuple(Reader* r) {
   for (uint64_t i = 0; i < *n; ++i) {
     auto v = DecodeValue(r);
     if (!v.ok()) return v.status();
-    values.push_back(std::move(*v));
+    values.push_back(*v);
   }
   return Tuple(std::move(values));
 }
@@ -82,18 +82,6 @@ Result<std::vector<Tuple>> DecodeTupleList(Reader* r) {
     auto t = DecodeTuple(r);
     if (!t.ok()) return t.status();
     out.push_back(t.MoveValue());
-  }
-  return out;
-}
-
-Result<std::set<Tuple>> DecodeTupleSet(Reader* r) {
-  auto n = r->GetVarint();
-  if (!n.ok()) return n.status();
-  std::set<Tuple> out;
-  for (uint64_t i = 0; i < *n; ++i) {
-    auto t = DecodeTuple(r);
-    if (!t.ok()) return t.status();
-    out.insert(std::move(*t));
   }
   return out;
 }

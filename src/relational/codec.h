@@ -1,15 +1,18 @@
 // Binary codecs for values and tuples, shared by the wire format (core/wire)
 // and database snapshots (relational/snapshot).
 //
+// A string constant is encoded as its length and bytes, never as its
+// dictionary id (value.h): ids are private to one process. Decoding interns
+// the string straight from the buffer.
+//
 // A tuple sequence is encoded as a count and then the tuples. Snapshots write
-// sorted tuple sets, so their bytes do not depend on arrival order.
-// Subscription answers and WAL records carry tuple lists in the writer's log
-// order: encoded straight from a log range, decoded into a vector whose
-// tuples the receiver moves into its own log.
+// each relation's tuples sorted and without repeats, so their bytes do not
+// depend on arrival order. Subscription answers and WAL records carry tuple
+// lists in the writer's log order: encoded straight from a log range,
+// decoded into a vector whose tuples the receiver moves into its own log.
 #ifndef P2PDB_RELATIONAL_CODEC_H_
 #define P2PDB_RELATIONAL_CODEC_H_
 
-#include <set>
 #include <vector>
 
 #include "src/relational/tuple.h"
@@ -24,11 +27,6 @@ Result<Value> DecodeValue(Reader* r);
 
 void EncodeTuple(const Tuple& t, Writer* w);
 Result<Tuple> DecodeTuple(Reader* r);
-
-/// Decodes a count, then that many tuples, into a set: the bytes
-/// EncodeTupleList writes for a sorted, duplicate-free vector, so equal sets
-/// have equal bytes.
-Result<std::set<Tuple>> DecodeTupleSet(Reader* r);
 
 /// A count, then the tuples in the given order, repeats included.
 void EncodeTupleList(const std::vector<Tuple>& tuples, Writer* w);

@@ -55,11 +55,18 @@ Result<Database> DeserializeDatabase(const std::vector<uint8_t>& bytes) {
     }
     P2PDB_RETURN_IF_ERROR(
         db.CreateRelation(RelationSchema(rel_name, std::move(attrs))));
-    auto tuples = DecodeTupleSet(&r);
+    auto tuples = DecodeTupleList(&r);
     if (!tuples.ok()) return tuples.status();
+    // SerializeDatabase writes a strictly increasing list; anything else
+    // (a repeat, or tuples out of order) is not a snapshot it wrote.
+    for (size_t k = 1; k < tuples->size(); ++k) {
+      if (!((*tuples)[k - 1] < (*tuples)[k])) {
+        return Status::ParseError("unsorted snapshot relation " + rel_name);
+      }
+    }
     Relation* relation = *db.GetMutable(rel_name);
-    for (const Tuple& t : *tuples) {
-      P2PDB_RETURN_IF_ERROR(relation->Insert(t).status());
+    for (Tuple& t : *tuples) {
+      P2PDB_RETURN_IF_ERROR(relation->Insert(std::move(t)).status());
     }
   }
   if (!r.AtEnd()) return Status::ParseError("trailing bytes in snapshot");

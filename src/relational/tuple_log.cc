@@ -13,8 +13,9 @@ constexpr size_t kFirstTableCapacity = 16;
 // Entry + 1 must fit the 32-bit link and slot fields.
 constexpr size_t kMaxEntries = UINT32_MAX - 1;
 
-/// Finalizes a hash into a well-mixed 32-bit tag (murmur3's fmix64):
-/// Value::Hash keeps integers' low bits, which would cluster probe runs.
+/// Finalizes a hash into a well-mixed 32-bit tag (murmur3's fmix64).
+/// Value::Hash does not mix: integers and interned string ids are small,
+/// dense integers, and their low bits alone would cluster probe runs.
 uint32_t Tag(size_t h) {
   uint64_t x = h;
   x ^= x >> 33;

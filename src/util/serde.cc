@@ -102,11 +102,17 @@ Status Reader::ExpectEnd() const {
 }
 
 Result<std::string> Reader::GetString() {
+  auto s = GetStringView();
+  if (!s.ok()) return s.status();
+  return std::string(*s);
+}
+
+Result<std::string_view> Reader::GetStringView() {
   auto len = GetVarint();
   if (!len.ok()) return len.status();
   if (*len > remaining()) return Status::OutOfRange("GetString past end");
-  std::string s(reinterpret_cast<const char*>(data_ + pos_),
-                static_cast<size_t>(*len));
+  std::string_view s(reinterpret_cast<const char*>(data_ + pos_),
+                     static_cast<size_t>(*len));
   pos_ += static_cast<size_t>(*len);
   return s;
 }

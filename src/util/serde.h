@@ -66,6 +66,8 @@ class Reader {
   Result<uint64_t> GetVarint();
   Result<int64_t> GetI64();
   Result<std::string> GetString();
+  /// GetString() without the copy: the view aliases the Reader's buffer.
+  Result<std::string_view> GetStringView();
   /// A pointer to the next `n` bytes, advancing past them — zero-copy access
   /// to an embedded sub-buffer (e.g. a batched message payload). The pointer
   /// aliases the Reader's underlying buffer.

@@ -22,6 +22,8 @@ const char* StatusCodeName(StatusCode code) {
       return "Unsupported";
     case StatusCode::kInternal:
       return "Internal";
+    case StatusCode::kResourceExhausted:
+      return "ResourceExhausted";
   }
   return "Unknown";
 }

@@ -20,6 +20,7 @@ enum class StatusCode {
   kProtocolError,
   kUnsupported,
   kInternal,
+  kResourceExhausted,
 };
 
 /// Returns a short human-readable name for a status code (e.g. "InvalidArgument").
@@ -58,6 +59,9 @@ class Status {
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
+  }
+  static Status ResourceExhausted(std::string msg) {
+    return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

@@ -62,6 +62,22 @@ TEST(ChaseTest, ExistentialInventsNull) {
   EXPECT_TRUE(t.at(1).is_null());
 }
 
+// A factory that has minted every sequence number fails the application
+// before it inserts anything, instead of re-minting a null already in use.
+TEST(ChaseTest, ExhaustedNullFactoryFailsWithoutInserting) {
+  Database db = PersonDb();
+  (void)db.Insert("parent", Tuple({S("bob"), S("cy")}));
+  RuleHead head({ParentAtom(), PersonAtom()}, {"X"});
+  NullFactory nulls(1);
+  nulls.ReserveThrough(NullFactory::kMaxSeq);
+  ChaseStats stats;
+  Status st = head.Apply(&db, {S("ann")}, &nulls, ChaseOptions{}, &stats);
+  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(stats.inserted, 0u);
+  EXPECT_EQ((*db.Get("parent"))->size(), 1u);
+  EXPECT_EQ((*db.Get("person"))->size(), 0u);
+}
+
 TEST(ChaseTest, ProjectionCheckSkipsWhenBoundPartPresent) {
   Database db = PersonDb();
   // parent(ann, bob) exists: projection on the bound position X=ann matches,
@@ -345,7 +361,9 @@ Status ReferenceApply(Database* db, const std::vector<Atom>& head,
   }
   MapBinding extended = binding;
   for (const std::string& v : existentials) {
-    extended[v] = nulls->Fresh(base_depth);
+    auto null = nulls->Fresh(base_depth);
+    if (!null.ok()) return null.status();
+    extended[v] = *null;
   }
   for (size_t i = 0; i < head.size(); ++i) {
     if (present[i]) continue;

@@ -6,6 +6,7 @@
 
 #include "src/core/session.h"
 #include "src/net/sim_runtime.h"
+#include "src/relational/codec.h"
 #include "src/workload/scenario.h"
 
 namespace p2pdb::rel {
@@ -65,6 +66,36 @@ TEST(SnapshotTest, TrailingBytesRejected) {
   std::vector<uint8_t> bytes = SerializeDatabase(SampleDb());
   bytes.push_back(0);
   EXPECT_FALSE(DeserializeDatabase(bytes).ok());
+}
+
+// SerializeDatabase writes each relation as a strictly increasing tuple
+// list; a list that repeats a tuple or is out of order is not one it wrote.
+TEST(SnapshotTest, RejectsRepeatedAndUnsortedTuples) {
+  const Tuple low({Value::Int(1), Value::Str("a")});
+  const Tuple high({Value::Int(2), Value::Str("a")});
+  auto snapshot_of = [](const std::vector<Tuple>& tuples) {
+    Writer w;
+    w.PutU32(0x42443250);  // "P2DB"
+    w.PutU32(1);           // format version
+    w.PutVarint(1);        // one relation
+    w.PutString("r");
+    w.PutVarint(2);
+    w.PutString("x");
+    w.PutString("y");
+    EncodeTupleList(tuples, &w);
+    return w.bytes();
+  };
+  auto sorted = DeserializeDatabase(snapshot_of({low, high}));
+  ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
+  EXPECT_EQ((*sorted->Get("r"))->size(), 2u);
+  EXPECT_EQ(SerializeDatabase(*sorted), snapshot_of({low, high}));
+
+  auto repeated = DeserializeDatabase(snapshot_of({low, low}));
+  EXPECT_FALSE(repeated.ok());
+  EXPECT_EQ(repeated.status().code(), StatusCode::kParseError);
+  auto swapped = DeserializeDatabase(snapshot_of({high, low}));
+  EXPECT_FALSE(swapped.ok());
+  EXPECT_EQ(swapped.status().code(), StatusCode::kParseError);
 }
 
 TEST(SnapshotTest, FileRoundTrip) {

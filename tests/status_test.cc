@@ -25,7 +25,8 @@ TEST(StatusTest, AllCodesHaveNames) {
        {StatusCode::kOk, StatusCode::kInvalidArgument, StatusCode::kNotFound,
         StatusCode::kAlreadyExists, StatusCode::kOutOfRange,
         StatusCode::kParseError, StatusCode::kProtocolError,
-        StatusCode::kUnsupported, StatusCode::kInternal}) {
+        StatusCode::kUnsupported, StatusCode::kInternal,
+        StatusCode::kResourceExhausted}) {
     EXPECT_STRNE(StatusCodeName(code), "Unknown");
   }
 }

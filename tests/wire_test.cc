@@ -28,18 +28,74 @@ TEST(WireTest, ValueRoundTrip) {
   }
 }
 
-TEST(WireTest, TupleSetRoundTrip) {
-  std::set<rel::Tuple> tuples{
-      rel::Tuple({I(1), S("a")}),
+std::vector<uint8_t> Concat(const std::vector<std::vector<uint8_t>>& parts) {
+  std::vector<uint8_t> out;
+  for (const std::vector<uint8_t>& part : parts) {
+    out.insert(out.end(), part.begin(), part.end());
+  }
+  return out;
+}
+
+// Golden bytes: a string constant travels as its length and content, never
+// as an id private to one process.
+TEST(WireTest, ValueAndTupleBytesAreGolden) {
+  const rel::Value null = rel::Value::Null(0x700000001ULL);
+  const rel::Value values[] = {I(-5), S("title-7"), null};
+  const std::vector<std::vector<uint8_t>> value_bytes = {
+      {0x00, 0x09},
+      {0x01, 0x07, 't', 'i', 't', 'l', 'e', '-', '7'},
+      {0x02, 0x01, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00},
+  };
+  for (size_t i = 0; i < 3; ++i) {
+    Writer w;
+    EncodeValue(values[i], &w);
+    EXPECT_EQ(w.bytes(), value_bytes[i]) << values[i].ToString();
+  }
+  Writer w;
+  EncodeTuple(rel::Tuple({values[0], values[1], values[2]}), &w);
+  const std::vector<uint8_t> tuple_bytes =
+      Concat({{0x03}, value_bytes[0], value_bytes[1], value_bytes[2]});
+  EXPECT_EQ(w.bytes(), tuple_bytes);
+}
+
+TEST(WireTest, QueryAnswerBytesAreGolden) {
+  QueryAnswer ans;
+  ans.session = 9;
+  ans.rule_id = "r1";
+  ans.part = 2;
+  ans.is_delta = true;
+  ans.source_closed = false;
+  ans.tuples = {rel::Tuple({S("bob"), I(3)}), rel::Tuple({S("al"), I(-1)})};
+  // The header (session, rule_id, part, is_delta, source_closed), then the
+  // tuple count and each tuple: its arity and values.
+  const std::vector<uint8_t> golden = Concat({
+      {0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00},
+      {0x02, 'r', '1'},
+      {0x02, 0x00, 0x00, 0x00},
+      {0x01, 0x00},
+      {0x02},
+      {0x02, 0x01, 0x03, 'b', 'o', 'b', 0x00, 0x06},
+      {0x02, 0x01, 0x02, 'a', 'l', 0x00, 0x01},
+  });
+  EXPECT_EQ(ans.Encode(), golden);
+  auto back = QueryAnswer::Decode(golden);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->tuples, ans.tuples);
+}
+
+TEST(WireTest, TupleListRoundTrip) {
+  const std::vector<rel::Tuple> tuples{
       rel::Tuple({I(2), S("b")}),
       rel::Tuple({rel::Value::Null(7), S("c")}),
+      rel::Tuple({I(1), S("a")}),
   };
   Writer w;
-  EncodeTupleList(std::vector<rel::Tuple>(tuples.begin(), tuples.end()), &w);
+  EncodeTupleList(tuples, &w);
   Reader r(w.bytes());
-  auto back = DecodeTupleSet(&r);
+  auto back = DecodeTupleList(&r);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, tuples);
+  EXPECT_TRUE(r.AtEnd());
 }
 
 TEST(WireTest, HostileTupleArityIsRejected) {
@@ -51,11 +107,11 @@ TEST(WireTest, HostileTupleArityIsRejected) {
   Reader r(w.bytes());
   EXPECT_NO_THROW(EXPECT_FALSE(DecodeTuple(&r).ok()));
 
-  Writer set;
-  set.PutVarint(1);  // One tuple, of that arity.
-  set.PutVarint(uint64_t{1} << 40);
-  Reader rs(set.bytes());
-  EXPECT_NO_THROW(EXPECT_FALSE(DecodeTupleSet(&rs).ok()));
+  Writer list;
+  list.PutVarint(1);  // One tuple, of that arity.
+  list.PutVarint(uint64_t{1} << 40);
+  Reader rl(list.bytes());
+  EXPECT_NO_THROW(EXPECT_FALSE(DecodeTupleList(&rl).ok()));
 }
 
 TEST(WireTest, QueryAnswerKeepsTupleOrderAndRepeats) {
