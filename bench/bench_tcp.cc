@@ -1,7 +1,6 @@
 // TCP runtime bench: frame-codec throughput (encode/decode, small and large
 // payloads), raw loopback ping-pong latency, and end-to-end discovery+update
-// wall-clock on TcpRuntime vs ThreadRuntime (same scenario, same protocol —
-// the delta is the socket hop plus quiescence detection over sockets).
+// wall-clock on TcpRuntime.
 // Also measures causal-tracing overhead (off / every root / sampled 1-in-4)
 // on a durable TCP update, and can dump the observability snapshot
 // (metrics registry + trace reports) as obs.json via --obs.
@@ -24,7 +23,6 @@
 #include "bench/bench_common.h"
 #include "src/net/frame.h"
 #include "src/net/tcp_runtime.h"
-#include "src/net/thread_runtime.h"
 #include "src/obs/export.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -131,7 +129,6 @@ BenchResult TcpPingPongBench(const std::string& name, size_t round_trips,
   PongPeer b(1, &rt, round_trips);
   rt.RegisterPeer(0, &a);
   rt.RegisterPeer(1, &b);
-  if (!rt.Run().ok()) return result;  // Starts worker threads; network idle.
 
   net::Message ping = MakeMessage(payload_bytes);
   ping.from = 0;
@@ -193,7 +190,6 @@ BenchResult PeerScalingBench(const std::string& name, size_t peers,
     handlers.push_back(std::make_unique<CountingPeer>(&received));
     rt.RegisterPeer(static_cast<NodeId>(i), handlers.back().get());
   }
-  if (!rt.Run().ok()) return result;  // Starts worker threads; network idle.
 
   net::Message msg = MakeMessage(64);
   msg.from = 0;
@@ -292,7 +288,6 @@ BenchResult CoalescingFanoutBench(const std::string& name, size_t peers,
     handlers.push_back(std::make_unique<CountingPeer>(&received));
     rt.RegisterPeer(static_cast<NodeId>(i), handlers.back().get());
   }
-  if (!rt.Run().ok()) return result;  // Starts worker threads; network idle.
 
   net::Message trigger = MakeMessage(8);
   trigger.from = 0;
@@ -339,7 +334,6 @@ BenchResult FixpointQuiescenceBench(const std::string& name,
   PongPeer b(1, &rt, exchanges);
   rt.RegisterPeer(0, &a);
   rt.RegisterPeer(1, &b);
-  if (!rt.Run().ok()) return result;  // Starts worker threads; network idle.
 
   net::Message ping = MakeMessage(64);
   ping.from = 0;
@@ -615,11 +609,6 @@ int Main(int argc, char** argv) {
        [&] {
          return FixpointQuiescenceBench("tcp_fixpoint_ack",
                                         fixpoint_exchanges);
-       }},
-      {"update_thread_tree8",
-       [&] {
-         net::ThreadRuntime rt;
-         return SessionUpdateBench("update_thread_tree8", &rt, nodes, records);
        }},
       {"update_tcp_tree8",
        [&] {

@@ -41,8 +41,8 @@ rule suggest: Club.pick(T, A)    => Agg.holding(T, A);
   }
   std::printf("network:\n%s\n", lang::PrintSystem(*system).c_str());
 
-  // A deterministic simulated network; swap in net::ThreadRuntime for real
-  // thread-per-peer asynchrony. The super-peer must reach the whole network
+  // A deterministic simulated network; swap in net::TcpRuntime to make every
+  // peer a real socket endpoint. The super-peer must reach the whole network
   // over dependency edges (head -> body): Club -> Agg -> {Library, Club}.
   net::SimRuntime runtime;
   core::Session::Options options;

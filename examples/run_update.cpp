@@ -3,7 +3,7 @@
 // materialized databases as snapshots.
 //
 //   ./run_update <network.p2p> [--super NODE] [--query NODE 'q(X) :- r(X)']
-//                [--save-snapshots DIR] [--threads]
+//                [--save-snapshots DIR] [--tcp]
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -13,7 +13,7 @@
 #include "src/core/session.h"
 #include "src/lang/parser.h"
 #include "src/net/sim_runtime.h"
-#include "src/net/thread_runtime.h"
+#include "src/net/tcp_runtime.h"
 #include "src/relational/snapshot.h"
 
 using namespace p2pdb;  // NOLINT
@@ -24,7 +24,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: run_update <network.p2p> [--super NODE]\n"
                "                  [--query NODE 'q(X) :- r(X)']\n"
-               "                  [--save-snapshots DIR] [--threads]\n");
+               "                  [--save-snapshots DIR] [--tcp]\n");
   return 2;
 }
 
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   std::string query_node;
   std::string query_text;
   std::string snapshot_dir;
-  bool use_threads = false;
+  bool use_tcp = false;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--super") == 0 && i + 1 < argc) {
       super_name = argv[++i];
@@ -53,8 +53,8 @@ int main(int argc, char** argv) {
       query_text = argv[++i];
     } else if (std::strcmp(argv[i], "--save-snapshots") == 0 && i + 1 < argc) {
       snapshot_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      use_threads = true;
+    } else if (std::strcmp(argv[i], "--tcp") == 0) {
+      use_tcp = true;
     } else {
       return Usage();
     }
@@ -68,8 +68,8 @@ int main(int argc, char** argv) {
   }
 
   std::unique_ptr<net::Runtime> runtime;
-  if (use_threads) {
-    runtime = std::make_unique<net::ThreadRuntime>();
+  if (use_tcp) {
+    runtime = std::make_unique<net::TcpRuntime>();
   } else {
     runtime = std::make_unique<net::SimRuntime>();
   }

@@ -5,8 +5,8 @@
 // the update phase is printed next to the traced fixpoint latency so the two
 // can be compared directly.
 //
-//   ./trace_dump <network.p2p> [--super NODE] [--sim|--threads]
-//                [--obs FILE.json]
+//   ./trace_dump <network.p2p> [--super NODE] [--sim] [--obs FILE.json]
+//                [--durable DIR]
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -18,7 +18,6 @@
 #include "src/lang/parser.h"
 #include "src/net/sim_runtime.h"
 #include "src/net/tcp_runtime.h"
-#include "src/net/thread_runtime.h"
 #include "src/obs/export.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -31,7 +30,7 @@ namespace {
 int Usage() {
   std::fprintf(stderr,
                "usage: trace_dump <network.p2p> [--super NODE]\n"
-               "                  [--sim|--threads] [--obs FILE.json]\n"
+               "                  [--sim] [--obs FILE.json]\n"
                "                  [--durable DIR]\n");
   return 2;
 }
@@ -51,7 +50,7 @@ int main(int argc, char** argv) {
   std::string super_name;
   std::string obs_path;
   std::string durable_dir;
-  enum class Net { kTcp, kThreads, kSim } net = Net::kTcp;
+  bool use_sim = false;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--super") == 0 && i + 1 < argc) {
       super_name = argv[++i];
@@ -60,9 +59,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--durable") == 0 && i + 1 < argc) {
       durable_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--sim") == 0) {
-      net = Net::kSim;
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      net = Net::kThreads;
+      use_sim = true;
     } else {
       return Usage();
     }
@@ -76,16 +73,10 @@ int main(int argc, char** argv) {
   }
 
   std::unique_ptr<net::Runtime> runtime;
-  switch (net) {
-    case Net::kTcp:
-      runtime = std::make_unique<net::TcpRuntime>();
-      break;
-    case Net::kThreads:
-      runtime = std::make_unique<net::ThreadRuntime>();
-      break;
-    case Net::kSim:
-      runtime = std::make_unique<net::SimRuntime>();
-      break;
+  if (use_sim) {
+    runtime = std::make_unique<net::SimRuntime>();
+  } else {
+    runtime = std::make_unique<net::TcpRuntime>();
   }
 
   core::Session::Options options;

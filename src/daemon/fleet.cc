@@ -126,10 +126,8 @@ Result<std::unique_ptr<FleetController>> FleetController::Connect(
     P2PDB_RETURN_IF_ERROR(controller->runtime_->AddRemoteEndpoint(
         e.node, net::TcpRuntime::Endpoint{e.host, e.port}));
   }
-  // Run() on the idle runtime returns at once, having started the mailbox
-  // workers and the reactor: replies are dispatched on them, and the
-  // controller's waits never call into the runtime again.
-  P2PDB_RETURN_IF_ERROR(controller->runtime_->Run());
+  // Replies are dispatched on the reactor threads that read them; the
+  // controller's waits never call into the runtime.
   return controller;
 }
 

@@ -1,8 +1,11 @@
 #include "src/daemon/peer_daemon.h"
 
+#include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -23,7 +26,9 @@ namespace p2pdb::daemon {
 namespace wire = core::wire;
 
 PeerDaemon::PeerDaemon(PeerdConfig config, core::P2PSystem system)
-    : config_(std::move(config)), system_(std::move(system)) {}
+    : config_(std::move(config)),
+      system_(std::move(system)),
+      stop_fd_(::eventfd(0, EFD_CLOEXEC)) {}
 
 Result<std::unique_ptr<PeerDaemon>> PeerDaemon::Start(PeerdConfig config) {
   std::ifstream in(config.system_file);
@@ -49,6 +54,9 @@ Result<std::unique_ptr<PeerDaemon>> PeerDaemon::Start(PeerdConfig config) {
 
   auto daemon =
       std::unique_ptr<PeerDaemon>(new PeerDaemon(config, std::move(*system)));
+  if (daemon->stop_fd_ < 0) {
+    return Status::Internal(std::string("eventfd: ") + std::strerror(errno));
+  }
   const PeerdConfig& cfg = daemon->config_;
 
   net::TcpRuntime::Options net_options;
@@ -119,14 +127,30 @@ Result<std::unique_ptr<PeerDaemon>> PeerDaemon::Start(PeerdConfig config) {
   return daemon;
 }
 
-PeerDaemon::~PeerDaemon() = default;
+PeerDaemon::~PeerDaemon() {
+  // Detach before any member dies. A dispatch may still be inside OnMessage:
+  // the kShutdown frame's own, whose RequestStop already let Serve return.
+  // UnregisterPeer waits it out.
+  if (runtime_ != nullptr) runtime_->UnregisterPeer(config_.node);
+  if (stop_fd_ >= 0) ::close(stop_fd_);
+}
+
+void PeerDaemon::RequestStop() {
+  const uint64_t one = 1;
+  // Nothing to do on failure: only a full counter fails, and then a stop
+  // is already pending.
+  (void)!::write(stop_fd_, &one, sizeof(one));
+}
 
 Status PeerDaemon::Serve() {
-  while (!stop_.load()) {
-    // The mailbox workers and the reactor deliver concurrently; this thread
-    // only needs to stay alive and poll the stop flag.
-    P2PDB_RETURN_IF_ERROR(
-        runtime_->RunUntil(runtime_->NowMicros() + 200'000));
+  // The reactor threads dispatch every message, control frames included;
+  // this thread only waits for a stop request.
+  uint64_t requests = 0;
+  while (::read(stop_fd_, &requests, sizeof(requests)) < 0) {
+    if (errno != EINTR) {
+      return Status::Internal(std::string("stop eventfd: ") +
+                              std::strerror(errno));
+    }
   }
   if (!config_.obs_json.empty()) {
     obs::WriteObsJson(config_.obs_json, obs::Registry::Global(),
@@ -301,7 +325,7 @@ void PeerDaemon::Dispatch(const net::Message& msg) {
       if (!wire::DecodeControl<wire::ControlShutdown>(msg)) return;
       P2PDB_LOG(kInfo) << "node " << config_.node
                        << ": shutdown requested by node " << msg.from;
-      stop_.store(true);
+      RequestStop();
       return;
     default:
       peer_->OnMessage(msg);

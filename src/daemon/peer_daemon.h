@@ -42,14 +42,14 @@ class PeerDaemon : public net::PeerHandler {
 
   ~PeerDaemon() override;
 
-  /// Blocks until a kShutdown control frame (or RequestStop) arrives,
-  /// keeping the runtime's delivery machinery running. On exit writes the
-  /// obs_json dump (when configured) and removes the pid file.
+  /// Blocks until a kShutdown control frame (or RequestStop) arrives; the
+  /// runtime's reactor threads dispatch every message meanwhile. On exit
+  /// writes the obs_json dump (when configured) and removes the pid file.
   Status Serve();
 
-  /// Signal-safe stop request (SIGTERM/SIGINT handlers call this).
-  void RequestStop() { stop_.store(true); }
-  bool stopping() const { return stop_.load(); }
+  /// Stop request: one write(2) to the eventfd Serve() blocks on, so it is
+  /// async-signal-safe (SIGTERM/SIGINT handlers call it).
+  void RequestStop();
 
   // net::PeerHandler: control plane here, protocol to the peer. Ends by
   // answering every parked status request the dispatch made true.
@@ -90,7 +90,7 @@ class PeerDaemon : public net::PeerHandler {
   core::P2PSystem system_;
   std::unique_ptr<net::TcpRuntime> runtime_;
   std::unique_ptr<core::Peer> peer_;
-  std::atomic<bool> stop_{false};
+  int stop_fd_ = -1;  // eventfd: RequestStop writes it, Serve reads it.
   bool recovered_ = false;
   /// Last controller epoch seen, echoed into replies so a driver can discard
   /// replies provoked by an earlier incarnation of itself.

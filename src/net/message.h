@@ -168,8 +168,9 @@ struct Message {
   /// Causal update tracing (on the wire, after seq).
   TraceContext trace;
   /// Local bookkeeping, never serialized: stamped with NowMicros() when the
-  /// message enters a mailbox queue, rewritten to the measured queue wait
-  /// just before dispatch (see MailboxRuntime). Zero on the inline path.
+  /// message queues behind a busy mailbox, rewritten to the measured queue
+  /// wait just before the thread holding the mailbox runs it (see
+  /// TcpRuntime). Zero when it runs on the thread that read it.
   uint64_t queued_micros = 0;
   /// Local send-path flag, never serialized: bypass transport coalescing.
   /// An urgent message flushes whatever batch is pending for its destination

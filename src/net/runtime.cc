@@ -3,6 +3,6 @@
 namespace p2pdb::net {
 
 // Runtime is an interface; implementations live in sim_runtime.cc and
-// thread_runtime.cc. This translation unit anchors the vtable.
+// tcp_runtime.cc. This translation unit anchors the vtable.
 
 }  // namespace p2pdb::net

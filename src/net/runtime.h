@@ -1,9 +1,9 @@
 // Runtime: the asynchronous message-passing substrate peers run on.
-// Three implementations share this interface: SimRuntime (deterministic
+// Two implementations share this interface: SimRuntime (deterministic
 // discrete-event simulation — used by tests and benches so time and message
-// interleavings are reproducible), ThreadRuntime (a thread per peer with
-// mailboxes — real asynchrony, as in the paper's JXTA prototype) and
-// TcpRuntime (every message crosses a real TCP socket; peers are endpoints).
+// interleavings are reproducible) and TcpRuntime (every message crosses a
+// real TCP socket; peers are network endpoints, as the paper's JXTA peers
+// talk over pipes).
 #ifndef P2PDB_NET_RUNTIME_H_
 #define P2PDB_NET_RUNTIME_H_
 
@@ -71,6 +71,8 @@ class Runtime {
   /// mutations of peer state (starting discovery or an update) cannot race
   /// handler upcalls arriving from the network. May block until the peer's
   /// current dispatch finishes; never call it from inside a handler.
+  /// Messages that reach `id` while `fn` runs wait for it, and the caller's
+  /// thread runs them, in arrival order, before this returns.
   /// Default: single-threaded runtimes have nothing to exclude.
   virtual void RunExclusive(NodeId id, const std::function<void()>& fn) {
     (void)id;
@@ -78,7 +80,7 @@ class Runtime {
   }
 
   /// Current time in microseconds: simulated (SimRuntime) or wall-clock
-  /// elapsed since construction (ThreadRuntime, TcpRuntime).
+  /// elapsed since construction (TcpRuntime).
   virtual uint64_t NowMicros() const = 0;
 
   /// Messages lost because their destination was gone: unregistered in the

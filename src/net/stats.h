@@ -26,8 +26,8 @@ struct PipeStats {
 /// and the dispatch path. writev_frames / writev_calls is the small-frame
 /// batching factor; send_queue_hwm_bytes is the worst backpressure depth any
 /// connection reached; inline vs queued dispatches show how often a frame
-/// went straight from the socket read into the peer handler without a thread
-/// handoff.
+/// went straight from the socket read into the peer handler, and how often
+/// it waited in the peer's mailbox for the thread already dispatching there.
 struct IoCounters {
   std::atomic<uint64_t> epoll_wakeups{0};
   std::atomic<uint64_t> writev_calls{0};

@@ -1,5 +1,6 @@
 #include "src/net/tcp_runtime.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/obs/metrics.h"
@@ -35,8 +36,8 @@ Result<TcpRuntime::Endpoint> TcpRuntime::Endpoint::Parse(
 }
 
 TcpRuntime::TcpRuntime(Options options)
-    : MailboxRuntime(MailboxRuntime::Options{options.timeout}),
-      options_(std::move(options)) {
+    : options_(std::move(options)),
+      start_time_(std::chrono::steady_clock::now()) {
   Reactor::Options reactor_options;
   reactor_options.workers = options_.io_workers;
   reactor_options.send_queue_limit = options_.send_queue_limit;
@@ -44,12 +45,30 @@ TcpRuntime::TcpRuntime(Options options)
   reactor_options.counters = &stats_.io();
   reactor_ = std::make_unique<Reactor>(reactor_options,
                                        static_cast<Reactor::Handler*>(this));
+  timer_thread_ = std::thread(&TcpRuntime::TimerLoop, this);
 }
 
 TcpRuntime::~TcpRuntime() { Shutdown(); }
 
+void TcpRuntime::Shutdown() {
+  reactor_->Stop();
+  {
+    std::lock_guard<std::mutex> lock(timer_mutex_);
+    timer_stop_ = true;
+  }
+  timer_cv_.notify_all();
+  if (timer_thread_.joinable()) timer_thread_.join();
+}
+
 void TcpRuntime::RegisterPeer(NodeId id, PeerHandler* handler) {
-  MailboxRuntime::RegisterPeer(id, handler);
+  {
+    std::lock_guard<std::mutex> lock(mailboxes_mutex_);
+    std::unique_ptr<Mailbox>& box = mailboxes_[id];
+    if (box == nullptr) box = std::make_unique<Mailbox>();
+    // A restarted peer keeps its mailbox; only the handler is rebound.
+    std::lock_guard<std::mutex> box_lock(box->mutex);
+    box->handler = handler;
+  }
   Status listening = OpenListener(id);
   if (!listening.ok()) {
     P2PDB_LOG(kError) << "node " << id
@@ -70,7 +89,211 @@ void TcpRuntime::UnregisterPeer(NodeId id) {
   // counter observes. Closes `id`'s listener, the connections accepted on
   // it, and the shared outbound connection to `id`.
   reactor_->CloseToken(id);
-  MailboxRuntime::UnregisterPeer(id);
+  Mailbox* box = FindMailbox(id);
+  if (box == nullptr) return;
+  std::unique_lock<std::mutex> box_lock(box->mutex);
+  box->handler = nullptr;
+  if (!box->queue.empty()) {
+    CountDrop(box->queue.size());
+    ReleaseWork(box->queue.size());
+    box->queue.clear();
+  }
+  // The caller will destroy the handler object; wait out the thread that
+  // holds the mailbox, which may be inside the handler right now.
+  box->idle.wait(box_lock, [&] { return !box->busy; });
+}
+
+TcpRuntime::Mailbox* TcpRuntime::FindMailbox(NodeId id) const {
+  std::lock_guard<std::mutex> lock(mailboxes_mutex_);
+  auto it = mailboxes_.find(id);
+  return it == mailboxes_.end() ? nullptr : it->second.get();
+}
+
+namespace {
+
+obs::Histogram* MailboxWait() {
+  static obs::Histogram* wait =
+      obs::Registry::Global().GetHistogram("net.mailbox_wait_micros");
+  return wait;
+}
+
+}  // namespace
+
+void TcpRuntime::DispatchFromTransport(Message&& msg) {
+  Mailbox* box = FindMailbox(msg.to);
+  if (box == nullptr) {
+    CountDrop();
+    P2PDB_LOG(kWarn) << "dropping message to unknown peer: " << msg.ToString();
+    return;
+  }
+  PeerHandler* handler = nullptr;
+  {
+    std::lock_guard<std::mutex> box_lock(box->mutex);
+    if (box->handler == nullptr) {
+      CountDrop();
+      P2PDB_LOG(kWarn) << "dropping message to crashed peer: "
+                       << msg.ToString();
+      return;
+    }
+    HoldWork();  // Released after the message's dispatch ends.
+    if (box->busy) {
+      // The thread holding the mailbox runs this message before it lets go.
+      // The read buffer is reused the moment this returns, so a borrowed
+      // payload must become owned before it is queued.
+      msg.payload.EnsureOwned();
+      if (obs::DetailedTimingEnabled() || msg.trace.active()) {
+        msg.queued_micros = NowMicros();  // DrainMailbox turns it into a wait.
+      }
+      box->queue.push_back(std::move(msg));
+      stats_.io().queued_dispatches.fetch_add(1);
+      return;
+    }
+    box->busy = true;
+    handler = box->handler;
+  }
+  stats_.io().inline_dispatches.fetch_add(1);
+  if (obs::DetailedTimingEnabled() || msg.trace.active()) {
+    // Record the zero wait, so the wait distribution covers every delivered
+    // message and not just the queued ones.
+    MailboxWait()->Record(0);
+  }
+  BeginDispatch();
+  handler->OnMessage(msg);
+  EndDispatch();
+  DrainMailbox(box, /*holding=*/true);
+}
+
+void TcpRuntime::RunExclusive(NodeId id, const std::function<void()>& fn) {
+  Mailbox* box = FindMailbox(id);
+  if (box == nullptr) {
+    fn();  // Never-registered peer: no dispatch to exclude.
+    return;
+  }
+  {
+    std::unique_lock<std::mutex> box_lock(box->mutex);
+    box->idle.wait(box_lock, [&] { return !box->busy; });
+    box->busy = true;
+  }
+  BeginDispatch();
+  fn();
+  EndDispatch();
+  DrainMailbox(box, /*holding=*/false);
+}
+
+void TcpRuntime::DrainMailbox(Mailbox* box, bool holding) {
+  for (;;) {
+    Message msg;
+    PeerHandler* handler = nullptr;
+    {
+      std::lock_guard<std::mutex> box_lock(box->mutex);
+      if (box->queue.empty() || box->handler == nullptr) {
+        box->busy = false;
+        break;
+      }
+      msg = std::move(box->queue.front());
+      box->queue.pop_front();
+      handler = box->handler;
+    }
+    if (holding) ReleaseWork();  // The popped message keeps the count up.
+    holding = true;
+    if (msg.queued_micros != 0) {
+      // Rewrite the enqueue stamp into the measured wait, so the handler's
+      // trace span sees its mailbox residency directly.
+      uint64_t now = NowMicros();
+      msg.queued_micros =
+          now >= msg.queued_micros ? now - msg.queued_micros : 0;
+      MailboxWait()->Record(msg.queued_micros);
+    }
+    BeginDispatch();
+    handler->OnMessage(msg);
+    EndDispatch();
+  }
+  box->idle.notify_all();
+  if (holding) ReleaseWork();
+}
+
+void TcpRuntime::ScheduleSend(uint64_t time_micros, Message msg) {
+  HoldWork();  // Released when the timer hands it to Send.
+  {
+    std::lock_guard<std::mutex> lock(timer_mutex_);
+    timer_queue_.emplace_back(time_micros, std::move(msg));
+  }
+  timer_cv_.notify_one();
+}
+
+void TcpRuntime::TimerLoop() {
+  std::unique_lock<std::mutex> lock(timer_mutex_);
+  while (!timer_stop_) {
+    if (timer_queue_.empty()) {
+      timer_cv_.wait(lock);  // ScheduleSend and Shutdown notify.
+      continue;
+    }
+    auto soonest = std::min_element(
+        timer_queue_.begin(), timer_queue_.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    uint64_t now = NowMicros();
+    if (soonest->first > now) {
+      timer_cv_.wait_for(lock,
+                         std::chrono::microseconds(soonest->first - now));
+      continue;
+    }
+    Message msg = std::move(soonest->second);
+    timer_queue_.erase(soonest);
+    lock.unlock();
+    Send(std::move(msg));
+    ReleaseWork();  // The ScheduleSend hold.
+    lock.lock();
+  }
+}
+
+uint64_t TcpRuntime::NowMicros() const {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - start_time_)
+          .count());
+}
+
+void TcpRuntime::ReleaseWork(uint64_t units) {
+  if (in_flight_.fetch_sub(units) != units) return;
+  // Taking the lock orders this release against Run()'s predicate check, so
+  // the notify cannot fall between that check and its wait.
+  std::lock_guard<std::mutex> lock(idle_mutex_);
+  idle_cv_.notify_all();
+}
+
+Status TcpRuntime::Run() {
+  {
+    std::unique_lock<std::mutex> lock(idle_mutex_);
+    if (idle_cv_.wait_until(lock,
+                            std::chrono::steady_clock::now() + options_.timeout,
+                            [this] { return in_flight_.load() == 0; })) {
+      return Status::OK();
+    }
+  }
+  // Built after releasing idle_mutex_: the report takes the mailbox locks.
+  std::string pending = PendingWorkReport();
+  P2PDB_LOG(kWarn) << "quiescence not reached by deadline; pending work:\n"
+                   << (pending.empty() ? "  (untracked in-flight holds)\n"
+                                       : pending);
+  return Status::Internal(
+      "TcpRuntime: quiescence not reached in time (in flight: " +
+      std::to_string(in_flight_.load()) + ")\n" + pending);
+}
+
+Status TcpRuntime::RunUntil(uint64_t time_micros) {
+  // Wall clock is not controllable: let the reactor work until the requested
+  // elapsed time, then hand control back (used by churn drivers to crash a
+  // peer mid-run).
+  std::this_thread::sleep_until(start_time_ +
+                                std::chrono::microseconds(time_micros));
+  if (uint64_t holds = in_flight_.load(); holds != 0) {
+    // Expected under churn (that is what RunUntil is for), but say what is
+    // still moving so a stuck fixpoint is debuggable from the log alone.
+    P2PDB_LOG(kDebug) << "RunUntil deadline with " << holds
+                      << " in-flight holds; pending work:\n"
+                      << PendingWorkReport();
+  }
+  return Status::OK();
 }
 
 std::shared_ptr<Connection> TcpRuntime::OutboundFor(NodeId to) {
@@ -118,7 +341,7 @@ void TcpRuntime::EndDispatch() {
 }
 
 void TcpRuntime::Send(Message msg) {
-  msg.seq = NextSeq();
+  msg.seq = next_seq_.fetch_add(1);
   // Per-message accounting happens here, before coalescing, so batched
   // messages keep their own MessageType and logical wire size in NetStats —
   // kBatch never appears in the per-type tables. The transport-level saving
@@ -403,7 +626,30 @@ void TcpRuntime::OnClose(Connection* conn, size_t dropped_frames) {
 }
 
 std::string TcpRuntime::PendingWorkReport() const {
-  std::string report = MailboxRuntime::PendingWorkReport();
+  std::string report;
+  {
+    std::lock_guard<std::mutex> lock(mailboxes_mutex_);
+    for (const auto& [id, box] : mailboxes_) {
+      size_t queued;
+      bool busy;
+      {
+        std::lock_guard<std::mutex> box_lock(box->mutex);
+        queued = box->queue.size();
+        busy = box->busy;
+      }
+      if (queued == 0 && !busy) continue;
+      report += "  peer " + std::to_string(id) + ": " +
+                std::to_string(queued) + " queued" +
+                (busy ? ", handler running" : "") + "\n";
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lock(timer_mutex_);
+    if (!timer_queue_.empty()) {
+      report +=
+          "  " + std::to_string(timer_queue_.size()) + " pending timers\n";
+    }
+  }
   std::lock_guard<std::mutex> lock(net_mutex_);
   for (const auto& [to, conn] : outbound_) {
     if (conn == nullptr) continue;
@@ -425,7 +671,5 @@ std::string TcpRuntime::PendingWorkReport() const {
   }
   return report;
 }
-
-void TcpRuntime::StopIo() { reactor_->Stop(); }
 
 }  // namespace p2pdb::net

@@ -4,10 +4,18 @@
 // queues it on a per-destination connection, and a small epoll reactor pool
 // (net/reactor.h) drives all sockets — nonblocking accept/read/write, writev
 // batching of queued frames, zero-copy frame reassembly straight out of the
-// reactor's read buffer into MailboxRuntime's dispatch. The endpoint table
-// (NodeId -> host:port) routes sends; entries for local peers are filled in
-// automatically, remote entries let a network span several runtimes (or,
-// eventually, processes).
+// reactor's read buffer into the destination peer's handler. The endpoint
+// table (NodeId -> host:port) routes sends; entries for local peers are
+// filled in automatically, remote entries let a network span several
+// runtimes (or processes).
+//
+// Dispatch follows one rule: the thread that finds a peer's mailbox idle
+// claims it, runs its message, then runs whatever queued behind it, and lets
+// the mailbox go only once its queue is empty. Reactor workers claim
+// mailboxes for the frames they read; RunExclusive claims one for its caller.
+// So a peer's handler never runs on two threads at once, messages off one
+// connection run in arrival order, and the runtime owns no thread per peer:
+// its threads are the reactor pool plus one timer thread for ScheduleSend.
 //
 // Churn is a connection event, as in the dynamic-P2P literature: crashing a
 // peer (UnregisterPeer) closes its listener and sockets, so messages to it
@@ -18,20 +26,23 @@
 #define P2PDB_NET_TCP_RUNTIME_H_
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/net/frame.h"
-#include "src/net/mailbox_runtime.h"
 #include "src/net/reactor.h"
+#include "src/net/runtime.h"
 
 namespace p2pdb::net {
 
-class TcpRuntime : public MailboxRuntime, private Reactor::Handler {
+class TcpRuntime : public Runtime, private Reactor::Handler {
  public:
   /// One row of the endpoint table.
   struct Endpoint {
@@ -78,11 +89,15 @@ class TcpRuntime : public MailboxRuntime, private Reactor::Handler {
 
   /// Registers the handler and opens the peer's listening socket; the
   /// endpoint table gains (or updates, for a restarted peer) its row.
+  /// Callable at any time, also while messages flow; re-registering an id
+  /// rebinds its handler (a restarted peer process).
   void RegisterPeer(NodeId id, PeerHandler* handler) override;
 
   /// Crash as connection teardown: closes the peer's listener and every
-  /// socket touching it, then detaches the handler. In-flight frames die in
-  /// the kernel; later sends fail to connect and are counted dropped.
+  /// socket touching it, then detaches the handler and drops its queued
+  /// messages (counted). In-flight frames die in the kernel; later sends fail
+  /// to connect and are counted dropped. Blocks until no thread holds the
+  /// peer's mailbox, so the caller may destroy the handler right afterwards.
   void UnregisterPeer(NodeId id) override;
 
   /// Fails when `id` has no live listener (RegisterPeer could not bind, or
@@ -95,6 +110,33 @@ class TcpRuntime : public MailboxRuntime, private Reactor::Handler {
   /// asynchronously; failures are dropped messages, counted when the kernel
   /// refuses them.
   void Send(Message msg) override;
+
+  /// Claims `id`'s mailbox for the calling thread the way a dispatch does:
+  /// waits until no thread holds it, runs `fn`, then runs every message that
+  /// queued behind `fn` on this thread too, in arrival order, before letting
+  /// the mailbox go.
+  void RunExclusive(NodeId id, const std::function<void()>& fn) override;
+
+  /// Hands `msg` to Send() once `time_micros` of elapsed time has passed (on
+  /// the timer thread). The message counts as in flight from this call on.
+  void ScheduleSend(uint64_t time_micros, Message msg) override;
+
+  /// Blocks until the in-flight count reaches zero; fails after
+  /// Options::timeout with a report naming the pending work. The count is
+  /// exact: a message is held from Send() until the receiving runtime
+  /// credits its frame back, the receiver holds it from before that credit
+  /// until its handler and dispatch-end flush have run, and a timer is held
+  /// from ScheduleSend() until it is handed to Send(). So zero is quiescence,
+  /// and the last release wakes Run() directly.
+  Status Run() override;
+
+  /// Wall-clock churn hook: lets the reactor deliver until `time_micros` of
+  /// elapsed time, then returns (the network need not be quiescent).
+  Status RunUntil(uint64_t time_micros) override;
+
+  /// Wall-clock microseconds since construction.
+  uint64_t NowMicros() const override;
+  uint64_t dropped_count() const override { return dropped_.load(); }
 
   // --- Endpoint table ---
 
@@ -115,18 +157,30 @@ class TcpRuntime : public MailboxRuntime, private Reactor::Handler {
   std::string EndpointTable() const;
 
  protected:
-  void StopIo() override;
+  /// Closes one dispatch's coalescing bracket (a handler upcall or a
+  /// RunExclusive fn): the sends made since BeginDispatch go out as kBatch
+  /// frames, one per destination. Runs on the dispatching thread before the
+  /// next message in the mailbox starts, so flushed frames keep
+  /// per-(peer, destination) FIFO order.
+  virtual void EndDispatch();
 
-  /// Coalescing bracket (see MailboxRuntime): sends made between Begin and
-  /// End are buffered per destination and flushed as kBatch frames at End.
-  void BeginDispatch() override;
-  void EndDispatch() override;
-
-  /// Adds transport residency to the mailbox report: unsent bytes sitting in
-  /// per-destination send queues and frames awaiting the receiver's credit.
-  std::string PendingWorkReport() const override;
+  /// Stops the reactor and the timer thread and joins them. Idempotent. A
+  /// subclass whose overrides those threads call must call it in its own
+  /// destructor.
+  void Shutdown();
 
  private:
+  /// One peer's dispatch slot. `busy` marks a claim: the claiming thread is
+  /// running a handler or `fn` and will run everything in `queue` before it
+  /// clears the flag, so the queue is empty whenever the mailbox is idle.
+  struct Mailbox {
+    std::mutex mutex;
+    std::condition_variable idle;  // Notified when `busy` clears.
+    std::deque<Message> queue;
+    PeerHandler* handler = nullptr;
+    bool busy = false;
+  };
+
   /// Per-connection transport state, owned by conn_states_ (shared_ptr so a
   /// sender thread can finish its bookkeeping while OnClose retires the
   /// entry concurrently).
@@ -172,6 +226,38 @@ class TcpRuntime : public MailboxRuntime, private Reactor::Handler {
   };
   static BatchScope& ThisThreadBatchScope();
 
+  /// Opens the calling thread's coalescing bracket (see EndDispatch).
+  void BeginDispatch();
+
+  Mailbox* FindMailbox(NodeId id) const;
+
+  /// Runs a message read off a socket on the calling reactor worker when its
+  /// mailbox is idle (a borrowed payload is consumed without a copy), then
+  /// drains the mailbox. When another thread holds the mailbox, the message
+  /// (its payload now owned) joins the queue that thread drains. Counts a
+  /// drop when the destination has no live handler.
+  void DispatchFromTransport(Message&& msg);
+
+  /// Runs every message queued on the claimed `box`, then clears `busy`.
+  /// `holding`: the caller's own message still holds its in-flight unit;
+  /// each unit is released only once the next message is popped or the
+  /// claim is gone, so Run() never returns while a mailbox is claimed.
+  void DrainMailbox(Mailbox* box, bool holding);
+
+  void TimerLoop();
+
+  void HoldWork() { in_flight_.fetch_add(1); }
+  /// The only way the in-flight count goes down; the release that reaches
+  /// zero wakes Run().
+  void ReleaseWork(uint64_t units = 1);
+  void CountDrop(uint64_t n = 1) { dropped_.fetch_add(n); }
+
+  /// One line per unit of outstanding work: mailbox queue depths and claims,
+  /// pending timers, unsent bytes in send queues and frames awaiting the
+  /// receiver's credit. Logged when Run() gives up or RunUntil() hands back
+  /// a network that is not quiescent, so a hung fixpoint names its culprit.
+  std::string PendingWorkReport() const;
+
   // Reactor::Handler (reactor worker threads).
   bool OnRead(Connection* conn, const uint8_t* data, size_t size) override;
   void OnWritten(Connection* conn, size_t frames) override;
@@ -207,6 +293,25 @@ class TcpRuntime : public MailboxRuntime, private Reactor::Handler {
   void DrainAckedLocked(ConnState& st);
 
   Options options_;
+  const std::chrono::steady_clock::time_point start_time_;
+
+  mutable std::mutex mailboxes_mutex_;  // The map; each Mailbox locks itself.
+  std::map<NodeId, std::unique_ptr<Mailbox>> mailboxes_;
+
+  // ScheduleSend's delayed injections, fired by timer_thread_.
+  mutable std::mutex timer_mutex_;
+  std::condition_variable timer_cv_;
+  std::vector<std::pair<uint64_t, Message>> timer_queue_;
+  bool timer_stop_ = false;  // Guarded by timer_mutex_.
+
+  // Queued + being dispatched + in frames awaiting credit + timed. Run()
+  // waits on idle_cv_ for zero; idle_mutex_ is a leaf lock.
+  std::atomic<uint64_t> in_flight_{0};
+  std::mutex idle_mutex_;
+  std::condition_variable idle_cv_;
+  std::atomic<uint64_t> next_seq_{0};
+  std::atomic<uint64_t> dropped_{0};
+
   std::unique_ptr<Reactor> reactor_;
   mutable std::mutex net_mutex_;  // endpoints_, listen_ports_, outbound_.
   std::map<NodeId, Endpoint> endpoints_;
@@ -214,6 +319,10 @@ class TcpRuntime : public MailboxRuntime, private Reactor::Handler {
   std::map<NodeId, std::shared_ptr<Connection>> outbound_;
   mutable std::mutex states_mutex_;  // conn_states_.
   std::map<const Connection*, std::shared_ptr<ConnState>> conn_states_;
+
+  // Fires ScheduleSend's timers through Send(), so it uses every member
+  // above; started last in the constructor, joined by Shutdown().
+  std::thread timer_thread_;
 };
 
 }  // namespace p2pdb::net

@@ -401,6 +401,27 @@ TEST(FleetTest, FixpointWaitNamesItsSession) {
   ASSERT_NO_FATAL_FAILURE(ShutDownFleet(fleet));
 }
 
+// SIGTERM is a clean stop: the handler wakes Serve(), which removes the pid
+// file, and the process exits 0. Serve() blocks without a timeout, so a
+// stop that failed to wake it would hang here until the reap gives up.
+TEST(FleetTest, SigtermStopsDaemonCleanly) {
+  if (g_peerd_path.empty()) {
+    GTEST_SKIP() << "p2pdb_peerd path not provided (--peerd or P2PDB_PEERD)";
+  }
+  Fleet fleet;
+  ASSERT_NO_FATAL_FAILURE(
+      LaunchFleet("sigterm", 2, std::chrono::seconds(10), &fleet));
+  for (NodeId n : fleet.all) {
+    ASSERT_EQ(::kill(fleet.daemons.pid(n), SIGTERM), 0);
+    int status = 0;
+    ASSERT_TRUE(fleet.daemons.Reap(n, &status)) << "peer " << n << " hung";
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "peer " << n << " exited abnormally";
+    EXPECT_FALSE(std::filesystem::exists(fleet.configs[n].pid_file))
+        << "peer " << n << " left its pid file behind";
+  }
+}
+
 }  // namespace
 }  // namespace p2pdb::daemon
 

@@ -1,22 +1,28 @@
-// TcpRuntime: every message crosses a real loopback socket. Covers raw
+// TcpRuntime: every message crosses a real loopback socket. Covers the
+// dispatch rule (the thread that claims a mailbox drains it, so the runtime
+// needs no thread per peer), exact quiescence and its deadline report, raw
 // delivery and reconnect semantics, kernel-sourced dropped-message accounting
 // (UnregisterPeer is a socket close, not a flag), cross-runtime protocol
-// parity (Sim / Thread / Tcp reach null-isomorphic fixpoints on the paper's
-// running example), and PR 2's crash/restart churn script driven over TCP.
+// parity (Sim and Tcp reach null-isomorphic fixpoints on the paper's running
+// example), and the crash/restart churn script driven over TCP.
 #include "src/net/tcp_runtime.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <mutex>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "src/core/session.h"
 #include "src/net/sim_runtime.h"
-#include "src/net/thread_runtime.h"
 #include "src/relational/null_iso.h"
 #include "src/storage/storage_manager.h"
 #include "src/util/log_capture.h"
@@ -61,6 +67,43 @@ Message Make(NodeId from, NodeId to, std::vector<uint8_t> payload = {1, 2, 3}) {
   return m;
 }
 
+/// The ids of this process's threads.
+std::set<std::string> ThreadIds() {
+  std::set<std::string> ids;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ids.insert(entry.path().filename().string());
+  }
+  return ids;
+}
+
+// --- Dispatch: the thread that claims a mailbox drains it ----------------
+
+TEST(TcpRuntimeTest, PeersAddNoThreadsBeyondReactorAndTimer) {
+  // A sanitizer runtime may start a helper thread on the process's first
+  // thread creation; let that happen before the baseline. Threads that
+  // exit are only ever missing from the later set, so the set difference
+  // counts exactly the threads the runtime started.
+  std::thread([] {}).join();
+  const std::set<std::string> before = ThreadIds();
+  TcpRuntime::Options options;
+  options.io_workers = 2;
+  TcpRuntime rt(options);
+  std::vector<std::unique_ptr<CountingPeer>> peers;
+  for (NodeId i = 0; i < 64; ++i) {
+    peers.push_back(std::make_unique<CountingPeer>(i, &rt, 1));
+    rt.RegisterPeer(i, peers.back().get());
+  }
+  for (NodeId i = 1; i < 64; ++i) rt.Send(Make(0, i));
+  ASSERT_TRUE(rt.Run().ok());
+  EXPECT_EQ(peers[0]->received(), 63);  // One reply per peer.
+
+  size_t added = 0;
+  for (const std::string& id : ThreadIds()) added += before.count(id) == 0;
+  EXPECT_EQ(added, static_cast<size_t>(options.io_workers) + 1)
+      << "reactor workers plus the timer thread, and nothing per peer";
+}
+
 TEST(TcpRuntimeTest, DeliversOverRealSockets) {
   TcpRuntime rt;
   CountingPeer a(0, &rt, 0), b(1, &rt, 3);
@@ -84,6 +127,107 @@ TEST(TcpRuntimeTest, PingPongUntilRepliesExhausted) {
   rt.Send(Make(0, 1));
   ASSERT_TRUE(rt.Run().ok());
   EXPECT_EQ(a.received() + b.received(), 51);  // 1 initial + 50 replies.
+}
+
+TEST(TcpRuntimeTest, StarFanOutAndReplies) {
+  TcpRuntime rt;
+  std::vector<std::unique_ptr<CountingPeer>> peers;
+  // Peer 0 never replies; peers 1..7 reply exactly once.
+  peers.push_back(std::make_unique<CountingPeer>(0, &rt, 0));
+  rt.RegisterPeer(0, peers.back().get());
+  for (NodeId i = 1; i < 8; ++i) {
+    peers.push_back(std::make_unique<CountingPeer>(i, &rt, 1));
+    rt.RegisterPeer(i, peers.back().get());
+  }
+  for (NodeId i = 1; i < 8; ++i) rt.Send(Make(0, i));
+  ASSERT_TRUE(rt.Run().ok());
+  EXPECT_EQ(peers[0]->received(), 7);  // One reply per spoke.
+  for (NodeId i = 1; i < 8; ++i) EXPECT_EQ(peers[i]->received(), 1);
+}
+
+TEST(TcpRuntimeTest, RegisterWhileRunningDelivers) {
+  TcpRuntime rt;
+  CountingPeer a(0, &rt, 0), b(1, &rt, 0);
+  rt.RegisterPeer(0, &a);
+  rt.RegisterPeer(1, &b);
+  rt.Send(Make(0, 1));
+  ASSERT_TRUE(rt.Run().ok());  // Connections up, traffic has flowed.
+  CountingPeer late(7, &rt, 0);
+  rt.RegisterPeer(7, &late);
+  rt.Send(Make(0, 7));
+  ASSERT_TRUE(rt.Run().ok());
+  EXPECT_EQ(late.received(), 1);
+}
+
+TEST(TcpRuntimeTest, RunWaitsForPendingTimer) {
+  TcpRuntime rt;
+  CountingPeer a(0, &rt, 0), b(1, &rt, 0);
+  rt.RegisterPeer(0, &a);
+  rt.RegisterPeer(1, &b);
+  auto start = std::chrono::steady_clock::now();
+  rt.ScheduleSend(rt.NowMicros() + 20'000, Make(0, 1));
+  ASSERT_TRUE(rt.Run().ok());
+  // The timer holds its in-flight unit until it hands the message to Send,
+  // so Run() cannot return before the handler has seen it.
+  EXPECT_EQ(b.received(), 1);
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(20));
+}
+
+TEST(TcpRuntimeTest, RunGivesUpAtDeadlineAndNamesPendingWork) {
+  TcpRuntime::Options options;
+  options.timeout = std::chrono::milliseconds(50);
+  TcpRuntime rt(options);
+  // Peers that reply forever, four chains at once.
+  CountingPeer a(0, &rt, 1 << 30), b(1, &rt, 1 << 30);
+  rt.RegisterPeer(0, &a);
+  rt.RegisterPeer(1, &b);
+  ScopedLogCapture capture;  // The deadline warning and the final drops.
+  for (int i = 0; i < 4; ++i) rt.Send(Make(0, 1));
+  Status st = rt.Run();
+  EXPECT_EQ(st.code(), StatusCode::kInternal);
+  EXPECT_NE(st.message().find("quiescence not reached"), std::string::npos);
+  // The chains live in mailboxes and in frames awaiting credit.
+  EXPECT_TRUE(st.message().find(" queued") != std::string::npos ||
+              st.message().find(" uncredited frame") != std::string::npos)
+      << "the error names no pending work: " << st.message();
+  // Stop the chains before the handlers go out of scope.
+  rt.UnregisterPeer(0);
+  rt.UnregisterPeer(1);
+}
+
+TEST(TcpRuntimeTest, ShutdownRightAfterDispatchNeverHangs) {
+  // Destroying the runtime the moment a handler has run races Shutdown's
+  // wake-up against the timer thread entering its first wait, and the
+  // reactor's teardown against the dispatch that just ran. A notify that
+  // lands between a waiter's predicate check and its wait is lost and the
+  // join hangs forever; many cycles make that likely. The watchdog turns a
+  // hang into a failure.
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool done = false;
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    if (!cv.wait_for(lock, std::chrono::minutes(3), [&] { return done; })) {
+      std::fprintf(stderr, "runtime teardown hung\n");
+      std::abort();
+    }
+  });
+  TcpRuntime::Options options;
+  options.io_workers = 1;
+  for (int cycle = 0; cycle < 20'000; ++cycle) {
+    CountingPeer peer(0, nullptr, 0);  // Outlives the runtime's threads.
+    TcpRuntime rt(options);
+    rt.RegisterPeer(0, &peer);
+    rt.Send(Make(0, 0));
+    while (peer.received() == 0) std::this_thread::yield();
+  }
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    done = true;
+  }
+  cv.notify_one();
+  watchdog.join();
 }
 
 TEST(TcpRuntimeTest, LargePayloadsSurviveFragmentation) {
@@ -303,22 +447,64 @@ class FanPeer : public PeerHandler {
   uint8_t urgent_tag_;
 };
 
-/// Records the tag byte of every received message, in arrival order.
+/// Records the tag byte of every received message, and the thread that ran
+/// it, in arrival order.
 class RecordingPeer : public PeerHandler {
  public:
   void OnMessage(const Message& msg) override {
     std::lock_guard<std::mutex> lock(mutex_);
     order_.push_back(msg.payload.size() > 0 ? msg.payload.data()[0] : 0);
+    threads_.push_back(std::this_thread::get_id());
   }
   std::vector<uint8_t> order() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return order_;
   }
+  std::vector<std::thread::id> threads() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return threads_;
+  }
 
  private:
   mutable std::mutex mutex_;
   std::vector<uint8_t> order_;
+  std::vector<std::thread::id> threads_;
 };
+
+TEST(TcpRuntimeTest, RunExclusiveRunsTheBacklogOnItsCaller) {
+  // Messages that reach a peer while RunExclusive holds its mailbox queue
+  // up, and the caller's thread runs them before it lets the mailbox go.
+  TcpRuntime rt;
+  RecordingPeer x;
+  rt.RegisterPeer(1, &x);
+  constexpr uint8_t kMessages = 8;
+  std::vector<uint8_t> expected;
+  for (uint8_t i = 1; i <= kMessages; ++i) expected.push_back(i);
+
+  bool all_queued = false;
+  rt.RunExclusive(1, [&] {
+    // A thread outside any dispatch sends each message in its own frame.
+    std::thread sender([&] {
+      for (uint8_t tag : expected) rt.Send(Make(0, 1, {tag}));
+    });
+    sender.join();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (rt.stats().io().queued_dispatches.load() < kMessages &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    all_queued = rt.stats().io().queued_dispatches.load() == kMessages;
+    EXPECT_TRUE(x.order().empty()) << "a message ran beside fn";
+  });
+  ASSERT_TRUE(all_queued) << "the messages never reached the mailbox";
+  EXPECT_EQ(x.order(), expected);
+  EXPECT_EQ(x.threads(),
+            std::vector<std::thread::id>(kMessages,
+                                         std::this_thread::get_id()));
+  EXPECT_EQ(rt.stats().io().inline_dispatches.load(), 0u);
+  ASSERT_TRUE(rt.Run().ok());
+}
 
 TEST(TcpRuntimeTest, DispatchSendsCoalesceAndStatsNameInnerTypes) {
   // Five same-destination sends inside one dispatch travel as one kBatch
@@ -405,25 +591,20 @@ std::vector<rel::Database> RunExampleOn(const core::P2PSystem& system,
 }
 
 TEST(TcpRuntimeTest, CrossRuntimeParityOnRunningExample) {
-  // The same system, driven to fixpoint on all three runtimes, must land on
+  // The same system, driven to fixpoint on both runtimes, must land on
   // null-isomorphic databases at every node: transport must not matter.
   auto system = workload::MakeRunningExample();
   ASSERT_TRUE(system.ok());
 
   SimRuntime sim;
   std::vector<rel::Database> via_sim = RunExampleOn(*system, &sim);
-  ThreadRuntime threads;
-  std::vector<rel::Database> via_threads = RunExampleOn(*system, &threads);
   TcpRuntime sockets;
   std::vector<rel::Database> via_sockets = RunExampleOn(*system, &sockets);
 
   ASSERT_EQ(via_sim.size(), via_sockets.size());
-  ASSERT_EQ(via_threads.size(), via_sockets.size());
   for (size_t n = 0; n < via_sim.size(); ++n) {
     EXPECT_TRUE(rel::DatabasesIsomorphic(via_sockets[n], via_sim[n]))
         << "node " << n << ": tcp vs sim";
-    EXPECT_TRUE(rel::DatabasesIsomorphic(via_sockets[n], via_threads[n]))
-        << "node " << n << ": tcp vs thread";
   }
   EXPECT_GT(sockets.stats().total_messages(), 0u);
 }

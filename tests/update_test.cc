@@ -9,7 +9,6 @@
 #include "src/core/session.h"
 #include "src/lang/parser.h"
 #include "src/net/sim_runtime.h"
-#include "src/net/thread_runtime.h"
 #include "src/relational/eval.h"
 #include "src/relational/null_iso.h"
 #include "src/util/log_capture.h"
@@ -521,26 +520,6 @@ TEST(UpdateTest, IdempotentSecondUpdateAddsNothing) {
   std::vector<rel::Database> second = session->SnapshotDatabases();
   for (size_t n = 0; n < first.size(); ++n) {
     EXPECT_TRUE(first[n] == second[n]) << "node " << n;
-  }
-}
-
-TEST(UpdateTest, ThreadRuntimeAgreesWithSimRuntime) {
-  auto system = workload::MakeRunningExample();
-  ASSERT_TRUE(system.ok());
-
-  net::SimRuntime sim;
-  auto sim_session = RunFull(*system, &sim);
-
-  net::ThreadRuntime threads;
-  Session thread_session(*system, &threads);
-  ASSERT_TRUE(thread_session.RunDiscovery().ok());
-  ASSERT_TRUE(thread_session.RunUpdate().ok());
-  ASSERT_TRUE(thread_session.AllClosed());
-
-  for (NodeId n = 0; n < 5; ++n) {
-    EXPECT_TRUE(rel::DatabasesCertainEqual(sim_session->peer(n).db(),
-                                           thread_session.peer(n).db()))
-        << "node " << n;
   }
 }
 

@@ -7,6 +7,8 @@
 //
 // Fleets are provisioned with `p2pdb_fleetctl gen` (one config per node) and
 // launched with scripts/run_fleet.sh.
+#include <pthread.h>
+
 #include <csignal>
 #include <cstdio>
 #include <string>
@@ -20,7 +22,7 @@ namespace {
 p2pdb::daemon::PeerDaemon* g_daemon = nullptr;
 
 void HandleSignal(int) {
-  // RequestStop only stores an atomic flag: async-signal-safe.
+  // RequestStop is one write(2) to an eventfd: async-signal-safe.
   if (g_daemon != nullptr) g_daemon->RequestStop();
 }
 
@@ -67,6 +69,16 @@ int main(int argc, char** argv) {
                  config.status().ToString().c_str());
     return 1;
   }
+  // SIGTERM/SIGINT stay blocked until the handler can reach the daemon: one
+  // that arrives after the pid file is written (the daemon looks ready) but
+  // before the handler is installed waits pending instead of killing the
+  // process. The runtime's threads, started in Start(), inherit the mask,
+  // so the handler always runs on this thread.
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGTERM);
+  sigaddset(&stop_signals, SIGINT);
+  pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
   auto daemon = p2pdb::daemon::PeerDaemon::Start(std::move(*config));
   if (!daemon.ok()) {
     std::fprintf(stderr, "p2pdb_peerd: %s\n",
@@ -77,6 +89,7 @@ int main(int argc, char** argv) {
   g_daemon = daemon->get();
   std::signal(SIGTERM, HandleSignal);
   std::signal(SIGINT, HandleSignal);
+  pthread_sigmask(SIG_UNBLOCK, &stop_signals, nullptr);
 
   p2pdb::Status served = (*daemon)->Serve();
   g_daemon = nullptr;
