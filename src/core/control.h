@@ -22,21 +22,20 @@
 //
 // All control traffic is urgent (net::Message::urgent): it bypasses the
 // transport's data-plane batching, so driving a fleet never queues behind an
-// update's coalesced frames. Payloads follow the same encode/decode contract
-// as the protocol payloads in core/wire.h: decoded whole or rejected.
+// update's coalesced frames. Payloads follow the same contract as the
+// protocol payloads in core/wire.h: a payload's format is its field list
+// (control.cc), and it is decoded whole or rejected. Dispatchers decode them
+// through wire::DecodePayload.
 #ifndef P2PDB_CORE_CONTROL_H_
 #define P2PDB_CORE_CONTROL_H_
 
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/core/system.h"
 #include "src/core/wire.h"
-#include "src/net/message.h"
 #include "src/relational/schema.h"
 #include "src/util/ids.h"
-#include "src/util/logging.h"
 #include "src/util/serde.h"
 #include "src/util/status.h"
 
@@ -185,20 +184,6 @@ struct ControlShutdown {
   std::vector<uint8_t> Encode() const;
   static Result<ControlShutdown> Decode(ByteView bytes);
 };
-
-/// Decodes `msg`'s control payload. Both ends of the control plane drop a
-/// malformed payload with a warning instead of acting on it.
-template <typename Payload>
-std::optional<Payload> DecodeControl(const net::Message& msg) {
-  auto decoded = Payload::Decode(msg.payload);
-  if (!decoded.ok()) {
-    P2PDB_LOG(kWarn) << "dropping malformed " << net::MessageTypeName(msg.type)
-                     << " from node " << msg.from << ": "
-                     << decoded.status().ToString();
-    return std::nullopt;
-  }
-  return std::move(*decoded);
-}
 
 }  // namespace p2pdb::core::wire
 

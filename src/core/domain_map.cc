@@ -1,7 +1,5 @@
 #include "src/core/domain_map.h"
 
-#include "src/core/wire.h"
-
 namespace p2pdb::core {
 
 void DomainMap::Add(rel::Value source, rel::Value target) {
@@ -37,28 +35,6 @@ DomainMap DomainMap::ComposeWith(const DomainMap& other) const {
   // Entries of `other` not shadowed by this map still apply.
   for (const auto& [source, target] : other.mapping_) {
     if (!mapping_.count(source)) out.Add(source, target);
-  }
-  return out;
-}
-
-void DomainMap::Encode(Writer* w) const {
-  w->PutVarint(mapping_.size());
-  for (const auto& [source, target] : mapping_) {
-    wire::EncodeValue(source, w);
-    wire::EncodeValue(target, w);
-  }
-}
-
-Result<DomainMap> DomainMap::Decode(Reader* r) {
-  auto count = r->GetVarint();
-  if (!count.ok()) return count.status();
-  DomainMap out;
-  for (uint64_t i = 0; i < *count; ++i) {
-    auto source = wire::DecodeValue(r);
-    if (!source.ok()) return source.status();
-    auto target = wire::DecodeValue(r);
-    if (!target.ok()) return target.status();
-    out.Add(std::move(*source), std::move(*target));
   }
   return out;
 }

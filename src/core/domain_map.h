@@ -14,9 +14,9 @@
 #include <set>
 #include <string>
 
+#include "src/relational/codec.h"
 #include "src/relational/tuple.h"
 #include "src/util/serde.h"
-#include "src/util/status.h"
 
 namespace p2pdb::core {
 
@@ -41,13 +41,20 @@ class DomainMap {
   /// Composes: (other ∘ this)(v) = other.Apply(this->Apply(v)).
   DomainMap ComposeWith(const DomainMap& other) const;
 
-  void Encode(Writer* w) const;
-  static Result<DomainMap> Decode(Reader* r);
-
   std::string ToString() const;
 
   bool operator==(const DomainMap& other) const {
     return mapping_ == other.mapping_;
+  }
+
+  /// The map's format (util/serde.h): a count, then each source and its
+  /// target, in source order. A repeated source keeps its last target.
+  template <class IO>
+  friend void Fields(IO& io, FieldRef<IO, DomainMap> map) {
+    io.Each(map.mapping_, [&io](auto& entry) {
+      io.Use(entry.first, rel::EncodeValue, rel::DecodeValue);
+      io.Use(entry.second, rel::EncodeValue, rel::DecodeValue);
+    });
   }
 
  private:

@@ -1,6 +1,7 @@
 #include "src/core/peer.h"
 
 #include <map>
+#include <type_traits>
 
 #include "src/core/dependency.h"
 #include "src/core/query.h"
@@ -8,6 +9,20 @@
 #include "src/util/logging.h"
 
 namespace p2pdb::core {
+
+namespace {
+
+/// Decodes `msg`'s payload as the one `handle` takes and hands it over; a
+/// malformed payload is dropped with a warning (wire::DecodePayload).
+template <class Engine, class Payload>
+void Deliver(const net::Message& msg, Engine* engine,
+             void (Engine::*handle)(NodeId, Payload)) {
+  if (auto p = wire::DecodePayload<std::remove_cvref_t<Payload>>(msg)) {
+    (engine->*handle)(msg.from, std::move(*p));
+  }
+}
+
+}  // namespace
 
 Peer::Peer(NodeId id, std::string name, rel::Database db,
            net::Runtime* runtime, Config config)
@@ -260,73 +275,45 @@ void Peer::OnMessage(const net::Message& msg) {
 
 void Peer::DispatchMessage(const net::Message& msg) {
   switch (msg.type) {
-    case net::MessageType::kDiscoverRequest: {
-      auto payload = wire::DiscoverRequest::Decode(msg.payload);
-      if (payload.ok()) discovery_->OnRequest(msg.from, *payload);
+    case net::MessageType::kDiscoverRequest:
+      Deliver(msg, discovery_.get(), &DiscoveryEngine::OnRequest);
       break;
-    }
-    case net::MessageType::kDiscoverAnswer: {
-      auto payload = wire::DiscoverAnswer::Decode(msg.payload);
-      if (payload.ok()) discovery_->OnAnswer(msg.from, *payload);
+    case net::MessageType::kDiscoverAnswer:
+      Deliver(msg, discovery_.get(), &DiscoveryEngine::OnAnswer);
       break;
-    }
-    case net::MessageType::kDiscoverClosure: {
-      auto payload = wire::DiscoverClosure::Decode(msg.payload);
-      if (payload.ok()) discovery_->OnClosure(msg.from, *payload);
+    case net::MessageType::kDiscoverClosure:
+      Deliver(msg, discovery_.get(), &DiscoveryEngine::OnClosure);
       break;
-    }
-    case net::MessageType::kUpdateStart: {
-      auto payload = wire::UpdateStart::Decode(msg.payload);
-      if (payload.ok()) update_->OnUpdateStart(msg.from, *payload);
+    case net::MessageType::kUpdateStart:
+      Deliver(msg, update_.get(), &UpdateEngine::OnUpdateStart);
       break;
-    }
-    case net::MessageType::kQueryRequest: {
-      auto payload = wire::QueryRequest::Decode(msg.payload);
-      if (payload.ok()) update_->OnQueryRequest(msg.from, *payload);
+    case net::MessageType::kQueryRequest:
+      Deliver(msg, update_.get(), &UpdateEngine::OnQueryRequest);
       break;
-    }
-    case net::MessageType::kQueryAnswer: {
-      auto payload = wire::QueryAnswer::Decode(msg.payload);
-      if (payload.ok()) {
-        update_->OnQueryAnswer(msg.from, payload.MoveValue());
-      }
+    case net::MessageType::kQueryAnswer:
+      Deliver(msg, update_.get(), &UpdateEngine::OnQueryAnswer);
       break;
-    }
-    case net::MessageType::kUnsubscribe: {
-      auto payload = wire::Unsubscribe::Decode(msg.payload);
-      if (payload.ok()) update_->OnUnsubscribe(msg.from, *payload);
+    case net::MessageType::kUnsubscribe:
+      Deliver(msg, update_.get(), &UpdateEngine::OnUnsubscribe);
       break;
-    }
-    case net::MessageType::kPartialUpdate: {
-      auto payload = wire::PartialUpdate::Decode(msg.payload);
-      if (payload.ok()) update_->OnPartialUpdate(msg.from, *payload);
+    case net::MessageType::kPartialUpdate:
+      Deliver(msg, update_.get(), &UpdateEngine::OnPartialUpdate);
       break;
-    }
-    case net::MessageType::kToken: {
-      auto payload = wire::Token::Decode(msg.payload);
-      if (payload.ok()) update_->OnToken(msg.from, *payload);
+    case net::MessageType::kToken:
+      Deliver(msg, update_.get(), &UpdateEngine::OnToken);
       break;
-    }
-    case net::MessageType::kSccClosed: {
-      auto payload = wire::SccClosed::Decode(msg.payload);
-      if (payload.ok()) update_->OnSccClosed(msg.from, *payload);
+    case net::MessageType::kSccClosed:
+      Deliver(msg, update_.get(), &UpdateEngine::OnSccClosed);
       break;
-    }
-    case net::MessageType::kReopen: {
-      auto payload = wire::Reopen::Decode(msg.payload);
-      if (payload.ok()) update_->OnReopen(msg.from, *payload);
+    case net::MessageType::kReopen:
+      Deliver(msg, update_.get(), &UpdateEngine::OnReopen);
       break;
-    }
-    case net::MessageType::kAddRule: {
-      auto payload = wire::AddRuleChange::Decode(msg.payload);
-      if (payload.ok()) update_->OnAddRule(msg.from, *payload);
+    case net::MessageType::kAddRule:
+      Deliver(msg, update_.get(), &UpdateEngine::OnAddRule);
       break;
-    }
-    case net::MessageType::kDeleteRule: {
-      auto payload = wire::DeleteRuleChange::Decode(msg.payload);
-      if (payload.ok()) update_->OnDeleteRule(msg.from, *payload);
+    case net::MessageType::kDeleteRule:
+      Deliver(msg, update_.get(), &UpdateEngine::OnDeleteRule);
       break;
-    }
     case net::MessageType::kBatch:
     case net::MessageType::kCredit:
       // Transport-internal frames: the runtime unpacks batches and consumes

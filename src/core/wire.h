@@ -2,24 +2,30 @@
 // serialized before it is handed to the runtime, so byte counts reported by
 // the statistics module reflect true wire volumes, and codecs are round-trip
 // tested like any other storage format.
+//
+// A payload's format is its field list (util/serde.h), one per payload in
+// wire.cc: Encode() runs it through an Encoder and Decode() through a
+// Decoder, which decodes the payload whole or rejects it. The lists for rules
+// and their parts live here, shared with the control payloads (control.cc).
 #ifndef P2PDB_CORE_WIRE_H_
 #define P2PDB_CORE_WIRE_H_
 
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "src/core/system.h"
+#include "src/net/message.h"
 #include "src/relational/codec.h"
 #include "src/relational/cq.h"
 #include "src/relational/tuple.h"
 #include "src/util/ids.h"
+#include "src/util/logging.h"
 #include "src/util/serde.h"
 #include "src/util/status.h"
 
 namespace p2pdb::core::wire {
-
-// --- Building-block codecs -------------------------------------------------
 
 // Value/tuple codecs live in relational/codec.h (shared with snapshots);
 // re-exported here for wire users.
@@ -30,24 +36,7 @@ using rel::EncodeTuple;
 using rel::EncodeTupleList;
 using rel::EncodeValue;
 
-void EncodeTerm(const rel::Term& t, Writer* w);
-Result<rel::Term> DecodeTerm(Reader* r);
-
-void EncodeAtom(const rel::Atom& a, Writer* w);
-Result<rel::Atom> DecodeAtom(Reader* r);
-
-void EncodeBuiltin(const rel::Builtin& b, Writer* w);
-Result<rel::Builtin> DecodeBuiltin(Reader* r);
-
-void EncodeQuery(const rel::ConjunctiveQuery& q, Writer* w);
-Result<rel::ConjunctiveQuery> DecodeQuery(Reader* r);
-
-void EncodeRule(const CoordinationRule& rule, Writer* w);
-Result<CoordinationRule> DecodeRule(Reader* r);
-
 using Edge = std::pair<NodeId, NodeId>;
-void EncodeEdges(const std::set<Edge>& edges, Writer* w);
-Result<std::set<Edge>> DecodeEdges(Reader* r);
 
 // --- Protocol payloads -----------------------------------------------------
 
@@ -206,6 +195,65 @@ struct RuleChangeRecord {
   std::vector<uint8_t> Encode() const;
   static Result<RuleChangeRecord> Decode(ByteView bytes);
 };
+
+/// Decodes `msg`'s payload as a `Payload`. Every dispatcher drops a
+/// malformed payload with one warning that names it and its sender, instead
+/// of acting on it.
+template <typename Payload>
+std::optional<Payload> DecodePayload(const net::Message& msg) {
+  auto decoded = Payload::Decode(msg.payload);
+  if (!decoded.ok()) {
+    P2PDB_LOG(kWarn) << "dropping malformed " << net::MessageTypeName(msg.type)
+                     << " from node " << msg.from << ": "
+                     << decoded.status().ToString();
+    return std::nullopt;
+  }
+  return decoded.MoveValue();
+}
+
+// --- Field lists shared by wire.cc and control.cc --------------------------
+
+/// A variable (kind 0, then its name) or a constant (kind 1, its value).
+template <class IO>
+void Fields(IO& io, FieldRef<IO, rel::Term> t) {
+  io.Enum(t.kind, rel::Term::Kind::kConst, "term kind");
+  if (t.is_var()) {
+    io.Str(t.var);
+  } else {
+    io.Use(t.constant, rel::EncodeValue, rel::DecodeValue);
+  }
+}
+
+template <class IO>
+void Fields(IO& io, FieldRef<IO, rel::Atom> a) {
+  io.Str(a.relation);
+  io.Each(a.terms, [&io](auto& t) { Fields(io, t); });
+}
+
+template <class IO>
+void Fields(IO& io, FieldRef<IO, rel::Builtin> b) {
+  io.Enum(b.op, rel::BuiltinOp::kGe, "builtin op");
+  Fields(io, b.lhs);
+  Fields(io, b.rhs);
+}
+
+/// Id, head node, head atoms, each body part (node, atoms, built-ins), the
+/// cross-part built-ins, then the domain map.
+template <class IO>
+void Fields(IO& io, FieldRef<IO, CoordinationRule> rule) {
+  auto atoms = [&io](auto& a) { Fields(io, a); };
+  auto builtins = [&io](auto& b) { Fields(io, b); };
+  io.Str(rule.id);
+  io.U32(rule.head_node);
+  io.Each(rule.head_atoms, atoms);
+  io.Each(rule.body, [&](auto& part) {
+    io.U32(part.node);
+    io.Each(part.atoms, atoms);
+    io.Each(part.builtins, builtins);
+  });
+  io.Each(rule.cross_builtins, builtins);
+  Fields(io, rule.domain_map);
+}
 
 }  // namespace p2pdb::core::wire
 

@@ -160,7 +160,7 @@ std::chrono::steady_clock::time_point FleetController::Deadline() const {
 void FleetController::OnMessage(const net::Message& msg) {
   switch (msg.type) {
     case net::MessageType::kBootstrapAck: {
-      auto ack = wire::DecodeControl<wire::BootstrapAck>(msg);
+      auto ack = wire::DecodePayload<wire::BootstrapAck>(msg);
       if (!ack) return;
       std::lock_guard<std::mutex> lock(mutex_);
       acks_[ack->node] = std::move(*ack);
@@ -168,7 +168,7 @@ void FleetController::OnMessage(const net::Message& msg) {
       return;
     }
     case net::MessageType::kStatusReport: {
-      auto report = wire::DecodeControl<wire::StatusReport>(msg);
+      auto report = wire::DecodePayload<wire::StatusReport>(msg);
       if (!report) return;
       std::lock_guard<std::mutex> lock(mutex_);
       auto it = reports_.find(report->id);
@@ -183,7 +183,7 @@ void FleetController::OnMessage(const net::Message& msg) {
       return;
     }
     case net::MessageType::kDumpReply: {
-      auto dump = wire::DecodeControl<wire::DumpReply>(msg);
+      auto dump = wire::DecodePayload<wire::DumpReply>(msg);
       if (!dump) return;
       std::lock_guard<std::mutex> lock(mutex_);
       dumps_[dump->node] = std::move(*dump);

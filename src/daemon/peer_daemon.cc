@@ -292,28 +292,28 @@ void PeerDaemon::Dispatch(const net::Message& msg) {
       return;
     }
     case net::MessageType::kStartDiscovery:
-      if (wire::DecodeControl<wire::ControlStartDiscovery>(msg)) {
+      if (wire::DecodePayload<wire::ControlStartDiscovery>(msg)) {
         peer_->StartDiscovery();
       }
       return;
     case net::MessageType::kStartUpdate:
-      if (auto start = wire::DecodeControl<wire::ControlStartUpdate>(msg)) {
+      if (auto start = wire::DecodePayload<wire::ControlStartUpdate>(msg)) {
         peer_->StartUpdate(start->session);
       }
       return;
     case net::MessageType::kRefreshScc:
-      if (wire::DecodeControl<wire::ControlRefreshScc>(msg)) {
+      if (wire::DecodePayload<wire::ControlRefreshScc>(msg)) {
         peer_->update().RefreshScc();
       }
       return;
     case net::MessageType::kStatusRequest:
       // Answered by OnMessage once it holds, which may be right away.
-      if (auto request = wire::DecodeControl<wire::StatusRequest>(msg)) {
+      if (auto request = wire::DecodePayload<wire::StatusRequest>(msg)) {
         parked_.push_back({msg.from, std::move(*request)});
       }
       return;
     case net::MessageType::kDumpRequest: {
-      if (!wire::DecodeControl<wire::DumpRequest>(msg)) return;
+      if (!wire::DecodePayload<wire::DumpRequest>(msg)) return;
       wire::DumpReply reply;
       reply.epoch = epoch_.load();
       reply.node = config_.node;
@@ -322,7 +322,7 @@ void PeerDaemon::Dispatch(const net::Message& msg) {
       return;
     }
     case net::MessageType::kShutdown:
-      if (!wire::DecodeControl<wire::ControlShutdown>(msg)) return;
+      if (!wire::DecodePayload<wire::ControlShutdown>(msg)) return;
       P2PDB_LOG(kInfo) << "node " << config_.node
                        << ": shutdown requested by node " << msg.from;
       RequestStop();

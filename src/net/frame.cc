@@ -12,6 +12,21 @@ namespace {
 constexpr size_t kLengthBytes = 4;
 constexpr size_t kCrcBytes = 4;
 
+/// The message header: type, from, to, seq, then the trace context. Both
+/// frame encoders, both frame decoders and Message::WireSize run this list;
+/// `m` is a Message when encoding and a FrameView when decoding. A decoded
+/// type still has to pass IsKnownMessageType.
+template <class IO, class M>
+void HeaderFields(IO& io, M& m) {
+  io.Enum(m.type, MessageType::kShutdown, "message type");
+  io.Varint(m.from);
+  io.Varint(m.to);
+  io.Varint(m.seq);
+  io.Varint(m.trace.trace_id);
+  io.Varint(m.trace.parent_span);
+  io.Varint(m.trace.hop);
+}
+
 uint32_t ReadLengthField(const uint8_t* data) {
   uint32_t length = 0;
   for (int i = 0; i < 4; ++i) {
@@ -30,31 +45,16 @@ Result<FrameView> DecodeFrameBody(const uint8_t* data, size_t size) {
   if (Crc32(data + kCrcBytes, size - kCrcBytes) != *crc) {
     return Status::ParseError("frame CRC mismatch");
   }
-  auto type = r.GetU8();
-  auto from = r.GetVarint();
-  auto to = r.GetVarint();
-  auto seq = r.GetVarint();
-  auto trace_id = r.GetVarint();
-  auto parent_span = r.GetVarint();
-  auto hop = r.GetVarint();
-  if (!type.ok() || !from.ok() || !to.ok() || !seq.ok() || !trace_id.ok() ||
-      !parent_span.ok() || !hop.ok()) {
-    return Status::ParseError("truncated frame header");
-  }
-  if (!IsKnownMessageType(*type)) {
-    return Status::ParseError("unknown message type " + std::to_string(*type));
-  }
-  if (*from > kNoNode || *to > kNoNode) {
-    return Status::ParseError("frame node id out of range");
-  }
   FrameView view;
-  view.type = static_cast<MessageType>(*type);
-  view.from = static_cast<NodeId>(*from);
-  view.to = static_cast<NodeId>(*to);
-  view.seq = *seq;
-  view.trace.trace_id = *trace_id;
-  view.trace.parent_span = *parent_span;
-  view.trace.hop = static_cast<uint32_t>(*hop);
+  Decoder in(&r);
+  HeaderFields(in, view);
+  if (!in.ok()) {
+    return Status::ParseError("bad frame header: " + in.status().message());
+  }
+  const auto type = static_cast<uint8_t>(view.type);
+  if (!IsKnownMessageType(type)) {
+    return Status::ParseError("unknown message type " + std::to_string(type));
+  }
   view.payload = data + (size - r.remaining());
   view.payload_size = r.remaining();
   return view;
@@ -66,46 +66,31 @@ Result<FrameView> DecodeFrameBody(const uint8_t* data, size_t size) {
 Status WalkBatch(const FrameView& outer,
                  const std::function<void(const FrameView&)>* sink) {
   Reader r(outer.payload, outer.payload_size);
-  auto count = r.GetVarint();
-  if (!count.ok()) return Status::ParseError("batch frame missing count");
-  if (*count == 0) return Status::ParseError("empty batch frame");
-  for (uint64_t i = 0; i < *count; ++i) {
-    auto type = r.GetU8();
-    auto from = r.GetVarint();
-    auto to = r.GetVarint();
-    auto seq = r.GetVarint();
-    auto trace_id = r.GetVarint();
-    auto parent_span = r.GetVarint();
-    auto hop = r.GetVarint();
-    auto len = r.GetVarint();
-    if (!type.ok() || !from.ok() || !to.ok() || !seq.ok() || !trace_id.ok() ||
-        !parent_span.ok() || !hop.ok() || !len.ok()) {
-      return Status::ParseError("truncated batched message header");
-    }
-    if (!IsKnownMessageType(*type) ||
-        static_cast<MessageType>(*type) == MessageType::kBatch ||
-        static_cast<MessageType>(*type) == MessageType::kCredit) {
+  Decoder in(&r);
+  uint64_t count = 0;
+  in.Varint(count);
+  if (in.ok() && count == 0) return Status::ParseError("empty batch frame");
+  for (uint64_t i = 0; i < count && in.ok(); ++i) {
+    FrameView view;
+    HeaderFields(in, view);
+    in.Varint(view.payload_size);
+    if (!in.ok()) break;
+    const auto type = static_cast<uint8_t>(view.type);
+    if (!IsKnownMessageType(type) || view.type == MessageType::kBatch ||
+        view.type == MessageType::kCredit) {
       return Status::ParseError("bad batched message type " +
-                                std::to_string(*type));
+                                std::to_string(type));
     }
-    if (*from > kNoNode || *to > kNoNode) {
-      return Status::ParseError("batched message node id out of range");
-    }
-    auto payload = r.GetRaw(static_cast<size_t>(*len));
+    auto payload = r.GetRaw(view.payload_size);
     if (!payload.ok()) {
       return Status::ParseError("truncated batched message payload");
     }
-    FrameView view;
-    view.type = static_cast<MessageType>(*type);
-    view.from = static_cast<NodeId>(*from);
-    view.to = static_cast<NodeId>(*to);
-    view.seq = *seq;
-    view.trace.trace_id = *trace_id;
-    view.trace.parent_span = *parent_span;
-    view.trace.hop = static_cast<uint32_t>(*hop);
     view.payload = *payload;
-    view.payload_size = static_cast<size_t>(*len);
     if (sink != nullptr) (*sink)(view);
+  }
+  if (!in.ok()) {
+    return Status::ParseError("bad batched message header: " +
+                              in.status().message());
   }
   if (!r.AtEnd()) return Status::ParseError("trailing bytes in batch frame");
   return Status::OK();
@@ -126,10 +111,10 @@ Status UnpackBatch(const FrameView& outer,
 }  // namespace
 
 size_t Message::WireSize() const {
-  return kLengthBytes + kCrcBytes + 1 /* type */ + VarintLength(from) +
-         VarintLength(to) + VarintLength(seq) + VarintLength(trace.trace_id) +
-         VarintLength(trace.parent_span) + VarintLength(trace.hop) +
-         payload.size();
+  ByteCounter header;
+  Encoder<ByteCounter> out(&header);
+  HeaderFields(out, *this);
+  return kLengthBytes + kCrcBytes + header.size() + payload.size();
 }
 
 Message FrameView::ToMessage() const {
@@ -151,15 +136,10 @@ Message FrameView::BorrowMessage() const {
 
 std::vector<uint8_t> EncodeBatchFrame(const std::vector<Message>& msgs) {
   Writer body;
+  Encoder<Writer> out(&body);
   body.PutVarint(msgs.size());
   for (const Message& m : msgs) {
-    body.PutU8(static_cast<uint8_t>(m.type));
-    body.PutVarint(m.from);
-    body.PutVarint(m.to);
-    body.PutVarint(m.seq);
-    body.PutVarint(m.trace.trace_id);
-    body.PutVarint(m.trace.parent_span);
-    body.PutVarint(m.trace.hop);
+    HeaderFields(out, m);
     body.PutVarint(m.payload.size());
     body.PutRaw(m.payload.data(), m.payload.size());
   }
@@ -194,13 +174,8 @@ Result<uint64_t> DecodeCreditPayload(const FrameView& view) {
 
 std::vector<uint8_t> EncodeFrame(const Message& msg) {
   Writer header;
-  header.PutU8(static_cast<uint8_t>(msg.type));
-  header.PutVarint(msg.from);
-  header.PutVarint(msg.to);
-  header.PutVarint(msg.seq);
-  header.PutVarint(msg.trace.trace_id);
-  header.PutVarint(msg.trace.parent_span);
-  header.PutVarint(msg.trace.hop);
+  Encoder<Writer> out(&header);
+  HeaderFields(out, msg);
   const std::vector<uint8_t>& head = header.bytes();
 
   uint32_t crc = Crc32Finish(

@@ -4,13 +4,10 @@
 // Frame layout (little-endian, serde primitives):
 //   u32 length   bytes after this field (crc + header + payload)
 //   u32 crc      CRC-32 of everything after the crc field
-//   u8  type     MessageType
-//   varint from  sender NodeId
-//   varint to    destination NodeId
-//   varint seq   runtime-assigned sequence number
-//   varint trace trace id (0 = untraced)
-//   varint pspan parent span id
-//   varint hop   causal hop count from the trace root
+//   header       u8 type, then varints from, to, seq, trace id (0 =
+//                untraced), parent span and hop: one field list
+//                (HeaderFields in frame.cc, util/serde.h) that both frame
+//                encoders, both frame decoders and Message::WireSize run
 //   payload      pre-serialized typed payload (core/wire.h)
 //
 // Like WAL records, a frame is either decoded whole or rejected: a CRC
@@ -39,8 +36,7 @@ std::vector<uint8_t> EncodeFrame(const Message& msg);
 /// single length prefix and CRC cover every message, so N small sends cost
 /// one frame header and one checksum instead of N. Batch payload layout:
 ///   varint count
-///   count x { u8 type, varint from, varint to, varint seq, varint trace,
-///             varint pspan, varint hop, varint payload_len, payload }
+///   count x { header (as above), varint payload_len, payload }
 /// Each entry keeps its own TraceContext, so causal traces stitch exactly as
 /// if the messages had traveled alone. Batches do not nest (an inner kBatch
 /// poisons the stream). Requires msgs non-empty.

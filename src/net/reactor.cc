@@ -47,6 +47,18 @@ void SetNoDelay(int fd) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
+/// Makes close() send a reset instead of a FIN. An accepted socket only
+/// carries credit frames back, and a closing runtime consumes nothing more,
+/// so losing unsent credits changes no accounting (the sender's OnClose
+/// releases those holds). Whichever end closes first, the pair then ends
+/// with a reset and leaves no socket in TIME_WAIT: a loop of short-lived
+/// runtimes would otherwise hold ports for 60 s each until port-0 listeners
+/// fail to bind.
+void SetAbortiveClose(int fd) {
+  linger abort{1, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &abort, sizeof(abort));
+}
+
 }  // namespace
 
 /// The worker whose loop the current thread is running, if any. Lets
@@ -471,6 +483,7 @@ void Reactor::AcceptReady(Worker* w, const std::shared_ptr<Listener>& l) {
     int fd = ::accept4(l->fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) return;  // EAGAIN, or the listener just closed.
     SetNoDelay(fd);
+    SetAbortiveClose(fd);
     if (IoCounters* k = options_.counters) k->accepts.fetch_add(1);
     auto c = std::make_shared<Connection>();
     c->reactor_ = this;
@@ -491,7 +504,6 @@ void Reactor::AcceptReady(Worker* w, const std::shared_ptr<Listener>& l) {
     ev.events = EPOLLIN;
     ev.data.fd = fd;
     ::epoll_ctl(w->epoll_fd, EPOLL_CTL_ADD, fd, &ev);
-    handler_->OnAccept(c.get());
   }
 }
 

@@ -64,10 +64,6 @@ class Connection : public std::enable_shared_from_this<Connection> {
   bool closed() const { return closed_.load(); }
   size_t queued_bytes() const;
 
-  /// Owning-worker-only scratch slot (TcpRuntime hangs its frame-reassembly
-  /// state here); Handler::OnClose is the last chance to free it.
-  void* user_data = nullptr;
-
  private:
   friend class Reactor;
 
@@ -119,8 +115,6 @@ class Reactor {
   class Handler {
    public:
     virtual ~Handler() = default;
-    /// A listener accepted `conn` (conn->token() is the listener's token).
-    virtual void OnAccept(Connection* conn) { (void)conn; }
     /// Bytes arrived; return false to close (poisoned stream).
     virtual bool OnRead(Connection* conn, const uint8_t* data,
                         size_t size) = 0;

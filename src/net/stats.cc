@@ -36,28 +36,6 @@ void IoCounters::Reset() {
   credit_frames = 0;
 }
 
-std::string IoCounters::Report() const {
-  return StrFormat(
-      "io: wakeups=%llu writev=%llu frames=%llu (%.2f/call) bytes=%llu "
-      "accepts=%llu connects=%llu (failed %llu) dispatch inline=%llu "
-      "queued=%llu queue_hwm=%llu enqueued=%llu batches=%llu (carrying %llu) "
-      "credits=%llu\n",
-      static_cast<unsigned long long>(epoll_wakeups.load()),
-      static_cast<unsigned long long>(writev_calls.load()),
-      static_cast<unsigned long long>(writev_frames.load()), FramesPerWritev(),
-      static_cast<unsigned long long>(writev_bytes.load()),
-      static_cast<unsigned long long>(accepts.load()),
-      static_cast<unsigned long long>(connects.load()),
-      static_cast<unsigned long long>(connect_failures.load()),
-      static_cast<unsigned long long>(inline_dispatches.load()),
-      static_cast<unsigned long long>(queued_dispatches.load()),
-      static_cast<unsigned long long>(send_queue_hwm_bytes.load()),
-      static_cast<unsigned long long>(frames_enqueued.load()),
-      static_cast<unsigned long long>(batch_frames.load()),
-      static_cast<unsigned long long>(batched_messages.load()),
-      static_cast<unsigned long long>(credit_frames.load()));
-}
-
 void NetStats::RecordSend(const Message& msg) {
   std::lock_guard<std::mutex> lock(mutex_);
   size_t bytes = msg.WireSize();

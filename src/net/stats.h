@@ -53,7 +53,6 @@ struct IoCounters {
   void RecordQueueDepth(uint64_t bytes);
   double FramesPerWritev() const;
   void Reset();
-  std::string Report() const;
 };
 
 /// Thread-safe counters shared by all pipes of a runtime.

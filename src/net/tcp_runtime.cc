@@ -40,8 +40,6 @@ TcpRuntime::TcpRuntime(Options options)
       start_time_(std::chrono::steady_clock::now()) {
   Reactor::Options reactor_options;
   reactor_options.workers = options_.io_workers;
-  reactor_options.send_queue_limit = options_.send_queue_limit;
-  reactor_options.connect_timeout = options_.connect_timeout;
   reactor_options.counters = &stats_.io();
   reactor_ = std::make_unique<Reactor>(reactor_options,
                                        static_cast<Reactor::Handler*>(this));

@@ -70,11 +70,6 @@ class TcpRuntime : public Runtime, private Reactor::Handler {
     uint16_t listen_port = 0;
     /// Reactor worker (event-loop) threads; 0 = hardware concurrency.
     int io_workers = 0;
-    /// Per-connection send-queue bound; senders to a slow receiver block
-    /// once its queue holds this many bytes.
-    size_t send_queue_limit = 4u << 20;
-    /// Bound on one nonblocking connect attempt.
-    std::chrono::milliseconds connect_timeout{1'000};
     /// Coalescing cap: messages a handler sends to one destination during a
     /// single dispatch are packed into one kBatch frame (one length prefix,
     /// one CRC, one writev entry), flushed at dispatch end or as soon as the

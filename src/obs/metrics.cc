@@ -156,29 +156,6 @@ Registry::Snapshot Registry::TakeSnapshot() const {
   return snap;
 }
 
-std::string Registry::ReportText() const {
-  Snapshot snap = TakeSnapshot();
-  std::string out;
-  for (const auto& [name, value] : snap.counters) {
-    out += StrFormat("%-36s %llu\n", name.c_str(),
-                     static_cast<unsigned long long>(value));
-  }
-  for (const auto& [name, value] : snap.gauges) {
-    out += StrFormat("%-36s %lld\n", name.c_str(),
-                     static_cast<long long>(value));
-  }
-  for (const auto& [name, h] : snap.histograms) {
-    out += StrFormat(
-        "%-36s count=%llu mean=%.1f p50=%llu p95=%llu p99=%llu max=%llu\n",
-        name.c_str(), static_cast<unsigned long long>(h.count), h.Mean(),
-        static_cast<unsigned long long>(h.p50),
-        static_cast<unsigned long long>(h.p95),
-        static_cast<unsigned long long>(h.p99),
-        static_cast<unsigned long long>(h.max));
-  }
-  return out;
-}
-
 std::string Registry::ReportJson() const {
   Snapshot snap = TakeSnapshot();
   std::string out = "{\n  \"counters\": {";

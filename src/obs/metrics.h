@@ -6,7 +6,7 @@
 // (two relaxed adds and a CAS-max), and instrument pointers are stable for
 // the registry's lifetime so call sites resolve a name exactly once.
 //
-// Snapshot()/ReportText()/ReportJson() read a consistent-enough view for
+// Snapshot()/ReportJson() read a consistent-enough view for
 // experiment dumps (individual cells are atomic; cross-instrument skew is
 // acceptable by design — these are statistics, not ledgers). Reset() zeroes
 // every instrument in place for per-experiment sweeps without invalidating
@@ -121,8 +121,6 @@ class Registry {
   Histogram* GetHistogram(const std::string& name);
 
   Snapshot TakeSnapshot() const;
-  /// One instrument per line, histograms with count/mean/p50/p95/p99/max.
-  std::string ReportText() const;
   /// {"counters": {...}, "gauges": {...}, "histograms": {name: {...}}}.
   std::string ReportJson() const;
 

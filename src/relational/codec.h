@@ -1,5 +1,10 @@
-// Binary codecs for values and tuples, shared by the wire format (core/wire)
-// and database snapshots (relational/snapshot).
+// Binary codecs for values, tuples and relation schemas, shared by the wire
+// format (core/wire, core/control), database snapshots (relational/snapshot)
+// and the WAL base record (storage/storage_manager).
+//
+// Values and tuple lists are hand-written codecs on the hot path: decoding
+// interns strings straight from the buffer. A schema is a field list
+// (util/serde.h).
 //
 // A string constant is encoded as its length and bytes, never as its
 // dictionary id (value.h): ids are private to one process. Decoding interns
@@ -15,6 +20,7 @@
 
 #include <vector>
 
+#include "src/relational/schema.h"
 #include "src/relational/tuple.h"
 #include "src/relational/tuple_log.h"
 #include "src/util/serde.h"
@@ -36,6 +42,13 @@ void EncodeTupleRange(const LogView& log, size_t from, Writer* w);
 /// The whole list or an error. A count larger than the bytes left cannot be
 /// genuine and is rejected before anything is sized by it.
 Result<std::vector<Tuple>> DecodeTupleList(Reader* r);
+
+/// A relation schema: its name, then its attribute names.
+template <class IO>
+void Fields(IO& io, FieldRef<IO, RelationSchema> schema) {
+  io.Str(schema.name_);
+  io.Each(schema.attributes_, [&io](auto& attribute) { io.Str(attribute); });
+}
 
 }  // namespace p2pdb::rel
 

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "src/util/serde.h"
 #include "src/util/status.h"
 
 namespace p2pdb::rel {
@@ -30,6 +31,10 @@ class RelationSchema {
   bool operator==(const RelationSchema& other) const {
     return name_ == other.name_ && attributes_ == other.attributes_;
   }
+
+  /// The schema's format (util/serde.h), written in relational/codec.h.
+  template <class IO>
+  friend void Fields(IO& io, FieldRef<IO, RelationSchema> schema);
 
  private:
   std::string name_;

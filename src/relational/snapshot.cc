@@ -17,10 +17,7 @@ std::vector<uint8_t> SerializeDatabase(const Database& db) {
   w.PutU32(kFormatVersion);
   w.PutVarint(db.relations().size());
   for (const auto& [name, relation] : db.relations()) {
-    w.PutString(name);
-    const RelationSchema& schema = relation.schema();
-    w.PutVarint(schema.arity());
-    for (const std::string& attr : schema.attributes()) w.PutString(attr);
+    WriteFields(relation.schema(), &w);
     EncodeTupleList(relation.SortedTuples(), &w);  // A sorted set's bytes.
   }
   return w.bytes();
@@ -42,19 +39,10 @@ Result<Database> DeserializeDatabase(const std::vector<uint8_t>& bytes) {
 
   Database db;
   for (uint64_t i = 0; i < *relation_count; ++i) {
-    auto name = r.GetString();
-    if (!name.ok()) return name.status();
-    std::string rel_name = *name;
-    auto arity = r.GetVarint();
-    if (!arity.ok()) return arity.status();
-    std::vector<std::string> attrs;
-    for (uint64_t k = 0; k < *arity; ++k) {
-      auto attr = r.GetString();
-      if (!attr.ok()) return attr.status();
-      attrs.push_back(std::move(*attr));
-    }
-    P2PDB_RETURN_IF_ERROR(
-        db.CreateRelation(RelationSchema(rel_name, std::move(attrs))));
+    auto schema = ReadFields<RelationSchema>(&r);
+    if (!schema.ok()) return schema.status();
+    const std::string& rel_name = schema->name();
+    P2PDB_RETURN_IF_ERROR(db.CreateRelation(*schema));
     auto tuples = DecodeTupleList(&r);
     if (!tuples.ok()) return tuples.status();
     // SerializeDatabase writes a strictly increasing list; anything else

@@ -20,11 +20,7 @@ std::vector<uint8_t> EncodeBase(const rel::Database& db) {
   w.PutU8(kBaseRecord);
   w.PutVarint(db.relations().size());
   for (const auto& [name, relation] : db.relations()) {
-    w.PutString(name);
-    const std::vector<std::string>& attributes =
-        relation.schema().attributes();
-    w.PutVarint(attributes.size());
-    for (const std::string& attribute : attributes) w.PutString(attribute);
+    WriteFields(relation.schema(), &w);
     rel::EncodeTupleRange(relation.View(), 0, &w);
   }
   return w.TakeBytes();
@@ -47,19 +43,11 @@ Status ReplayBase(Reader* r, rel::Database* db, uint64_t* replayed) {
   auto relation_count = r->GetVarint();
   if (!relation_count.ok()) return relation_count.status();
   for (uint64_t i = 0; i < *relation_count; ++i) {
-    auto name = r->GetString();
-    if (!name.ok()) return name.status();
-    auto arity = r->GetVarint();
-    if (!arity.ok()) return arity.status();
-    std::vector<std::string> attributes;
-    for (uint64_t k = 0; k < *arity; ++k) {
-      auto attribute = r->GetString();
-      if (!attribute.ok()) return attribute.status();
-      attributes.push_back(std::move(*attribute));
-    }
+    auto schema = ReadFields<rel::RelationSchema>(r);
+    if (!schema.ok()) return schema.status();
+    P2PDB_RETURN_IF_ERROR(db->CreateRelation(*schema));
     P2PDB_RETURN_IF_ERROR(
-        db->CreateRelation(rel::RelationSchema(*name, std::move(attributes))));
-    P2PDB_RETURN_IF_ERROR(ReplayTuples(r, *db->GetMutable(*name), replayed));
+        ReplayTuples(r, *db->GetMutable(schema->name()), replayed));
   }
   return r->ExpectEnd();
 }

@@ -7,6 +7,7 @@
 #include "src/core/acyclic_pull.h"
 #include "src/core/global_fixpoint.h"
 #include "src/core/session.h"
+#include "src/core/wire.h"
 #include "src/lang/parser.h"
 #include "src/net/sim_runtime.h"
 #include "src/relational/null_iso.h"
@@ -47,15 +48,15 @@ TEST(DomainMapTest, Composition) {
 }
 
 TEST(DomainMapTest, CodecRoundTrip) {
-  DomainMap map;
-  map.Add(S("x"), S("y"));
-  map.Add(rel::Value::Int(1), rel::Value::Int(2));
-  Writer w;
-  map.Encode(&w);
-  Reader r(w.bytes());
-  auto back = DomainMap::Decode(&r);
-  ASSERT_TRUE(back.ok());
-  EXPECT_TRUE(*back == map);
+  // A map travels inside its rule, as in an addLink notification.
+  wire::AddRuleChange change;
+  change.rule.id = "r";
+  change.rule.head_node = 0;
+  change.rule.domain_map.Add(S("x"), S("y"));
+  change.rule.domain_map.Add(rel::Value::Int(1), rel::Value::Int(2));
+  auto back = wire::AddRuleChange::Decode(change.Encode());
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_TRUE(back->rule.domain_map == change.rule.domain_map);
 }
 
 // A source whose country codes differ from the consumer's vocabulary: the
@@ -124,12 +125,10 @@ TEST(DomainMapTest, BaselinesAgreeOnTranslation) {
 TEST(DomainMapTest, RuleCodecCarriesDomainMap) {
   auto system = TranslationSystem();
   ASSERT_TRUE(system.ok());
-  Writer w;
-  wire::EncodeRule(system->rules()[0], &w);
-  Reader r(w.bytes());
-  auto back = wire::DecodeRule(&r);
+  wire::AddRuleChange change{system->rules()[0]};
+  auto back = wire::AddRuleChange::Decode(change.Encode());
   ASSERT_TRUE(back.ok());
-  EXPECT_TRUE(back->domain_map == system->rules()[0].domain_map);
+  EXPECT_TRUE(back->rule.domain_map == system->rules()[0].domain_map);
 }
 
 }  // namespace

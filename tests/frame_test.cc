@@ -7,11 +7,14 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
+#include <string_view>
 
 #include "src/core/control.h"
 #include "src/util/crc32.h"
 #include "src/util/serde.h"
 #include "src/workload/scenario.h"
+#include "tests/codec_testing.h"
 
 namespace p2pdb::net {
 namespace {
@@ -97,6 +100,52 @@ TEST(FrameTest, TruncatedFramesAreRejected) {
   EXPECT_FALSE(DecodeFrame(padded).ok()) << "accepted trailing bytes";
 }
 
+/// `body` (the bytes after the CRC) framed with its length and CRC computed,
+/// so that only the header decoder can reject it.
+std::vector<uint8_t> Reframe(const std::vector<uint8_t>& body) {
+  Writer w;
+  w.PutU32(static_cast<uint32_t>(4 + body.size()));
+  w.PutU32(Crc32(body.data(), body.size()));
+  w.PutRaw(body.data(), body.size());
+  return w.TakeBytes();
+}
+
+/// Decodes one frame and encodes what it decoded again: a batch through
+/// EncodeBatchFrame, a credit through EncodeCreditFrame, anything else
+/// through EncodeFrame. nullopt when the frame or a batch entry is rejected.
+std::optional<std::vector<uint8_t>> RecodeFrame(
+    const std::vector<uint8_t>& bytes) {
+  auto msg = DecodeFrame(bytes);
+  if (!msg.ok()) return std::nullopt;
+  std::vector<Message> unpacked;
+  std::optional<uint64_t> credit;
+  FrameAssembler assembler;
+  Status fed = assembler.FeedViews(
+      bytes.data(), bytes.size(), [&](const FrameView& view) {
+        if (view.type == MessageType::kCredit) {
+          auto consumed = DecodeCreditPayload(view);
+          if (consumed.ok()) credit = *consumed;
+        }
+        unpacked.push_back(view.ToMessage());
+      });
+  if (!fed.ok()) return std::nullopt;
+  if (msg->type == MessageType::kBatch) return EncodeBatchFrame(unpacked);
+  if (msg->type == MessageType::kCredit) {
+    if (!credit.has_value()) return std::nullopt;
+    return EncodeCreditFrame(msg->from, *credit);
+  }
+  return EncodeFrame(*msg);
+}
+
+/// A traced message with varints of every width the header uses.
+Message TracedMessage() {
+  Message msg = Make(MessageType::kQueryAnswer, 200, 130, 20000, {7, 8, 9});
+  msg.trace.trace_id = 0x1234567890ull;
+  msg.trace.parent_span = 20000;
+  msg.trace.hop = 3;
+  return msg;
+}
+
 TEST(FrameTest, CorruptionAnywhereIsRejected) {
   Message msg = Make(MessageType::kQueryAnswer, 4, 5, 6, {7, 8});
   std::vector<uint8_t> frame = EncodeFrame(msg);
@@ -107,6 +156,96 @@ TEST(FrameTest, CorruptionAnywhereIsRejected) {
     bad[i] ^= 0xff;
     EXPECT_FALSE(DecodeFrame(bad).ok()) << "byte " << i;
   }
+
+  // Seeded mutants of a solo, a batch and a credit frame's bytes after the
+  // CRC, re-framed with a valid length and CRC so that they reach the header
+  // and batch decoders: each is rejected, or decodes to messages whose
+  // encoding decodes again to the same bytes.
+  const std::vector<std::vector<uint8_t>> frames = {
+      EncodeFrame(TracedMessage()),
+      EncodeBatchFrame(
+          {TracedMessage(), Make(MessageType::kToken, 200, 130, 20001, {})}),
+      EncodeCreditFrame(200, 20000)};
+  uint64_t seed = 7;
+  for (const std::vector<uint8_t>& valid : frames) {
+    const std::vector<uint8_t> body(valid.begin() + 8, valid.end());
+    testing_codec::ExpectMutantsDecodeWholeOrNotAtAll(
+        body,
+        [](const std::vector<uint8_t>& mutant_body)
+            -> std::optional<std::vector<uint8_t>> {
+          auto frame = RecodeFrame(Reframe(mutant_body));
+          if (!frame.has_value()) return std::nullopt;
+          return std::vector<uint8_t>(frame->begin() + 8, frame->end());
+        },
+        300, seed++);
+  }
+}
+
+TEST(FrameTest, HopThatOverflowsItsFieldIsRejected) {
+  // TraceContext::hop is 32 bits. A hop varint of 2^32 or more does not fit
+  // it, so a solo frame or a batch entry carrying one is rejected instead of
+  // being truncated to 32 bits.
+  for (uint64_t hop : {uint64_t{0xffffffff}, uint64_t{1} << 32}) {
+    SCOPED_TRACE(hop);
+    const bool fits = hop <= 0xffffffff;
+    Writer solo;
+    solo.PutU8(static_cast<uint8_t>(MessageType::kToken));
+    for (uint64_t v : {1, 2, 3, 4, 5}) solo.PutVarint(v);
+    solo.PutVarint(hop);
+    auto decoded = DecodeFrame(Reframe(solo.bytes()));
+    ASSERT_EQ(decoded.ok(), fits) << decoded.status().ToString();
+    if (fits) {
+      EXPECT_EQ(decoded->trace.hop, hop);
+    }
+
+    Writer batch;
+    batch.PutU8(static_cast<uint8_t>(MessageType::kBatch));
+    for (int i = 0; i < 6; ++i) batch.PutVarint(1);
+    batch.PutVarint(1);  // One entry:
+    batch.PutU8(static_cast<uint8_t>(MessageType::kToken));
+    for (uint64_t v : {1, 2, 3, 4, 5}) batch.PutVarint(v);
+    batch.PutVarint(hop);
+    batch.PutVarint(0);  // An empty payload.
+    const std::vector<uint8_t> frame = Reframe(batch.bytes());
+    FrameAssembler assembler;
+    int sinks = 0;
+    Status fed = assembler.FeedViews(frame.data(), frame.size(),
+                                     [&](const FrameView&) { ++sinks; });
+    EXPECT_EQ(fed.ok(), fits) << fed.ToString();
+    EXPECT_EQ(sinks, fits ? 1 : 0);
+  }
+}
+
+TEST(FrameTest, FrameBytesAreGolden) {
+  // Length, CRC, then the header (type, from, to, seq, trace id, parent
+  // span, hop) and the payload.
+  const Message traced = TracedMessage();
+  EXPECT_EQ(testing_codec::Hex(EncodeFrame(traced)),
+            testing_codec::Hex(testing_codec::HexBytes(
+                "19000000 29ba9dec"        // length 25, CRC
+                " 0c c801 8201 a09c01"     // header
+                " 90f1d9a2a302 a09c01 03"  // trace context
+                " 070809")));
+  EXPECT_EQ(traced.WireSize(), EncodeFrame(traced).size());
+
+  // One length and CRC, then the count and each entry: its header, its
+  // payload's length and the payload.
+  const std::vector<Message> batch = {
+      traced, Make(MessageType::kToken, 200, 130, 20001, {})};
+  EXPECT_EQ(testing_codec::Hex(EncodeBatchFrame(batch)),
+            testing_codec::Hex(testing_codec::HexBytes(
+                "32000000 8f024a10"              // length 50, CRC
+                " 28 c801 8201 a09c01 00 00 00"  // kBatch header
+                " 02"                            // two entries
+                " 0c c801 8201 a09c01 90f1d9a2a302 a09c01 03 03 070809"
+                " 14 c801 8201 a19c01 00 00 00 00")));
+
+  // A credit frame: no destination, and the count as its payload.
+  EXPECT_EQ(testing_codec::Hex(EncodeCreditFrame(200, 20000)),
+            testing_codec::Hex(testing_codec::HexBytes(
+                "13000000 6a76e02b"                // length 19, CRC
+                " 29 c801 ffffffff0f 00 00 00 00"  // to kNoNode
+                " a09c01")));
 }
 
 TEST(FrameTest, UnknownTypeAndInsaneLengthAreRejected) {
@@ -660,58 +799,92 @@ TEST(ControlCodecTest, StatusRequestRoundTripsAndRejectsUnknownCondition) {
             std::string::npos);
 }
 
-/// One control payload under test: its name, a valid encoding, and its
-/// decoder.
+/// One control payload under test: its name, its encoding, the golden bytes
+/// that encoding must equal, and its decoder, which re-encodes what it
+/// decodes.
 struct ControlCase {
   std::string name;
   std::vector<uint8_t> bytes;
-  std::function<bool(ByteView)> decodes;
+  std::vector<uint8_t> golden;
+  testing_codec::Recode recode;
 };
 
 template <typename Payload>
-ControlCase ControlCaseOf(std::string name, const Payload& payload) {
-  return {std::move(name), payload.Encode(),
-          [](ByteView bytes) { return Payload::Decode(bytes).ok(); }};
+ControlCase ControlCaseOf(std::string name, const Payload& payload,
+                          std::string_view golden) {
+  return {std::move(name), payload.Encode(), testing_codec::HexBytes(golden),
+          [](const std::vector<uint8_t>& bytes)
+              -> std::optional<std::vector<uint8_t>> {
+            auto decoded = Payload::Decode(bytes);
+            if (!decoded.ok()) return std::nullopt;
+            return decoded->Encode();
+          }};
 }
 
+// Golden bytes for every control payload, then whole-or-nothing decoding: a
+// trailing byte, every truncation and seeded mutants.
 TEST(ControlCodecTest, EveryPayloadDecodesWholeOrNotAtAll) {
   namespace wire = core::wire;
+  wire::SessionBootstrap bootstrap;
+  bootstrap.epoch = 20000;
+  bootstrap.node = 200;
+  bootstrap.name = "B";
+  bootstrap.super_peer = 0;
+  bootstrap.schema = {rel::RelationSchema("h", {"x", "y", "w"}),
+                      rel::RelationSchema("e", {})};
+  bootstrap.rules = {testing_codec::RichRule()};
+  bootstrap.endpoints = {{200, "127.0.0.1", 39999}, {0, "h", 7}};
   wire::BootstrapAck ack{9, 3, "D", false, "schema drift"};
   wire::StatusRequest request{4, 17, wire::StatusRequest::Until::kUpdateClosed,
                               2};
   wire::StatusReport report;
   report.epoch = 2;
   report.id = 17;
-  report.node = 1;
+  report.node = 130;
   report.name = "B";
   report.state_discovery = 2;
   report.state_update = 2;
   report.tuples = 300;
+  report.tuples_inserted = 20000;
   report.reopens = 1;
-  wire::DumpReply dump{5, 2, {0xde, 0xad, 0xbe, 0xef}};
+  wire::DumpReply dump{5, 200, {0xde, 0xad, 0xbe, 0xef}};
 
   const std::vector<ControlCase> cases = {
-      ControlCaseOf("SessionBootstrap", MakeBootstrap()),
-      ControlCaseOf("BootstrapAck", ack),
-      ControlCaseOf("ControlStartDiscovery", wire::ControlStartDiscovery{4}),
-      ControlCaseOf("ControlStartUpdate", wire::ControlStartUpdate{4, 300}),
-      ControlCaseOf("ControlRefreshScc", wire::ControlRefreshScc{4}),
-      ControlCaseOf("StatusRequest", request),
-      ControlCaseOf("StatusReport", report),
-      ControlCaseOf("DumpRequest", wire::DumpRequest{4}),
-      ControlCaseOf("DumpReply", dump),
-      ControlCaseOf("ControlShutdown", wire::ControlShutdown{4}),
+      ControlCaseOf("SessionBootstrap", bootstrap,
+                    "a09c01 c8000000 0142 00000000"  // epoch, node, name, super
+                    " 02 0168 03 0178 0179 0177"     // h(x, y, w)
+                    " 0165 00"                       // e()
+                    " 01" + std::string(testing_codec::kRichRuleGolden) +
+                        " 02 c8000000 09 3132372e302e302e31 bfb802"
+                        " 00000000 0168 07"),
+      ControlCaseOf("BootstrapAck", ack,
+                    "09 03000000 0144 00 0c 736368656d61206472696674"),
+      ControlCaseOf("ControlStartDiscovery", wire::ControlStartDiscovery{4},
+                    "04"),
+      ControlCaseOf("ControlStartUpdate", wire::ControlStartUpdate{4, 20000},
+                    "04 a09c01"),
+      ControlCaseOf("ControlRefreshScc", wire::ControlRefreshScc{4}, "04"),
+      ControlCaseOf("StatusRequest", request, "04 11 02 02"),
+      ControlCaseOf("StatusReport", report,
+                    "02 11 82000000 0142 02 02 ac02 a09c01 00 00 00 01"),
+      ControlCaseOf("DumpRequest", wire::DumpRequest{20000}, "a09c01"),
+      ControlCaseOf("DumpReply", dump, "05 c8000000 04 deadbeef"),
+      ControlCaseOf("ControlShutdown", wire::ControlShutdown{4}, "04"),
   };
+  uint64_t seed = 100;
   for (const ControlCase& c : cases) {
     SCOPED_TRACE(c.name);
-    ASSERT_TRUE(c.decodes(c.bytes));
+    EXPECT_EQ(testing_codec::Hex(c.bytes), testing_codec::Hex(c.golden));
+    ASSERT_EQ(c.recode(c.golden), c.golden) << "golden bytes do not round-trip";
     std::vector<uint8_t> trailing = c.bytes;
     trailing.push_back(0);
-    EXPECT_FALSE(c.decodes(trailing)) << "decoded with a trailing byte";
+    EXPECT_FALSE(c.recode(trailing)) << "decoded with a trailing byte";
     for (size_t cut = 0; cut < c.bytes.size(); ++cut) {
-      EXPECT_FALSE(c.decodes(ByteView(c.bytes.data(), cut)))
+      EXPECT_FALSE(c.recode({c.bytes.begin(), c.bytes.begin() + cut}))
           << "prefix of " << cut << " bytes decoded";
     }
+    testing_codec::ExpectMutantsDecodeWholeOrNotAtAll(c.bytes, c.recode, 200,
+                                                      seed++);
   }
 }
 

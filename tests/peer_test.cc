@@ -6,6 +6,7 @@
 #include "src/core/session.h"
 #include "src/lang/parser.h"
 #include "src/net/sim_runtime.h"
+#include "src/util/log_capture.h"
 #include "src/workload/scenario.h"
 
 namespace p2pdb::core {
@@ -41,6 +42,48 @@ TEST(PeerTest, RejectsForeignAndDuplicateRules) {
   EXPECT_TRUE(a.AddInitialRule(rule).ok());
   Status dup = a.AddInitialRule(rule);
   EXPECT_EQ(dup.code(), StatusCode::kAlreadyExists);
+}
+
+TEST(PeerTest, MalformedDataPlanePayloadIsDroppedWithOneWarning) {
+  // A QueryAnswer one byte short does not decode. The peer drops it and
+  // says so once, naming the payload and its sender; nothing else changes.
+  net::SimRuntime rt;
+  Peer a(0, "A", OneRelationDb("a"), &rt);
+  wire::QueryAnswer answer;
+  answer.session = 1;
+  answer.rule_id = "r";
+  answer.part = 0;
+  answer.source_closed = true;
+  answer.tuples = {rel::Tuple({rel::Value::Str("x")})};
+  net::Message msg;
+  msg.type = net::MessageType::kQueryAnswer;
+  msg.from = 7;
+  msg.to = 0;
+  std::vector<uint8_t> bytes = answer.Encode();
+  bytes.pop_back();
+  msg.payload = std::move(bytes);
+
+  const rel::Database db_before = a.db();
+  const UpdateEngine::State state_before = a.update().state();
+  const UpdateEngine::Stats stats_before = a.update().stats();
+  ScopedLogCapture capture;
+  a.OnMessage(msg);
+
+  const std::vector<std::string> lines = capture.lines();
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("WARN"), std::string::npos) << lines[0];
+  EXPECT_NE(lines[0].find("QueryAnswer"), std::string::npos) << lines[0];
+  EXPECT_NE(lines[0].find("node 7"), std::string::npos) << lines[0];
+  EXPECT_TRUE(a.db() == db_before);
+  EXPECT_EQ(a.update().state(), state_before);
+  const UpdateEngine::Stats& stats = a.update().stats();
+  EXPECT_EQ(stats.tuples_inserted, stats_before.tuples_inserted);
+  EXPECT_EQ(stats.applications_skipped, stats_before.applications_skipped);
+  EXPECT_EQ(stats.applications_truncated, stats_before.applications_truncated);
+  EXPECT_EQ(stats.joins_evaluated, stats_before.joins_evaluated);
+  EXPECT_EQ(stats.answers_sent, stats_before.answers_sent);
+  EXPECT_EQ(stats.token_passes, stats_before.token_passes);
+  EXPECT_EQ(stats.reopens, stats_before.reopens);
 }
 
 TEST(PeerTest, DependencyTargetsDeduplicated) {

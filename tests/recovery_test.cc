@@ -9,6 +9,7 @@
 
 #include <filesystem>
 #include <map>
+#include <optional>
 
 #include "src/core/global_fixpoint.h"
 #include "src/core/session.h"
@@ -18,6 +19,7 @@
 #include "src/storage/storage_manager.h"
 #include "src/util/log_capture.h"
 #include "src/workload/scenario.h"
+#include "tests/codec_testing.h"
 
 namespace p2pdb::core {
 namespace {
@@ -425,7 +427,10 @@ TEST(RecoveryTest, DamagedRecordFailsRecoveryWhole) {
   ASSERT_EQ(intact->records.size(), 3u);  // Base, delta, rule change.
 
   using Records = std::vector<std::vector<uint8_t>>;
-  auto recover = [&](const Records& records) -> Status {
+  // Recovers a fresh peer from `records`; on success, copies its database
+  // into `*recovered` when given.
+  auto recover = [&](const Records& records,
+                     rel::Database* recovered = nullptr) -> Status {
     const std::string dir = root + "/damaged";
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
@@ -442,12 +447,13 @@ TEST(RecoveryTest, DamagedRecordFailsRecoveryWhole) {
     auto manager = open(dir);
     EXPECT_TRUE(manager.ok());
     EXPECT_TRUE(peer.AttachStorage(std::move(*manager)).ok());
-    auto recovered = peer.Recover();
-    if (!recovered.ok()) {
+    auto info = peer.Recover();
+    if (!info.ok()) {
       EXPECT_TRUE(peer.db().relations().empty());
       EXPECT_EQ(peer.rules().size(), 1u);
-      return recovered.status();
+      return info.status();
     }
+    if (recovered != nullptr) *recovered = peer.db();
     return Status::OK();
   };
 
@@ -463,6 +469,58 @@ TEST(RecoveryTest, DamagedRecordFailsRecoveryWhole) {
     Records records = intact->records;
     records[i][i == 2 ? 1 : 0] ^= 0xff;
     EXPECT_FALSE(recover(records).ok()) << "record " << i << " flipped";
+  }
+
+  // The log a recovered peer stands for: the base a fresh manager writes for
+  // its database (which folds the deltas in), then each rule-change record
+  // (kind 2) re-encoded. nullopt when recovery fails.
+  auto relog = [&](const Records& records) -> std::optional<Records> {
+    rel::Database db;
+    if (!recover(records, &db).ok()) return std::nullopt;
+    const std::string dir = root + "/relog";
+    std::filesystem::remove_all(dir);
+    {
+      auto manager = open(dir);
+      EXPECT_TRUE(manager.ok());
+      EXPECT_TRUE((*manager)->EnsureBase(db).ok());
+    }
+    auto wal = storage::ReadWalFile(dir + "/wal.log");
+    if (!wal.ok() || wal->records.size() != 1) {
+      ADD_FAILURE() << "no base written for the recovered database";
+      return std::nullopt;
+    }
+    Records out = {wal->records[0]};
+    for (const std::vector<uint8_t>& record : records) {
+      if (record.empty() || record[0] != 2) continue;
+      auto change = wire::RuleChangeRecord::Decode(
+          ByteView(record.data() + 1, record.size() - 1));
+      if (!change.ok()) {
+        ADD_FAILURE() << "recovery accepted an undecodable rule change";
+        return std::nullopt;
+      }
+      std::vector<uint8_t> encoded = change->Encode();
+      encoded.insert(encoded.begin(), 2);
+      out.push_back(std::move(encoded));
+    }
+    return out;
+  };
+  // Seeded mutants of each record, re-framed the same way: each fails
+  // recovery whole (checked inside `recover`), or recovers to a state whose
+  // own log recovers again to the same log.
+  for (size_t i = 0; i < intact->records.size(); ++i) {
+    size_t m = 0;
+    for (const std::vector<uint8_t>& mutant :
+         testing_codec::Mutants(intact->records[i], 40, 21 + i)) {
+      SCOPED_TRACE("record " + std::to_string(i) + " mutant " +
+                   std::to_string(m++) + ": " + testing_codec::Hex(mutant));
+      Records records = intact->records;
+      records[i] = mutant;
+      std::optional<Records> once = relog(records);
+      if (!once.has_value()) continue;
+      std::optional<Records> twice = relog(*once);
+      ASSERT_TRUE(twice.has_value());
+      EXPECT_EQ(*twice, *once);
+    }
   }
   std::filesystem::remove_all(root);
 }

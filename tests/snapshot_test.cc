@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
 
 #include "src/core/session.h"
 #include "src/net/sim_runtime.h"
 #include "src/relational/codec.h"
 #include "src/workload/scenario.h"
+#include "tests/codec_testing.h"
 
 namespace p2pdb::rel {
 namespace {
@@ -51,6 +53,24 @@ TEST(SnapshotTest, EmptyDatabaseRoundTrips) {
   EXPECT_TRUE(back->relations().empty());
 }
 
+TEST(SnapshotTest, BytesAreGolden) {
+  Database db = SampleDb();
+  (void)db.Insert("r", Tuple({Value::Int(20000), Value::Str("b")}));
+  const std::vector<uint8_t> golden = testing_codec::HexBytes(
+      "50324442 01000000"              // magic "P2DB", version 1
+      " 02"                            // two relations, by name:
+      " 05656d707479 01 0161 00"       // empty(a), no tuples
+      " 0172 02 0178 0179"             // r(x, y),
+      " 03 02 0002 01036f6e65"         //   (1, "one")
+      " 02 00c0b802 010162"            //   (20000, "b")
+      " 02 020100000007000000 0003");  //   (_N, -2)
+  EXPECT_EQ(testing_codec::Hex(SerializeDatabase(db)),
+            testing_codec::Hex(golden));
+  auto back = DeserializeDatabase(golden);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_TRUE(*back == db);
+}
+
 TEST(SnapshotTest, RejectsGarbageAndTruncation) {
   EXPECT_FALSE(DeserializeDatabase({1, 2, 3}).ok());
   std::vector<uint8_t> bytes = SerializeDatabase(SampleDb());
@@ -60,6 +80,18 @@ TEST(SnapshotTest, RejectsGarbageAndTruncation) {
   std::vector<uint8_t> wrong = SerializeDatabase(SampleDb());
   wrong[0] ^= 0xff;
   EXPECT_FALSE(DeserializeDatabase(wrong).ok());
+
+  // Seeded mutants: each is rejected, or decodes to a database whose
+  // snapshot decodes again to the same bytes.
+  testing_codec::ExpectMutantsDecodeWholeOrNotAtAll(
+      SerializeDatabase(SampleDb()),
+      [](const std::vector<uint8_t>& mutant)
+          -> std::optional<std::vector<uint8_t>> {
+        auto db = DeserializeDatabase(mutant);
+        if (!db.ok()) return std::nullopt;
+        return SerializeDatabase(*db);
+      },
+      400, 11);
 }
 
 TEST(SnapshotTest, TrailingBytesRejected) {

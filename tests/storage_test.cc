@@ -12,9 +12,11 @@
 #include <filesystem>
 #include <map>
 
+#include "src/core/wire.h"
 #include "src/relational/null_iso.h"
 #include "src/relational/snapshot.h"
 #include "src/util/serde.h"
+#include "tests/codec_testing.h"
 
 namespace p2pdb::storage {
 namespace {
@@ -84,6 +86,62 @@ TEST(StorageManagerTest, DeltaCodecRoundTrip) {
   auto back = (*manager)->Recover(nullptr);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(Logs(*back), Logs(db));
+  std::filesystem::remove_all(options.dir);
+}
+
+TEST(StorageManagerTest, LogBytesAreGolden) {
+  // A base, a delta over both relations, then an add and a delete rule
+  // change: the whole file, header and record framing included.
+  StorageOptions options;
+  options.dir = FreshDir("golden");
+  options.sync = SyncMode::kNoSync;
+  auto manager = StorageManager::Open(options);
+  ASSERT_TRUE(manager.ok());
+  rel::Database db = BaseDb();
+  ASSERT_TRUE((*manager)->EnsureBase(db).ok());
+  ASSERT_TRUE(db.Insert("pub", Pub(-7, "z")).ok());
+  ASSERT_TRUE(db.Insert("wrote", rel::Tuple({rel::Value::Str("ada"),
+                                             rel::Value::Null(0x3000005)}))
+                  .ok());
+  ASSERT_TRUE(db.Insert("wrote", rel::Tuple({rel::Value::Str("bob"),
+                                             rel::Value::Int(20000)}))
+                  .ok());
+  ASSERT_TRUE((*manager)->LogDelta(db, {{"pub", 1}, {"wrote", 0}}).ok());
+  ASSERT_TRUE((*manager)
+                  ->LogRuleChange(core::wire::RuleChangeRecord::Add(
+                                      testing_codec::RichRule())
+                                      .Encode())
+                  .ok());
+  ASSERT_TRUE(
+      (*manager)
+          ->LogRuleChange(core::wire::RuleChangeRecord::Delete("r7").Encode())
+          .ok());
+  manager->reset();
+
+  std::FILE* f = std::fopen(WalPath(options).c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  std::vector<uint8_t> bytes;
+  for (int c = std::fgetc(f); c != EOF; c = std::fgetc(f)) {
+    bytes.push_back(static_cast<uint8_t>(c));
+  }
+  std::fclose(f);
+  const std::string golden =
+      "5032574c 02000000"                          // magic "P2WL", version 2
+      " 32000000 545d1fe4"                         // base: length, CRC,
+      " 03 02"                                     //   kind, two relations,
+      " 03707562 02 026964 057469746c65"           //   pub(id, title),
+      " 01 02 0002 010a73656564207061706572"       //   (1, "seed paper")
+      " 0577726f7465 02 06617574686f72 026964 00"  //   wrote(author, id)
+      " 2d000000 d3d71f6a"                         // delta: length, CRC,
+      " 01 02 03707562 01 02 000d 01017a"          //   pub: (-7, "z")
+      " 0577726f7465 02"                           //   wrote:
+      " 02 0103616461 020500000300000000"          //   ("ada", _N)
+      " 02 0103626f62 00c0b802"                    //   ("bob", 20000)
+      " 59000000 7ae1e757 02 01" +                 // add rule r1
+      std::string(testing_codec::kRichRuleGolden) +
+      " 05000000 e306dbb0 02 02 027237";  // delete rule r7
+  EXPECT_EQ(testing_codec::Hex(bytes),
+            testing_codec::Hex(testing_codec::HexBytes(golden)));
   std::filesystem::remove_all(options.dir);
 }
 

@@ -264,6 +264,59 @@ TEST(TcpRuntimeTest, UnregisterClosesSocketsAndKernelCountsDrops) {
   EXPECT_EQ(b.received(), 1);
 }
 
+/// The IPv4 sockets in TIME_WAIT (state 06 in /proc/net/tcp), each as its
+/// local and remote port.
+std::set<std::pair<uint16_t, uint16_t>> TimeWaitPorts() {
+  std::set<std::pair<uint16_t, uint16_t>> out;
+  std::FILE* f = std::fopen("/proc/net/tcp", "r");
+  if (f == nullptr) return out;
+  char line[512];
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    unsigned local_port = 0, remote_port = 0, state = 0;
+    if (std::sscanf(line, " %*d: %*8x:%4x %*8x:%4x %2x", &local_port,
+                    &remote_port, &state) == 3 &&
+        state == 0x06) {
+      out.insert({static_cast<uint16_t>(local_port),
+                  static_cast<uint16_t>(remote_port)});
+    }
+  }
+  std::fclose(f);
+  return out;
+}
+
+TEST(TcpRuntimeTest, TeardownLeavesNoSocketInTimeWait) {
+  // An accepted connection closes with a reset, so whichever end closes
+  // first, no socket of a torn-down runtime holds a port in TIME_WAIT (which
+  // a loop of runtimes would otherwise pile up until port-0 binds fail).
+  const std::set<std::pair<uint16_t, uint16_t>> before = TimeWaitPorts();
+  std::set<uint16_t> listen_ports;
+  {
+    TcpRuntime rt;
+    std::vector<std::unique_ptr<CountingPeer>> peers;
+    for (NodeId i = 0; i < 8; ++i) {
+      peers.push_back(std::make_unique<CountingPeer>(i, &rt, 0));
+      rt.RegisterPeer(i, peers.back().get());
+      listen_ports.insert(rt.ListenPort(i));
+    }
+    for (NodeId i = 0; i < 8; ++i) {
+      for (NodeId j = 0; j < 8; ++j) {
+        if (i != j) rt.Send(Make(i, j));
+      }
+    }
+    ASSERT_TRUE(rt.Run().ok());
+    for (NodeId i = 0; i < 8; ++i) EXPECT_EQ(peers[i]->received(), 7);
+    for (NodeId i = 0; i < 8; ++i) rt.UnregisterPeer(i);
+  }
+  size_t lingering = 0;
+  for (const auto& [local, remote] : TimeWaitPorts()) {
+    if (before.count({local, remote}) == 0 &&
+        (listen_ports.count(local) > 0 || listen_ports.count(remote) > 0)) {
+      ++lingering;
+    }
+  }
+  EXPECT_EQ(lingering, 0u) << "sockets of the torn-down runtime in TIME_WAIT";
+}
+
 TEST(TcpRuntimeTest, ReconnectOnSendReachesRestartedPeer) {
   ScopedLogCapture quiet;
   TcpRuntime rt;

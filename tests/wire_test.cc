@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <optional>
+#include <string_view>
 #include <type_traits>
 
 #include "src/relational/tuple_log.h"
 #include "src/workload/scenario.h"
+#include "tests/codec_testing.h"
 
 namespace p2pdb::core::wire {
 namespace {
@@ -186,35 +189,28 @@ TEST(WireTest, QueryRoundTrip) {
   b.rhs = rel::Term::Var("Y");
   q.builtins = {b};
 
-  Writer w;
-  EncodeQuery(q, &w);
-  Reader r(w.bytes());
-  auto back = DecodeQuery(&r);
+  QueryRequest request;
+  request.query = q;
+  auto back = QueryRequest::Decode(request.Encode());
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->ToString(), q.ToString());
+  EXPECT_EQ(back->query.ToString(), q.ToString());
 }
 
 TEST(WireTest, RuleRoundTripOverExampleRules) {
   auto system = workload::MakeRunningExample();
   ASSERT_TRUE(system.ok());
   for (const CoordinationRule& rule : system->rules()) {
-    Writer w;
-    EncodeRule(rule, &w);
-    Reader r(w.bytes());
-    auto back = DecodeRule(&r);
+    auto back = AddRuleChange::Decode(AddRuleChange{rule}.Encode());
     ASSERT_TRUE(back.ok()) << rule.id;
-    EXPECT_EQ(back->ToString(), rule.ToString());
+    EXPECT_EQ(back->rule.ToString(), rule.ToString());
   }
 }
 
 TEST(WireTest, EdgesRoundTrip) {
   std::set<Edge> edges{{0, 1}, {1, 2}, {2, 0}};
-  Writer w;
-  EncodeEdges(edges, &w);
-  Reader r(w.bytes());
-  auto back = DecodeEdges(&r);
+  auto back = DiscoverAnswer::Decode(DiscoverAnswer{0, false, edges}.Encode());
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ(*back, edges);
+  EXPECT_EQ(back->edges, edges);
 }
 
 TEST(WireTest, DiscoverPayloadsRoundTrip) {
@@ -317,69 +313,129 @@ TEST(WireTest, ChangePayloadsRoundTrip) {
   EXPECT_EQ(del2->rule_id, "r7");
 }
 
-/// One payload under test: its name, a valid encoding, and its decoder.
+/// One payload under test: its name, its encoding, the golden bytes that
+/// encoding must equal, and its decoder, which re-encodes what it decodes.
 struct PayloadCase {
   std::string name;
   std::vector<uint8_t> bytes;
-  std::function<bool(ByteView)> decodes;
+  std::vector<uint8_t> golden;
+  testing_codec::Recode recode;
 };
 
 template <typename Payload>
-PayloadCase CaseOf(std::string name, const Payload& payload) {
-  return {std::move(name), payload.Encode(),
-          [](ByteView bytes) { return Payload::Decode(bytes).ok(); }};
+PayloadCase CaseOf(std::string name, const Payload& payload,
+                   std::string_view golden) {
+  return {std::move(name), payload.Encode(), testing_codec::HexBytes(golden),
+          [](const std::vector<uint8_t>& bytes)
+              -> std::optional<std::vector<uint8_t>> {
+            auto decoded = Payload::Decode(bytes);
+            if (!decoded.ok()) return std::nullopt;
+            return decoded->Encode();
+          }};
 }
 
+// Golden bytes for every payload, then whole-or-nothing decoding: a trailing
+// byte, every truncation and seeded mutants.
 TEST(WireTest, EveryPayloadDecodesWholeOrNotAtAll) {
-  auto system = workload::MakeRunningExample();
-  ASSERT_TRUE(system.ok());
-  const CoordinationRule& rule = system->rules().front();
+  const CoordinationRule rule = testing_codec::RichRule();
+  // The rule's golden bytes: id, head node, head atoms, then each body
+  // part's node, atoms and built-ins, the cross built-ins and the domain map.
+  const std::string rule_golden(testing_codec::kRichRuleGolden);
 
   QueryRequest request;
   request.session = 3;
-  request.rule_id = rule.id;
+  request.rule_id = "r1";
   request.part = 1;
-  request.query.head_vars = {"X"};
-  request.query.atoms = rule.body.front().atoms;
+  request.query.head_vars = {"X", "Y"};
+  request.query.atoms = {{"a",
+                          {rel::Term::Var("X"), rel::Term::Const(S("s")),
+                           rel::Term::Const(I(-7)),
+                           rel::Term::Const(rel::Value::Null(0x1000005)),
+                           rel::Term::Var("Y")}}};
+  request.query.builtins = {
+      {rel::BuiltinOp::kGe, rel::Term::Var("X"), rel::Term::Const(I(20000))}};
   QueryAnswer answer;
   answer.session = 3;
-  answer.rule_id = rule.id;
+  answer.rule_id = "r1";
   answer.part = 1;
   answer.is_delta = true;
-  answer.tuples = {rel::Tuple({I(1), S("a")}), rel::Tuple({I(2), S("b")})};
+  answer.source_closed = true;
+  answer.tuples = {rel::Tuple({I(-1), S("a"), rel::Value::Null(0x1000005)}),
+                   rel::Tuple({I(20000), S("b"), I(0)})};
   PartialUpdate partial;
   partial.session = 4;
   partial.relations = {"a", "b"};
-  partial.sn_path = {3, 1, 2};
-  Token token{2, 1, 10, 100, 99, true};
+  partial.sn_path = {300, 1, 2};
+  Token token{2, 200, 10, 20000, 99, true};
 
   const std::vector<PayloadCase> cases = {
-      CaseOf("DiscoverRequest", DiscoverRequest{7}),
-      CaseOf("DiscoverAnswer", DiscoverAnswer{3, true, {{1, 2}, {2, 0}}}),
-      CaseOf("DiscoverClosure", DiscoverClosure{9, {{0, 1}, {1, 0}}}),
-      CaseOf("UpdateStart", UpdateStart{5}),
-      CaseOf("QueryRequest", request),
-      CaseOf("QueryAnswer", answer),
-      CaseOf("Unsubscribe", Unsubscribe{1, "rX", 1}),
-      CaseOf("PartialUpdate", partial),
-      CaseOf("Token", token),
-      CaseOf("SccClosed", SccClosed{6}),
-      CaseOf("Reopen", Reopen{6}),
-      CaseOf("AddRuleChange", AddRuleChange{rule}),
-      CaseOf("DeleteRuleChange", DeleteRuleChange{"r7"}),
-      CaseOf("RuleChangeRecord(add)", RuleChangeRecord::Add(rule)),
-      CaseOf("RuleChangeRecord(delete)", RuleChangeRecord::Delete("r7")),
+      CaseOf("DiscoverRequest", DiscoverRequest{200}, "c8000000"),
+      CaseOf("DiscoverAnswer", DiscoverAnswer{130, true, {{1, 200}, {130, 0}}},
+             "82000000 01 02 01000000c8000000 8200000000000000"),
+      CaseOf("DiscoverClosure", DiscoverClosure{9, {{0, 300}, {300, 0}}},
+             "09000000 02 000000002c010000 2c01000000000000"),
+      CaseOf("UpdateStart", UpdateStart{uint64_t{1} << 40}, "0000000000010000"),
+      CaseOf("QueryRequest", request,
+             "0300000000000000 027231 01000000"    // session, rule, part
+             " 02 0158 0159"                       // head X, Y
+             " 01 0161 05 000158 01010173 01000d"  // a(X, "s", -7,
+             " 01020500000100000000 000159"        //   _N, Y)
+             " 01 05 000158 0100c0b802"),
+      CaseOf("QueryAnswer", answer,
+             "0300000000000000 027231 01000000 01 01"  // header
+             " 02 03 0001 010161 020500000100000000"   // (-1, "a", _N)
+             " 03 00c0b802 010162 0000"),
+      CaseOf("Unsubscribe", Unsubscribe{1, "rX", 1},
+             "0100000000000000 027258 01000000"),
+      CaseOf("PartialUpdate", partial,
+             "0400000000000000 02 0161 0162 03 2c010000 01000000 02000000"),
+      CaseOf("Token", token,
+             "0200000000000000 c8000000 0a00000000000000"
+             " 204e000000000000 6300000000000000 01"),
+      CaseOf("SccClosed", SccClosed{6}, "0600000000000000"),
+      CaseOf("Reopen", Reopen{20000}, "204e000000000000"),
+      CaseOf("AddRuleChange", AddRuleChange{rule}, rule_golden),
+      CaseOf("DeleteRuleChange", DeleteRuleChange{"r7"}, "027237"),
+      CaseOf("RuleChangeRecord(add)", RuleChangeRecord::Add(rule),
+             "01" + rule_golden),
+      CaseOf("RuleChangeRecord(delete)", RuleChangeRecord::Delete("r7"),
+             "02 027237"),
   };
+  uint64_t seed = 1;
   for (const PayloadCase& c : cases) {
     SCOPED_TRACE(c.name);
-    ASSERT_TRUE(c.decodes(c.bytes));
+    EXPECT_EQ(testing_codec::Hex(c.bytes), testing_codec::Hex(c.golden));
+    ASSERT_EQ(c.recode(c.golden), c.golden) << "golden bytes do not round-trip";
     std::vector<uint8_t> trailing = c.bytes;
     trailing.push_back(0);
-    EXPECT_FALSE(c.decodes(trailing)) << "decoded with a trailing byte";
+    EXPECT_FALSE(c.recode(trailing)) << "decoded with a trailing byte";
     for (size_t cut = 0; cut < c.bytes.size(); ++cut) {
-      EXPECT_FALSE(c.decodes(ByteView(c.bytes.data(), cut)))
+      EXPECT_FALSE(c.recode({c.bytes.begin(), c.bytes.begin() + cut}))
           << "prefix of " << cut << " bytes decoded";
     }
+    testing_codec::ExpectMutantsDecodeWholeOrNotAtAll(c.bytes, c.recode, 200,
+                                                      seed++);
+  }
+}
+
+TEST(WireTest, TermKindAboveOneIsRejected) {
+  // A term is a variable (kind 0) or a constant (kind 1); any other kind
+  // byte is rejected rather than read as a constant.
+  for (uint8_t kind : {1, 2, 0xff}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    Writer w;
+    w.PutU64(1);        // session
+    w.PutString("r1");  // rule id
+    w.PutU32(0);        // part
+    w.PutVarint(0);     // no head variables
+    w.PutVarint(1);     // one atom, a(1):
+    w.PutString("a");
+    w.PutVarint(1);
+    w.PutU8(kind);
+    EncodeValue(I(1), &w);
+    w.PutVarint(0);  // no built-ins
+    auto decoded = QueryRequest::Decode(w.bytes());
+    EXPECT_EQ(decoded.ok(), kind == 1) << decoded.status().ToString();
   }
 }
 
