@@ -28,7 +28,8 @@ int main() {
   const size_t records = FullScale() ? 650 : 150;
   using Kind = workload::TopologySpec::Kind;
 
-  PrintHeader("B1 baselines: distributed vs centralized-global vs acyclic-pull");
+  PrintHeader(
+      "B1 baselines: distributed vs centralized-global vs acyclic-pull");
   std::printf("%-12s %5s | %10s %12s | %10s | %10s %12s %7s\n", "topology",
               "nodes", "dist-wall", "dist-msgs", "global-wall", "pull-wall",
               "pull-msgs", "agree");
@@ -50,7 +51,8 @@ int main() {
     auto t0 = std::chrono::steady_clock::now();
     auto global = core::ComputeGlobalFixpoint(*system, HomChase());
     auto t1 = std::chrono::steady_clock::now();
-    double global_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+    double global_ms =
+        std::chrono::duration<double, std::milli>(t1 - t0).count();
 
     double pull_ms = -1;
     uint64_t pull_msgs = 0;

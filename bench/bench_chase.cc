@@ -101,7 +101,8 @@ void OrderDependenceDemo() {
       "\nreading: with prior unlinked facts the projection policy skips both\n"
       "head atoms and never creates a linked pub-wrote witness, so downstream\n"
       "joins lose answers; the homomorphism policy always leaves a linked\n"
-      "witness. This makes the paper's A6 completeness claim order-sensitive.\n");
+      "witness. This makes the paper's A6 completeness claim\n"
+      "order-sensitive.\n");
 }
 
 }  // namespace

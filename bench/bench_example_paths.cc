@@ -54,8 +54,9 @@ int main() {
   std::printf("\ndiscovery matches offline enumeration: %s\n",
               all_match ? "yes" : "NO");
   std::printf(
-      "paper note: the technical report's table is garbled by PDF layout; the\n"
-      "entries recoverable from it (ABCA ABE ABCB for A; BE BCAB BCB BCDAB for\n"
-      "B; DABE/DABCD/DABCB/DABCA for D) agree with this enumeration.\n");
+      "paper note: the technical report's table is garbled by PDF layout;\n"
+      "the entries recoverable from it (ABCA ABE ABCB for A; BE BCAB BCB\n"
+      "BCDAB for B; DABE/DABCD/DABCB/DABCA for D) agree with this\n"
+      "enumeration.\n");
   return all_match ? 0 : 1;
 }

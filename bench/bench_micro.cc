@@ -77,7 +77,7 @@ BENCHMARK(BM_RuleHeadApply)
     ->Args({1, 1024});
 
 void BM_WireTupleListRoundTrip(benchmark::State& state) {
-  std::vector<rel::Tuple> tuples;
+  rel::RowList tuples;
   for (int64_t i = 0; i < state.range(0); ++i) {
     tuples.push_back(rel::Tuple({rel::Value::Int(i),
                                  rel::Value::Str("title-" + std::to_string(i)),

@@ -90,9 +90,10 @@ rule mirror:  Archive.doc(S) => Mirror.copy(S);
   show(wire, "item");
   show(mirror, "copy");
 
-  std::printf("\nreopen count at Wire: %llu (addLink re-opened a closed node)\n",
-              static_cast<unsigned long long>(
-                  session.peer(wire).update().stats().reopens));
+  std::printf(
+      "\nreopen count at Wire: %llu (addLink re-opened a closed node)\n",
+      static_cast<unsigned long long>(
+          session.peer(wire).update().stats().reopens));
 
   auto envelope = core::ComputeEnvelope(*system, changes, rel::ChaseOptions{});
   if (!envelope.ok()) return 1;

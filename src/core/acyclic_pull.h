@@ -20,8 +20,8 @@ struct AcyclicPullResult {
   uint64_t bytes = 0;
 };
 
-Result<AcyclicPullResult> RunAcyclicPull(const P2PSystem& system,
-                                         const rel::ChaseOptions& chase_options);
+Result<AcyclicPullResult> RunAcyclicPull(
+    const P2PSystem& system, const rel::ChaseOptions& chase_options);
 
 }  // namespace p2pdb::core
 

@@ -188,7 +188,7 @@ Result<storage::RecoveryInfo> Peer::Recover() {
     (void)name;
     const rel::LogView log = relation.View();
     for (size_t i = 0; i < log.size(); ++i) {
-      for (const rel::Value& v : log.at(i).values()) {
+      for (const rel::Value& v : log.at(i)) {
         if (!v.is_null()) continue;
         if (rel::NullFactory::NodeOf(v.null_id()) != id_) continue;
         nulls_.ReserveThrough(rel::NullFactory::SeqOf(v.null_id()) & 0xffffffu);

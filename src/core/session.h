@@ -33,7 +33,8 @@ class Session {
     /// kAll runs one discovery instance per node (every node certainly learns
     /// its own paths); kSuperPeer runs only the super-peer's instance, which
     /// covers exactly the nodes that will participate in its update.
-    enum class DiscoveryMode { kAll, kSuperPeer } discovery = DiscoveryMode::kAll;
+    enum class DiscoveryMode { kAll, kSuperPeer };
+    DiscoveryMode discovery = DiscoveryMode::kAll;
     /// The session's one durability source. AttachStorage, RestartPeer and
     /// RunUpdateWithChurn all draw backends from here, so a node's crash and
     /// its restart necessarily reopen the same storage — callers can no

@@ -86,7 +86,9 @@ std::string CoordinationRule::ToString() const {
       body_parts.push_back(b.ToString());
     }
   }
-  for (const rel::Builtin& b : cross_builtins) body_parts.push_back(b.ToString());
+  for (const rel::Builtin& b : cross_builtins) {
+    body_parts.push_back(b.ToString());
+  }
   std::vector<std::string> head_parts;
   for (const rel::Atom& a : head_atoms) {
     head_parts.push_back(StrFormat("%u:", head_node) + a.ToString());

@@ -175,8 +175,9 @@ void UpdateEngine::OnQueryRequest(NodeId from, const wire::QueryRequest& msg) {
   // order evaluation finds it.
   rel::TupleLog& sent = *sub->last_sent;
   std::vector<rel::Value> binding;
+  std::vector<rel::Value> row;
   full->Run(peer_->db(), &binding, [&](const std::vector<rel::Value>& b) {
-    sent.Append(full->Project(b));
+    sent.Append(full->Project(b, &row));
     return true;
   });
   wire::QueryAnswer ans;
@@ -202,24 +203,25 @@ void UpdateEngine::OnQueryAnswer(NodeId from, wire::QueryAnswer msg) {
   // A malformed answer is rejected whole: nothing is appended and the part's
   // closed flag stays as it was. It was still received, as counted above.
   rel::TupleLog& answers = *rr.part_answers[msg.part];
-  for (const rel::Tuple& t : msg.tuples) {
-    if (t.arity() != answers.arity()) {
+  for (rel::Row row : msg.tuples) {
+    if (row.arity() != answers.arity()) {
       P2PDB_LOG(kWarn) << "node " << peer_->id() << " drops an answer from "
                        << from << " for rule " << msg.rule_id << " part "
-                       << msg.part << ": a tuple has arity " << t.arity()
+                       << msg.part << ": a tuple has arity " << row.arity()
                        << ", want " << answers.arity();
       return;
     }
   }
   // Monotone union: with deltas only new tuples travel; with full answers the
   // log drops the repeats. The rule's domain relation (if any) translates
-  // foreign constants into this node's vocabulary first. Only genuinely new
-  // tuples, the entries appended here, feed the semi-naive join below.
-  const size_t first_new = answers.size();
-  for (rel::Tuple& t : msg.tuples) {
-    if (!rr.rule.domain_map.empty()) t = rr.rule.domain_map.ApplyToTuple(t);
-    answers.Append(std::move(t));
+  // foreign constants into this node's vocabulary first, in place. Only
+  // genuinely new rows, the entries appended here, feed the semi-naive join
+  // below.
+  if (!rr.rule.domain_map.empty()) {
+    for (rel::Value& v : msg.tuples.values()) v = rr.rule.domain_map.Apply(v);
   }
+  const size_t first_new = answers.size();
+  for (rel::Row row : msg.tuples) answers.Append(row);
   bool part_was_closed = rr.part_closed[msg.part];
   rr.part_closed[msg.part] = msg.source_closed;
 
@@ -319,6 +321,7 @@ void UpdateEngine::NotifySubscribers() {
   notify_from_.clear();
   const rel::Database& db = peer_->db();
   std::vector<rel::Value> binding;
+  std::vector<rel::Value> row;
   for (Subscription& sub : subscriptions_) {
     bool flag_changed = closed != sub.announced_closed;
     // Semi-naive: new answers of the subscription query are exactly those
@@ -334,7 +337,7 @@ void UpdateEngine::NotifySubscribers() {
       if (mark->second >= log.size()) continue;
       plan.RunSeeded(db, log, mark->second, &binding,
                      [&](const std::vector<rel::Value>& b) {
-                       sent.Append(plan.Project(b));
+                       sent.Append(plan.Project(b, &row));
                        return true;
                      });
     }
@@ -532,7 +535,8 @@ void UpdateEngine::StartPartial(uint64_t session,
   ForwardPartial(relations, {});
 }
 
-void UpdateEngine::OnPartialUpdate(NodeId from, const wire::PartialUpdate& msg) {
+void UpdateEngine::OnPartialUpdate(NodeId from,
+                                   const wire::PartialUpdate& msg) {
   (void)from;
   // A4's loop guard: a node already on the query path does not recurse.
   if (Contains(msg.sn_path, peer_->id())) return;
@@ -594,7 +598,8 @@ void UpdateEngine::OnAddRule(NodeId from, const wire::AddRuleChange& msg) {
   SubscribeParts(*rr);
 }
 
-void UpdateEngine::OnDeleteRule(NodeId from, const wire::DeleteRuleChange& msg) {
+void UpdateEngine::OnDeleteRule(NodeId from,
+                                const wire::DeleteRuleChange& msg) {
   (void)from;
   auto it = rule_runtimes_.find(msg.rule_id);
   // Remove from the peer's rule list regardless of session state.

@@ -11,16 +11,20 @@
 //
 // Semi-naive feed: everything the engine joins, re-evaluates or ships is a
 // range of an append-only log (src/relational/tuple_log.h), and answers
-// travel in log order. A rule part's answers accumulate in a log of their
-// own: the head decodes an answer whole, then moves its tuples into that log
-// in the order they arrived, and a join seeds from the entries they
-// appended. The part log indexes exactly the columns the rule's join plans
-// look up. Subscribers are notified from a per-relation watermark: the first
-// entry of each local log they have not been evaluated against. Each
-// subscription keeps what it has shipped in a log of its own, indexing no
-// column; evaluation appends the projected answers to it, and the message
-// is encoded straight from the entries just appended (from the whole log in
-// full-answer mode). No answer passes through a sorted or hashed set.
+// travel in log order. A log stores its rows inline, so no tuple on this path
+// is a heap object of its own. A rule part's answers accumulate in a log of
+// their own: the head decodes an answer whole into one flat value buffer,
+// checks every row's arity before anything is appended, translates values in
+// place through the rule's domain map, then appends the rows to that log in
+// the order they arrived, and a join seeds from the entries they appended.
+// The part log indexes exactly the columns the rule's join plans look up.
+// Subscribers are notified from a per-relation watermark: the first entry of
+// each local log they have not been evaluated against. Each subscription
+// keeps what it has shipped in a log of its own, indexing no column;
+// evaluation projects each answer into a reused scratch row and appends it
+// to that log, and the message is encoded straight from the entries just
+// appended (from the whole log in full-answer mode). No answer passes
+// through a sorted or hashed set.
 //
 // Compiled plans: every query the engine runs more than once is compiled
 // once into a slot-indexed plan (src/relational/eval.h) where it is kept. A
@@ -103,7 +107,8 @@ class UpdateEngine {
 
   void OnUpdateStart(NodeId from, const wire::UpdateStart& msg);
   void OnQueryRequest(NodeId from, const wire::QueryRequest& msg);
-  /// Moves the answer's tuples into the rule part's log.
+  /// Appends the answer's rows to the rule part's log, translating them in
+  /// place first.
   void OnQueryAnswer(NodeId from, wire::QueryAnswer msg);
   void OnUnsubscribe(NodeId from, const wire::Unsubscribe& msg);
   void OnPartialUpdate(NodeId from, const wire::PartialUpdate& msg);

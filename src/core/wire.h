@@ -29,7 +29,6 @@ namespace p2pdb::core::wire {
 
 // Value/tuple codecs live in relational/codec.h (shared with snapshots);
 // re-exported here for wire users.
-using rel::DecodeTuple;
 using rel::DecodeTupleList;
 using rel::DecodeValue;
 using rel::EncodeTuple;
@@ -99,9 +98,10 @@ struct QueryAnswer {
   uint32_t part = 0;
   bool is_delta = true;
   bool source_closed = false;
-  /// In the sender's log order. A sender never repeats a tuple within one
-  /// answer, but the decoder does not rely on it.
-  std::vector<rel::Tuple> tuples;
+  /// In the sender's log order, decoded into one flat value buffer. Each
+  /// row carries its own arity, which the receiver checks. A sender never
+  /// repeats a tuple within one answer, but the decoder does not rely on it.
+  rel::RowList tuples;
 
   std::vector<uint8_t> Encode() const;
   /// The bytes Encode() writes when `tuples` holds entries [from,

@@ -46,10 +46,9 @@ Result<std::unique_ptr<PeerDaemon>> PeerDaemon::Start(PeerdConfig config) {
   }
   const core::NodeInfo& info = system->node(config.node);
   if (info.name != config.name) {
-    return Status::InvalidArgument("config names node " +
-                                   std::to_string(config.node) + " '" +
-                                   config.name + "' but the system file says '" +
-                                   info.name + "'");
+    return Status::InvalidArgument(
+        "config names node " + std::to_string(config.node) + " '" +
+        config.name + "' but the system file says '" + info.name + "'");
   }
 
   auto daemon =

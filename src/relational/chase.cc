@@ -25,8 +25,8 @@ RuleHead::RuleHead(const std::vector<Atom>& head_atoms,
   std::vector<std::string> frontier;
   for (const Atom& a : head_atoms) {
     for (const Term& t : a.terms) {
-      if (!t.is_var() ||
-          std::find(frontier.begin(), frontier.end(), t.var) != frontier.end()) {
+      if (!t.is_var() || std::find(frontier.begin(), frontier.end(),
+                                   t.var) != frontier.end()) {
         continue;
       }
       auto it = std::find(body_slots.begin(), body_slots.end(), t.var);
@@ -66,11 +66,12 @@ RuleHead::RuleHead(const std::vector<Atom>& head_atoms,
   }
 }
 
-Tuple RuleHead::Instantiate(const HeadAtom& atom) const {
-  std::vector<Value> row;
-  row.reserve(atom.terms.size());
-  for (Operand operand : atom.terms) row.push_back(ValueOf(operand));
-  return Tuple(std::move(row));
+Row RuleHead::Instantiate(const HeadAtom& atom) {
+  row_.resize(atom.terms.size());
+  for (size_t i = 0; i < atom.terms.size(); ++i) {
+    row_[i] = ValueOf(atom.terms[i]);
+  }
+  return Row(row_.data(), row_.size());
 }
 
 // True if some tuple of `relation` agrees with the atom on every position
@@ -81,10 +82,10 @@ bool RuleHead::ProjectionPresent(const LogView& relation,
   if (atom.terms.size() != relation.arity()) return false;
   // Fully existential atom: any tuple witnesses it.
   if (atom.key == SIZE_MAX) return relation.size() > 0;
-  auto matches = [&](const Tuple& tuple) {
+  auto matches = [&](Row row) {
     for (size_t i = 0; i < atom.terms.size(); ++i) {
       if (!IsExistential(atom.terms[i]) &&
-          ValueOf(atom.terms[i]) != tuple.at(i)) {
+          ValueOf(atom.terms[i]) != row.at(i)) {
         return false;
       }
     }

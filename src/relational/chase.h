@@ -94,7 +94,8 @@ class RuleHead {
   bool IsExistential(Operand operand) const {
     return !operand.is_const && operand.index >= frontier_.size();
   }
-  Tuple Instantiate(const HeadAtom& atom) const;
+  /// The atom's row under the frame, written into row_.
+  Row Instantiate(const HeadAtom& atom);
   bool ProjectionPresent(const LogView& relation, const HeadAtom& atom) const;
 
   std::vector<HeadAtom> atoms_;
@@ -107,6 +108,7 @@ class RuleHead {
   /// homomorphism extending the binding.
   QueryPlan probe_;
   std::vector<Value> frame_;
+  std::vector<Value> row_;  // Instantiate()'s scratch.
 };
 
 /// One centralized chase step: evaluates `body` over `source` and applies

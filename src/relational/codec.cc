@@ -40,30 +40,14 @@ Result<Value> DecodeValue(Reader* r) {
   return Status::ParseError("bad value tag");
 }
 
-void EncodeTuple(const Tuple& t, Writer* w) {
+void EncodeTuple(Row t, Writer* w) {
   w->PutVarint(t.arity());
-  for (const Value& v : t.values()) EncodeValue(v, w);
+  for (const Value& v : t) EncodeValue(v, w);
 }
 
-Result<Tuple> DecodeTuple(Reader* r) {
-  auto n = r->GetVarint();
-  if (!n.ok()) return n.status();
-  // Every value takes at least one byte, so a larger arity cannot be genuine
-  // (and must not reach reserve()).
-  if (*n > r->remaining()) return Status::ParseError("tuple arity past end");
-  std::vector<Value> values;
-  values.reserve(*n);
-  for (uint64_t i = 0; i < *n; ++i) {
-    auto v = DecodeValue(r);
-    if (!v.ok()) return v.status();
-    values.push_back(*v);
-  }
-  return Tuple(std::move(values));
-}
-
-void EncodeTupleList(const std::vector<Tuple>& tuples, Writer* w) {
-  w->PutVarint(tuples.size());
-  for (const Tuple& t : tuples) EncodeTuple(t, w);
+void EncodeTupleList(const RowList& rows, Writer* w) {
+  w->PutVarint(rows.size());
+  for (Row row : rows) EncodeTuple(row, w);
 }
 
 void EncodeTupleRange(const LogView& log, size_t from, Writer* w) {
@@ -71,17 +55,29 @@ void EncodeTupleRange(const LogView& log, size_t from, Writer* w) {
   for (size_t i = from; i < log.size(); ++i) EncodeTuple(log.at(i), w);
 }
 
-Result<std::vector<Tuple>> DecodeTupleList(Reader* r) {
+Result<RowList> DecodeTupleList(Reader* r) {
   auto n = r->GetVarint();
   if (!n.ok()) return n.status();
   // Every tuple takes at least one byte (its arity).
   if (*n > r->remaining()) return Status::ParseError("tuple count past end");
-  std::vector<Tuple> out;
-  out.reserve(*n);
+  RowList out;
   for (uint64_t i = 0; i < *n; ++i) {
-    auto t = DecodeTuple(r);
-    if (!t.ok()) return t.status();
-    out.push_back(t.MoveValue());
+    auto arity = r->GetVarint();
+    if (!arity.ok()) return arity.status();
+    if (*arity > r->remaining()) {
+      return Status::ParseError("tuple arity past end");
+    }
+    // Rows almost always share the first row's arity. Every value takes at
+    // least one byte, so more values than bytes left cannot be genuine.
+    if (i == 0 && *arity <= r->remaining() / *n) {
+      out.Reserve(*n, *n * *arity);
+    }
+    for (uint64_t k = 0; k < *arity; ++k) {
+      auto v = DecodeValue(r);
+      if (!v.ok()) return v.status();
+      out.AddValue(*v);
+    }
+    out.EndRow();
   }
   return out;
 }

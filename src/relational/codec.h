@@ -10,11 +10,14 @@
 // dictionary id (value.h): ids are private to one process. Decoding interns
 // the string straight from the buffer.
 //
-// A tuple sequence is encoded as a count and then the tuples. Snapshots write
-// each relation's tuples sorted and without repeats, so their bytes do not
-// depend on arrival order. Subscription answers and WAL records carry tuple
-// lists in the writer's log order: encoded straight from a log range,
-// decoded into a vector whose tuples the receiver moves into its own log.
+// A tuple sequence is encoded as a count and then the tuples, each its arity
+// and its values. Snapshots write each relation's tuples sorted and without
+// repeats, so their bytes do not depend on arrival order. Subscription
+// answers and WAL records carry tuple lists in the writer's log order,
+// encoded straight from a log range. Every list decodes into one RowList
+// (tuple.h), a flat value buffer: the receiver checks each row's arity and
+// copies the rows into its own log, and no decoded row is a heap object of
+// its own.
 #ifndef P2PDB_RELATIONAL_CODEC_H_
 #define P2PDB_RELATIONAL_CODEC_H_
 
@@ -31,17 +34,17 @@ namespace p2pdb::rel {
 void EncodeValue(const Value& v, Writer* w);
 Result<Value> DecodeValue(Reader* r);
 
-void EncodeTuple(const Tuple& t, Writer* w);
-Result<Tuple> DecodeTuple(Reader* r);
+void EncodeTuple(Row t, Writer* w);
 
-/// A count, then the tuples in the given order, repeats included.
-void EncodeTupleList(const std::vector<Tuple>& tuples, Writer* w);
+/// A count, then the rows in the given order, repeats included.
+void EncodeTupleList(const RowList& rows, Writer* w);
 /// EncodeTupleList of entries [from, log.size()) of `log`, without copying
-/// them into a vector first.
+/// them into a list first.
 void EncodeTupleRange(const LogView& log, size_t from, Writer* w);
-/// The whole list or an error. A count larger than the bytes left cannot be
-/// genuine and is rejected before anything is sized by it.
-Result<std::vector<Tuple>> DecodeTupleList(Reader* r);
+/// The whole list or an error; rows may differ in arity. A count or an arity
+/// larger than the bytes left cannot be genuine and is rejected before
+/// anything is sized by it.
+Result<RowList> DecodeTupleList(Reader* r);
 
 /// A relation schema: its name, then its attribute names.
 template <class IO>

@@ -22,10 +22,10 @@ Result<Relation*> Database::GetMutable(const std::string& name) {
   return &it->second;
 }
 
-Result<bool> Database::Insert(const std::string& relation, Tuple tuple) {
+Result<bool> Database::Insert(const std::string& relation, Row row) {
   auto rel = GetMutable(relation);
   if (!rel.ok()) return rel.status();
-  return (*rel)->Insert(std::move(tuple));
+  return (*rel)->Insert(row);
 }
 
 size_t Database::TotalTuples() const {

@@ -50,8 +50,8 @@ class Database : public ReadView {
     return found == nullptr ? LogView() : found->View();
   }
 
-  /// Convenience: inserts into a named relation; true if the tuple was new.
-  Result<bool> Insert(const std::string& relation, Tuple tuple);
+  /// Convenience: inserts into a named relation; true if the row was new.
+  Result<bool> Insert(const std::string& relation, Row row);
 
   const std::map<std::string, Relation>& relations() const {
     return relations_;

@@ -149,18 +149,18 @@ std::vector<size_t> QueryPlan::LookupColumns(
   return columns;
 }
 
-Tuple QueryPlan::Project(const std::vector<Value>& binding) const {
-  std::vector<Value> row;
-  row.reserve(head_.size());
-  for (uint32_t slot : head_) row.push_back(binding[slot]);
-  return Tuple(std::move(row));
+Row QueryPlan::Project(const std::vector<Value>& binding,
+                       std::vector<Value>* scratch) const {
+  scratch->resize(head_.size());
+  for (size_t i = 0; i < head_.size(); ++i) (*scratch)[i] = binding[head_[i]];
+  return Row(scratch->data(), scratch->size());
 }
 
-bool QueryPlan::Match(const Step& step, const Tuple& tuple,
+bool QueryPlan::Match(const Step& step, Row row,
                       std::vector<Value>* binding) const {
   for (size_t i = 0; i < step.positions.size(); ++i) {
     const Position p = step.positions[i];
-    const Value& v = tuple.at(i);
+    const Value& v = row.at(i);
     switch (p.op) {
       case Position::Op::kBind:
         (*binding)[p.index] = v;
@@ -256,8 +256,9 @@ Result<std::set<Tuple>> EvaluateQuery(const ReadView& db,
   if (!plan.ok()) return plan.status();
   std::set<Tuple> out;
   std::vector<Value> binding;
+  std::vector<Value> row;
   plan->Run(db, &binding, [&](const std::vector<Value>& b) {
-    out.insert(plan->Project(b));
+    out.emplace(plan->Project(b, &row));
     return true;
   });
   return out;

@@ -69,8 +69,11 @@ class QueryPlan {
   /// needs indexes on these columns alone.
   std::vector<size_t> LookupColumns(const std::string& relation) const;
 
-  /// The query's answer tuple for a complete binding: its head variables.
-  Tuple Project(const std::vector<Value>& binding) const;
+  /// The query's answer row for a complete binding, its head variables,
+  /// written into `*scratch`, which the caller reuses from row to row. The
+  /// row views `*scratch`.
+  Row Project(const std::vector<Value>& binding,
+              std::vector<Value>* scratch) const;
 
   /// Runs a plan compiled without a seed atom over `db`. `*binding` is the
   /// run's scratch, resized to slot_count(); a CompileBound plan reads the
@@ -126,9 +129,8 @@ class QueryPlan {
     return operand.is_const ? constants_[operand.index]
                             : binding[operand.index];
   }
-  /// Matches `tuple` against `step`, binding its fresh slots in place.
-  bool Match(const Step& step, const Tuple& tuple,
-             std::vector<Value>* binding) const;
+  /// Matches `row` against `step`, binding its fresh slots in place.
+  bool Match(const Step& step, Row row, std::vector<Value>* binding) const;
   bool Holds(const std::vector<CompiledBuiltin>& builtins,
              const std::vector<Value>& binding) const;
   /// Views of the steps' relations, or false when one is missing or has

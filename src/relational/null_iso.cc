@@ -7,11 +7,11 @@ namespace p2pdb::rel {
 
 namespace {
 
-// One relational fact as (relation name, tuple), flattened for matching.
-// `tuple` points into the relation's log, where entries never move.
+// One relational fact as (relation name, row), flattened for matching.
+// `row` views the relation's log, where entries never move.
 struct Fact {
   const std::string* relation;
-  const Tuple* tuple;
+  Row row;
 };
 
 std::vector<Fact> Flatten(const Database& db, bool nulls_only) {
@@ -19,8 +19,8 @@ std::vector<Fact> Flatten(const Database& db, bool nulls_only) {
   for (const auto& [name, relation] : db.relations()) {
     const LogView log = relation.View();
     for (size_t i = 0; i < log.size(); ++i) {
-      const Tuple& t = log.at(i);
-      if (!nulls_only || t.HasNull()) out.push_back(Fact{&name, &t});
+      const Row row = log.at(i);
+      if (!nulls_only || row.HasNull()) out.push_back(Fact{&name, row});
     }
   }
   return out;
@@ -37,14 +37,14 @@ bool MatchFacts(const std::vector<Fact>& a_facts, size_t index,
   if (!rel.ok()) return false;
   const LogView candidates = (*rel)->View();
   for (size_t c = 0; c < candidates.size(); ++c) {
-    const Tuple& candidate = candidates.at(c);
-    if (candidate.arity() != f.tuple->arity()) continue;
-    // Try to extend the mapping so f.tuple -> candidate.
+    const Row candidate = candidates.at(c);
+    if (candidate.arity() != f.row.arity()) continue;
+    // Try to extend the mapping so f.row -> candidate.
     std::vector<uint64_t> added;
     std::vector<Value> added_rev;
     bool ok = true;
-    for (size_t i = 0; i < f.tuple->arity(); ++i) {
-      const Value& av = f.tuple->at(i);
+    for (size_t i = 0; i < f.row.arity(); ++i) {
+      const Value& av = f.row.at(i);
       const Value& bv = candidate.at(i);
       if (!av.is_null()) {
         if (!(av == bv)) {

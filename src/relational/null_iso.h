@@ -22,8 +22,9 @@ bool DatabasesIsomorphic(const Database& a, const Database& b);
 bool DatabasesCertainEqual(const Database& a, const Database& b);
 
 /// True if every tuple of `sub` appears in `sup` after some (not necessarily
-/// injective) mapping of sub's nulls to sup's values — i.e. `sub` homomorphically
-/// maps into `sup`. Used for sound/complete envelope checks (Definition 9).
+/// injective) mapping of sub's nulls to sup's values — i.e. `sub`
+/// homomorphically maps into `sup`. Used for sound/complete envelope checks
+/// (Definition 9).
 bool DatabaseHomomorphicallyContained(const Database& sub, const Database& sup);
 
 }  // namespace p2pdb::rel

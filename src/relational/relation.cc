@@ -22,20 +22,20 @@ Relation& Relation::operator=(const Relation& other) {
   return *this;
 }
 
-Result<bool> Relation::Insert(Tuple tuple) {
-  if (tuple.arity() != schema_.arity()) {
+Result<bool> Relation::Insert(Row row) {
+  if (row.arity() != schema_.arity()) {
     return Status::InvalidArgument(
         StrFormat("arity mismatch inserting into %s: got %zu, want %zu",
-                  schema_.name().c_str(), tuple.arity(), schema_.arity()));
+                  schema_.name().c_str(), row.arity(), schema_.arity()));
   }
-  return log_->Append(std::move(tuple));
+  return log_->Append(row);
 }
 
 std::vector<Tuple> Relation::SortedTuples() const {
   const LogView view = View();
   std::vector<Tuple> out;
   out.reserve(view.size());
-  for (size_t i = 0; i < view.size(); ++i) out.push_back(view.at(i));
+  for (size_t i = 0; i < view.size(); ++i) out.emplace_back(view.at(i));
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -44,7 +44,7 @@ std::set<Tuple> Relation::CertainTuples() const {
   const LogView view = View();
   std::set<Tuple> out;
   for (size_t i = 0; i < view.size(); ++i) {
-    if (!view.at(i).HasNull()) out.insert(view.at(i));
+    if (!view.at(i).HasNull()) out.emplace(view.at(i));
   }
   return out;
 }

@@ -38,10 +38,11 @@ class Relation {
   size_t size() const { return log_->size(); }
   bool empty() const { return size() == 0; }
 
-  /// Inserts a tuple; returns true if it was new. Fails on arity mismatch.
-  Result<bool> Insert(Tuple tuple);
+  /// Inserts a copy of `row`; returns true if it was new. Fails on arity
+  /// mismatch.
+  Result<bool> Insert(Row row);
 
-  bool Contains(const Tuple& tuple) const { return View().Contains(tuple); }
+  bool Contains(Row row) const { return View().Contains(row); }
 
   /// A sorted copy of every tuple: the canonical order, independent of the
   /// order tuples arrived in. Costs a copy and a sort per call.

@@ -43,18 +43,18 @@ Result<Database> DeserializeDatabase(const std::vector<uint8_t>& bytes) {
     if (!schema.ok()) return schema.status();
     const std::string& rel_name = schema->name();
     P2PDB_RETURN_IF_ERROR(db.CreateRelation(*schema));
-    auto tuples = DecodeTupleList(&r);
-    if (!tuples.ok()) return tuples.status();
+    auto rows = DecodeTupleList(&r);
+    if (!rows.ok()) return rows.status();
     // SerializeDatabase writes a strictly increasing list; anything else
     // (a repeat, or tuples out of order) is not a snapshot it wrote.
-    for (size_t k = 1; k < tuples->size(); ++k) {
-      if (!((*tuples)[k - 1] < (*tuples)[k])) {
+    for (size_t k = 1; k < rows->size(); ++k) {
+      if (!((*rows)[k - 1] < (*rows)[k])) {
         return Status::ParseError("unsorted snapshot relation " + rel_name);
       }
     }
     Relation* relation = *db.GetMutable(rel_name);
-    for (Tuple& t : *tuples) {
-      P2PDB_RETURN_IF_ERROR(relation->Insert(std::move(t)).status());
+    for (Row row : *rows) {
+      P2PDB_RETURN_IF_ERROR(relation->Insert(row).status());
     }
   }
   if (!r.AtEnd()) return Status::ParseError("trailing bytes in snapshot");

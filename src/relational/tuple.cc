@@ -1,40 +1,38 @@
 #include "src/relational/tuple.h"
 
+#include <algorithm>
+
 namespace p2pdb::rel {
 
-bool Tuple::HasNull() const {
-  for (const Value& v : values_) {
-    if (v.is_null()) return true;
-  }
-  return false;
+bool Row::HasNull() const {
+  return std::any_of(begin(), end(),
+                     [](const Value& v) { return v.is_null(); });
 }
 
-bool Tuple::operator<(const Tuple& other) const {
-  size_t n = values_.size() < other.values_.size() ? values_.size()
-                                                   : other.values_.size();
-  for (size_t i = 0; i < n; ++i) {
-    if (values_[i] < other.values_[i]) return true;
-    if (other.values_[i] < values_[i]) return false;
-  }
-  return values_.size() < other.values_.size();
-}
-
-size_t Tuple::Hash() const {
+size_t Row::Hash() const {
   size_t h = 0x9e3779b97f4a7c15ULL;
-  for (const Value& v : values_) {
+  for (const Value& v : *this) {
     h ^= v.Hash() + 0x9e3779b9 + (h << 6) + (h >> 2);
   }
   return h;
 }
 
-std::string Tuple::ToString() const {
+std::string Row::ToString() const {
   std::string out = "(";
-  for (size_t i = 0; i < values_.size(); ++i) {
+  for (size_t i = 0; i < arity_; ++i) {
     if (i > 0) out += ", ";
     out += values_[i].ToString();
   }
   out += ")";
   return out;
+}
+
+bool operator==(Row a, Row b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
+
+bool operator<(Row a, Row b) {
+  return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
 }
 
 }  // namespace p2pdb::rel

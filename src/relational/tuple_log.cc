@@ -34,8 +34,8 @@ size_t EntryOf(uint64_t slot) { return (slot & 0xffffffffu) - 1; }
 
 }  // namespace
 
-TupleLog::Chunk::Chunk(size_t slots, size_t indexed)
-    : tuples(std::make_unique<Tuple[]>(slots)),
+TupleLog::Chunk::Chunk(size_t slots, size_t arity, size_t indexed)
+    : values(std::make_unique<Value[]>(slots * arity)),
       links(std::make_unique<std::atomic<uint32_t>[]>(slots * indexed)) {}
 
 TupleLog::Table::Table(size_t capacity, bool with_tails)
@@ -70,20 +70,21 @@ TupleLog::~TupleLog() {
   for (auto& chunk : chunks_) delete chunk.load(std::memory_order_relaxed);
 }
 
-bool TupleLog::Append(Tuple tuple) {
+bool TupleLog::Append(Row row) {
+  assert(row.arity() == arity_);
   const size_t n = size_.load(std::memory_order_relaxed);
-  const uint32_t tag = Tag(tuple.Hash());
-  if (Find(tuple, tag, n)) return false;
+  const uint32_t tag = Tag(row.Hash());
+  if (Find(row, tag, n)) return false;
   if (n >= kMaxEntries) std::abort();  // 4G tuples in one relation.
 
   const Slot s = Locate(n);
   Chunk* chunk = chunks_[s.chunk].load(std::memory_order_relaxed);
   if (chunk == nullptr) {
-    chunk = new Chunk(size_t{1} << (kFirstChunkLog2 + s.chunk),
+    chunk = new Chunk(size_t{1} << (kFirstChunkLog2 + s.chunk), arity_,
                       indexed_.size());
     chunks_[s.chunk].store(chunk, std::memory_order_release);
   }
-  chunk->tuples[s.offset] = std::move(tuple);
+  std::copy(row.begin(), row.end(), chunk->values.get() + s.offset * arity_);
 
   for (size_t position = 0; position < indexed_.size(); ++position) {
     IndexColumn(position, n);
@@ -154,11 +155,11 @@ TupleLog::Table* TupleLog::Reserve(std::atomic<Table*>* table, size_t keys,
   return raw;
 }
 
-bool TupleLog::Contains(const Tuple& tuple, size_t watermark) const {
-  return Find(tuple, Tag(tuple.Hash()), watermark);
+bool TupleLog::Contains(Row row, size_t watermark) const {
+  return Find(row, Tag(row.Hash()), watermark);
 }
 
-bool TupleLog::Find(const Tuple& tuple, uint32_t tag, size_t watermark) const {
+bool TupleLog::Find(Row row, uint32_t tag, size_t watermark) const {
   const Table* table = members_.load(std::memory_order_acquire);
   if (table == nullptr || watermark == 0) return false;
   for (size_t pos = tag & table->mask;; pos = (pos + 1) & table->mask) {
@@ -166,7 +167,7 @@ bool TupleLog::Find(const Tuple& tuple, uint32_t tag, size_t watermark) const {
     if (slot == 0) return false;
     if (TagOf(slot) != tag) continue;
     const size_t entry = EntryOf(slot);
-    if (entry < watermark && at(entry) == tuple) return true;
+    if (entry < watermark && at(entry) == row) return true;
   }
 }
 

@@ -5,8 +5,11 @@
 // and publishing a delta batch costs O(#relations).
 //
 // Layout:
-//  * Storage: entries live in chunks of 8, 16, 32, ... slots, so an entry
-//    never moves once written and the chunk directory is a fixed array.
+//  * Storage: entries live inline in chunks of 8, 16, 32, ... slots, each
+//    slot `arity` values back to back, so an entry never moves once written,
+//    the chunk directory is a fixed array, and no entry is a heap object of
+//    its own. at() returns a Row view of the slot, valid for the log's life;
+//    Append() copies the row's `arity` words only when the row is new.
 //  * Membership: an open-addressing hash set of entry numbers, always kept.
 //  * Column index, only for the columns the log is given at construction:
 //    one open-addressing table per indexed column mapping a value to the
@@ -21,15 +24,17 @@
 //
 // Concurrency contract (one writer, any number of readers):
 //  * Only the peer's serialized writer appends.
-//  * The writer fills an entry before it release-stores the hash slot or
-//    chain link that points at it.
+//  * The writer writes an entry's values into its slot before it
+//    release-stores the hash slot or chain link that points at it, and never
+//    writes that slot again.
 //  * Chunk pointers and table pointers are atomics. A grown table is fully
 //    populated before its pointer is release-stored.
 //  * A hash table that growth has replaced is never written again. The old
 //    tables stay owned by the log, so a reader still probing one is safe.
-//  * Readers dereference only entries below their watermark. The watermark
-//    reaches them through SnapshotStore's release/acquire publication, which
-//    orders every write to those entries before the read.
+//  * Readers read only entries below their watermark, through Row views of
+//    the slots. The watermark reaches them through SnapshotStore's
+//    release/acquire publication, which orders every write to those values
+//    before the read.
 //  * Snapshots hold their logs by shared_ptr, so a crashed peer's last
 //    snapshot keeps its logs alive after the peer's Database is gone.
 #ifndef P2PDB_RELATIONAL_TUPLE_LOG_H_
@@ -70,18 +75,21 @@ class TupleLog {
   /// watermark they were handed instead.
   size_t size() const { return size_.load(std::memory_order_acquire); }
 
-  /// Writer only. Appends `tuple` unless an equal entry exists and returns
-  /// whether it did. `tuple.arity()` must equal arity().
-  bool Append(Tuple tuple);
+  /// Writer only. Appends a copy of `row` unless an equal entry exists and
+  /// returns whether it did. `row.arity()` must equal arity(); `row` may
+  /// view a scratch buffer the caller reuses.
+  bool Append(Row row);
 
-  /// Entry `i`, for `i` below the caller's watermark.
-  const Tuple& at(size_t i) const {
+  /// Entry `i`, for `i` below the caller's watermark. The view stays valid
+  /// for the log's life.
+  Row at(size_t i) const {
     const Slot s = Locate(i);
-    return chunks_[s.chunk].load(std::memory_order_acquire)->tuples[s.offset];
+    const Chunk* chunk = chunks_[s.chunk].load(std::memory_order_acquire);
+    return Row(chunk->values.get() + s.offset * arity_, arity_);
   }
 
-  /// True iff an entry equal to `tuple` lies below `watermark`.
-  bool Contains(const Tuple& tuple, size_t watermark) const;
+  /// True iff an entry equal to `row` lies below `watermark`.
+  bool Contains(Row row, size_t watermark) const;
 
   /// The oldest entry below `watermark` whose value at the indexed `column`
   /// equals `key`, or kNone.
@@ -102,8 +110,9 @@ class TupleLog {
   static constexpr uint32_t kUnindexed = UINT32_MAX;
 
   struct Chunk {
-    Chunk(size_t slots, size_t indexed);
-    std::unique_ptr<Tuple[]> tuples;
+    Chunk(size_t slots, size_t arity, size_t indexed);
+    // values[slot * arity + column]: the entries, inline.
+    std::unique_ptr<Value[]> values;
     // links[slot * indexed + position]: for the column at that position of
     // `indexed_`, the next newer entry + 1, or 0 for none.
     std::unique_ptr<std::atomic<uint32_t>[]> links;
@@ -136,8 +145,8 @@ class TupleLog {
         ->links[s.offset * indexed_.size() + position];
   }
 
-  /// Contains() for a tuple whose hash tag is already known.
-  bool Find(const Tuple& tuple, uint32_t tag, size_t watermark) const;
+  /// Contains() for a row whose hash tag is already known.
+  bool Find(Row row, uint32_t tag, size_t watermark) const;
   /// Writer only: grows `*table` (doubling, retiring the old table) if
   /// holding `keys` keys would pass half load, and returns the table to
   /// insert into.
@@ -170,11 +179,9 @@ class LogView {
   explicit operator bool() const { return log_ != nullptr; }
   size_t size() const { return watermark_; }
   size_t arity() const { return log_->arity(); }
-  const Tuple& at(size_t i) const { return log_->at(i); }
+  Row at(size_t i) const { return log_->at(i); }
 
-  bool Contains(const Tuple& tuple) const {
-    return log_->Contains(tuple, watermark_);
-  }
+  bool Contains(Row row) const { return log_->Contains(row, watermark_); }
   size_t First(size_t column, const Value& key) const {
     return log_->First(column, key, watermark_);
   }

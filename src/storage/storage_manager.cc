@@ -29,11 +29,11 @@ std::vector<uint8_t> EncodeBase(const rel::Database& db) {
 /// Reads one tuple list and appends it to `relation` in order, counting the
 /// entries read into `*replayed`.
 Status ReplayTuples(Reader* r, rel::Relation* relation, uint64_t* replayed) {
-  auto tuples = rel::DecodeTupleList(r);
-  if (!tuples.ok()) return tuples.status();
-  *replayed += tuples->size();
-  for (rel::Tuple& t : *tuples) {
-    P2PDB_RETURN_IF_ERROR(relation->Insert(std::move(t)).status());
+  auto rows = rel::DecodeTupleList(r);
+  if (!rows.ok()) return rows.status();
+  *replayed += rows->size();
+  for (rel::Row row : *rows) {
+    P2PDB_RETURN_IF_ERROR(relation->Insert(row).status());
   }
   return Status::OK();
 }

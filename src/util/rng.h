@@ -1,4 +1,5 @@
-// Seeded pseudo-random generator used by workload generation and latency models.
+// Seeded pseudo-random generator used by workload generation and latency
+// models.
 #ifndef P2PDB_UTIL_RNG_H_
 #define P2PDB_UTIL_RNG_H_
 

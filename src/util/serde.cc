@@ -5,11 +5,15 @@ namespace p2pdb {
 void Writer::PutU8(uint8_t v) { bytes_.push_back(v); }
 
 void Writer::PutU32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) bytes_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+  for (int i = 0; i < 4; ++i) {
+    bytes_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+  }
 }
 
 void Writer::PutU64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) bytes_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+  for (int i = 0; i < 8; ++i) {
+    bytes_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+  }
 }
 
 void Writer::PutVarint(uint64_t v) {
@@ -53,7 +57,9 @@ Result<uint8_t> Reader::GetU8() {
 Result<uint32_t> Reader::GetU32() {
   if (pos_ + 4 > size_) return Status::OutOfRange("GetU32 past end");
   uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(data_[pos_ + i]) << (8 * i);
+  for (int i = 0; i < 4; ++i) {
+    v |= static_cast<uint32_t>(data_[pos_ + i]) << (8 * i);
+  }
   pos_ += 4;
   return v;
 }
@@ -61,7 +67,9 @@ Result<uint32_t> Reader::GetU32() {
 Result<uint64_t> Reader::GetU64() {
   if (pos_ + 8 > size_) return Status::OutOfRange("GetU64 past end");
   uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(data_[pos_ + i]) << (8 * i);
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<uint64_t>(data_[pos_ + i]) << (8 * i);
+  }
   pos_ += 8;
   return v;
 }

@@ -1,4 +1,5 @@
-// Status and Result<T>: exception-free error handling in the Arrow/RocksDB idiom.
+// Status and Result<T>: exception-free error handling in the Arrow/RocksDB
+// idiom.
 #ifndef P2PDB_UTIL_STATUS_H_
 #define P2PDB_UTIL_STATUS_H_
 
@@ -23,17 +24,20 @@ enum class StatusCode {
   kResourceExhausted,
 };
 
-/// Returns a short human-readable name for a status code (e.g. "InvalidArgument").
+/// Returns a short human-readable name for a status code (e.g.
+/// "InvalidArgument").
 const char* StatusCodeName(StatusCode code);
 
-/// Outcome of an operation that can fail. Cheap to copy when OK (no allocation).
+/// Outcome of an operation that can fail. Cheap to copy when OK (no
+/// allocation).
 class Status {
  public:
   /// Constructs an OK status.
   Status() : code_(StatusCode::kOk) {}
 
   /// Constructs a status with the given code and message.
-  Status(StatusCode code, std::string msg) : code_(code), msg_(std::move(msg)) {}
+  Status(StatusCode code, std::string msg)
+      : code_(code), msg_(std::move(msg)) {}
 
   static Status OK() { return Status(); }
   static Status InvalidArgument(std::string msg) {
@@ -84,7 +88,8 @@ class Result {
   Result(T value) : value_(std::move(value)) {}  // NOLINT(runtime/explicit)
 
   /// Implicit construction from a non-OK status (failure).
-  Result(Status status) : status_(std::move(status)) {  // NOLINT(runtime/explicit)
+  Result(Status status)  // NOLINT(runtime/explicit)
+      : status_(std::move(status)) {
     assert(!status_.ok() && "Result(Status) requires a failure status");
   }
 

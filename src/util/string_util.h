@@ -22,7 +22,8 @@ std::string_view TrimString(std::string_view text);
 bool StartsWith(std::string_view text, std::string_view prefix);
 
 /// printf-style formatting into a std::string.
-std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
+std::string StrFormat(const char* fmt, ...)
+    __attribute__((format(printf, 1, 2)));
 
 }  // namespace p2pdb
 

@@ -20,9 +20,10 @@ Result<core::P2PSystem> BuildScenario(const ScenarioOptions& options) {
   std::vector<std::vector<PubRecord>> records(n);
   for (NodeId node = 0; node < n; ++node) {
     Rng node_rng = rng.Fork();
-    records[node] = GeneratePubs(
-        static_cast<int64_t>(node) * static_cast<int64_t>(options.records_per_node),
-        options.records_per_node, options.author_pool, &node_rng);
+    const int64_t first_id = static_cast<int64_t>(node) *
+                             static_cast<int64_t>(options.records_per_node);
+    records[node] = GeneratePubs(first_id, options.records_per_node,
+                                 options.author_pool, &node_rng);
   }
   for (const Edge& e : *edges) {
     if (!rng.NextBool(options.link_overlap_prob)) continue;
@@ -41,7 +42,8 @@ Result<core::P2PSystem> BuildScenario(const ScenarioOptions& options) {
     SchemaStyle style = StyleForNode(node);
     rel::Database db = MakeNodeSchema(node, style);
     P2PDB_RETURN_IF_ERROR(InsertRecords(&db, node, style, records[node]));
-    P2PDB_RETURN_IF_ERROR(system.AddNode(StrFormat("N%u", node), std::move(db)));
+    P2PDB_RETURN_IF_ERROR(
+        system.AddNode(StrFormat("N%u", node), std::move(db)));
   }
   size_t rule_seq = 0;
   for (const Edge& e : *edges) {

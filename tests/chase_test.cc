@@ -57,7 +57,7 @@ TEST(ChaseTest, ExistentialInventsNull) {
   EXPECT_EQ(stats.inserted, 1u);
   const Relation* parent = *db.Get("parent");
   ASSERT_EQ(parent->size(), 1u);
-  const Tuple& t = parent->View().at(0);
+  const Row t = parent->View().at(0);
   EXPECT_EQ(t.at(0), S("ann"));
   EXPECT_TRUE(t.at(1).is_null());
 }
@@ -124,8 +124,8 @@ TEST(ChaseTest, SharedExistentialAcrossHeadAtoms) {
                          &stats)
                   .ok());
   EXPECT_EQ(stats.inserted, 2u);
-  const Tuple& p = (*db.Get("pub"))->View().at(0);
-  const Tuple& w = (*db.Get("wrote"))->View().at(0);
+  const Row p = (*db.Get("pub"))->View().at(0);
+  const Row w = (*db.Get("wrote"))->View().at(0);
   EXPECT_TRUE(p.at(0).is_null());
   EXPECT_EQ(p.at(0), w.at(1));  // Same invented witness in both atoms.
 }
@@ -182,7 +182,7 @@ int RunawayChain(uint32_t max_null_depth, int rounds, Database* db,
     bool found = false;
     const LogView parents = (*db->Get("parent"))->View();
     for (size_t i = 0; i < parents.size(); ++i) {
-      const Tuple& t = parents.at(i);
+      const Row t = parents.at(i);
       if (t.at(0) == x && t.at(1).is_null()) {
         x = t.at(1);
         found = true;
@@ -251,7 +251,7 @@ TEST(ChaseTest, ApplyRuleAppliesEveryBinding) {
 
 using MapBinding = std::map<std::string, Value>;
 
-bool Unify(const Atom& atom, const Tuple& tuple, MapBinding* binding) {
+bool Unify(const Atom& atom, Row tuple, MapBinding* binding) {
   if (atom.terms.size() != tuple.arity()) return false;
   for (size_t i = 0; i < atom.terms.size(); ++i) {
     const Term& t = atom.terms[i];
@@ -340,7 +340,7 @@ Status ReferenceApply(Database* db, const std::vector<Atom>& head,
       if (!rel.ok()) return rel.status();
       const LogView view = (*rel)->View();
       for (size_t e = 0; e < view.size() && !present[i]; ++e) {
-        const Tuple& tuple = view.at(e);
+        const Row tuple = view.at(e);
         bool agrees = tuple.arity() == head[i].terms.size();
         for (size_t p = 0; agrees && p < tuple.arity(); ++p) {
           const Term& t = head[i].terms[p];
@@ -418,8 +418,9 @@ TEST_P(HeadPropertySweep, MatchesBruteForceReference) {
     const size_t r = rng.NextBelow(names.size());
     atom.relation = names[r];
     for (size_t i = 0; i < arities[r]; ++i) {
-      atom.terms.push_back(rng.NextBool(0.2) ? Term::Const(small_int())
-                                             : Term::Var(vars[rng.NextBelow(4)]));
+      atom.terms.push_back(rng.NextBool(0.2)
+                               ? Term::Const(small_int())
+                               : Term::Var(vars[rng.NextBelow(4)]));
     }
   }
   const std::vector<std::string> slots{"X", "Y"};
@@ -457,7 +458,7 @@ TEST_P(HeadPropertySweep, MatchesBruteForceReference) {
     for (const std::string& name : names) {
       const LogView view = db.View(name);
       for (size_t e = 0; e < view.size(); ++e) {
-        for (const Value& value : view.at(e).values()) {
+        for (const Value& value : view.at(e)) {
           if (value.is_null()) minted.push_back(value);
         }
       }

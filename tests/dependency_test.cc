@@ -23,7 +23,8 @@ DependencyGraph ExampleGraph() {
   return g;
 }
 
-std::set<std::string> PathStrings(const std::vector<std::vector<NodeId>>& paths) {
+std::set<std::string> PathStrings(
+    const std::vector<std::vector<NodeId>>& paths) {
   const char* names = "ABCDE";
   std::set<std::string> out;
   for (const auto& p : paths) {

@@ -31,8 +31,9 @@ std::vector<Tuple> Delta(const ReadView& db, const ConjunctiveQuery& query,
   std::vector<Tuple> out;
   if (!plan.ok()) return out;
   std::vector<Value> binding;
+  std::vector<Value> row;
   plan->RunSeeded(db, log, from, &binding, [&](const std::vector<Value>& b) {
-    out.push_back(plan->Project(b));
+    out.emplace_back(plan->Project(b, &row));
     return true;
   });
   return out;
@@ -65,7 +66,9 @@ TEST(EvalDeltaTest, EntriesBelowFromNeverSeed) {
   const LogView log = db.View("p");
   for (size_t from = 0; from <= log.size(); ++from) {
     std::vector<Tuple> expected;
-    for (size_t e = from; e < log.size(); ++e) expected.push_back(log.at(e));
+    for (size_t e = from; e < log.size(); ++e) {
+      expected.emplace_back(log.at(e));
+    }
     EXPECT_EQ(Delta(db, Unary("p"), 0, log, from), expected) << "from " << from;
   }
   // In a join, an old entry still matches the other atom, but never seeds:

@@ -17,7 +17,7 @@ using MapBinding = std::map<std::string, Value>;
 
 // The reference's unifier: extends `*binding` so that `atom` matches
 // `tuple`, or returns false.
-bool Unify(const Atom& atom, const Tuple& tuple, MapBinding* binding) {
+bool Unify(const Atom& atom, Row tuple, MapBinding* binding) {
   if (atom.terms.size() != tuple.arity()) return false;
   for (size_t i = 0; i < atom.terms.size(); ++i) {
     const Term& t = atom.terms[i];
@@ -41,12 +41,12 @@ std::set<Tuple> ReferenceEvaluate(const ReadView& db,
     views.push_back(db.View(a.relation));
     if (!views.back()) return results;  // Empty.
   }
-  std::vector<const Tuple*> chosen(query.atoms.size(), nullptr);
+  std::vector<Row> chosen(query.atoms.size());
   std::function<void(size_t)> enumerate = [&](size_t depth) {
     if (depth == query.atoms.size()) {
       MapBinding binding;
       for (size_t i = 0; i < query.atoms.size(); ++i) {
-        if (!Unify(query.atoms[i], *chosen[i], &binding)) return;
+        if (!Unify(query.atoms[i], chosen[i], &binding)) return;
       }
       for (const Builtin& b : query.builtins) {
         auto value = [&](const Term& t) {
@@ -60,7 +60,7 @@ std::set<Tuple> ReferenceEvaluate(const ReadView& db,
       return;
     }
     for (size_t i = 0; i < views[depth].size(); ++i) {
-      chosen[depth] = &views[depth].at(i);
+      chosen[depth] = views[depth].at(i);
       enumerate(depth + 1);
     }
   };
@@ -182,9 +182,10 @@ TEST_P(EvalPropertySweep, MatchesBruteForceReference) {
       ASSERT_TRUE(plan.ok()) << q.ToString();
       const std::string& relation = q.atoms[i].relation;
       std::vector<Value> binding;
+      std::vector<Value> row;
       plan->RunSeeded(db, db.View(relation), cuts[relation], &binding,
                       [&](const std::vector<Value>& b) {
-                        semi.insert(plan->Project(b));
+                        semi.emplace(plan->Project(b, &row));
                         return true;
                       });
     }

@@ -238,7 +238,9 @@ TEST(EvalTest, SlotsFollowFirstAppearanceWhateverTheSeed) {
   EXPECT_EQ(full->slots(), (std::vector<std::string>{"X", "Y", "Z"}));
   EXPECT_EQ(seeded->slots(), full->slots());
   EXPECT_EQ(seeded->seed_relation(), "edge");
-  EXPECT_EQ(full->Project({S("a"), S("b"), S("c")}), Tuple({S("c"), S("a")}));
+  std::vector<Value> row;
+  EXPECT_EQ(full->Project({S("a"), S("b"), S("c")}, &row),
+            Tuple({S("c"), S("a")}));
 }
 
 // A seeded plan scans its seed atom and looks each later step up on its

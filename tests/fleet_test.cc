@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -34,6 +35,7 @@
 #include "src/net/sim_runtime.h"
 #include "src/relational/null_iso.h"
 #include "src/workload/scenario.h"
+#include "tests/codec_testing.h"
 
 namespace p2pdb::daemon {
 namespace {
@@ -137,7 +139,8 @@ class Daemons {
   std::vector<pid_t> pids_;
 };
 
-TEST(PeerdConfigTest, RoundTripsThroughToString) {
+/// A config that sets every field.
+PeerdConfig FullConfig() {
   PeerdConfig config;
   config.node = 2;
   config.name = "C";
@@ -151,7 +154,11 @@ TEST(PeerdConfigTest, RoundTripsThroughToString) {
   config.peers = {{0, "127.0.0.1", 7100},
                   {1, "127.0.0.1", 7101},
                   {2, "127.0.0.1", 7102}};
+  return config;
+}
 
+TEST(PeerdConfigTest, RoundTripsThroughToString) {
+  const PeerdConfig config = FullConfig();
   auto parsed = PeerdConfig::Parse(config.ToString());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->node, config.node);
@@ -185,6 +192,23 @@ TEST(PeerdConfigTest, RejectsMalformedFiles) {
   EXPECT_FALSE(PeerdConfig::Parse(
                    "node 0\nname A\nlisten 127.0.0.1:1\nsystem s\nwat 1\n")
                    .ok());
+}
+
+// Seeded mutants of a full config file: each is rejected, or parses to a
+// config whose file parses again to the same text.
+TEST(PeerdConfigTest, MutantsParseWholeOrNotAtAll) {
+  const std::string text = FullConfig().ToString();
+  testing_codec::ExpectMutantsDecodeWholeOrNotAtAll(
+      std::vector<uint8_t>(text.begin(), text.end()),
+      [](const std::vector<uint8_t>& mutant)
+          -> std::optional<std::vector<uint8_t>> {
+        auto config =
+            PeerdConfig::Parse(std::string(mutant.begin(), mutant.end()));
+        if (!config.ok()) return std::nullopt;
+        const std::string again = config->ToString();
+        return std::vector<uint8_t>(again.begin(), again.end());
+      },
+      200, 23);
 }
 
 TEST(FleetHelpersTest, PickFreePortsReturnsDistinctPorts) {

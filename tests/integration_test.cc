@@ -129,9 +129,10 @@ TEST_P(ChasePolicySweep, CliqueWithExistentialsConverges) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Policies, ChasePolicySweep,
-                         ::testing::Values(rel::ChasePolicy::kProjectionCheck,
-                                           rel::ChasePolicy::kHomomorphismCheck));
+INSTANTIATE_TEST_SUITE_P(
+    Policies, ChasePolicySweep,
+    ::testing::Values(rel::ChasePolicy::kProjectionCheck,
+                      rel::ChasePolicy::kHomomorphismCheck));
 
 TEST(IntegrationTest, PaperScaleCliqueSmallData) {
   // Cliques are the paper's worst case; keep data small but the full 31-node

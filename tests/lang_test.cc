@@ -115,7 +115,7 @@ node N { rel t(a, b, c); fact t("s", 42, lowercase_is_string); }
   ASSERT_TRUE(system.ok()) << system.status().ToString();
   const rel::Relation* r = *system->node(0).db.Get("t");
   ASSERT_EQ(r->size(), 1u);
-  const rel::Tuple& t = r->View().at(0);
+  const rel::Row t = r->View().at(0);
   EXPECT_EQ(t.at(0), rel::Value::Str("s"));
   EXPECT_EQ(t.at(1), rel::Value::Int(42));
   EXPECT_EQ(t.at(2), rel::Value::Str("lowercase_is_string"));
@@ -123,7 +123,8 @@ node N { rel t(a, b, c); fact t("s", 42, lowercase_is_string); }
 
 TEST(ParserTest, ErrorsAreReported) {
   EXPECT_FALSE(ParseSystem("node A { rel }").ok());
-  EXPECT_FALSE(ParseSystem("rule r: A.a(X) => B.b(X);").ok());  // Unknown nodes.
+  // Unknown nodes.
+  EXPECT_FALSE(ParseSystem("rule r: A.a(X) => B.b(X);").ok());
   EXPECT_FALSE(ParseSystem("garbage").ok());
   // Head atoms at two nodes.
   EXPECT_FALSE(ParseSystem(R"(

@@ -26,7 +26,8 @@ rule r2: C.c(X) => A.a2(X);
   ASSERT_TRUE(session.RunDiscovery().ok());
   // Pull only relation "a" at node A: rule r1 is relevant, r2 is not.
   ASSERT_TRUE(session.RunPartialUpdate(0, {"a"}).ok());
-  EXPECT_TRUE((*session.peer(0).db().Get("a"))->Contains(rel::Tuple({S("b1")})));
+  EXPECT_TRUE(
+      (*session.peer(0).db().Get("a"))->Contains(rel::Tuple({S("b1")})));
   EXPECT_TRUE((*session.peer(0).db().Get("a2"))->empty());
 }
 

@@ -56,7 +56,7 @@ std::map<std::string, std::vector<rel::Tuple>> Logs(const rel::Database& db) {
   for (const auto& [name, relation] : db.relations()) {
     const rel::LogView log = relation.View();
     std::vector<rel::Tuple>& entries = out[name];
-    for (size_t i = 0; i < log.size(); ++i) entries.push_back(log.at(i));
+    for (size_t i = 0; i < log.size(); ++i) entries.emplace_back(log.at(i));
   }
   return out;
 }

@@ -88,7 +88,7 @@ std::vector<Tuple> Lookup(const LogView& view, size_t column,
   std::vector<Tuple> out;
   for (size_t e = view.First(column, key); e != TupleLog::kNone;
        e = view.Next(column, e)) {
-    out.push_back(view.at(e));
+    out.emplace_back(view.at(e));
   }
   return out;
 }

@@ -348,8 +348,10 @@ TEST(TcpRuntimeTest, TwoRuntimesExchangeViaRemoteEndpoints) {
   CountingPeer a(0, &rt_a, 0), b(1, &rt_b, 1);
   rt_a.RegisterPeer(0, &a);
   rt_b.RegisterPeer(1, &b);
-  ASSERT_TRUE(rt_a.AddRemoteEndpoint(1, {"127.0.0.1", rt_b.ListenPort(1)}).ok());
-  ASSERT_TRUE(rt_b.AddRemoteEndpoint(0, {"127.0.0.1", rt_a.ListenPort(0)}).ok());
+  ASSERT_TRUE(
+      rt_a.AddRemoteEndpoint(1, {"127.0.0.1", rt_b.ListenPort(1)}).ok());
+  ASSERT_TRUE(
+      rt_b.AddRemoteEndpoint(0, {"127.0.0.1", rt_a.ListenPort(0)}).ok());
 
   rt_a.Send(Make(0, 1));
   ASSERT_TRUE(rt_a.Run().ok());

@@ -1,6 +1,6 @@
 // TupleLog: parity with a std::set reference, watermark isolation across
-// chunk and table growth, and one writer appending under concurrent readers
-// (a TSan target).
+// chunk and table growth, rows and tuples as one entry, and one writer
+// appending under concurrent readers of its inline rows (a TSan target).
 #include "src/relational/tuple_log.h"
 
 #include <gtest/gtest.h>
@@ -24,7 +24,7 @@ std::vector<Tuple> Lookup(const LogView& view, size_t column,
   std::vector<Tuple> out;
   for (size_t e = view.First(column, key); e != TupleLog::kNone;
        e = view.Next(column, e)) {
-    out.push_back(view.at(e));
+    out.emplace_back(view.at(e));
   }
   return out;
 }
@@ -125,6 +125,57 @@ TEST(TupleLogTest, ViewNeverSeesLaterAppends) {
   EXPECT_FALSE(none.Contains(row(0)));
   EXPECT_EQ(none.First(0, Value::Int(0)), TupleLog::kNone);
   EXPECT_FALSE(LogView());
+}
+
+// Entries live inline: a row appended from a scratch buffer is copied, so
+// overwriting the buffer afterwards changes nothing in the log.
+TEST(TupleLogTest, RowFromScratchKeepsItsValuesAfterTheBufferChanges) {
+  TupleLog log(2, {0});
+  std::vector<Value> scratch = {Value::Int(1), Value::Str("a")};
+  ASSERT_TRUE(log.Append(Row(scratch.data(), scratch.size())));
+  scratch = {Value::Int(2), Value::Str("b")};
+  ASSERT_TRUE(log.Append(Row(scratch.data(), scratch.size())));
+  scratch.assign({Value::Int(9), Value::Str("z")});
+  const LogView view(&log, log.size());
+  EXPECT_EQ(view.at(0), Tuple({Value::Int(1), Value::Str("a")}));
+  EXPECT_EQ(view.at(1), Tuple({Value::Int(2), Value::Str("b")}));
+  EXPECT_EQ(Lookup(view, 0, Value::Int(1)),
+            std::vector<Tuple>{Tuple({Value::Int(1), Value::Str("a")})});
+  EXPECT_FALSE(view.Contains(Row(scratch.data(), scratch.size())));
+}
+
+// A row and a tuple with the same values are one entry, whichever form
+// appended it or asks for it.
+TEST(TupleLogTest, RowsAndTuplesAreTheSameEntries) {
+  TupleLog log(2, {});
+  const Tuple as_tuple({Value::Str("t"), Value::Null(3)});
+  const std::vector<Value> values = {Value::Str("r"), Value::Int(-4)};
+  const Row as_row(values.data(), values.size());
+  ASSERT_TRUE(log.Append(as_row));
+  ASSERT_TRUE(log.Append(as_tuple));
+  const LogView view(&log, log.size());
+  EXPECT_TRUE(view.Contains(Tuple(as_row)));
+  EXPECT_TRUE(view.Contains(Row(as_tuple)));
+  EXPECT_FALSE(log.Append(Tuple(as_row)));
+  EXPECT_FALSE(log.Append(Row(as_tuple)));
+  EXPECT_EQ(log.size(), 2u);
+}
+
+TEST(TupleLogTest, RowAndTupleWithEqualValuesHashAndCompareEqual) {
+  const Tuple tuple({Value::Int(7), Value::Str("x"), Value::Null(1)});
+  const std::vector<Value> values = tuple.values();
+  const Row row(values.data(), values.size());
+  EXPECT_EQ(row, tuple);
+  EXPECT_EQ(tuple, row);
+  EXPECT_EQ(row.Hash(), tuple.Hash());
+  EXPECT_EQ(Tuple(row), tuple);
+  EXPECT_EQ(row.ToString(), tuple.ToString());
+  EXPECT_FALSE(row < tuple || tuple < row);
+  // A proper prefix orders first and differs.
+  const Row prefix(values.data(), 2);
+  EXPECT_NE(prefix, tuple);
+  EXPECT_TRUE(prefix < tuple);
+  EXPECT_FALSE(tuple < prefix);
 }
 
 TEST(TupleLogTest, ReadersSeeConsistentPrefixesWhileWriterAppends) {

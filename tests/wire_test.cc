@@ -104,15 +104,10 @@ TEST(WireTest, TupleListRoundTrip) {
 TEST(WireTest, HostileTupleArityIsRejected) {
   // An arity larger than the bytes left cannot be genuine; decoding must
   // fail before it sizes anything by it.
-  Writer w;
-  w.PutVarint(uint64_t{1} << 40);
-  EncodeValue(I(1), &w);
-  Reader r(w.bytes());
-  EXPECT_NO_THROW(EXPECT_FALSE(DecodeTuple(&r).ok()));
-
   Writer list;
   list.PutVarint(1);  // One tuple, of that arity.
   list.PutVarint(uint64_t{1} << 40);
+  EncodeValue(I(1), &list);
   Reader rl(list.bytes());
   EXPECT_NO_THROW(EXPECT_FALSE(DecodeTupleList(&rl).ok()));
 }
