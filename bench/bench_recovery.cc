@@ -1,8 +1,9 @@
-// Durability bench: log append throughput (sync, nosync and group commit)
-// and recovery (base + delta replay) time as a function of database size,
-// plus one end-to-end crash/restart churn run on the sim runtime. Every
-// recovery row checks that it rebuilt the logged database, log order
-// included, and the binary exits nonzero when one did not. Emits
+// Durability bench: log append throughput (sync, nosync and group commit),
+// recovery (base + delta replay) time as a function of database size, the
+// same on restart (reopening the closed log first), plus one end-to-end
+// crash/restart churn run on the sim runtime. Every recovery and restart
+// row checks that it rebuilt the logged database, log order included, and
+// the binary exits nonzero when one did not. Emits
 // BENCH_recovery.json in the same shape as bench_main.
 //
 //   ./bench_recovery [--out FILE] [--repeat N] [--filter SUBSTR]
@@ -135,10 +136,14 @@ BenchResult WalAppendBench(const std::string& name, storage::SyncMode sync,
 }
 
 /// Full recovery (a base of `base_tuples` + `wal_records` deltas) time.
-/// Fails unless the recovered database equals the logged one, log order
-/// included.
+/// With `restart` the manager that wrote the log is closed first, and the
+/// row times Open + Recover of the closed log — what a re-exec'd
+/// p2pdb_peerd or Session::RestartPeer pays; otherwise it times Recover
+/// alone on the open manager. Fails unless the recovered database equals
+/// the logged one, log order included.
 BenchResult RecoveryBench(const std::string& name, size_t base_tuples,
-                          size_t wal_records, size_t batch_tuples) {
+                          size_t wal_records, size_t batch_tuples,
+                          bool restart) {
   BenchResult result;
   result.name = name;
   storage::StorageOptions options;
@@ -154,7 +159,11 @@ BenchResult RecoveryBench(const std::string& name, size_t base_tuples,
     if (!(*manager)->LogDelta(db, {{"pub", start}}).ok()) return result;
   }
 
+  if (restart) manager->reset();
   auto start = Clock::now();
+  if (restart) manager = storage::StorageManager::Open(options);
+  const double open_ms = MsSince(start);
+  if (!manager.ok()) return result;
   storage::RecoveryInfo info;
   auto recovered = (*manager)->Recover(&info);
   double wall_ms = MsSince(start);
@@ -172,6 +181,7 @@ BenchResult RecoveryBench(const std::string& name, size_t base_tuples,
       {"recover_tuples_per_sec",
        wall_ms > 0 ? info.tuples_recovered / (wall_ms / 1000.0) : 0},
   };
+  if (restart) result.metrics.emplace_back("open_ms", open_ms);
   fs::remove_all(options.dir);
   return result;
 }
@@ -194,14 +204,8 @@ BenchResult ChurnBench(const std::string& name, size_t nodes,
   std::string root = FreshDir(name);
   net::SimRuntime rt;
   core::Session::Options session_options;
-  session_options.storage =
-      [root](NodeId node) -> std::unique_ptr<storage::Storage> {
-    storage::StorageOptions storage_options;
-    storage_options.dir = root + "/peer" + std::to_string(node);
-    storage_options.sync = storage::SyncMode::kNoSync;
-    auto manager = storage::StorageManager::Open(storage_options);
-    return manager.ok() ? std::move(*manager) : nullptr;
-  };
+  session_options.storage_root = root;
+  session_options.sync = storage::SyncMode::kNoSync;
   core::Session session(*system, &rt, session_options);
   if (!session.RunDiscovery().ok()) return result;
   ScopedLogCapture quiet;  // Drop-to-crashed-peer warnings are expected.
@@ -294,9 +298,13 @@ int Main(int argc, char** argv) {
                                large / 10, 10, group);
        }},
       {"recover_small",
-       [&] { return RecoveryBench("recover_small", small, 100, 10); }},
+       [&] { return RecoveryBench("recover_small", small, 100, 10, false); }},
       {"recover_large",
-       [&] { return RecoveryBench("recover_large", large, 1'000, 10); }},
+       [&] { return RecoveryBench("recover_large", large, 1'000, 10, false); }},
+      {"restart_small",
+       [&] { return RecoveryBench("restart_small", small, 100, 10, true); }},
+      {"restart_large",
+       [&] { return RecoveryBench("restart_large", large, 1'000, 10, true); }},
       {"churn_tree12",
        [&] { return ChurnBench("churn_tree12", 12, FullScale() ? 200 : 50); }},
   };

@@ -413,13 +413,7 @@ BenchResult TracedUpdateBench(const std::string& name, size_t nodes,
   fs::remove_all(root);
   net::TcpRuntime rt;
   core::Session::Options session_options;
-  session_options.storage =
-      [root](NodeId node) -> std::unique_ptr<storage::Storage> {
-    storage::StorageOptions sopts;
-    sopts.dir = (root / ("node" + std::to_string(node))).string();
-    auto manager = storage::StorageManager::Open(sopts);
-    return manager.ok() ? std::move(*manager) : nullptr;
-  };
+  session_options.storage_root = root.string();
   core::Session session(*system, &rt, session_options);
   obs::TraceCollector collector;
   if (sample_every > 0) session.EnableTracing(&collector, sample_every);

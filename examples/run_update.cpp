@@ -6,15 +6,14 @@
 //                [--save-snapshots DIR] [--tcp]
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
 
 #include "src/core/session.h"
 #include "src/lang/parser.h"
 #include "src/net/sim_runtime.h"
 #include "src/net/tcp_runtime.h"
 #include "src/relational/snapshot.h"
+#include "src/util/file_util.h"
 
 using namespace p2pdb;  // NOLINT
 
@@ -32,13 +31,11 @@ int Usage() {
 
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
-  std::ifstream in(argv[1]);
-  if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", argv[1]);
+  std::string text;
+  if (Status read = ReadFile(argv[1], &text); !read.ok()) {
+    std::fprintf(stderr, "%s\n", read.ToString().c_str());
     return 1;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
 
   std::string super_name;
   std::string query_node;
@@ -60,7 +57,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  auto system = lang::ParseSystem(buf.str());
+  auto system = lang::ParseSystem(text);
   if (!system.ok()) {
     std::fprintf(stderr, "parse error: %s\n",
                  system.status().ToString().c_str());

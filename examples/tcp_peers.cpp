@@ -10,7 +10,6 @@
 
 #include "src/core/session.h"
 #include "src/net/tcp_runtime.h"
-#include "src/storage/storage_manager.h"
 #include "src/workload/scenario.h"
 
 using namespace p2pdb;  // NOLINT
@@ -26,16 +25,11 @@ int main() {
   // Every peer gets its own endpoint; the table is what a multi-process
   // deployment would exchange out of band (one "node host:port" row each).
   std::string dir =
-      (std::filesystem::temp_directory_path() / "p2pdb_tcp_peers_B").string();
+      (std::filesystem::temp_directory_path() / "p2pdb_tcp_peers").string();
   std::filesystem::remove_all(dir);
   net::TcpRuntime runtime;
   core::Session::Options options;
-  options.storage = [&dir](NodeId) -> std::unique_ptr<storage::Storage> {
-    storage::StorageOptions storage_options;
-    storage_options.dir = dir;
-    auto manager = storage::StorageManager::Open(storage_options);
-    return manager.ok() ? std::move(*manager) : nullptr;
-  };
+  options.storage_root = dir;  // B's log goes to <dir>/peer1.
   core::Session session(*system, &runtime, options);
   std::printf("endpoint table (node host:port):\n%s\n",
               runtime.EndpointTable().c_str());

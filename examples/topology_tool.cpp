@@ -6,12 +6,11 @@
 //
 //   ./topology_tool [network.p2p]
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "src/core/dependency.h"
 #include "src/lang/parser.h"
 #include "src/lang/printer.h"
+#include "src/util/file_util.h"
 #include "src/workload/scenario.h"
 
 using namespace p2pdb;  // NOLINT
@@ -19,14 +18,12 @@ using namespace p2pdb;  // NOLINT
 int main(int argc, char** argv) {
   Result<core::P2PSystem> system = Status::Internal("unset");
   if (argc > 1) {
-    std::ifstream in(argv[1]);
-    if (!in) {
-      std::fprintf(stderr, "cannot open %s\n", argv[1]);
+    std::string text;
+    if (Status read = ReadFile(argv[1], &text); !read.ok()) {
+      std::fprintf(stderr, "%s\n", read.ToString().c_str());
       return 1;
     }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    system = lang::ParseSystem(buf.str());
+    system = lang::ParseSystem(text);
   } else {
     std::printf("(no file given; using the paper's Section 2 example)\n\n");
     system = workload::MakeRunningExample();

@@ -10,9 +10,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
 
 #include "src/core/session.h"
 #include "src/lang/parser.h"
@@ -21,7 +19,7 @@
 #include "src/obs/export.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/storage/storage_manager.h"
+#include "src/util/file_util.h"
 
 using namespace p2pdb;  // NOLINT
 
@@ -39,13 +37,11 @@ int Usage() {
 
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
-  std::ifstream in(argv[1]);
-  if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", argv[1]);
+  std::string text;
+  if (Status read = ReadFile(argv[1], &text); !read.ok()) {
+    std::fprintf(stderr, "%s\n", read.ToString().c_str());
     return 1;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
 
   std::string super_name;
   std::string obs_path;
@@ -65,7 +61,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  auto system = lang::ParseSystem(buf.str());
+  auto system = lang::ParseSystem(text);
   if (!system.ok()) {
     std::fprintf(stderr, "parse error: %s\n",
                  system.status().ToString().c_str());
@@ -88,20 +84,7 @@ int main(int argc, char** argv) {
     }
     options.super_peer = *id;
   }
-  if (!durable_dir.empty()) {
-    options.storage =
-        [&durable_dir](NodeId node) -> std::unique_ptr<storage::Storage> {
-      storage::StorageOptions sopts;
-      sopts.dir = durable_dir + "/node" + std::to_string(node);
-      auto manager = storage::StorageManager::Open(sopts);
-      if (!manager.ok()) {
-        std::fprintf(stderr, "cannot open storage in %s: %s\n",
-                     sopts.dir.c_str(), manager.status().ToString().c_str());
-        return nullptr;
-      }
-      return std::move(*manager);
-    };
-  }
+  options.storage_root = durable_dir;  // Logs in <DIR>/peer<id>.
   core::Session session(*system, runtime.get(), options);
 
   obs::TraceCollector collector;

@@ -18,7 +18,7 @@
 #include "src/net/runtime.h"
 #include "src/obs/trace.h"
 #include "src/relational/database.h"
-#include "src/storage/storage.h"
+#include "src/storage/storage_manager.h"
 #include "src/util/status.h"
 
 namespace p2pdb::core {
@@ -29,7 +29,7 @@ class PeerBootstrap {
     NodeId id = kNoNode;
     std::string name;
     /// Initial database contents; ignored on the recover path (the state
-    /// comes from the storage backend's log instead).
+    /// comes from the store's log instead).
     rel::Database db;
     /// The system's coordination rules; Build installs the subset headed at
     /// `id` ("initially each node knows all rules of which it is a target")
@@ -40,9 +40,9 @@ class PeerBootstrap {
     /// complete (config.register_with_runtime still decides whether Build
     /// registers the recovered peer at the end).
     Peer::Config config;
-    /// Optional durable backend; attached before rules so Recover()'s rule-
+    /// Optional open store; attached before rules so Recover()'s rule-
     /// change replay lands on the re-registered initial rules.
-    std::unique_ptr<storage::Storage> storage;
+    std::unique_ptr<storage::StorageManager> storage;
     /// Rebuild state from `storage` (Peer::Recover) instead of using `db`.
     bool recover = false;
     /// Causal tracing collector carried across restarts (may be null).

@@ -111,10 +111,7 @@ void Peer::PublishFullSnapshot() {
       rel::BuildSnapshot(db_, snapshots_->CommittedBatches()));
 }
 
-Status Peer::AttachStorage(std::unique_ptr<storage::Storage> storage) {
-  if (storage == nullptr) {
-    return Status::InvalidArgument("null storage backend");
-  }
+Status Peer::AttachStorage(std::unique_ptr<storage::StorageManager> storage) {
   storage_ = std::move(storage);
   return storage_->EnsureBase(db_);
 }

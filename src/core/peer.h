@@ -18,7 +18,7 @@
 #include "src/obs/trace.h"
 #include "src/relational/database.h"
 #include "src/relational/mvcc.h"
-#include "src/storage/storage.h"
+#include "src/storage/storage_manager.h"
 
 namespace p2pdb::core {
 
@@ -106,11 +106,11 @@ class Peer : public net::PeerHandler {
 
   // --- Durability (optional; peers without storage behave as before) ---
 
-  /// Takes ownership of a storage backend and establishes its base state
-  /// (records the current database iff the backend has no base yet). From
+  /// Takes ownership of an open store and establishes its base state
+  /// (records the current database iff the store has no base yet). From
   /// here on every delta the chase applies is logged through it.
-  Status AttachStorage(std::unique_ptr<storage::Storage> storage);
-  storage::Storage* storage() { return storage_.get(); }
+  Status AttachStorage(std::unique_ptr<storage::StorageManager> storage);
+  storage::StorageManager* storage() { return storage_.get(); }
 
   /// Called by the update engine after a chase application appended to the
   /// relations named in `starts`, each from the log entry it maps to (its
@@ -210,7 +210,7 @@ class Peer : public net::PeerHandler {
   std::vector<CoordinationRule> rules_;
   std::set<wire::Edge> known_edges_;
   std::shared_ptr<rel::SnapshotStore> snapshots_;
-  std::unique_ptr<storage::Storage> storage_;
+  std::unique_ptr<storage::StorageManager> storage_;
   std::unique_ptr<DiscoveryEngine> discovery_;
   std::unique_ptr<UpdateEngine> update_;
 

@@ -8,6 +8,19 @@
 
 namespace p2pdb::core {
 
+namespace {
+Result<std::unique_ptr<storage::StorageManager>> OpenStorage(
+    const Session::Options& options, NodeId id) {
+  if (options.storage_root.empty()) {
+    return Status::InvalidArgument("session has no storage root");
+  }
+  storage::StorageOptions storage;
+  storage.dir = storage::PeerDir(options.storage_root, id);
+  storage.sync = options.sync;
+  return storage::StorageManager::Open(storage);
+}
+}  // namespace
+
 Session::Session(const P2PSystem& system, net::Runtime* runtime,
                  Options options)
     : runtime_(runtime), options_(std::move(options)) {
@@ -152,10 +165,9 @@ Status Session::AttachStorage(NodeId id) {
     return Status::InvalidArgument("node " + std::to_string(id) +
                                    " is not alive");
   }
-  if (!options_.storage) {
-    return Status::InvalidArgument("session has no storage provider");
-  }
-  return peers_[id]->AttachStorage(options_.storage(id));
+  auto storage = OpenStorage(options_, id);
+  if (!storage.ok()) return storage.status();
+  return peers_[id]->AttachStorage(std::move(*storage));
 }
 
 Status Session::CrashPeer(NodeId id) {
@@ -165,7 +177,7 @@ Status Session::CrashPeer(NodeId id) {
   }
   // Unregister first so nothing is delivered to a dying handler, then drop
   // the peer: its volatile state (database, subscriptions, engines) is gone;
-  // only what its storage backend wrote to disk survives.
+  // only what its store wrote to disk survives.
   runtime_->UnregisterPeer(id);
   peers_[id].reset();
   return Status::OK();
@@ -179,9 +191,8 @@ Status Session::RestartPeer(NodeId id) {
     return Status::InvalidArgument("node " + std::to_string(id) +
                                    " is still alive");
   }
-  if (!options_.storage) {
-    return Status::InvalidArgument("session has no storage provider");
-  }
+  auto storage = OpenStorage(options_, id);
+  if (!storage.ok()) return storage.status();
   // The full restart choreography (deferred registration, rejoining the
   // node's long-lived snapshot store without publishing the empty
   // construction-time database, storage before rules before Recover) lives
@@ -193,7 +204,7 @@ Status Session::RestartPeer(NodeId id) {
   spec.rules = &initial_rules_;
   spec.config = options_.peer;
   spec.config.snapshots = stores_[id];
-  spec.storage = options_.storage(id);
+  spec.storage = std::move(*storage);
   spec.recover = true;
   spec.collector = collector_;  // Tracing survives the restart.
   auto built = PeerBootstrap::Build(runtime_, std::move(spec));

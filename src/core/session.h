@@ -5,7 +5,6 @@
 #ifndef P2PDB_CORE_SESSION_H_
 #define P2PDB_CORE_SESSION_H_
 
-#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -15,18 +14,12 @@
 #include "src/core/peer.h"
 #include "src/core/system.h"
 #include "src/net/runtime.h"
-#include "src/storage/storage.h"
+#include "src/storage/storage_manager.h"
 
 namespace p2pdb::core {
 
 class Session {
  public:
-  /// Creates a storage backend for a node: called when churn attaches
-  /// durability before a crash, and again when the node restarts (like a
-  /// fresh process reopening its data directory).
-  using StorageProvider =
-      std::function<std::unique_ptr<storage::Storage>(NodeId)>;
-
   struct Options {
     Peer::Config peer;
     NodeId super_peer = 0;
@@ -35,12 +28,12 @@ class Session {
     /// covers exactly the nodes that will participate in its update.
     enum class DiscoveryMode { kAll, kSuperPeer };
     DiscoveryMode discovery = DiscoveryMode::kAll;
-    /// The session's one durability source. AttachStorage, RestartPeer and
-    /// RunUpdateWithChurn all draw backends from here, so a node's crash and
-    /// its restart necessarily reopen the same storage — callers can no
-    /// longer hand a restart a backend unrelated to the one that crashed.
-    /// Unset means the session is purely volatile.
-    StorageProvider storage;
+    /// The session's one durability source: AttachStorage, RestartPeer and
+    /// RunUpdateWithChurn open node `id`'s log in storage::PeerDir(root, id)
+    /// (a daemon fleet's layout) with `sync`, so a restart reopens the log
+    /// its crash left. An empty root keeps the session purely volatile.
+    std::string storage_root;
+    storage::SyncMode sync = storage::SyncMode::kSync;
   };
 
   /// Builds one peer per system node and registers the coordination rules at
@@ -104,13 +97,13 @@ class Session {
 
   // --- Peer churn (crash / durable restart) ---
   //
-  // All durability flows through Options::storage: AttachStorage and
-  // RestartPeer ask the provider for node `id`'s backend, so the restart
-  // reuses exactly the storage the crash left behind.
+  // All durability flows through Options::storage_root: AttachStorage and
+  // RestartPeer open node `id`'s store in the same directory (and return its
+  // own error when it cannot open), so a restart reuses the crashed log.
 
-  /// Attaches node `id`'s storage backend to its live peer (logs the current
-  /// database as the base state; every applied delta is logged from here
-  /// on). Requires Options::storage.
+  /// Opens node `id`'s store and attaches it to its live peer (logs the
+  /// current database as the base state; every applied delta is logged
+  /// from here on). Requires Options::storage_root.
   Status AttachStorage(NodeId id);
 
   /// Simulates a process crash: destroys the peer object and unregisters it
@@ -118,8 +111,8 @@ class Session {
   /// storage (if any) survives on disk.
   Status CrashPeer(NodeId id);
 
-  /// Restarts a crashed peer: rebuilds it from Options::storage's backend
-  /// for `id` via Peer::Recover() (log replay), re-registers
+  /// Restarts a crashed peer: reopens its store and rebuilds it via
+  /// Peer::Recover() (log replay), re-registers
   /// the initial coordination rules headed at it, and re-registers it with
   /// the runtime. The caller then rejoins it via the normal
   /// discovery/session path.
@@ -138,7 +131,7 @@ class Session {
   /// every restarted peer rejoins through rediscovery plus a fresh update
   /// session, re-converging the whole network (the protocol is monotone, so
   /// the second session is idempotent on already-complete peers).
-  /// Requires Options::storage when the script crashes anyone.
+  /// Requires Options::storage_root when the script crashes anyone.
   Status RunUpdateWithChurn(const ChurnScript& churn);
 
   // --- Inspection ---

@@ -180,9 +180,9 @@ struct DeleteRuleChange {
 };
 
 /// Durable form of one applied dynamic rule change — what a head peer writes
-/// to its WAL (storage::Storage::LogRuleChange) so that Recover() can replay
-/// mid-session addLink/deleteLink without the change driver re-delivering
-/// them. kAdd carries the full rule; kDelete only the id.
+/// to its WAL (storage::StorageManager::LogRuleChange) so that Recover() can
+/// replay mid-session addLink/deleteLink without the change driver
+/// re-delivering them. kAdd carries the full rule; kDelete only the id.
 struct RuleChangeRecord {
   enum class Kind : uint8_t { kAdd = 1, kDelete = 2 };
   Kind kind = Kind::kAdd;

@@ -1,9 +1,9 @@
 #include "src/daemon/config.h"
 
 #include <cstdint>
-#include <fstream>
 #include <sstream>
 
+#include "src/util/file_util.h"
 #include "src/util/string_util.h"
 
 namespace p2pdb::daemon {
@@ -112,11 +112,9 @@ Result<PeerdConfig> PeerdConfig::Parse(const std::string& text) {
 }
 
 Result<PeerdConfig> PeerdConfig::Load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open config " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return Parse(buf.str());
+  std::string text;
+  P2PDB_RETURN_IF_ERROR(ReadFile(path, &text));
+  return Parse(text);
 }
 
 std::string PeerdConfig::ToString() const {

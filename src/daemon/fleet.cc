@@ -13,6 +13,7 @@
 
 #include "src/core/dependency.h"
 #include "src/relational/snapshot.h"
+#include "src/storage/storage_manager.h"
 #include "src/util/logging.h"
 
 namespace p2pdb::daemon {
@@ -86,7 +87,7 @@ Result<std::vector<PeerdConfig>> MakeFleetConfigs(
     cfg.name = system.node(n).name;
     cfg.listen = {host, ports[n]};
     cfg.system_file = system_file;
-    const std::string base = root + "/peer" + std::to_string(n);
+    const std::string base = storage::PeerDir(root, n);
     cfg.data_dir = base;
     cfg.pid_file = base + ".pid";
     cfg.obs_json = base + ".obs.json";

@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -19,6 +18,7 @@
 #include "src/obs/metrics.h"
 #include "src/relational/snapshot.h"
 #include "src/storage/storage_manager.h"
+#include "src/util/file_util.h"
 #include "src/util/logging.h"
 
 namespace p2pdb::daemon {
@@ -31,13 +31,9 @@ PeerDaemon::PeerDaemon(PeerdConfig config, core::P2PSystem system)
       stop_fd_(::eventfd(0, EFD_CLOEXEC)) {}
 
 Result<std::unique_ptr<PeerDaemon>> PeerDaemon::Start(PeerdConfig config) {
-  std::ifstream in(config.system_file);
-  if (!in) {
-    return Status::NotFound("cannot open system file " + config.system_file);
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  auto system = lang::ParseSystem(buf.str());
+  std::string text;
+  P2PDB_RETURN_IF_ERROR(ReadFile(config.system_file, &text));
+  auto system = lang::ParseSystem(text);
   if (!system.ok()) return system.status();
   if (config.node >= system->node_count()) {
     return Status::InvalidArgument(
@@ -67,20 +63,18 @@ Result<std::unique_ptr<PeerDaemon>> PeerDaemon::Start(PeerdConfig config) {
   // incarnation of this process already established the durable base, so
   // the peer must recover its state instead of reseeding from the system
   // file (which would silently discard everything propagated pre-crash).
-  std::unique_ptr<storage::Storage> backend;
-  bool recover = false;
-  if (!cfg.data_dir.empty()) {
-    storage::StorageOptions storage_options;
-    storage_options.dir = cfg.data_dir;
-    storage_options.sync =
-        cfg.no_sync ? storage::SyncMode::kNoSync : storage::SyncMode::kSync;
-    auto manager = storage::StorageManager::Open(storage_options);
-    if (!manager.ok()) return manager.status();
-    recover = (*manager)->HasBase();
-    backend = std::move(*manager);
-  }
-
   core::PeerBootstrap::Spec spec;
+  if (!cfg.data_dir.empty()) {
+    storage::StorageOptions options;
+    options.dir = cfg.data_dir;
+    options.sync =
+        cfg.no_sync ? storage::SyncMode::kNoSync : storage::SyncMode::kSync;
+    auto storage = storage::StorageManager::Open(options);
+    if (!storage.ok()) return storage.status();
+    spec.recover = (*storage)->HasBase();
+    spec.storage = std::move(*storage);
+  }
+  const bool recovered = spec.recover;
   spec.id = cfg.node;
   spec.name = cfg.name;
   spec.db = daemon->system_.node(cfg.node).db;
@@ -88,13 +82,10 @@ Result<std::unique_ptr<PeerDaemon>> PeerDaemon::Start(PeerdConfig config) {
   // The DAEMON is the registered handler (it must see control frames), so
   // the peer itself never registers; registration happens below.
   spec.config.register_with_runtime = false;
-  spec.storage = std::move(backend);
-  spec.recover = recover;
   auto peer = core::PeerBootstrap::Build(daemon->runtime_.get(),
                                          std::move(spec));
   if (!peer.ok()) return peer.status();
   daemon->peer_ = std::move(*peer);
-  daemon->recovered_ = recover;
 
   daemon->runtime_->RegisterPeer(cfg.node, daemon.get());
   P2PDB_RETURN_IF_ERROR(daemon->runtime_->PeerReady(cfg.node));
@@ -121,8 +112,8 @@ Result<std::unique_ptr<PeerDaemon>> PeerDaemon::Start(PeerdConfig config) {
 
   P2PDB_LOG(kInfo) << "p2pdb_peerd node " << cfg.node << " (" << cfg.name
                    << ") serving on " << cfg.listen.host << ":" << bound
-                   << (recover ? " (recovered from " + cfg.data_dir + ")"
-                               : "");
+                   << (recovered ? " (recovered from " + cfg.data_dir + ")"
+                                 : "");
   return daemon;
 }
 

@@ -58,8 +58,6 @@ class PeerDaemon : public net::PeerHandler {
   core::Peer& peer() { return *peer_; }
   net::TcpRuntime& runtime() { return *runtime_; }
   const PeerdConfig& config() const { return config_; }
-  /// True when this boot recovered from an existing log (re-exec).
-  bool recovered() const { return recovered_; }
 
  private:
   PeerDaemon(PeerdConfig config, core::P2PSystem system);
@@ -91,7 +89,6 @@ class PeerDaemon : public net::PeerHandler {
   std::unique_ptr<net::TcpRuntime> runtime_;
   std::unique_ptr<core::Peer> peer_;
   int stop_fd_ = -1;  // eventfd: RequestStop writes it, Serve reads it.
-  bool recovered_ = false;
   /// Last controller epoch seen, echoed into replies so a driver can discard
   /// replies provoked by an earlier incarnation of itself.
   std::atomic<uint64_t> epoch_{0};

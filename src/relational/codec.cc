@@ -82,4 +82,39 @@ Result<RowList> DecodeTupleList(Reader* r) {
   return out;
 }
 
+void EncodeDatabase(const Database& db, RowOrder order, Writer* w) {
+  w->PutVarint(db.relations().size());
+  for (const auto& [name, relation] : db.relations()) {
+    WriteFields(relation.schema(), w);
+    if (order == RowOrder::kSorted) {
+      EncodeTupleList(relation.SortedTuples(), w);
+    } else {
+      EncodeTupleRange(relation.View(), 0, w);
+    }
+  }
+}
+
+Result<Database> DecodeDatabase(Reader* r, RowOrder order, uint64_t* rows) {
+  auto relation_count = r->GetVarint();
+  if (!relation_count.ok()) return relation_count.status();
+  Database db;
+  for (uint64_t i = 0; i < *relation_count; ++i) {
+    auto schema = ReadFields<RelationSchema>(r);
+    if (!schema.ok()) return schema.status();
+    P2PDB_RETURN_IF_ERROR(db.CreateRelation(*schema));
+    auto list = DecodeTupleList(r);
+    if (!list.ok()) return list.status();
+    Relation* relation = *db.GetMutable(schema->name());
+    for (size_t k = 0; k < list->size(); ++k) {
+      if (order == RowOrder::kSorted && k > 0 &&
+          !((*list)[k - 1] < (*list)[k])) {
+        return Status::ParseError("unsorted relation " + schema->name());
+      }
+      P2PDB_RETURN_IF_ERROR(relation->Insert((*list)[k]).status());
+    }
+    if (rows != nullptr) *rows += list->size();
+  }
+  return db;
+}
+
 }  // namespace p2pdb::rel

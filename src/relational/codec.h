@@ -1,6 +1,6 @@
-// Binary codecs for values, tuples and relation schemas, shared by the wire
-// format (core/wire, core/control), database snapshots (relational/snapshot)
-// and the WAL base record (storage/storage_manager).
+// Binary codecs for values, tuples, relation schemas and database images,
+// shared by the wire format (core/wire, core/control), database snapshots
+// (relational/snapshot) and the write-ahead log (storage/storage_manager).
 //
 // Values and tuple lists are hand-written codecs on the hot path: decoding
 // interns strings straight from the buffer. A schema is a field list
@@ -23,6 +23,7 @@
 
 #include <vector>
 
+#include "src/relational/database.h"
 #include "src/relational/schema.h"
 #include "src/relational/tuple.h"
 #include "src/relational/tuple_log.h"
@@ -45,6 +46,19 @@ void EncodeTupleRange(const LogView& log, size_t from, Writer* w);
 /// larger than the bytes left cannot be genuine and is rejected before
 /// anything is sized by it.
 Result<RowList> DecodeTupleList(Reader* r);
+
+/// The order of each tuple list in a database image.
+enum class RowOrder { kLog, kSorted };
+
+/// Writes `db` as a database image: the relation count, then each relation's
+/// schema and tuple list, sorted without repeats (kSorted: snapshots) or in
+/// log order (kLog: the WAL's base record).
+void EncodeDatabase(const Database& db, RowOrder order, Writer* w);
+/// Reads one database image into a fresh database, each relation's rows in
+/// list order, leaving `r` after it. Under kSorted a list that is not
+/// strictly increasing is rejected. Adds the rows read to `*rows` if given.
+Result<Database> DecodeDatabase(Reader* r, RowOrder order,
+                                uint64_t* rows = nullptr);
 
 /// A relation schema: its name, then its attribute names.
 template <class IO>

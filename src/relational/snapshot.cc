@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "src/relational/codec.h"
+#include "src/util/file_util.h"
 
 namespace p2pdb::rel {
 
@@ -15,12 +16,8 @@ std::vector<uint8_t> SerializeDatabase(const Database& db) {
   Writer w;
   w.PutU32(kMagic);
   w.PutU32(kFormatVersion);
-  w.PutVarint(db.relations().size());
-  for (const auto& [name, relation] : db.relations()) {
-    WriteFields(relation.schema(), &w);
-    EncodeTupleList(relation.SortedTuples(), &w);  // A sorted set's bytes.
-  }
-  return w.bytes();
+  EncodeDatabase(db, RowOrder::kSorted, &w);
+  return w.TakeBytes();
 }
 
 Result<Database> DeserializeDatabase(const std::vector<uint8_t>& bytes) {
@@ -34,30 +31,8 @@ Result<Database> DeserializeDatabase(const std::vector<uint8_t>& bytes) {
     return Status::Unsupported("snapshot format version " +
                                std::to_string(*version));
   }
-  auto relation_count = r.GetVarint();
-  if (!relation_count.ok()) return relation_count.status();
-
-  Database db;
-  for (uint64_t i = 0; i < *relation_count; ++i) {
-    auto schema = ReadFields<RelationSchema>(&r);
-    if (!schema.ok()) return schema.status();
-    const std::string& rel_name = schema->name();
-    P2PDB_RETURN_IF_ERROR(db.CreateRelation(*schema));
-    auto rows = DecodeTupleList(&r);
-    if (!rows.ok()) return rows.status();
-    // SerializeDatabase writes a strictly increasing list; anything else
-    // (a repeat, or tuples out of order) is not a snapshot it wrote.
-    for (size_t k = 1; k < rows->size(); ++k) {
-      if (!((*rows)[k - 1] < (*rows)[k])) {
-        return Status::ParseError("unsorted snapshot relation " + rel_name);
-      }
-    }
-    Relation* relation = *db.GetMutable(rel_name);
-    for (Row row : *rows) {
-      P2PDB_RETURN_IF_ERROR(relation->Insert(row).status());
-    }
-  }
-  if (!r.AtEnd()) return Status::ParseError("trailing bytes in snapshot");
+  auto db = DecodeDatabase(&r, RowOrder::kSorted);
+  if (db.ok()) P2PDB_RETURN_IF_ERROR(r.ExpectEnd());
   return db;
 }
 
@@ -74,15 +49,8 @@ Status SaveDatabase(const Database& db, const std::string& path) {
 }
 
 Result<Database> LoadDatabase(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::NotFound("cannot open " + path);
   std::vector<uint8_t> bytes;
-  uint8_t buffer[4096];
-  size_t n;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-    bytes.insert(bytes.end(), buffer, buffer + n);
-  }
-  std::fclose(f);
+  P2PDB_RETURN_IF_ERROR(ReadFile(path, &bytes));
   return DeserializeDatabase(bytes);
 }
 

@@ -15,11 +15,11 @@
 namespace p2pdb::rel {
 
 /// Serializes the full database (schemas and tuples) into a byte buffer.
-/// Format: magic "P2DB", format version, relation count, then per relation
-/// its schema and tuple set. Labeled nulls keep their identifiers.
+/// Format: magic "P2DB", format version, then a sorted database image
+/// (codec.h). Labeled nulls keep their identifiers.
 std::vector<uint8_t> SerializeDatabase(const Database& db);
 
-/// Inverse of SerializeDatabase; validates magic and version.
+/// Inverse of SerializeDatabase; validates magic, version and sort order.
 Result<Database> DeserializeDatabase(const std::vector<uint8_t>& bytes);
 
 /// Writes/reads a snapshot file.

@@ -15,43 +15,6 @@ constexpr uint8_t kDeltaRecord = 1;
 constexpr uint8_t kRuleChangeRecord = 2;
 constexpr uint8_t kBaseRecord = 3;
 
-std::vector<uint8_t> EncodeBase(const rel::Database& db) {
-  Writer w;
-  w.PutU8(kBaseRecord);
-  w.PutVarint(db.relations().size());
-  for (const auto& [name, relation] : db.relations()) {
-    WriteFields(relation.schema(), &w);
-    rel::EncodeTupleRange(relation.View(), 0, &w);
-  }
-  return w.TakeBytes();
-}
-
-/// Reads one tuple list and appends it to `relation` in order, counting the
-/// entries read into `*replayed`.
-Status ReplayTuples(Reader* r, rel::Relation* relation, uint64_t* replayed) {
-  auto rows = rel::DecodeTupleList(r);
-  if (!rows.ok()) return rows.status();
-  *replayed += rows->size();
-  for (rel::Row row : *rows) {
-    P2PDB_RETURN_IF_ERROR(relation->Insert(row).status());
-  }
-  return Status::OK();
-}
-
-/// Creates the relations a base record's body lists, with their entries.
-Status ReplayBase(Reader* r, rel::Database* db, uint64_t* replayed) {
-  auto relation_count = r->GetVarint();
-  if (!relation_count.ok()) return relation_count.status();
-  for (uint64_t i = 0; i < *relation_count; ++i) {
-    auto schema = ReadFields<rel::RelationSchema>(r);
-    if (!schema.ok()) return schema.status();
-    P2PDB_RETURN_IF_ERROR(db->CreateRelation(*schema));
-    P2PDB_RETURN_IF_ERROR(
-        ReplayTuples(r, *db->GetMutable(schema->name()), replayed));
-  }
-  return r->ExpectEnd();
-}
-
 /// Appends a delta record body's entries to the relations it names.
 Status ReplayDelta(Reader* r, rel::Database* db, uint64_t* replayed) {
   auto relation_count = r->GetVarint();
@@ -64,7 +27,12 @@ Status ReplayDelta(Reader* r, rel::Database* db, uint64_t* replayed) {
       return Status::ParseError("delta for relation '" + *name +
                                 "' absent from the base");
     }
-    P2PDB_RETURN_IF_ERROR(ReplayTuples(r, *target, replayed));
+    auto rows = rel::DecodeTupleList(r);
+    if (!rows.ok()) return rows.status();
+    *replayed += rows->size();
+    for (rel::Row row : *rows) {
+      P2PDB_RETURN_IF_ERROR((*target)->Insert(row).status());
+    }
   }
   return r->ExpectEnd();
 }
@@ -78,16 +46,15 @@ Result<std::unique_ptr<StorageManager>> StorageManager::Open(
     return Status::Internal("cannot create storage directory " + options.dir +
                             ": " + ec.message());
   }
-  const std::string path = options.dir + "/wal.log";
-  auto wal = WalWriter::Open(path, options.sync, options.group_commit);
+  WalContents existing;
+  auto wal = WalWriter::Open(options.dir + "/wal.log", options.sync,
+                             options.group_commit, &existing);
   if (!wal.ok()) return wal.status();
-  auto contents = ReadWalFile(path);
-  if (!contents.ok()) return contents.status();
-  const bool has_base = !contents->records.empty() &&
-                        !contents->records[0].empty() &&
-                        contents->records[0][0] == kBaseRecord;
+  const bool has_base = !existing.records.empty() &&
+                        existing.records[0].size > 0 &&
+                        existing.records[0].data[0] == kBaseRecord;
   return std::unique_ptr<StorageManager>(
-      new StorageManager(options, std::move(*wal), has_base));
+      new StorageManager(std::move(*wal), has_base));
 }
 
 Status StorageManager::LogDelta(const rel::Database& db,
@@ -110,23 +77,22 @@ Status StorageManager::LogDelta(const rel::Database& db,
 }
 
 Status StorageManager::LogRuleChange(const std::vector<uint8_t>& record) {
-  std::vector<uint8_t> payload;
-  payload.reserve(1 + record.size());
-  payload.push_back(kRuleChangeRecord);
-  payload.insert(payload.end(), record.begin(), record.end());
-  return wal_->Append(payload);
+  Writer w;
+  w.PutU8(kRuleChangeRecord);
+  w.PutRaw(record.data(), record.size());
+  return wal_->Append(w.bytes());
 }
 
 Status StorageManager::EnsureBase(const rel::Database& db) {
   if (has_base_) return Status::OK();
-  P2PDB_RETURN_IF_ERROR(wal_->Append(EncodeBase(db)));
+  Writer w;
+  w.PutU8(kBaseRecord);
+  rel::EncodeDatabase(db, rel::RowOrder::kLog, &w);
+  P2PDB_RETURN_IF_ERROR(wal_->Append(w.bytes()));
   has_base_ = true;
   // Nothing can be recovered without the base, so an open group-commit
-  // window must not hold it back from stable media.
-  if (options_.sync == SyncMode::kSync && wal_->pending_appends() > 0) {
-    return wal_->Sync();
-  }
-  return Status::OK();
+  // window (only kSync opens one) must not hold it back from stable media.
+  return wal_->pending_appends() > 0 ? wal_->Sync() : Status::OK();
 }
 
 Result<rel::Database> StorageManager::Recover(RecoveryInfo* info) {
@@ -141,7 +107,7 @@ Result<rel::Database> StorageManager::Recover(RecoveryInfo* info) {
   out->wal_bytes_scanned = wal->valid_bytes;
   out->wal_tail_truncated = wal->tail_corrupt;
   rel::Database db;
-  for (const std::vector<uint8_t>& payload : wal->records) {
+  for (ByteView payload : wal->records) {
     Reader r(payload);
     auto kind = r.GetU8();
     if (!kind.ok()) return kind.status();
@@ -151,14 +117,20 @@ Result<rel::Database> StorageManager::Recover(RecoveryInfo* info) {
                                       : path + " holds a second base");
     }
     switch (*kind) {
-      case kBaseRecord:
-        P2PDB_RETURN_IF_ERROR(ReplayBase(&r, &db, &out->tuples_recovered));
+      case kBaseRecord: {
+        auto base = rel::DecodeDatabase(&r, rel::RowOrder::kLog,
+                                        &out->tuples_recovered);
+        if (!base.ok()) return base.status();
+        db = std::move(*base);
+        P2PDB_RETURN_IF_ERROR(r.ExpectEnd());
         break;
+      }
       case kDeltaRecord:
         P2PDB_RETURN_IF_ERROR(ReplayDelta(&r, &db, &out->tuples_recovered));
         break;
       case kRuleChangeRecord:
-        out->rule_changes.emplace_back(payload.begin() + 1, payload.end());
+        out->rule_changes.emplace_back(payload.data + 1,
+                                       payload.data + payload.size);
         break;
       default:
         return Status::ParseError("unknown WAL record kind " +

@@ -6,12 +6,13 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <limits>
 
 #include "src/obs/metrics.h"
+#include "src/util/crc32.h"
+#include "src/util/file_util.h"
 #include "src/util/serde.h"
 
 namespace p2pdb::storage {
@@ -60,21 +61,12 @@ Status FsyncParentDirectory(const std::string& path) {
 }  // namespace
 
 Result<WalContents> ReadWalFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::NotFound("cannot open " + path);
-  std::vector<uint8_t> bytes;
-  uint8_t buffer[4096];
-  size_t n;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-    bytes.insert(bytes.end(), buffer, buffer + n);
-  }
-  std::fclose(f);
-
+  WalContents out;
+  P2PDB_RETURN_IF_ERROR(ReadFile(path, &out.bytes));
+  const std::vector<uint8_t>& bytes = out.bytes;
   if (bytes.size() < kHeaderBytes) {
     // A crash during WAL creation can leave a partial header: torn tail at
     // offset zero, not a foreign file. No records survive it.
-    WalContents out;
-    out.valid_bytes = 0;
     out.tail_corrupt = !bytes.empty();
     return out;
   }
@@ -88,7 +80,6 @@ Result<WalContents> ReadWalFile(const std::string& path) {
                                std::to_string(version) + " in " + path);
   }
 
-  WalContents out;
   size_t pos = kHeaderBytes;
   while (pos < bytes.size()) {
     if (bytes.size() - pos < kRecordHeaderBytes) break;  // Torn record header.
@@ -98,7 +89,7 @@ Result<WalContents> ReadWalFile(const std::string& path) {
     if (bytes.size() - pos - kRecordHeaderBytes < length) break;  // Torn body.
     const uint8_t* payload = bytes.data() + pos + kRecordHeaderBytes;
     if (Crc32(payload, length) != crc) break;  // Corrupt (torn write).
-    out.records.emplace_back(payload, payload + length);
+    out.records.emplace_back(payload, length);
     pos += kRecordHeaderBytes + length;
   }
   out.valid_bytes = pos;
@@ -107,14 +98,16 @@ Result<WalContents> ReadWalFile(const std::string& path) {
 }
 
 Result<std::unique_ptr<WalWriter>> WalWriter::Open(
-    const std::string& path, SyncMode sync, GroupCommitOptions group_commit) {
-  auto existing = ReadWalFile(path);
-  if (!existing.ok() && existing.status().code() != StatusCode::kNotFound) {
-    return existing.status();  // Foreign or other-version file: keep out.
+    const std::string& path, SyncMode sync, GroupCommitOptions group_commit,
+    WalContents* existing) {
+  auto read = ReadWalFile(path);
+  if (!read.ok() && read.status().code() != StatusCode::kNotFound) {
+    return read.status();  // Foreign, other-version or unreadable: keep out.
   }
+  WalContents contents = read.ok() ? std::move(*read) : WalContents();
   // Zero for a missing file or a header torn by a crash mid-creation: both
   // start a fresh log.
-  const uint64_t valid_bytes = existing.ok() ? existing->valid_bytes : 0;
+  const uint64_t valid_bytes = contents.valid_bytes;
   int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
                   0644);
   if (fd < 0) {
@@ -123,7 +116,7 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(
   }
   auto writer = std::unique_ptr<WalWriter>(
       new WalWriter(path, sync, group_commit, fd, valid_bytes));
-  if (existing.ok() && existing->tail_corrupt &&
+  if (contents.tail_corrupt &&
       ::ftruncate(fd, static_cast<off_t>(valid_bytes)) != 0) {
     return Status::Internal("cannot truncate torn tail of " + path);
   }
@@ -135,6 +128,7 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(
       P2PDB_RETURN_IF_ERROR(FsyncParentDirectory(path));
     }
   }
+  if (existing != nullptr) *existing = std::move(contents);
   return writer;
 }
 
@@ -146,9 +140,9 @@ WalWriter::~WalWriter() {
   ::close(fd_);
 }
 
-Status WalWriter::Append(const std::vector<uint8_t>& payload) {
+Status WalWriter::Append(ByteView payload) {
   if (fd_ < 0) return Status::Internal(path_ + " is not open");
-  if (payload.size() > std::numeric_limits<uint32_t>::max()) {
+  if (payload.size > std::numeric_limits<uint32_t>::max()) {
     return Status::InvalidArgument("WAL record too large for " + path_);
   }
   // A clock pair per record is cheap next to the write system call below,
@@ -162,8 +156,8 @@ Status WalWriter::Append(const std::vector<uint8_t>& payload) {
     }
   } timer;
   Writer header;
-  header.PutU32(static_cast<uint32_t>(payload.size()));
-  header.PutU32(Crc32(payload));
+  header.PutU32(static_cast<uint32_t>(payload.size));
+  header.PutU32(Crc32(payload.data, payload.size));
   // Written to the OS always (the record survives a process crash); reaches
   // stable media per the sync mode and group-commit window.
   P2PDB_RETURN_IF_ERROR(Write(header.bytes(), payload));
@@ -183,11 +177,10 @@ Status WalWriter::Append(const std::vector<uint8_t>& payload) {
   return Status::OK();
 }
 
-Status WalWriter::Write(const std::vector<uint8_t>& head,
-                        const std::vector<uint8_t>& body) {
-  iovec parts[2] = {{const_cast<uint8_t*>(head.data()), head.size()},
-                    {const_cast<uint8_t*>(body.data()), body.size()}};
-  const size_t total = head.size() + body.size();
+Status WalWriter::Write(ByteView head, ByteView body) {
+  iovec parts[2] = {{const_cast<uint8_t*>(head.data), head.size},
+                    {const_cast<uint8_t*>(body.data), body.size}};
+  const size_t total = head.size + body.size;
   const ssize_t written = ::writev(fd_, parts, 2);
   if (written >= 0 && static_cast<size_t>(written) == total) {
     size_bytes_ += total;

@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "src/util/crc32.h"
+#include "src/util/serde.h"
 #include "src/util/status.h"
 
 namespace p2pdb::storage {
@@ -29,10 +29,6 @@ namespace p2pdb::storage {
 /// Whether appends are written to the OS only (fast, loses the tail on power
 /// failure) or fsync'd to stable media (durable, slow).
 enum class SyncMode { kNoSync, kSync };
-
-// Record framing uses the tree-wide CRC-32 (IEEE 802.3); re-exported because
-// storage callers historically found it here.
-using p2pdb::Crc32;
 
 /// Group commit for `kSync` mode: instead of fsync'ing every append, appends
 /// are coalesced and one fsync covers the whole batch once `max_pending`
@@ -48,18 +44,24 @@ struct GroupCommitOptions {
   uint64_t max_pending = 64;
 };
 
-/// Result of scanning a WAL file: every intact record in order, the length of
-/// the clean prefix, and whether a torn/corrupt tail was dropped.
+/// A WAL file as read: its bytes, every intact record in order (viewed in
+/// those bytes; a move keeps the views valid, a copy would not, so there is
+/// none), the clean prefix's length, and whether a torn tail was dropped.
 struct WalContents {
-  std::vector<std::vector<uint8_t>> records;
+  std::vector<uint8_t> bytes;
+  std::vector<ByteView> records;
   uint64_t valid_bytes = 0;
   bool tail_corrupt = false;
+
+  WalContents() = default;
+  WalContents(WalContents&&) = default;
+  WalContents& operator=(WalContents&&) = default;
 };
 
-/// Reads every intact record of a WAL file. Missing file => NotFound; a file
-/// with a foreign magic => ParseError; another format version => Unsupported.
-/// A torn or corrupt tail is tolerated: replay stops there and `tail_corrupt`
-/// is set.
+/// Reads a WAL file once. Missing file => NotFound; a file that cannot be
+/// read => Internal; a file with a foreign magic => ParseError; another
+/// format version => Unsupported. A torn or corrupt tail is tolerated:
+/// replay stops there and `tail_corrupt` is set.
 Result<WalContents> ReadWalFile(const std::string& path);
 
 /// Appends records to a WAL file.
@@ -68,10 +70,11 @@ class WalWriter {
   /// Opens the log at `path`, creating it (header only) when missing or when
   /// a crash tore its header; under kSync a created log's header and
   /// directory entry are fsync'd before Open returns. An existing log has
-  /// any torn tail truncated before new appends.
+  /// any torn tail truncated before new appends. `*existing`, when given,
+  /// receives the log as Open read it (empty for a log Open created).
   static Result<std::unique_ptr<WalWriter>> Open(
       const std::string& path, SyncMode sync,
-      GroupCommitOptions group_commit = {});
+      GroupCommitOptions group_commit = {}, WalContents* existing = nullptr);
   ~WalWriter();
 
   WalWriter(const WalWriter&) = delete;
@@ -81,7 +84,7 @@ class WalWriter {
   /// immediately, or at the next group-commit boundary when a window is set.
   /// A failed or short write is truncated away before the error returns, so
   /// the next append lands right after the last intact record.
-  Status Append(const std::vector<uint8_t>& payload);
+  Status Append(ByteView payload);
 
   /// Forces an fsync (of any pending group-commit batch too) regardless of
   /// the sync mode.
@@ -109,8 +112,7 @@ class WalWriter {
 
   /// Writes `head` then `body` with one writev at the end of the log; on a
   /// short or failed write, truncates the log back to size_bytes().
-  Status Write(const std::vector<uint8_t>& head,
-               const std::vector<uint8_t>& body);
+  Status Write(ByteView head, ByteView body);
 
   /// fsyncs and resets the group-commit window bookkeeping.
   Status SyncNow();

@@ -6,14 +6,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace p2pdb {
 
 uint32_t Crc32(const uint8_t* data, size_t size);
-inline uint32_t Crc32(const std::vector<uint8_t>& bytes) {
-  return Crc32(bytes.data(), bytes.size());
-}
 
 /// Incremental form, for checksumming non-contiguous ranges without copying:
 /// start from kCrc32Init, Crc32Update over each range, Crc32Finish at the end.

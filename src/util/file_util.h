@@ -1,0 +1,19 @@
+// Whole-file reads that report read errors.
+#ifndef P2PDB_UTIL_FILE_UTIL_H_
+#define P2PDB_UTIL_FILE_UTIL_H_
+
+#include <string>
+
+#include "src/util/status.h"
+
+namespace p2pdb {
+
+/// Replaces `*out` (a std::string or std::vector<uint8_t>) with the file at
+/// `path`. A missing file is NotFound; any other failure to open or read it
+/// is Internal, so a read that fails part-way never passes for its end.
+template <class Bytes>
+Status ReadFile(const std::string& path, Bytes* out);
+
+}  // namespace p2pdb
+
+#endif  // P2PDB_UTIL_FILE_UTIL_H_

@@ -21,6 +21,7 @@
 #ifndef P2PDB_UTIL_SERDE_H_
 #define P2PDB_UTIL_SERDE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -69,6 +70,11 @@ struct ByteView {
   ByteView() = default;
   ByteView(const uint8_t* d, size_t n) : data(d), size(n) {}
   ByteView(const std::vector<uint8_t>& v) : data(v.data()), size(v.size()) {}
+
+  /// Equal bytes, wherever each side keeps them.
+  friend bool operator==(ByteView a, ByteView b) {
+    return std::equal(a.data, a.data + a.size, b.data, b.data + b.size);
+  }
 };
 
 /// Reads values written by Writer, with bounds checking.

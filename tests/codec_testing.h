@@ -14,6 +14,7 @@
 
 #include "src/core/system.h"
 #include "src/util/rng.h"
+#include "src/util/serde.h"
 
 namespace p2pdb::testing_codec {
 
@@ -38,6 +39,15 @@ inline std::vector<uint8_t> HexBytes(std::string_view hex) {
       high = -1;
     }
   }
+  return out;
+}
+
+/// Owned copies of viewed byte strings, such as the records ReadWalFile
+/// views in the one buffer it read.
+inline std::vector<std::vector<uint8_t>> Copies(
+    const std::vector<ByteView>& views) {
+  std::vector<std::vector<uint8_t>> out;
+  for (ByteView v : views) out.emplace_back(v.data, v.data + v.size);
   return out;
 }
 

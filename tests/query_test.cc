@@ -20,7 +20,6 @@
 #include "src/net/tcp_runtime.h"
 #include "src/relational/eval.h"
 #include "src/relational/mvcc.h"
-#include "src/storage/storage_manager.h"
 #include "src/util/log_capture.h"
 #include "src/workload/queries.h"
 #include "src/workload/scenario.h"
@@ -34,16 +33,6 @@ std::string FreshRoot(const std::string& name) {
   std::string dir = ::testing::TempDir() + "/p2pdb_query_" + name;
   std::filesystem::remove_all(dir);
   return dir;
-}
-
-Session::StorageProvider DirProvider(const std::string& root) {
-  return [root](NodeId node) -> std::unique_ptr<storage::Storage> {
-    storage::StorageOptions options;
-    options.dir = root + "/peer" + std::to_string(node);
-    auto manager = storage::StorageManager::Open(options);
-    EXPECT_TRUE(manager.ok()) << manager.status().ToString();
-    return manager.ok() ? std::move(*manager) : nullptr;
-  };
 }
 
 /// R(X, Y) projected onto both columns — the full binary relation.
@@ -231,7 +220,7 @@ TEST(QueryPlaneTest, RestartedPeerPublishesRecoveredSnapshot) {
   net::SimRuntime rt;
   std::string root = FreshRoot("restart");
   Session::Options options;
-  options.storage = DirProvider(root);
+  options.storage_root = root;
   Session session(*system, &rt, options);
   ASSERT_TRUE(session.RunDiscovery().ok());
 
@@ -335,7 +324,7 @@ TEST(QueryPlaneTest, ConcurrentReadsDuringChurnedTcpUpdate) {
   net::TcpRuntime rt;
   std::string root = FreshRoot("tsan_churn");
   Session::Options session_options;
-  session_options.storage = DirProvider(root);
+  session_options.storage_root = root;
   Session session(*system, &rt, session_options);
   ASSERT_TRUE(session.RunDiscovery().ok());
 

@@ -7,6 +7,7 @@
 // order, and a damaged log fails recovery whole.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <map>
 #include <optional>
@@ -30,23 +31,11 @@ std::string FreshRoot(const std::string& name) {
   return dir;
 }
 
-/// Opens (or reopens) one durable backend per node under `root`, as a
-/// restarted peer process would reopen its data directory.
-Session::StorageProvider DirProvider(const std::string& root) {
-  return [root](NodeId node) -> std::unique_ptr<storage::Storage> {
-    storage::StorageOptions options;
-    options.dir = root + "/peer" + std::to_string(node);
-    auto manager = storage::StorageManager::Open(options);
-    EXPECT_TRUE(manager.ok()) << manager.status().ToString();
-    return manager.ok() ? std::move(*manager) : nullptr;
-  };
-}
-
 /// Session options wired to per-node data directories under `root`: crash
-/// and restart reopen the same directory through Options::storage.
+/// and restart reopen the same directory, as a restarted peer process would.
 Session::Options DurableOptions(const std::string& root) {
   Session::Options options;
-  options.storage = DirProvider(root);
+  options.storage_root = root;
   return options;
 }
 
@@ -299,7 +288,7 @@ rule r1: B.b(X) => A.a(X);
   // gives the rule set above.
   {
     storage::StorageOptions probe;
-    probe.dir = root + "/peer" + std::to_string(head);
+    probe.dir = storage::PeerDir(root, head);
     auto manager = storage::StorageManager::Open(probe);
     ASSERT_TRUE(manager.ok());
     storage::RecoveryInfo info;
@@ -382,7 +371,7 @@ rule r1: B.b(X) => A.a(X);
   const rel::Database& live = session.peer(head).db();
   ASSERT_EQ(live.TotalTuples(), 2u);
   storage::StorageOptions probe;
-  probe.dir = root + "/peer" + std::to_string(head);
+  probe.dir = storage::PeerDir(root, head);
   auto manager = storage::StorageManager::Open(probe);
   ASSERT_TRUE(manager.ok());
   storage::RecoveryInfo info;
@@ -422,11 +411,12 @@ TEST(RecoveryTest, DamagedRecordFailsRecoveryWhole) {
     peer.OnDeltaApplied({{"a", 1}});
     peer.LogRuleChange(wire::RuleChangeRecord::Delete("r1"));
   }
-  auto intact = storage::ReadWalFile(root + "/intact/wal.log");
-  ASSERT_TRUE(intact.ok());
-  ASSERT_EQ(intact->records.size(), 3u);  // Base, delta, rule change.
-
+  auto read = storage::ReadWalFile(root + "/intact/wal.log");
+  ASSERT_TRUE(read.ok());
   using Records = std::vector<std::vector<uint8_t>>;
+  const Records intact = testing_codec::Copies(read->records);
+  ASSERT_EQ(intact.size(), 3u);  // Base, delta, rule change.
+
   // Recovers a fresh peer from `records`; on success, copies its database
   // into `*recovered` when given.
   auto recover = [&](const Records& records,
@@ -457,16 +447,16 @@ TEST(RecoveryTest, DamagedRecordFailsRecoveryWhole) {
     return Status::OK();
   };
 
-  ASSERT_TRUE(recover(intact->records).ok());
-  for (size_t i = 0; i < intact->records.size(); ++i) {
-    for (size_t length = 0; length < intact->records[i].size(); ++length) {
-      Records records = intact->records;
+  ASSERT_TRUE(recover(intact).ok());
+  for (size_t i = 0; i < intact.size(); ++i) {
+    for (size_t length = 0; length < intact[i].size(); ++length) {
+      Records records = intact;
       records[i].resize(length);
       EXPECT_FALSE(recover(records).ok())
           << "record " << i << " cut to " << length << " bytes";
     }
     // The record kind, or for a rule change the kind inside its body.
-    Records records = intact->records;
+    Records records = intact;
     records[i][i == 2 ? 1 : 0] ^= 0xff;
     EXPECT_FALSE(recover(records).ok()) << "record " << i << " flipped";
   }
@@ -489,7 +479,7 @@ TEST(RecoveryTest, DamagedRecordFailsRecoveryWhole) {
       ADD_FAILURE() << "no base written for the recovered database";
       return std::nullopt;
     }
-    Records out = {wal->records[0]};
+    Records out = testing_codec::Copies(wal->records);
     for (const std::vector<uint8_t>& record : records) {
       if (record.empty() || record[0] != 2) continue;
       auto change = wire::RuleChangeRecord::Decode(
@@ -507,13 +497,13 @@ TEST(RecoveryTest, DamagedRecordFailsRecoveryWhole) {
   // Seeded mutants of each record, re-framed the same way: each fails
   // recovery whole (checked inside `recover`), or recovers to a state whose
   // own log recovers again to the same log.
-  for (size_t i = 0; i < intact->records.size(); ++i) {
+  for (size_t i = 0; i < intact.size(); ++i) {
     size_t m = 0;
     for (const std::vector<uint8_t>& mutant :
-         testing_codec::Mutants(intact->records[i], 40, 21 + i)) {
+         testing_codec::Mutants(intact[i], 40, 21 + i)) {
       SCOPED_TRACE("record " + std::to_string(i) + " mutant " +
                    std::to_string(m++) + ": " + testing_codec::Hex(mutant));
-      Records records = intact->records;
+      Records records = intact;
       records[i] = mutant;
       std::optional<Records> once = relog(records);
       if (!once.has_value()) continue;
@@ -537,11 +527,33 @@ TEST(RecoveryTest, RestartWithoutPriorCrashIsRejected) {
   ChurnScript bad = {ChurnEvent::Restart(1'000, 1)};
   EXPECT_FALSE(session.RunUpdateWithChurn(bad).ok());
 
-  // A purely volatile session (no Options::storage) cannot attach or
+  // A purely volatile session (no Options::storage_root) cannot attach or
   // restart at all.
   net::SimRuntime volatile_rt;
   Session volatile_session(*system, &volatile_rt);
   EXPECT_FALSE(volatile_session.AttachStorage(1).ok());
+}
+
+TEST(RecoveryTest, StoreThatCannotOpenFailsAttachAndRestart) {
+  // The root is a regular file, so no node directory can be made under it:
+  // AttachStorage and RestartPeer return the store's own error.
+  auto system = workload::MakeRunningExample();
+  ASSERT_TRUE(system.ok());
+  const std::string root = FreshRoot("unopenable");
+  std::FILE* file = std::fopen(root.c_str(), "w");
+  ASSERT_NE(file, nullptr);
+  std::fclose(file);
+  storage::StorageOptions node;
+  node.dir = storage::PeerDir(root, 1);
+  const Status cannot_open = storage::StorageManager::Open(node).status();
+  ASSERT_FALSE(cannot_open.ok());
+
+  net::SimRuntime rt;
+  Session session(*system, &rt, DurableOptions(root));
+  EXPECT_EQ(session.AttachStorage(1).ToString(), cannot_open.ToString());
+  ASSERT_TRUE(session.CrashPeer(1).ok());
+  EXPECT_EQ(session.RestartPeer(1).ToString(), cannot_open.ToString());
+  std::filesystem::remove(root);
 }
 
 TEST(RecoveryTest, ZeroDowntimePlanKeepsCrashBeforeRestart) {

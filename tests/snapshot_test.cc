@@ -146,6 +146,16 @@ TEST(SnapshotTest, MissingFileIsNotFound) {
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
 }
 
+TEST(SnapshotTest, ReadErrorIsAnError) {
+  // A directory opens but cannot be read; the error says so instead of
+  // decoding an empty buffer.
+  auto result = LoadDatabase(::testing::TempDir());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+  EXPECT_NE(result.status().message().find("cannot read"), std::string::npos)
+      << result.status().ToString();
+}
+
 TEST(SnapshotTest, MaterializedUpdateStateSurvivesPersistence) {
   // The point of the update algorithm: materialize once, query locally later —
   // including after a restart from a snapshot.

@@ -421,10 +421,10 @@ TEST(StorageManagerTest, BaseMustComeFirstAndOnlyOnce) {
   auto records = ReadWalFile(WalPath(options));
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->records.size(), 2u);
-  const std::vector<uint8_t>& base = records->records[0];
-  const std::vector<uint8_t>& delta = records->records[1];
+  const ByteView base = records->records[0];
+  const ByteView delta = records->records[1];
 
-  using Sequence = std::vector<std::vector<uint8_t>>;
+  using Sequence = std::vector<ByteView>;
   std::vector<Sequence> sequences;
   sequences.push_back({base, base});
   sequences.push_back({base, delta, base});
@@ -436,7 +436,7 @@ TEST(StorageManagerTest, BaseMustComeFirstAndOnlyOnce) {
       std::filesystem::create_directories(damaged.dir);
       auto wal = WalWriter::Open(WalPath(damaged), SyncMode::kNoSync);
       ASSERT_TRUE(wal.ok());
-      for (const std::vector<uint8_t>& payload : sequence) {
+      for (ByteView payload : sequence) {
         ASSERT_TRUE((*wal)->Append(payload).ok());
       }
     }

@@ -7,7 +7,11 @@
 // example), and the crash/restart churn script driven over TCP.
 #include "src/net/tcp_runtime.h"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -386,17 +390,27 @@ TEST(TcpRuntimeTest, RemoteEndpointConflictIsRejected) {
 }
 
 TEST(TcpRuntimeTest, FixedListenPortBindsConfiguredEndpoint) {
-  // A config-file-owned endpoint: pick a free port the way the fleet config
-  // generator does (bind :0, note the port, release it), then ask the
-  // runtime to bind exactly that port.
-  uint16_t port = 0;
-  {
-    TcpRuntime probe;
-    CountingPeer tmp(0, &probe, 0);
-    probe.RegisterPeer(0, &tmp);
-    port = probe.ListenPort(0);
-    probe.UnregisterPeer(0);
-  }
+  // A config-file-owned endpoint: ask the runtime to bind exactly a port
+  // picked beforehand. The port stays held until the runtime has bound it,
+  // on a socket bound with SO_REUSEADDR that never listens: port-0 binds
+  // skip it and binds without SO_REUSEADDR fail, so nothing else can take
+  // it meanwhile, while the runtime's SO_REUSEADDR listener binds it.
+  struct Holder {
+    int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    ~Holder() { ::close(fd); }
+  } holder;
+  ASSERT_GE(holder.fd, 0);
+  const int one = 1;
+  int rc = ::setsockopt(holder.fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  ASSERT_EQ(rc, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  sockaddr* address = reinterpret_cast<sockaddr*>(&addr);
+  socklen_t length = sizeof(addr);
+  ASSERT_EQ(::bind(holder.fd, address, length), 0);
+  ASSERT_EQ(::getsockname(holder.fd, address, &length), 0);
+  const uint16_t port = ntohs(addr.sin_port);
   ASSERT_NE(port, 0);
   TcpRuntime::Options options;
   options.listen_port = port;
@@ -670,15 +684,12 @@ std::string FreshRoot(const std::string& name) {
   return dir;
 }
 
-core::Session::StorageProvider DirProvider(const std::string& root) {
-  return [root](NodeId node) -> std::unique_ptr<storage::Storage> {
-    storage::StorageOptions options;
-    options.dir = root + "/peer" + std::to_string(node);
-    options.sync = storage::SyncMode::kNoSync;
-    auto manager = storage::StorageManager::Open(options);
-    EXPECT_TRUE(manager.ok()) << manager.status().ToString();
-    return manager.ok() ? std::move(*manager) : nullptr;
-  };
+/// Durable session options: per-node logs under `root`, never fsync'd.
+core::Session::Options DurableOptions(const std::string& root) {
+  core::Session::Options options;
+  options.storage_root = root;
+  options.sync = storage::SyncMode::kNoSync;
+  return options;
 }
 
 TEST(TcpRuntimeTest, ChurnScriptWithSocketCloseCrashes) {
@@ -694,9 +705,7 @@ TEST(TcpRuntimeTest, ChurnScriptWithSocketCloseCrashes) {
 
   std::string root = FreshRoot("churn");
   TcpRuntime rt;
-  core::Session::Options session_options;
-  session_options.storage = DirProvider(root);
-  core::Session session(*system, &rt, session_options);
+  core::Session session(*system, &rt, DurableOptions(root));
   ASSERT_TRUE(session.RunDiscovery().ok());
 
   auto victim = system->NodeByName("B");
@@ -729,9 +738,7 @@ TEST(TcpRuntimeTest, MultiPeerChurnOnGeneratedScenario) {
 
   std::string root = FreshRoot("multi");
   TcpRuntime rt;
-  core::Session::Options session_options;
-  session_options.storage = DirProvider(root);
-  core::Session session(*system, &rt, session_options);
+  core::Session session(*system, &rt, DurableOptions(root));
   ASSERT_TRUE(session.RunDiscovery().ok());
 
   core::ChurnScript churn = {core::ChurnEvent::Crash(3'000, 2),

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "src/util/file_util.h"
 #include "src/util/rng.h"
 #include "src/util/string_util.h"
 
@@ -104,6 +108,30 @@ TEST(StringUtilTest, StartsWith) {
 TEST(StringUtilTest, StrFormat) {
   EXPECT_EQ(StrFormat("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(StrFormat("%s", ""), "");
+}
+
+TEST(FileUtilTest, ReadFileReplacesTheBufferWithTheWholeFile) {
+  // Larger than one read, with a zero byte inside, read as text and bytes.
+  const std::string path = ::testing::TempDir() + "/p2pdb_read_file.bin";
+  std::string written(200'000, 'x');
+  written[7] = '\0';
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(written.data(), 1, written.size(), f), written.size());
+  ASSERT_EQ(std::fclose(f), 0);
+
+  std::string text = "stale";
+  ASSERT_TRUE(ReadFile(path, &text).ok());
+  EXPECT_EQ(text, written);
+  std::vector<uint8_t> bytes = {1, 2, 3};
+  ASSERT_TRUE(ReadFile(path, &bytes).ok());
+  EXPECT_EQ(std::string(bytes.begin(), bytes.end()), written);
+  std::remove(path.c_str());
+
+  Status missing = ReadFile(path, &text);
+  EXPECT_EQ(missing.code(), StatusCode::kNotFound) << missing.ToString();
+  Status directory = ReadFile(::testing::TempDir(), &text);
+  EXPECT_EQ(directory.code(), StatusCode::kInternal) << directory.ToString();
 }
 
 }  // namespace

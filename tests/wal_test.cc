@@ -10,8 +10,11 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <thread>
+
+#include "src/util/crc32.h"
 
 namespace p2pdb::storage {
 namespace {
@@ -85,7 +88,8 @@ TEST(WalTest, AppendReadBackRoundTrip) {
   EXPECT_EQ((*writer)->appended_records(), 3u);
   auto contents = ReadWalFile(path);
   ASSERT_TRUE(contents.ok());
-  EXPECT_EQ(contents->records, payloads);
+  EXPECT_EQ(contents->records,
+            std::vector<ByteView>(payloads.begin(), payloads.end()));
   EXPECT_FALSE(contents->tail_corrupt);
   EXPECT_EQ(contents->valid_bytes,
             static_cast<uint64_t>(FileSize(path)));
@@ -343,6 +347,22 @@ TEST(WalTest, MissingFileIsNotFound) {
   auto contents = ReadWalFile(::testing::TempDir() + "/p2pdb_wal_nope.log");
   ASSERT_FALSE(contents.ok());
   EXPECT_EQ(contents.status().code(), StatusCode::kNotFound);
+}
+
+TEST(WalTest, ReadErrorIsAnError) {
+  // A directory opens but cannot be read: that is an error, not an empty
+  // log, and Open must not truncate or append to it.
+  const std::string dir = ::testing::TempDir() + "/p2pdb_wal_dir";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(std::filesystem::create_directory(dir));
+  auto contents = ReadWalFile(dir);
+  ASSERT_FALSE(contents.ok());
+  EXPECT_EQ(contents.status().code(), StatusCode::kInternal);
+  EXPECT_NE(contents.status().message().find("cannot read"),
+            std::string::npos)
+      << contents.status().ToString();
+  EXPECT_FALSE(WalWriter::Open(dir, SyncMode::kNoSync).ok());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(WalTest, ForeignFileIsRejected) {

@@ -18,7 +18,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -29,6 +28,7 @@
 #include "src/lang/printer.h"
 #include "src/net/sim_runtime.h"
 #include "src/relational/null_iso.h"
+#include "src/util/file_util.h"
 #include "src/workload/scenario.h"
 
 namespace {
@@ -51,14 +51,6 @@ void Usage(std::FILE* out) {
 int Fail(const Status& status) {
   std::fprintf(stderr, "p2pdb_fleetctl: %s\n", status.ToString().c_str());
   return 1;
-}
-
-Result<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
 }
 
 Status WriteFile(const std::string& path, const std::string& text) {
@@ -109,9 +101,10 @@ int RunGen(int argc, char** argv) {
 
   Result<p2pdb::core::P2PSystem> system = [&] {
     if (!system_file.empty()) {
-      auto text = ReadFile(system_file);
-      if (!text.ok()) return Result<p2pdb::core::P2PSystem>(text.status());
-      return p2pdb::lang::ParseSystem(*text);
+      std::string text;
+      Status read = p2pdb::ReadFile(system_file, &text);
+      if (!read.ok()) return Result<p2pdb::core::P2PSystem>(read);
+      return p2pdb::lang::ParseSystem(text);
     }
     if (nodes == 0) return p2pdb::workload::MakeRunningExample();
     p2pdb::workload::ScenarioOptions scenario;
@@ -190,9 +183,10 @@ int RunDrive(int argc, char** argv) {
   // full endpoint table, and the super-peer id.
   auto cfg = p2pdb::daemon::PeerdConfig::Load(dir + "/peer0.conf");
   if (!cfg.ok()) return Fail(cfg.status());
-  auto text = ReadFile(cfg->system_file);
-  if (!text.ok()) return Fail(text.status());
-  auto system = p2pdb::lang::ParseSystem(*text);
+  std::string text;
+  Status read = p2pdb::ReadFile(cfg->system_file, &text);
+  if (!read.ok()) return Fail(read);
+  auto system = p2pdb::lang::ParseSystem(text);
   if (!system.ok()) return Fail(system.status());
 
   p2pdb::daemon::FleetController::Options options;
