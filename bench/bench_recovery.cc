@@ -1,4 +1,4 @@
-// Durability bench: log append throughput (sync, nosync and group commit),
+// Durability bench: log append throughput (sync and nosync),
 // recovery (base + delta replay) time as a function of database size, the
 // same on restart (reopening the closed log first), plus one end-to-end
 // crash/restart churn run on the sim runtime. Every recovery and restart
@@ -93,18 +93,14 @@ struct BenchResult {
 };
 
 /// WAL append throughput: `batches` deltas of `batch_tuples` tuples each.
-/// A nonzero `group_commit` window coalesces kSync fsyncs (the group-commit
-/// satellite: most of the nosync throughput, bounded durability window).
 /// Only the LogDelta calls are timed, not growing the relation they log.
 BenchResult WalAppendBench(const std::string& name, storage::SyncMode sync,
-                           size_t batches, size_t batch_tuples,
-                           storage::GroupCommitOptions group_commit = {}) {
+                           size_t batches, size_t batch_tuples) {
   BenchResult result;
   result.name = name;
   storage::StorageOptions options;
   options.dir = FreshDir(name);
   options.sync = sync;
-  options.group_commit = group_commit;
   auto manager = storage::StorageManager::Open(options);
   if (!manager.ok()) return result;
   rel::Database db = MakeDb(0);
@@ -286,16 +282,6 @@ int Main(int argc, char** argv) {
          // fsync-bound: keep the record count small even at full scale.
          return WalAppendBench("wal_append_sync", storage::SyncMode::kSync, 200,
                                10);
-       }},
-      {"wal_append_group",
-       [&] {
-         // Group commit: same durable mode, fsyncs coalesced over a 1ms /
-         // 64-record window — compare records_per_sec against the nosync and
-         // per-append-sync rows to see the recovered gap.
-         storage::GroupCommitOptions group;
-         group.window = std::chrono::milliseconds(1);
-         return WalAppendBench("wal_append_group", storage::SyncMode::kSync,
-                               large / 10, 10, group);
        }},
       {"recover_small",
        [&] { return RecoveryBench("recover_small", small, 100, 10, false); }},

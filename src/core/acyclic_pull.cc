@@ -10,6 +10,17 @@ namespace p2pdb::core {
 
 namespace {
 constexpr uint32_t kAcyclicChaseNode = 0xfffffffdu;
+
+/// The bytes a runtime's NetStats counts for one message: its frame's size.
+size_t FrameBytes(net::MessageType type, NodeId from, NodeId to,
+                  std::vector<uint8_t> payload) {
+  net::Message msg;
+  msg.type = type;
+  msg.from = from;
+  msg.to = to;
+  msg.payload = std::move(payload);
+  return msg.WireSize();
+}
 }  // namespace
 
 Result<AcyclicPullResult> RunAcyclicPull(
@@ -38,7 +49,7 @@ Result<AcyclicPullResult> RunAcyclicPull(
   for (NodeId node : processing) {
     for (const CoordinationRule* rule : system.RulesWithHead(node)) {
       // Pull each part from its (already final) source: one request + one
-      // answer per part; payload sizes measured with the real wire encoding.
+      // answer per part, counted as the frames the protocol would send.
       rel::Database scratch;
       rel::ConjunctiveQuery join;
       bool parts_ok = true;
@@ -58,7 +69,10 @@ Result<AcyclicPullResult> RunAcyclicPull(
         ans.part = static_cast<uint32_t>(p);
         ans.tuples.assign(answer->begin(), answer->end());
         result.messages += 2;
-        result.bytes += req.Encode().size() + ans.Encode().size() + 26;
+        result.bytes += FrameBytes(net::MessageType::kQueryRequest, node,
+                                   part.node, req.Encode());
+        result.bytes += FrameBytes(net::MessageType::kQueryAnswer, part.node,
+                                   node, ans.Encode());
 
         std::vector<std::string> vars = rule->PartExportVars(p);
         std::string scratch_name = "$" + rule->id + ":" + std::to_string(p);

@@ -20,7 +20,7 @@
 //   kDumpReply      peer -> controller   SerializeDatabase bytes
 //   kShutdown       controller -> peer   graceful daemon exit
 //
-// All control traffic is urgent (net::Message::urgent): it bypasses the
+// All control traffic is urgent (net::IsUrgent): it bypasses the
 // transport's data-plane batching, so driving a fleet never queues behind an
 // update's coalesced frames. Payloads follow the same contract as the
 // protocol payloads in core/wire.h: a payload's format is its field list

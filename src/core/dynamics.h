@@ -14,8 +14,11 @@
 
 namespace p2pdb::core {
 
-/// One atomic network change (Definition 8). `at_micros` is the time the head
-/// node receives the notification.
+/// One atomic network change (Definition 8). `at_micros` is an offset from the
+/// start of the Session call that delivers the change (see
+/// Session::ScheduleChange): the head node is sent its notification once the
+/// runtime's clock reaches that call's entry-time NowMicros() + at_micros,
+/// whatever discovery or earlier updates already spent on the clock.
 struct AtomicChange {
   enum class Kind { kAddLink, kDeleteLink };
   Kind kind = Kind::kAddLink;
@@ -37,9 +40,9 @@ using ChangeScript = std::vector<AtomicChange>;
 /// (its in-memory state and in-flight messages are lost) and may later
 /// restart, recovering its database from durable storage (log replay) and
 /// rejoining via the discovery/session path. `at_micros` is an
-/// offset from the start of the update: Session::RunUpdateWithChurn fires the
-/// event at its entry-time NowMicros() + at_micros, whatever discovery or
-/// earlier updates already spent on the runtime's clock.
+/// offset from the start of the update, like AtomicChange::at_micros:
+/// Session::RunUpdateWithChurn fires the event at its entry-time NowMicros()
+/// + at_micros, in one time-ordered loop with the queued rule changes.
 struct ChurnEvent {
   enum class Kind { kCrash, kRestart };
   Kind kind = Kind::kCrash;

@@ -220,14 +220,13 @@ std::set<NodeId> Peer::DependencyTargets() const {
   return out;
 }
 
-void Peer::Send(NodeId to, net::MessageType type, std::vector<uint8_t> payload,
-                bool urgent) {
+void Peer::Send(NodeId to, net::MessageType type,
+                std::vector<uint8_t> payload) {
   net::Message msg;
   msg.type = type;
   msg.from = id_;
   msg.to = to;
   msg.payload = std::move(payload);
-  msg.urgent = urgent;
   if (span_open_) {
     msg.trace.trace_id = active_span_.trace_id;
     msg.trace.parent_span = active_span_.span_id;

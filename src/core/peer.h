@@ -166,12 +166,9 @@ class Peer : public net::PeerHandler {
 
   /// Serializes and sends one protocol message. While a trace span is open
   /// (a traced message is being handled), the outgoing message inherits its
-  /// trace id and names the span as causal parent. `urgent` marks the message
-  /// latency-critical: a coalescing transport flushes it immediately instead
-  /// of holding it for the current dispatch's batch — used for control-plane
-  /// traffic (token ring, reopen pokes) whose delay stretches the fixpoint.
-  void Send(NodeId to, net::MessageType type, std::vector<uint8_t> payload,
-            bool urgent = false);
+  /// trace id and names the span as causal parent. Whether a coalescing
+  /// transport may batch it is a property of `type` (net::IsUrgent).
+  void Send(NodeId to, net::MessageType type, std::vector<uint8_t> payload);
 
   // --- Causal tracing (optional; see src/obs/trace.h) ---
 

@@ -1,5 +1,8 @@
 #include "src/core/session.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "src/core/bootstrap.h"
 #include "src/core/dependency.h"
 #include "src/core/query.h"
@@ -18,6 +21,21 @@ Result<std::unique_ptr<storage::StorageManager>> OpenStorage(
   storage.dir = storage::PeerDir(options.storage_root, id);
   storage.sync = options.sync;
   return storage::StorageManager::Open(storage);
+}
+
+/// The addRule/deleteRule notification `change` sends to its head node.
+net::Message ChangeMessage(const AtomicChange& change) {
+  net::Message msg;
+  if (change.kind == AtomicChange::Kind::kAddLink) {
+    msg.type = net::MessageType::kAddRule;
+    msg.from = msg.to = change.rule.head_node;
+    msg.payload = wire::AddRuleChange{change.rule}.Encode();
+  } else {
+    msg.type = net::MessageType::kDeleteRule;
+    msg.from = msg.to = change.head;
+    msg.payload = wire::DeleteRuleChange{change.rule_id}.Encode();
+  }
+  return msg;
 }
 }  // namespace
 
@@ -47,7 +65,35 @@ Session::Session(const P2PSystem& system, net::Runtime* runtime,
   }
 }
 
+Status Session::RunScript(uint64_t start, const ChurnScript& churn) {
+  std::vector<AtomicChange> changes = std::exchange(queued_changes_, {});
+  std::stable_sort(changes.begin(), changes.end(),
+                   [](const AtomicChange& a, const AtomicChange& b) {
+                     return a.at_micros < b.at_micros;
+                   });
+  auto change = changes.begin();
+  auto event = churn.begin();  // Time-ordered (ValidateChurnScript).
+  while (change != changes.end() || event != churn.end()) {
+    const bool change_next =
+        event == churn.end() ||
+        (change != changes.end() && change->at_micros <= event->at_micros);
+    const uint64_t at = change_next ? change->at_micros : event->at_micros;
+    P2PDB_RETURN_IF_ERROR(runtime_->RunUntil(start + at));
+    if (change_next) {
+      runtime_->Send(ChangeMessage(*change++));
+    } else if (event->kind == ChurnEvent::Kind::kCrash) {
+      P2PDB_RETURN_IF_ERROR(CrashPeer((event++)->node));
+    } else {
+      P2PDB_RETURN_IF_ERROR(RestartPeer((event++)->node));
+    }
+  }
+  return runtime_->Run();
+}
+
+Status Session::Run() { return RunScript(runtime_->NowMicros()); }
+
 Status Session::RunDiscovery() {
+  const uint64_t start = runtime_->NowMicros();
   // Earlier peers' discovery waves reach later peers while this loop is
   // still running, so every control-plane Start goes through the runtime's
   // per-peer exclusion instead of racing the handler upcalls.
@@ -62,7 +108,7 @@ Status Session::RunDiscovery() {
       }
     }
   }
-  return runtime_->Run();
+  return RunScript(start);
 }
 
 Status Session::RunUpdate() {
@@ -70,6 +116,7 @@ Status Session::RunUpdate() {
 }
 
 Status Session::RunUpdateFrom(const std::vector<NodeId>& initiators) {
+  const uint64_t start = runtime_->NowMicros();
   uint64_t session = next_session_++;
   for (NodeId n : initiators) {
     if (!IsAlive(n)) {
@@ -78,15 +125,16 @@ Status Session::RunUpdateFrom(const std::vector<NodeId>& initiators) {
     }
     runtime_->RunExclusive(n, [&] { peers_[n]->StartUpdate(session); });
   }
-  return runtime_->Run();
+  return RunScript(start);
 }
 
 Status Session::RunPartialUpdate(NodeId at,
                                  const std::set<std::string>& relations) {
+  const uint64_t start = runtime_->NowMicros();
   uint64_t session = next_session_++;
   runtime_->RunExclusive(
       at, [&] { peers_[at]->StartPartialUpdate(session, relations); });
-  return runtime_->Run();
+  return RunScript(start);
 }
 
 Result<std::set<rel::Tuple>> Session::Query(
@@ -128,30 +176,17 @@ void Session::EnableTracing(obs::TraceCollector* collector,
 }
 
 void Session::ScheduleChange(const AtomicChange& change) {
-  net::Message msg;
-  if (change.kind == AtomicChange::Kind::kAddLink) {
-    wire::AddRuleChange payload{change.rule};
-    msg.type = net::MessageType::kAddRule;
-    msg.from = change.rule.head_node;
-    msg.to = change.rule.head_node;
-    msg.payload = payload.Encode();
-  } else {
-    wire::DeleteRuleChange payload{change.rule_id};
-    msg.type = net::MessageType::kDeleteRule;
-    msg.from = change.head;
-    msg.to = change.head;
-    msg.payload = payload.Encode();
-  }
-  runtime_->ScheduleSend(change.at_micros, std::move(msg));
+  queued_changes_.push_back(change);
 }
 
 Status Session::Rediscover() {
+  const uint64_t start = runtime_->NowMicros();
   for (auto& peer : peers_) {
     if (peer != nullptr) {
       runtime_->RunExclusive(peer->id(), [&] { peer->StartDiscovery(); });
     }
   }
-  P2PDB_RETURN_IF_ERROR(runtime_->Run());
+  P2PDB_RETURN_IF_ERROR(RunScript(start));
   for (auto& peer : peers_) {
     if (peer != nullptr) {
       runtime_->RunExclusive(peer->id(), [&] { peer->update().RefreshScc(); });
@@ -235,18 +270,10 @@ Status Session::RunUpdateWithChurn(const ChurnScript& churn) {
   runtime_->RunExclusive(options_.super_peer, [&] {
     peers_[options_.super_peer]->StartUpdate(session);
   });
-  bool restarted = false;
-  for (const ChurnEvent& e : churn) {
-    P2PDB_RETURN_IF_ERROR(runtime_->RunUntil(start + e.at_micros));
-    if (e.kind == ChurnEvent::Kind::kCrash) {
-      P2PDB_RETURN_IF_ERROR(CrashPeer(e.node));
-    } else {
-      P2PDB_RETURN_IF_ERROR(RestartPeer(e.node));
-      restarted = true;
-    }
-  }
-  P2PDB_RETURN_IF_ERROR(runtime_->Run());
-  if (restarted) {
+  P2PDB_RETURN_IF_ERROR(RunScript(start, churn));
+  if (std::any_of(churn.begin(), churn.end(), [](const ChurnEvent& e) {
+        return e.kind == ChurnEvent::Kind::kRestart;
+      })) {
     // Rejoin: recovered peers re-learn the topology, then a fresh session
     // re-subscribes everything and drives the network back to the global
     // fix-point (set-union answers make the re-run idempotent).

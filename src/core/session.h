@@ -45,6 +45,12 @@ class Session {
   /// Phase 1: topology discovery, run to quiescence.
   Status RunDiscovery();
 
+  /// Delivers the queued rule changes at their offsets from now and runs the
+  /// network to quiescence: how a change reaches the peers outside an update
+  /// (a closed node reopens, an idle one picks the rule up at its next
+  /// update).
+  Status Run();
+
   /// Phase 2: global update from the super-peer, run to quiescence.
   /// Each call uses a fresh session id.
   Status RunUpdate();
@@ -87,8 +93,11 @@ class Session {
   void EnableTracing(obs::TraceCollector* collector,
                      uint32_t sample_every_n = 1);
 
-  /// Schedules a dynamic change to be delivered at the given simulated time
-  /// (the head node receives the addRule/deleteRule notification).
+  /// Queues a dynamic change. The next call that runs the network (Run,
+  /// RunDiscovery, RunUpdate, RunUpdateFrom, RunPartialUpdate, Rediscover or
+  /// RunUpdateWithChurn) takes it and sends the addRule/deleteRule
+  /// notification to its head node at that call's start plus
+  /// `change.at_micros`: an offset, like a churn event's.
   void ScheduleChange(const AtomicChange& change);
 
   /// Re-runs discovery so every peer refreshes its topology knowledge and SCC
@@ -124,9 +133,10 @@ class Session {
   }
 
   /// Runs one update session from the super-peer while executing `churn` at
-  /// its times — simulated micros on SimRuntime (deterministic), elapsed
-  /// wall-clock micros on the thread/TCP runtimes (best effort, via their
-  /// sleeping RunUntil): crashing peers get storage attached up front,
+  /// its offsets from this call's start, in one time-ordered loop with the
+  /// queued rule changes — simulated micros on SimRuntime (deterministic),
+  /// elapsed wall-clock micros on TcpRuntime (best effort, via its sleeping
+  /// RunUntil): crashing peers get storage attached up front,
   /// crashes and restarts fire mid-propagation, and after the script drains
   /// every restarted peer rejoins through rediscovery plus a fresh update
   /// session, re-converging the whole network (the protocol is monotone, so
@@ -158,6 +168,13 @@ class Session {
   uint64_t last_session_id() const { return next_session_ - 1; }
 
  private:
+  /// The one run loop behind every call that runs the network: takes the
+  /// queued changes, fires them and `churn` in time order (a change first
+  /// at equal times), each once RunUntil(start + at_micros) returns — a
+  /// change is sent to its head through Runtime::Send, a churn event crashes
+  /// or restarts its node — then runs to quiescence.
+  Status RunScript(uint64_t start, const ChurnScript& churn = {});
+
   net::Runtime* runtime_;
   Options options_;
   std::vector<std::unique_ptr<Peer>> peers_;  // null entry = crashed peer
@@ -174,6 +191,7 @@ class Session {
   std::vector<CoordinationRule> initial_rules_;
   uint64_t next_session_ = 1;
   obs::TraceCollector* collector_ = nullptr;  // Re-attached on RestartPeer.
+  std::vector<AtomicChange> queued_changes_;  // See ScheduleChange.
 };
 
 }  // namespace p2pdb::core

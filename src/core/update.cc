@@ -255,8 +255,7 @@ void UpdateEngine::PokeRingIfReady() {
     ResumeRingIfPaused();
   } else {
     wire::Reopen poke{session_};
-    peer_->Send(*scc_.begin(), net::MessageType::kReopen, poke.Encode(),
-                /*urgent=*/true);
+    peer_->Send(*scc_.begin(), net::MessageType::kReopen, poke.Encode());
   }
 }
 
@@ -401,8 +400,7 @@ void UpdateEngine::ReopenSelf() {
       if (!token_running_) LeaderStartPass();
     } else {
       wire::Reopen r{session_};
-      peer_->Send(*scc_.begin(), net::MessageType::kReopen, r.Encode(),
-                  /*urgent=*/true);
+      peer_->Send(*scc_.begin(), net::MessageType::kReopen, r.Encode());
     }
   }
 }
@@ -429,10 +427,10 @@ void UpdateEngine::LeaderStartPass() {
   tok.sum_recv = intra_recv_;
   tok.all_ready = state_ != State::kIdle && ExternallyReady();
   ++stats_.token_passes;
-  // Token-ring traffic is urgent: a token parked behind a data batch delays
-  // termination detection for the whole SCC.
+  // Token-ring traffic is urgent (net::IsUrgent): a token parked behind a
+  // data batch would delay termination detection for the whole SCC.
   peer_->Send(RingSuccessor(peer_->id()), net::MessageType::kToken,
-              tok.Encode(), /*urgent=*/true);
+              tok.Encode());
 }
 
 void UpdateEngine::OnToken(NodeId from, const wire::Token& msg) {
@@ -452,7 +450,7 @@ void UpdateEngine::OnToken(NodeId from, const wire::Token& msg) {
   tok.sum_sent += intra_sent_;
   tok.sum_recv += intra_recv_;
   tok.all_ready = tok.all_ready && state_ != State::kIdle && ExternallyReady();
-  peer_->Send(next, net::MessageType::kToken, tok.Encode(), /*urgent=*/true);
+  peer_->Send(next, net::MessageType::kToken, tok.Encode());
 }
 
 void UpdateEngine::LeaderEvaluate(const wire::Token& token) {
@@ -466,8 +464,7 @@ void UpdateEngine::LeaderEvaluate(const wire::Token& token) {
     wire::SccClosed done{session_};
     for (NodeId m : scc_) {
       if (m != peer_->id()) {
-        peer_->Send(m, net::MessageType::kSccClosed, done.Encode(),
-                    /*urgent=*/true);
+        peer_->Send(m, net::MessageType::kSccClosed, done.Encode());
       }
     }
     CloseSelf(/*notify_in_scc=*/false);

@@ -150,7 +150,6 @@ void FleetController::SendControl(NodeId to, net::MessageType type,
   msg.from = id_;
   msg.to = to;
   msg.payload = std::move(payload);
-  msg.urgent = true;
   runtime_->Send(std::move(msg));
 }
 

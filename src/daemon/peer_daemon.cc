@@ -6,7 +6,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -103,11 +103,8 @@ Result<std::unique_ptr<PeerDaemon>> PeerDaemon::Start(PeerdConfig config) {
   }
 
   if (!cfg.pid_file.empty()) {
-    std::ofstream pid(cfg.pid_file, std::ios::trunc);
-    if (!pid) {
-      return Status::Internal("cannot write pid file " + cfg.pid_file);
-    }
-    pid << ::getpid() << "\n";
+    P2PDB_RETURN_IF_ERROR(
+        WriteFile(cfg.pid_file, std::to_string(::getpid()) + "\n"));
   }
 
   P2PDB_LOG(kInfo) << "p2pdb_peerd node " << cfg.node << " (" << cfg.name
@@ -203,7 +200,6 @@ void PeerDaemon::Reply(NodeId to, net::MessageType type,
   msg.from = config_.node;
   msg.to = to;
   msg.payload = std::move(payload);
-  msg.urgent = true;  // Control traffic never waits on a data-plane batch.
   runtime_->Send(std::move(msg));
 }
 

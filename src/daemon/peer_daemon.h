@@ -66,7 +66,7 @@ class PeerDaemon : public net::PeerHandler {
   /// applies its endpoint table. Returns the rejection reason, or OK.
   Status ApplyBootstrap(const core::wire::SessionBootstrap& bootstrap);
 
-  /// Sends one urgent control reply back to `to`.
+  /// Sends one control reply back to `to` (urgent, as every control type is).
   void Reply(NodeId to, net::MessageType type, std::vector<uint8_t> payload);
 
   /// OnMessage without the parked-request check.

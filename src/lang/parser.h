@@ -43,9 +43,11 @@ Result<std::vector<core::CoordinationRule>> ParseRules(
     const core::P2PSystem& system, const std::string& input);
 
 /// The super-peer's rule broadcast (Section 5): parses a rules-only document
-/// against `system` and schedules every rule as an addLink change arriving at
-/// its head node at `at_micros`. "Thus, one peer can change the network
-/// topology at runtime." Returns the change script for envelope checking.
+/// against `system` and queues every rule on `session` as an addLink change
+/// that reaches its head node `at_micros` after the start of the session's
+/// next call that runs the network (Session::Run outside an update). "Thus,
+/// one peer can change the network topology at runtime." Returns the change
+/// script for envelope checking.
 Result<core::ChangeScript> BroadcastRules(const core::P2PSystem& system,
                                           core::Session* session,
                                           const std::string& rules_text,

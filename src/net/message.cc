@@ -92,6 +92,12 @@ bool IsKnownMessageType(uint8_t raw) {
   return false;
 }
 
+bool IsUrgent(MessageType type) {
+  return type == MessageType::kToken || type == MessageType::kSccClosed ||
+         type == MessageType::kReopen ||
+         (type >= MessageType::kBootstrap && type <= MessageType::kShutdown);
+}
+
 std::string Message::ToString() const {
   return StrFormat("%s %u->%u (%zu bytes, seq %llu)", MessageTypeName(type),
                    from, to, payload.size(),

@@ -63,6 +63,14 @@ const char* MessageTypeName(MessageType type);
 /// anything else before it reaches a peer).
 bool IsKnownMessageType(uint8_t raw);
 
+/// True for the latency-critical types: the fix-point detector's (kToken,
+/// kSccClosed, kReopen) and the wire control plane's (kBootstrap through
+/// kShutdown). A coalescing transport never holds one in a batch: it flushes
+/// whatever is pending for the destination (keeping per-destination FIFO
+/// order) and sends the message in its own frame, so termination detection
+/// and control replies never wait on a data-plane batch cap.
+bool IsUrgent(MessageType type);
+
 /// Message payload bytes: owned by default, borrowed on the zero-copy receive
 /// path. A borrowed payload points into a transport read buffer and is valid
 /// only until the dispatch that delivered it returns; the transport calls
@@ -172,12 +180,6 @@ struct Message {
   /// wait just before the thread holding the mailbox runs it (see
   /// TcpRuntime). Zero when it runs on the thread that read it.
   uint64_t queued_micros = 0;
-  /// Local send-path flag, never serialized: bypass transport coalescing.
-  /// An urgent message flushes whatever batch is pending for its destination
-  /// (preserving per-destination FIFO order) and goes out in its own frame —
-  /// control-plane traffic (token ring, reopen pokes) sets it so fixpoint
-  /// latency never waits on a data-plane batch cap.
-  bool urgent = false;
 
   /// Exact size of this message's frame encoding (see net/frame.h): what a
   /// socket carries and what the statistics module counts as bytes on a pipe.

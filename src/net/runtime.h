@@ -49,18 +49,15 @@ class Runtime {
   /// Queues a message for asynchronous delivery. Callable from handlers.
   virtual void Send(Message msg) = 0;
 
-  /// Schedules a message to be injected at an absolute time (used to model
-  /// dynamic network changes arriving mid-run, Section 4).
-  virtual void ScheduleSend(uint64_t time_micros, Message msg) = 0;
-
   /// Delivers messages until the network is quiescent (no message in flight
   /// and no handler running). Returns an error on runaway executions.
   virtual Status Run() = 0;
 
   /// Delivers messages up to (and including) `time_micros`, leaving later
-  /// ones queued — the hook churn drivers use to crash a peer mid-run.
-  /// Default: runs to quiescence (runtimes without a controllable clock
-  /// cannot stop mid-flight).
+  /// ones queued — the hook a session's run loop uses to fire a scripted
+  /// event (a rule change, a crash, a restart) mid-run. Default: runs to
+  /// quiescence (runtimes without a controllable clock cannot stop
+  /// mid-flight).
   virtual Status RunUntil(uint64_t time_micros) {
     (void)time_micros;
     return Run();

@@ -56,13 +56,6 @@ void SimRuntime::Send(Message msg) {
   queue_.push(Event{delivery, msg.seq, std::move(msg)});
 }
 
-void SimRuntime::ScheduleSend(uint64_t time_micros, Message msg) {
-  msg.seq = next_seq_++;
-  stats_.RecordSend(msg);
-  uint64_t delivery = time_micros < now_micros_ ? now_micros_ : time_micros;
-  queue_.push(Event{delivery, msg.seq, std::move(msg)});
-}
-
 Status SimRuntime::Drain(uint64_t until_micros) {
   uint64_t events_this_run = 0;
   while (!queue_.empty() && queue_.top().time <= until_micros) {

@@ -41,10 +41,9 @@ class SimRuntime : public Runtime {
   void RegisterPeer(NodeId id, PeerHandler* handler) override;
   void UnregisterPeer(NodeId id) override;
   void Send(Message msg) override;
-  void ScheduleSend(uint64_t time_micros, Message msg) override;
   Status Run() override;
   /// Delivers events with time <= `time_micros`, then advances the clock to
-  /// exactly that time (so crash/restart boundaries are deterministic).
+  /// exactly that time (so scripted events fire at deterministic times).
   Status RunUntil(uint64_t time_micros) override;
   uint64_t NowMicros() const override { return now_micros_; }
 

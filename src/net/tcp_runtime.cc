@@ -1,7 +1,7 @@
 #include "src/net/tcp_runtime.h"
 
-#include <algorithm>
 #include <cstring>
+#include <thread>
 
 #include "src/obs/metrics.h"
 #include "src/util/logging.h"
@@ -43,20 +43,11 @@ TcpRuntime::TcpRuntime(Options options)
   reactor_options.counters = &stats_.io();
   reactor_ = std::make_unique<Reactor>(reactor_options,
                                        static_cast<Reactor::Handler*>(this));
-  timer_thread_ = std::thread(&TcpRuntime::TimerLoop, this);
 }
 
 TcpRuntime::~TcpRuntime() { Shutdown(); }
 
-void TcpRuntime::Shutdown() {
-  reactor_->Stop();
-  {
-    std::lock_guard<std::mutex> lock(timer_mutex_);
-    timer_stop_ = true;
-  }
-  timer_cv_.notify_all();
-  if (timer_thread_.joinable()) timer_thread_.join();
-}
+void TcpRuntime::Shutdown() { reactor_->Stop(); }
 
 void TcpRuntime::RegisterPeer(NodeId id, PeerHandler* handler) {
   {
@@ -210,40 +201,6 @@ void TcpRuntime::DrainMailbox(Mailbox* box, bool holding) {
   if (holding) ReleaseWork();
 }
 
-void TcpRuntime::ScheduleSend(uint64_t time_micros, Message msg) {
-  HoldWork();  // Released when the timer hands it to Send.
-  {
-    std::lock_guard<std::mutex> lock(timer_mutex_);
-    timer_queue_.emplace_back(time_micros, std::move(msg));
-  }
-  timer_cv_.notify_one();
-}
-
-void TcpRuntime::TimerLoop() {
-  std::unique_lock<std::mutex> lock(timer_mutex_);
-  while (!timer_stop_) {
-    if (timer_queue_.empty()) {
-      timer_cv_.wait(lock);  // ScheduleSend and Shutdown notify.
-      continue;
-    }
-    auto soonest = std::min_element(
-        timer_queue_.begin(), timer_queue_.end(),
-        [](const auto& a, const auto& b) { return a.first < b.first; });
-    uint64_t now = NowMicros();
-    if (soonest->first > now) {
-      timer_cv_.wait_for(lock,
-                         std::chrono::microseconds(soonest->first - now));
-      continue;
-    }
-    Message msg = std::move(soonest->second);
-    timer_queue_.erase(soonest);
-    lock.unlock();
-    Send(std::move(msg));
-    ReleaseWork();  // The ScheduleSend hold.
-    lock.lock();
-  }
-}
-
 uint64_t TcpRuntime::NowMicros() const {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -280,12 +237,12 @@ Status TcpRuntime::Run() {
 
 Status TcpRuntime::RunUntil(uint64_t time_micros) {
   // Wall clock is not controllable: let the reactor work until the requested
-  // elapsed time, then hand control back (used by churn drivers to crash a
-  // peer mid-run).
+  // elapsed time, then hand control back (used by a session's run loop to
+  // fire a rule change, crash or restart mid-run).
   std::this_thread::sleep_until(start_time_ +
                                 std::chrono::microseconds(time_micros));
   if (uint64_t holds = in_flight_.load(); holds != 0) {
-    // Expected under churn (that is what RunUntil is for), but say what is
+    // Expected mid-script (that is what RunUntil is for), but say what is
     // still moving so a stuck fixpoint is debuggable from the log alone.
     P2PDB_LOG(kDebug) << "RunUntil deadline with " << holds
                       << " in-flight holds; pending work:\n"
@@ -351,7 +308,7 @@ void TcpRuntime::Send(Message msg) {
   HoldWork();
   BatchScope& scope = ThisThreadBatchScope();
   if (scope.owner == this) {
-    if (!msg.urgent && options_.batch_max_bytes > 0) {
+    if (!IsUrgent(msg.type) && options_.batch_max_bytes > 0) {
       PendingBatch& batch = scope.dests[msg.to];
       msg.payload.EnsureOwned();  // Must outlive the dispatch's read buffer.
       batch.payload_bytes += msg.payload.size();
@@ -639,13 +596,6 @@ std::string TcpRuntime::PendingWorkReport() const {
       report += "  peer " + std::to_string(id) + ": " +
                 std::to_string(queued) + " queued" +
                 (busy ? ", handler running" : "") + "\n";
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(timer_mutex_);
-    if (!timer_queue_.empty()) {
-      report +=
-          "  " + std::to_string(timer_queue_.size()) + " pending timers\n";
     }
   }
   std::lock_guard<std::mutex> lock(net_mutex_);

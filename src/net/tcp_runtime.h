@@ -15,7 +15,7 @@
 // mailboxes for the frames they read; RunExclusive claims one for its caller.
 // So a peer's handler never runs on two threads at once, messages off one
 // connection run in arrival order, and the runtime owns no thread per peer:
-// its threads are the reactor pool plus one timer thread for ScheduleSend.
+// its only threads are the reactor pool's workers.
 //
 // Churn is a connection event, as in the dynamic-P2P literature: crashing a
 // peer (UnregisterPeer) closes its listener and sockets, so messages to it
@@ -33,7 +33,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/net/frame.h"
@@ -112,21 +111,17 @@ class TcpRuntime : public Runtime, private Reactor::Handler {
   /// the mailbox go.
   void RunExclusive(NodeId id, const std::function<void()>& fn) override;
 
-  /// Hands `msg` to Send() once `time_micros` of elapsed time has passed (on
-  /// the timer thread). The message counts as in flight from this call on.
-  void ScheduleSend(uint64_t time_micros, Message msg) override;
-
   /// Blocks until the in-flight count reaches zero; fails after
   /// Options::timeout with a report naming the pending work. The count is
   /// exact: a message is held from Send() until the receiving runtime
   /// credits its frame back, the receiver holds it from before that credit
-  /// until its handler and dispatch-end flush have run, and a timer is held
-  /// from ScheduleSend() until it is handed to Send(). So zero is quiescence,
-  /// and the last release wakes Run() directly.
+  /// until its handler and dispatch-end flush have run. So zero is
+  /// quiescence, and the last release wakes Run() directly.
   Status Run() override;
 
-  /// Wall-clock churn hook: lets the reactor deliver until `time_micros` of
-  /// elapsed time, then returns (the network need not be quiescent).
+  /// Wall-clock hook for scripted events: lets the reactor deliver until
+  /// `time_micros` of elapsed time, then returns (the network need not be
+  /// quiescent).
   Status RunUntil(uint64_t time_micros) override;
 
   /// Wall-clock microseconds since construction.
@@ -159,9 +154,8 @@ class TcpRuntime : public Runtime, private Reactor::Handler {
   /// per-(peer, destination) FIFO order.
   virtual void EndDispatch();
 
-  /// Stops the reactor and the timer thread and joins them. Idempotent. A
-  /// subclass whose overrides those threads call must call it in its own
-  /// destructor.
+  /// Stops the reactor and joins its workers. Idempotent. A subclass whose
+  /// overrides those threads call must call it in its own destructor.
   void Shutdown();
 
  private:
@@ -239,8 +233,6 @@ class TcpRuntime : public Runtime, private Reactor::Handler {
   /// claim is gone, so Run() never returns while a mailbox is claimed.
   void DrainMailbox(Mailbox* box, bool holding);
 
-  void TimerLoop();
-
   void HoldWork() { in_flight_.fetch_add(1); }
   /// The only way the in-flight count goes down; the release that reaches
   /// zero wakes Run().
@@ -248,9 +240,9 @@ class TcpRuntime : public Runtime, private Reactor::Handler {
   void CountDrop(uint64_t n = 1) { dropped_.fetch_add(n); }
 
   /// One line per unit of outstanding work: mailbox queue depths and claims,
-  /// pending timers, unsent bytes in send queues and frames awaiting the
-  /// receiver's credit. Logged when Run() gives up or RunUntil() hands back
-  /// a network that is not quiescent, so a hung fixpoint names its culprit.
+  /// unsent bytes in send queues and frames awaiting the receiver's credit.
+  /// Logged when Run() gives up or RunUntil() hands back a network that is
+  /// not quiescent, so a hung fixpoint names its culprit.
   std::string PendingWorkReport() const;
 
   // Reactor::Handler (reactor worker threads).
@@ -293,13 +285,7 @@ class TcpRuntime : public Runtime, private Reactor::Handler {
   mutable std::mutex mailboxes_mutex_;  // The map; each Mailbox locks itself.
   std::map<NodeId, std::unique_ptr<Mailbox>> mailboxes_;
 
-  // ScheduleSend's delayed injections, fired by timer_thread_.
-  mutable std::mutex timer_mutex_;
-  std::condition_variable timer_cv_;
-  std::vector<std::pair<uint64_t, Message>> timer_queue_;
-  bool timer_stop_ = false;  // Guarded by timer_mutex_.
-
-  // Queued + being dispatched + in frames awaiting credit + timed. Run()
+  // Queued + being dispatched + in frames awaiting credit. Run()
   // waits on idle_cv_ for zero; idle_mutex_ is a leaf lock.
   std::atomic<uint64_t> in_flight_{0};
   std::mutex idle_mutex_;
@@ -314,10 +300,6 @@ class TcpRuntime : public Runtime, private Reactor::Handler {
   std::map<NodeId, std::shared_ptr<Connection>> outbound_;
   mutable std::mutex states_mutex_;  // conn_states_.
   std::map<const Connection*, std::shared_ptr<ConnState>> conn_states_;
-
-  // Fires ScheduleSend's timers through Send(), so it uses every member
-  // above; started last in the constructor, joined by Shutdown().
-  std::thread timer_thread_;
 };
 
 }  // namespace p2pdb::net

@@ -1,9 +1,8 @@
 #include "src/obs/export.h"
 
-#include <cstdio>
-
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/util/file_util.h"
 #include "src/util/logging.h"
 
 namespace p2pdb::obs {
@@ -24,18 +23,11 @@ bool WriteObsJson(const std::string& path, Registry& registry,
   body += collector != nullptr ? collector->ReportJson() : "[]";
   body += "\n}\n";
 
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    P2PDB_LOG(kWarn) << "obs: cannot write " << path;
-    return false;
+  Status written = WriteFile(path, body);
+  if (!written.ok()) {
+    P2PDB_LOG(kWarn) << "obs: " << written.message();
   }
-  size_t written = std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  if (written != body.size()) {
-    P2PDB_LOG(kWarn) << "obs: short write to " << path;
-    return false;
-  }
-  return true;
+  return written.ok();
 }
 
 }  // namespace p2pdb::obs

@@ -1,7 +1,5 @@
 #include "src/relational/snapshot.h"
 
-#include <cstdio>
-
 #include "src/relational/codec.h"
 #include "src/util/file_util.h"
 
@@ -37,15 +35,7 @@ Result<Database> DeserializeDatabase(const std::vector<uint8_t>& bytes) {
 }
 
 Status SaveDatabase(const Database& db, const std::string& path) {
-  std::vector<uint8_t> bytes = SerializeDatabase(db);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::Internal("cannot open " + path);
-  size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  int close_rc = std::fclose(f);
-  if (written != bytes.size() || close_rc != 0) {
-    return Status::Internal("short write to " + path);
-  }
-  return Status::OK();
+  return WriteFile(path, SerializeDatabase(db));
 }
 
 Result<Database> LoadDatabase(const std::string& path) {

@@ -47,8 +47,7 @@ Result<std::unique_ptr<StorageManager>> StorageManager::Open(
                             ": " + ec.message());
   }
   WalContents existing;
-  auto wal = WalWriter::Open(options.dir + "/wal.log", options.sync,
-                             options.group_commit, &existing);
+  auto wal = WalWriter::Open(options.dir + "/wal.log", options.sync, &existing);
   if (!wal.ok()) return wal.status();
   const bool has_base = !existing.records.empty() &&
                         existing.records[0].size > 0 &&
@@ -90,9 +89,7 @@ Status StorageManager::EnsureBase(const rel::Database& db) {
   rel::EncodeDatabase(db, rel::RowOrder::kLog, &w);
   P2PDB_RETURN_IF_ERROR(wal_->Append(w.bytes()));
   has_base_ = true;
-  // Nothing can be recovered without the base, so an open group-commit
-  // window (only kSync opens one) must not hold it back from stable media.
-  return wal_->pending_appends() > 0 ? wal_->Sync() : Status::OK();
+  return Status::OK();
 }
 
 Result<rel::Database> StorageManager::Recover(RecoveryInfo* info) {

@@ -42,10 +42,6 @@ struct StorageOptions {
   /// writes to the OS and never fsyncs — benches use it so measurements are
   /// not fsync-bound.
   SyncMode sync = SyncMode::kSync;
-  /// Group commit for kSync (see GroupCommitOptions): a nonzero window
-  /// coalesces appends into one fsync per window/batch. The base record is
-  /// synced before EnsureBase returns regardless.
-  GroupCommitOptions group_commit;
 };
 
 /// What Recover() rebuilt, for reporting and benchmarks.

@@ -97,9 +97,9 @@ Result<WalContents> ReadWalFile(const std::string& path) {
   return out;
 }
 
-Result<std::unique_ptr<WalWriter>> WalWriter::Open(
-    const std::string& path, SyncMode sync, GroupCommitOptions group_commit,
-    WalContents* existing) {
+Result<std::unique_ptr<WalWriter>> WalWriter::Open(const std::string& path,
+                                                   SyncMode sync,
+                                                   WalContents* existing) {
   auto read = ReadWalFile(path);
   if (!read.ok() && read.status().code() != StatusCode::kNotFound) {
     return read.status();  // Foreign, other-version or unreadable: keep out.
@@ -115,7 +115,7 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(
                             std::strerror(errno));
   }
   auto writer = std::unique_ptr<WalWriter>(
-      new WalWriter(path, sync, group_commit, fd, valid_bytes));
+      new WalWriter(path, sync, fd, valid_bytes));
   if (contents.tail_corrupt &&
       ::ftruncate(fd, static_cast<off_t>(valid_bytes)) != 0) {
     return Status::Internal("cannot truncate torn tail of " + path);
@@ -123,7 +123,7 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(
   if (valid_bytes == 0) {
     P2PDB_RETURN_IF_ERROR(writer->Write(EncodeHeader(), {}));
     if (sync == SyncMode::kSync) {
-      P2PDB_RETURN_IF_ERROR(writer->SyncNow());
+      P2PDB_RETURN_IF_ERROR(writer->Fsync());
       ++writer->syncs_performed_;
       P2PDB_RETURN_IF_ERROR(FsyncParentDirectory(path));
     }
@@ -133,11 +133,7 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(
 }
 
 WalWriter::~WalWriter() {
-  if (fd_ < 0) return;
-  // Best effort: close an open group-commit window so its records are not
-  // left OS-buffered only.
-  if (pending_appends_ > 0) (void)SyncNow();
-  ::close(fd_);
+  if (fd_ >= 0) ::close(fd_);
 }
 
 Status WalWriter::Append(ByteView payload) {
@@ -159,22 +155,10 @@ Status WalWriter::Append(ByteView payload) {
   header.PutU32(static_cast<uint32_t>(payload.size));
   header.PutU32(Crc32(payload.data, payload.size));
   // Written to the OS always (the record survives a process crash); reaches
-  // stable media per the sync mode and group-commit window.
+  // stable media before this returns under kSync.
   P2PDB_RETURN_IF_ERROR(Write(header.bytes(), payload));
   ++appended_records_;
-  if (sync_ == SyncMode::kSync) {
-    if (group_commit_.window.count() == 0) {
-      return SyncNow();
-    }
-    if (pending_appends_ == 0) window_start_ = std::chrono::steady_clock::now();
-    ++pending_appends_;
-    if (pending_appends_ >= group_commit_.max_pending ||
-        std::chrono::steady_clock::now() - window_start_ >=
-            group_commit_.window) {
-      return SyncNow();
-    }
-  }
-  return Status::OK();
+  return sync_ == SyncMode::kSync ? Fsync() : Status::OK();
 }
 
 Status WalWriter::Write(ByteView head, ByteView body) {
@@ -200,13 +184,7 @@ Status WalWriter::Write(ByteView head, ByteView body) {
   return Status::Internal("cannot write to " + path_ + ": " + reason);
 }
 
-Status WalWriter::Sync() {
-  if (fd_ < 0) return Status::Internal(path_ + " is not open");
-  return SyncNow();
-}
-
-Status WalWriter::SyncNow() {
-  pending_appends_ = 0;
+Status WalWriter::Fsync() {
   ++syncs_performed_;
   uint64_t start = MonotonicMicros();
   const bool synced = ::fsync(fd_) == 0;

@@ -15,7 +15,6 @@
 #ifndef P2PDB_STORAGE_WAL_H_
 #define P2PDB_STORAGE_WAL_H_
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -27,22 +26,9 @@
 namespace p2pdb::storage {
 
 /// Whether appends are written to the OS only (fast, loses the tail on power
-/// failure) or fsync'd to stable media (durable, slow).
+/// failure) or each fsync'd to stable media before Append returns (durable,
+/// slow).
 enum class SyncMode { kNoSync, kSync };
-
-/// Group commit for `kSync` mode: instead of fsync'ing every append, appends
-/// are coalesced and one fsync covers the whole batch once `max_pending`
-/// records accumulate or an append finds `window` elapsed since the batch
-/// opened. Records in the open window are written to the OS (they survive a
-/// process crash) but reach stable media only at the NEXT append, Sync(), or
-/// close — there is no background flusher, so an idle writer's tail batch
-/// stays OS-buffered indefinitely (a power failure can lose it). Callers
-/// needing a hard bound call Sync() at their commit points. A zero window
-/// keeps the classic fsync-per-append behaviour.
-struct GroupCommitOptions {
-  std::chrono::microseconds window{0};
-  uint64_t max_pending = 64;
-};
 
 /// A WAL file as read: its bytes, every intact record in order (viewed in
 /// those bytes; a move keeps the views valid, a copy would not, so there is
@@ -73,59 +59,44 @@ class WalWriter {
   /// any torn tail truncated before new appends. `*existing`, when given,
   /// receives the log as Open read it (empty for a log Open created).
   static Result<std::unique_ptr<WalWriter>> Open(
-      const std::string& path, SyncMode sync,
-      GroupCommitOptions group_commit = {}, WalContents* existing = nullptr);
+      const std::string& path, SyncMode sync, WalContents* existing = nullptr);
   ~WalWriter();
 
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Appends one record with a single write. Under kSync it is fsync'd
-  /// immediately, or at the next group-commit boundary when a window is set.
-  /// A failed or short write is truncated away before the error returns, so
-  /// the next append lands right after the last intact record.
+  /// Appends one record with a single write; under kSync it is fsync'd
+  /// before this returns. A failed or short write is truncated away before
+  /// the error returns, so the next append lands right after the last intact
+  /// record.
   Status Append(ByteView payload);
-
-  /// Forces an fsync (of any pending group-commit batch too) regardless of
-  /// the sync mode.
-  Status Sync();
 
   /// Current file size in bytes (header + intact records).
   uint64_t size_bytes() const { return size_bytes_; }
   /// Records appended through this writer (excludes pre-existing ones).
   uint64_t appended_records() const { return appended_records_; }
   /// fsyncs issued by this writer, including the file and directory fsyncs
-  /// that create a log under kSync (group commit makes this < appended).
+  /// that create a log under kSync.
   uint64_t syncs_performed() const { return syncs_performed_; }
-  /// Appends written to the OS but not yet covered by an fsync.
-  uint64_t pending_appends() const { return pending_appends_; }
   const std::string& path() const { return path_; }
 
  private:
-  WalWriter(std::string path, SyncMode sync, GroupCommitOptions group_commit,
-            int fd, uint64_t size_bytes)
-      : path_(std::move(path)),
-        sync_(sync),
-        group_commit_(group_commit),
-        fd_(fd),
-        size_bytes_(size_bytes) {}
+  WalWriter(std::string path, SyncMode sync, int fd, uint64_t size_bytes)
+      : path_(std::move(path)), sync_(sync), fd_(fd), size_bytes_(size_bytes) {}
 
   /// Writes `head` then `body` with one writev at the end of the log; on a
   /// short or failed write, truncates the log back to size_bytes().
   Status Write(ByteView head, ByteView body);
 
-  /// fsyncs and resets the group-commit window bookkeeping.
-  Status SyncNow();
+  /// fsyncs the log, timing it into wal.fsync_micros.
+  Status Fsync();
 
   std::string path_;
   SyncMode sync_;
-  GroupCommitOptions group_commit_;
   int fd_ = -1;
   uint64_t size_bytes_ = 0;
   uint64_t appended_records_ = 0;
   uint64_t syncs_performed_ = 0;
-  uint64_t pending_appends_ = 0;
-  std::chrono::steady_clock::time_point window_start_{};
 };
 
 }  // namespace p2pdb::storage

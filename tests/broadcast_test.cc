@@ -56,7 +56,7 @@ rule rb: SrcB.b(V) => Hub.all(V);
   EXPECT_EQ(script->size(), 2u);
 
   // Deliver the broadcast, re-discover (topology changed), then update.
-  ASSERT_TRUE(rt.Run().ok());
+  ASSERT_TRUE(session.Run().ok());
   ASSERT_TRUE(session.Rediscover().ok());
   ASSERT_TRUE(session.RunUpdate().ok());
   ASSERT_TRUE(session.AllClosed());
@@ -80,9 +80,9 @@ TEST(BroadcastTest, BroadcastDuringSessionReopens) {
 
   auto script = BroadcastRules(*system, &session,
                                "rule ra: SrcA.a(V) => Hub.all(V);",
-                               rt.NowMicros() + 50);
+                               /*at_micros=*/50);
   ASSERT_TRUE(script.ok());
-  ASSERT_TRUE(rt.Run().ok());
+  ASSERT_TRUE(session.Run().ok());
   // The addLink re-opened and re-closed the hub with the new data.
   EXPECT_EQ(session.peer(0).update().state(),
             core::UpdateEngine::State::kClosed);

@@ -4,10 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "src/core/global_fixpoint.h"
 #include "src/core/session.h"
 #include "src/lang/parser.h"
 #include "src/net/sim_runtime.h"
+#include "src/net/tcp_runtime.h"
 #include "src/relational/null_iso.h"
 #include "src/util/log_capture.h"
 #include "src/workload/scenario.h"
@@ -65,6 +72,104 @@ TEST(DynamicsTest, AddLinkDuringRunDeliversNewData) {
   EXPECT_TRUE(a->Contains(rel::Tuple({S("c1")})));  // Old data kept.
 }
 
+TEST(DynamicsTest, ChangeFiresAtOffsetFromUpdateStart) {
+  // A change's time is an offset from the start of the call that delivers
+  // it, so a deleteLink queued after discovery for 500 us into the update
+  // arrives after the update's first message, not when discovery ended.
+  auto system = ChainWithSpare();
+  ASSERT_TRUE(system.ok());
+  net::SimRuntime rt;
+  Session session(*system, &rt);
+  ASSERT_TRUE(session.RunDiscovery().ok());
+  std::vector<std::pair<uint64_t, net::MessageType>> delivered;
+  rt.set_tracer([&](uint64_t time_micros, const net::Message& msg) {
+    delivered.emplace_back(time_micros, msg.type);
+  });
+  const uint64_t start = rt.NowMicros();
+  session.ScheduleChange(
+      AtomicChange::Delete(500, *system->NodeByName("B"), "r2"));
+  ASSERT_TRUE(session.RunUpdate().ok());
+  ASSERT_TRUE(session.AllClosed());
+  auto change = std::find_if(delivered.begin(), delivered.end(), [](auto& d) {
+    return d.second == net::MessageType::kDeleteRule;
+  });
+  ASSERT_NE(change, delivered.end());
+  EXPECT_GT(change - delivered.begin(), 0)
+      << "the change arrived before the update's first message";
+  EXPECT_GE(change->first, start + 500);
+}
+
+/// A TcpRuntime that notes, on its own clock, when a handler first ran an
+/// addRule notification.
+class ClockedTcpRuntime : public net::TcpRuntime {
+ public:
+  explicit ClockedTcpRuntime(Options options)
+      : TcpRuntime(std::move(options)) {}
+  /// The reactor workers call the wrappers: stop them before those die.
+  ~ClockedTcpRuntime() override { Shutdown(); }
+
+  /// Called from the test's thread only (the session registers its peers).
+  void RegisterPeer(NodeId id, net::PeerHandler* handler) override {
+    wrappers_.push_back(std::make_unique<Clocked>(this, handler));
+    TcpRuntime::RegisterPeer(id, wrappers_.back().get());
+  }
+
+  /// NowMicros() when an addRule first reached a handler; 0 if none has.
+  uint64_t AddRuleLandedAt() const { return add_rule_at_.load(); }
+
+ private:
+  class Clocked : public net::PeerHandler {
+   public:
+    Clocked(ClockedTcpRuntime* owner, net::PeerHandler* inner)
+        : owner_(owner), inner_(inner) {}
+    void OnMessage(const net::Message& msg) override {
+      uint64_t none = 0;
+      if (msg.type == net::MessageType::kAddRule) {
+        owner_->add_rule_at_.compare_exchange_strong(none, owner_->NowMicros());
+      }
+      inner_->OnMessage(msg);
+    }
+
+   private:
+    ClockedTcpRuntime* owner_;
+    net::PeerHandler* inner_;
+  };
+
+  std::vector<std::unique_ptr<Clocked>> wrappers_;
+  std::atomic<uint64_t> add_rule_at_{0};
+};
+
+TEST(DynamicsTest, AddLinkLandsMidUpdateOverTcp) {
+  // The same clock on sockets: the session's run loop sleeps until the
+  // update's start plus the change's offset, then sends the addRule through
+  // the reactor, and the update still converges inside the Definition 9
+  // envelope.
+  auto system = ChainWithSpare();
+  ASSERT_TRUE(system.ok());
+  net::TcpRuntime::Options options;
+  options.io_workers = 2;
+  ClockedTcpRuntime rt(options);
+  Session session(*system, &rt);
+  ASSERT_TRUE(session.RunDiscovery().ok());
+  constexpr uint64_t kOffset = 2'000;
+  ChangeScript changes = {AtomicChange::Add(kOffset, RuleDFromSystem(*system))};
+  session.ScheduleChange(changes[0]);
+  const uint64_t start = rt.NowMicros();
+  ASSERT_TRUE(session.RunUpdate().ok());
+
+  const uint64_t landed = rt.AddRuleLandedAt();
+  ASSERT_NE(landed, 0u) << "the addRule never reached its head";
+  EXPECT_GE(landed, start + kOffset);
+  std::set<NodeId> open;
+  EXPECT_TRUE(session.AllClosed(&open)) << open.size() << " nodes open";
+  EXPECT_EQ(session.peer(0).rules().size(), 2u);  // r1 and r3.
+  EXPECT_TRUE(
+      (*session.peer(0).db().Get("a"))->Contains(rel::Tuple({S("d1")})));
+  auto envelope = ComputeEnvelope(*system, changes, rel::ChaseOptions{});
+  ASSERT_TRUE(envelope.ok()) << envelope.status().ToString();
+  EXPECT_TRUE(WithinEnvelope(session.SnapshotDatabases(), *envelope));
+}
+
 TEST(DynamicsTest, AddLinkReopensClosedNode) {
   auto system = ChainWithSpare();
   ASSERT_TRUE(system.ok());
@@ -74,10 +179,9 @@ TEST(DynamicsTest, AddLinkReopensClosedNode) {
   ASSERT_TRUE(session.RunUpdate().ok());
   ASSERT_TRUE(session.AllClosed());
   // Network is quiescent and closed; now add the link.
-  AtomicChange add = AtomicChange::Add(rt.NowMicros() + 10,
-                                       RuleDFromSystem(*system));
+  AtomicChange add = AtomicChange::Add(10, RuleDFromSystem(*system));
   session.ScheduleChange(add);
-  ASSERT_TRUE(rt.Run().ok());
+  ASSERT_TRUE(session.Run().ok());
   ASSERT_TRUE(session.AllClosed());  // Re-closed after the reopen wave.
   EXPECT_GT(session.peer(0).update().stats().reopens, 0u);
   EXPECT_TRUE(
@@ -244,7 +348,7 @@ TEST(DynamicsTest, AddRuleBeforeSessionIsPickedUpAtStart) {
   ASSERT_TRUE(session.RunDiscovery().ok());
   // Change delivered before any update session exists.
   session.ScheduleChange(AtomicChange::Add(10, RuleDFromSystem(*system)));
-  ASSERT_TRUE(rt.Run().ok());
+  ASSERT_TRUE(session.Run().ok());
   ASSERT_TRUE(session.RunUpdate().ok());
   ASSERT_TRUE(session.AllClosed());
   EXPECT_TRUE(

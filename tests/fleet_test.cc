@@ -31,9 +31,11 @@
 #include "src/core/update.h"
 #include "src/daemon/config.h"
 #include "src/daemon/fleet.h"
+#include "src/daemon/peer_daemon.h"
 #include "src/lang/printer.h"
 #include "src/net/sim_runtime.h"
 #include "src/relational/null_iso.h"
+#include "src/util/file_util.h"
 #include "src/workload/scenario.h"
 #include "tests/codec_testing.h"
 
@@ -47,13 +49,6 @@ std::string FreshRoot(const std::string& name) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;
-}
-
-Status WriteFile(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return Status::Internal("cannot write " + path);
-  out << text;
-  return Status::OK();
 }
 
 /// Forks one p2pdb_peerd on `config_path`, stdout+stderr into `log_path`.
@@ -209,6 +204,25 @@ TEST(PeerdConfigTest, MutantsParseWholeOrNotAtAll) {
         return std::vector<uint8_t>(again.begin(), again.end());
       },
       200, 23);
+}
+
+TEST(PeerDaemonTest, StartFailsWhenThePidFileIsNotWritten) {
+  // /dev/full opens for writing and fails every write with ENOSPC: a daemon
+  // whose pid file was lost must not report that it started.
+  const std::string root = FreshRoot("pid_full");
+  PeerdConfig config;
+  config.node = 0;
+  config.name = "A";
+  config.listen = {"127.0.0.1", 0};
+  config.system_file = root + "/system.p2p";
+  config.pid_file = "/dev/full";
+  ASSERT_TRUE(
+      WriteFile(config.system_file, std::string("node A { rel a(x); }\n"))
+          .ok());
+  auto daemon = PeerDaemon::Start(config);
+  ASSERT_FALSE(daemon.ok()) << "Start succeeded without its pid file";
+  EXPECT_NE(daemon.status().message().find("/dev/full"), std::string::npos)
+      << daemon.status().ToString();
 }
 
 TEST(FleetHelpersTest, PickFreePortsReturnsDistinctPorts) {

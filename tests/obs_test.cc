@@ -5,12 +5,15 @@
 // span DAG reconstruction, fixpoint latency, critical path, sampling.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "src/net/stats.h"
+#include "src/obs/export.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/util/log_capture.h"
 
 namespace p2pdb {
 namespace {
@@ -242,6 +245,17 @@ TEST(TraceCollectorTest, SamplingTracesOneInN) {
 
   collector.set_sample_every(0);  // Disabled: nothing is sampled.
   EXPECT_FALSE(collector.SampleRoot());
+}
+
+TEST(ObsExportTest, WriteToAFullDiskFails) {
+  // /dev/full takes the open and fails the write (ENOSPC), which a buffered
+  // writer reports only at close.
+  obs::Registry registry;
+  ScopedLogCapture capture;
+  EXPECT_FALSE(obs::WriteObsJson("/dev/full", registry, nullptr));
+  const std::vector<std::string> lines = capture.lines();
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("/dev/full"), std::string::npos) << lines[0];
 }
 
 TEST(TraceCollectorTest, UntracedSpansAreIgnoredAndClearWorks) {

@@ -108,18 +108,6 @@ TEST(SimRuntimeTest, DeterministicAcrossRuns) {
   EXPECT_EQ(run_once(), run_once());
 }
 
-TEST(SimRuntimeTest, ScheduledSendArrivesAtTime) {
-  SimRuntime rt;
-  rt.pipes().set_default_latency(LatencyModel{0, 0});
-  EchoPeer a(0, &rt, 0), b(1, &rt, 0);
-  rt.RegisterPeer(0, &a);
-  rt.RegisterPeer(1, &b);
-  rt.ScheduleSend(5000, Make(0, 1));
-  ASSERT_TRUE(rt.Run().ok());
-  EXPECT_EQ(b.received(), 1);
-  EXPECT_EQ(rt.NowMicros(), 5000u);
-}
-
 TEST(SimRuntimeTest, MaxEventsGuardsNonTermination) {
   SimRuntime rt(SimRuntime::Options{.seed = 1, .max_events = 100});
   // Peers that reply forever.

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <map>
@@ -171,28 +170,6 @@ TEST(StorageManagerTest, RuleChangeRecordsKeepOrderAcrossReopen) {
   EXPECT_EQ(info.rule_changes[0], change_a);
   EXPECT_EQ(info.rule_changes[1], change_b);
   EXPECT_TRUE(*recovered == db);
-  std::filesystem::remove_all(options.dir);
-}
-
-TEST(StorageManagerTest, GroupCommitOptionsReachTheWal) {
-  StorageOptions options;
-  options.dir = FreshDir("group_commit");
-  options.sync = SyncMode::kSync;
-  options.group_commit.window = std::chrono::seconds(60);
-  options.group_commit.max_pending = 4;
-  auto manager = StorageManager::Open(options);
-  ASSERT_TRUE(manager.ok());
-  rel::Database db = BaseDb();
-  // The base is synced before EnsureBase returns, although the window would
-  // hold it for a minute.
-  const uint64_t open_syncs = (*manager)->wal_syncs();
-  ASSERT_TRUE((*manager)->EnsureBase(db).ok());
-  const uint64_t base_syncs = (*manager)->wal_syncs();
-  EXPECT_EQ(base_syncs, open_syncs + 1);
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(InsertAndLog(manager->get(), &db, 10 + i, "d").ok());
-  }
-  EXPECT_EQ((*manager)->wal_syncs() - base_syncs, 2u);  // Two batches of 4.
   std::filesystem::remove_all(options.dir);
 }
 

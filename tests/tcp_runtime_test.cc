@@ -83,7 +83,7 @@ std::set<std::string> ThreadIds() {
 
 // --- Dispatch: the thread that claims a mailbox drains it ----------------
 
-TEST(TcpRuntimeTest, PeersAddNoThreadsBeyondReactorAndTimer) {
+TEST(TcpRuntimeTest, PeersAddNoThreadsBeyondTheReactor) {
   // A sanitizer runtime may start a helper thread on the process's first
   // thread creation; let that happen before the baseline. Threads that
   // exit are only ever missing from the later set, so the set difference
@@ -104,8 +104,8 @@ TEST(TcpRuntimeTest, PeersAddNoThreadsBeyondReactorAndTimer) {
 
   size_t added = 0;
   for (const std::string& id : ThreadIds()) added += before.count(id) == 0;
-  EXPECT_EQ(added, static_cast<size_t>(options.io_workers) + 1)
-      << "reactor workers plus the timer thread, and nothing per peer";
+  EXPECT_EQ(added, static_cast<size_t>(options.io_workers))
+      << "the reactor workers, and nothing per peer";
 }
 
 TEST(TcpRuntimeTest, DeliversOverRealSockets) {
@@ -163,21 +163,6 @@ TEST(TcpRuntimeTest, RegisterWhileRunningDelivers) {
   EXPECT_EQ(late.received(), 1);
 }
 
-TEST(TcpRuntimeTest, RunWaitsForPendingTimer) {
-  TcpRuntime rt;
-  CountingPeer a(0, &rt, 0), b(1, &rt, 0);
-  rt.RegisterPeer(0, &a);
-  rt.RegisterPeer(1, &b);
-  auto start = std::chrono::steady_clock::now();
-  rt.ScheduleSend(rt.NowMicros() + 20'000, Make(0, 1));
-  ASSERT_TRUE(rt.Run().ok());
-  // The timer holds its in-flight unit until it hands the message to Send,
-  // so Run() cannot return before the handler has seen it.
-  EXPECT_EQ(b.received(), 1);
-  EXPECT_GE(std::chrono::steady_clock::now() - start,
-            std::chrono::milliseconds(20));
-}
-
 TEST(TcpRuntimeTest, RunGivesUpAtDeadlineAndNamesPendingWork) {
   TcpRuntime::Options options;
   options.timeout = std::chrono::milliseconds(50);
@@ -202,11 +187,11 @@ TEST(TcpRuntimeTest, RunGivesUpAtDeadlineAndNamesPendingWork) {
 
 TEST(TcpRuntimeTest, ShutdownRightAfterDispatchNeverHangs) {
   // Destroying the runtime the moment a handler has run races Shutdown's
-  // wake-up against the timer thread entering its first wait, and the
-  // reactor's teardown against the dispatch that just ran. A notify that
-  // lands between a waiter's predicate check and its wait is lost and the
-  // join hangs forever; many cycles make that likely. The watchdog turns a
-  // hang into a failure.
+  // wake-up against the reactor worker entering its next wait, and the
+  // reactor's teardown against the dispatch that just ran. A wake-up that
+  // lands between a waiter's stop check and its wait is lost and the join
+  // hangs forever; many cycles make that likely. The watchdog turns a hang
+  // into a failure.
   std::mutex mutex;
   std::condition_variable cv;
   bool done = false;
@@ -489,7 +474,7 @@ TEST(TcpRuntimeTest, CrashHoldingUncreditedFramesStillReachesQuiescence) {
 /// On each incoming message, sends `fan` tagged kQueryAnswer messages to
 /// `dest` within the one dispatch — the shape coalescing packs into a single
 /// kBatch frame. Tag = first payload byte, `urgent_tag` (if nonzero) is sent
-/// with the urgent flag.
+/// as a kToken, a type net::IsUrgent names.
 class FanPeer : public PeerHandler {
  public:
   FanPeer(NodeId id, Runtime* rt, NodeId dest, int fan, uint8_t urgent_tag = 0)
@@ -499,11 +484,11 @@ class FanPeer : public PeerHandler {
   void OnMessage(const Message&) override {
     for (int i = 1; i <= fan_; ++i) {
       Message m;
-      m.type = MessageType::kQueryAnswer;
+      const bool urgent = static_cast<uint8_t>(i) == urgent_tag_;
+      m.type = urgent ? MessageType::kToken : MessageType::kQueryAnswer;
       m.from = id_;
       m.to = dest_;
       m.payload = std::vector<uint8_t>{static_cast<uint8_t>(i), 0, 0};
-      m.urgent = (static_cast<uint8_t>(i) == urgent_tag_);
       runtime_->Send(std::move(m));
     }
   }

@@ -7,12 +7,10 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <string>
-#include <thread>
 
 #include "src/util/crc32.h"
 
@@ -286,48 +284,6 @@ TEST(WalTest, SyncModeFsyncsEveryAppend) {
     ASSERT_TRUE((*writer)->Append(Payload({i})).ok());
   }
   EXPECT_EQ((*writer)->syncs_performed(), 2u + 5u);
-  EXPECT_EQ((*writer)->pending_appends(), 0u);
-  std::remove(path.c_str());
-}
-
-TEST(WalTest, GroupCommitCoalescesFsyncs) {
-  std::string path = TestPath("group");
-  std::remove(path.c_str());
-  GroupCommitOptions group;
-  group.window = std::chrono::seconds(60);  // Count-triggered only.
-  group.max_pending = 10;
-  auto writer = WalWriter::Open(path, SyncMode::kSync, group);
-  ASSERT_TRUE(writer.ok());
-  const uint64_t created = (*writer)->syncs_performed();
-  for (int i = 0; i < 25; ++i) {
-    ASSERT_TRUE((*writer)->Append(Payload({i})).ok());
-  }
-  // 25 appends = two full batches of 10 plus 5 pending.
-  EXPECT_EQ((*writer)->syncs_performed() - created, 2u);
-  EXPECT_EQ((*writer)->pending_appends(), 5u);
-  ASSERT_TRUE((*writer)->Sync().ok());  // Closes the open window.
-  EXPECT_EQ((*writer)->syncs_performed() - created, 3u);
-  EXPECT_EQ((*writer)->pending_appends(), 0u);
-
-  // Every record is readable regardless of which batch carried it.
-  auto contents = ReadWalFile(path);
-  ASSERT_TRUE(contents.ok());
-  EXPECT_EQ(contents->records.size(), 25u);
-  std::remove(path.c_str());
-}
-
-TEST(WalTest, GroupCommitWindowExpiryTriggersSync) {
-  std::string path = TestPath("group_window");
-  std::remove(path.c_str());
-  GroupCommitOptions group;
-  group.window = std::chrono::microseconds(1);  // Expires between appends.
-  group.max_pending = 1'000'000;
-  auto writer = WalWriter::Open(path, SyncMode::kSync, group);
-  ASSERT_TRUE(writer.ok());
-  ASSERT_TRUE((*writer)->Append(Payload({1})).ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  ASSERT_TRUE((*writer)->Append(Payload({2})).ok());
-  EXPECT_GE((*writer)->syncs_performed(), 1u);
   std::remove(path.c_str());
 }
 

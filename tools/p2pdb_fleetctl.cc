@@ -17,7 +17,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -51,13 +50,6 @@ void Usage(std::FILE* out) {
 int Fail(const Status& status) {
   std::fprintf(stderr, "p2pdb_fleetctl: %s\n", status.ToString().c_str());
   return 1;
-}
-
-Status WriteFile(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return Status::Internal("cannot write " + path);
-  out << text;
-  return Status::OK();
 }
 
 int RunGen(int argc, char** argv) {
@@ -125,7 +117,7 @@ int RunGen(int argc, char** argv) {
                                  ec.message()));
   }
   const std::string fleet_p2p = out_dir + "/fleet.p2p";
-  Status wrote = WriteFile(fleet_p2p, p2pdb::lang::PrintSystem(*system));
+  Status wrote = p2pdb::WriteFile(fleet_p2p, p2pdb::lang::PrintSystem(*system));
   if (!wrote.ok()) return Fail(wrote);
 
   auto ports = p2pdb::daemon::PickFreePorts(host, system->node_count());
@@ -136,7 +128,7 @@ int RunGen(int argc, char** argv) {
   for (const p2pdb::daemon::PeerdConfig& cfg : *configs) {
     const std::string path =
         out_dir + "/peer" + std::to_string(cfg.node) + ".conf";
-    wrote = WriteFile(path, cfg.ToString());
+    wrote = p2pdb::WriteFile(path, cfg.ToString());
     if (!wrote.ok()) return Fail(wrote);
     std::printf("%s  node %u (%s) on %s\n", path.c_str(), cfg.node,
                 cfg.name.c_str(), cfg.listen.ToString().c_str());
