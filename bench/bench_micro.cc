@@ -1,12 +1,16 @@
 // Micro-benchmarks (google-benchmark) for the substrate hot paths: conjunctive
-// query evaluation, chase application, wire codecs, and the discovery wave.
+// query evaluation, chase application, wire codecs, the CRC-32 that guards
+// every frame and WAL record, and the discovery wave.
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "src/core/session.h"
 #include "src/core/wire.h"
 #include "src/net/sim_runtime.h"
 #include "src/relational/chase.h"
 #include "src/relational/eval.h"
+#include "src/util/crc32.h"
 #include "src/util/rng.h"
 #include "src/workload/scenario.h"
 
@@ -93,6 +97,18 @@ void BM_WireTupleListRoundTrip(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0) * 24);
 }
 BENCHMARK(BM_WireTupleListRoundTrip)->Arg(100)->Arg(1000);
+
+// CRC-32 over one buffer, as a frame or WAL record of that size pays it.
+void BM_Crc32(benchmark::State& state) {
+  std::vector<uint8_t> data(static_cast<size_t>(state.range(0)));
+  Rng rng(5);
+  for (uint8_t& b : data) b = static_cast<uint8_t>(rng.NextBelow(256));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(data.data(), data.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(256)->Arg(4 << 10)->Arg(64 << 10);
 
 void BM_DiscoveryWave(benchmark::State& state) {
   workload::ScenarioOptions options;

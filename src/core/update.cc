@@ -15,6 +15,20 @@ namespace {
 bool Contains(const std::vector<NodeId>& path, NodeId n) {
   return std::find(path.begin(), path.end(), n) != path.end();
 }
+
+// Whether evaluating `query` can derive one answer twice. With one atom and
+// a head that keeps each of its variables, an answer determines the entry it
+// came from, and a relation's log holds no entry twice.
+bool CanRepeatAnswers(const rel::ConjunctiveQuery& query) {
+  if (query.atoms.size() != 1) return true;
+  for (const rel::Term& t : query.atoms[0].terms) {
+    if (t.is_var() && std::find(query.head_vars.begin(), query.head_vars.end(),
+                                t.var) == query.head_vars.end()) {
+      return true;
+    }
+  }
+  return false;
+}
 }  // namespace
 
 void UpdateEngine::StartSession(uint64_t session) {
@@ -66,7 +80,7 @@ void UpdateEngine::RefreshScc() {
 
 rel::LogView UpdateEngine::RuleRuntime::View(
     const std::string& relation) const {
-  for (size_t p = 0; p < join.atoms.size(); ++p) {
+  for (size_t p = 0; p < part_answers.size(); ++p) {
     if (join.atoms[p].relation == relation) {
       return rel::LogView(part_answers[p].get(), part_answers[p]->size());
     }
@@ -81,6 +95,7 @@ UpdateEngine::RuleRuntime* UpdateEngine::EnsureRuleRuntime(
   if (!inserted) return &rr;
   rr.rule = rule;
   rr.part_closed.assign(rule.body.size(), false);
+  rr.last_answer_rows.assign(rule.body.size(), 0);
   // One atom per part over the part's exported variables: the natural join
   // on shared variable names. The bindings cover every exported variable,
   // which includes all frontier variables of the head.
@@ -106,8 +121,10 @@ UpdateEngine::RuleRuntime* UpdateEngine::EnsureRuleRuntime(
   if (!rr.join_plans.empty()) {
     rr.head = rel::RuleHead(rule.head_atoms, rr.join_plans[0].slots());
   }
-  // The join plans are a part log's only readers besides its seed scans, so
-  // it indexes exactly the columns they look up.
+  // A part log is read only by the other parts' join plans (and scanned as
+  // the seed), so a rule of one part keeps none, and a log indexes exactly
+  // the columns those plans look up.
+  if (rr.join_plans.size() < 2) return &rr;
   for (const rel::Atom& atom : rr.join.atoms) {
     std::vector<size_t> columns;
     for (const rel::QueryPlan& plan : rr.join_plans) {
@@ -168,28 +185,43 @@ void UpdateEngine::OnQueryRequest(NodeId from, const wire::QueryRequest& msg) {
   sub->rule_id = msg.rule_id;
   sub->part = msg.part;
   sub->plans = std::move(plans);
-  sub->last_sent = std::make_unique<rel::TupleLog>(
-      msg.query.head_vars.size(), std::vector<size_t>{});
+  // Full-answer mode ships the whole result each time, from last_sent.
+  sub->last_sent = CanRepeatAnswers(msg.query) || !options_.delta_answers
+                       ? std::make_unique<rel::TupleLog>(
+                             msg.query.head_vars.size(), std::vector<size_t>{})
+                       : nullptr;
+  const rel::Database& db = peer_->db();
+  sub->evaluated.clear();
+  for (const rel::Atom& atom : msg.query.atoms) {
+    sub->evaluated.push_back(db.View(atom.relation).size());
+  }
 
   // The initial answer is the delta from the empty set: every answer, in the
   // order evaluation finds it.
-  rel::TupleLog& sent = *sub->last_sent;
+  wire::QueryAnswer ans;
   std::vector<rel::Value> binding;
   std::vector<rel::Value> row;
-  full->Run(peer_->db(), &binding, [&](const std::vector<rel::Value>& b) {
-    sent.Append(full->Project(b, &row));
+  full->Run(db, &binding, [&](const std::vector<rel::Value>& b) {
+    sub->Keep(full->Project(b, &row), &ans.tuples);
     return true;
   });
-  wire::QueryAnswer ans;
   ans.session = msg.session;
   ans.rule_id = msg.rule_id;
   ans.part = msg.part;
   ans.is_delta = true;
   ans.source_closed = state_ == State::kClosed;
-  CountIntraSccSend(from);
+  SendAnswer(sub, ans, 0);
+}
+
+void UpdateEngine::SendAnswer(Subscription* sub, const wire::QueryAnswer& ans,
+                              size_t from) {
+  CountIntraSccSend(sub->subscriber);
   ++stats_.answers_sent;
-  peer_->Send(from, net::MessageType::kQueryAnswer,
-              ans.EncodeFromLog(rel::LogView(&sent, sent.size()), 0));
+  const rel::TupleLog* sent = sub->last_sent.get();
+  peer_->Send(sub->subscriber, net::MessageType::kQueryAnswer,
+              sent == nullptr
+                  ? ans.Encode()
+                  : ans.EncodeFromLog(rel::LogView(sent, sent->size()), from));
   sub->announced_closed = ans.source_closed;
 }
 
@@ -198,35 +230,38 @@ void UpdateEngine::OnQueryAnswer(NodeId from, wire::QueryAnswer msg) {
   auto it = rule_runtimes_.find(msg.rule_id);
   if (it == rule_runtimes_.end()) return;  // Rule deleted meanwhile.
   RuleRuntime& rr = it->second;
-  if (msg.part >= rr.part_answers.size()) return;
+  if (msg.part >= rr.join.atoms.size()) return;
 
-  // A malformed answer is rejected whole: nothing is appended and the part's
+  // A malformed answer is rejected whole: nothing is applied and the part's
   // closed flag stays as it was. It was still received, as counted above.
-  rel::TupleLog& answers = *rr.part_answers[msg.part];
+  const size_t arity = rr.join.atoms[msg.part].terms.size();
   for (rel::Row row : msg.tuples) {
-    if (row.arity() != answers.arity()) {
+    if (row.arity() != arity) {
       P2PDB_LOG(kWarn) << "node " << peer_->id() << " drops an answer from "
                        << from << " for rule " << msg.rule_id << " part "
                        << msg.part << ": a tuple has arity " << row.arity()
-                       << ", want " << answers.arity();
+                       << ", want " << arity;
+      rr.last_answer_rows[msg.part] = 0;  // The next full answer is all new.
       return;
     }
   }
-  // Monotone union: with deltas only new tuples travel; with full answers the
-  // log drops the repeats. The rule's domain relation (if any) translates
-  // foreign constants into this node's vocabulary first, in place. Only
-  // genuinely new rows, the entries appended here, feed the semi-naive join
-  // below.
+  // The rule's domain relation (if any) translates foreign constants into
+  // this node's vocabulary first, in place.
   if (!rr.rule.domain_map.empty()) {
     for (rel::Value& v : msg.tuples.values()) v = rr.rule.domain_map.Apply(v);
   }
-  const size_t first_new = answers.size();
-  for (rel::Row row : msg.tuples) answers.Append(row);
   bool part_was_closed = rr.part_closed[msg.part];
   rr.part_closed[msg.part] = msg.source_closed;
+  // A full answer repeats the previous answer's rows first (update.h), so
+  // only the rows past them are new.
+  const size_t first_new =
+      msg.is_delta
+          ? 0
+          : std::min(rr.last_answer_rows[msg.part], msg.tuples.size());
+  rr.last_answer_rows[msg.part] = msg.tuples.size();
 
-  bool changed =
-      answers.size() > first_new && JoinAndApply(&rr, msg.part, first_new);
+  bool changed = msg.tuples.size() > first_new &&
+                 JoinAndApply(&rr, msg.part, msg.tuples, first_new);
 
   // Dynamics: a source that re-opened, or new data after our closure,
   // re-opens this node (Section 4).
@@ -260,7 +295,18 @@ void UpdateEngine::PokeRingIfReady() {
 }
 
 bool UpdateEngine::JoinAndApply(RuleRuntime* rr, uint32_t delta_part,
-                                size_t first_new) {
+                                const rel::RowList& rows, size_t from) {
+  // Monotone union: a multi-part rule keeps every part's answers for the
+  // other parts' joins, and only the rows its part log did not hold feed the
+  // semi-naive join. A single-part rule feeds every row to its head.
+  rel::TupleLog* log = rr->part_answers.empty()
+                           ? nullptr
+                           : rr->part_answers[delta_part].get();
+  const size_t first_new = log == nullptr ? 0 : log->size();
+  if (log != nullptr) {
+    for (size_t i = from; i < rows.size(); ++i) log->Append(rows[i]);
+    if (log->size() == first_new) return false;
+  }
   ++stats_.joins_evaluated;
   if (rr->join_plans.empty()) return false;  // Warned about when built.
   const CoordinationRule& rule = rr->rule;
@@ -270,29 +316,30 @@ bool UpdateEngine::JoinAndApply(RuleRuntime* rr, uint32_t delta_part,
   const uint64_t chase_start = peer_->runtime()->NowMicros();
 
   // Where this application's appends begin in each head relation's log: the
-  // WAL logs entries [start, size) as one delta, and subscribers are
-  // notified from the oldest mark they have not consumed.
+  // WAL logs entries [start, size) as one delta.
   std::map<std::string, size_t> starts;
   for (const rel::Atom& a : rule.head_atoms) {
     const rel::Relation* relation = peer_->db().FindRelation(a.relation);
-    if (relation == nullptr) continue;
-    starts.try_emplace(a.relation, relation->size());
-    notify_from_.try_emplace(a.relation, relation->size());
+    if (relation != nullptr) starts.try_emplace(a.relation, relation->size());
   }
-  // Semi-naive join over the part logs in place: the delta part seeds from
-  // its new entries, every other part contributes its full log. The join
-  // reads only the part logs, so each binding goes straight to the head.
-  const rel::TupleLog& grown = *rr->part_answers[delta_part];
+  // Semi-naive join: the delta part seeds from its new entries (or rows),
+  // every other part contributes its full log. The join reads only the part
+  // logs, so each binding goes straight to the head.
+  const rel::QueryPlan& plan = rr->join_plans[delta_part];
   rel::ChaseStats chase_stats;
   Status st;
   std::vector<rel::Value> binding;
-  rr->join_plans[delta_part].RunSeeded(
-      *rr, rel::LogView(&grown, grown.size()), first_new, &binding,
-      [&](const std::vector<rel::Value>& b) {
-        st = rr->head.Apply(&peer_->db(), b, &peer_->nulls(), options_.chase,
-                            &chase_stats);
-        return st.ok();
-      });
+  auto apply = [&](const std::vector<rel::Value>& b) {
+    st = rr->head.Apply(&peer_->db(), b, &peer_->nulls(), options_.chase,
+                        &chase_stats);
+    return st.ok();
+  };
+  if (log != nullptr) {
+    plan.RunSeeded(*rr, rel::LogView(log, log->size()), first_new, &binding,
+                   apply);
+  } else {
+    plan.RunSeeded(*rr, rows, from, &binding, apply);
+  }
   {
     uint64_t micros = peer_->runtime()->NowMicros() - chase_start;
     static obs::Histogram* chase =
@@ -301,12 +348,12 @@ bool UpdateEngine::JoinAndApply(RuleRuntime* rr, uint32_t delta_part,
     peer_->RecordChaseMicros(micros);
   }
   // Even a failed application may have inserted tuples for earlier bindings;
-  // they are in the database, so they must reach subscribers and the WAL.
+  // they are in the database, so they are a change that must reach the WAL
+  // and subscribers.
   if (chase_stats.inserted > 0) peer_->OnDeltaApplied(starts);
   if (!st.ok()) {
     P2PDB_LOG(kError) << "chase failed for rule " << rule.id << ": "
                       << st.ToString();
-    return false;
   }
   stats_.tuples_inserted += chase_stats.inserted;
   stats_.applications_skipped += chase_stats.skipped;
@@ -315,33 +362,33 @@ bool UpdateEngine::JoinAndApply(RuleRuntime* rr, uint32_t delta_part,
 }
 
 void UpdateEngine::NotifySubscribers() {
-  bool closed = state_ == State::kClosed;
-  const std::map<std::string, size_t> marks = std::move(notify_from_);
-  notify_from_.clear();
+  const bool closed = state_ == State::kClosed;
   const rel::Database& db = peer_->db();
   std::vector<rel::Value> binding;
   std::vector<rel::Value> row;
   for (Subscription& sub : subscriptions_) {
-    bool flag_changed = closed != sub.announced_closed;
     // Semi-naive: new answers of the subscription query are exactly those
-    // using at least one entry past its relation's mark in at least one atom.
-    // The ones not shipped before are appended to last_sent, in the order
-    // evaluation finds them.
-    rel::TupleLog& sent = *sub.last_sent;
-    const size_t first_new = sent.size();
-    for (const rel::QueryPlan& plan : sub.plans) {
-      auto mark = marks.find(plan.seed_relation());
-      if (mark == marks.end()) continue;
+    // using at least one entry past its atom's watermark in at least one
+    // atom, found in the order evaluation finds them. A subscription that
+    // keeps last_sent appends them there, which drops the ones it shipped
+    // before; any other derives each answer once and ships it as found.
+    const rel::TupleLog* sent = sub.last_sent.get();
+    const size_t first_new = sent == nullptr ? 0 : sent->size();
+    wire::QueryAnswer ans;
+    for (size_t i = 0; i < sub.plans.size(); ++i) {
+      const rel::QueryPlan& plan = sub.plans[i];
       const rel::LogView log = db.View(plan.seed_relation());
-      if (mark->second >= log.size()) continue;
-      plan.RunSeeded(db, log, mark->second, &binding,
+      if (sub.evaluated[i] >= log.size()) continue;
+      plan.RunSeeded(db, log, sub.evaluated[i], &binding,
                      [&](const std::vector<rel::Value>& b) {
-                       sent.Append(plan.Project(b, &row));
+                       sub.Keep(plan.Project(b, &row), &ans.tuples);
                        return true;
                      });
+      sub.evaluated[i] = log.size();
     }
-    if (sent.size() == first_new && !flag_changed) continue;
-    wire::QueryAnswer ans;
+    const bool fresh = sent == nullptr ? ans.tuples.size() > 0
+                                       : sent->size() > first_new;
+    if (!fresh && closed == sub.announced_closed) continue;
     ans.session = session_;
     ans.rule_id = sub.rule_id;
     ans.part = sub.part;
@@ -349,12 +396,7 @@ void UpdateEngine::NotifySubscribers() {
     ans.source_closed = closed;
     // Full mode retransmits the whole accumulated result (the paper's
     // baseline behaviour); delta mode ships only the new tuples.
-    CountIntraSccSend(sub.subscriber);
-    ++stats_.answers_sent;
-    peer_->Send(sub.subscriber, net::MessageType::kQueryAnswer,
-                ans.EncodeFromLog(rel::LogView(&sent, sent.size()),
-                                  options_.delta_answers ? first_new : 0));
-    sub.announced_closed = closed;
+    SendAnswer(&sub, ans, options_.delta_answers ? first_new : 0);
   }
 }
 

@@ -9,22 +9,37 @@
 // labeled nulls for existential head variables; any change ripples to its own
 // subscribers. Data thus iterates around dependency cycles until fix-point.
 //
-// Semi-naive feed: everything the engine joins, re-evaluates or ships is a
-// range of an append-only log (src/relational/tuple_log.h), and answers
-// travel in log order. A log stores its rows inline, so no tuple on this path
-// is a heap object of its own. A rule part's answers accumulate in a log of
-// their own: the head decodes an answer whole into one flat value buffer,
-// checks every row's arity before anything is appended, translates values in
-// place through the rule's domain map, then appends the rows to that log in
-// the order they arrived, and a join seeds from the entries they appended.
-// The part log indexes exactly the columns the rule's join plans look up.
-// Subscribers are notified from a per-relation watermark: the first entry of
-// each local log they have not been evaluated against. Each subscription
-// keeps what it has shipped in a log of its own, indexing no column;
-// evaluation projects each answer into a reused scratch row and appends it
-// to that log, and the message is encoded straight from the entries just
-// appended (from the whole log in full-answer mode). No answer passes
-// through a sorted or hashed set.
+// Semi-naive feed: everything the engine re-evaluates is a range of an
+// append-only log (src/relational/tuple_log.h), and answers travel in log
+// order. A log stores its rows inline, so no tuple on this path is a heap
+// object of its own. The head decodes an answer whole into one flat value
+// buffer, checks every row's arity before it uses any, and translates values
+// in place through the rule's domain map. Besides the relations, a log is
+// kept only where something reads it back:
+//  * A multi-part rule appends each part's answers to a log of that part,
+//    in arrival order, because the other parts' join plans read it; the
+//    join seeds from the entries appended, so a repeated row joins nothing.
+//    The log indexes exactly the columns those plans look up.
+//  * A single-part rule keeps no part log: its join seeds straight from the
+//    decoded rows. A row it saw before (a re-subscription's first answer
+//    repeats every row) re-applies a head that is idempotent under set
+//    semantics, so the repeat counts as a skipped application.
+//  * A subscription whose query can derive one answer twice (several atoms,
+//    or a head that drops a variable of its atom) keeps the answers it has
+//    shipped in a log indexing no column, and ships only those that log did
+//    not hold. In full-answer mode every subscription keeps that log and
+//    ships all of it each time. Any other subscription's answers are its
+//    relation's matching entries, each derived once, in log order; it ships
+//    the rows it derives.
+// A full answer (ablation A1) repeats, as its first rows, the previous answer
+// of its subscription: per-link FIFO keeps a subscription's answers in order,
+// and each subscription's first answer is a delta. So the head skips that
+// many rows by count before either kind of rule sees them.
+// Each subscription keeps a watermark per atom: the size its relation's log
+// had when the subscription was last evaluated, so a notify evaluates only
+// the entries appended since. Projections go through a reused scratch row,
+// and a message is encoded from the rows just derived or from a range of
+// last_sent. No answer passes through a sorted set.
 //
 // Compiled plans: every query the engine runs more than once is compiled
 // once into a slot-indexed plan (src/relational/eval.h) where it is kept. A
@@ -107,8 +122,8 @@ class UpdateEngine {
 
   void OnUpdateStart(NodeId from, const wire::UpdateStart& msg);
   void OnQueryRequest(NodeId from, const wire::QueryRequest& msg);
-  /// Appends the answer's rows to the rule part's log, translating them in
-  /// place first.
+  /// Applies the answer's rows to the rule (JoinAndApply), translating them
+  /// in place first.
   void OnQueryAnswer(NodeId from, wire::QueryAnswer msg);
   void OnUnsubscribe(NodeId from, const wire::Unsubscribe& msg);
   void OnPartialUpdate(NodeId from, const wire::PartialUpdate& msg);
@@ -132,11 +147,16 @@ class UpdateEngine {
   /// `join` reads part p's accumulated answers in place.
   struct RuleRuntime : rel::ReadView {
     CoordinationRule rule;
-    /// Per body part, every answer received so far, in arrival order (one
-    /// log each; its arity is the part's export arity). Each log indexes the
-    /// columns the join plans look up in it, and no other.
+    /// For a rule of several parts whose join compiled, per body part every
+    /// answer received so far, in arrival order (one log each; its arity is
+    /// the part's export arity). Each log indexes the columns the join plans
+    /// look up in it, and no other. Empty for a single-part rule, whose
+    /// answers no plan reads back.
     std::vector<std::unique_ptr<rel::TupleLog>> part_answers;
     std::vector<bool> part_closed;
+    /// Per body part, how many rows the last answer received for it held:
+    /// the rows a full answer repeats first.
+    std::vector<size_t> last_answer_rows;
     /// The natural join of the parts on their exported variables, plus the
     /// rule's cross-part built-ins.
     rel::ConjunctiveQuery join;
@@ -156,27 +176,52 @@ class UpdateEngine {
     uint32_t part = 0;
     /// The subscription query seeded at each of its atoms, in atom order.
     std::vector<rel::QueryPlan> plans;
-    /// Answers already shipped, in the order they were shipped. Only scanned
-    /// and asked for membership, so it indexes no column.
+    /// Per atom, the size of its relation's log when the subscription was
+    /// last evaluated: every answer it derives from earlier entries alone
+    /// has been shipped.
+    std::vector<size_t> evaluated;
+    /// Answers already shipped, in the order they were shipped, kept only
+    /// when the query can derive one answer twice or answers are full (each
+    /// ships all of it); null otherwise, when `evaluated` alone says what was
+    /// shipped. Only scanned and asked for membership, so it indexes no
+    /// column.
     std::unique_ptr<rel::TupleLog> last_sent;
     bool announced_closed = false;
+
+    /// Takes a newly derived answer: into last_sent when it is kept (which
+    /// drops an answer shipped before), else onto `*out`.
+    void Keep(rel::Row answer, rel::RowList* out) {
+      if (last_sent != nullptr) {
+        last_sent->Append(answer);
+      } else {
+        out->push_back(answer);
+      }
+    }
   };
 
   void JoinSession(uint64_t session, bool flood);
   RuleRuntime* EnsureRuleRuntime(const CoordinationRule& rule);
   void SubscribeParts(const RuleRuntime& rr);
-  /// Semi-naive rule application: joins the new answers of part
-  /// `delta_part` (its log entries from `first_new` on) against the full
-  /// accumulated answers of the other parts and applies the rule head;
-  /// returns true if the local database changed. Complete for monotone
-  /// answers, and no binding is evaluated twice: a binding is joined by the
-  /// call for whichever of its tuples arrived last.
-  bool JoinAndApply(RuleRuntime* rr, uint32_t delta_part, size_t first_new);
+  /// Semi-naive rule application of rows [from, rows.size()), answers for
+  /// part `delta_part`: a multi-part rule appends them to the part's log and
+  /// joins the entries it did not hold against the full accumulated answers
+  /// of the other parts; a single-part rule seeds its join with the rows as
+  /// they are. Each binding goes to the rule head. Returns true if the local
+  /// database changed, even when the application then failed. Complete for
+  /// monotone answers, and a multi-part rule joins no binding twice: a
+  /// binding is joined by the call for whichever of its tuples arrived last.
+  bool JoinAndApply(RuleRuntime* rr, uint32_t delta_part,
+                    const rel::RowList& rows, size_t from);
   /// Sends deltas / closure flags to subscribers whose view is stale.
   /// Incremental: evaluates each subscription semi-naively against the log
-  /// entries appended since the last call (notify_from_) instead of
-  /// re-running the full query.
+  /// entries appended since its last evaluation (Subscription::evaluated)
+  /// instead of re-running the full query.
   void NotifySubscribers();
+  /// Sends `ans` to `sub`'s subscriber and records the closed flag it
+  /// announced. The tuples are `ans.tuples`, or for a subscription that
+  /// keeps last_sent, that log's entries from `from` on.
+  void SendAnswer(Subscription* sub, const wire::QueryAnswer& ans,
+                  size_t from);
   /// Closes this node if it is open, externally ready, and not in a
   /// non-trivial SCC; then notifies subscribers.
   void MaybeCloseTrivial();
@@ -210,11 +255,6 @@ class UpdateEngine {
 
   std::map<std::string, RuleRuntime> rule_runtimes_;
   std::vector<Subscription> subscriptions_;
-  /// The semi-naive evaluation feed: per local relation the chase grew, the
-  /// first log entry subscribers have not been evaluated against. Set before
-  /// a chase application's appends (an older mark wins) and consumed by
-  /// NotifySubscribers.
-  std::map<std::string, size_t> notify_from_;
 
   // SCC termination detection.
   std::set<NodeId> scc_;

@@ -13,11 +13,12 @@
 // A tuple sequence is encoded as a count and then the tuples, each its arity
 // and its values. Snapshots write each relation's tuples sorted and without
 // repeats, so their bytes do not depend on arrival order. Subscription
-// answers and WAL records carry tuple lists in the writer's log order,
-// encoded straight from a log range. Every list decodes into one RowList
-// (tuple.h), a flat value buffer: the receiver checks each row's arity and
-// copies the rows into its own log, and no decoded row is a heap object of
-// its own.
+// answers and WAL records carry tuple lists in the writer's log order: WAL
+// records and answers of a subscription that keeps a shipped-answer log are
+// encoded straight from a log range, other answers from the rows just
+// derived. Every list decodes into one RowList (tuple.h), a flat value
+// buffer: the receiver checks each row's arity before it uses any, and no
+// decoded row is a heap object of its own.
 #ifndef P2PDB_RELATIONAL_CODEC_H_
 #define P2PDB_RELATIONAL_CODEC_H_
 

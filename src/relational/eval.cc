@@ -235,6 +235,14 @@ bool QueryPlan::Run(const ReadView& db, std::vector<Value>* binding,
   return Search(views, 0, binding, emit);
 }
 
+bool QueryPlan::SearchFrom(Row row, const std::vector<LogView>& views,
+                           std::vector<Value>* binding,
+                           const BindingSink& emit) const {
+  if (!Match(seed_, row, binding)) return true;
+  if (!Holds(immediate_, *binding)) return true;
+  return Search(views, 0, binding, emit);
+}
+
 bool QueryPlan::RunSeeded(const ReadView& db, LogView seed, size_t from,
                           std::vector<Value>* binding,
                           const BindingSink& emit) const {
@@ -243,9 +251,21 @@ bool QueryPlan::RunSeeded(const ReadView& db, LogView seed, size_t from,
   std::vector<LogView> views;
   if (!ResolveViews(db, &views)) return true;
   for (size_t e = from; e < seed.size(); ++e) {
-    if (!Match(seed_, seed.at(e), binding)) continue;
-    if (!Holds(immediate_, *binding)) continue;
-    if (!Search(views, 0, binding, emit)) return false;
+    if (!SearchFrom(seed.at(e), views, binding, emit)) return false;
+  }
+  return true;
+}
+
+bool QueryPlan::RunSeeded(const ReadView& db, const RowList& rows,
+                          size_t from, std::vector<Value>* binding,
+                          const BindingSink& emit) const {
+  binding->resize(slots_.size());
+  std::vector<LogView> views;
+  if (!ResolveViews(db, &views)) return true;
+  for (size_t i = from; i < rows.size(); ++i) {
+    const Row row = rows[i];
+    if (row.arity() != seed_.positions.size()) continue;
+    if (!SearchFrom(row, views, binding, emit)) return false;
   }
   return true;
 }

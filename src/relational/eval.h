@@ -92,6 +92,13 @@ class QueryPlan {
   bool RunSeeded(const ReadView& db, LogView seed, size_t from,
                  std::vector<Value>* binding, const BindingSink& emit) const;
 
+  /// RunSeeded over rows [from, rows.size()) of `rows` instead of a log
+  /// range: every row that matches the seed atom starts one search, in row
+  /// order, so a row given twice is searched twice. A row of another arity
+  /// matches nothing.
+  bool RunSeeded(const ReadView& db, const RowList& rows, size_t from,
+                 std::vector<Value>* binding, const BindingSink& emit) const;
+
  private:
   /// What one atom position does against the binding.
   struct Position {
@@ -138,6 +145,9 @@ class QueryPlan {
   bool ResolveViews(const ReadView& db, std::vector<LogView>* views) const;
   bool Search(const std::vector<LogView>& views, size_t depth,
               std::vector<Value>* binding, const BindingSink& emit) const;
+  /// Starts one seeded search at `row`, which has the seed atom's arity.
+  bool SearchFrom(Row row, const std::vector<LogView>& views,
+                  std::vector<Value>* binding, const BindingSink& emit) const;
 
   std::vector<std::string> slots_;
   std::vector<Value> constants_;

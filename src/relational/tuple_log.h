@@ -17,10 +17,12 @@
 //    indexed column to the next newer entry with the same value in that
 //    column. A lookup walks the chain from old to new and stops at the first
 //    link at or above the reader's watermark, so it never touches a newer
-//    entry. A relation indexes every column, since ad-hoc reads may look any
-//    of them up; a log whose readers are all compiled plans indexes exactly
-//    the columns those plans look up, and a log that is only scanned and
-//    asked for membership indexes none.
+//    entry. Three kinds of log exist (src/core/update.h says when the
+//    update engine keeps the last two). A relation indexes every column,
+//    since ad-hoc reads may look any of them up. A rule part's answer log,
+//    read by the other parts' compiled join plans, indexes exactly the
+//    columns those plans look up. A subscription's log of shipped answers
+//    is only scanned and asked for membership, so it indexes none.
 //
 // Concurrency contract (one writer, any number of readers):
 //  * Only the peer's serialized writer appends.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 
 #include "src/core/global_fixpoint.h"
 #include "src/core/peer.h"
@@ -158,6 +159,21 @@ rule j: L.l(K, V), R.r(K, W) => T.t(V, W);
   const rel::Relation* t = *session->peer(2).db().Get("t");
   ASSERT_EQ(t->size(), 1u);  // Only k1 joins.
   EXPECT_TRUE(t->Contains(rel::Tuple({S("x"), S("p")})));
+
+  // A multi-part rule keeps its part logs: a repeat joins nothing.
+  UpdateEngine& head = session->peer(2).update();
+  const uint64_t joins = head.stats().joins_evaluated;
+  wire::QueryAnswer repeat;
+  repeat.session = 1;
+  repeat.rule_id = "j";
+  repeat.part = 0;
+  repeat.source_closed = true;
+  repeat.tuples = {rel::Tuple({S("k1"), S("x")}),
+                   rel::Tuple({S("k2"), S("y")})};
+  head.OnQueryAnswer(0, repeat);
+  EXPECT_EQ(head.stats().joins_evaluated, joins);
+  EXPECT_EQ(t->size(), 1u);
+  EXPECT_EQ(head.state(), UpdateEngine::State::kClosed);
 }
 
 TEST(UpdateTest, CrossBuiltinFiltersJoin) {
@@ -384,6 +400,272 @@ TEST(UpdateTest, FullModeShipsWholeSentLogInOrder) {
   EXPECT_EQ(answers[0].tuples, Rows({"v3", "v1", "v2"}));
   EXPECT_FALSE(answers[1].is_delta);
   EXPECT_EQ(answers[1].tuples, Rows({"v3", "v1", "v2", "v5", "v4"}));
+}
+
+// A subscription request for one atom of `relation` with `terms` (a term
+// that starts with a lower-case letter is a string constant), answering
+// `head`.
+wire::QueryRequest Watch(const char* relation,
+                         std::initializer_list<const char*> terms,
+                         std::vector<std::string> head) {
+  wire::QueryRequest req;
+  req.session = 1;
+  req.rule_id = "watch";
+  rel::Atom atom;
+  atom.relation = relation;
+  for (const char* t : terms) {
+    atom.terms.push_back(std::islower(static_cast<unsigned char>(t[0]))
+                             ? rel::Term::Const(S(t))
+                             : rel::Term::Var(t));
+  }
+  req.query.atoms = {atom};
+  req.query.head_vars = std::move(head);
+  return req;
+}
+
+wire::QueryAnswer PairAnswer(
+    const char* rule_id,
+    std::initializer_list<std::pair<const char*, const char*>> pairs) {
+  wire::QueryAnswer ans;
+  ans.session = 1;
+  ans.rule_id = rule_id;
+  for (const auto& [x, y] : pairs) {
+    ans.tuples.push_back(rel::Tuple({S(x), S(y)}));
+  }
+  return ans;
+}
+
+// Every tuple `sink` received, in arrival order.
+std::vector<rel::Tuple> Received(const AnswerSink& sink) {
+  std::vector<rel::Tuple> out;
+  for (const wire::QueryAnswer& ans : sink.answers) {
+    for (rel::Row row : ans.tuples) out.emplace_back(row);
+  }
+  return out;
+}
+
+// A subscription whose head keeps every variable of its one atom keeps no
+// last_sent: its answers are its relation's matching entries, and it ships
+// each exactly once and in log order. That holds while the relation grows
+// over several chase applications, and for a subscription that arrives
+// after a growth its subscribers have not yet been notified of (here an
+// insert by hand): its initial answer covers that entry, and the next notify
+// ships it to the older subscriptions alone.
+TEST(UpdateTest, KeepAllVariablesSubscriptionShipsEachEntryOnceInLogOrder) {
+  const char* text = R"(
+node A { rel a(x); }
+node B { rel b(k, v); fact b("k1", "v0"); fact b("k2", "v0"); }
+node C { rel c(k, v); }
+rule r: C.c(K, V) => B.b(K, V);
+)";
+  auto system = lang::ParseSystem(text);
+  ASSERT_TRUE(system.ok()) << system.status().ToString();
+  net::SimRuntime rt;
+  AnswerSink swapped;  // b(K, V), shipped as (V, K).
+  AnswerSink keyed;    // b("k1", V), shipped as (V).
+  AnswerSink late;     // b(K, V), subscribed after an unnotified insert.
+  rt.RegisterPeer(0, &swapped);
+  rt.RegisterPeer(3, &keyed);
+  rt.RegisterPeer(4, &late);
+  Peer b(1, "B", system->node(1).db, &rt);
+  ASSERT_TRUE(b.AddInitialRule(system->rules().at(0)).ok());
+  b.StartUpdate(1);
+  b.update().OnQueryRequest(0, Watch("b", {"K", "V"}, {"V", "K"}));
+  b.update().OnQueryRequest(3, Watch("b", {"k1", "V"}, {"V"}));
+
+  b.update().OnQueryAnswer(2, PairAnswer("r", {{"k1", "v1"}, {"k2", "v2"}}));
+  b.update().OnQueryAnswer(2, PairAnswer("r", {{"k1", "v1"}, {"k1", "v3"}}));
+  ASSERT_TRUE(b.db().Insert("b", rel::Tuple({S("k1"), S("v4")})).ok());
+  b.update().OnQueryRequest(4, Watch("b", {"K", "V"}, {"K", "V"}));
+  b.update().OnQueryAnswer(2, PairAnswer("r", {{"k2", "v5"}, {"k1", "v6"}}));
+  b.update().OnQueryAnswer(2, PairAnswer("r", {{"k1", "v4"}, {"k2", "v2"}}));
+  ASSERT_TRUE(rt.Run().ok());
+
+  const rel::LogView log = (*b.db().Get("b"))->View();
+  ASSERT_EQ(log.size(), 8u);
+  std::vector<rel::Tuple> all_swapped;
+  std::vector<rel::Tuple> k1_values;
+  std::vector<rel::Tuple> all;
+  for (size_t e = 0; e < log.size(); ++e) {
+    const rel::Row row = log.at(e);
+    all_swapped.push_back(rel::Tuple({row.at(1), row.at(0)}));
+    if (row.at(0) == S("k1")) k1_values.push_back(rel::Tuple({row.at(1)}));
+    all.emplace_back(row);
+  }
+  EXPECT_EQ(Received(swapped), all_swapped);
+  EXPECT_EQ(Received(keyed), k1_values);
+  EXPECT_EQ(Received(late), all);
+  // The late subscription's initial answer held the hand-inserted entry.
+  ASSERT_FALSE(late.answers.empty());
+  EXPECT_EQ(late.answers[0].tuples.size(), 6u);
+}
+
+// A subscription whose head drops a variable of its atom can derive one
+// answer from several entries; it keeps last_sent and never ships an answer
+// twice.
+TEST(UpdateTest, DroppedVariableSubscriptionNeverShipsAnAnswerTwice) {
+  const char* text = R"(
+node A { rel a(x); }
+node B { rel b(k, v); fact b("k1", "v0"); }
+node C { rel c(k, v); }
+rule r: C.c(K, V) => B.b(K, V);
+)";
+  auto system = lang::ParseSystem(text);
+  ASSERT_TRUE(system.ok()) << system.status().ToString();
+  net::SimRuntime rt;
+  AnswerSink sink;
+  rt.RegisterPeer(0, &sink);
+  Peer b(1, "B", system->node(1).db, &rt);
+  ASSERT_TRUE(b.AddInitialRule(system->rules().at(0)).ok());
+  b.StartUpdate(1);
+  b.update().OnQueryRequest(0, Watch("b", {"K", "V"}, {"K"}));
+  b.update().OnQueryAnswer(2, PairAnswer("r", {{"k1", "v1"}, {"k2", "v2"}}));
+  b.update().OnQueryAnswer(2, PairAnswer("r", {{"k2", "v3"}, {"k3", "v4"}}));
+  b.update().OnQueryAnswer(2, PairAnswer("r", {{"k1", "v5"}, {"k3", "v6"}}));
+  ASSERT_TRUE(rt.Run().ok());
+
+  EXPECT_EQ((*b.db().Get("b"))->size(), 7u);
+  EXPECT_EQ(Received(sink), Rows({"k1", "k2", "k3"}));
+  // The last application derived only answers already shipped.
+  EXPECT_EQ(sink.answers.size(), 3u);
+}
+
+// A single-part rule keeps no part log, so rows it has seen before re-apply
+// its head. The head is idempotent: a head that receives the first rows
+// again with the rest ends with the database of a head that received every
+// row once, in delta and full-answer mode and under either chase policy.
+// A repeat inside a delta (as a re-subscription's first answer repeats
+// every row) counts as a skipped application. A full answer repeats its
+// subscription's previous answer as its first rows, which the head skips
+// unapplied, unless that answer was rejected.
+TEST(UpdateTest, SinglePartRuleRepeatChangesNothing) {
+  const char* text = R"(
+node R { rel rec(a, t); }
+node P { rel pub(i, t, y); rel wrote(a, i); rel seen(a, t); }
+rule x: R.rec(A, T) => P.pub(I, T, Y), P.wrote(A, I);
+rule s: R.rec(A, T) => P.seen(A, T);
+)";
+  auto system = lang::ParseSystem(text);
+  ASSERT_TRUE(system.ok()) << system.status().ToString();
+  const std::vector<rel::Tuple> recs = {
+      rel::Tuple({S("alice"), S("t1")}), rel::Tuple({S("bob"), S("t1")}),
+      rel::Tuple({S("carol"), S("t2")}), rel::Tuple({S("dave"), S("t3")}),
+      rel::Tuple({S("erin"), S("t2")})};
+  const std::vector<rel::Tuple> first(recs.begin(), recs.begin() + 3);
+  const std::vector<rel::Tuple> malformed = {rel::Tuple({S("alice")})};
+  struct Batch {
+    std::vector<rel::Tuple> rows;
+    bool is_delta;
+  };
+  struct Case {
+    const char* name;
+    bool delta_mode;
+    std::vector<Batch> batches;
+    size_t repeats_applied;  // Per rule.
+    uint64_t joins;          // Per rule.
+  };
+  const std::vector<Case> cases = {
+      // Delta mode, re-subscribed after the first answer: `first` repeats in
+      // the second subscription's first answer and again inside recs.
+      {"delta", true, {{first, true}, {first, true}, {recs, true}}, 6, 3},
+      // Full mode, re-subscribed after the first answer: the second
+      // subscription's first answer (a delta) repeats `first`, and its full
+      // answer repeats that answer first.
+      {"full, re-subscribed", false,
+       {{first, true}, {first, true}, {recs, false}}, 3, 3},
+      // Full mode, one subscription: each full answer repeats the last one.
+      {"full", false, {{first, true}, {first, false}, {recs, false}}, 0, 2},
+      // A rejected answer leaves nothing known, so the next full answer is
+      // applied whole.
+      {"full, after a rejected answer", false,
+       {{first, true}, {malformed, false}, {recs, false}}, 3, 2},
+  };
+  for (const Case& c : cases) {
+    for (rel::ChasePolicy policy : {rel::ChasePolicy::kProjectionCheck,
+                                    rel::ChasePolicy::kHomomorphismCheck}) {
+      SCOPED_TRACE(::testing::Message()
+                   << c.name << ", policy " << static_cast<int>(policy));
+      // Feeds each batch to both rules; returns the head's database.
+      auto run = [&](const std::vector<Batch>& batches,
+                     UpdateEngine::Stats* stats) {
+        net::SimRuntime rt;  // Never run: answers are fed by hand.
+        Peer::Config config;
+        config.update.delta_answers = c.delta_mode;
+        config.update.chase.policy = policy;
+        Peer head(1, "P", system->node(1).db, &rt, config);
+        for (const CoordinationRule& rule : system->rules()) {
+          EXPECT_TRUE(head.AddInitialRule(rule).ok());
+        }
+        head.StartUpdate(1);
+        ScopedLogCapture capture;  // The rejected answer's warnings.
+        for (const Batch& batch : batches) {
+          for (const char* rule : {"x", "s"}) {
+            wire::QueryAnswer ans;
+            ans.session = 1;
+            ans.rule_id = rule;
+            ans.is_delta = batch.is_delta;
+            ans.tuples = batch.rows;
+            head.update().OnQueryAnswer(0, ans);
+          }
+        }
+        *stats = head.update().stats();
+        return head.db();
+      };
+      UpdateEngine::Stats once_stats;
+      UpdateEngine::Stats again_stats;
+      const rel::Database once = run({{recs, true}}, &once_stats);
+      const rel::Database again = run(c.batches, &again_stats);
+      EXPECT_TRUE(again == once) << "once:\n" << once.ToString()
+                                 << "\nagain:\n" << again.ToString();
+      EXPECT_EQ((*once.Get("seen"))->size(), recs.size());
+      EXPECT_EQ(again_stats.tuples_inserted, once_stats.tuples_inserted);
+      EXPECT_EQ(again_stats.applications_skipped,
+                once_stats.applications_skipped + 2 * c.repeats_applied);
+      EXPECT_EQ(again_stats.joins_evaluated, 2 * c.joins);
+    }
+  }
+}
+
+// A chase application that inserted tuples and then failed still changed
+// the database, so its tuples reach the head's subscribers in the same
+// dispatch. Here the head's null factory runs out after the first binding
+// of a non-final answer.
+TEST(UpdateTest, PartlyFailedApplicationNotifiesSubscribers) {
+  const char* text = R"(
+node A { rel a(x); }
+node B { rel b(k, v); }
+node C { rel c(k); }
+rule r: C.c(K) => B.b(K, V);
+)";
+  auto system = lang::ParseSystem(text);
+  ASSERT_TRUE(system.ok()) << system.status().ToString();
+  net::SimRuntime rt;
+  AnswerSink sink;
+  rt.RegisterPeer(0, &sink);
+  Peer b(1, "B", system->node(1).db, &rt);
+  ASSERT_TRUE(b.AddInitialRule(system->rules().at(0)).ok());
+  b.StartUpdate(1);
+  b.update().OnQueryRequest(0, Watch("b", {"K", "V"}, {"K", "V"}));
+  b.nulls().ReserveThrough(0xfffffe);  // One null left to mint.
+
+  wire::QueryAnswer from_c;
+  from_c.session = 1;
+  from_c.rule_id = "r";
+  from_c.tuples = Rows({"k1", "k2"});
+  const uint64_t sent = b.update().stats().answers_sent;
+  {
+    ScopedLogCapture capture;
+    b.update().OnQueryAnswer(2, from_c);
+    EXPECT_EQ(capture.lines().size(), 1u);  // The chase error.
+  }
+  EXPECT_EQ(b.update().stats().answers_sent, sent + 1);
+  EXPECT_EQ(b.update().stats().tuples_inserted, 1u);
+  const rel::LogView log = (*b.db().Get("b"))->View();
+  ASSERT_EQ(log.size(), 1u);
+  ASSERT_TRUE(rt.Run().ok());
+  ASSERT_EQ(sink.answers.size(), 2u);  // The initial answer, then the tuple.
+  EXPECT_EQ(sink.answers[1].tuples, rel::RowList({rel::Tuple(log.at(0))}));
+  EXPECT_FALSE(sink.answers[1].source_closed);
 }
 
 // Answers arrive in the sender's log order, so the order a head mints nulls

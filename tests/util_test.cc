@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "src/util/crc32.h"
 #include "src/util/file_util.h"
 #include "src/util/rng.h"
 #include "src/util/string_util.h"
@@ -75,6 +76,42 @@ TEST(RngTest, ForkIndependent) {
   Rng parent(5);
   Rng child = parent.Fork();
   EXPECT_NE(parent.Next(), child.Next());
+}
+
+// The CRC-32 definition, one bit at a time: reflected IEEE polynomial,
+// initial state and final xor all ones.
+uint32_t BitwiseCrc32(const uint8_t* data, size_t size) {
+  uint32_t state = 0xffffffffu;
+  for (size_t i = 0; i < size; ++i) {
+    state ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      state = (state & 1) ? 0xEDB88320u ^ (state >> 1) : state >> 1;
+    }
+  }
+  return state ^ 0xffffffffu;
+}
+
+// Every length 0-300 at every start offset 0-7 covers the eight-byte body
+// and the byte tail at every alignment; the frame encoder checksums header
+// and payload as two ranges, so every split point must agree too.
+TEST(Crc32Test, MatchesBitwiseDefinitionAtEveryLengthOffsetAndSplit) {
+  Rng rng(32);
+  std::vector<uint8_t> buffer(8 + 300);
+  for (uint8_t& b : buffer) b = static_cast<uint8_t>(rng.NextBelow(256));
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t size = 0; size <= 300; ++size) {
+      const uint8_t* data = buffer.data() + offset;
+      const uint32_t want = BitwiseCrc32(data, size);
+      ASSERT_EQ(Crc32(data, size), want) << "offset " << offset << " size "
+                                         << size;
+      for (size_t split = 0; split <= size; ++split) {
+        const uint32_t state = Crc32Update(kCrc32Init, data, split);
+        ASSERT_EQ(Crc32Finish(Crc32Update(state, data + split, size - split)),
+                  want)
+            << "offset " << offset << " size " << size << " split " << split;
+      }
+    }
+  }
 }
 
 TEST(StringUtilTest, SplitKeepsEmptyPieces) {
