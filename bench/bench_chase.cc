@@ -66,7 +66,7 @@ void OrderDependenceDemo() {
   rel::Atom wrote;
   wrote.relation = "wrote";
   wrote.terms = {rel::Term::Var("A"), rel::Term::Var("I")};
-  rel::RuleHead head({pub, wrote}, {"T", "A"});
+  rel::RuleHead head({pub, wrote}, {"T", "A"}, build(false));
   const std::vector<rel::Value> binding{rel::Value::Str("t1"),
                                         rel::Value::Str("alice")};
 

@@ -91,7 +91,7 @@ rule rx: Y.y(V) => X.x(V);
                       core::UpdateEngine::State::kClosed
                   ? "yes"
                   : "NO",
-              (*session.peer(0).db().Get("a"))->size() == 2 ? "yes" : "NO");
+              session.peer(0).db().relation("a").size() == 2 ? "yes" : "NO");
   std::printf("\npaper comparison: Theorem 2 (termination under finite "
               "change) and\nTheorem 3 (separated sets close under churn "
               "elsewhere) both hold.\n");

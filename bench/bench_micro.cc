@@ -56,7 +56,9 @@ void BM_RuleHeadApply(benchmark::State& state) {
   rel::Atom head;
   head.relation = "derived";
   head.terms = {rel::Term::Var("X"), rel::Term::Var(existential ? "W" : "Y")};
-  rel::RuleHead compiled({head}, {"X", "Y"});
+  rel::Database schema;
+  (void)schema.CreateRelation(rel::RelationSchema("derived", {"x", "w"}));
+  rel::RuleHead compiled({head}, {"X", "Y"}, schema);
   rel::ChaseOptions options;
   options.policy = rel::ChasePolicy::kHomomorphismCheck;
   for (auto _ : state) {

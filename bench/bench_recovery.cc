@@ -41,7 +41,7 @@ std::string FreshDir(const std::string& name) {
 
 /// Appends `tuples` new publication rows to `db`'s "pub" relation.
 void AddPubs(rel::Database* db, size_t tuples) {
-  const size_t first = db->View("pub").size();
+  const size_t first = db->relation("pub").size();
   for (size_t i = first; i < first + tuples; ++i) {
     int64_t year = 1990 + static_cast<int64_t>(i % 30);
     (void)db->Insert(
@@ -64,8 +64,10 @@ rel::Database MakeDb(size_t tuples) {
 /// and the same entries in the same log order.
 bool SameLogs(const rel::Database& a, const rel::Database& b) {
   if (a.relations().size() != b.relations().size()) return false;
-  for (const auto& [name, relation] : a.relations()) {
-    const rel::Relation* other = b.FindRelation(name);
+  for (const rel::Relation& relation : a.relations()) {
+    const rel::RelationId id = b.Find(relation.name());
+    const rel::Relation* other =
+        id == rel::kNoRelation ? nullptr : &b.relation(id);
     if (other == nullptr ||
         other->schema().attributes() != relation.schema().attributes() ||
         other->size() != relation.size()) {
@@ -106,10 +108,10 @@ BenchResult WalAppendBench(const std::string& name, storage::SyncMode sync,
   rel::Database db = MakeDb(0);
   Clock::duration logging{};
   for (size_t b = 0; b < batches; ++b) {
-    const size_t start = db.View("pub").size();
+    const rel::Version since = db.version();
     AddPubs(&db, batch_tuples);
     auto logged_at = Clock::now();
-    Status logged = (*manager)->LogDelta(db, {{"pub", start}});
+    Status logged = (*manager)->LogDelta(db, since);
     logging += Clock::now() - logged_at;
     if (!logged.ok()) return result;
   }
@@ -150,9 +152,9 @@ BenchResult RecoveryBench(const std::string& name, size_t base_tuples,
   rel::Database db = MakeDb(base_tuples);
   if (!(*manager)->EnsureBase(db).ok()) return result;
   for (size_t r = 0; r < wal_records; ++r) {
-    const size_t start = db.View("pub").size();
+    const rel::Version since = db.version();
     AddPubs(&db, batch_tuples);
-    if (!(*manager)->LogDelta(db, {{"pub", start}}).ok()) return result;
+    if (!(*manager)->LogDelta(db, since).ok()) return result;
   }
 
   if (restart) manager->reset();

@@ -78,7 +78,7 @@ rule mirror:  Archive.doc(S) => Mirror.copy(S);
 
   std::printf("\nafter the run:\n");
   auto show = [&](NodeId n, const char* relation) {
-    const rel::Relation* r = *session.peer(n).db().Get(relation);
+    const rel::Relation* r = &session.peer(n).db().relation(relation);
     std::printf("  %s.%s (%zu):", system->node(n).name.c_str(), relation,
                 r->size());
     for (const rel::Tuple& t : r->SortedTuples()) {

@@ -13,9 +13,6 @@
 #             without batching, and the exact-ack fixpoint detection latency
 #             — plus obs.json, the observability snapshot of the fully traced
 #             durable update: metrics registry + trace reports)
-#   queries   MVCC query plane suite: QPS quiescent vs concurrent with a
-#             propagating update, read-latency percentiles (emits
-#             BENCH_queries.json plus its observability snapshot)
 # Extra args (e.g. --filter SUBSTR, --repeat N) are passed through.
 #
 # Env: P2PDB_BENCH_REPEAT (default 2), P2PDB_BENCH_FULL=1 for paper-scale
@@ -49,17 +46,16 @@ case "$BENCH" in
   main)     TARGET=bench_main;     DEFAULT_OUT=BENCH_p2pdb.json ;;
   recovery) TARGET=bench_recovery; DEFAULT_OUT=BENCH_recovery.json ;;
   tcp)      TARGET=bench_tcp;      DEFAULT_OUT=BENCH_tcp.json ;;
-  queries)  TARGET=bench_queries;  DEFAULT_OUT=BENCH_queries.json ;;
   *)
-    echo "error: unknown bench '$BENCH' (expected: main, recovery, tcp, queries)" >&2
+    echo "error: unknown bench '$BENCH' (expected: main, recovery, tcp)" >&2
     exit 2
     ;;
 esac
 OUT="${OUT:-$DEFAULT_OUT}"
 
-# The tcp and queries suites also dump the observability snapshot next to
-# their bench JSON.
-if [[ "$BENCH" == tcp || "$BENCH" == queries ]]; then
+# The tcp suite also dumps the observability snapshot next to its bench
+# JSON.
+if [[ "$BENCH" == tcp ]]; then
   ARGS+=(--obs "${OUT%.json}_obs.json")
 fi
 

@@ -76,14 +76,14 @@ Result<AcyclicPullResult> RunAcyclicPull(
 
         std::vector<std::string> vars = rule->PartExportVars(p);
         std::string scratch_name = "$" + rule->id + ":" + std::to_string(p);
-        if (!scratch.CreateRelation(rel::RelationSchema(scratch_name, vars))
-                 .ok()) {
+        auto scratch_rel =
+            scratch.CreateRelation(rel::RelationSchema(scratch_name, vars));
+        if (!scratch_rel.ok()) {
           parts_ok = false;
           break;
         }
-        rel::Relation* scratch_rel = *scratch.GetMutable(scratch_name);
         for (const rel::Tuple& t : rule->domain_map.ApplyToSet(*answer)) {
-          (void)scratch_rel->Insert(t);
+          (void)(*scratch_rel)->Insert(t);
         }
         rel::Atom atom;
         atom.relation = scratch_name;

@@ -7,16 +7,11 @@ namespace p2pdb::core {
 Result<std::unique_ptr<Peer>> PeerBootstrap::Build(net::Runtime* runtime,
                                                    Spec spec) {
   const bool wants_registration = spec.config.register_with_runtime;
+  // Deferred registration: on concurrent runtimes (thread/TCP) messages flow
+  // the instant a peer is registered, which must not overlap Recover()
+  // rebuilding the database or the first publish below.
   Peer::Config config = spec.config;
-  if (spec.recover) {
-    // Deferred registration: on concurrent runtimes (thread/TCP) messages
-    // flow the instant a peer is registered, which must not overlap
-    // Recover() rebuilding the database. Deferred publish: the peer is built
-    // with an EMPTY database, and publishing that into a shared snapshot
-    // store would briefly un-serve data readers already saw.
-    config.register_with_runtime = false;
-    config.defer_snapshot_publish = true;
-  }
+  config.register_with_runtime = false;
   auto peer = std::make_unique<Peer>(
       spec.id, std::move(spec.name),
       spec.recover ? rel::Database() : std::move(spec.db), runtime, config);
@@ -38,13 +33,17 @@ Result<std::unique_ptr<Peer>> PeerBootstrap::Build(net::Runtime* runtime,
     auto info = peer->Recover();
     if (!info.ok()) return info.status();
   }
+  // Readers switch to this peer's state in one step, and never see the
+  // empty database a restarting peer is built with: until here a shared
+  // store keeps serving the pre-crash table.
+  peer->PublishSnapshot();
   peer->SetTraceCollector(spec.collector);
-  if (spec.recover && wants_registration) {
-    peer->Register();  // Open for business: recovered state is in place.
+  if (wants_registration) {
+    peer->Register();  // Open for business: the peer's state is in place.
     // RegisterPeer cannot fail, but delivery can be impossible anyway (a
     // socket runtime that could not bind a listener): surface that here
     // instead of letting the restarted peer silently drop everything.
-    P2PDB_RETURN_IF_ERROR(runtime->PeerReady(spec.id));
+    if (spec.recover) P2PDB_RETURN_IF_ERROR(runtime->PeerReady(spec.id));
   }
   return peer;
 }

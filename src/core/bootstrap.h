@@ -35,10 +35,10 @@ class PeerBootstrap {
     /// `id` ("initially each node knows all rules of which it is a target")
     /// and tolerates re-installation of rules the peer already holds.
     const std::vector<CoordinationRule>* rules = nullptr;
-    /// Peer configuration, applied verbatim except on the recover path where
-    /// registration and snapshot publishing are deferred until recovery is
-    /// complete (config.register_with_runtime still decides whether Build
-    /// registers the recovered peer at the end).
+    /// Peer configuration, applied verbatim except that registration is
+    /// deferred until the peer's state is in place and published
+    /// (config.register_with_runtime still decides whether Build registers
+    /// the peer at the end).
     Peer::Config config;
     /// Optional open store; attached before rules so Recover()'s rule-
     /// change replay lands on the re-registered initial rules.
@@ -49,12 +49,12 @@ class PeerBootstrap {
     obs::TraceCollector* collector = nullptr;
   };
 
-  /// Builds a peer per `spec`. On the recover path the peer is constructed
-  /// unregistered with an empty database and snapshot publishing deferred —
-  /// readers keep the pre-crash snapshot, and on concurrent runtimes no
-  /// message can reach a half-recovered peer — then recovered, and only then
-  /// registered (iff spec.config.register_with_runtime) with delivery
-  /// readiness verified.
+  /// Builds a peer per `spec`, unregistered, publishes its first snapshot,
+  /// and only then registers it (iff spec.config.register_with_runtime). On
+  /// the recover path the peer is constructed with an empty database — on
+  /// concurrent runtimes no message can reach a half-recovered peer — and
+  /// recovered before the publish (readers keep the pre-crash snapshot until
+  /// then), and its delivery readiness is verified after registration.
   static Result<std::unique_ptr<Peer>> Build(net::Runtime* runtime, Spec spec);
 };
 

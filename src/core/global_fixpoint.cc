@@ -45,11 +45,11 @@ Result<GlobalFixpointResult> ComputeGlobalFixpoint(
         for (size_t p = 0; p < rule.body.size(); ++p) {
           std::vector<std::string> vars = rule.PartExportVars(p);
           std::string name = "$" + rule.id + ":" + std::to_string(p);
-          P2PDB_RETURN_IF_ERROR(
+          P2PDB_ASSIGN_OR_RETURN(
+              auto scratch_rel,
               scratch.CreateRelation(rel::RelationSchema(name, vars)));
           auto part_result = rel::EvaluateQuery(db, rule.PartQuery(p));
           if (!part_result.ok()) return part_result.status();
-          rel::Relation* scratch_rel = *scratch.GetMutable(name);
           for (const rel::Tuple& t :
                rule.domain_map.ApplyToSet(*part_result)) {
             (void)scratch_rel->Insert(t);
@@ -78,12 +78,11 @@ Result<GlobalFixpointResult> ComputeGlobalFixpoint(
   result.node_dbs.resize(system.node_count());
   for (const NodeInfo& info : system.nodes()) {
     rel::Database& out = result.node_dbs[info.id];
-    for (const auto& [name, relation] : info.db.relations()) {
-      P2PDB_RETURN_IF_ERROR(out.CreateRelation(relation.schema()));
-      auto final_rel = db.Get(name);
-      if (!final_rel.ok()) return final_rel.status();
-      rel::Relation* dst = *out.GetMutable(name);
-      const rel::LogView final_log = (*final_rel)->View();
+    for (const rel::Relation& relation : info.db.relations()) {
+      P2PDB_ASSIGN_OR_RETURN(auto dst,
+                             out.CreateRelation(relation.schema()));
+      // The union holds every node's relations, each in log order.
+      const rel::LogView final_log = db.relation(relation.name()).View();
       for (size_t i = 0; i < final_log.size(); ++i) {
         P2PDB_RETURN_IF_ERROR(dst->Insert(final_log.at(i)).status());
       }

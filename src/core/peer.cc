@@ -1,10 +1,8 @@
 #include "src/core/peer.h"
 
-#include <map>
 #include <type_traits>
 
 #include "src/core/dependency.h"
-#include "src/core/query.h"
 #include "src/relational/eval.h"
 #include "src/util/logging.h"
 
@@ -37,7 +35,6 @@ Peer::Peer(NodeId id, std::string name, rel::Database db,
   snapshots_ = config_.snapshots != nullptr
                    ? config_.snapshots
                    : std::make_shared<rel::SnapshotStore>();
-  if (!config_.defer_snapshot_publish) PublishFullSnapshot();
   if (config_.register_with_runtime) Register();
 }
 
@@ -96,19 +93,8 @@ Result<std::set<rel::Tuple>> Peer::LocalQuery(
   return rel::EvaluateQuery(db_, query);
 }
 
-Result<std::set<rel::Tuple>> Peer::Query(
-    const rel::ConjunctiveQuery& query) const {
-  return SnapshotQuery(*snapshots_, query);
-}
-
-Result<bool> Peer::QueryPoint(const std::string& relation,
-                              const rel::Tuple& key) const {
-  return SnapshotQueryPoint(*snapshots_, relation, key);
-}
-
-void Peer::PublishFullSnapshot() {
-  snapshots_->Publish(
-      rel::BuildSnapshot(db_, snapshots_->CommittedBatches()));
+void Peer::PublishSnapshot() {
+  snapshots_->Publish(db_);
 }
 
 Status Peer::AttachStorage(std::unique_ptr<storage::StorageManager> storage) {
@@ -116,17 +102,16 @@ Status Peer::AttachStorage(std::unique_ptr<storage::StorageManager> storage) {
   return storage_->EnsureBase(db_);
 }
 
-void Peer::OnDeltaApplied(const std::map<std::string, size_t>& starts) {
+void Peer::OnDeltaApplied(const rel::Version& before) {
   // MVCC commit point: publish the logs' new sizes before any durability
   // work. Readers observe either none or all of this chase application (a
   // prefix of committed batches), and visibility is decoupled from fsync —
   // safe because the protocol is monotone and a crash loses nothing a reader
   // could not re-derive.
-  uint64_t committed = snapshots_->NoteBatchCommitted();
-  snapshots_->Publish(rel::BuildSnapshot(db_, committed));
+  snapshots_->Commit(db_);
   if (storage_ == nullptr) return;
   uint64_t wal_start = span_open_ ? runtime_->NowMicros() : 0;
-  Status logged = storage_->LogDelta(db_, starts);
+  Status logged = storage_->LogDelta(db_, before);
   if (span_open_) RecordWalMicros(runtime_->NowMicros() - wal_start);
   if (!logged.ok()) {
     P2PDB_LOG(kError) << "WAL append failed at node " << id_ << ": "
@@ -181,8 +166,7 @@ Result<storage::RecoveryInfo> Peer::Recover() {
   // The recovered instance contains every null this node minted before the
   // crash (heads insert invented nulls locally, and data is never retracted);
   // advance the factory past all of them so fresh nulls cannot collide.
-  for (const auto& [name, relation] : db_.relations()) {
-    (void)name;
+  for (const rel::Relation& relation : db_.relations()) {
     const rel::LogView log = relation.View();
     for (size_t i = 0; i < log.size(); ++i) {
       for (const rel::Value& v : log.at(i)) {
@@ -192,9 +176,6 @@ Result<storage::RecoveryInfo> Peer::Recover() {
       }
     }
   }
-  // Readers switch from the pre-crash snapshot (still served by the shared
-  // store while this peer was down) to the recovered state in one swap.
-  PublishFullSnapshot();
   return info;
 }
 

@@ -4,7 +4,6 @@
 #ifndef P2PDB_CORE_PEER_H_
 #define P2PDB_CORE_PEER_H_
 
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -38,11 +37,6 @@ class Peer : public net::PeerHandler {
     /// Session hands every peer a store that outlives the Peer object, so
     /// reader threads keep a stable target across crash/restart churn.
     std::shared_ptr<rel::SnapshotStore> snapshots;
-    /// Skip the construction-time snapshot publish. A restarting peer is
-    /// built with an EMPTY database and recovers afterwards; publishing that
-    /// empty state into a shared store would briefly un-serve data readers
-    /// already saw. Recover() publishes the recovered state instead.
-    bool defer_snapshot_publish = false;
   };
 
   Peer(NodeId id, std::string name, rel::Database db, net::Runtime* runtime,
@@ -74,35 +68,14 @@ class Peer : public net::PeerHandler {
                           const std::set<std::string>& relations);
 
   /// Evaluates a local query against the node's current database. Runs on
-  /// the live instance — only safe from the peer's own dispatch context (use
-  /// Query() for cross-thread reads).
+  /// the live instance — only safe from the peer's own dispatch context;
+  /// other threads read the snapshot store (Config::snapshots).
   Result<std::set<rel::Tuple>> LocalQuery(
       const rel::ConjunctiveQuery& query) const;
 
-  // --- Query plane (lock-free MVCC read path; see src/core/query.h) ---
-
-  /// Evaluates a conjunctive query against the latest published snapshot.
-  /// Safe from any thread, concurrently with update propagation: readers
-  /// see a prefix of committed delta batches, never a half-applied chase
-  /// step, and take no lock (one atomic snapshot-pointer load).
-  Result<std::set<rel::Tuple>> Query(const rel::ConjunctiveQuery& query) const;
-
-  /// Point lookup against the latest published snapshot; same guarantees.
-  Result<bool> QueryPoint(const std::string& relation,
-                          const rel::Tuple& key) const;
-
-  /// The latest published snapshot (for inspection / repeated reads at one
-  /// consistent version).
-  rel::SnapshotPtr snapshot() const { return snapshots_->Acquire(); }
-  const std::shared_ptr<rel::SnapshotStore>& snapshot_store() const {
-    return snapshots_;
-  }
-
-  /// Publishes a snapshot of the live database as it stands now (each
-  /// relation's log at its current size; nothing is copied). Called
-  /// from the construction/recovery paths; also the hook for callers that
-  /// mutate db() directly (tests, examples) and want readers to see it.
-  void PublishFullSnapshot();
+  /// Publishes the live database's row. PeerBootstrap calls it once the
+  /// peer's state is in place, which starts serving the database's table.
+  void PublishSnapshot();
 
   // --- Durability (optional; peers without storage behave as before) ---
 
@@ -113,12 +86,11 @@ class Peer : public net::PeerHandler {
   storage::StorageManager* storage() { return storage_.get(); }
 
   /// Called by the update engine after a chase application appended to the
-  /// relations named in `starts`, each from the log entry it maps to (its
-  /// size before the application). Publishes a snapshot; with storage
-  /// attached, logs entries [start, size) of each as one WAL delta. Errors
-  /// are logged, not propagated — the protocol must keep running even if the
-  /// disk misbehaves.
-  void OnDeltaApplied(const std::map<std::string, size_t>& starts);
+  /// database, whose version row was `before` when the application began.
+  /// Publishes a snapshot; with storage attached, logs every entry past
+  /// `before` as one WAL delta. Errors are logged, not propagated — the
+  /// protocol must keep running even if the disk misbehaves.
+  void OnDeltaApplied(const rel::Version& before);
 
   /// Called by the update engine after a dynamic rule change mutates this
   /// node's rule list; logs it so Recover() replays the change. Errors are

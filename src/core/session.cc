@@ -5,7 +5,6 @@
 
 #include "src/core/bootstrap.h"
 #include "src/core/dependency.h"
-#include "src/core/query.h"
 #include "src/obs/metrics.h"
 #include "src/util/string_util.h"
 
@@ -142,7 +141,7 @@ Result<std::set<rel::Tuple>> Session::Query(
   if (at >= stores_.size()) {
     return Status::InvalidArgument("unknown node " + std::to_string(at));
   }
-  return SnapshotQuery(*stores_[at], query);
+  return stores_[at]->Query(query);
 }
 
 Result<bool> Session::QueryPoint(NodeId at, const std::string& relation,
@@ -150,10 +149,10 @@ Result<bool> Session::QueryPoint(NodeId at, const std::string& relation,
   if (at >= stores_.size()) {
     return Status::InvalidArgument("unknown node " + std::to_string(at));
   }
-  return SnapshotQueryPoint(*stores_[at], relation, key);
+  return stores_[at]->QueryPoint(relation, key);
 }
 
-Result<rel::SnapshotPtr> Session::PeerSnapshot(NodeId at) const {
+Result<rel::DbSnapshot> Session::PeerSnapshot(NodeId at) const {
   if (at >= stores_.size()) {
     return Status::InvalidArgument("unknown node " + std::to_string(at));
   }

@@ -71,9 +71,9 @@ class Session {
   // per-node SnapshotStores owned by the session (created at construction,
   // never destroyed, shared with each Peer incarnation), so they never
   // touch the peers_ vector and never take a lock or RunExclusive: snapshot
-  // acquisition is a single atomic snapshot-pointer load. A crashed node keeps
-  // serving its last committed snapshot until its restart publishes the
-  // recovered state.
+  // acquisition copies one version row out of the store's ring. A crashed
+  // node keeps serving its last committed snapshot until its restart
+  // publishes the recovered state.
 
   /// Evaluates a conjunctive query at node `at`'s latest snapshot.
   Result<std::set<rel::Tuple>> Query(NodeId at,
@@ -84,7 +84,7 @@ class Session {
                           const rel::Tuple& key) const;
 
   /// Node `at`'s latest snapshot, for repeated reads at one version.
-  Result<rel::SnapshotPtr> PeerSnapshot(NodeId at) const;
+  Result<rel::DbSnapshot> PeerSnapshot(NodeId at) const;
 
   /// Turns on causal tracing: every live peer (and every later restart)
   /// reports propagation spans to `collector`, with 1-in-`sample_every_n`
@@ -180,10 +180,10 @@ class Session {
   std::vector<std::unique_ptr<Peer>> peers_;  // null entry = crashed peer
   /// One snapshot store per node, fixed at construction and shared with
   /// every Peer incarnation of that node (see Peer::Config::snapshots).
-  /// Reader threads hold shared_ptrs into this vector's elements, so the
-  /// vector is never resized and the stores are never destroyed mid-session.
+  /// The vector is never resized and the stores are never destroyed
+  /// mid-session, so reader threads need no lock to reach them.
   std::vector<std::shared_ptr<rel::SnapshotStore>> stores_;
-  /// Retained for restarts: node names and the system's initial rules (a
+  /// Kept for restarts: node names and the system's initial rules (a
   /// restarted head re-learns "all rules of which it is a target"; rule
   /// changes applied after session start are replayed from the peer's WAL by
   /// Peer::Recover, so the change driver need not re-deliver them).

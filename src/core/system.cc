@@ -109,6 +109,20 @@ Status P2PSystem::AddNode(std::string name, rel::Database db) {
 
 Status P2PSystem::ValidateRule(const CoordinationRule& rule) const {
   if (rule.id.empty()) return Status::InvalidArgument("rule id empty");
+  // A body or head atom must name a relation of its node, at its arity.
+  auto check_atom = [&](const rel::Atom& a, NodeId node, const char* kind) {
+    const rel::RelationId relation = nodes_[node].db.Find(a.relation);
+    if (relation == rel::kNoRelation) {
+      return Status::InvalidArgument("rule " + rule.id + ": " + kind +
+                                     " atom " + a.ToString() + " not in node " +
+                                     nodes_[node].name);
+    }
+    if (nodes_[node].db.Arity(relation) != a.terms.size()) {
+      return Status::InvalidArgument("rule " + rule.id + ": arity mismatch " +
+                                     a.ToString());
+    }
+    return Status::OK();
+  };
   if (rule.head_node >= nodes_.size()) {
     return Status::InvalidArgument("rule " + rule.id + ": bad head node");
   }
@@ -136,29 +150,11 @@ Status P2PSystem::ValidateRule(const CoordinationRule& rule) const {
       return Status::InvalidArgument("rule " + rule.id + ": empty body part");
     }
     for (const rel::Atom& a : p.atoms) {
-      auto relation = nodes_[p.node].db.Get(a.relation);
-      if (!relation.ok()) {
-        return Status::InvalidArgument("rule " + rule.id + ": body atom " +
-                                       a.ToString() + " not in node " +
-                                       nodes_[p.node].name);
-      }
-      if ((*relation)->schema().arity() != a.terms.size()) {
-        return Status::InvalidArgument("rule " + rule.id + ": arity mismatch " +
-                                       a.ToString());
-      }
+      P2PDB_RETURN_IF_ERROR(check_atom(a, p.node, "body"));
     }
   }
   for (const rel::Atom& a : rule.head_atoms) {
-    auto relation = nodes_[rule.head_node].db.Get(a.relation);
-    if (!relation.ok()) {
-      return Status::InvalidArgument("rule " + rule.id + ": head atom " +
-                                     a.ToString() + " not in node " +
-                                     nodes_[rule.head_node].name);
-    }
-    if ((*relation)->schema().arity() != a.terms.size()) {
-      return Status::InvalidArgument("rule " + rule.id + ": arity mismatch " +
-                                     a.ToString());
-    }
+    P2PDB_RETURN_IF_ERROR(check_atom(a, rule.head_node, "head"));
   }
   for (const auto& existing : rules_) {
     if (existing.id == rule.id) {
@@ -210,9 +206,9 @@ std::vector<const CoordinationRule*> P2PSystem::RulesWithHead(
 Result<rel::Database> P2PSystem::CombinedDatabase() const {
   rel::Database combined;
   for (const NodeInfo& n : nodes_) {
-    for (const auto& [name, relation] : n.db.relations()) {
-      P2PDB_RETURN_IF_ERROR(combined.CreateRelation(relation.schema()));
-      rel::Relation* dst = *combined.GetMutable(name);
+    for (const rel::Relation& relation : n.db.relations()) {
+      P2PDB_ASSIGN_OR_RETURN(auto dst,
+                             combined.CreateRelation(relation.schema()));
       // Sorted, so the oracle's chase (and its null count) does not depend
       // on the order the node's tuples were inserted in.
       for (const rel::Tuple& t : relation.SortedTuples()) {

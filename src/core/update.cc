@@ -78,14 +78,12 @@ void UpdateEngine::RefreshScc() {
   }
 }
 
-rel::LogView UpdateEngine::RuleRuntime::View(
-    const std::string& relation) const {
-  for (size_t p = 0; p < part_answers.size(); ++p) {
-    if (join.atoms[p].relation == relation) {
-      return rel::LogView(part_answers[p].get(), part_answers[p]->size());
-    }
+rel::RelationId UpdateEngine::RuleRuntime::Find(
+    const std::string& name) const {
+  for (rel::RelationId p = 0; p < join.atoms.size(); ++p) {
+    if (join.atoms[p].relation == name) return p;
   }
-  return rel::LogView();
+  return rel::kNoRelation;
 }
 
 UpdateEngine::RuleRuntime* UpdateEngine::EnsureRuleRuntime(
@@ -109,7 +107,7 @@ UpdateEngine::RuleRuntime* UpdateEngine::EnsureRuleRuntime(
   }
   rr.join.builtins = rule.cross_builtins;
   for (size_t p = 0; p < rule.body.size(); ++p) {
-    auto plan = rel::QueryPlan::Compile(rr.join, p);
+    auto plan = rel::QueryPlan::Compile(rr.join, rr, p);
     if (!plan.ok()) {
       P2PDB_LOG(kWarn) << "rule join failed for " << rule.id << ": "
                        << plan.status().ToString();
@@ -119,19 +117,20 @@ UpdateEngine::RuleRuntime* UpdateEngine::EnsureRuleRuntime(
     rr.join_plans.push_back(plan.MoveValue());
   }
   if (!rr.join_plans.empty()) {
-    rr.head = rel::RuleHead(rule.head_atoms, rr.join_plans[0].slots());
+    rr.head = rel::RuleHead(rule.head_atoms, rr.join_plans[0].slots(),
+                            peer_->db());
   }
   // A part log is read only by the other parts' join plans (and scanned as
   // the seed), so a rule of one part keeps none, and a log indexes exactly
   // the columns those plans look up.
   if (rr.join_plans.size() < 2) return &rr;
-  for (const rel::Atom& atom : rr.join.atoms) {
+  for (rel::RelationId p = 0; p < rr.join.atoms.size(); ++p) {
     std::vector<size_t> columns;
     for (const rel::QueryPlan& plan : rr.join_plans) {
-      for (size_t c : plan.LookupColumns(atom.relation)) columns.push_back(c);
+      for (size_t c : plan.LookupColumns(p)) columns.push_back(c);
     }
-    rr.part_answers.push_back(std::make_unique<rel::TupleLog>(
-        atom.terms.size(), std::move(columns)));
+    rr.part_answers.push_back(
+        std::make_unique<rel::TupleLog>(rr.Arity(p), std::move(columns)));
   }
   return &rr;
 }
@@ -162,11 +161,12 @@ void UpdateEngine::OnQueryRequest(NodeId from, const wire::QueryRequest& msg) {
   };
   // Compile before subscribing: a query that cannot be evaluated is warned
   // about once and keeps no subscription, not even one it would replace.
-  auto full = rel::QueryPlan::Compile(msg.query);
+  const rel::Database& db = peer_->db();
+  auto full = rel::QueryPlan::Compile(msg.query, db);
   std::vector<rel::QueryPlan> plans;
   // A seeded plan fails only where the full plan does.
   for (size_t i = 0; full.ok() && i < msg.query.atoms.size(); ++i) {
-    plans.push_back(rel::QueryPlan::Compile(msg.query, i).MoveValue());
+    plans.push_back(rel::QueryPlan::Compile(msg.query, db, i).MoveValue());
   }
   if (!full.ok()) {
     P2PDB_LOG(kWarn) << "subscription query failed at node " << peer_->id()
@@ -190,11 +190,7 @@ void UpdateEngine::OnQueryRequest(NodeId from, const wire::QueryRequest& msg) {
                        ? std::make_unique<rel::TupleLog>(
                              msg.query.head_vars.size(), std::vector<size_t>{})
                        : nullptr;
-  const rel::Database& db = peer_->db();
-  sub->evaluated.clear();
-  for (const rel::Atom& atom : msg.query.atoms) {
-    sub->evaluated.push_back(db.View(atom.relation).size());
-  }
+  sub->evaluated = db.version();
 
   // The initial answer is the delta from the empty set: every answer, in the
   // order evaluation finds it.
@@ -309,19 +305,14 @@ bool UpdateEngine::JoinAndApply(RuleRuntime* rr, uint32_t delta_part,
   }
   ++stats_.joins_evaluated;
   if (rr->join_plans.empty()) return false;  // Warned about when built.
-  const CoordinationRule& rule = rr->rule;
   // Chase apply time = semi-naive join + head application (WAL time is
   // charged separately inside OnDeltaApplied). One clock pair per join is
   // noise next to the join itself, so this is not gated.
   const uint64_t chase_start = peer_->runtime()->NowMicros();
 
-  // Where this application's appends begin in each head relation's log: the
-  // WAL logs entries [start, size) as one delta.
-  std::map<std::string, size_t> starts;
-  for (const rel::Atom& a : rule.head_atoms) {
-    const rel::Relation* relation = peer_->db().FindRelation(a.relation);
-    if (relation != nullptr) starts.try_emplace(a.relation, relation->size());
-  }
+  // Where this application's appends begin: the WAL logs what the database
+  // holds past this row as one delta.
+  const rel::Version before = peer_->db().version();
   // Semi-naive join: the delta part seeds from its new entries (or rows),
   // every other part contributes its full log. The join reads only the part
   // logs, so each binding goes straight to the head.
@@ -335,8 +326,7 @@ bool UpdateEngine::JoinAndApply(RuleRuntime* rr, uint32_t delta_part,
     return st.ok();
   };
   if (log != nullptr) {
-    plan.RunSeeded(*rr, rel::LogView(log, log->size()), first_new, &binding,
-                   apply);
+    plan.RunSeeded(*rr, first_new, &binding, apply);
   } else {
     plan.RunSeeded(*rr, rows, from, &binding, apply);
   }
@@ -350,9 +340,9 @@ bool UpdateEngine::JoinAndApply(RuleRuntime* rr, uint32_t delta_part,
   // Even a failed application may have inserted tuples for earlier bindings;
   // they are in the database, so they are a change that must reach the WAL
   // and subscribers.
-  if (chase_stats.inserted > 0) peer_->OnDeltaApplied(starts);
+  if (chase_stats.inserted > 0) peer_->OnDeltaApplied(before);
   if (!st.ok()) {
-    P2PDB_LOG(kError) << "chase failed for rule " << rule.id << ": "
+    P2PDB_LOG(kError) << "chase failed for rule " << rr->rule.id << ": "
                       << st.ToString();
   }
   stats_.tuples_inserted += chase_stats.inserted;
@@ -364,28 +354,31 @@ bool UpdateEngine::JoinAndApply(RuleRuntime* rr, uint32_t delta_part,
 void UpdateEngine::NotifySubscribers() {
   const bool closed = state_ == State::kClosed;
   const rel::Database& db = peer_->db();
+  const rel::Version now = db.version();
   std::vector<rel::Value> binding;
   std::vector<rel::Value> row;
   for (Subscription& sub : subscriptions_) {
     // Semi-naive: new answers of the subscription query are exactly those
-    // using at least one entry past its atom's watermark in at least one
-    // atom, found in the order evaluation finds them. A subscription that
-    // keeps last_sent appends them there, which drops the ones it shipped
-    // before; any other derives each answer once and ships it as found.
+    // using at least one entry past the subscription's row in at least one
+    // atom (every atom seeds from the row before it moves), found in the
+    // order evaluation finds them. A subscription that keeps last_sent
+    // appends them there, which drops the ones it shipped before; any other
+    // derives each answer once and ships it as found.
     const rel::TupleLog* sent = sub.last_sent.get();
     const size_t first_new = sent == nullptr ? 0 : sent->size();
     wire::QueryAnswer ans;
-    for (size_t i = 0; i < sub.plans.size(); ++i) {
-      const rel::QueryPlan& plan = sub.plans[i];
-      const rel::LogView log = db.View(plan.seed_relation());
-      if (sub.evaluated[i] >= log.size()) continue;
-      plan.RunSeeded(db, log, sub.evaluated[i], &binding,
+    for (const rel::QueryPlan& plan : sub.plans) {
+      const rel::RelationId seed = plan.seed_relation();
+      if (seed == rel::kNoRelation || sub.evaluated[seed] >= now[seed]) {
+        continue;
+      }
+      plan.RunSeeded(db, sub.evaluated[seed], &binding,
                      [&](const std::vector<rel::Value>& b) {
                        sub.Keep(plan.Project(b, &row), &ans.tuples);
                        return true;
                      });
-      sub.evaluated[i] = log.size();
     }
+    sub.evaluated = now;
     const bool fresh = sent == nullptr ? ans.tuples.size() > 0
                                        : sent->size() > first_new;
     if (!fresh && closed == sub.announced_closed) continue;

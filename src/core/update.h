@@ -35,9 +35,9 @@
 // of its subscription: per-link FIFO keeps a subscription's answers in order,
 // and each subscription's first answer is a delta. So the head skips that
 // many rows by count before either kind of rule sees them.
-// Each subscription keeps a watermark per atom: the size its relation's log
-// had when the subscription was last evaluated, so a notify evaluates only
-// the entries appended since. Projections go through a reused scratch row,
+// Each subscription keeps the version row (src/relational/database.h) of its
+// last evaluation, so a notify evaluates only the entries appended since.
+// Projections go through a reused scratch row,
 // and a message is encoded from the rows just derived or from a range of
 // last_sent. No answer passes through a sorted set.
 //
@@ -144,7 +144,7 @@ class UpdateEngine {
 
  private:
   /// Head-side state of one rule. It is the join's ReadView: atom p of
-  /// `join` reads part p's accumulated answers in place.
+  /// `join` is relation p, part p's accumulated answers read in place.
   struct RuleRuntime : rel::ReadView {
     CoordinationRule rule;
     /// For a rule of several parts whose join compiled, per body part every
@@ -166,7 +166,14 @@ class UpdateEngine {
     /// The rule head over the join plans' slots.
     rel::RuleHead head;
 
-    rel::LogView View(const std::string& relation) const override;
+    rel::RelationId Find(const std::string& name) const override;
+    size_t Arity(rel::RelationId part) const override {
+      return join.atoms[part].terms.size();
+    }
+    rel::LogView View(rel::RelationId part) const override {
+      return rel::LogView(part_answers[part].get(),
+                          part_answers[part]->size());
+    }
   };
 
   /// Body-side state of one subscription from a head node.
@@ -176,10 +183,9 @@ class UpdateEngine {
     uint32_t part = 0;
     /// The subscription query seeded at each of its atoms, in atom order.
     std::vector<rel::QueryPlan> plans;
-    /// Per atom, the size of its relation's log when the subscription was
-    /// last evaluated: every answer it derives from earlier entries alone
-    /// has been shipped.
-    std::vector<size_t> evaluated;
+    /// The database's version row when the subscription was last evaluated:
+    /// every answer it derives from earlier entries alone has been shipped.
+    rel::Version evaluated;
     /// Answers already shipped, in the order they were shipped, kept only
     /// when the query can derive one answer twice or answers are full (each
     /// ships all of it); null otherwise, when `evaluated` alone says what was
@@ -214,8 +220,8 @@ class UpdateEngine {
                     const rel::RowList& rows, size_t from);
   /// Sends deltas / closure flags to subscribers whose view is stale.
   /// Incremental: evaluates each subscription semi-naively against the log
-  /// entries appended since its last evaluation (Subscription::evaluated)
-  /// instead of re-running the full query.
+  /// entries appended since its row (Subscription::evaluated) instead of
+  /// re-running the full query.
   void NotifySubscribers();
   /// Sends `ans` to `sub`'s subscriber and records the closed flag it
   /// announced. The tuples are `ans.tuples`, or for a subscription that

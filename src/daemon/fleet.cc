@@ -211,8 +211,7 @@ Status FleetController::Bootstrap(const std::vector<NodeId>& nodes) {
     bootstrap.node = n;
     bootstrap.name = system_.node(n).name;
     bootstrap.super_peer = super_peer_;
-    for (const auto& [name, relation] : system_.node(n).db.relations()) {
-      (void)name;
+    for (const rel::Relation& relation : system_.node(n).db.relations()) {
       bootstrap.schema.push_back(relation.schema());
     }
     for (const core::CoordinationRule* rule : system_.RulesWithHead(n)) {

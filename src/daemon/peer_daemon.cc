@@ -167,8 +167,9 @@ Status PeerDaemon::ApplyBootstrap(const wire::SessionBootstrap& bootstrap) {
   // to paper over by mutating the live database.
   const rel::Database& db = system_.node(config_.node).db;
   for (const rel::RelationSchema& schema : bootstrap.schema) {
-    const rel::Relation* relation = db.FindRelation(schema.name());
-    if (relation == nullptr || !(relation->schema() == schema)) {
+    const rel::RelationId relation = db.Find(schema.name());
+    if (relation == rel::kNoRelation ||
+        !(db.relation(relation).schema() == schema)) {
       return Status::InvalidArgument("schema drift on relation '" +
                                      schema.name() + "'");
     }

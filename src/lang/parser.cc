@@ -242,7 +242,7 @@ class Parser {
         P2PDB_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
         P2PDB_RETURN_IF_ERROR(Expect(TokenKind::kSemi));
         P2PDB_RETURN_IF_ERROR(
-            db.CreateRelation(rel::RelationSchema(rel_name, attrs)));
+            db.CreateRelation(rel::RelationSchema(rel_name, attrs)).status());
       } else if (AtKeyword("fact")) {
         Next();
         if (!At(TokenKind::kIdent)) return Error("expected relation name");

@@ -64,15 +64,16 @@ std::string PrintSystem(const core::P2PSystem& system) {
   std::string out;
   for (const core::NodeInfo& info : system.nodes()) {
     out += "node " + info.name + " {\n";
-    for (const auto& [name, relation] : info.db.relations()) {
-      out += "  rel " + name + "(" +
+    for (const rel::Relation& relation : info.db.relations()) {
+      out += "  rel " + relation.name() + "(" +
              JoinStrings(relation.schema().attributes(), ", ") + ");\n";
     }
-    for (const auto& [name, relation] : info.db.relations()) {
+    for (const rel::Relation& relation : info.db.relations()) {
       for (const rel::Tuple& t : relation.SortedTuples()) {
         std::vector<std::string> values;
         for (const rel::Value& v : t.values()) values.push_back(PrintValue(v));
-        out += "  fact " + name + "(" + JoinStrings(values, ", ") + ");\n";
+        out += "  fact " + relation.name() + "(" + JoinStrings(values, ", ") +
+               ");\n";
       }
     }
     out += "}\n";

@@ -1,6 +1,6 @@
-// The one JSON export path for observability dumps. examples/trace_dump,
-// bench_tcp, and bench_queries all emit the same {"metrics", "traces"}
-// shape through this helper, so the format cannot drift between consumers
+// The one JSON export path for observability dumps. examples/trace_dump
+// and bench_tcp both emit the same {"metrics", "traces"} shape through this
+// helper, so the format cannot drift between consumers
 // (scripts/run_bench.sh and the CI artifact pipeline parse it).
 #ifndef P2PDB_OBS_EXPORT_H_
 #define P2PDB_OBS_EXPORT_H_

@@ -19,7 +19,8 @@ uint32_t MaxNullDepth(const std::vector<Value>& binding) {
 }  // namespace
 
 RuleHead::RuleHead(const std::vector<Atom>& head_atoms,
-                   const std::vector<std::string>& body_slots) {
+                   const std::vector<std::string>& body_slots,
+                   const Database& db) {
   // The frontier: head variables the binding supplies, in order of first
   // appearance.
   std::vector<std::string> frontier;
@@ -40,14 +41,20 @@ RuleHead::RuleHead(const std::vector<Atom>& head_atoms,
   // head variables and no built-ins the query is always safe.
   ConjunctiveQuery probe;
   probe.atoms = head_atoms;
-  probe_ = QueryPlan::CompileBound(probe, frontier).MoveValue();
+  probe_ =
+      QueryPlan::Compile(probe, db, QueryPlan::kNoSeed, frontier).MoveValue();
   existentials_ = probe_.slot_count() - frontier_.size();
   frame_.resize(probe_.slot_count());
 
   const std::vector<std::string>& slots = probe_.slots();
   for (const Atom& a : head_atoms) {
     HeadAtom atom;
-    atom.relation = a.relation;
+    atom.relation = db.Find(a.relation);
+    if (atom.relation == kNoRelation ||
+        db.Arity(atom.relation) != a.terms.size()) {
+      unresolved_ = Status::InvalidArgument("head atom " + a.ToString() +
+                                            " names no relation of its arity");
+    }
     for (const Term& t : a.terms) {
       Operand operand;
       if (t.is_var()) {
@@ -79,7 +86,6 @@ Row RuleHead::Instantiate(const HeadAtom& atom) {
 // to avoid full scans.
 bool RuleHead::ProjectionPresent(const LogView& relation,
                                  const HeadAtom& atom) const {
-  if (atom.terms.size() != relation.arity()) return false;
   // Fully existential atom: any tuple witnesses it.
   if (atom.key == SIZE_MAX) return relation.size() > 0;
   auto matches = [&](Row row) {
@@ -106,6 +112,7 @@ Status RuleHead::Apply(Database* db, const std::vector<Value>& binding,
         "max_null_depth " + std::to_string(options.max_null_depth) +
         " exceeds " + std::to_string(kMaxNullDepthLimit));
   }
+  if (!unresolved_.ok()) return unresolved_;
   for (size_t i = 0; i < frontier_.size(); ++i) {
     frame_[i] = binding[frontier_[i]];
   }
@@ -129,9 +136,7 @@ Status RuleHead::Apply(Database* db, const std::vector<Value>& binding,
     if (options.policy == ChasePolicy::kProjectionCheck) {
       bool all_present = true;
       for (size_t i = 0; i < atoms_.size(); ++i) {
-        auto rel = db->Get(atoms_[i].relation);
-        if (!rel.ok()) return rel.status();
-        present[i] = ProjectionPresent((*rel)->View(), atoms_[i]);
+        present[i] = ProjectionPresent(db->View(atoms_[i].relation), atoms_[i]);
         all_present = all_present && present[i];
       }
       if (all_present) {
@@ -146,7 +151,8 @@ Status RuleHead::Apply(Database* db, const std::vector<Value>& binding,
     }
     for (size_t i = 0; i < atoms_.size(); ++i) {
       if (present[i]) continue;
-      auto added = db->Insert(atoms_[i].relation, Instantiate(atoms_[i]));
+      auto added =
+          db->relation(atoms_[i].relation).Insert(Instantiate(atoms_[i]));
       if (!added.ok()) return added.status();
       if (*added) ++stats->inserted;
     }
@@ -156,7 +162,7 @@ Status RuleHead::Apply(Database* db, const std::vector<Value>& binding,
   // Fully bound head: plain set insertion.
   bool any_inserted = false;
   for (const HeadAtom& atom : atoms_) {
-    auto added = db->Insert(atom.relation, Instantiate(atom));
+    auto added = db->relation(atom.relation).Insert(Instantiate(atom));
     if (!added.ok()) return added.status();
     if (*added) {
       ++stats->inserted;
@@ -171,7 +177,7 @@ Status ApplyRule(Database* db, const ReadView& source,
                  const ConjunctiveQuery& body,
                  const std::vector<Atom>& head_atoms, NullFactory* nulls,
                  const ChaseOptions& options, ChaseStats* stats) {
-  auto plan = QueryPlan::Compile(body);
+  auto plan = QueryPlan::Compile(body, source);
   if (!plan.ok()) return plan.status();
   std::vector<std::vector<Value>> bindings;
   std::vector<Value> binding;
@@ -179,7 +185,7 @@ Status ApplyRule(Database* db, const ReadView& source,
     bindings.push_back(b);
     return true;
   });
-  RuleHead head(head_atoms, plan->slots());
+  RuleHead head(head_atoms, plan->slots(), *db);
   for (const std::vector<Value>& b : bindings) {
     P2PDB_RETURN_IF_ERROR(head.Apply(db, b, nulls, options, stats));
   }

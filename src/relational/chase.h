@@ -3,9 +3,10 @@
 // local database, inventing fresh labeled nulls for existential variables.
 //
 // A head is compiled once (RuleHead) against the slots of the bindings it
-// will receive (QueryPlan::slots()), so applying it reads values by index:
-// the existential variables, their minting order, the instantiation of each
-// atom and the homomorphism probe are all fixed at compile time.
+// will receive (QueryPlan::slots()) and the database it inserts into, so
+// applying it reads values by index: the existential variables, their
+// minting order, the instantiation and relation id of each atom and the
+// homomorphism probe are all fixed at compile time.
 #ifndef P2PDB_RELATIONAL_CHASE_H_
 #define P2PDB_RELATIONAL_CHASE_H_
 
@@ -59,17 +60,18 @@ struct ChaseStats {
 class RuleHead {
  public:
   RuleHead() = default;
-  /// `body_slots[i]` names the variable binding slot i holds.
+  /// `body_slots[i]` names the variable binding slot i holds. Each head atom
+  /// is bound to its relation's id in `db`.
   RuleHead(const std::vector<Atom>& head_atoms,
-           const std::vector<std::string>& body_slots);
+           const std::vector<std::string>& body_slots, const Database& db);
 
-  /// Applies the head under `binding` (one value per body slot). Relations
-  /// referenced by head atoms must exist in `db`. Inserted tuples are
-  /// appended to their relations' logs, so a caller that noted the logs'
-  /// sizes beforehand finds them at entries [size, new size). Under
-  /// kHomomorphismCheck the probe reads the live relations, so it sees what
-  /// earlier applications inserted. Fails with InvalidArgument when
-  /// options.max_null_depth exceeds kMaxNullDepthLimit.
+  /// Applies the head under `binding` (one value per body slot) to `db`, the
+  /// database it was compiled for or a copy. Inserted tuples are appended
+  /// past the database's earlier version rows. Under kHomomorphismCheck the
+  /// probe reads the live relations, so it sees what earlier applications
+  /// inserted. Fails with InvalidArgument when options.max_null_depth
+  /// exceeds kMaxNullDepthLimit, or, inserting nothing, when a head atom
+  /// names no relation of its arity in the database compiled for.
   Status Apply(Database* db, const std::vector<Value>& binding,
                NullFactory* nulls, const ChaseOptions& options,
                ChaseStats* stats);
@@ -81,7 +83,7 @@ class RuleHead {
     uint32_t index = 0;
   };
   struct HeadAtom {
-    std::string relation;
+    RelationId relation = kNoRelation;
     std::vector<Operand> terms;
     /// First position that is not existential (the projection check's
     /// lookup column), or SIZE_MAX.
@@ -99,6 +101,8 @@ class RuleHead {
   bool ProjectionPresent(const LogView& relation, const HeadAtom& atom) const;
 
   std::vector<HeadAtom> atoms_;
+  /// Not OK when a head atom did not resolve against the database.
+  Status unresolved_;
   std::vector<Value> constants_;
   /// Frame slot i < frontier_.size() holds binding slot frontier_[i]; the
   /// existential variables follow.

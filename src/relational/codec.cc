@@ -84,7 +84,7 @@ Result<RowList> DecodeTupleList(Reader* r) {
 
 void EncodeDatabase(const Database& db, RowOrder order, Writer* w) {
   w->PutVarint(db.relations().size());
-  for (const auto& [name, relation] : db.relations()) {
+  for (const Relation& relation : db.relations()) {
     WriteFields(relation.schema(), w);
     if (order == RowOrder::kSorted) {
       EncodeTupleList(relation.SortedTuples(), w);
@@ -101,10 +101,9 @@ Result<Database> DecodeDatabase(Reader* r, RowOrder order, uint64_t* rows) {
   for (uint64_t i = 0; i < *relation_count; ++i) {
     auto schema = ReadFields<RelationSchema>(r);
     if (!schema.ok()) return schema.status();
-    P2PDB_RETURN_IF_ERROR(db.CreateRelation(*schema));
+    P2PDB_ASSIGN_OR_RETURN(auto relation, db.CreateRelation(*schema));
     auto list = DecodeTupleList(r);
     if (!list.ok()) return list.status();
-    Relation* relation = *db.GetMutable(schema->name());
     for (size_t k = 0; k < list->size(); ++k) {
       if (order == RowOrder::kSorted && k > 0 &&
           !((*list)[k - 1] < (*list)[k])) {

@@ -1,51 +1,78 @@
 #include "src/relational/database.h"
 
+#include <algorithm>
+
 namespace p2pdb::rel {
 
-Status Database::CreateRelation(RelationSchema schema) {
-  const std::string name = schema.name();
-  auto [it, inserted] = relations_.emplace(name, Relation(std::move(schema)));
-  (void)it;
-  if (!inserted) return Status::AlreadyExists("relation " + name);
-  return Status::OK();
+namespace {
+const RelationTable kNoRelations;
+
+bool NamedBefore(const Relation& r, const std::string& name) {
+  return r.name() < name;
+}
+}  // namespace
+
+RelationId FindRelation(const RelationTable& table, const std::string& name) {
+  auto it = std::lower_bound(table.begin(), table.end(), name, NamedBefore);
+  return it == table.end() || it->name() != name
+             ? kNoRelation
+             : static_cast<RelationId>(it - table.begin());
 }
 
-Result<const Relation*> Database::Get(const std::string& name) const {
-  auto it = relations_.find(name);
-  if (it == relations_.end()) return Status::NotFound("relation " + name);
-  return &it->second;
+Database::Database(const Database& other)
+    : table_(std::make_shared<RelationTable>(other.relations())) {}
+
+Database& Database::operator=(const Database& other) {
+  if (this != &other) *this = Database(other);
+  return *this;
 }
 
-Result<Relation*> Database::GetMutable(const std::string& name) {
-  auto it = relations_.find(name);
-  if (it == relations_.end()) return Status::NotFound("relation " + name);
-  return &it->second;
+Result<Relation*> Database::CreateRelation(RelationSchema schema) {
+  if (table_ == nullptr) table_ = std::make_shared<RelationTable>();
+  auto it = std::lower_bound(table_->begin(), table_->end(), schema.name(),
+                             NamedBefore);
+  if (it != table_->end() && it->name() == schema.name()) {
+    return Status::AlreadyExists("relation " + schema.name());
+  }
+  return &*table_->emplace(it, std::move(schema));
+}
+
+const RelationTable& Database::relations() const {
+  return table_ == nullptr ? kNoRelations : *table_;
+}
+
+Version Database::version() const {
+  Version row;
+  row.reserve(relations().size());
+  for (const Relation& relation : relations()) row.push_back(relation.size());
+  return row;
 }
 
 Result<bool> Database::Insert(const std::string& relation, Row row) {
-  auto rel = GetMutable(relation);
-  if (!rel.ok()) return rel.status();
-  return (*rel)->Insert(row);
+  const RelationId id = Find(relation);
+  if (id == kNoRelation) return Status::NotFound("relation " + relation);
+  return this->relation(id).Insert(row);
 }
 
 size_t Database::TotalTuples() const {
   size_t n = 0;
-  for (const auto& [name, relation] : relations_) n += relation.size();
+  for (const Relation& relation : relations()) n += relation.size();
   return n;
 }
 
 bool Database::operator==(const Database& other) const {
-  if (relations_.size() != other.relations_.size()) return false;
-  for (const auto& [name, relation] : relations_) {
-    const Relation* theirs = other.FindRelation(name);
-    if (theirs == nullptr || !(relation.schema() == theirs->schema()) ||
-        relation.size() != theirs->size()) {
+  if (relations().size() != other.relations().size()) return false;
+  for (size_t id = 0; id < relations().size(); ++id) {
+    // Both tables are in name order, so equal ids name equal relations.
+    const Relation& mine = relations()[id];
+    const Relation& theirs = other.relations()[id];
+    if (!(mine.schema() == theirs.schema()) || mine.size() != theirs.size()) {
       return false;
     }
     // Equal sizes of duplicate-free relations: containment one way suffices.
-    const LogView mine = relation.View();
-    for (size_t i = 0; i < mine.size(); ++i) {
-      if (!theirs->Contains(mine.at(i))) return false;
+    const LogView log = mine.View();
+    for (size_t i = 0; i < log.size(); ++i) {
+      if (!theirs.Contains(log.at(i))) return false;
     }
   }
   return true;
@@ -53,7 +80,7 @@ bool Database::operator==(const Database& other) const {
 
 std::string Database::ToString() const {
   std::string out;
-  for (const auto& [name, relation] : relations_) out += relation.ToString();
+  for (const Relation& relation : relations()) out += relation.ToString();
   return out;
 }
 

@@ -5,21 +5,11 @@
 namespace p2pdb::rel {
 
 Result<QueryPlan> QueryPlan::Compile(const ConjunctiveQuery& query,
-                                     size_t seed_atom) {
+                                     const ReadView& view, size_t seed_atom,
+                                     const std::vector<std::string>& bound) {
   if (seed_atom != kNoSeed && seed_atom >= query.atoms.size()) {
     return Status::InvalidArgument("seed atom out of range");
   }
-  return Build(query, seed_atom, {});
-}
-
-Result<QueryPlan> QueryPlan::CompileBound(
-    const ConjunctiveQuery& query, const std::vector<std::string>& bound) {
-  return Build(query, kNoSeed, bound);
-}
-
-Result<QueryPlan> QueryPlan::Build(const ConjunctiveQuery& query,
-                                   size_t seed_atom,
-                                   const std::vector<std::string>& bound) {
   P2PDB_RETURN_IF_ERROR(query.CheckSafe());
   QueryPlan plan;
   // Queries are small: a linear search over the slots beats hashing, which
@@ -50,7 +40,11 @@ Result<QueryPlan> QueryPlan::Build(const ConjunctiveQuery& query,
   // binds it; any later occurrence, in this atom or after, checks it.
   auto compile_atom = [&](const Atom& atom) {
     Step step;
-    step.relation = atom.relation;
+    step.relation = view.Find(atom.relation);
+    if (step.relation == kNoRelation ||
+        view.Arity(step.relation) != atom.terms.size()) {
+      plan.unsatisfiable_ = true;
+    }
     std::vector<uint32_t> fresh;
     for (size_t i = 0; i < atom.terms.size(); ++i) {
       const Term& t = atom.terms[i];
@@ -138,8 +132,7 @@ Result<QueryPlan> QueryPlan::Build(const ConjunctiveQuery& query,
   return plan;
 }
 
-std::vector<size_t> QueryPlan::LookupColumns(
-    const std::string& relation) const {
+std::vector<size_t> QueryPlan::LookupColumns(RelationId relation) const {
   std::vector<size_t> columns;
   for (const Step& step : steps_) {
     if (step.relation == relation && step.lookup != kScan) {
@@ -186,27 +179,16 @@ bool QueryPlan::Holds(const std::vector<CompiledBuiltin>& builtins,
   return true;
 }
 
-bool QueryPlan::ResolveViews(const ReadView& db,
-                             std::vector<LogView>* views) const {
-  views->reserve(steps_.size());
-  for (const Step& step : steps_) {
-    const LogView view = db.View(step.relation);
-    if (!view || view.arity() != step.positions.size()) return false;
-    views->push_back(view);
-  }
-  return true;
-}
-
-bool QueryPlan::Search(const std::vector<LogView>& views, size_t depth,
+bool QueryPlan::Search(const ReadView& db, size_t depth,
                        std::vector<Value>* binding,
                        const BindingSink& emit) const {
   if (depth == steps_.size()) return emit(*binding);
   const Step& step = steps_[depth];
-  const LogView& view = views[depth];
+  const LogView view = db.View(step.relation);
   auto visit = [&](size_t entry) {
     if (!Match(step, view.at(entry), binding)) return true;
     if (!Holds(step.builtins, *binding)) return true;
-    return Search(views, depth + 1, binding, emit);
+    return Search(db, depth + 1, binding, emit);
   };
   if (step.lookup == kScan) {
     for (size_t e = 0; e < view.size(); ++e) {
@@ -229,29 +211,26 @@ bool QueryPlan::Search(const std::vector<LogView>& views, size_t depth,
 bool QueryPlan::Run(const ReadView& db, std::vector<Value>* binding,
                     const BindingSink& emit) const {
   binding->resize(slots_.size());
-  std::vector<LogView> views;
-  if (!ResolveViews(db, &views)) return true;
-  if (!Holds(immediate_, *binding)) return true;
-  return Search(views, 0, binding, emit);
+  if (unsatisfiable_ || !Holds(immediate_, *binding)) return true;
+  return Search(db, 0, binding, emit);
 }
 
-bool QueryPlan::SearchFrom(Row row, const std::vector<LogView>& views,
+bool QueryPlan::SearchFrom(Row row, const ReadView& db,
                            std::vector<Value>* binding,
                            const BindingSink& emit) const {
   if (!Match(seed_, row, binding)) return true;
   if (!Holds(immediate_, *binding)) return true;
-  return Search(views, 0, binding, emit);
+  return Search(db, 0, binding, emit);
 }
 
-bool QueryPlan::RunSeeded(const ReadView& db, LogView seed, size_t from,
+bool QueryPlan::RunSeeded(const ReadView& db, size_t from,
                           std::vector<Value>* binding,
                           const BindingSink& emit) const {
   binding->resize(slots_.size());
-  if (!seed || seed.arity() != seed_.positions.size()) return true;
-  std::vector<LogView> views;
-  if (!ResolveViews(db, &views)) return true;
+  if (unsatisfiable_) return true;
+  const LogView seed = db.View(seed_.relation);
   for (size_t e = from; e < seed.size(); ++e) {
-    if (!SearchFrom(seed.at(e), views, binding, emit)) return false;
+    if (!SearchFrom(seed.at(e), db, binding, emit)) return false;
   }
   return true;
 }
@@ -260,19 +239,18 @@ bool QueryPlan::RunSeeded(const ReadView& db, const RowList& rows,
                           size_t from, std::vector<Value>* binding,
                           const BindingSink& emit) const {
   binding->resize(slots_.size());
-  std::vector<LogView> views;
-  if (!ResolveViews(db, &views)) return true;
+  if (unsatisfiable_) return true;
   for (size_t i = from; i < rows.size(); ++i) {
     const Row row = rows[i];
     if (row.arity() != seed_.positions.size()) continue;
-    if (!SearchFrom(row, views, binding, emit)) return false;
+    if (!SearchFrom(row, db, binding, emit)) return false;
   }
   return true;
 }
 
 Result<std::set<Tuple>> EvaluateQuery(const ReadView& db,
                                       const ConjunctiveQuery& query) {
-  auto plan = QueryPlan::Compile(query);
+  auto plan = QueryPlan::Compile(query, db);
   if (!plan.ok()) return plan.status();
   std::set<Tuple> out;
   std::vector<Value> binding;

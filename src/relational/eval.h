@@ -27,9 +27,14 @@ using BindingSink = std::function<bool(const std::vector<Value>& binding)>;
 
 /// A conjunctive query compiled into a join plan over integer slots.
 ///
-/// Slots number the variables: first any pre-bound ones (CompileBound), then
-/// the rest in order of first appearance in the atoms. Every plan of one
+/// Slots number the variables: first any pre-bound ones (Compile's `bound`),
+/// then the rest in order of first appearance in the atoms. Every plan of one
 /// query therefore numbers its variables alike, whatever its seed atom.
+///
+/// A plan binds each atom to a relation id of the ReadView it is compiled
+/// for, so a run resolves no name; it runs over any view numbering its
+/// relations alike (a live database and its snapshots). An atom whose
+/// relation the view lacks, or has at another arity, leaves no answers.
 ///
 /// The join order is greedy: repeatedly the pending atom with the most
 /// constant or already-bound positions, the first one on a tie. Each step
@@ -44,30 +49,30 @@ class QueryPlan {
 
   QueryPlan() = default;
 
-  /// Compiles `query`. With `seed_atom` set, that atom is matched against a
-  /// log range (RunSeeded) and the rest is planned with its variables bound.
-  /// Fails when the query is unsafe (ConjunctiveQuery::CheckSafe) or
-  /// `seed_atom` is out of range.
+  /// Compiles `query` for `view`. With `seed_atom` set, that atom is matched
+  /// against a range of its relation's log or of given rows (RunSeeded) and
+  /// the rest is planned with its variables bound. Runs start with the
+  /// variables `bound` already set: they take slots [0, bound.size()) in
+  /// that order and count as bound when the join order is planned. Fails
+  /// when the query is unsafe (ConjunctiveQuery::CheckSafe) or `seed_atom`
+  /// is out of range.
   static Result<QueryPlan> Compile(const ConjunctiveQuery& query,
-                                   size_t seed_atom = kNoSeed);
-
-  /// Compiles `query` for runs that start with the variables `bound` already
-  /// set: they take slots [0, bound.size()) in that order and count as bound
-  /// when the join order is planned.
-  static Result<QueryPlan> CompileBound(const ConjunctiveQuery& query,
-                                        const std::vector<std::string>& bound);
+                                   const ReadView& view,
+                                   size_t seed_atom = kNoSeed,
+                                   const std::vector<std::string>& bound = {});
 
   /// The variable each slot holds.
   const std::vector<std::string>& slots() const { return slots_; }
   size_t slot_count() const { return slots_.size(); }
 
-  /// The seed atom's relation; empty for a plan compiled without one.
-  const std::string& seed_relation() const { return seed_.relation; }
+  /// The seed atom's relation; kNoRelation for a plan compiled without one
+  /// or whose seed relation the view lacks.
+  RelationId seed_relation() const { return seed_.relation; }
 
   /// The columns of `relation` this plan's steps look up, in step order (the
   /// seed atom is scanned, not looked up). A log read only by compiled plans
   /// needs indexes on these columns alone.
-  std::vector<size_t> LookupColumns(const std::string& relation) const;
+  std::vector<size_t> LookupColumns(RelationId relation) const;
 
   /// The query's answer row for a complete binding, its head variables,
   /// written into `*scratch`, which the caller reuses from row to row. The
@@ -76,21 +81,20 @@ class QueryPlan {
               std::vector<Value>* scratch) const;
 
   /// Runs a plan compiled without a seed atom over `db`. `*binding` is the
-  /// run's scratch, resized to slot_count(); a CompileBound plan reads the
-  /// pre-bound values from its first slots. Each complete binding goes to
-  /// `emit`, in backtracking order. Returns false iff `emit` stopped the run.
-  /// Relation views are resolved once per run.
+  /// run's scratch, resized to slot_count(); its first slots hold the values
+  /// of the pre-bound variables. Each complete binding goes to `emit`, in
+  /// backtracking order. Returns false iff `emit` stopped the run.
   bool Run(const ReadView& db, std::vector<Value>* binding,
            const BindingSink& emit) const;
 
-  /// Semi-naive run of a seeded plan: every entry [from, seed.size()) of
-  /// `seed` that matches the seed atom starts one search, in entry order,
-  /// while the other atoms read `db` whole. When a monotone update appended
-  /// exactly those entries to the seed atom's relation, the union over every
-  /// atom occurrence of that relation is exactly the update's new answers.
-  /// An answer two entries (or two bindings) derive is emitted twice.
-  bool RunSeeded(const ReadView& db, LogView seed, size_t from,
-                 std::vector<Value>* binding, const BindingSink& emit) const;
+  /// Semi-naive run of a seeded plan: every entry [from, size) of the seed
+  /// relation's log in `db` that matches the seed atom starts one search, in
+  /// entry order, while the other atoms read `db` whole. When a monotone
+  /// update appended exactly those entries to the seed atom's relation, the
+  /// union over every atom occurrence of that relation is exactly the
+  /// update's new answers. An answer derived twice is emitted twice.
+  bool RunSeeded(const ReadView& db, size_t from, std::vector<Value>* binding,
+                 const BindingSink& emit) const;
 
   /// RunSeeded over rows [from, rows.size()) of `rows` instead of a log
   /// range: every row that matches the seed atom starts one search, in row
@@ -118,7 +122,7 @@ class QueryPlan {
   };
   static constexpr size_t kScan = SIZE_MAX;
   struct Step {
-    std::string relation;
+    RelationId relation = kNoRelation;
     std::vector<Position> positions;
     /// The column looked up, or kScan. Its position is a constant or a slot
     /// bound before this step.
@@ -126,10 +130,6 @@ class QueryPlan {
     /// Built-ins decidable once this step has matched.
     std::vector<CompiledBuiltin> builtins;
   };
-
-  static Result<QueryPlan> Build(const ConjunctiveQuery& query,
-                                 size_t seed_atom,
-                                 const std::vector<std::string>& bound);
 
   const Value& Resolve(Operand operand,
                        const std::vector<Value>& binding) const {
@@ -140,14 +140,11 @@ class QueryPlan {
   bool Match(const Step& step, Row row, std::vector<Value>* binding) const;
   bool Holds(const std::vector<CompiledBuiltin>& builtins,
              const std::vector<Value>& binding) const;
-  /// Views of the steps' relations, or false when one is missing or has
-  /// another arity (the query then has no answer).
-  bool ResolveViews(const ReadView& db, std::vector<LogView>* views) const;
-  bool Search(const std::vector<LogView>& views, size_t depth,
-              std::vector<Value>* binding, const BindingSink& emit) const;
+  bool Search(const ReadView& db, size_t depth, std::vector<Value>* binding,
+              const BindingSink& emit) const;
   /// Starts one seeded search at `row`, which has the seed atom's arity.
-  bool SearchFrom(Row row, const std::vector<LogView>& views,
-                  std::vector<Value>* binding, const BindingSink& emit) const;
+  bool SearchFrom(Row row, const ReadView& db, std::vector<Value>* binding,
+                  const BindingSink& emit) const;
 
   std::vector<std::string> slots_;
   std::vector<Value> constants_;
@@ -156,10 +153,14 @@ class QueryPlan {
   /// Built-ins decidable before the first step.
   std::vector<CompiledBuiltin> immediate_;
   std::vector<Step> steps_;
+  /// Some atom's relation is missing from the view compiled for, or has
+  /// another arity: every run finds nothing.
+  bool unsatisfiable_ = false;
 };
 
-/// Compiles `query` and returns its answers, projected onto its head
-/// variables, as a sorted, duplicate-free set (the ad-hoc read path).
+/// Compiles `query` for `db` and returns its answers over `db`, projected
+/// onto its head variables, as a sorted, duplicate-free set (the ad-hoc read
+/// path).
 Result<std::set<Tuple>> EvaluateQuery(const ReadView& db,
                                       const ConjunctiveQuery& query);
 

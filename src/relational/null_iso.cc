@@ -16,11 +16,13 @@ struct Fact {
 
 std::vector<Fact> Flatten(const Database& db, bool nulls_only) {
   std::vector<Fact> out;
-  for (const auto& [name, relation] : db.relations()) {
+  for (const Relation& relation : db.relations()) {
     const LogView log = relation.View();
     for (size_t i = 0; i < log.size(); ++i) {
       const Row row = log.at(i);
-      if (!nulls_only || row.HasNull()) out.push_back(Fact{&name, row});
+      if (!nulls_only || row.HasNull()) {
+        out.push_back(Fact{&relation.name(), row});
+      }
     }
   }
   return out;
@@ -33,9 +35,9 @@ bool MatchFacts(const std::vector<Fact>& a_facts, size_t index,
                 std::map<Value, uint64_t>* reverse, bool injective) {
   if (index == a_facts.size()) return true;
   const Fact& f = a_facts[index];
-  auto rel = b.Get(*f.relation);
-  if (!rel.ok()) return false;
-  const LogView candidates = (*rel)->View();
+  const RelationId id = b.Find(*f.relation);
+  if (id == kNoRelation) return false;
+  const LogView candidates = b.View(id);
   for (size_t c = 0; c < candidates.size(); ++c) {
     const Row candidate = candidates.at(c);
     if (candidate.arity() != f.row.arity()) continue;
@@ -93,12 +95,9 @@ bool NullFactsMapInto(const Database& a, const Database& b, bool injective) {
 bool DatabasesIsomorphic(const Database& a, const Database& b) {
   // Structural preconditions: same relations and cardinalities, identical
   // certain parts.
-  if (a.relations().size() != b.relations().size()) return false;
-  for (const auto& [name, relation] : a.relations()) {
-    auto other = b.Get(name);
-    if (!other.ok()) return false;
-    if (relation.size() != (*other)->size()) return false;
-    if (relation.CertainTuples() != (*other)->CertainTuples()) return false;
+  if (!DatabasesCertainEqual(a, b)) return false;
+  for (RelationId id = 0; id < a.relations().size(); ++id) {
+    if (a.relation(id).size() != b.relation(id).size()) return false;
   }
   // Injective mapping in both directions suffices given equal cardinalities.
   return NullFactsMapInto(a, b, /*injective=*/true) &&
@@ -106,23 +105,25 @@ bool DatabasesIsomorphic(const Database& a, const Database& b) {
 }
 
 bool DatabasesCertainEqual(const Database& a, const Database& b) {
+  // Both tables are in name order, so equal ids must name equal relations.
   if (a.relations().size() != b.relations().size()) return false;
-  for (const auto& [name, relation] : a.relations()) {
-    auto other = b.Get(name);
-    if (!other.ok()) return false;
-    if (relation.CertainTuples() != (*other)->CertainTuples()) return false;
+  for (RelationId id = 0; id < a.relations().size(); ++id) {
+    if (a.relation(id).name() != b.relation(id).name() ||
+        a.relation(id).CertainTuples() != b.relation(id).CertainTuples()) {
+      return false;
+    }
   }
   return true;
 }
 
 bool DatabaseHomomorphicallyContained(const Database& sub,
                                       const Database& sup) {
-  for (const auto& [name, relation] : sub.relations()) {
-    auto other = sup.Get(name);
-    if (!other.ok()) return false;
+  for (const Relation& relation : sub.relations()) {
+    const RelationId other = sup.Find(relation.name());
+    if (other == kNoRelation) return false;
     // Certain tuples must be present verbatim.
     for (const Tuple& t : relation.CertainTuples()) {
-      if (!(*other)->Contains(t)) return false;
+      if (!sup.relation(other).Contains(t)) return false;
     }
   }
   std::vector<Fact> null_facts = Flatten(sub, /*nulls_only=*/true);

@@ -8,18 +8,13 @@ namespace p2pdb::rel {
 
 Relation::Relation(RelationSchema schema)
     : schema_(std::move(schema)),
-      log_(std::make_shared<TupleLog>(schema_.arity())) {}
+      log_(std::make_unique<TupleLog>(schema_.arity())) {}
 
 Relation::Relation(const Relation& other)
     : schema_(other.schema_),
-      log_(std::make_shared<TupleLog>(schema_.arity())) {
+      log_(std::make_unique<TupleLog>(schema_.arity())) {
   const LogView source = other.View();
   for (size_t i = 0; i < source.size(); ++i) log_->Append(source.at(i));
-}
-
-Relation& Relation::operator=(const Relation& other) {
-  if (this != &other) *this = Relation(other);
-  return *this;
 }
 
 Result<bool> Relation::Insert(Row row) {

@@ -16,25 +16,24 @@ namespace p2pdb::rel {
 
 /// An extensional relation instance. Its tuples live once, in an append-only
 /// TupleLog that answers membership and per-column lookups by hashing and
-/// that MVCC snapshots share instead of copying (tuple_log.h). Relations only
+/// that MVCC snapshots read instead of copying (tuple_log.h). Relations only
 /// grow: the protocol never retracts data. Evaluation and every other
 /// order-free pass iterate the log in insertion order (View()); codecs,
 /// printing and anything else that must not depend on arrival order ask for
 /// SortedTuples().
 class Relation {
  public:
-  Relation() : Relation(RelationSchema()) {}
   explicit Relation(RelationSchema schema);
 
   /// A copy gets its own log, filled in the source's insertion order, so
   /// evaluation visits its tuples in the same order; snapshots taken of the
-  /// source keep sharing the source's log.
+  /// source keep reading the source's log.
   Relation(const Relation& other);
-  Relation& operator=(const Relation& other);
   Relation(Relation&&) = default;
   Relation& operator=(Relation&&) = default;
 
   const RelationSchema& schema() const { return schema_; }
+  const std::string& name() const { return schema_.name(); }
   size_t size() const { return log_->size(); }
   bool empty() const { return size() == 0; }
 
@@ -54,15 +53,15 @@ class Relation {
   /// Every tuple inserted so far, in insertion order, as evaluation reads it.
   LogView View() const { return LogView(log_.get(), log_->size()); }
 
-  /// The log itself, for snapshots that must outlive this relation.
-  std::shared_ptr<const TupleLog> log() const { return log_; }
+  /// The log itself, which a snapshot reads at its own watermark.
+  const TupleLog& log() const { return *log_; }
 
   /// Multi-line listing for debugging / example output.
   std::string ToString() const;
 
  private:
   RelationSchema schema_;
-  std::shared_ptr<TupleLog> log_;
+  std::unique_ptr<TupleLog> log_;
 };
 
 }  // namespace p2pdb::rel

@@ -1,8 +1,9 @@
 // TupleLog: the append-only store behind every relation. The update protocol
 // is monotone (the chase only inserts and Section 4 never retracts data), so
 // any earlier state of a relation is a prefix of its log. An MVCC snapshot
-// therefore copies nothing: it records a (log, watermark) pair per relation,
-// and publishing a delta batch costs O(#relations).
+// therefore copies nothing: it reads each log up to the size its version row
+// recorded (src/relational/mvcc.h), and publishing a delta batch costs
+// O(#relations).
 //
 // Layout:
 //  * Storage: entries live inline in chunks of 8, 16, 32, ... slots, each
@@ -34,11 +35,11 @@
 //  * A hash table that growth has replaced is never written again. The old
 //    tables stay owned by the log, so a reader still probing one is safe.
 //  * Readers read only entries below their watermark, through Row views of
-//    the slots. The watermark reaches them through SnapshotStore's
-//    release/acquire publication, which orders every write to those values
-//    before the read.
-//  * Snapshots hold their logs by shared_ptr, so a crashed peer's last
-//    snapshot keeps its logs alive after the peer's Database is gone.
+//    the slots. The watermark reaches them as a word of a version row that
+//    SnapshotStore release-stores and they acquire-load, which orders every
+//    write to those values before the read.
+//  * Snapshots share their database's relation table, so a crashed peer's
+//    last snapshot keeps its logs alive after the peer's Database is gone.
 #ifndef P2PDB_RELATIONAL_TUPLE_LOG_H_
 #define P2PDB_RELATIONAL_TUPLE_LOG_H_
 
@@ -180,7 +181,6 @@ class LogView {
 
   explicit operator bool() const { return log_ != nullptr; }
   size_t size() const { return watermark_; }
-  size_t arity() const { return log_->arity(); }
   Row at(size_t i) const { return log_->at(i); }
 
   bool Contains(Row row) const { return log_->Contains(row, watermark_); }

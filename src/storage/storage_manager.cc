@@ -22,8 +22,8 @@ Status ReplayDelta(Reader* r, rel::Database* db, uint64_t* replayed) {
   for (uint64_t i = 0; i < *relation_count; ++i) {
     auto name = r->GetString();
     if (!name.ok()) return name.status();
-    auto target = db->GetMutable(*name);
-    if (!target.ok()) {
+    const rel::RelationId target = db->Find(*name);
+    if (target == rel::kNoRelation) {
       return Status::ParseError("delta for relation '" + *name +
                                 "' absent from the base");
     }
@@ -31,7 +31,7 @@ Status ReplayDelta(Reader* r, rel::Database* db, uint64_t* replayed) {
     if (!rows.ok()) return rows.status();
     *replayed += rows->size();
     for (rel::Row row : *rows) {
-      P2PDB_RETURN_IF_ERROR((*target)->Insert(row).status());
+      P2PDB_RETURN_IF_ERROR(db->relation(target).Insert(row).status());
     }
   }
   return r->ExpectEnd();
@@ -57,20 +57,20 @@ Result<std::unique_ptr<StorageManager>> StorageManager::Open(
 }
 
 Status StorageManager::LogDelta(const rel::Database& db,
-                                const std::map<std::string, size_t>& starts) {
+                                const rel::Version& since) {
+  const rel::RelationTable& relations = db.relations();
   size_t grown = 0;
-  for (const auto& [relation, start] : starts) {
-    if (start < db.View(relation).size()) ++grown;
+  for (rel::RelationId id = 0; id < relations.size(); ++id) {
+    if (since[id] < relations[id].size()) ++grown;
   }
   if (grown == 0) return Status::OK();
   Writer w;
   w.PutU8(kDeltaRecord);
   w.PutVarint(grown);
-  for (const auto& [relation, start] : starts) {
-    const rel::LogView log = db.View(relation);
-    if (start >= log.size()) continue;
-    w.PutString(relation);
-    rel::EncodeTupleRange(log, start, &w);
+  for (rel::RelationId id = 0; id < relations.size(); ++id) {
+    if (since[id] >= relations[id].size()) continue;
+    w.PutString(relations[id].name());
+    rel::EncodeTupleRange(relations[id].View(), since[id], &w);
   }
   return wal_->Append(w.bytes());
 }

@@ -6,8 +6,9 @@
 //   base         written once, first, by EnsureBase: a database image
 //                (relational/codec.h) with each relation's entries in log
 //                order, in one record so the base is atomic
-//   delta        one per applied chase step: entries [start, size) of each
-//                relation the step appended to, in log order
+//   delta        one per applied chase step: the difference of two version
+//                rows (relational/database.h), each grown relation's name
+//                and entries [start, size), in name order and log order
 //   rule change  one per dynamic rule change (addLink/deleteLink), opaque
 //
 // A relation is a prefix of its append-only log, so the base plus the deltas
@@ -18,7 +19,6 @@
 #define P2PDB_STORAGE_STORAGE_MANAGER_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -66,11 +66,11 @@ class StorageManager {
   static Result<std::unique_ptr<StorageManager>> Open(
       const StorageOptions& options);
 
-  /// Durably records one applied chase step: entries [start, size) of each
-  /// relation of `db` named in `starts`, in log order. Writes nothing when
-  /// no named relation grew.
-  Status LogDelta(const rel::Database& db,
-                  const std::map<std::string, size_t>& starts);
+  /// Durably records one applied chase step: every entry of `db` past the
+  /// version row `since` (db's row when the step began), relation by
+  /// relation in name order, each in log order. Writes nothing when no
+  /// relation grew.
+  Status LogDelta(const rel::Database& db, const rel::Version& since);
 
   /// Durably records one dynamic rule change (addLink/deleteLink). The blob
   /// is opaque here — the core layer encodes it — and Recover() returns

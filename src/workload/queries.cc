@@ -73,9 +73,10 @@ Result<std::vector<QueryOp>> BuildQueryWorkload(
     const core::P2PSystem& system, const QueryWorkloadOptions& options) {
   std::vector<ReadTarget> targets;
   for (const core::NodeInfo& info : system.nodes()) {
-    for (const auto& [name, relation] : info.db.relations()) {
+    for (const rel::Relation& relation : info.db.relations()) {
       if (!relation.empty()) {
-        targets.push_back({info.id, &relation, name, relation.SortedTuples()});
+        targets.push_back(
+            {info.id, &relation, relation.name(), relation.SortedTuples()});
       }
     }
   }

@@ -1,6 +1,6 @@
 // Query workload generator: a deterministic mixed stream of point lookups
 // and conjunctive queries over a scenario's node databases, for exercising
-// the MVCC query plane (tests and bench_queries). Reads are generated
+// the MVCC query plane (tests and perfbench's readers). Reads are generated
 // against the *initial* instances, so they stay valid — and monotonically
 // growing — while an update propagates underneath.
 #ifndef P2PDB_WORKLOAD_QUERIES_H_

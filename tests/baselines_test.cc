@@ -20,7 +20,7 @@ TEST(GlobalFixpointTest, RunningExampleConverges) {
   EXPECT_GT(result->iterations, 1u);
   EXPECT_GT(result->chase.inserted, 0u);
   // b at node B holds the three e-pairs, the initial pair, and r3 output.
-  EXPECT_GE((*result->node_dbs[1].Get("b"))->size(), 4u);
+  EXPECT_GE(result->node_dbs[1].relation("b").size(), 4u);
 }
 
 TEST(GlobalFixpointTest, NoRulesMeansNoChange) {

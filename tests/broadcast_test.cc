@@ -61,7 +61,7 @@ rule rb: SrcB.b(V) => Hub.all(V);
   ASSERT_TRUE(session.RunUpdate().ok());
   ASSERT_TRUE(session.AllClosed());
 
-  const rel::Relation* all = *session.peer(0).db().Get("all");
+  const rel::Relation* all = &session.peer(0).db().relation("all");
   EXPECT_EQ(all->size(), 2u);
   EXPECT_TRUE(all->Contains(rel::Tuple({S("alpha")})));
   EXPECT_TRUE(all->Contains(rel::Tuple({S("beta")})));
@@ -88,7 +88,7 @@ TEST(BroadcastTest, BroadcastDuringSessionReopens) {
             core::UpdateEngine::State::kClosed);
   EXPECT_GE(session.peer(0).update().stats().reopens, 1u);
   EXPECT_TRUE(
-      (*session.peer(0).db().Get("all"))->Contains(rel::Tuple({S("alpha")})));
+      session.peer(0).db().relation("all").Contains(rel::Tuple({S("alpha")})));
 }
 
 }  // namespace

@@ -36,12 +36,12 @@ Atom PersonAtom() {
 
 TEST(ChaseTest, FullyBoundHeadInserts) {
   Database db = PersonDb();
-  RuleHead head({PersonAtom()}, {"X"});
+  RuleHead head({PersonAtom()}, {"X"}, db);
   NullFactory nulls(1);
   ChaseStats stats;
   ASSERT_TRUE(head.Apply(&db, {S("ann")}, &nulls, ChaseOptions{}, &stats).ok());
   EXPECT_EQ(stats.inserted, 1u);
-  EXPECT_TRUE((*db.Get("person"))->Contains(Tuple({S("ann")})));
+  EXPECT_TRUE(db.relation("person").Contains(Tuple({S("ann")})));
   // Re-application is a no-op.
   ASSERT_TRUE(head.Apply(&db, {S("ann")}, &nulls, ChaseOptions{}, &stats).ok());
   EXPECT_EQ(stats.inserted, 1u);
@@ -50,12 +50,12 @@ TEST(ChaseTest, FullyBoundHeadInserts) {
 
 TEST(ChaseTest, ExistentialInventsNull) {
   Database db = PersonDb();
-  RuleHead head({ParentAtom()}, {"X"});
+  RuleHead head({ParentAtom()}, {"X"}, db);
   NullFactory nulls(1);
   ChaseStats stats;
   ASSERT_TRUE(head.Apply(&db, {S("ann")}, &nulls, ChaseOptions{}, &stats).ok());
   EXPECT_EQ(stats.inserted, 1u);
-  const Relation* parent = *db.Get("parent");
+  const Relation* parent = &db.relation("parent");
   ASSERT_EQ(parent->size(), 1u);
   const Row t = parent->View().at(0);
   EXPECT_EQ(t.at(0), S("ann"));
@@ -67,15 +67,15 @@ TEST(ChaseTest, ExistentialInventsNull) {
 TEST(ChaseTest, ExhaustedNullFactoryFailsWithoutInserting) {
   Database db = PersonDb();
   (void)db.Insert("parent", Tuple({S("bob"), S("cy")}));
-  RuleHead head({ParentAtom(), PersonAtom()}, {"X"});
+  RuleHead head({ParentAtom(), PersonAtom()}, {"X"}, db);
   NullFactory nulls(1);
   nulls.ReserveThrough(NullFactory::kMaxSeq);
   ChaseStats stats;
   Status st = head.Apply(&db, {S("ann")}, &nulls, ChaseOptions{}, &stats);
   EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(stats.inserted, 0u);
-  EXPECT_EQ((*db.Get("parent"))->size(), 1u);
-  EXPECT_EQ((*db.Get("person"))->size(), 0u);
+  EXPECT_EQ(db.relation("parent").size(), 1u);
+  EXPECT_EQ(db.relation("person").size(), 0u);
 }
 
 TEST(ChaseTest, ProjectionCheckSkipsWhenBoundPartPresent) {
@@ -83,7 +83,7 @@ TEST(ChaseTest, ProjectionCheckSkipsWhenBoundPartPresent) {
   // parent(ann, bob) exists: projection on the bound position X=ann matches,
   // so the A6 check suppresses a fresh witness.
   (void)db.Insert("parent", Tuple({S("ann"), S("bob")}));
-  RuleHead head({ParentAtom()}, {"X"});
+  RuleHead head({ParentAtom()}, {"X"}, db);
   NullFactory nulls(1);
   ChaseStats stats;
   ChaseOptions options;
@@ -91,13 +91,13 @@ TEST(ChaseTest, ProjectionCheckSkipsWhenBoundPartPresent) {
   ASSERT_TRUE(head.Apply(&db, {S("ann")}, &nulls, options, &stats).ok());
   EXPECT_EQ(stats.inserted, 0u);
   EXPECT_EQ(stats.skipped, 1u);
-  EXPECT_EQ((*db.Get("parent"))->size(), 1u);
+  EXPECT_EQ(db.relation("parent").size(), 1u);
 }
 
 TEST(ChaseTest, HomomorphismCheckAgreesOnSingleAtom) {
   Database db = PersonDb();
   (void)db.Insert("parent", Tuple({S("ann"), S("bob")}));
-  RuleHead head({ParentAtom()}, {"X"});
+  RuleHead head({ParentAtom()}, {"X"}, db);
   NullFactory nulls(1);
   ChaseStats stats;
   ChaseOptions options;
@@ -117,15 +117,15 @@ TEST(ChaseTest, SharedExistentialAcrossHeadAtoms) {
   Atom wrote;
   wrote.relation = "wrote";
   wrote.terms = {Term::Var("A"), Term::Var("I")};
-  RuleHead head({pub, wrote}, {"T", "A"});
+  RuleHead head({pub, wrote}, {"T", "A"}, db);
   NullFactory nulls(1);
   ChaseStats stats;
   ASSERT_TRUE(head.Apply(&db, {S("t1"), S("alice")}, &nulls, ChaseOptions{},
                          &stats)
                   .ok());
   EXPECT_EQ(stats.inserted, 2u);
-  const Row p = (*db.Get("pub"))->View().at(0);
-  const Row w = (*db.Get("wrote"))->View().at(0);
+  const Row p = db.relation("pub").View().at(0);
+  const Row w = db.relation("wrote").View().at(0);
   EXPECT_TRUE(p.at(0).is_null());
   EXPECT_EQ(p.at(0), w.at(1));  // Same invented witness in both atoms.
 }
@@ -145,7 +145,7 @@ TEST(ChaseTest, HomomorphismCheckSeesLinkedAtoms) {
   Atom wrote;
   wrote.relation = "wrote";
   wrote.terms = {Term::Var("A"), Term::Var("I")};
-  RuleHead head({pub, wrote}, {"T", "A"});
+  RuleHead head({pub, wrote}, {"T", "A"}, db);
   const std::vector<Value> binding{S("t1"), S("alice")};
   NullFactory nulls(1);
 
@@ -172,7 +172,7 @@ int RunawayChain(uint32_t max_null_depth, int rounds, Database* db,
   NullFactory nulls(1);
   ChaseOptions options;
   options.max_null_depth = max_null_depth;
-  RuleHead head({ParentAtom()}, {"X"});
+  RuleHead head({ParentAtom()}, {"X"}, *db);
   Value x = S("seed");
   int round = 0;
   while (round < rounds) {
@@ -180,7 +180,7 @@ int RunawayChain(uint32_t max_null_depth, int rounds, Database* db,
     EXPECT_TRUE(head.Apply(db, {x}, &nulls, options, stats).ok());
     // Find the invented witness for the next round, if any.
     bool found = false;
-    const LogView parents = (*db->Get("parent"))->View();
+    const LogView parents = db->relation("parent").View();
     for (size_t i = 0; i < parents.size(); ++i) {
       const Row t = parents.at(i);
       if (t.at(0) == x && t.at(1).is_null()) {
@@ -200,7 +200,7 @@ TEST(ChaseTest, DepthBoundSuppressesRunawayNulls) {
   RunawayChain(3, 10, &db, &stats);
   EXPECT_GT(stats.truncated, 0u);
   // Depth never exceeds the bound: at most max_null_depth-1 invention rounds.
-  EXPECT_LE((*db.Get("parent"))->size(), 3u);
+  EXPECT_LE(db.relation("parent").size(), 3u);
 }
 
 // A null's depth saturates at 255, so a bound above 256 could never stop the
@@ -209,20 +209,20 @@ TEST(ChaseTest, DepthBoundSuppressesRunawayNulls) {
 TEST(ChaseTest, DepthBoundAboveLimitRejected) {
   for (uint32_t bound : {257u, 300u}) {
     Database db = PersonDb();
-    RuleHead head({ParentAtom()}, {"X"});
+    RuleHead head({ParentAtom()}, {"X"}, db);
     NullFactory nulls(1);
     ChaseOptions options;
     options.max_null_depth = bound;
     ChaseStats stats;
     Status st = head.Apply(&db, {S("seed")}, &nulls, options, &stats);
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << bound;
-    EXPECT_EQ((*db.Get("parent"))->size(), 0u);
+    EXPECT_EQ(db.relation("parent").size(), 0u);
   }
   Database db = PersonDb();
   ChaseStats stats;
   EXPECT_LT(RunawayChain(kMaxNullDepthLimit, 400, &db, &stats), 400);
   EXPECT_EQ(stats.truncated, 1u);
-  EXPECT_EQ((*db.Get("parent"))->size(), 255u);
+  EXPECT_EQ(db.relation("parent").size(), 255u);
 }
 
 TEST(ChaseTest, ApplyRuleAppliesEveryBinding) {
@@ -320,7 +320,8 @@ Status ReferenceApply(Database* db, const std::vector<Atom>& head,
             witness = true;
             return;
           }
-          const LogView view = db->View(head[i].relation);
+          const RelationId id = db->Find(head[i].relation);
+          const LogView view = id == kNoRelation ? LogView() : db->View(id);
           for (size_t e = 0; view && e < view.size(); ++e) {
             MapBinding extended = b;
             if (Unify(head[i], view.at(e), &extended)) search(i + 1, extended);
@@ -336,9 +337,9 @@ Status ReferenceApply(Database* db, const std::vector<Atom>& head,
   if (options.policy == ChasePolicy::kProjectionCheck) {
     bool all_present = true;
     for (size_t i = 0; i < head.size(); ++i) {
-      auto rel = db->Get(head[i].relation);
-      if (!rel.ok()) return rel.status();
-      const LogView view = (*rel)->View();
+      const RelationId id = db->Find(head[i].relation);
+      if (id == kNoRelation) return Status::NotFound(head[i].relation);
+      const LogView view = db->View(id);
       for (size_t e = 0; e < view.size() && !present[i]; ++e) {
         const Row tuple = view.at(e);
         bool agrees = tuple.arity() == head[i].terms.size();
@@ -377,9 +378,10 @@ Status ReferenceApply(Database* db, const std::vector<Atom>& head,
 // Same relations with the same logs entry by entry, null ids included.
 void ExpectSameLogs(const Database& a, const Database& b) {
   ASSERT_EQ(a.relations().size(), b.relations().size());
-  for (const auto& [name, relation] : a.relations()) {
+  for (const Relation& relation : a.relations()) {
+    const std::string& name = relation.name();
     const LogView mine = relation.View();
-    const LogView theirs = b.View(name);
+    const LogView theirs = b.relation(name).View();
     ASSERT_EQ(mine.size(), theirs.size()) << name;
     for (size_t i = 0; i < mine.size(); ++i) {
       EXPECT_EQ(mine.at(i), theirs.at(i)) << name << " entry " << i;
@@ -430,7 +432,7 @@ TEST_P(HeadPropertySweep, MatchesBruteForceReference) {
   options.max_null_depth = 2 + static_cast<uint32_t>(rng.NextBelow(2));
 
   Database reference = db;
-  RuleHead compiled(head, slots);
+  RuleHead compiled(head, slots, db);
   NullFactory nulls(7);
   NullFactory reference_nulls(7);
   ChaseStats stats;
@@ -456,7 +458,7 @@ TEST_P(HeadPropertySweep, MatchesBruteForceReference) {
     ExpectSameLogs(db, reference);
     minted.clear();
     for (const std::string& name : names) {
-      const LogView view = db.View(name);
+      const LogView view = db.relation(name).View();
       for (size_t e = 0; e < view.size(); ++e) {
         for (const Value& value : view.at(e)) {
           if (value.is_null()) minted.push_back(value);

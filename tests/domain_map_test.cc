@@ -90,7 +90,7 @@ TEST(DomainMapTest, DistributedUpdateTranslatesConstants) {
   ASSERT_TRUE(session.RunDiscovery().ok());
   ASSERT_TRUE(session.RunUpdate().ok());
   ASSERT_TRUE(session.AllClosed());
-  const rel::Relation* city = *session.peer(0).db().Get("city");
+  const rel::Relation* city = &session.peer(0).db().relation("city");
   EXPECT_EQ(city->size(), 3u);
   EXPECT_TRUE(city->Contains(rel::Tuple({S("berlin"), S("germany")})));
   EXPECT_TRUE(city->Contains(rel::Tuple({S("paris"), S("france")})));
@@ -103,13 +103,13 @@ TEST(DomainMapTest, BaselinesAgreeOnTranslation) {
 
   auto global = ComputeGlobalFixpoint(*system, rel::ChaseOptions{});
   ASSERT_TRUE(global.ok()) << global.status().ToString();
-  EXPECT_TRUE((*global->node_dbs[0].Get("city"))
-                  ->Contains(rel::Tuple({S("berlin"), S("germany")})));
+  EXPECT_TRUE(global->node_dbs[0].relation("city").Contains(
+      rel::Tuple({S("berlin"), S("germany")})));
 
   auto pull = RunAcyclicPull(*system, rel::ChaseOptions{});
   ASSERT_TRUE(pull.ok());
-  EXPECT_TRUE((*pull->node_dbs[0].Get("city"))
-                  ->Contains(rel::Tuple({S("paris"), S("france")})));
+  EXPECT_TRUE(pull->node_dbs[0].relation("city").Contains(
+      rel::Tuple({S("paris"), S("france")})));
 
   net::SimRuntime rt;
   Session session(*system, &rt);

@@ -67,7 +67,7 @@ TEST(DynamicsTest, AddLinkDuringRunDeliversNewData) {
   session.ScheduleChange(add);
   ASSERT_TRUE(session.RunUpdate().ok());
   ASSERT_TRUE(session.AllClosed());
-  const rel::Relation* a = *session.peer(0).db().Get("a");
+  const rel::Relation* a = &session.peer(0).db().relation("a");
   EXPECT_TRUE(a->Contains(rel::Tuple({S("d1")})));  // New link's data arrived.
   EXPECT_TRUE(a->Contains(rel::Tuple({S("c1")})));  // Old data kept.
 }
@@ -164,7 +164,7 @@ TEST(DynamicsTest, AddLinkLandsMidUpdateOverTcp) {
   EXPECT_TRUE(session.AllClosed(&open)) << open.size() << " nodes open";
   EXPECT_EQ(session.peer(0).rules().size(), 2u);  // r1 and r3.
   EXPECT_TRUE(
-      (*session.peer(0).db().Get("a"))->Contains(rel::Tuple({S("d1")})));
+      session.peer(0).db().relation("a").Contains(rel::Tuple({S("d1")})));
   auto envelope = ComputeEnvelope(*system, changes, rel::ChaseOptions{});
   ASSERT_TRUE(envelope.ok()) << envelope.status().ToString();
   EXPECT_TRUE(WithinEnvelope(session.SnapshotDatabases(), *envelope));
@@ -185,7 +185,7 @@ TEST(DynamicsTest, AddLinkReopensClosedNode) {
   ASSERT_TRUE(session.AllClosed());  // Re-closed after the reopen wave.
   EXPECT_GT(session.peer(0).update().stats().reopens, 0u);
   EXPECT_TRUE(
-      (*session.peer(0).db().Get("a"))->Contains(rel::Tuple({S("d1")})));
+      session.peer(0).db().relation("a").Contains(rel::Tuple({S("d1")})));
 }
 
 TEST(DynamicsTest, DeleteLinkKeepsDataAndCloses) {
@@ -200,7 +200,7 @@ TEST(DynamicsTest, DeleteLinkKeepsDataAndCloses) {
   ASSERT_TRUE(session.RunUpdate().ok());
   ASSERT_TRUE(session.AllClosed());
   // Data already moved is never retracted (monotonicity).
-  const rel::Relation* b = *session.peer(1).db().Get("b");
+  const rel::Relation* b = &session.peer(1).db().relation("b");
   EXPECT_LE(b->size(), 2u);
 }
 
@@ -230,7 +230,7 @@ rule rx: X.w(X) => B.b(X);
   ASSERT_TRUE(session.RunUpdate().ok());
   EXPECT_TRUE(session.AllClosed());
   EXPECT_TRUE(
-      (*session.peer(1).db().Get("b"))->Contains(rel::Tuple({S("a1")})));
+      session.peer(1).db().relation("b").Contains(rel::Tuple({S("a1")})));
 }
 
 TEST(DynamicsTest, FinalStateWithinDefinition9Envelope) {
@@ -337,7 +337,7 @@ rule rx: Y.y(V) => X.x(V);
   // The separated pair closed with the right data.
   EXPECT_EQ(session.peer(0).update().state(), UpdateEngine::State::kClosed);
   EXPECT_TRUE(
-      (*session.peer(0).db().Get("a"))->Contains(rel::Tuple({S("b1")})));
+      session.peer(0).db().relation("a").Contains(rel::Tuple({S("b1")})));
 }
 
 TEST(DynamicsTest, AddRuleBeforeSessionIsPickedUpAtStart) {
@@ -352,7 +352,7 @@ TEST(DynamicsTest, AddRuleBeforeSessionIsPickedUpAtStart) {
   ASSERT_TRUE(session.RunUpdate().ok());
   ASSERT_TRUE(session.AllClosed());
   EXPECT_TRUE(
-      (*session.peer(0).db().Get("a"))->Contains(rel::Tuple({S("d1")})));
+      session.peer(0).db().relation("a").Contains(rel::Tuple({S("d1")})));
 }
 
 TEST(DynamicsTest, DuplicateAddRuleNotificationIgnored) {

@@ -23,16 +23,16 @@ ConjunctiveQuery TwoHop() {
 }
 
 // The projected answers of `query` seeded at `atom` from entries
-// [from, log.size()) of `log`, in emission order.
+// [from, size) of its relation's log in `db`, in emission order.
 std::vector<Tuple> Delta(const ReadView& db, const ConjunctiveQuery& query,
-                         size_t atom, LogView log, size_t from) {
-  auto plan = QueryPlan::Compile(query, atom);
+                         size_t atom, size_t from) {
+  auto plan = QueryPlan::Compile(query, db, atom);
   EXPECT_TRUE(plan.ok()) << plan.status().ToString();
   std::vector<Tuple> out;
   if (!plan.ok()) return out;
   std::vector<Value> binding;
   std::vector<Value> row;
-  plan->RunSeeded(db, log, from, &binding, [&](const std::vector<Value>& b) {
+  plan->RunSeeded(db, from, &binding, [&](const std::vector<Value>& b) {
     out.emplace_back(plan->Project(b, &row));
     return true;
   });
@@ -55,7 +55,7 @@ TEST(EvalDeltaTest, SingleAtomDelta) {
   (void)db.Insert("p", Tuple({I(1)}));
   (void)db.Insert("p", Tuple({I(2)}));
   // Only entry 1 (the tuple 2) is new.
-  EXPECT_EQ(Delta(db, Unary("p"), 0, db.View("p"), 1),
+  EXPECT_EQ(Delta(db, Unary("p"), 0, 1),
             (std::vector<Tuple>{Tuple({I(2)})}));
 }
 
@@ -63,13 +63,13 @@ TEST(EvalDeltaTest, EntriesBelowFromNeverSeed) {
   Database db;
   (void)db.CreateRelation(RelationSchema("p", {"x"}));
   for (int64_t v : {4, 1, 3, 2}) (void)db.Insert("p", Tuple({I(v)}));
-  const LogView log = db.View("p");
+  const LogView log = db.relation("p").View();
   for (size_t from = 0; from <= log.size(); ++from) {
     std::vector<Tuple> expected;
     for (size_t e = from; e < log.size(); ++e) {
       expected.emplace_back(log.at(e));
     }
-    EXPECT_EQ(Delta(db, Unary("p"), 0, log, from), expected) << "from " << from;
+    EXPECT_EQ(Delta(db, Unary("p"), 0, from), expected) << "from " << from;
   }
   // In a join, an old entry still matches the other atom, but never seeds:
   // edge(1,2) is old, edge(2,3) new. Seeding occurrence 0 with (2,3) finds
@@ -79,8 +79,8 @@ TEST(EvalDeltaTest, EntriesBelowFromNeverSeed) {
   (void)graph.Insert("edge", Tuple({I(1), I(2)}));
   (void)graph.Insert("edge", Tuple({I(2), I(3)}));
   const ConjunctiveQuery q = TwoHop();
-  EXPECT_TRUE(Delta(graph, q, 0, graph.View("edge"), 1).empty());
-  EXPECT_EQ(Delta(graph, q, 1, graph.View("edge"), 1),
+  EXPECT_TRUE(Delta(graph, q, 0, 1).empty());
+  EXPECT_EQ(Delta(graph, q, 1, 1),
             (std::vector<Tuple>{Tuple({I(1), I(3)})}));
 }
 
@@ -89,13 +89,13 @@ TEST(EvalDeltaTest, JoinDeltaCoversBothSides) {
   (void)db.CreateRelation(RelationSchema("edge", {"a", "b"}));
   (void)db.Insert("edge", Tuple({I(1), I(2)}));
   // Now insert 2->3 and compute what two-hop answers appeared.
-  const size_t from = db.View("edge").size();
+  const size_t from = db.relation("edge").View().size();
   (void)db.Insert("edge", Tuple({I(2), I(3)}));
 
   ConjunctiveQuery q = TwoHop();
   std::set<Tuple> incremental;
   for (size_t occurrence : {0u, 1u}) {
-    std::vector<Tuple> part = Delta(db, q, occurrence, db.View("edge"), from);
+    std::vector<Tuple> part = Delta(db, q, occurrence, from);
     incremental.insert(part.begin(), part.end());
   }
   EXPECT_EQ(incremental, (std::set<Tuple>{Tuple({I(1), I(3)})}));
@@ -112,7 +112,7 @@ TEST(EvalDeltaTest, BuiltinsRespectedInDeltaPath) {
   b.lhs = Term::Var("X");
   b.rhs = Term::Const(I(3));
   q.builtins = {b};
-  EXPECT_EQ(Delta(db, q, 0, db.View("n"), 0),
+  EXPECT_EQ(Delta(db, q, 0, 0),
             (std::vector<Tuple>{Tuple({I(1)})}));  // 5 filtered out.
 }
 
@@ -141,14 +141,14 @@ TEST(EvalDeltaTest, OnePlanServesPassingAndFailingSeeds) {
   q.builtins = {b};
 
   // Entry order: 1 passes, 5 fails, 2 passes, 7 fails.
-  EXPECT_EQ(Delta(db, q, 0, db.View("n"), 0),
+  EXPECT_EQ(Delta(db, q, 0, 0),
             (std::vector<Tuple>{Tuple({I(1), I(10)}), Tuple({I(2), I(20)})}));
-  auto plan = QueryPlan::Compile(q, 0);
+  auto plan = QueryPlan::Compile(q, db, 0);
   ASSERT_TRUE(plan.ok());
   ASSERT_EQ(plan->slots(), (std::vector<std::string>{"X", "Y"}));
   std::vector<std::vector<Value>> bindings;
   std::vector<Value> binding;
-  plan->RunSeeded(db, db.View("n"), 0, &binding,
+  plan->RunSeeded(db, 0, &binding,
                   [&](const std::vector<Value>& b) {
                     bindings.push_back(b);
                     return true;
@@ -159,9 +159,10 @@ TEST(EvalDeltaTest, OnePlanServesPassingAndFailingSeeds) {
 
 TEST(EvalDeltaTest, OutOfRangeAtomRejected) {
   ConjunctiveQuery q = TwoHop();
-  EXPECT_FALSE(QueryPlan::Compile(q, 5).ok());
-  EXPECT_FALSE(QueryPlan::Compile(q, 2).ok());
-  EXPECT_TRUE(QueryPlan::Compile(q, 1).ok());
+  Database db;
+  EXPECT_FALSE(QueryPlan::Compile(q, db, 5).ok());
+  EXPECT_FALSE(QueryPlan::Compile(q, db, 2).ok());
+  EXPECT_TRUE(QueryPlan::Compile(q, db, 1).ok());
 }
 
 // Property: incremental accumulation over random batches equals a fresh full
@@ -181,9 +182,9 @@ TEST(EvalDeltaTest, IncrementalMatchesFullEvaluationUnderRandomInserts) {
              I(static_cast<int64_t>(rng.NextBelow(12)))});
     ASSERT_TRUE(db.Insert("edge", t).ok());
     if (step + 1 < 240 && !rng.NextBool(0.25)) continue;  // Not a cut point.
-    const LogView log = db.View("edge");
+    const LogView log = db.relation("edge").View();
     for (size_t occurrence = 0; occurrence < q.atoms.size(); ++occurrence) {
-      std::vector<Tuple> part = Delta(db, q, occurrence, log, from);
+      std::vector<Tuple> part = Delta(db, q, occurrence, from);
       accumulated.insert(part.begin(), part.end());
     }
     from = log.size();

@@ -38,8 +38,9 @@ std::set<Tuple> ReferenceEvaluate(const ReadView& db,
   std::set<Tuple> results;
   std::vector<LogView> views;
   for (const Atom& a : query.atoms) {
-    views.push_back(db.View(a.relation));
-    if (!views.back()) return results;  // Empty.
+    const RelationId id = db.Find(a.relation);
+    if (id == kNoRelation) return results;  // Empty.
+    views.push_back(db.View(id));
   }
   std::vector<Row> chosen(query.atoms.size());
   std::function<void(size_t)> enumerate = [&](size_t depth) {
@@ -74,10 +75,13 @@ class CutView : public ReadView {
  public:
   CutView(const Database& db, const std::map<std::string, size_t>& cuts)
       : db_(db), cuts_(cuts) {}
-  LogView View(const std::string& relation) const override {
-    const Relation* found = db_.FindRelation(relation);
-    if (found == nullptr) return LogView();
-    return LogView(found->log().get(), cuts_.at(relation));
+  RelationId Find(const std::string& name) const override {
+    return db_.Find(name);
+  }
+  size_t Arity(RelationId id) const override { return db_.Arity(id); }
+  LogView View(RelationId id) const override {
+    const Relation& found = db_.relation(id);
+    return LogView(&found.log(), cuts_.at(found.name()));
   }
 
  private:
@@ -174,16 +178,16 @@ TEST_P(EvalPropertySweep, MatchesBruteForceReference) {
     // are all the answers.
     std::map<std::string, size_t> cuts;
     for (const std::string& name : names) {
-      cuts[name] = cut_rng.NextBelow(db.View(name).size() + 1);
+      cuts[name] = cut_rng.NextBelow(db.relation(name).size() + 1);
     }
     std::set<Tuple> semi = ReferenceEvaluate(CutView(db, cuts), q);
     for (size_t i = 0; i < q.atoms.size(); ++i) {
-      auto plan = QueryPlan::Compile(q, i);
+      auto plan = QueryPlan::Compile(q, db, i);
       ASSERT_TRUE(plan.ok()) << q.ToString();
       const std::string& relation = q.atoms[i].relation;
       std::vector<Value> binding;
       std::vector<Value> row;
-      plan->RunSeeded(db, db.View(relation), cuts[relation], &binding,
+      plan->RunSeeded(db, cuts[relation], &binding,
                       [&](const std::vector<Value>& b) {
                         semi.emplace(plan->Project(b, &row));
                         return true;

@@ -195,7 +195,7 @@ TEST(EvalTest, BindingsIncludeAllBodyVariables) {
   Database db = EdgeDb();
   ConjunctiveQuery q;
   q.atoms = {EdgeAtom("X", "Y")};
-  auto plan = QueryPlan::Compile(q);
+  auto plan = QueryPlan::Compile(q, db);
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan->slots(), (std::vector<std::string>{"X", "Y"}));
   std::vector<std::vector<Value>> bindings;
@@ -214,7 +214,7 @@ TEST(EvalTest, SinkStopsTheRun) {
   Database db = EdgeDb();
   ConjunctiveQuery q;
   q.atoms = {EdgeAtom("X", "Y"), EdgeAtom("Y", "Z")};
-  auto plan = QueryPlan::Compile(q);
+  auto plan = QueryPlan::Compile(q, db);
   ASSERT_TRUE(plan.ok());
   size_t seen = 0;
   std::vector<Value> binding;
@@ -231,13 +231,14 @@ TEST(EvalTest, SlotsFollowFirstAppearanceWhateverTheSeed) {
   ConjunctiveQuery q;
   q.head_vars = {"Z", "X"};
   q.atoms = {EdgeAtom("X", "Y"), EdgeAtom("Y", "Z")};
-  auto full = QueryPlan::Compile(q);
-  auto seeded = QueryPlan::Compile(q, 1);
+  Database db = EdgeDb();
+  auto full = QueryPlan::Compile(q, db);
+  auto seeded = QueryPlan::Compile(q, db, 1);
   ASSERT_TRUE(full.ok());
   ASSERT_TRUE(seeded.ok());
   EXPECT_EQ(full->slots(), (std::vector<std::string>{"X", "Y", "Z"}));
   EXPECT_EQ(seeded->slots(), full->slots());
-  EXPECT_EQ(seeded->seed_relation(), "edge");
+  EXPECT_EQ(seeded->seed_relation(), db.Find("edge"));
   std::vector<Value> row;
   EXPECT_EQ(full->Project({S("a"), S("b"), S("c")}, &row),
             Tuple({S("c"), S("a")}));
@@ -254,25 +255,30 @@ TEST(EvalTest, LookupColumnsNameTheColumnsStepsProbe) {
   right.terms = {Term::Var("V"), Term::Var("K"), Term::Var("W")};
   ConjunctiveQuery q;
   q.atoms = {left, right};
-  auto seed_left = QueryPlan::Compile(q, 0);
-  auto seed_right = QueryPlan::Compile(q, 1);
-  auto unseeded = QueryPlan::Compile(q);
+  Database db = EdgeDb();
+  ASSERT_TRUE(db.CreateRelation(RelationSchema("$0", {"k", "v"})).ok());
+  ASSERT_TRUE(db.CreateRelation(RelationSchema("$1", {"v", "k", "w"})).ok());
+  const RelationId zero = db.Find("$0");
+  const RelationId one = db.Find("$1");
+  auto seed_left = QueryPlan::Compile(q, db, 0);
+  auto seed_right = QueryPlan::Compile(q, db, 1);
+  auto unseeded = QueryPlan::Compile(q, db);
   ASSERT_TRUE(seed_left.ok() && seed_right.ok() && unseeded.ok());
-  EXPECT_TRUE(seed_left->LookupColumns("$0").empty());
-  EXPECT_EQ(seed_left->LookupColumns("$1"), std::vector<size_t>{0});
-  EXPECT_EQ(seed_right->LookupColumns("$0"), std::vector<size_t>{0});
-  EXPECT_TRUE(seed_right->LookupColumns("$1").empty());
+  EXPECT_TRUE(seed_left->LookupColumns(zero).empty());
+  EXPECT_EQ(seed_left->LookupColumns(one), std::vector<size_t>{0});
+  EXPECT_EQ(seed_right->LookupColumns(zero), std::vector<size_t>{0});
+  EXPECT_TRUE(seed_right->LookupColumns(one).empty());
   // Unseeded: the first step scans $0, the second looks $1 up on V.
-  EXPECT_TRUE(unseeded->LookupColumns("$0").empty());
-  EXPECT_EQ(unseeded->LookupColumns("$1"), std::vector<size_t>{0});
-  EXPECT_TRUE(unseeded->LookupColumns("edge").empty());
+  EXPECT_TRUE(unseeded->LookupColumns(zero).empty());
+  EXPECT_EQ(unseeded->LookupColumns(one), std::vector<size_t>{0});
+  EXPECT_TRUE(unseeded->LookupColumns(db.Find("edge")).empty());
 }
 
 TEST(EvalTest, PreBoundVariablesTakeTheFirstSlots) {
   Database db = EdgeDb();
   ConjunctiveQuery q;
   q.atoms = {EdgeAtom("X", "Y"), EdgeAtom("Y", "Z")};
-  auto plan = QueryPlan::CompileBound(q, {"Z"});
+  auto plan = QueryPlan::Compile(q, db, QueryPlan::kNoSeed, {"Z"});
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan->slots(), (std::vector<std::string>{"Z", "X", "Y"}));
   std::vector<Value> binding{S("d")};

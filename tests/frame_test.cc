@@ -653,8 +653,7 @@ core::wire::SessionBootstrap MakeBootstrap() {
   b.node = node;
   b.name = system->node(node).name;
   b.super_peer = 0;
-  for (const auto& [name, relation] : system->node(node).db.relations()) {
-    (void)name;
+  for (const rel::Relation& relation : system->node(node).db.relations()) {
     b.schema.push_back(relation.schema());
   }
   for (const core::CoordinationRule* rule : system->RulesWithHead(node)) {

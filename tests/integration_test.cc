@@ -113,10 +113,12 @@ TEST_P(ChasePolicySweep, CliqueWithExistentialsConverges) {
   ASSERT_TRUE(global.ok());
   for (NodeId n : session.Participants()) {
     const rel::Database& dist = session.peer(n).db();
-    for (const auto& [name, relation] : dist.relations()) {
-      auto global_rel = global->node_dbs[n].Get(name);
-      ASSERT_TRUE(global_rel.ok());
-      std::set<rel::Tuple> global_certain = (*global_rel)->CertainTuples();
+    for (const rel::Relation& relation : dist.relations()) {
+      const std::string& name = relation.name();
+      const rel::RelationId global_rel = global->node_dbs[n].Find(name);
+      ASSERT_NE(global_rel, rel::kNoRelation);
+      std::set<rel::Tuple> global_certain =
+          global->node_dbs[n].relation(global_rel).CertainTuples();
       for (const rel::Tuple& t : relation.CertainTuples()) {
         EXPECT_TRUE(global_certain.count(t))
             << "node " << n << " unsound tuple " << name << t.ToString();

@@ -113,7 +113,7 @@ node N { rel t(a, b, c); fact t("s", 42, lowercase_is_string); }
 )";
   auto system = ParseSystem(text);
   ASSERT_TRUE(system.ok()) << system.status().ToString();
-  const rel::Relation* r = *system->node(0).db.Get("t");
+  const rel::Relation* r = &system->node(0).db.relation("t");
   ASSERT_EQ(r->size(), 1u);
   const rel::Row t = r->View().at(0);
   EXPECT_EQ(t.at(0), rel::Value::Str("s"));

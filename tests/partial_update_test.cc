@@ -27,8 +27,8 @@ rule r2: C.c(X) => A.a2(X);
   // Pull only relation "a" at node A: rule r1 is relevant, r2 is not.
   ASSERT_TRUE(session.RunPartialUpdate(0, {"a"}).ok());
   EXPECT_TRUE(
-      (*session.peer(0).db().Get("a"))->Contains(rel::Tuple({S("b1")})));
-  EXPECT_TRUE((*session.peer(0).db().Get("a2"))->empty());
+      session.peer(0).db().relation("a").Contains(rel::Tuple({S("b1")})));
+  EXPECT_TRUE(session.peer(0).db().relation("a2").empty());
 }
 
 TEST(PartialUpdateTest, TransitivePullThroughChain) {
@@ -46,7 +46,7 @@ rule r2: C.c(X) => B.b(X);
   ASSERT_TRUE(session.RunPartialUpdate(0, {"a"}).ok());
   // C's data travels C -> B -> A.
   EXPECT_TRUE(
-      (*session.peer(0).db().Get("a"))->Contains(rel::Tuple({S("deep")})));
+      session.peer(0).db().relation("a").Contains(rel::Tuple({S("deep")})));
 }
 
 TEST(PartialUpdateTest, CycleBoundedBySnPath) {
@@ -63,7 +63,7 @@ rule r2: A.a(X) => B.b(X);
   ASSERT_TRUE(session.RunPartialUpdate(0, {"a"}).ok());
   // A has B's data; the data flow converged (quiescence) despite the cycle.
   EXPECT_TRUE(
-      (*session.peer(0).db().Get("a"))->Contains(rel::Tuple({S("fromB")})));
+      session.peer(0).db().relation("a").Contains(rel::Tuple({S("fromB")})));
 }
 
 TEST(PartialUpdateTest, RunningExampleQueryDependent) {
@@ -74,7 +74,7 @@ TEST(PartialUpdateTest, RunningExampleQueryDependent) {
   ASSERT_TRUE(session.RunDiscovery().ok());
   // Node A pulls only what relation "a" needs (rule r4 from B, and upstream).
   ASSERT_TRUE(session.RunPartialUpdate(0, {"a"}).ok());
-  EXPECT_FALSE((*session.peer(0).db().Get("a"))->empty());
+  EXPECT_FALSE(session.peer(0).db().relation("a").empty());
   // The partial session does not flip closure states.
   EXPECT_NE(session.peer(4).update().state(), UpdateEngine::State::kClosed);
 }

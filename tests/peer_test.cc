@@ -173,8 +173,8 @@ rule rx: Y.y(V) => X.x(V);
   ASSERT_TRUE(session.RunUpdateFrom({0, 2}).ok());
   EXPECT_EQ(session.peer(0).update().state(), UpdateEngine::State::kClosed);
   EXPECT_EQ(session.peer(2).update().state(), UpdateEngine::State::kClosed);
-  EXPECT_EQ((*session.peer(0).db().Get("a"))->size(), 1u);
-  EXPECT_EQ((*session.peer(2).db().Get("x"))->size(), 1u);
+  EXPECT_EQ(session.peer(0).db().relation("a").size(), 1u);
+  EXPECT_EQ(session.peer(2).db().relation("x").size(), 1u);
 }
 
 TEST(SessionTest, SnapshotDatabasesDeepCopies) {

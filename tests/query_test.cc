@@ -1,11 +1,9 @@
-// Query plane: the lock-free MVCC read path (src/core/query.h) and its
-// snapshot machinery (src/relational/mvcc.h). Covers snapshot/live
+// Query plane: the lock-free MVCC read path and its snapshot machinery
+// (src/relational/mvcc.h). Covers snapshot/live
 // equivalence before and after updates, log sharing at watermarks, point
 // lookups, crashed-peer reads, the generated query workload, and a
 // TSan-targeted hammer: reader threads on Session::Query while a churned
 // TCP update propagates underneath.
-#include "src/core/query.h"
-
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -63,7 +61,7 @@ TEST(QueryPlaneTest, InitialSnapshotMatchesLiveDatabase) {
 
   auto snap = session.PeerSnapshot(*e);
   ASSERT_TRUE(snap.ok());
-  EXPECT_EQ((*snap)->version(), 0u);  // No delta batch committed yet.
+  EXPECT_EQ(snap->batch(), 0u);  // No delta batch committed yet.
 }
 
 TEST(QueryPlaneTest, SnapshotAdvancesWithCommittedUpdate) {
@@ -79,8 +77,8 @@ TEST(QueryPlaneTest, SnapshotAdvancesWithCommittedUpdate) {
   for (const char* name : {"A", "B", "C", "D", "E"}) {
     auto id = system->NodeByName(name);
     ASSERT_TRUE(id.ok());
-    for (const auto& [relation, live] : session.peer(*id).db().relations()) {
-      (void)live;
+    for (const rel::Relation& live : session.peer(*id).db().relations()) {
+      const std::string& relation = live.name();
       auto via_snapshot = session.Query(*id, AllPairs(relation));
       auto via_live =
           rel::EvaluateQuery(session.peer(*id).db(), AllPairs(relation));
@@ -95,14 +93,14 @@ TEST(QueryPlaneTest, SnapshotAdvancesWithCommittedUpdate) {
   ASSERT_TRUE(b.ok());
   auto snap = session.PeerSnapshot(*b);
   ASSERT_TRUE(snap.ok());
-  EXPECT_GT((*snap)->version(), 0u);
+  EXPECT_GT(snap->batch(), 0u);
   auto derived = session.Query(*b, AllPairs("b"));
   ASSERT_TRUE(derived.ok());
   EXPECT_TRUE(derived->count(rel::Tuple({S("u"), S("v")})));  // From E.e.
 }
 
 TEST(QueryPlaneTest, SnapshotsShareLogsAtWatermarks) {
-  rel::SnapshotPtr v0, v1;
+  rel::DbSnapshot v0, v1;
   {
     rel::Database db;
     ASSERT_TRUE(
@@ -111,30 +109,36 @@ TEST(QueryPlaneTest, SnapshotsShareLogsAtWatermarks) {
     ASSERT_TRUE(*db.Insert("hot", rel::Tuple({S("a"), S("b")})));
     ASSERT_TRUE(*db.Insert("cold", rel::Tuple({S("k")})));
 
-    v0 = rel::BuildSnapshot(db, 0);
+    rel::SnapshotStore store;
+    store.Publish(db);
+    v0 = store.Acquire();
     ASSERT_TRUE(*db.Insert("hot", rel::Tuple({S("c"), S("d")})));
-    v1 = rel::BuildSnapshot(db, 1);
+    store.Commit(db);
+    v1 = store.Acquire();
 
-    // Both snapshots share the live relations' logs and differ only in
-    // where they stop reading.
+    // Both snapshots read the live relations' logs in place and differ only
+    // in where they stop reading.
     for (const char* name : {"hot", "cold"}) {
-      EXPECT_EQ(v0->relations().at(name).log, v1->relations().at(name).log);
-      EXPECT_EQ(v0->relations().at(name).log, db.FindRelation(name)->log());
+      const rel::RelationId id = db.Find(name);
+      EXPECT_EQ(v0.View(id).at(0).begin(), v1.View(id).at(0).begin());
+      EXPECT_EQ(v0.View(id).at(0).begin(),
+                db.relation(id).View().at(0).begin());
     }
-    EXPECT_EQ(v0->View("hot").size(), 1u);
-    EXPECT_EQ(v1->View("hot").size(), 2u);
-    EXPECT_EQ(v1->version(), 1u);
-  }  // The database goes away, as a crashed peer's does.
+    EXPECT_EQ(v0.View(db.Find("hot")).size(), 1u);
+    EXPECT_EQ(v1.View(db.Find("hot")).size(), 2u);
+    EXPECT_EQ(v1.batch(), 1u);
+  }  // The database and the store go away, as a crashed peer's do.
 
   // v0 still answers as of its publication: 1 tuple, not the 2 of v1.
-  auto old_rows = rel::EvaluateQuery(*v0, AllPairs("hot"));
+  auto old_rows = rel::EvaluateQuery(v0, AllPairs("hot"));
   ASSERT_TRUE(old_rows.ok());
   EXPECT_EQ(*old_rows, (std::set<rel::Tuple>{rel::Tuple({S("a"), S("b")})}));
-  EXPECT_FALSE(v0->View("hot").Contains(rel::Tuple({S("c"), S("d")})));
-  auto new_rows = rel::EvaluateQuery(*v1, AllPairs("hot"));
+  EXPECT_FALSE(
+      v0.View(v0.Find("hot")).Contains(rel::Tuple({S("c"), S("d")})));
+  auto new_rows = rel::EvaluateQuery(v1, AllPairs("hot"));
   ASSERT_TRUE(new_rows.ok());
   EXPECT_EQ(new_rows->size(), 2u);
-  EXPECT_TRUE(v1->View("cold").Contains(rel::Tuple({S("k")})));
+  EXPECT_TRUE(v1.View(v1.Find("cold")).Contains(rel::Tuple({S("k")})));
 }
 
 TEST(QueryPlaneTest, PointLookupsHitMissAndBoundsCheck) {
@@ -287,11 +291,11 @@ TEST(QueryWorkloadTest, StreamIgnoresInsertionOrder) {
   P2PSystem reversed = *system;
   for (NodeId n = 0; n < reversed.node_count(); ++n) {
     rel::Database refilled;
-    for (const auto& [name, relation] : system->node(n).db.relations()) {
+    for (const rel::Relation& relation : system->node(n).db.relations()) {
       ASSERT_TRUE(refilled.CreateRelation(relation.schema()).ok());
       const rel::LogView log = relation.View();
       for (size_t i = log.size(); i-- > 0;) {
-        ASSERT_TRUE(refilled.Insert(name, log.at(i)).ok());
+        ASSERT_TRUE(refilled.Insert(relation.name(), log.at(i)).ok());
       }
     }
     *reversed.mutable_db(n) = std::move(refilled);
@@ -350,10 +354,10 @@ TEST(QueryPlaneTest, ConcurrentReadsDuringChurnedTcpUpdate) {
     while (!stop.load(std::memory_order_relaxed)) {
       const workload::QueryOp& op = (*ops)[i];
       auto snap = session.PeerSnapshot(op.node);
-      if (!snap.ok() || (*snap)->version() < last_version[op.node]) {
+      if (!snap.ok() || snap->batch() < last_version[op.node]) {
         violations.fetch_add(1);
       } else {
-        last_version[op.node] = (*snap)->version();
+        last_version[op.node] = snap->batch();
       }
       if (op.is_point) {
         auto hit = session.QueryPoint(op.node, op.relation, op.key);

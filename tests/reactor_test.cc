@@ -172,6 +172,14 @@ TEST(ReactorTest, BackpressureIsolatesSlowReceiver) {
     }
     sender_done.store(true);
   });
+  // Wait until the sender is parked on a full queue: `!sender_done` alone
+  // also holds for a sender that has not started, which would leave nothing
+  // queued to drop at close.
+  EXPECT_TRUE(WaitUntil([&] {
+    return slow_accepted.load() >= 1 &&
+           slow_conn->queued_bytes() >=
+               options.send_queue_limit - chunk.size();
+  }));
 
   // The fast connection keeps flowing while the slow sender is wedged.
   for (int i = 0; i < 50; ++i) {

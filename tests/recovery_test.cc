@@ -42,9 +42,9 @@ Session::Options DurableOptions(const std::string& root) {
 /// Every relation's entries in log order.
 std::map<std::string, std::vector<rel::Tuple>> Logs(const rel::Database& db) {
   std::map<std::string, std::vector<rel::Tuple>> out;
-  for (const auto& [name, relation] : db.relations()) {
+  for (const rel::Relation& relation : db.relations()) {
     const rel::LogView log = relation.View();
-    std::vector<rel::Tuple>& entries = out[name];
+    std::vector<rel::Tuple>& entries = out[relation.name()];
     for (size_t i = 0; i < log.size(); ++i) entries.emplace_back(log.at(i));
   }
   return out;
@@ -408,7 +408,7 @@ TEST(RecoveryTest, DamagedRecordFailsRecoveryWhole) {
     ASSERT_TRUE(manager.ok());
     ASSERT_TRUE(peer.AttachStorage(std::move(*manager)).ok());
     ASSERT_TRUE(peer.db().Insert("a", rel::Tuple({rel::Value::Str("x")})).ok());
-    peer.OnDeltaApplied({{"a", 1}});
+    peer.OnDeltaApplied({1});  // Relation a (id 0) grew past entry 1.
     peer.LogRuleChange(wire::RuleChangeRecord::Delete("r1"));
   }
   auto read = storage::ReadWalFile(root + "/intact/wal.log");

@@ -110,9 +110,9 @@ TEST(RelationTest, IndexFindsMatches) {
 TEST(RelationTest, LogIndexesEveryColumn) {
   Relation r(RelationSchema("t", {"a", "b", "c"}));
   for (size_t column = 0; column < 3; ++column) {
-    EXPECT_TRUE(r.log()->indexed(column)) << "column " << column;
+    EXPECT_TRUE(r.log().indexed(column)) << "column " << column;
   }
-  EXPECT_TRUE(Relation(r).log()->indexed(2));
+  EXPECT_TRUE(Relation(r).log().indexed(2));
 }
 
 TEST(RelationTest, IndexFollowsInserts) {
@@ -132,7 +132,7 @@ TEST(RelationTest, CopyGetsItsOwnLog) {
   (void)r.Insert(Tuple({Value::Int(2), Value::Int(0)}));
   (void)r.Insert(Tuple({Value::Int(1), Value::Int(0)}));
   Relation copy = r;
-  EXPECT_NE(copy.log(), r.log());
+  EXPECT_NE(&copy.log(), &r.log());
   (void)copy.Insert(Tuple({Value::Int(3), Value::Int(0)}));
   EXPECT_EQ(r.size(), 2u);
   EXPECT_EQ(r.View().size(), 2u);
@@ -145,10 +145,9 @@ TEST(RelationTest, CopyGetsItsOwnLog) {
 TEST(DatabaseTest, CreateAndLookup) {
   Database db;
   ASSERT_TRUE(db.CreateRelation(PairSchema()).ok());
-  EXPECT_TRUE(db.HasRelation("r"));
-  EXPECT_FALSE(db.HasRelation("q"));
-  EXPECT_TRUE(db.Get("r").ok());
-  EXPECT_FALSE(db.Get("q").ok());
+  EXPECT_EQ(db.Find("r"), 0u);
+  EXPECT_EQ(db.Find("q"), kNoRelation);
+  EXPECT_EQ(db.relation(db.Find("r")).name(), "r");
   EXPECT_FALSE(db.CreateRelation(PairSchema()).ok());  // Duplicate.
 }
 
@@ -179,7 +178,7 @@ TEST(DatabaseTest, EqualityIgnoresInsertionOrder) {
     (void)a.Insert("r", Tuple({Value::Int(x), Value::Int(x % 3)}));
     (void)b.Insert("r", Tuple({Value::Int(19 - x), Value::Int((19 - x) % 3)}));
   }
-  EXPECT_NE(a.View("r").at(0), b.View("r").at(0));
+  EXPECT_NE(a.relation("r").View().at(0), b.relation("r").View().at(0));
   EXPECT_TRUE(a == b);
   EXPECT_TRUE(b == a);
   // Same size, one tuple different: not equal either way.

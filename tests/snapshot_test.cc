@@ -119,7 +119,7 @@ TEST(SnapshotTest, RejectsRepeatedAndUnsortedTuples) {
   };
   auto sorted = DeserializeDatabase(snapshot_of({low, high}));
   ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
-  EXPECT_EQ((*sorted->Get("r"))->size(), 2u);
+  EXPECT_EQ(sorted->relation("r").size(), 2u);
   EXPECT_EQ(SerializeDatabase(*sorted), snapshot_of({low, high}));
 
   auto repeated = DeserializeDatabase(snapshot_of({low, low}));
@@ -170,7 +170,7 @@ TEST(SnapshotTest, MaterializedUpdateStateSurvivesPersistence) {
   auto restored = DeserializeDatabase(SerializeDatabase(materialized));
   ASSERT_TRUE(restored.ok());
   EXPECT_TRUE(*restored == materialized);
-  EXPECT_GE((*restored->Get("b"))->size(), 3u);
+  EXPECT_GE(restored->relation("b").size(), 3u);
 }
 
 }  // namespace

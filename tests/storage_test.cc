@@ -46,17 +46,17 @@ rel::Tuple Pub(int64_t id, const std::string& title) {
 /// Inserts one pub tuple into `db` and logs it as one applied delta.
 Status InsertAndLog(StorageManager* manager, rel::Database* db, int64_t id,
                     const std::string& title) {
-  const size_t start = db->View("pub").size();
+  const rel::Version since = db->version();
   (void)db->Insert("pub", Pub(id, title));
-  return manager->LogDelta(*db, {{"pub", start}});
+  return manager->LogDelta(*db, since);
 }
 
 /// Every relation's entries in log order.
 std::map<std::string, std::vector<rel::Tuple>> Logs(const rel::Database& db) {
   std::map<std::string, std::vector<rel::Tuple>> out;
-  for (const auto& [name, relation] : db.relations()) {
+  for (const rel::Relation& relation : db.relations()) {
     const rel::LogView log = relation.View();
-    std::vector<rel::Tuple>& entries = out[name];
+    std::vector<rel::Tuple>& entries = out[relation.name()];
     for (size_t i = 0; i < log.size(); ++i) entries.emplace_back(log.at(i));
   }
   return out;
@@ -73,14 +73,14 @@ TEST(StorageManagerTest, DeltaCodecRoundTrip) {
   rel::Database db = BaseDb();
   ASSERT_TRUE((*manager)->EnsureBase(db).ok());
 
-  const std::map<std::string, size_t> starts = {{"pub", 1}, {"wrote", 0}};
+  const rel::Version since = db.version();  // pub: 1 entry, wrote: none.
   const rel::Tuple bob({rel::Value::Str("bob"), rel::Value::Int(7)});
   const rel::Tuple ada({rel::Value::Str("ada"), rel::Value::Null(0x3000005)});
   ASSERT_TRUE(db.Insert("pub", Pub(9, "z")).ok());
   ASSERT_TRUE(db.Insert("pub", Pub(7, "x")).ok());
   ASSERT_TRUE(db.Insert("wrote", bob).ok());
   ASSERT_TRUE(db.Insert("wrote", ada).ok());
-  ASSERT_TRUE((*manager)->LogDelta(db, starts).ok());
+  ASSERT_TRUE((*manager)->LogDelta(db, since).ok());
 
   auto back = (*manager)->Recover(nullptr);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
@@ -105,7 +105,7 @@ TEST(StorageManagerTest, LogBytesAreGolden) {
   ASSERT_TRUE(db.Insert("wrote", rel::Tuple({rel::Value::Str("bob"),
                                              rel::Value::Int(20000)}))
                   .ok());
-  ASSERT_TRUE((*manager)->LogDelta(db, {{"pub", 1}, {"wrote", 0}}).ok());
+  ASSERT_TRUE((*manager)->LogDelta(db, rel::Version{1, 0}).ok());
   ASSERT_TRUE((*manager)
                   ->LogRuleChange(core::wire::RuleChangeRecord::Add(
                                       testing_codec::RichRule())
@@ -277,8 +277,8 @@ TEST(StorageManagerTest, LogDeltaThenRecoverRebuildsState) {
   }
   // Steps that grew nothing write no record.
   const uint64_t bytes = (*manager)->wal_bytes();
-  ASSERT_TRUE((*manager)->LogDelta(db, {}).ok());
-  ASSERT_TRUE((*manager)->LogDelta(db, {{"pub", 5}, {"wrote", 0}}).ok());
+  ASSERT_TRUE((*manager)->LogDelta(db, db.version()).ok());
+  ASSERT_TRUE((*manager)->LogDelta(db, rel::Version{5, 0}).ok());
   EXPECT_EQ((*manager)->wal_bytes(), bytes);
 
   RecoveryInfo info;
@@ -305,7 +305,7 @@ TEST(StorageManagerTest, RecoveryIsIsomorphicToSnapshotRoundTrip) {
   const rel::Value bob = rel::Value::Str("bob");
   ASSERT_TRUE(db.Insert("wrote", rel::Tuple({ada, rel::Value::Null(1)})).ok());
   ASSERT_TRUE(db.Insert("wrote", rel::Tuple({bob, rel::Value::Null(2)})).ok());
-  ASSERT_TRUE((*manager)->LogDelta(db, {{"wrote", 0}}).ok());
+  ASSERT_TRUE((*manager)->LogDelta(db, rel::Version{1, 0}).ok());
 
   auto recovered = (*manager)->Recover(nullptr);
   ASSERT_TRUE(recovered.ok());
@@ -378,7 +378,7 @@ TEST(StorageManagerTest, DeltaForUnknownRelationIsAnError) {
   rel::Database ghost;
   ASSERT_TRUE(ghost.CreateRelation(rel::RelationSchema("ghost", {"x"})).ok());
   ASSERT_TRUE(ghost.Insert("ghost", rel::Tuple({rel::Value::Int(1)})).ok());
-  ASSERT_TRUE((*manager)->LogDelta(ghost, {{"ghost", 0}}).ok());
+  ASSERT_TRUE((*manager)->LogDelta(ghost, rel::Version{0}).ok());
   EXPECT_FALSE((*manager)->Recover(nullptr).ok());
 }
 

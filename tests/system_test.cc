@@ -113,8 +113,8 @@ TEST_F(SystemTest, CombinedDatabaseMergesDisjointSignatures) {
   auto combined = system_.CombinedDatabase();
   ASSERT_TRUE(combined.ok());
   EXPECT_EQ(combined->TotalTuples(), 2u);
-  EXPECT_TRUE(combined->HasRelation("h"));
-  EXPECT_TRUE(combined->HasRelation("b"));
+  EXPECT_NE(combined->Find("h"), rel::kNoRelation);
+  EXPECT_NE(combined->Find("b"), rel::kNoRelation);
 }
 
 TEST_F(SystemTest, PartExportVarsCoverHeadJoinAndCrossBuiltins) {

@@ -73,7 +73,7 @@ rule join: Mid.pub(I, T), Mid.wrote(A, I) => Sink.out(A, T);
   ASSERT_TRUE(session.RunDiscovery().ok());
   ASSERT_TRUE(session.RunUpdate().ok());
   ASSERT_TRUE(session.AllClosed());
-  const rel::Relation* out = *session.peer(0).db().Get("out");
+  const rel::Relation* out = &session.peer(0).db().relation("out");
   ASSERT_EQ(out->size(), 1u);
   EXPECT_TRUE(out->Contains(
       rel::Tuple({rel::Value::Str("alice"), rel::Value::Str("t1")})));

@@ -56,7 +56,7 @@ rule r2: C.c(X) => B.b(X);
   net::SimRuntime rt;
   auto session = RunFull(*system, &rt);
   ASSERT_TRUE(session->AllClosed());
-  const rel::Relation* a = *session->peer(0).db().Get("a");
+  const rel::Relation* a = &session->peer(0).db().relation("a");
   EXPECT_EQ(a->size(), 2u);
   EXPECT_TRUE(a->Contains(rel::Tuple({S("v1")})));
   ExpectMatchesGlobalFixpoint(*system, session.get());
@@ -111,11 +111,11 @@ TEST(UpdateTest, RunningExampleDataLandsEverywhere) {
   auto session = RunFull(*system, &rt);
   // E's pairs reach B via r1; loops B->C->B close; A gets r4 output; D gets
   // r6 output; C gets f(X) via r5.
-  EXPECT_GE((*session->peer(1).db().Get("b"))->size(), 3u);
-  EXPECT_GE((*session->peer(2).db().Get("c"))->size(), 1u);
-  EXPECT_GE((*session->peer(0).db().Get("a"))->size(), 1u);
-  EXPECT_GE((*session->peer(3).db().Get("d"))->size(), 1u);
-  EXPECT_GE((*session->peer(2).db().Get("f"))->size(), 1u);
+  EXPECT_GE(session->peer(1).db().relation("b").size(), 3u);
+  EXPECT_GE(session->peer(2).db().relation("c").size(), 1u);
+  EXPECT_GE(session->peer(0).db().relation("a").size(), 1u);
+  EXPECT_GE(session->peer(3).db().relation("d").size(), 1u);
+  EXPECT_GE(session->peer(2).db().relation("f").size(), 1u);
 }
 
 TEST(UpdateTest, DeltaAndFullAnswersAgree) {
@@ -156,7 +156,7 @@ rule j: L.l(K, V), R.r(K, W) => T.t(V, W);
   options.super_peer = 2;  // T is the head.
   auto session = RunFull(*system, &rt, options);
   ASSERT_TRUE(session->AllClosed());
-  const rel::Relation* t = *session->peer(2).db().Get("t");
+  const rel::Relation* t = &session->peer(2).db().relation("t");
   ASSERT_EQ(t->size(), 1u);  // Only k1 joins.
   EXPECT_TRUE(t->Contains(rel::Tuple({S("x"), S("p")})));
 
@@ -189,7 +189,7 @@ rule j: L.l(V), R.r(W), V < W => T.t(V, W);
   Session::Options options;
   options.super_peer = 2;
   auto session = RunFull(*system, &rt, options);
-  const rel::Relation* t = *session->peer(2).db().Get("t");
+  const rel::Relation* t = &session->peer(2).db().relation("t");
   ASSERT_EQ(t->size(), 1u);
   EXPECT_TRUE(
       t->Contains(rel::Tuple({rel::Value::Int(1), rel::Value::Int(3)})));
@@ -208,8 +208,8 @@ rule x: R.rec(A, T) => P.pub(I, T, Y), P.wrote(A, I);
   options.super_peer = 1;
   auto session = RunFull(*system, &rt, options);
   ASSERT_TRUE(session->AllClosed());
-  const rel::Relation* pub = *session->peer(1).db().Get("pub");
-  const rel::Relation* wrote = *session->peer(1).db().Get("wrote");
+  const rel::Relation* pub = &session->peer(1).db().relation("pub");
+  const rel::Relation* wrote = &session->peer(1).db().relation("wrote");
   ASSERT_EQ(pub->size(), 1u);
   ASSERT_EQ(wrote->size(), 1u);
   // Shared existential: the same null links the two atoms.
@@ -271,7 +271,7 @@ TEST(UpdateTest, InterleavedAnswerBatchesJoinEachBindingOnce) {
   auto global = ComputeGlobalFixpoint(*system, rel::ChaseOptions{});
   ASSERT_TRUE(global.ok()) << global.status().ToString();
   EXPECT_TRUE(head.db() == global->node_dbs[2]);
-  const size_t expected = (*global->node_dbs[2].Get("t"))->size();
+  const size_t expected = global->node_dbs[2].relation("t").size();
   EXPECT_EQ(expected, 3u * 3u + 3u * (2u * 3u));  // Per key |l| * |r|.
   const UpdateEngine::Stats& stats = head.update().stats();
   EXPECT_EQ(stats.joins_evaluated, 6u);
@@ -306,12 +306,12 @@ rule r1: B.b(X) => A.a(X);
     head.update().OnQueryAnswer(1, ans);
     EXPECT_EQ(capture.lines().size(), 1u);
   }
-  EXPECT_EQ((*head.db().Get("a"))->size(), 0u);
+  EXPECT_EQ(head.db().relation("a").size(), 0u);
   EXPECT_EQ(head.update().state(), UpdateEngine::State::kOpen);
 
   ans.tuples = {rel::Tuple({S("v1")})};
   head.update().OnQueryAnswer(1, ans);
-  EXPECT_EQ((*head.db().Get("a"))->size(), 1u);
+  EXPECT_EQ(head.db().relation("a").size(), 1u);
   EXPECT_EQ(head.update().state(), UpdateEngine::State::kClosed);
 }
 
@@ -371,7 +371,7 @@ rule r: C.c(X) => B.b(X);
   b.update().OnQueryAnswer(2, from_c);
   EXPECT_TRUE(rt.Run().ok());
 
-  const rel::LogView log = (*b.db().Get("b"))->View();
+  const rel::LogView log = b.db().relation("b").View();
   EXPECT_EQ(log.size(), 5u);
   if (log.size() == 5) {
     EXPECT_EQ(log.at(3), rel::Tuple({S("v5")}));
@@ -481,7 +481,7 @@ rule r: C.c(K, V) => B.b(K, V);
   b.update().OnQueryAnswer(2, PairAnswer("r", {{"k1", "v4"}, {"k2", "v2"}}));
   ASSERT_TRUE(rt.Run().ok());
 
-  const rel::LogView log = (*b.db().Get("b"))->View();
+  const rel::LogView log = b.db().relation("b").View();
   ASSERT_EQ(log.size(), 8u);
   std::vector<rel::Tuple> all_swapped;
   std::vector<rel::Tuple> k1_values;
@@ -524,10 +524,61 @@ rule r: C.c(K, V) => B.b(K, V);
   b.update().OnQueryAnswer(2, PairAnswer("r", {{"k1", "v5"}, {"k3", "v6"}}));
   ASSERT_TRUE(rt.Run().ok());
 
-  EXPECT_EQ((*b.db().Get("b"))->size(), 7u);
+  EXPECT_EQ(b.db().relation("b").size(), 7u);
   EXPECT_EQ(Received(sink), Rows({"k1", "k2", "k3"}));
   // The last application derived only answers already shipped.
   EXPECT_EQ(sink.answers.size(), 3u);
+}
+
+// A subscription that joins a relation with itself has two atoms over one
+// relation, so both seed from the subscription's one version row. While the
+// relation grows over several chase applications, with one row landing
+// between an application and the next notify, it ships exactly a fresh
+// evaluation's answers, each once.
+TEST(UpdateTest, SelfJoinSubscriptionShipsFreshEvaluationOnce) {
+  const char* text = R"(
+node A { rel a(x, z); }
+node B { rel e(x, y); fact e("n1", "n2"); }
+node C { rel c(x, y); }
+rule r: C.c(X, Y) => B.e(X, Y);
+)";
+  auto system = lang::ParseSystem(text);
+  ASSERT_TRUE(system.ok()) << system.status().ToString();
+  net::SimRuntime rt;
+  AnswerSink sink;
+  rt.RegisterPeer(0, &sink);
+  Peer b(1, "B", system->node(1).db, &rt);
+  ASSERT_TRUE(b.AddInitialRule(system->rules().at(0)).ok());
+  b.StartUpdate(1);
+
+  // paths(X, Z) :- e(X, Y), e(Y, Z).
+  wire::QueryRequest paths;
+  paths.session = 1;
+  paths.rule_id = "paths";
+  rel::Atom first;
+  first.relation = "e";
+  first.terms = {rel::Term::Var("X"), rel::Term::Var("Y")};
+  rel::Atom second;
+  second.relation = "e";
+  second.terms = {rel::Term::Var("Y"), rel::Term::Var("Z")};
+  paths.query.atoms = {first, second};
+  paths.query.head_vars = {"X", "Z"};
+  b.update().OnQueryRequest(0, paths);
+
+  b.update().OnQueryAnswer(2, PairAnswer("r", {{"n2", "n3"}}));
+  b.update().OnQueryAnswer(2, PairAnswer("r", {{"n3", "n4"}, {"n1", "n3"}}));
+  ASSERT_TRUE(b.db().Insert("e", rel::Tuple({S("n4"), S("n1")})).ok());
+  b.update().OnQueryAnswer(2, PairAnswer("r", {{"n4", "n5"}, {"n2", "n2"}}));
+  ASSERT_TRUE(rt.Run().ok());
+
+  EXPECT_EQ(b.db().relation("e").size(), 7u);
+  const std::vector<rel::Tuple> shipped = Received(sink);
+  const std::set<rel::Tuple> once(shipped.begin(), shipped.end());
+  EXPECT_EQ(once.size(), shipped.size()) << "an answer shipped twice";
+  auto fresh = rel::EvaluateQuery(b.db(), paths.query);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(once, *fresh);
+  EXPECT_EQ(sink.answers.size(), 4u);  // The initial answer and three deltas.
 }
 
 // A single-part rule keeps no part log, so rows it has seen before re-apply
@@ -617,7 +668,7 @@ rule s: R.rec(A, T) => P.seen(A, T);
       const rel::Database again = run(c.batches, &again_stats);
       EXPECT_TRUE(again == once) << "once:\n" << once.ToString()
                                  << "\nagain:\n" << again.ToString();
-      EXPECT_EQ((*once.Get("seen"))->size(), recs.size());
+      EXPECT_EQ(once.relation("seen").size(), recs.size());
       EXPECT_EQ(again_stats.tuples_inserted, once_stats.tuples_inserted);
       EXPECT_EQ(again_stats.applications_skipped,
                 once_stats.applications_skipped + 2 * c.repeats_applied);
@@ -660,7 +711,7 @@ rule r: C.c(K) => B.b(K, V);
   }
   EXPECT_EQ(b.update().stats().answers_sent, sent + 1);
   EXPECT_EQ(b.update().stats().tuples_inserted, 1u);
-  const rel::LogView log = (*b.db().Get("b"))->View();
+  const rel::LogView log = b.db().relation("b").View();
   ASSERT_EQ(log.size(), 1u);
   ASSERT_TRUE(rt.Run().ok());
   ASSERT_EQ(sink.answers.size(), 2u);  // The initial answer, then the tuple.
@@ -705,7 +756,7 @@ rule x: R.rec(A, T) => P.pub(I, T, Y), P.wrote(A, I);
   const rel::Database forward = run(recs);
   std::reverse(recs.begin(), recs.end());
   const rel::Database backward = run(recs);
-  EXPECT_EQ((*forward.Get("wrote"))->size(), 5u);
+  EXPECT_EQ(forward.relation("wrote").size(), 5u);
   EXPECT_FALSE(forward == backward) << "the same nulls were minted";
   EXPECT_TRUE(rel::DatabasesIsomorphic(forward, backward))
       << "forward:\n" << forward.ToString() << "\nbackward:\n"

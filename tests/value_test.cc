@@ -140,7 +140,7 @@ TEST(ValueTest, OrderIsByContentNotInternOrder) {
   for (const Value& v : interned) {
     ASSERT_TRUE(db.Insert("name", Tuple({v, Value::Int(1)})).ok());
   }
-  std::vector<Tuple> rows = (*db.Get("name"))->SortedTuples();
+  std::vector<Tuple> rows = db.relation("name").SortedTuples();
   ASSERT_EQ(rows.size(), 4u);
   for (size_t i = 0; i < rows.size(); ++i) EXPECT_EQ(rows[i].at(0), sorted[i]);
 

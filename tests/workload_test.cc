@@ -128,14 +128,14 @@ TEST(DblpTest, SchemaStylesMaterializeCorrectArity) {
     ASSERT_TRUE(InsertRecords(&db, 3, style, records).ok());
     switch (style) {
       case SchemaStyle::kArticle:
-        EXPECT_EQ((*db.Get("n3_art"))->size(), 5u);
+        EXPECT_EQ(db.relation("n3_art").size(), 5u);
         break;
       case SchemaStyle::kPubWrote:
-        EXPECT_EQ((*db.Get("n3_pub"))->size(), 5u);
-        EXPECT_EQ((*db.Get("n3_wrote"))->size(), 5u);
+        EXPECT_EQ(db.relation("n3_pub").size(), 5u);
+        EXPECT_EQ(db.relation("n3_wrote").size(), 5u);
         break;
       case SchemaStyle::kRec:
-        EXPECT_EQ((*db.Get("n3_rec"))->size(), 5u);
+        EXPECT_EQ(db.relation("n3_rec").size(), 5u);
         break;
     }
   }
