@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Launches an N-peer p2pdb_peerd fleet (one OS process per peer) and drives
-# it to the global update fixpoint with p2pdb_fleetctl, verifying every
-# peer's database against the in-process oracle.
+# it to the global update fixpoint with p2pdb_fleetctl twice: a first drive
+# leaves the fleet running, and a second controller takes it over, drives
+# update session 2, verifies every peer's database against the in-process
+# oracle and shuts the fleet down.
 #
 #   scripts/run_fleet.sh [nodes] [dir]
 #
@@ -57,8 +59,11 @@ for conf in "$DIR"/peer*.conf; do
   pids+=("$!")
 done
 
-echo "== driving fleet to fixpoint"
-"$FLEETCTL" drive --dir "$DIR" --timeout "$TIMEOUT_MS" --verify
+echo "== driving fleet to fixpoint, leaving it running"
+"$FLEETCTL" drive --dir "$DIR" --timeout "$TIMEOUT_MS" --no-shutdown
+
+echo "== re-driving the running fleet from a new controller"
+"$FLEETCTL" drive --dir "$DIR" --timeout "$TIMEOUT_MS" --session 2 --verify
 
 echo "== waiting for daemons to exit"
 fail=0

@@ -17,7 +17,6 @@ void Fields(IO& io, FieldRef<IO, EndpointEntry> e) {
 
 template <class IO>
 void Fields(IO& io, FieldRef<IO, SessionBootstrap> x) {
-  io.Varint(x.epoch);
   io.U32(x.node);
   io.Str(x.name);
   io.U32(x.super_peer);
@@ -32,7 +31,6 @@ void Fields(IO& io, FieldRef<IO, SessionBootstrap> x) {
 
 template <class IO>
 void Fields(IO& io, FieldRef<IO, BootstrapAck> x) {
-  io.Varint(x.epoch);
   io.U32(x.node);
   io.Str(x.name);
   io.Bool(x.accepted);
@@ -40,22 +38,12 @@ void Fields(IO& io, FieldRef<IO, BootstrapAck> x) {
 }
 
 template <class IO>
-void Fields(IO& io, FieldRef<IO, ControlStartDiscovery> x) {
-  io.Varint(x.epoch);
-}
-
-template <class IO>
 void Fields(IO& io, FieldRef<IO, ControlStartUpdate> x) {
-  io.Varint(x.epoch);
   io.Varint(x.session);
 }
 
 template <class IO>
-void Fields(IO& io, FieldRef<IO, ControlRefreshScc> x) { io.Varint(x.epoch); }
-
-template <class IO>
 void Fields(IO& io, FieldRef<IO, StatusRequest> x) {
-  io.Varint(x.epoch);
   io.Varint(x.id);
   io.Enum(x.until, StatusRequest::Until::kUpdateClosed, "status condition");
   io.Varint(x.session);
@@ -63,7 +51,6 @@ void Fields(IO& io, FieldRef<IO, StatusRequest> x) {
 
 template <class IO>
 void Fields(IO& io, FieldRef<IO, StatusReport> x) {
-  io.Varint(x.epoch);
   io.Varint(x.id);
   io.U32(x.node);
   io.Str(x.name);
@@ -78,17 +65,10 @@ void Fields(IO& io, FieldRef<IO, StatusReport> x) {
 }
 
 template <class IO>
-void Fields(IO& io, FieldRef<IO, DumpRequest> x) { io.Varint(x.epoch); }
-
-template <class IO>
 void Fields(IO& io, FieldRef<IO, DumpReply> x) {
-  io.Varint(x.epoch);
   io.U32(x.node);
   io.Bytes(x.database);
 }
-
-template <class IO>
-void Fields(IO& io, FieldRef<IO, ControlShutdown> x) { io.Varint(x.epoch); }
 
 // --- Payload entry points ------------------------------------------------
 
@@ -106,25 +86,11 @@ Result<BootstrapAck> BootstrapAck::Decode(ByteView bytes) {
   return DecodeFields<BootstrapAck>(bytes);
 }
 
-std::vector<uint8_t> ControlStartDiscovery::Encode() const {
-  return EncodeFields(*this);
-}
-Result<ControlStartDiscovery> ControlStartDiscovery::Decode(ByteView bytes) {
-  return DecodeFields<ControlStartDiscovery>(bytes);
-}
-
 std::vector<uint8_t> ControlStartUpdate::Encode() const {
   return EncodeFields(*this);
 }
 Result<ControlStartUpdate> ControlStartUpdate::Decode(ByteView bytes) {
   return DecodeFields<ControlStartUpdate>(bytes);
-}
-
-std::vector<uint8_t> ControlRefreshScc::Encode() const {
-  return EncodeFields(*this);
-}
-Result<ControlRefreshScc> ControlRefreshScc::Decode(ByteView bytes) {
-  return DecodeFields<ControlRefreshScc>(bytes);
 }
 
 std::vector<uint8_t> StatusRequest::Encode() const {
@@ -141,21 +107,9 @@ Result<StatusReport> StatusReport::Decode(ByteView bytes) {
   return DecodeFields<StatusReport>(bytes);
 }
 
-std::vector<uint8_t> DumpRequest::Encode() const { return EncodeFields(*this); }
-Result<DumpRequest> DumpRequest::Decode(ByteView bytes) {
-  return DecodeFields<DumpRequest>(bytes);
-}
-
 std::vector<uint8_t> DumpReply::Encode() const { return EncodeFields(*this); }
 Result<DumpReply> DumpReply::Decode(ByteView bytes) {
   return DecodeFields<DumpReply>(bytes);
-}
-
-std::vector<uint8_t> ControlShutdown::Encode() const {
-  return EncodeFields(*this);
-}
-Result<ControlShutdown> ControlShutdown::Decode(ByteView bytes) {
-  return DecodeFields<ControlShutdown>(bytes);
 }
 
 }  // namespace p2pdb::core::wire

@@ -20,6 +20,18 @@
 //   kDumpReply      peer -> controller   SerializeDatabase bytes
 //   kShutdown       controller -> peer   graceful daemon exit
 //
+// kStartDiscovery, kRefreshScc, kDumpRequest and kShutdown carry a
+// wire::Empty payload: the type is the whole request.
+//
+// A controller is one extra node, with the id one past the system's last
+// node, so every controller of a fleet has the same id. A daemon answers the
+// controller that bootstrapped it last: an accepted bootstrap replaces the
+// endpoint row of its sender (the rows of system nodes are never remapped),
+// forgets the cached connection to the previous controller, and drops every
+// status request parked for it, which could otherwise be answered to the new
+// controller under a request id both used. So a new controller re-drives a
+// running fleet with nothing on the wire that names a controller incarnation.
+//
 // All control traffic is urgent (net::IsUrgent): it bypasses the
 // transport's data-plane batching, so driving a fleet never queues behind an
 // update's coalesced frames. Payloads follow the same contract as the
@@ -60,9 +72,6 @@ struct EndpointEntry {
 /// rejects a bootstrap whose identity or schema disagrees with its config —
 /// the two provisioning paths (config file, wire handshake) must agree.
 struct SessionBootstrap {
-  /// Controller-chosen epoch echoed in every reply, so a driver can discard
-  /// stale replies from an earlier incarnation of itself.
-  uint64_t epoch = 0;
   NodeId node = kNoNode;
   std::string name;
   NodeId super_peer = 0;
@@ -76,7 +85,6 @@ struct SessionBootstrap {
 
 /// Bootstrap outcome, peer -> controller.
 struct BootstrapAck {
-  uint64_t epoch = 0;
   NodeId node = kNoNode;
   std::string name;
   bool accepted = false;
@@ -86,32 +94,13 @@ struct BootstrapAck {
   static Result<BootstrapAck> Decode(ByteView bytes);
 };
 
-/// Peer::StartDiscovery, on the wire.
-struct ControlStartDiscovery {
-  uint64_t epoch = 0;
-
-  std::vector<uint8_t> Encode() const;
-  static Result<ControlStartDiscovery> Decode(ByteView bytes);
-};
-
 /// Peer::StartUpdate(session), on the wire (sent to the super-peer; the
 /// update itself then floods peer-to-peer as kUpdateStart).
 struct ControlStartUpdate {
-  uint64_t epoch = 0;
   uint64_t session = 0;
 
   std::vector<uint8_t> Encode() const;
   static Result<ControlStartUpdate> Decode(ByteView bytes);
-};
-
-/// UpdateEngine::RefreshScc, on the wire — after a rejoin's re-discovery the
-/// controller refreshes every peer's SCC view before starting the next
-/// update session (the in-process Session::Rediscover barrier).
-struct ControlRefreshScc {
-  uint64_t epoch = 0;
-
-  std::vector<uint8_t> Encode() const;
-  static Result<ControlRefreshScc> Decode(ByteView bytes);
 };
 
 /// Statistics request, controller -> peer. The peer answers once `until`
@@ -126,7 +115,6 @@ struct StatusRequest {
     kUpdateClosed = 2,
   };
 
-  uint64_t epoch = 0;
   /// Controller-chosen, echoed in the report; replies are matched by id.
   uint64_t id = 0;
   Until until = Until::kNow;
@@ -142,7 +130,6 @@ struct StatusRequest {
 /// update's fixpoint when every participant has answered "update closed in
 /// this session".
 struct StatusReport {
-  uint64_t epoch = 0;
   uint64_t id = 0;  // The StatusRequest this answers.
   NodeId node = kNoNode;
   std::string name;
@@ -159,30 +146,13 @@ struct StatusReport {
   static Result<StatusReport> Decode(ByteView bytes);
 };
 
-/// Database fetch, controller -> peer (convergence verification).
-struct DumpRequest {
-  uint64_t epoch = 0;
-
-  std::vector<uint8_t> Encode() const;
-  static Result<DumpRequest> Decode(ByteView bytes);
-};
-
 /// The peer's full local database (rel::SerializeDatabase bytes).
 struct DumpReply {
-  uint64_t epoch = 0;
   NodeId node = kNoNode;
   std::vector<uint8_t> database;
 
   std::vector<uint8_t> Encode() const;
   static Result<DumpReply> Decode(ByteView bytes);
-};
-
-/// Graceful daemon exit (fleet teardown without kill -9).
-struct ControlShutdown {
-  uint64_t epoch = 0;
-
-  std::vector<uint8_t> Encode() const;
-  static Result<ControlShutdown> Decode(ByteView bytes);
 };
 
 }  // namespace p2pdb::core::wire

@@ -45,9 +45,6 @@ class DiscoveryEngine {
 
   State state() const { return state_; }
 
-  /// Number of discovery instances this node has participated in.
-  size_t instance_count() const { return instances_.size(); }
-
  private:
   struct Instance {
     NodeId origin = kNoNode;

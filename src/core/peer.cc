@@ -280,10 +280,10 @@ void Peer::DispatchMessage(const net::Message& msg) {
       Deliver(msg, update_.get(), &UpdateEngine::OnToken);
       break;
     case net::MessageType::kSccClosed:
-      Deliver(msg, update_.get(), &UpdateEngine::OnSccClosed);
+      if (wire::DecodePayload<wire::Empty>(msg)) update_->OnSccClosed();
       break;
     case net::MessageType::kReopen:
-      Deliver(msg, update_.get(), &UpdateEngine::OnReopen);
+      if (wire::DecodePayload<wire::Empty>(msg)) update_->OnReopen();
       break;
     case net::MessageType::kAddRule:
       Deliver(msg, update_.get(), &UpdateEngine::OnAddRule);

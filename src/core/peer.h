@@ -159,7 +159,6 @@ class Peer : public net::PeerHandler {
   void RecordWalMicros(uint64_t micros) {
     if (span_open_) active_span_.wal_micros += micros;
   }
-  bool TraceSpanOpen() const { return span_open_; }
 
  private:
   /// Opens the span `msg` (or a root update, for the synthetic root message)

@@ -165,7 +165,6 @@ class Session {
   std::string CollectStatistics() const;
 
   net::Runtime* runtime() { return runtime_; }
-  uint64_t last_session_id() const { return next_session_ - 1; }
 
  private:
   /// The one run loop behind every call that runs the network: takes the

@@ -139,7 +139,6 @@ void UpdateEngine::SubscribeParts(const RuleRuntime& rr) {
   for (size_t p = 0; p < rr.rule.body.size(); ++p) {
     NodeId target = rr.rule.body[p].node;
     wire::QueryRequest req;
-    req.session = session_;
     req.rule_id = rr.rule.id;
     req.part = static_cast<uint32_t>(p);
     req.query = rr.rule.PartQuery(p);
@@ -201,7 +200,6 @@ void UpdateEngine::OnQueryRequest(NodeId from, const wire::QueryRequest& msg) {
     sub->Keep(full->Project(b, &row), &ans.tuples);
     return true;
   });
-  ans.session = msg.session;
   ans.rule_id = msg.rule_id;
   ans.part = msg.part;
   ans.is_delta = true;
@@ -285,8 +283,8 @@ void UpdateEngine::PokeRingIfReady() {
   if (IsRingLeader()) {
     ResumeRingIfPaused();
   } else {
-    wire::Reopen poke{session_};
-    peer_->Send(*scc_.begin(), net::MessageType::kReopen, poke.Encode());
+    peer_->Send(*scc_.begin(), net::MessageType::kReopen,
+                wire::Empty{}.Encode());
   }
 }
 
@@ -382,7 +380,6 @@ void UpdateEngine::NotifySubscribers() {
     const bool fresh = sent == nullptr ? ans.tuples.size() > 0
                                        : sent->size() > first_new;
     if (!fresh && closed == sub.announced_closed) continue;
-    ans.session = session_;
     ans.rule_id = sub.rule_id;
     ans.part = sub.part;
     ans.is_delta = options_.delta_answers;
@@ -434,8 +431,8 @@ void UpdateEngine::ReopenSelf() {
       last_round_.reset();
       if (!token_running_) LeaderStartPass();
     } else {
-      wire::Reopen r{session_};
-      peer_->Send(*scc_.begin(), net::MessageType::kReopen, r.Encode());
+      peer_->Send(*scc_.begin(), net::MessageType::kReopen,
+                  wire::Empty{}.Encode());
     }
   }
 }
@@ -455,9 +452,7 @@ void UpdateEngine::LeaderStartPass() {
   if (scc_.size() <= 1) return;
   token_running_ = true;
   wire::Token tok;
-  tok.session = session_;
   tok.leader = peer_->id();
-  tok.pass = next_pass_++;
   tok.sum_sent = intra_sent_;
   tok.sum_recv = intra_recv_;
   tok.all_ready = state_ != State::kIdle && ExternallyReady();
@@ -496,10 +491,9 @@ void UpdateEngine::LeaderEvaluate(const wire::Token& token) {
                   last_round_->sum_recv == token.sum_recv &&
                   last_round_->all_ready == token.all_ready;
   if (repeated && token.all_ready && token.sum_sent == token.sum_recv) {
-    wire::SccClosed done{session_};
     for (NodeId m : scc_) {
       if (m != peer_->id()) {
-        peer_->Send(m, net::MessageType::kSccClosed, done.Encode());
+        peer_->Send(m, net::MessageType::kSccClosed, wire::Empty{}.Encode());
       }
     }
     CloseSelf(/*notify_in_scc=*/false);
@@ -523,15 +517,9 @@ void UpdateEngine::LeaderEvaluate(const wire::Token& token) {
   LeaderStartPass();
 }
 
-void UpdateEngine::OnSccClosed(NodeId from, const wire::SccClosed& msg) {
-  (void)from;
-  (void)msg;
-  CloseSelf(/*notify_in_scc=*/false);
-}
+void UpdateEngine::OnSccClosed() { CloseSelf(/*notify_in_scc=*/false); }
 
-void UpdateEngine::OnReopen(NodeId from, const wire::Reopen& msg) {
-  (void)from;
-  (void)msg;
+void UpdateEngine::OnReopen() {
   if (!IsRingLeader()) return;
   last_round_.reset();
   if (!token_running_) LeaderStartPass();
@@ -645,7 +633,6 @@ void UpdateEngine::OnDeleteRule(NodeId from,
   }
   if (it == rule_runtimes_.end()) return;
   wire::Unsubscribe unsub;
-  unsub.session = session_;
   unsub.rule_id = msg.rule_id;
   for (size_t p = 0; p < it->second.rule.body.size(); ++p) {
     unsub.part = static_cast<uint32_t>(p);

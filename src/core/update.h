@@ -58,6 +58,9 @@
 //    closes the component after two consecutive token passes that observe
 //    identical send/receive counts, equal sums, and all members externally
 //    ready. SCC membership comes from the discovery phase's edge knowledge.
+//    A token carries only the leader and the sums: the leader compares each
+//    pass with the one before (last_round_), and a new session resets both
+//    counters and that round (JoinSession).
 //
 // Query-dependent update: PartialUpdate messages pull only the relations a
 // local query needs, carrying the paper's SN node path to bound propagation;
@@ -128,8 +131,10 @@ class UpdateEngine {
   void OnUnsubscribe(NodeId from, const wire::Unsubscribe& msg);
   void OnPartialUpdate(NodeId from, const wire::PartialUpdate& msg);
   void OnToken(NodeId from, const wire::Token& msg);
-  void OnSccClosed(NodeId from, const wire::SccClosed& msg);
-  void OnReopen(NodeId from, const wire::Reopen& msg);
+  /// The leader's closure broadcast to its SCC.
+  void OnSccClosed();
+  /// A member's poke: it re-opened or became externally ready.
+  void OnReopen();
   void OnAddRule(NodeId from, const wire::AddRuleChange& msg);
   void OnDeleteRule(NodeId from, const wire::DeleteRuleChange& msg);
 
@@ -267,7 +272,6 @@ class UpdateEngine {
   uint64_t intra_sent_ = 0;
   uint64_t intra_recv_ = 0;
   bool token_running_ = false;
-  uint64_t next_pass_ = 1;
   std::optional<wire::Token> last_round_;
 
   // Query-dependent update dedup.

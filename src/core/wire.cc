@@ -43,7 +43,6 @@ void Fields(IO& io, FieldRef<IO, UpdateStart> x) { io.U64(x.session); }
 
 template <class IO>
 void Fields(IO& io, FieldRef<IO, QueryRequest> x) {
-  io.U64(x.session);
   io.Str(x.rule_id);
   io.U32(x.part);
   Fields(io, x.query);
@@ -52,7 +51,6 @@ void Fields(IO& io, FieldRef<IO, QueryRequest> x) {
 /// Everything before the tuples, which EncodeFromLog writes from a log.
 template <class IO>
 void AnswerHeaderFields(IO& io, FieldRef<IO, QueryAnswer> x) {
-  io.U64(x.session);
   io.Str(x.rule_id);
   io.U32(x.part);
   io.Bool(x.is_delta);
@@ -67,7 +65,6 @@ void Fields(IO& io, FieldRef<IO, QueryAnswer> x) {
 
 template <class IO>
 void Fields(IO& io, FieldRef<IO, Unsubscribe> x) {
-  io.U64(x.session);
   io.Str(x.rule_id);
   io.U32(x.part);
 }
@@ -81,19 +78,14 @@ void Fields(IO& io, FieldRef<IO, PartialUpdate> x) {
 
 template <class IO>
 void Fields(IO& io, FieldRef<IO, Token> x) {
-  io.U64(x.session);
   io.U32(x.leader);
-  io.U64(x.pass);
   io.U64(x.sum_sent);
   io.U64(x.sum_recv);
   io.Bool(x.all_ready);
 }
 
 template <class IO>
-void Fields(IO& io, FieldRef<IO, SccClosed> x) { io.U64(x.session); }
-
-template <class IO>
-void Fields(IO& io, FieldRef<IO, Reopen> x) { io.U64(x.session); }
+void Fields(IO&, FieldRef<IO, Empty>) {}
 
 template <class IO>
 void Fields(IO& io, FieldRef<IO, AddRuleChange> x) { Fields(io, x.rule); }
@@ -179,14 +171,9 @@ Result<Token> Token::Decode(ByteView bytes) {
   return DecodeFields<Token>(bytes);
 }
 
-std::vector<uint8_t> SccClosed::Encode() const { return EncodeFields(*this); }
-Result<SccClosed> SccClosed::Decode(ByteView bytes) {
-  return DecodeFields<SccClosed>(bytes);
-}
-
-std::vector<uint8_t> Reopen::Encode() const { return EncodeFields(*this); }
-Result<Reopen> Reopen::Decode(ByteView bytes) {
-  return DecodeFields<Reopen>(bytes);
+std::vector<uint8_t> Empty::Encode() const { return EncodeFields(*this); }
+Result<Empty> Empty::Decode(ByteView bytes) {
+  return DecodeFields<Empty>(bytes);
 }
 
 std::vector<uint8_t> AddRuleChange::Encode() const {

@@ -80,7 +80,6 @@ struct UpdateStart {
 /// A4 Query: the head node subscribes to one body part of one of its rules;
 /// the body node evaluates `query` now and on every local change.
 struct QueryRequest {
-  uint64_t session = 0;
   std::string rule_id;
   uint32_t part = 0;
   rel::ConjunctiveQuery query;
@@ -93,7 +92,6 @@ struct QueryRequest {
 /// new tuples travel (is_delta = true); `source_closed` carries the body
 /// node's state_u so the head can flag the rule (A5's `state == complete`).
 struct QueryAnswer {
-  uint64_t session = 0;
   std::string rule_id;
   uint32_t part = 0;
   bool is_delta = true;
@@ -114,7 +112,6 @@ struct QueryAnswer {
 
 /// Cancels one subscription (deleteLink handling, Section 4).
 struct Unsubscribe {
-  uint64_t session = 0;
   std::string rule_id;
   uint32_t part = 0;
 
@@ -134,11 +131,12 @@ struct PartialUpdate {
 };
 
 /// Termination-detection token circulating a strongly connected component
-/// (Mattern four-counter scheme; see update.h).
+/// (Mattern four-counter scheme; see update.h): the leader that started the
+/// pass, and the intra-SCC send and receive counts and readiness summed over
+/// the members it has visited. It carries no pass number: the leader keeps
+/// the last round it evaluated, and counts passes in UpdateEngine::Stats.
 struct Token {
-  uint64_t session = 0;
   NodeId leader = kNoNode;
-  uint64_t pass = 0;
   uint64_t sum_sent = 0;
   uint64_t sum_recv = 0;
   bool all_ready = true;
@@ -147,20 +145,13 @@ struct Token {
   static Result<Token> Decode(ByteView bytes);
 };
 
-/// Leader's closure broadcast to its SCC.
-struct SccClosed {
-  uint64_t session = 0;
-
+/// The payload of a message whose type says everything: the leader's SccClosed
+/// broadcast, a member's Reopen poke, and the control plane's StartDiscovery,
+/// RefreshScc, DumpRequest and Shutdown (control.h). Its field list is empty,
+/// so a payload of any byte fails to decode.
+struct Empty {
   std::vector<uint8_t> Encode() const;
-  static Result<SccClosed> Decode(ByteView bytes);
-};
-
-/// A member that re-opened (dynamics) asks the leader to resume the token.
-struct Reopen {
-  uint64_t session = 0;
-
-  std::vector<uint8_t> Encode() const;
-  static Result<Reopen> Decode(ByteView bytes);
+  static Result<Empty> Decode(ByteView bytes);
 };
 
 /// addLink notification (Definition 8): delivered to the head node.

@@ -207,7 +207,6 @@ Status FleetController::Bootstrap(const std::vector<NodeId>& nodes) {
   }
   auto encode = [&](NodeId n) {
     wire::SessionBootstrap bootstrap;
-    bootstrap.epoch = options_.epoch;
     bootstrap.node = n;
     bootstrap.name = system_.node(n).name;
     bootstrap.super_peer = super_peer_;
@@ -277,7 +276,6 @@ Result<std::vector<wire::StatusReport>> FleetController::StatusRound(
   }
   for (size_t i = 0; i < nodes.size(); ++i) {
     wire::StatusRequest request;
-    request.epoch = options_.epoch;
     request.id = ids[i];
     request.until = until(nodes[i]);
     request.session = session;
@@ -307,10 +305,8 @@ Result<std::vector<wire::StatusReport>> FleetController::StatusRound(
 }
 
 Status FleetController::StartDiscovery(const std::vector<NodeId>& nodes) {
-  wire::ControlStartDiscovery start;
-  start.epoch = options_.epoch;
   for (NodeId n : nodes) {
-    SendControl(n, net::MessageType::kStartDiscovery, start.Encode());
+    SendControl(n, net::MessageType::kStartDiscovery, wire::Empty{}.Encode());
   }
   return Status::OK();
 }
@@ -327,10 +323,8 @@ Status FleetController::AwaitDiscoveryClosed(
 }
 
 Status FleetController::RefreshScc(const std::vector<NodeId>& nodes) {
-  wire::ControlRefreshScc refresh;
-  refresh.epoch = options_.epoch;
   for (NodeId n : nodes) {
-    SendControl(n, net::MessageType::kRefreshScc, refresh.Encode());
+    SendControl(n, net::MessageType::kRefreshScc, wire::Empty{}.Encode());
   }
   // Status barrier: a reply proves the refresh was dispatched first (same
   // connection, FIFO) — the cross-process Session::Rediscover barrier.
@@ -340,10 +334,8 @@ Status FleetController::RefreshScc(const std::vector<NodeId>& nodes) {
 }
 
 Status FleetController::StartUpdate(uint64_t session) {
-  wire::ControlStartUpdate start;
-  start.epoch = options_.epoch;
-  start.session = session;
-  SendControl(super_peer_, net::MessageType::kStartUpdate, start.Encode());
+  SendControl(super_peer_, net::MessageType::kStartUpdate,
+              wire::ControlStartUpdate{session}.Encode());
   return Status::OK();
 }
 
@@ -374,9 +366,7 @@ Result<rel::Database> FleetController::Dump(NodeId node) {
     std::lock_guard<std::mutex> lock(mutex_);
     dumps_.erase(node);
   }
-  wire::DumpRequest request;
-  request.epoch = options_.epoch;
-  SendControl(node, net::MessageType::kDumpRequest, request.Encode());
+  SendControl(node, net::MessageType::kDumpRequest, wire::Empty{}.Encode());
   std::unique_lock<std::mutex> lock(mutex_);
   if (!replied_.wait_until(lock, Deadline(),
                            [&] { return dumps_.count(node) > 0; })) {
@@ -390,10 +380,8 @@ Result<rel::Database> FleetController::Dump(NodeId node) {
 }
 
 Status FleetController::SendShutdown(const std::vector<NodeId>& nodes) {
-  wire::ControlShutdown shutdown;
-  shutdown.epoch = options_.epoch;
   for (NodeId n : nodes) {
-    SendControl(n, net::MessageType::kShutdown, shutdown.Encode());
+    SendControl(n, net::MessageType::kShutdown, wire::Empty{}.Encode());
   }
   return Status::OK();
 }

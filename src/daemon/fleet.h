@@ -51,16 +51,15 @@ Result<std::vector<PeerdConfig>> MakeFleetConfigs(
 /// Drives a fleet of p2pdb_peerd processes over the wire control protocol.
 /// Registers itself as one extra node (id = system node_count) on its own
 /// TcpRuntime, so daemon replies route back through the ordinary endpoint
-/// table — the controller's row travels inside the bootstrap handshake.
+/// table — the controller's row travels inside the bootstrap handshake. A
+/// daemon answers whichever controller bootstrapped it last, so a new
+/// controller can take over a running fleet from one that has gone.
 class FleetController : public net::PeerHandler {
  public:
   struct Options {
     std::string host = "127.0.0.1";
     /// Bound on each Await*/Bootstrap/Dump call.
     std::chrono::milliseconds timeout{30'000};
-    /// Stamped into the bootstrap and echoed by daemons in every reply;
-    /// bump it when re-driving a fleet so stale replies are discardable.
-    uint64_t epoch = 1;
   };
 
   /// Builds and starts the controller runtime and installs `fleet` as its
@@ -114,7 +113,6 @@ class FleetController : public net::PeerHandler {
   std::vector<NodeId> AllNodes() const;
 
   const core::P2PSystem& system() const { return system_; }
-  NodeId controller_id() const { return id_; }
 
   // net::PeerHandler: collects daemon replies (runs on runtime workers) and
   // wakes the waiting call.

@@ -140,6 +140,7 @@ Status PeerDaemon::Serve() {
     }
   }
   if (!config_.obs_json.empty()) {
+    runtime_->stats().ExportTo(obs::Registry::Global(), "net.");
     obs::WriteObsJson(config_.obs_json, obs::Registry::Global(),
                       peer_->trace_collector());
   }
@@ -149,7 +150,8 @@ Status PeerDaemon::Serve() {
   return Status::OK();
 }
 
-Status PeerDaemon::ApplyBootstrap(const wire::SessionBootstrap& bootstrap) {
+Status PeerDaemon::ApplyBootstrap(NodeId sender,
+                                  const wire::SessionBootstrap& bootstrap) {
   if (bootstrap.node != config_.node || bootstrap.name != config_.name) {
     return Status::InvalidArgument(
         "bootstrap is for node " + std::to_string(bootstrap.node) + " '" +
@@ -184,13 +186,31 @@ Status PeerDaemon::ApplyBootstrap(const wire::SessionBootstrap& bootstrap) {
                                      "' is unknown to the system file");
     }
   }
+  if (sender < system_.node_count()) {
+    return Status::InvalidArgument("bootstrap sent by system node " +
+                                   std::to_string(sender) +
+                                   ", not by a controller");
+  }
+  const wire::EndpointEntry* controller = nullptr;
   for (const wire::EndpointEntry& e : bootstrap.endpoints) {
     if (e.node == config_.node) continue;
+    if (e.node == sender) {
+      controller = &e;
+      continue;
+    }
     // Idempotent re-adds are fine; a conflicting remap rejects the
     // bootstrap (AddRemoteEndpoint refuses and keeps the table intact).
     P2PDB_RETURN_IF_ERROR(runtime_->AddRemoteEndpoint(
         e.node, net::TcpRuntime::Endpoint{e.host, e.port}));
   }
+  // Accepted: the sender drives this daemon from now on. Its row replaces
+  // the previous controller's, and what that one left parked goes, since
+  // the ids it chose mean nothing to the new controller.
+  if (controller != nullptr) {
+    runtime_->ReplaceEndpoint(
+        sender, net::TcpRuntime::Endpoint{controller->host, controller->port});
+  }
+  parked_.clear();
   return Status::OK();
 }
 
@@ -235,7 +255,6 @@ void PeerDaemon::OnMessage(const net::Message& msg) {
 
 wire::StatusReport PeerDaemon::StatusRow(uint64_t request_id) const {
   wire::StatusReport report;
-  report.epoch = epoch_.load();
   report.id = request_id;
   report.node = config_.node;
   report.name = config_.name;
@@ -262,13 +281,10 @@ void PeerDaemon::Dispatch(const net::Message& msg) {
       ack.node = config_.node;
       ack.name = config_.name;
       if (!bootstrap.ok()) {
-        ack.epoch = epoch_.load();
         ack.accepted = false;
         ack.error = bootstrap.status().ToString();
       } else {
-        epoch_.store(bootstrap->epoch);
-        ack.epoch = bootstrap->epoch;
-        Status applied = ApplyBootstrap(*bootstrap);
+        Status applied = ApplyBootstrap(msg.from, *bootstrap);
         ack.accepted = applied.ok();
         if (!applied.ok()) ack.error = applied.ToString();
       }
@@ -279,9 +295,7 @@ void PeerDaemon::Dispatch(const net::Message& msg) {
       return;
     }
     case net::MessageType::kStartDiscovery:
-      if (wire::DecodePayload<wire::ControlStartDiscovery>(msg)) {
-        peer_->StartDiscovery();
-      }
+      if (wire::DecodePayload<wire::Empty>(msg)) peer_->StartDiscovery();
       return;
     case net::MessageType::kStartUpdate:
       if (auto start = wire::DecodePayload<wire::ControlStartUpdate>(msg)) {
@@ -289,9 +303,7 @@ void PeerDaemon::Dispatch(const net::Message& msg) {
       }
       return;
     case net::MessageType::kRefreshScc:
-      if (wire::DecodePayload<wire::ControlRefreshScc>(msg)) {
-        peer_->update().RefreshScc();
-      }
+      if (wire::DecodePayload<wire::Empty>(msg)) peer_->update().RefreshScc();
       return;
     case net::MessageType::kStatusRequest:
       // Answered by OnMessage once it holds, which may be right away.
@@ -300,16 +312,15 @@ void PeerDaemon::Dispatch(const net::Message& msg) {
       }
       return;
     case net::MessageType::kDumpRequest: {
-      if (!wire::DecodePayload<wire::DumpRequest>(msg)) return;
+      if (!wire::DecodePayload<wire::Empty>(msg)) return;
       wire::DumpReply reply;
-      reply.epoch = epoch_.load();
       reply.node = config_.node;
       reply.database = rel::SerializeDatabase(peer_->db());
       Reply(msg.from, net::MessageType::kDumpReply, reply.Encode());
       return;
     }
     case net::MessageType::kShutdown:
-      if (!wire::DecodePayload<wire::ControlShutdown>(msg)) return;
+      if (!wire::DecodePayload<wire::Empty>(msg)) return;
       P2PDB_LOG(kInfo) << "node " << config_.node
                        << ": shutdown requested by node " << msg.from;
       RequestStop();

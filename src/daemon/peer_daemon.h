@@ -18,7 +18,6 @@
 #ifndef P2PDB_DAEMON_PEER_DAEMON_H_
 #define P2PDB_DAEMON_PEER_DAEMON_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -62,9 +61,12 @@ class PeerDaemon : public net::PeerHandler {
  private:
   PeerDaemon(PeerdConfig config, core::P2PSystem system);
 
-  /// Validates a decoded bootstrap against the config/system file and
-  /// applies its endpoint table. Returns the rejection reason, or OK.
-  Status ApplyBootstrap(const core::wire::SessionBootstrap& bootstrap);
+  /// Validates a decoded bootstrap from `sender` against the config/system
+  /// file and applies its endpoint table. The sender's own row replaces any
+  /// earlier one, and every parked status request is dropped: a new
+  /// controller takes over. Returns the rejection reason, or OK.
+  Status ApplyBootstrap(NodeId sender,
+                        const core::wire::SessionBootstrap& bootstrap);
 
   /// Sends one control reply back to `to` (urgent, as every control type is).
   void Reply(NodeId to, net::MessageType type, std::vector<uint8_t> payload);
@@ -89,9 +91,6 @@ class PeerDaemon : public net::PeerHandler {
   std::unique_ptr<net::TcpRuntime> runtime_;
   std::unique_ptr<core::Peer> peer_;
   int stop_fd_ = -1;  // eventfd: RequestStop writes it, Serve reads it.
-  /// Last controller epoch seen, echoed into replies so a driver can discard
-  /// replies provoked by an earlier incarnation of itself.
-  std::atomic<uint64_t> epoch_{0};
   /// Touched only inside OnMessage, i.e. in the peer's serialization domain.
   std::vector<ParkedRequest> parked_;
 };

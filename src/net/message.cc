@@ -1,102 +1,77 @@
 #include "src/net/message.h"
 
+#include <array>
+
 #include "src/util/string_util.h"
 
 namespace p2pdb::net {
 
-const char* MessageTypeName(MessageType type) {
-  switch (type) {
-    case MessageType::kDiscoverRequest:
-      return "DiscoverRequest";
-    case MessageType::kDiscoverAnswer:
-      return "DiscoverAnswer";
-    case MessageType::kDiscoverClosure:
-      return "DiscoverClosure";
-    case MessageType::kUpdateStart:
-      return "UpdateStart";
-    case MessageType::kQueryRequest:
-      return "QueryRequest";
-    case MessageType::kQueryAnswer:
-      return "QueryAnswer";
-    case MessageType::kUnsubscribe:
-      return "Unsubscribe";
-    case MessageType::kPartialUpdate:
-      return "PartialUpdate";
-    case MessageType::kToken:
-      return "Token";
-    case MessageType::kSccClosed:
-      return "SccClosed";
-    case MessageType::kReopen:
-      return "Reopen";
-    case MessageType::kAddRule:
-      return "AddRule";
-    case MessageType::kDeleteRule:
-      return "DeleteRule";
-    case MessageType::kBatch:
-      return "Batch";
-    case MessageType::kCredit:
-      return "Credit";
-    case MessageType::kBootstrap:
-      return "Bootstrap";
-    case MessageType::kBootstrapAck:
-      return "BootstrapAck";
-    case MessageType::kStartDiscovery:
-      return "StartDiscovery";
-    case MessageType::kStartUpdate:
-      return "StartUpdate";
-    case MessageType::kRefreshScc:
-      return "RefreshScc";
-    case MessageType::kStatusRequest:
-      return "StatusRequest";
-    case MessageType::kStatusReport:
-      return "StatusReport";
-    case MessageType::kDumpRequest:
-      return "DumpRequest";
-    case MessageType::kDumpReply:
-      return "DumpReply";
-    case MessageType::kShutdown:
-      return "Shutdown";
+namespace {
+
+/// What the transport and the simulator know about one message type.
+struct TypeFacts {
+  MessageType type;
+  /// As logs, statistics and trace spans print it.
+  const char* name;
+  bool urgent;      // See IsUrgent.
+  bool duplicable;  // See IsDuplicable.
+};
+
+constexpr TypeFacts kTypes[] = {
+    {MessageType::kDiscoverRequest, "DiscoverRequest", false, true},
+    {MessageType::kDiscoverAnswer, "DiscoverAnswer", false, true},
+    {MessageType::kDiscoverClosure, "DiscoverClosure", false, true},
+    {MessageType::kUpdateStart, "UpdateStart", false, true},
+    {MessageType::kQueryRequest, "QueryRequest", false, true},
+    {MessageType::kQueryAnswer, "QueryAnswer", false, true},
+    {MessageType::kUnsubscribe, "Unsubscribe", false, true},
+    {MessageType::kPartialUpdate, "PartialUpdate", false, true},
+    {MessageType::kToken, "Token", true, false},
+    {MessageType::kSccClosed, "SccClosed", true, false},
+    {MessageType::kReopen, "Reopen", true, false},
+    {MessageType::kAddRule, "AddRule", false, false},
+    {MessageType::kDeleteRule, "DeleteRule", false, false},
+    {MessageType::kBatch, "Batch", false, false},
+    {MessageType::kCredit, "Credit", false, false},
+    {MessageType::kBootstrap, "Bootstrap", true, false},
+    {MessageType::kBootstrapAck, "BootstrapAck", true, false},
+    {MessageType::kStartDiscovery, "StartDiscovery", true, false},
+    {MessageType::kStartUpdate, "StartUpdate", true, false},
+    {MessageType::kRefreshScc, "RefreshScc", true, false},
+    {MessageType::kStatusRequest, "StatusRequest", true, false},
+    {MessageType::kStatusReport, "StatusReport", true, false},
+    {MessageType::kDumpRequest, "DumpRequest", true, false},
+    {MessageType::kDumpReply, "DumpReply", true, false},
+    {MessageType::kShutdown, "Shutdown", true, false},
+};
+
+/// The facts of a byte that encodes no type.
+constexpr TypeFacts kUnknown = {MessageType{0}, "Unknown", false, false};
+
+constexpr std::array<const TypeFacts*, 256> IndexByRaw() {
+  std::array<const TypeFacts*, 256> index{};
+  index.fill(&kUnknown);
+  for (const TypeFacts& facts : kTypes) {
+    index[static_cast<uint8_t>(facts.type)] = &facts;
   }
-  return "Unknown";
+  return index;
 }
 
-bool IsKnownMessageType(uint8_t raw) {
-  switch (static_cast<MessageType>(raw)) {
-    case MessageType::kDiscoverRequest:
-    case MessageType::kDiscoverAnswer:
-    case MessageType::kDiscoverClosure:
-    case MessageType::kUpdateStart:
-    case MessageType::kQueryRequest:
-    case MessageType::kQueryAnswer:
-    case MessageType::kUnsubscribe:
-    case MessageType::kPartialUpdate:
-    case MessageType::kToken:
-    case MessageType::kSccClosed:
-    case MessageType::kReopen:
-    case MessageType::kAddRule:
-    case MessageType::kDeleteRule:
-    case MessageType::kBatch:
-    case MessageType::kCredit:
-    case MessageType::kBootstrap:
-    case MessageType::kBootstrapAck:
-    case MessageType::kStartDiscovery:
-    case MessageType::kStartUpdate:
-    case MessageType::kRefreshScc:
-    case MessageType::kStatusRequest:
-    case MessageType::kStatusReport:
-    case MessageType::kDumpRequest:
-    case MessageType::kDumpReply:
-    case MessageType::kShutdown:
-      return true;
-  }
-  return false;
+constexpr std::array<const TypeFacts*, 256> kByRaw = IndexByRaw();
+
+const TypeFacts& Facts(MessageType type) {
+  return *kByRaw[static_cast<uint8_t>(type)];
 }
 
-bool IsUrgent(MessageType type) {
-  return type == MessageType::kToken || type == MessageType::kSccClosed ||
-         type == MessageType::kReopen ||
-         (type >= MessageType::kBootstrap && type <= MessageType::kShutdown);
-}
+}  // namespace
+
+const char* MessageTypeName(MessageType type) { return Facts(type).name; }
+
+bool IsKnownMessageType(uint8_t raw) { return kByRaw[raw] != &kUnknown; }
+
+bool IsUrgent(MessageType type) { return Facts(type).urgent; }
+
+bool IsDuplicable(MessageType type) { return Facts(type).duplicable; }
 
 std::string Message::ToString() const {
   return StrFormat("%s %u->%u (%zu bytes, seq %llu)", MessageTypeName(type),

@@ -57,6 +57,10 @@ enum class MessageType : uint8_t {
   kShutdown = 59,
 };
 
+// Each type's facts live in one table (message.cc); these read it.
+
+/// The type's name, as logs, statistics and trace spans print it; "Unknown"
+/// for a value that is no MessageType.
 const char* MessageTypeName(MessageType type);
 
 /// True when `raw` is the encoding of a MessageType (frame decoding rejects
@@ -70,6 +74,12 @@ bool IsKnownMessageType(uint8_t raw);
 /// order) and sends the message in its own frame, so termination detection
 /// and control replies never wait on a data-plane batch cap.
 bool IsUrgent(MessageType type);
+
+/// True for the idempotent data-plane types, which SimRuntime's
+/// duplicate_prob may deliver twice: discovery, UpdateStart, QueryRequest,
+/// QueryAnswer, Unsubscribe and PartialUpdate. The fix-point detector's
+/// types, rule changes and the control plane stay exactly-once.
+bool IsDuplicable(MessageType type);
 
 /// Message payload bytes: owned by default, borrowed on the zero-copy receive
 /// path. A borrowed payload points into a transport read buffer and is valid

@@ -16,24 +16,6 @@ void SimRuntime::RegisterPeer(NodeId id, PeerHandler* handler) {
 
 void SimRuntime::UnregisterPeer(NodeId id) { peers_.erase(id); }
 
-namespace {
-bool IsIdempotentType(MessageType type) {
-  switch (type) {
-    case MessageType::kDiscoverRequest:
-    case MessageType::kDiscoverAnswer:
-    case MessageType::kDiscoverClosure:
-    case MessageType::kUpdateStart:
-    case MessageType::kQueryRequest:
-    case MessageType::kQueryAnswer:
-    case MessageType::kUnsubscribe:
-    case MessageType::kPartialUpdate:
-      return true;
-    default:
-      return false;
-  }
-}
-}  // namespace
-
 void SimRuntime::Send(Message msg) {
   msg.seq = next_seq_++;
   stats_.RecordSend(msg);
@@ -44,7 +26,7 @@ void SimRuntime::Send(Message msg) {
   if (delivery < last) delivery = last;
   last = delivery;
   bool duplicate = options_.duplicate_prob > 0 &&
-                   IsIdempotentType(msg.type) &&
+                   IsDuplicable(msg.type) &&
                    rng_.NextBool(options_.duplicate_prob);
   if (duplicate) {
     Message copy = msg;

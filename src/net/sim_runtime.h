@@ -26,8 +26,7 @@ class SimRuntime : public Runtime {
     /// (guards against protocol non-termination bugs).
     uint64_t max_events = 50'000'000;
     /// Failure injection: probability that an idempotent data-plane message
-    /// (discovery requests/answers, update start, query requests/answers,
-    /// unsubscribe, partial update) is delivered twice. Duplicates stutter —
+    /// (net::IsDuplicable) is delivered twice. Duplicates stutter —
     /// they arrive immediately after the original, preserving per-link FIFO —
     /// modelling at-least-once delivery. Control messages (tokens, closure,
     /// change notifications) stay exactly-once, matching the reliable-pipe

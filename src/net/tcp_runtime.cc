@@ -435,6 +435,22 @@ Status TcpRuntime::AddRemoteEndpoint(NodeId id, Endpoint endpoint) {
   return Status::OK();
 }
 
+void TcpRuntime::ReplaceEndpoint(NodeId id, Endpoint endpoint) {
+  std::shared_ptr<Connection> old;
+  {
+    std::lock_guard<std::mutex> lock(net_mutex_);
+    Endpoint& row = endpoints_[id];
+    if (row.host == endpoint.host && row.port == endpoint.port) return;
+    row = std::move(endpoint);
+    auto it = outbound_.find(id);
+    if (it != outbound_.end()) {
+      old = std::move(it->second);
+      outbound_.erase(it);
+    }
+  }
+  if (old != nullptr) old->RequestClose();
+}
+
 TcpRuntime::Endpoint TcpRuntime::EndpointOf(NodeId id) const {
   std::lock_guard<std::mutex> lock(net_mutex_);
   auto it = endpoints_.find(id);

@@ -137,6 +137,13 @@ class TcpRuntime : public Runtime, private Reactor::Handler {
   /// would quietly redirect a live node's traffic on a typo'd config.
   Status AddRemoteEndpoint(NodeId id, Endpoint endpoint);
 
+  /// Points `id`'s row at `endpoint`, replacing any other, and closes the
+  /// cached connection to the old one (frames still queued there are
+  /// dropped, counted), so the next send connects afresh. For a node that
+  /// moves by design, such as a fleet's controller when a new controller
+  /// process takes over; system nodes' rows keep AddRemoteEndpoint's guard.
+  void ReplaceEndpoint(NodeId id, Endpoint endpoint);
+
   /// The endpoint a send to `id` would use; port 0 when unknown.
   Endpoint EndpointOf(NodeId id) const;
 

@@ -7,8 +7,9 @@
 //
 //   template <class IO>
 //   void Fields(IO& io, FieldRef<IO, Token> x) {
-//     io.U64(x.session);
 //     io.U32(x.leader);
+//     io.U64(x.sum_sent);
+//     io.U64(x.sum_recv);
 //     io.Bool(x.all_ready);
 //   }
 //

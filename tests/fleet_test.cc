@@ -32,10 +32,12 @@
 #include "src/daemon/config.h"
 #include "src/daemon/fleet.h"
 #include "src/daemon/peer_daemon.h"
+#include "src/lang/parser.h"
 #include "src/lang/printer.h"
 #include "src/net/sim_runtime.h"
 #include "src/relational/null_iso.h"
 #include "src/util/file_util.h"
+#include "src/util/log_capture.h"
 #include "src/workload/scenario.h"
 #include "tests/codec_testing.h"
 
@@ -223,6 +225,178 @@ TEST(PeerDaemonTest, StartFailsWhenThePidFileIsNotWritten) {
   ASSERT_FALSE(daemon.ok()) << "Start succeeded without its pid file";
   EXPECT_NE(daemon.status().message().find("/dev/full"), std::string::npos)
       << daemon.status().ToString();
+}
+
+/// A two-node system: A copies B's two facts.
+constexpr char kPairSystem[] =
+    "node A { rel a(x); }\n"
+    "node B { rel b(x); fact b(1); fact b(2); }\n"
+    "rule r: B.b(X) => A.a(X);\n";
+
+/// kPairSystem served by one in-process PeerDaemon per node. Each listens
+/// on a kernel-picked port and knows no other node until a controller's
+/// bootstrap brings the endpoint table.
+struct InProcessFleet {
+  std::string root;
+  core::P2PSystem system;
+  std::vector<std::unique_ptr<PeerDaemon>> daemons;
+  std::vector<core::wire::EndpointEntry> endpoints;
+};
+
+void StartInProcessFleet(const std::string& name, InProcessFleet* fleet) {
+  fleet->root = FreshRoot(name);
+  const std::string system_file = fleet->root + "/fleet.p2p";
+  ASSERT_TRUE(WriteFile(system_file, std::string(kPairSystem)).ok());
+  auto system = lang::ParseSystem(kPairSystem);
+  ASSERT_TRUE(system.ok()) << system.status().ToString();
+  fleet->system = std::move(*system);
+  for (NodeId n = 0; n < fleet->system.node_count(); ++n) {
+    PeerdConfig config;
+    config.node = n;
+    config.name = fleet->system.node(n).name;
+    config.listen = {"127.0.0.1", 0};
+    config.system_file = system_file;
+    config.obs_json = fleet->root + "/peer" + std::to_string(n) + ".obs.json";
+    auto daemon = PeerDaemon::Start(config);
+    ASSERT_TRUE(daemon.ok()) << daemon.status().ToString();
+    fleet->endpoints.push_back(
+        {n, "127.0.0.1", (*daemon)->runtime().ListenPort(n)});
+    fleet->daemons.push_back(std::move(*daemon));
+  }
+}
+
+std::unique_ptr<FleetController> ConnectTo(const InProcessFleet& fleet,
+                                           std::chrono::milliseconds timeout) {
+  FleetController::Options options;
+  options.timeout = timeout;
+  auto controller = FleetController::Connect(fleet.system, fleet.endpoints,
+                                             /*super_peer=*/0, options);
+  EXPECT_TRUE(controller.ok()) << controller.status().ToString();
+  return controller.ok() ? std::move(*controller) : nullptr;
+}
+
+// A controller that has gone leaves the fleet running, with a status request
+// parked at every daemon. A new controller, listening on another port,
+// takes the fleet over with its bootstrap and drives the session the first
+// one waited for; each daemon answers the new controller's request alone.
+TEST(FleetTest, NewControllerTakesOverARunningFleet) {
+  InProcessFleet fleet;
+  ASSERT_NO_FATAL_FAILURE(StartInProcessFleet("takeover", &fleet));
+  const std::vector<NodeId> all = {0, 1};
+  {
+    auto first = ConnectTo(fleet, std::chrono::seconds(1));
+    ASSERT_NE(first, nullptr);
+    ASSERT_TRUE(first->Bootstrap(all).ok());
+    ASSERT_TRUE(first->StartDiscovery(all).ok());
+    ASSERT_TRUE(first->AwaitDiscoveryClosed(all).ok());
+    ASSERT_TRUE(first->StartUpdate(1).ok());
+    ASSERT_TRUE(first->AwaitUpdateFixpoint(1, all, nullptr).ok());
+    // Session 2 never starts under this controller: the wait times out and
+    // leaves its request parked at both daemons.
+    ASSERT_FALSE(first->AwaitUpdateFixpoint(2, all, nullptr).ok());
+  }
+
+  auto second = ConnectTo(fleet, std::chrono::seconds(10));
+  ASSERT_NE(second, nullptr);
+  Status bootstrap = second->Bootstrap(all);
+  ASSERT_TRUE(bootstrap.ok()) << bootstrap.ToString();
+  std::vector<uint64_t> reports_before;
+  for (const auto& daemon : fleet.daemons) {
+    reports_before.push_back(daemon->runtime().stats().MessagesOfType(
+        net::MessageType::kStatusReport));
+  }
+  ASSERT_TRUE(second->StartUpdate(2).ok());
+  std::vector<core::wire::StatusReport> reports;
+  Status fixpoint = second->AwaitUpdateFixpoint(2, all, &reports);
+  ASSERT_TRUE(fixpoint.ok()) << fixpoint.ToString();
+  ASSERT_EQ(reports.size(), all.size());
+  for (NodeId n : all) {
+    EXPECT_EQ(fleet.daemons[n]->runtime().stats().MessagesOfType(
+                  net::MessageType::kStatusReport) -
+                  reports_before[n],
+              1u)
+        << "node " << n << " answered a request of the earlier controller";
+  }
+}
+
+// CI keeps each daemon's obs.json: it must hold the transport's counters,
+// not only the ones the registry gathers on its own.
+TEST(PeerDaemonTest, ObsJsonCarriesTransportCounters) {
+  InProcessFleet fleet;
+  ASSERT_NO_FATAL_FAILURE(StartInProcessFleet("obs", &fleet));
+  auto controller = ConnectTo(fleet, std::chrono::seconds(10));
+  ASSERT_NE(controller, nullptr);
+  ASSERT_TRUE(controller->Bootstrap({0}).ok());
+  PeerDaemon& daemon = *fleet.daemons[0];
+  daemon.RequestStop();
+  ASSERT_TRUE(daemon.Serve().ok());
+  std::string obs;
+  ASSERT_TRUE(ReadFile(daemon.config().obs_json, &obs).ok());
+  EXPECT_NE(obs.find("\"net.messages\""), std::string::npos) << obs;
+  EXPECT_NE(obs.find("\"net.type.BootstrapAck.messages\""), std::string::npos)
+      << obs;
+}
+
+// StartDiscovery, RefreshScc, DumpRequest and Shutdown carry wire::Empty:
+// the type is the whole request, so one byte of payload makes it malformed.
+// The daemon drops each with one warning and acts on none.
+TEST(PeerDaemonTest, PayloadFreeControlMessagesRejectAnyByte) {
+  InProcessFleet fleet;
+  ASSERT_NO_FATAL_FAILURE(StartInProcessFleet("empty", &fleet));
+  PeerDaemon& daemon = *fleet.daemons[0];
+  for (net::MessageType type :
+       {net::MessageType::kStartDiscovery, net::MessageType::kRefreshScc,
+        net::MessageType::kDumpRequest, net::MessageType::kShutdown}) {
+    SCOPED_TRACE(net::MessageTypeName(type));
+    net::Message msg;
+    msg.type = type;
+    msg.from = 2;
+    msg.to = 0;
+    msg.payload = {0};
+    ScopedLogCapture capture;
+    daemon.runtime().RunExclusive(0, [&] { daemon.OnMessage(msg); });
+    const std::vector<std::string> lines = capture.lines();
+    ASSERT_EQ(lines.size(), 1u);
+    EXPECT_NE(lines[0].find("WARN"), std::string::npos) << lines[0];
+    EXPECT_NE(lines[0].find(std::string("malformed ") +
+                            net::MessageTypeName(type) + " from node 2"),
+              std::string::npos)
+        << lines[0];
+  }
+  EXPECT_EQ(daemon.peer().discovery().state(),
+            core::DiscoveryEngine::State::kUndefined);
+  EXPECT_EQ(daemon.runtime().stats().MessagesOfType(
+                net::MessageType::kDumpReply),
+            0u);
+}
+
+// Only a controller's row is replaced: a bootstrap whose sender is a system
+// node is rejected before any row changes, so no bootstrap can move a system
+// node's row past AddRemoteEndpoint's remap guard.
+TEST(PeerDaemonTest, BootstrapFromASystemNodeIsRejected) {
+  InProcessFleet fleet;
+  ASSERT_NO_FATAL_FAILURE(StartInProcessFleet("system_sender", &fleet));
+  PeerDaemon& daemon = *fleet.daemons[0];
+  core::wire::SessionBootstrap bootstrap;
+  bootstrap.node = 0;
+  bootstrap.name = "A";
+  bootstrap.endpoints = {{1, "127.0.0.1", 1}};
+  net::Message msg;
+  msg.type = net::MessageType::kBootstrap;
+  msg.from = 1;
+  msg.to = 0;
+  msg.payload = bootstrap.Encode();
+  ScopedLogCapture capture;
+  daemon.runtime().RunExclusive(0, [&] { daemon.OnMessage(msg); });
+  EXPECT_EQ(daemon.runtime().EndpointOf(1).port, 0);
+  bool rejected = false;
+  for (const std::string& line : capture.lines()) {
+    if (line.find("rejecting bootstrap: InvalidArgument: bootstrap sent by "
+                  "system node 1") != std::string::npos) {
+      rejected = true;
+    }
+  }
+  EXPECT_TRUE(rejected);
 }
 
 TEST(FleetHelpersTest, PickFreePortsReturnsDistinctPorts) {

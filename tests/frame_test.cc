@@ -248,6 +248,34 @@ TEST(FrameTest, FrameBytesAreGolden) {
                 " a09c01")));
 }
 
+// Each message type's facts, pinned: the name statistics, logs and trace
+// spans print, the urgent types (never batched) and the types SimRuntime
+// may duplicate. Every other byte is no type.
+TEST(FrameTest, MessageTypeFactsArePinned) {
+  std::string known, urgent, duplicable;
+  for (int raw = 0; raw < 256; ++raw) {
+    const auto type = static_cast<MessageType>(raw);
+    if (!IsKnownMessageType(static_cast<uint8_t>(raw))) {
+      EXPECT_STREQ(MessageTypeName(type), "Unknown") << raw;
+      EXPECT_FALSE(IsUrgent(type) || IsDuplicable(type)) << raw;
+      continue;
+    }
+    known += " " + std::to_string(raw) + ":" + MessageTypeName(type);
+    if (IsUrgent(type)) urgent += " " + std::to_string(raw);
+    if (IsDuplicable(type)) duplicable += " " + std::to_string(raw);
+  }
+  EXPECT_EQ(known,
+            " 1:DiscoverRequest 2:DiscoverAnswer 3:DiscoverClosure"
+            " 10:UpdateStart 11:QueryRequest 12:QueryAnswer 13:Unsubscribe"
+            " 14:PartialUpdate 20:Token 21:SccClosed 22:Reopen 30:AddRule"
+            " 31:DeleteRule 40:Batch 41:Credit 50:Bootstrap 51:BootstrapAck"
+            " 52:StartDiscovery 53:StartUpdate 54:RefreshScc"
+            " 55:StatusRequest 56:StatusReport 57:DumpRequest 58:DumpReply"
+            " 59:Shutdown");
+  EXPECT_EQ(urgent, " 20 21 22 50 51 52 53 54 55 56 57 58 59");
+  EXPECT_EQ(duplicable, " 1 2 3 10 11 12 13 14");
+}
+
 TEST(FrameTest, UnknownTypeAndInsaneLengthAreRejected) {
   Message msg = Make(MessageType::kToken, 1, 2, 3, {});
   std::vector<uint8_t> frame = EncodeFrame(msg);
@@ -649,7 +677,6 @@ core::wire::SessionBootstrap MakeBootstrap() {
   EXPECT_TRUE(system.ok());
   const NodeId node = system->rules().front().head_node;
   core::wire::SessionBootstrap b;
-  b.epoch = 7;
   b.node = node;
   b.name = system->node(node).name;
   b.super_peer = 0;
@@ -673,7 +700,6 @@ TEST(ControlCodecTest, SessionBootstrapRoundTrips) {
   ASSERT_FALSE(b.rules.empty());
   auto decoded = core::wire::SessionBootstrap::Decode(b.Encode());
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->epoch, b.epoch);
   EXPECT_EQ(decoded->node, b.node);
   EXPECT_EQ(decoded->name, b.name);
   EXPECT_EQ(decoded->super_peer, b.super_peer);
@@ -716,21 +742,18 @@ TEST(ControlCodecTest, MalformedBootstrapIsRejected) {
 
 TEST(ControlCodecTest, AckStatusAndDumpRoundTrip) {
   core::wire::BootstrapAck ack;
-  ack.epoch = 9;
   ack.node = 3;
   ack.name = "D";
   ack.accepted = false;
   ack.error = "schema drift on relation 'd'";
   auto ack2 = core::wire::BootstrapAck::Decode(ack.Encode());
   ASSERT_TRUE(ack2.ok());
-  EXPECT_EQ(ack2->epoch, ack.epoch);
   EXPECT_EQ(ack2->node, ack.node);
   EXPECT_EQ(ack2->name, ack.name);
   EXPECT_EQ(ack2->accepted, ack.accepted);
   EXPECT_EQ(ack2->error, ack.error);
 
   core::wire::StatusReport report;
-  report.epoch = 2;
   report.id = 77;
   report.node = 1;
   report.name = "B";
@@ -744,7 +767,6 @@ TEST(ControlCodecTest, AckStatusAndDumpRoundTrip) {
   report.reopens = 1;
   auto report2 = core::wire::StatusReport::Decode(report.Encode());
   ASSERT_TRUE(report2.ok());
-  EXPECT_EQ(report2->epoch, report.epoch);
   EXPECT_EQ(report2->id, report.id);  // The echoed request id.
   EXPECT_EQ(report2->node, report.node);
   EXPECT_EQ(report2->name, report.name);
@@ -758,15 +780,12 @@ TEST(ControlCodecTest, AckStatusAndDumpRoundTrip) {
   EXPECT_EQ(report2->reopens, report.reopens);
 
   core::wire::ControlStartUpdate start;
-  start.epoch = 5;
   start.session = 42;
   auto start2 = core::wire::ControlStartUpdate::Decode(start.Encode());
   ASSERT_TRUE(start2.ok());
-  EXPECT_EQ(start2->epoch, start.epoch);
   EXPECT_EQ(start2->session, start.session);
 
   core::wire::DumpReply dump;
-  dump.epoch = 5;
   dump.node = 2;
   dump.database = {0xde, 0xad, 0xbe, 0xef};
   auto dump2 = core::wire::DumpReply::Decode(dump.Encode());
@@ -779,13 +798,11 @@ TEST(ControlCodecTest, StatusRequestRoundTripsAndRejectsUnknownCondition) {
   for (Until until :
        {Until::kNow, Until::kDiscoveryClosed, Until::kUpdateClosed}) {
     core::wire::StatusRequest request;
-    request.epoch = 3;
     request.id = 1234567;
     request.until = until;
     request.session = 42;
     auto decoded = core::wire::StatusRequest::Decode(request.Encode());
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_EQ(decoded->epoch, request.epoch);
     EXPECT_EQ(decoded->id, request.id);
     EXPECT_EQ(decoded->until, request.until);
     EXPECT_EQ(decoded->session, request.session);
@@ -825,7 +842,6 @@ ControlCase ControlCaseOf(std::string name, const Payload& payload,
 TEST(ControlCodecTest, EveryPayloadDecodesWholeOrNotAtAll) {
   namespace wire = core::wire;
   wire::SessionBootstrap bootstrap;
-  bootstrap.epoch = 20000;
   bootstrap.node = 200;
   bootstrap.name = "B";
   bootstrap.super_peer = 0;
@@ -833,11 +849,9 @@ TEST(ControlCodecTest, EveryPayloadDecodesWholeOrNotAtAll) {
                       rel::RelationSchema("e", {})};
   bootstrap.rules = {testing_codec::RichRule()};
   bootstrap.endpoints = {{200, "127.0.0.1", 39999}, {0, "h", 7}};
-  wire::BootstrapAck ack{9, 3, "D", false, "schema drift"};
-  wire::StatusRequest request{4, 17, wire::StatusRequest::Until::kUpdateClosed,
-                              2};
+  wire::BootstrapAck ack{3, "D", false, "schema drift"};
+  wire::StatusRequest request{17, wire::StatusRequest::Until::kUpdateClosed, 2};
   wire::StatusReport report;
-  report.epoch = 2;
   report.id = 17;
   report.node = 130;
   report.name = "B";
@@ -846,29 +860,24 @@ TEST(ControlCodecTest, EveryPayloadDecodesWholeOrNotAtAll) {
   report.tuples = 300;
   report.tuples_inserted = 20000;
   report.reopens = 1;
-  wire::DumpReply dump{5, 200, {0xde, 0xad, 0xbe, 0xef}};
+  wire::DumpReply dump{200, {0xde, 0xad, 0xbe, 0xef}};
 
   const std::vector<ControlCase> cases = {
       ControlCaseOf("SessionBootstrap", bootstrap,
-                    "a09c01 c8000000 0142 00000000"  // epoch, node, name, super
-                    " 02 0168 03 0178 0179 0177"     // h(x, y, w)
-                    " 0165 00"                       // e()
+                    "c8000000 0142 00000000"      // node, name, super-peer
+                    " 02 0168 03 0178 0179 0177"  // h(x, y, w)
+                    " 0165 00"                    // e()
                     " 01" + std::string(testing_codec::kRichRuleGolden) +
                         " 02 c8000000 09 3132372e302e302e31 bfb802"
                         " 00000000 0168 07"),
       ControlCaseOf("BootstrapAck", ack,
-                    "09 03000000 0144 00 0c 736368656d61206472696674"),
-      ControlCaseOf("ControlStartDiscovery", wire::ControlStartDiscovery{4},
-                    "04"),
-      ControlCaseOf("ControlStartUpdate", wire::ControlStartUpdate{4, 20000},
-                    "04 a09c01"),
-      ControlCaseOf("ControlRefreshScc", wire::ControlRefreshScc{4}, "04"),
-      ControlCaseOf("StatusRequest", request, "04 11 02 02"),
+                    "03000000 0144 00 0c 736368656d61206472696674"),
+      ControlCaseOf("ControlStartUpdate", wire::ControlStartUpdate{20000},
+                    "a09c01"),
+      ControlCaseOf("StatusRequest", request, "11 02 02"),
       ControlCaseOf("StatusReport", report,
-                    "02 11 82000000 0142 02 02 ac02 a09c01 00 00 00 01"),
-      ControlCaseOf("DumpRequest", wire::DumpRequest{20000}, "a09c01"),
-      ControlCaseOf("DumpReply", dump, "05 c8000000 04 deadbeef"),
-      ControlCaseOf("ControlShutdown", wire::ControlShutdown{4}, "04"),
+                    "11 82000000 0142 02 02 ac02 a09c01 00 00 00 01"),
+      ControlCaseOf("DumpReply", dump, "c8000000 04 deadbeef"),
   };
   uint64_t seed = 100;
   for (const ControlCase& c : cases) {

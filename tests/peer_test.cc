@@ -50,7 +50,6 @@ TEST(PeerTest, MalformedDataPlanePayloadIsDroppedWithOneWarning) {
   net::SimRuntime rt;
   Peer a(0, "A", OneRelationDb("a"), &rt);
   wire::QueryAnswer answer;
-  answer.session = 1;
   answer.rule_id = "r";
   answer.part = 0;
   answer.source_closed = true;
@@ -84,6 +83,46 @@ TEST(PeerTest, MalformedDataPlanePayloadIsDroppedWithOneWarning) {
   EXPECT_EQ(stats.answers_sent, stats_before.answers_sent);
   EXPECT_EQ(stats.token_passes, stats_before.token_passes);
   EXPECT_EQ(stats.reopens, stats_before.reopens);
+}
+
+TEST(PeerTest, PayloadFreeMessagesRejectAnyByte) {
+  // SccClosed and Reopen carry wire::Empty: the type is the whole message,
+  // so one byte of payload makes it malformed. The peer drops it with one
+  // warning, and acts on the empty payload.
+  auto system = lang::ParseSystem(R"(
+    node A { rel a(x); }
+    node B { rel b(x); }
+    rule r: B.b(X) => A.a(X);
+  )");
+  ASSERT_TRUE(system.ok()) << system.status().ToString();
+  net::SimRuntime rt;
+  Session session(*system, &rt);
+  Peer& a = session.peer(0);
+  a.StartUpdate(1);  // Open until B answers, and the runtime never runs.
+  ASSERT_EQ(a.update().state(), UpdateEngine::State::kOpen);
+  auto message = [](net::MessageType type, std::vector<uint8_t> payload) {
+    net::Message msg;
+    msg.type = type;
+    msg.from = 1;
+    msg.to = 0;
+    msg.payload = std::move(payload);
+    return msg;
+  };
+  for (net::MessageType type :
+       {net::MessageType::kSccClosed, net::MessageType::kReopen}) {
+    SCOPED_TRACE(net::MessageTypeName(type));
+    ScopedLogCapture capture;
+    a.OnMessage(message(type, {0}));
+    const std::vector<std::string> lines = capture.lines();
+    ASSERT_EQ(lines.size(), 1u);
+    EXPECT_NE(lines[0].find(std::string("malformed ") +
+                            net::MessageTypeName(type) + " from node 1"),
+              std::string::npos)
+        << lines[0];
+    EXPECT_EQ(a.update().state(), UpdateEngine::State::kOpen);
+  }
+  a.OnMessage(message(net::MessageType::kSccClosed, {}));
+  EXPECT_EQ(a.update().state(), UpdateEngine::State::kClosed);
 }
 
 TEST(PeerTest, DependencyTargetsDeduplicated) {

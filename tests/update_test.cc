@@ -164,7 +164,6 @@ rule j: L.l(K, V), R.r(K, W) => T.t(V, W);
   UpdateEngine& head = session->peer(2).update();
   const uint64_t joins = head.stats().joins_evaluated;
   wire::QueryAnswer repeat;
-  repeat.session = 1;
   repeat.rule_id = "j";
   repeat.part = 0;
   repeat.source_closed = true;
@@ -255,7 +254,6 @@ TEST(UpdateTest, InterleavedAnswerBatchesJoinEachBindingOnce) {
   head.StartUpdate(1);
   auto feed = [&](uint32_t part, const std::set<rel::Tuple>& tuples) {
     wire::QueryAnswer ans;
-    ans.session = 1;
     ans.rule_id = rule.id;
     ans.part = part;
     ans.is_delta = true;
@@ -296,7 +294,6 @@ rule r1: B.b(X) => A.a(X);
   ASSERT_TRUE(head.AddInitialRule(rule).ok());
   head.StartUpdate(1);
   wire::QueryAnswer ans;
-  ans.session = 1;
   ans.rule_id = rule.id;
   ans.part = 0;
   ans.source_closed = true;
@@ -355,7 +352,6 @@ rule r: C.c(X) => B.b(X);
   b.StartUpdate(1);
 
   wire::QueryRequest req;
-  req.session = 1;
   req.rule_id = "watch";
   rel::Atom atom;
   atom.relation = "b";
@@ -365,7 +361,6 @@ rule r: C.c(X) => B.b(X);
   b.update().OnQueryRequest(0, req);
 
   wire::QueryAnswer from_c;
-  from_c.session = 1;
   from_c.rule_id = "r";
   from_c.tuples = Rows({"v5", "v1", "v4"});
   b.update().OnQueryAnswer(2, from_c);
@@ -409,7 +404,6 @@ wire::QueryRequest Watch(const char* relation,
                          std::initializer_list<const char*> terms,
                          std::vector<std::string> head) {
   wire::QueryRequest req;
-  req.session = 1;
   req.rule_id = "watch";
   rel::Atom atom;
   atom.relation = relation;
@@ -427,7 +421,6 @@ wire::QueryAnswer PairAnswer(
     const char* rule_id,
     std::initializer_list<std::pair<const char*, const char*>> pairs) {
   wire::QueryAnswer ans;
-  ans.session = 1;
   ans.rule_id = rule_id;
   for (const auto& [x, y] : pairs) {
     ans.tuples.push_back(rel::Tuple({S(x), S(y)}));
@@ -553,7 +546,6 @@ rule r: C.c(X, Y) => B.e(X, Y);
 
   // paths(X, Z) :- e(X, Y), e(Y, Z).
   wire::QueryRequest paths;
-  paths.session = 1;
   paths.rule_id = "paths";
   rel::Atom first;
   first.relation = "e";
@@ -652,7 +644,6 @@ rule s: R.rec(A, T) => P.seen(A, T);
         for (const Batch& batch : batches) {
           for (const char* rule : {"x", "s"}) {
             wire::QueryAnswer ans;
-            ans.session = 1;
             ans.rule_id = rule;
             ans.is_delta = batch.is_delta;
             ans.tuples = batch.rows;
@@ -700,7 +691,6 @@ rule r: C.c(K) => B.b(K, V);
   b.nulls().ReserveThrough(0xfffffe);  // One null left to mint.
 
   wire::QueryAnswer from_c;
-  from_c.session = 1;
   from_c.rule_id = "r";
   from_c.tuples = Rows({"k1", "k2"});
   const uint64_t sent = b.update().stats().answers_sent;
@@ -745,7 +735,6 @@ rule x: R.rec(A, T) => P.pub(I, T, Y), P.wrote(A, I);
     EXPECT_TRUE(head.AddInitialRule(rule).ok());
     head.StartUpdate(1);
     wire::QueryAnswer ans;
-    ans.session = 1;
     ans.rule_id = rule.id;
     ans.source_closed = true;
     ans.tuples = std::move(tuples);
@@ -782,7 +771,6 @@ rule r3: D.d(X) => C.c(X);
   const NodeId b = *system->NodeByName("B");
   auto request = [](bool safe) {
     wire::QueryRequest req;
-    req.session = 1;
     req.rule_id = "injected";
     rel::Atom atom;
     atom.relation = "b";

@@ -6,14 +6,16 @@
 //       per node, with kernel-reserved fixed ports. Without --nodes/--system
 //       the Section-2 running example is generated.
 //
-//   p2pdb_fleetctl drive --dir DIR [--timeout MS] [--session N] [--epoch E]
-//                        [--verify] [--no-shutdown]
+//   p2pdb_fleetctl drive --dir DIR [--timeout MS] [--session N] [--verify]
+//                        [--no-shutdown]
 //       Connects to a running fleet (launched from DIR's configs, e.g. by
 //       scripts/run_fleet.sh), runs the bootstrap handshake, discovery, one
 //       global update session to fixpoint, prints the per-peer statistics
 //       table, and (with --verify) checks every peer's database against an
 //       in-process simulation of the same system. Sends kShutdown to the
-//       fleet unless --no-shutdown.
+//       fleet unless --no-shutdown. A fleet left running can be driven again
+//       by a later drive with a new --session: its bootstrap takes the fleet
+//       over from the earlier controller.
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -44,7 +46,7 @@ void Usage(std::FILE* out) {
                "S] [--sync full|nosync]\n"
                "       p2pdb_fleetctl drive --dir DIR [--timeout MS] "
                "[--session N]\n"
-               "           [--epoch E] [--verify] [--no-shutdown]\n");
+               "           [--verify] [--no-shutdown]\n");
 }
 
 int Fail(const Status& status) {
@@ -140,7 +142,7 @@ int RunGen(int argc, char** argv) {
 
 int RunDrive(int argc, char** argv) {
   std::string dir;
-  uint64_t timeout_ms = 30'000, session = 1, epoch = 1;
+  uint64_t timeout_ms = 30'000, session = 1;
   bool verify = false, shutdown = true;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -154,8 +156,6 @@ int RunDrive(int argc, char** argv) {
       timeout_ms = std::strtoull(v, nullptr, 10);
     } else if (arg == "--session" && (v = value())) {
       session = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--epoch" && (v = value())) {
-      epoch = std::strtoull(v, nullptr, 10);
     } else if (arg == "--verify") {
       verify = true;
     } else if (arg == "--no-shutdown") {
@@ -184,7 +184,6 @@ int RunDrive(int argc, char** argv) {
   p2pdb::daemon::FleetController::Options options;
   options.host = cfg->listen.host;
   options.timeout = std::chrono::milliseconds(timeout_ms);
-  options.epoch = epoch;
   auto controller = p2pdb::daemon::FleetController::Connect(
       *system, cfg->peers, cfg->super_peer, options);
   if (!controller.ok()) return Fail(controller.status());
