@@ -3,7 +3,10 @@
 # it to the global update fixpoint with p2pdb_fleetctl twice: a first drive
 # leaves the fleet running, and a second controller takes it over, drives
 # update session 2, verifies every peer's database against the in-process
-# oracle and shuts the fleet down.
+# oracle and shuts the fleet down. Between the two, a negative drive holds a
+# system with one constant changed: the daemons must reject its bootstrap
+# (the drive exits 1 and prints "rejected bootstrap"), and the second drive
+# must still take the fleet over.
 #
 #   scripts/run_fleet.sh [nodes] [dir]
 #
@@ -61,6 +64,28 @@ done
 
 echo "== driving fleet to fixpoint, leaving it running"
 "$FLEETCTL" drive --dir "$DIR" --timeout "$TIMEOUT_MS" --no-shutdown
+
+echo "== driving the running fleet with a drifted system, expecting rejection"
+# The drive reads only peer0.conf and the system file it names: copy both,
+# change the first fact's first constant, and point the copy at the copy.
+DRIFTED="$DIR/drifted"
+mkdir -p "$DRIFTED"
+sed -E '0,/^  fact /s/^(  fact [a-z0-9_]+\()("[^"]*"|-?[0-9]+)/\1"drifted"/' \
+  "$DIR/fleet.p2p" >"$DRIFTED/fleet.p2p"
+if cmp -s "$DIR/fleet.p2p" "$DRIFTED/fleet.p2p"; then
+  echo "run_fleet.sh: found no fact constant to change" >&2
+  exit 1
+fi
+sed "s|^system .*|system $DRIFTED/fleet.p2p|" "$DIR/peer0.conf" \
+  >"$DRIFTED/peer0.conf"
+status=0
+"$FLEETCTL" drive --dir "$DRIFTED" --timeout "$TIMEOUT_MS" --no-shutdown \
+  >"$DRIFTED/drive.log" 2>&1 || status=$?
+cat "$DRIFTED/drive.log"
+if [[ "$status" -ne 1 ]] || ! grep -q "rejected bootstrap" "$DRIFTED/drive.log"; then
+  echo "run_fleet.sh: the drifted drive exited $status without a rejected bootstrap" >&2
+  exit 1
+fi
 
 echo "== re-driving the running fleet from a new controller"
 "$FLEETCTL" drive --dir "$DIR" --timeout "$TIMEOUT_MS" --session 2 --verify

@@ -1,8 +1,8 @@
 // PeerBootstrap: the one construction path for a live Peer, shared by the
 // in-process Session and the out-of-process daemon (src/daemon). Both
 // provisioning surfaces — Session building a fleet from a P2PSystem, and
-// p2pdb_peerd building its single peer from a config file plus the wire
-// bootstrap handshake — funnel through Build(), so the fresh-start and
+// p2pdb_peerd building its single peer from its config file and the system
+// file it names — funnel through Build(), so the fresh-start and
 // crash-recovery sequences (deferred registration, snapshot-publish
 // deferral, storage attach before rule install before WAL replay) exist in
 // exactly one place.

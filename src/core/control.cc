@@ -1,5 +1,10 @@
 #include "src/core/control.h"
 
+#include <algorithm>
+
+#include "src/core/peer.h"
+#include "src/util/string_util.h"
+
 namespace p2pdb::core::wire {
 
 // --- Field lists ---------------------------------------------------------
@@ -9,31 +14,14 @@ namespace p2pdb::core::wire {
 
 /// The port is a varint, so a value above 65535 fails to decode.
 template <class IO>
-void Fields(IO& io, FieldRef<IO, EndpointEntry> e) {
-  io.U32(e.node);
-  io.Str(e.host);
-  io.Varint(e.port);
-}
-
-template <class IO>
 void Fields(IO& io, FieldRef<IO, SessionBootstrap> x) {
-  io.U32(x.node);
-  io.Str(x.name);
-  io.U32(x.super_peer);
-  io.Each(x.schema, [&io](auto& schema) { Fields(io, schema); });
-  io.Each(x.rules, [&io, &x](auto& rule) {
-    Fields(io, rule);
-    io.Check(rule.head_node == x.node,
-             "bootstrap rule is not headed at the bootstrapped node");
-  });
-  io.Each(x.endpoints, [&io](auto& e) { Fields(io, e); });
+  io.U32(x.system_digest);
+  io.Str(x.controller_host);
+  io.Varint(x.controller_port);
 }
 
 template <class IO>
 void Fields(IO& io, FieldRef<IO, BootstrapAck> x) {
-  io.U32(x.node);
-  io.Str(x.name);
-  io.Bool(x.accepted);
   io.Str(x.error);
 }
 
@@ -52,8 +40,6 @@ void Fields(IO& io, FieldRef<IO, StatusRequest> x) {
 template <class IO>
 void Fields(IO& io, FieldRef<IO, StatusReport> x) {
   io.Varint(x.id);
-  io.U32(x.node);
-  io.Str(x.name);
   io.U8(x.state_discovery);
   io.U8(x.state_update);
   io.Varint(x.tuples);
@@ -66,7 +52,6 @@ void Fields(IO& io, FieldRef<IO, StatusReport> x) {
 
 template <class IO>
 void Fields(IO& io, FieldRef<IO, DumpReply> x) {
-  io.U32(x.node);
   io.Bytes(x.database);
 }
 
@@ -113,3 +98,43 @@ Result<DumpReply> DumpReply::Decode(ByteView bytes) {
 }
 
 }  // namespace p2pdb::core::wire
+
+namespace p2pdb::core {
+
+wire::StatusReport StatusRow(const Peer& peer) {
+  wire::StatusReport row;
+  row.state_discovery = static_cast<uint8_t>(peer.discovery().state());
+  row.state_update = static_cast<uint8_t>(peer.update().state());
+  row.tuples = peer.db().TotalTuples();
+  const UpdateEngine::Stats& stats = peer.update().stats();
+  row.tuples_inserted = stats.tuples_inserted;
+  row.joins_evaluated = stats.joins_evaluated;
+  row.answers_sent = stats.answers_sent;
+  row.token_passes = stats.token_passes;
+  row.reopens = stats.reopens;
+  return row;
+}
+
+std::string FormatStatistics(const std::vector<std::string>& names,
+                             const std::vector<wire::StatusReport>& rows) {
+  // By DiscoveryEngine::State and UpdateEngine::State; "?" past the end.
+  static constexpr const char* kDiscovery[] = {"undef", "disc", "closed", "?"};
+  static constexpr const char* kUpdate[] = {"idle", "open", "closed", "?"};
+  auto ull = [](uint64_t v) { return static_cast<unsigned long long>(v); };
+  std::string out = StrFormat("%-10s %-8s %-8s %10s %10s %10s %10s %8s %8s\n",
+                              "node", "state_d", "state_u", "tuples",
+                              "inserted", "joins", "answers", "tokens",
+                              "reopens");
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const wire::StatusReport& r = rows[i];
+    out += StrFormat(
+        "%-10s %-8s %-8s %10llu %10llu %10llu %10llu %8llu %8llu\n",
+        names[i].c_str(), kDiscovery[std::min<uint8_t>(r.state_discovery, 3)],
+        kUpdate[std::min<uint8_t>(r.state_update, 3)], ull(r.tuples),
+        ull(r.tuples_inserted), ull(r.joins_evaluated), ull(r.answers_sent),
+        ull(r.token_passes), ull(r.reopens));
+  }
+  return out;
+}
+
+}  // namespace p2pdb::core

@@ -1,12 +1,12 @@
 // Control-plane wire protocol: the typed payloads a fleet controller (the
 // super-peer process, or a driver like p2pdb_fleetctl) exchanges with remote
 // peer daemons so it can drive them exactly the way an in-process Session
-// drives local Peer objects. The in-process control surface — construct,
-// RunDiscovery, RunUpdate, CollectStatistics — becomes an explicit protocol:
+// drives local Peer objects. The in-process control surface — RunDiscovery,
+// RunUpdate, CollectStatistics — becomes an explicit protocol:
 //
-//   kBootstrap      controller -> peer   session handshake (name, schema,
-//                                        coordination rules, endpoint table)
-//   kBootstrapAck   peer -> controller   accept/reject with reason
+//   kBootstrap      controller -> peer   session handshake: the system digest
+//                                        and the controller's reply endpoint
+//   kBootstrapAck   peer -> controller   accept, or reject with the reason
 //   kStartDiscovery controller -> peer   Peer::StartDiscovery
 //   kStartUpdate    controller -> peer   Peer::StartUpdate(session)
 //   kRefreshScc     controller -> peer   UpdateEngine::RefreshScc (rejoin)
@@ -23,14 +23,20 @@
 // kStartDiscovery, kRefreshScc, kDumpRequest and kShutdown carry a
 // wire::Empty payload: the type is the whole request.
 //
+// A payload carries only what its receiver cannot already know: a daemon's
+// identity, schemas, rules and endpoint table come from its config and
+// system files, so a bootstrap carries a digest of the controller's system,
+// and a reply's sender is the frame header's `from`.
+//
 // A controller is one extra node, with the id one past the system's last
 // node, so every controller of a fleet has the same id. A daemon answers the
-// controller that bootstrapped it last: an accepted bootstrap replaces the
-// endpoint row of its sender (the rows of system nodes are never remapped),
-// forgets the cached connection to the previous controller, and drops every
-// status request parked for it, which could otherwise be answered to the new
-// controller under a request id both used. So a new controller re-drives a
-// running fleet with nothing on the wire that names a controller incarnation.
+// controller that bootstrapped it last, accepted or not: a bootstrap from a
+// node that is not a system node replaces its sender's endpoint row (the
+// rows of system nodes are never remapped), forgets the cached connection to
+// the previous controller, and drops every status request parked for it,
+// which could otherwise be answered to the new controller under a request id
+// both used. Only then is the digest compared, so a rejection reaches its
+// controller. Nothing on the wire names a controller incarnation.
 //
 // All control traffic is urgent (net::IsUrgent): it bypasses the
 // transport's data-plane batching, so driving a fleet never queues behind an
@@ -41,54 +47,31 @@
 #ifndef P2PDB_CORE_CONTROL_H_
 #define P2PDB_CORE_CONTROL_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "src/core/system.h"
 #include "src/core/wire.h"
-#include "src/relational/schema.h"
-#include "src/util/ids.h"
 #include "src/util/serde.h"
 #include "src/util/status.h"
 
 namespace p2pdb::core::wire {
 
-/// One row of the fleet endpoint table ("node host:port" on disk).
-struct EndpointEntry {
-  NodeId node = kNoNode;
-  std::string host;
-  uint16_t port = 0;
-
-  bool operator==(const EndpointEntry& other) const {
-    return node == other.node && host == other.host && port == other.port;
-  }
-};
-
-/// Session bootstrap handshake, controller -> peer. Carries everything the
-/// in-process Session constructor installs into a peer: its identity (id and
-/// name, cross-checked against the daemon's config file), its relation
-/// schemas (drift check against the locally parsed system file), the
-/// coordination rules headed at it, and the fleet endpoint table. A daemon
-/// rejects a bootstrap whose identity or schema disagrees with its config —
-/// the two provisioning paths (config file, wire handshake) must agree.
+/// Session bootstrap handshake, controller -> peer: daemon::SystemDigest of
+/// the controller's system, which must equal the daemon's, and the endpoint
+/// the daemon sends its replies to from now on.
 struct SessionBootstrap {
-  NodeId node = kNoNode;
-  std::string name;
-  NodeId super_peer = 0;
-  std::vector<rel::RelationSchema> schema;
-  std::vector<CoordinationRule> rules;
-  std::vector<EndpointEntry> endpoints;
+  uint32_t system_digest = 0;
+  std::string controller_host;
+  uint16_t controller_port = 0;
 
   std::vector<uint8_t> Encode() const;
   static Result<SessionBootstrap> Decode(ByteView bytes);
 };
 
-/// Bootstrap outcome, peer -> controller.
+/// Bootstrap outcome, peer -> controller: empty when accepted.
 struct BootstrapAck {
-  NodeId node = kNoNode;
-  std::string name;
-  bool accepted = false;
-  std::string error;  // Empty when accepted.
+  std::string error;
 
   std::vector<uint8_t> Encode() const;
   static Result<BootstrapAck> Decode(ByteView bytes);
@@ -125,14 +108,11 @@ struct StatusRequest {
 };
 
 /// One peer's statistics row (the super-peer's Section-5 statistics duty):
-/// phase states plus the update counters Session::CollectStatistics prints,
-/// answering the StatusRequest with the same id. The controller declares the
-/// update's fixpoint when every participant has answered "update closed in
-/// this session".
+/// phase states plus the update counters, answering the StatusRequest with
+/// the same id. The controller declares the update's fixpoint when every
+/// participant has answered "update closed in this session".
 struct StatusReport {
   uint64_t id = 0;  // The StatusRequest this answers.
-  NodeId node = kNoNode;
-  std::string name;
   uint8_t state_discovery = 0;  // core::DiscoveryEngine::State
   uint8_t state_update = 0;     // core::UpdateEngine::State
   uint64_t tuples = 0;
@@ -148,7 +128,6 @@ struct StatusReport {
 
 /// The peer's full local database (rel::SerializeDatabase bytes).
 struct DumpReply {
-  NodeId node = kNoNode;
   std::vector<uint8_t> database;
 
   std::vector<uint8_t> Encode() const;
@@ -156,5 +135,19 @@ struct DumpReply {
 };
 
 }  // namespace p2pdb::core::wire
+
+namespace p2pdb::core {
+
+class Peer;
+
+/// `peer`'s statistics row (request id 0), as daemons report it.
+wire::StatusReport StatusRow(const Peer& peer);
+
+/// The statistics table Session and p2pdb_fleetctl print: a header, then
+/// `rows[i]` named `names[i]`.
+std::string FormatStatistics(const std::vector<std::string>& names,
+                             const std::vector<wire::StatusReport>& rows);
+
+}  // namespace p2pdb::core
 
 #endif  // P2PDB_CORE_CONTROL_H_

@@ -215,6 +215,14 @@ std::string DependencyGraph::ToString() const {
   return out;
 }
 
+std::set<NodeId> UpdateParticipants(const std::vector<CoordinationRule>& rules,
+                                    NodeId super_peer) {
+  std::set<NodeId> out =
+      DependencyGraph::FromRules(rules).ReachableFrom(super_peer);
+  out.insert(super_peer);
+  return out;
+}
+
 std::string PathToString(const std::vector<NodeId>& path,
                          const P2PSystem* system) {
   std::vector<std::string> names;

@@ -76,6 +76,11 @@ class DependencyGraph {
   std::set<Edge> edges_;
 };
 
+/// The participants of an update from `super_peer`: itself and every node
+/// reachable from it over the dependency edges of `rules`.
+std::set<NodeId> UpdateParticipants(const std::vector<CoordinationRule>& rules,
+                                    NodeId super_peer);
+
 /// Formats a path as "A.B.C" using node names from `system` (or ids when null).
 std::string PathToString(const std::vector<NodeId>& path,
                          const P2PSystem* system);

@@ -23,6 +23,11 @@ void DiscoveryEngine::Start() {
   }
 }
 
+void DiscoveryEngine::Reset() {
+  instances_.clear();
+  state_ = State::kUndefined;
+}
+
 std::set<NodeId> DiscoveryEngine::JoinInstance(Instance* inst, NodeId origin,
                                                NodeId parent) {
   inst->origin = origin;

@@ -36,8 +36,13 @@ class DiscoveryEngine {
 
   explicit DiscoveryEngine(Peer* peer) : peer_(peer) {}
 
-  /// A1 Discover: starts an instance with this node as origin.
+  /// A1 Discover: starts an instance with this node as origin. A no-op at
+  /// a node whose own instance has already started, until Reset().
   void Start();
+
+  /// Forgets every instance and returns to kUndefined, while no discovery
+  /// message is in flight. The peer's topology knowledge stays.
+  void Reset();
 
   void OnRequest(NodeId from, const wire::DiscoverRequest& req);
   void OnAnswer(NodeId from, const wire::DiscoverAnswer& ans);

@@ -4,9 +4,9 @@
 #include <utility>
 
 #include "src/core/bootstrap.h"
+#include "src/core/control.h"
 #include "src/core/dependency.h"
 #include "src/obs/metrics.h"
-#include "src/util/string_util.h"
 
 namespace p2pdb::core {
 
@@ -180,6 +180,14 @@ void Session::ScheduleChange(const AtomicChange& change) {
 
 Status Session::Rediscover() {
   const uint64_t start = runtime_->NowMicros();
+  // The network is quiescent, so no wave of the last round is still in
+  // flight: forget every finished instance before any new one starts, or a
+  // node that has already discovered would not start or join again.
+  for (auto& peer : peers_) {
+    if (peer != nullptr) {
+      runtime_->RunExclusive(peer->id(), [&] { peer->discovery().Reset(); });
+    }
+  }
   for (auto& peer : peers_) {
     if (peer != nullptr) {
       runtime_->RunExclusive(peer->id(), [&] { peer->StartDiscovery(); });
@@ -283,19 +291,12 @@ Status Session::RunUpdateWithChurn(const ChurnScript& churn) {
 }
 
 std::set<NodeId> Session::Participants() const {
-  std::set<wire::Edge> edges;
+  std::vector<CoordinationRule> rules;
   for (const auto& peer : peers_) {
-    if (peer == nullptr) continue;  // Crashed peers contribute no edges.
-    for (const CoordinationRule& r : peer->rules()) {
-      for (const CoordinationRule::BodyPart& p : r.body) {
-        edges.insert({r.head_node, p.node});
-      }
-    }
+    if (peer == nullptr) continue;  // Crashed peers contribute no rules.
+    rules.insert(rules.end(), peer->rules().begin(), peer->rules().end());
   }
-  DependencyGraph graph(edges);
-  std::set<NodeId> out = graph.ReachableFrom(options_.super_peer);
-  out.insert(options_.super_peer);
-  return out;
+  return UpdateParticipants(rules, options_.super_peer);
 }
 
 bool Session::AllClosed(std::set<NodeId>* open_nodes) const {
@@ -321,33 +322,15 @@ std::vector<rel::Database> Session::SnapshotDatabases() const {
 }
 
 std::string Session::CollectStatistics() const {
-  std::string out = StrFormat(
-      "%-6s %-8s %-8s %10s %8s %8s %8s %8s\n", "node", "state_d", "state_u",
-      "tuples", "inserted", "joins", "answers", "reopens");
+  std::vector<std::string> names;
+  std::vector<wire::StatusReport> rows;
   for (const auto& peer : peers_) {
     if (peer == nullptr) continue;
-    const UpdateEngine::Stats& stats = peer->update().stats();
-    const char* state_d =
-        peer->discovery().state() == DiscoveryEngine::State::kClosed
-            ? "closed"
-            : (peer->discovery().state() == DiscoveryEngine::State::kDiscovery
-                   ? "disc"
-                   : "undef");
-    const char* state_u =
-        peer->update().state() == UpdateEngine::State::kClosed
-            ? "closed"
-            : (peer->update().state() == UpdateEngine::State::kOpen ? "open"
-                                                                    : "idle");
-    out += StrFormat(
-        "%-6s %-8s %-8s %10zu %8llu %8llu %8llu %8llu\n", peer->name().c_str(),
-        state_d, state_u, peer->db().TotalTuples(),
-        static_cast<unsigned long long>(stats.tuples_inserted),
-        static_cast<unsigned long long>(stats.joins_evaluated),
-        static_cast<unsigned long long>(stats.answers_sent),
-        static_cast<unsigned long long>(stats.reopens));
+    names.push_back(peer->name());
+    rows.push_back(StatusRow(*peer));
   }
-  out += "network: " + runtime_->stats().Report();
-  return out;
+  return FormatStatistics(names, rows) +
+         "network: " + runtime_->stats().Report();
 }
 
 }  // namespace p2pdb::core

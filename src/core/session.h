@@ -102,6 +102,8 @@ class Session {
 
   /// Re-runs discovery so every peer refreshes its topology knowledge and SCC
   /// membership after dynamic changes (needed when changes affect cycles).
+  /// Every live peer starts afresh, whether it has discovered or not; its
+  /// knowledge is a union over rounds, so a deleteLink shrinks no SCC.
   Status Rediscover();
 
   // --- Peer churn (crash / durable restart) ---
@@ -149,8 +151,8 @@ class Session {
   const Peer& peer(NodeId id) const { return *peers_[id]; }
   size_t peer_count() const { return peers_.size(); }
 
-  /// Nodes participating in the super-peer's update: the super-peer plus all
-  /// nodes reachable from it over dependency edges.
+  /// Nodes participating in the super-peer's update: UpdateParticipants over
+  /// the live peers' current rules.
   std::set<NodeId> Participants() const;
 
   /// True when every participant's update state is closed; nodes still open

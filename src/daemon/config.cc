@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <sstream>
 
+#include "src/lang/printer.h"
+#include "src/util/crc32.h"
 #include "src/util/file_util.h"
 #include "src/util/string_util.h"
 
@@ -24,6 +26,11 @@ Result<NodeId> ParseNodeId(const std::string& text) {
 }
 
 }  // namespace
+
+uint32_t SystemDigest(const core::P2PSystem& system) {
+  const std::string text = lang::PrintSystem(system);
+  return Crc32(reinterpret_cast<const uint8_t*>(text.data()), text.size());
+}
 
 Result<PeerdConfig> PeerdConfig::Parse(const std::string& text) {
   PeerdConfig out;
@@ -128,7 +135,7 @@ std::string PeerdConfig::ToString() const {
   if (!obs_json.empty()) out += "obs_json " + obs_json + "\n";
   out += "super_peer " + std::to_string(super_peer) + "\n";
   if (no_sync) out += "sync nosync\n";
-  for (const core::wire::EndpointEntry& e : peers) {
+  for (const EndpointEntry& e : peers) {
     out += "peer " + std::to_string(e.node) + " " + e.host + ":" +
            std::to_string(e.port) + "\n";
   }

@@ -75,7 +75,7 @@ Result<std::vector<PeerdConfig>> MakeFleetConfigs(
     return Status::InvalidArgument("super_peer " + std::to_string(super_peer) +
                                    " is not a system node");
   }
-  std::vector<wire::EndpointEntry> table;
+  std::vector<EndpointEntry> table;
   table.reserve(system.node_count());
   for (NodeId n = 0; n < system.node_count(); ++n) {
     table.push_back({n, host, ports[n]});
@@ -99,31 +99,30 @@ Result<std::vector<PeerdConfig>> MakeFleetConfigs(
   return configs;
 }
 
-FleetController::FleetController(core::P2PSystem system,
-                                 std::vector<wire::EndpointEntry> fleet,
-                                 NodeId super_peer, Options options)
+FleetController::FleetController(core::P2PSystem system, NodeId super_peer,
+                                 Options options)
     : system_(std::move(system)),
-      fleet_(std::move(fleet)),
+      digest_(SystemDigest(system_)),
       super_peer_(super_peer),
       options_(std::move(options)),
       id_(static_cast<NodeId>(system_.node_count())) {}
 
 Result<std::unique_ptr<FleetController>> FleetController::Connect(
-    core::P2PSystem system, std::vector<wire::EndpointEntry> fleet,
+    core::P2PSystem system, const std::vector<EndpointEntry>& fleet,
     NodeId super_peer, Options options) {
   if (fleet.size() != system.node_count()) {
     return Status::InvalidArgument(
         std::to_string(system.node_count()) + "-node system but " +
         std::to_string(fleet.size()) + " endpoint rows");
   }
-  auto controller = std::unique_ptr<FleetController>(new FleetController(
-      std::move(system), std::move(fleet), super_peer, std::move(options)));
+  auto controller = std::unique_ptr<FleetController>(
+      new FleetController(std::move(system), super_peer, std::move(options)));
   net::TcpRuntime::Options net_options;
   net_options.host = controller->options_.host;
   controller->runtime_ = std::make_unique<net::TcpRuntime>(net_options);
   controller->runtime_->RegisterPeer(controller->id_, controller.get());
   P2PDB_RETURN_IF_ERROR(controller->runtime_->PeerReady(controller->id_));
-  for (const wire::EndpointEntry& e : controller->fleet_) {
+  for (const EndpointEntry& e : fleet) {
     P2PDB_RETURN_IF_ERROR(controller->runtime_->AddRemoteEndpoint(
         e.node, net::TcpRuntime::Endpoint{e.host, e.port}));
   }
@@ -163,7 +162,7 @@ void FleetController::OnMessage(const net::Message& msg) {
       auto ack = wire::DecodePayload<wire::BootstrapAck>(msg);
       if (!ack) return;
       std::lock_guard<std::mutex> lock(mutex_);
-      acks_[ack->node] = std::move(*ack);
+      acks_[msg.from] = std::move(*ack);
       replied_.notify_all();
       return;
     }
@@ -186,7 +185,7 @@ void FleetController::OnMessage(const net::Message& msg) {
       auto dump = wire::DecodePayload<wire::DumpReply>(msg);
       if (!dump) return;
       std::lock_guard<std::mutex> lock(mutex_);
-      dumps_[dump->node] = std::move(*dump);
+      dumps_[msg.from] = std::move(*dump);
       replied_.notify_all();
       return;
     }
@@ -197,35 +196,21 @@ void FleetController::OnMessage(const net::Message& msg) {
 }
 
 Status FleetController::Bootstrap(const std::vector<NodeId>& nodes) {
-  // The controller's own endpoint row rides along so daemons can route
-  // replies back without the controller appearing in any config file.
-  std::vector<wire::EndpointEntry> table = fleet_;
-  table.push_back({id_, options_.host, runtime_->ListenPort(id_)});
+  // The controller's own endpoint rides along so daemons can route replies
+  // back without the controller appearing in any config file.
+  const wire::SessionBootstrap bootstrap{digest_, options_.host,
+                                         runtime_->ListenPort(id_)};
   {
     std::lock_guard<std::mutex> lock(mutex_);
     acks_.clear();
   }
-  auto encode = [&](NodeId n) {
-    wire::SessionBootstrap bootstrap;
-    bootstrap.node = n;
-    bootstrap.name = system_.node(n).name;
-    bootstrap.super_peer = super_peer_;
-    for (const rel::Relation& relation : system_.node(n).db.relations()) {
-      bootstrap.schema.push_back(relation.schema());
-    }
-    for (const core::CoordinationRule* rule : system_.RulesWithHead(n)) {
-      bootstrap.rules.push_back(*rule);
-    }
-    bootstrap.endpoints = table;
-    return bootstrap.Encode();
-  };
   // Both called with mutex_ held.
-  auto rejected = [&]() -> const wire::BootstrapAck* {
+  auto rejected = [&]() -> std::optional<NodeId> {
     for (NodeId n : nodes) {
       auto it = acks_.find(n);
-      if (it != acks_.end() && !it->second.accepted) return &it->second;
+      if (it != acks_.end() && !it->second.error.empty()) return n;
     }
-    return nullptr;
+    return std::nullopt;
   };
   auto unacked = [&] {
     std::vector<NodeId> out;
@@ -238,22 +223,22 @@ Status FleetController::Bootstrap(const std::vector<NodeId>& nodes) {
   std::vector<NodeId> missing = nodes;
   for (;;) {
     for (NodeId n : missing) {
-      SendControl(n, net::MessageType::kBootstrap, encode(n));
+      SendControl(n, net::MessageType::kBootstrap, bootstrap.Encode());
     }
     // A bootstrap frame sent before the daemon's listener is bound is
     // dropped by the failed connect, so unacked nodes get it again every
-    // kBootstrapResend: the daemon side is idempotent (re-validate, re-apply
-    // endpoints, re-ack).
+    // kBootstrapResend: the daemon side is idempotent (same row, same
+    // digest, re-ack).
     std::unique_lock<std::mutex> lock(mutex_);
     replied_.wait_until(
         lock,
         std::min(deadline,
                  std::chrono::steady_clock::now() + kBootstrapResend),
-        [&] { return rejected() != nullptr || unacked().empty(); });
-    if (const wire::BootstrapAck* ack = rejected()) {
-      return Status::ProtocolError("node " + std::to_string(ack->node) +
-                                   " (" + ack->name +
-                                   ") rejected bootstrap: " + ack->error);
+        [&] { return rejected().has_value() || unacked().empty(); });
+    if (std::optional<NodeId> n = rejected()) {
+      return Status::ProtocolError("node " + std::to_string(*n) + " (" +
+                                   system_.node(*n).name +
+                                   ") rejected bootstrap: " + acks_[*n].error);
     }
     missing = unacked();
     if (missing.empty()) return Status::OK();
@@ -342,10 +327,8 @@ Status FleetController::StartUpdate(uint64_t session) {
 Status FleetController::AwaitUpdateFixpoint(
     uint64_t session, const std::vector<NodeId>& nodes,
     std::vector<wire::StatusReport>* final_reports) {
-  std::set<NodeId> participants =
-      core::DependencyGraph::FromRules(system_.rules())
-          .ReachableFrom(super_peer_);
-  participants.insert(super_peer_);
+  const std::set<NodeId> participants =
+      core::UpdateParticipants(system_.rules(), super_peer_);
   auto round = StatusRound(
       nodes,
       [&](NodeId n) {

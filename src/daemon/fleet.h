@@ -62,18 +62,18 @@ class FleetController : public net::PeerHandler {
     std::chrono::milliseconds timeout{30'000};
   };
 
-  /// Builds and starts the controller runtime and installs `fleet` as its
-  /// endpoint table. Sends nothing: the daemons first hear from the
-  /// controller when Bootstrap() runs.
+  /// Builds and starts the controller runtime, installs `fleet` as its
+  /// endpoint table and digests `system` for the bootstrap. Sends nothing:
+  /// the daemons first hear from the controller when Bootstrap() runs.
   static Result<std::unique_ptr<FleetController>> Connect(
-      core::P2PSystem system, std::vector<core::wire::EndpointEntry> fleet,
+      core::P2PSystem system, const std::vector<EndpointEntry>& fleet,
       NodeId super_peer, Options options);
 
   ~FleetController() override;
 
   /// Sends the session handshake to `nodes` and waits for every ack. Any
-  /// rejection (identity/schema/rule drift at a daemon) fails the call with
-  /// the daemon's reason.
+  /// rejection (a daemon whose system file digests differently) fails the
+  /// call as a ProtocolError with the daemon's reason.
   Status Bootstrap(const std::vector<NodeId>& nodes);
 
   /// Sends kStartDiscovery to `nodes` (no wait).
@@ -96,12 +96,12 @@ class FleetController : public net::PeerHandler {
   /// update phase in `session` — the cross-process analogue of the
   /// in-process session returning from RunUpdate. The participants are the
   /// super-peer and the nodes reachable from it over the system's rule edges
-  /// (Session::Participants); each one must answer, since an SCC member
+  /// (core::UpdateParticipants); each one must answer, since an SCC member
   /// closes after its ring leader. The other nodes answer at once. Fills
-  /// `final_reports` (optional) with one row per node of `nodes`.
-  Status AwaitUpdateFixpoint(uint64_t session,
-                             const std::vector<NodeId>& nodes,
-                             std::vector<core::wire::StatusReport>* final);
+  /// `final_reports` (optional) with one row per node of `nodes`, in order.
+  Status AwaitUpdateFixpoint(
+      uint64_t session, const std::vector<NodeId>& nodes,
+      std::vector<core::wire::StatusReport>* final_reports);
 
   /// Fetches and deserializes one peer's full local database.
   Result<rel::Database> Dump(NodeId node);
@@ -125,9 +125,8 @@ class FleetController : public net::PeerHandler {
   /// frame sent before a daemon's listener is bound is dropped, not queued.
   static constexpr std::chrono::milliseconds kBootstrapResend{250};
 
-  FleetController(core::P2PSystem system,
-                  std::vector<core::wire::EndpointEntry> fleet,
-                  NodeId super_peer, Options options);
+  FleetController(core::P2PSystem system, NodeId super_peer,
+                  Options options);
 
   void SendControl(NodeId to, net::MessageType type,
                    std::vector<uint8_t> payload);
@@ -141,7 +140,7 @@ class FleetController : public net::PeerHandler {
       const std::function<Until(NodeId)>& until, uint64_t session);
 
   core::P2PSystem system_;
-  std::vector<core::wire::EndpointEntry> fleet_;
+  uint32_t digest_;  // SystemDigest(system_), sent in every bootstrap.
   NodeId super_peer_;
   Options options_;
   NodeId id_;  // node_count: one past the last real node.
@@ -149,12 +148,12 @@ class FleetController : public net::PeerHandler {
 
   std::mutex mutex_;
   std::condition_variable replied_;  // Notified by OnMessage.
-  std::map<NodeId, core::wire::BootstrapAck> acks_;
+  std::map<NodeId, core::wire::BootstrapAck> acks_;  // By sender.
   /// One entry per outstanding status request id; a report with any other
   /// id is stale and dropped.
   std::map<uint64_t, std::optional<core::wire::StatusReport>> reports_;
   uint64_t next_request_id_ = 1;
-  std::map<NodeId, core::wire::DumpReply> dumps_;
+  std::map<NodeId, core::wire::DumpReply> dumps_;  // By sender.
 };
 
 }  // namespace p2pdb::daemon

@@ -3,6 +3,7 @@
 #include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -20,14 +21,17 @@
 #include "src/storage/storage_manager.h"
 #include "src/util/file_util.h"
 #include "src/util/logging.h"
+#include "src/util/string_util.h"
 
 namespace p2pdb::daemon {
 
 namespace wire = core::wire;
 
-PeerDaemon::PeerDaemon(PeerdConfig config, core::P2PSystem system)
+PeerDaemon::PeerDaemon(PeerdConfig config, size_t system_nodes,
+                       uint32_t digest)
     : config_(std::move(config)),
-      system_(std::move(system)),
+      system_nodes_(system_nodes),
+      digest_(digest),
       stop_fd_(::eventfd(0, EFD_CLOEXEC)) {}
 
 Result<std::unique_ptr<PeerDaemon>> PeerDaemon::Start(PeerdConfig config) {
@@ -46,9 +50,19 @@ Result<std::unique_ptr<PeerDaemon>> PeerDaemon::Start(PeerdConfig config) {
         "config names node " + std::to_string(config.node) + " '" +
         config.name + "' but the system file says '" + info.name + "'");
   }
+  // The config is the only source of the endpoint table: a node without a
+  // row could never be reached.
+  for (NodeId n = 0; n < system->node_count(); ++n) {
+    if (n == config.node) continue;
+    if (std::none_of(config.peers.begin(), config.peers.end(),
+                     [n](const EndpointEntry& e) { return e.node == n; })) {
+      return Status::InvalidArgument("config has no peer row for node " +
+                                     std::to_string(n));
+    }
+  }
 
-  auto daemon =
-      std::unique_ptr<PeerDaemon>(new PeerDaemon(config, std::move(*system)));
+  auto daemon = std::unique_ptr<PeerDaemon>(new PeerDaemon(
+      config, system->node_count(), SystemDigest(*system)));
   if (daemon->stop_fd_ < 0) {
     return Status::Internal(std::string("eventfd: ") + std::strerror(errno));
   }
@@ -77,8 +91,8 @@ Result<std::unique_ptr<PeerDaemon>> PeerDaemon::Start(PeerdConfig config) {
   const bool recovered = spec.recover;
   spec.id = cfg.node;
   spec.name = cfg.name;
-  spec.db = daemon->system_.node(cfg.node).db;
-  spec.rules = &daemon->system_.rules();
+  spec.db = system->node(cfg.node).db;
+  spec.rules = &system->rules();
   // The DAEMON is the registered handler (it must see control frames), so
   // the peer itself never registers; registration happens below.
   spec.config.register_with_runtime = false;
@@ -96,7 +110,7 @@ Result<std::unique_ptr<PeerDaemon>> PeerDaemon::Start(PeerdConfig config) {
                             std::to_string(cfg.listen.port));
   }
 
-  for (const wire::EndpointEntry& e : cfg.peers) {
+  for (const EndpointEntry& e : cfg.peers) {
     if (e.node == cfg.node) continue;  // Own row: the listener owns it.
     P2PDB_RETURN_IF_ERROR(daemon->runtime_->AddRemoteEndpoint(
         e.node, net::TcpRuntime::Endpoint{e.host, e.port}));
@@ -152,65 +166,24 @@ Status PeerDaemon::Serve() {
 
 Status PeerDaemon::ApplyBootstrap(NodeId sender,
                                   const wire::SessionBootstrap& bootstrap) {
-  if (bootstrap.node != config_.node || bootstrap.name != config_.name) {
-    return Status::InvalidArgument(
-        "bootstrap is for node " + std::to_string(bootstrap.node) + " '" +
-        bootstrap.name + "', this daemon is node " +
-        std::to_string(config_.node) + " '" + config_.name + "'");
-  }
-  if (bootstrap.super_peer != config_.super_peer) {
-    return Status::InvalidArgument(
-        "bootstrap names super-peer " + std::to_string(bootstrap.super_peer) +
-        ", config says " + std::to_string(config_.super_peer));
-  }
-  // Schema drift check: every relation the controller believes this node
-  // serves must exist here with the same attributes. The local system file
-  // stays authoritative — a mismatch is a provisioning error, not something
-  // to paper over by mutating the live database.
-  const rel::Database& db = system_.node(config_.node).db;
-  for (const rel::RelationSchema& schema : bootstrap.schema) {
-    const rel::RelationId relation = db.Find(schema.name());
-    if (relation == rel::kNoRelation ||
-        !(db.relation(relation).schema() == schema)) {
-      return Status::InvalidArgument("schema drift on relation '" +
-                                     schema.name() + "'");
-    }
-  }
-  // Rule drift check (validate, do not install: a rule the update plane
-  // legitimately deleted mid-session must not be resurrected by a re-sent
-  // bootstrap — recovery replays such deletions from the WAL).
-  for (const core::CoordinationRule& rule : bootstrap.rules) {
-    auto known = system_.RuleById(rule.id);
-    if (!known.ok() || (*known)->head_node != config_.node) {
-      return Status::InvalidArgument("bootstrap rule '" + rule.id +
-                                     "' is unknown to the system file");
-    }
-  }
-  if (sender < system_.node_count()) {
+  if (sender < system_nodes_) {
     return Status::InvalidArgument("bootstrap sent by system node " +
                                    std::to_string(sender) +
                                    ", not by a controller");
   }
-  const wire::EndpointEntry* controller = nullptr;
-  for (const wire::EndpointEntry& e : bootstrap.endpoints) {
-    if (e.node == config_.node) continue;
-    if (e.node == sender) {
-      controller = &e;
-      continue;
-    }
-    // Idempotent re-adds are fine; a conflicting remap rejects the
-    // bootstrap (AddRemoteEndpoint refuses and keeps the table intact).
-    P2PDB_RETURN_IF_ERROR(runtime_->AddRemoteEndpoint(
-        e.node, net::TcpRuntime::Endpoint{e.host, e.port}));
-  }
-  // Accepted: the sender drives this daemon from now on. Its row replaces
-  // the previous controller's, and what that one left parked goes, since
-  // the ids it chose mean nothing to the new controller.
-  if (controller != nullptr) {
-    runtime_->ReplaceEndpoint(
-        sender, net::TcpRuntime::Endpoint{controller->host, controller->port});
-  }
+  // The sender drives this daemon from now on, even if the digest below
+  // rejects it: its row replaces the previous controller's, so the ack
+  // reaches it, and what that one left parked goes, since the ids it chose
+  // mean nothing to the new controller.
+  runtime_->ReplaceEndpoint(
+      sender, net::TcpRuntime::Endpoint{bootstrap.controller_host,
+                                        bootstrap.controller_port});
   parked_.clear();
+  if (bootstrap.system_digest != digest_) {
+    return Status::InvalidArgument(StrFormat(
+        "system digest mismatch: controller %08x, system file %08x",
+        bootstrap.system_digest, digest_));
+  }
   return Status::OK();
 }
 
@@ -247,27 +220,11 @@ void PeerDaemon::OnMessage(const net::Message& msg) {
       ++it;
       continue;
     }
-    Reply(it->from, net::MessageType::kStatusReport,
-          StatusRow(it->request.id).Encode());
+    wire::StatusReport row = core::StatusRow(*peer_);
+    row.id = it->request.id;
+    Reply(it->from, net::MessageType::kStatusReport, row.Encode());
     it = parked_.erase(it);
   }
-}
-
-wire::StatusReport PeerDaemon::StatusRow(uint64_t request_id) const {
-  wire::StatusReport report;
-  report.id = request_id;
-  report.node = config_.node;
-  report.name = config_.name;
-  report.state_discovery = static_cast<uint8_t>(peer_->discovery().state());
-  report.state_update = static_cast<uint8_t>(peer_->update().state());
-  report.tuples = peer_->db().TotalTuples();
-  const core::UpdateEngine::Stats& stats = peer_->update().stats();
-  report.tuples_inserted = stats.tuples_inserted;
-  report.joins_evaluated = stats.joins_evaluated;
-  report.answers_sent = stats.answers_sent;
-  report.token_passes = stats.token_passes;
-  report.reopens = stats.reopens;
-  return report;
 }
 
 void PeerDaemon::Dispatch(const net::Message& msg) {
@@ -277,18 +234,11 @@ void PeerDaemon::Dispatch(const net::Message& msg) {
   switch (msg.type) {
     case net::MessageType::kBootstrap: {
       auto bootstrap = wire::SessionBootstrap::Decode(msg.payload);
+      Status applied = bootstrap.ok() ? ApplyBootstrap(msg.from, *bootstrap)
+                                      : bootstrap.status();
       wire::BootstrapAck ack;
-      ack.node = config_.node;
-      ack.name = config_.name;
-      if (!bootstrap.ok()) {
-        ack.accepted = false;
-        ack.error = bootstrap.status().ToString();
-      } else {
-        Status applied = ApplyBootstrap(msg.from, *bootstrap);
-        ack.accepted = applied.ok();
-        if (!applied.ok()) ack.error = applied.ToString();
-      }
-      if (!ack.accepted) {
+      if (!applied.ok()) {
+        ack.error = applied.ToString();
         P2PDB_LOG(kWarn) << "rejecting bootstrap: " << ack.error;
       }
       Reply(msg.from, net::MessageType::kBootstrapAck, ack.Encode());
@@ -313,9 +263,7 @@ void PeerDaemon::Dispatch(const net::Message& msg) {
       return;
     case net::MessageType::kDumpRequest: {
       if (!wire::DecodePayload<wire::Empty>(msg)) return;
-      wire::DumpReply reply;
-      reply.node = config_.node;
-      reply.database = rel::SerializeDatabase(peer_->db());
+      wire::DumpReply reply{rel::SerializeDatabase(peer_->db())};
       Reply(msg.from, net::MessageType::kDumpReply, reply.Encode());
       return;
     }

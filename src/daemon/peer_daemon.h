@@ -6,9 +6,10 @@
 // forwarded untouched to the peer's normal protocol dispatch. A status
 // request whose condition does not hold yet is parked and answered by the
 // dispatch that makes it true, so the controller never polls. The config
-// file is authoritative for identity, endpoint, schema and rules — a wire
-// bootstrap is validated against it (and applies the endpoint table), so the
-// two provisioning paths cannot silently disagree.
+// file and its system file are the daemon's only provisioning: identity,
+// endpoint table, schemas and rules all come from them. A controller's
+// bootstrap brings only the controller's own endpoint and a digest of its
+// system, which must match this daemon's.
 //
 // Startup picks fresh-vs-recover by looking at the data directory's log: no
 // base record yet (no log, or a base torn by a crash) means first boot (seed
@@ -24,7 +25,6 @@
 
 #include "src/core/control.h"
 #include "src/core/peer.h"
-#include "src/core/system.h"
 #include "src/daemon/config.h"
 #include "src/net/tcp_runtime.h"
 #include "src/util/status.h"
@@ -33,7 +33,8 @@ namespace p2pdb::daemon {
 
 class PeerDaemon : public net::PeerHandler {
  public:
-  /// Builds the full stack: parse the system file, open (and maybe recover
+  /// Builds the full stack: parse the system file, check that the config has
+  /// a `peer` row for every other system node, open (and maybe recover
   /// from) storage, bind the configured listen endpoint, install the
   /// config's endpoint table, and write the pid file. On return the peer is
   /// registered and serving.
@@ -59,12 +60,13 @@ class PeerDaemon : public net::PeerHandler {
   const PeerdConfig& config() const { return config_; }
 
  private:
-  PeerDaemon(PeerdConfig config, core::P2PSystem system);
+  PeerDaemon(PeerdConfig config, size_t system_nodes, uint32_t digest);
 
-  /// Validates a decoded bootstrap from `sender` against the config/system
-  /// file and applies its endpoint table. The sender's own row replaces any
-  /// earlier one, and every parked status request is dropped: a new
-  /// controller takes over. Returns the rejection reason, or OK.
+  /// Applies a decoded bootstrap from `sender`. A system node is refused
+  /// and moves no row. Any other sender becomes the controller whether or
+  /// not the digest then matches: its row replaces the previous
+  /// controller's and every parked status request is dropped, so the ack
+  /// reaches it. Returns the rejection reason, or OK.
   Status ApplyBootstrap(NodeId sender,
                         const core::wire::SessionBootstrap& bootstrap);
 
@@ -77,9 +79,6 @@ class PeerDaemon : public net::PeerHandler {
   /// Whether `request`'s condition holds at this peer now.
   bool Holds(const core::wire::StatusRequest& request) const;
 
-  /// This peer's statistics row, answering request `request_id`.
-  core::wire::StatusReport StatusRow(uint64_t request_id) const;
-
   /// A status request waiting for its condition, and who asked.
   struct ParkedRequest {
     NodeId from = kNoNode;
@@ -87,7 +86,8 @@ class PeerDaemon : public net::PeerHandler {
   };
 
   PeerdConfig config_;
-  core::P2PSystem system_;
+  size_t system_nodes_;  // Senders below this are system nodes.
+  uint32_t digest_;      // SystemDigest of the parsed system file.
   std::unique_ptr<net::TcpRuntime> runtime_;
   std::unique_ptr<core::Peer> peer_;
   int stop_fd_ = -1;  // eventfd: RequestStop writes it, Serve reads it.

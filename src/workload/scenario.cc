@@ -93,9 +93,8 @@ Result<core::ChurnScript> PlanCrashRestart(const core::P2PSystem& system,
   if (super_peer >= system.node_count()) {
     return Status::InvalidArgument("super peer out of range");
   }
-  core::DependencyGraph graph =
-      core::DependencyGraph::FromRules(system.rules());
-  std::set<NodeId> participants = graph.ReachableFrom(super_peer);
+  std::set<NodeId> participants =
+      core::UpdateParticipants(system.rules(), super_peer);
   participants.erase(super_peer);  // The initiator itself never crashes.
   std::vector<NodeId> candidates(participants.begin(), participants.end());
   if (candidates.empty()) {

@@ -188,6 +188,41 @@ TEST(DynamicsTest, AddLinkReopensClosedNode) {
       session.peer(0).db().relation("a").Contains(rel::Tuple({S("d1")})));
 }
 
+// Rediscover re-runs discovery at nodes that have discovered before: an
+// addLink that closes a cycle while every peer is idle makes the cycle one
+// SCC at each of its nodes, so the next update closes them through their
+// token ring.
+TEST(DynamicsTest, RediscoverLearnsACycleAddedAfterDiscovery) {
+  auto system = lang::ParseSystem(R"(
+node A { rel a(x); }
+node B { rel b(x); }
+node C { rel c(x); }
+node D { rel d(x); fact d("d1"); fact d("d2"); }
+rule r1: B.b(X) => A.a(X);
+rule r2: C.c(X) => B.b(X);
+rule r3: D.d(X) => C.c(X);
+)");
+  ASSERT_TRUE(system.ok()) << system.status().ToString();
+  net::SimRuntime rt;
+  Session session(*system, &rt);
+  ASSERT_TRUE(session.RunDiscovery().ok());
+  // addLink: C also pulls from A, closing the cycle A -> B -> C -> A.
+  auto added = lang::ParseRules(*system, "rule r4: A.a(X) => C.c(X);");
+  ASSERT_TRUE(added.ok()) << added.status().ToString();
+  session.ScheduleChange(AtomicChange::Add(10, added->front()));
+  ASSERT_TRUE(session.Run().ok());
+  ASSERT_TRUE(session.Rediscover().ok());
+  const std::set<NodeId> cycle = {0, 1, 2};
+  for (NodeId n : cycle) {
+    EXPECT_EQ(session.peer(n).OwnScc(), cycle) << "node " << n;
+  }
+  ASSERT_TRUE(session.RunUpdate().ok());
+  std::set<NodeId> open;
+  EXPECT_TRUE(session.AllClosed(&open)) << open.size() << " nodes open";
+  EXPECT_TRUE(
+      session.peer(0).db().relation("a").Contains(rel::Tuple({S("d2")})));
+}
+
 TEST(DynamicsTest, DeleteLinkKeepsDataAndCloses) {
   auto system = ChainWithSpare();
   ASSERT_TRUE(system.ok());

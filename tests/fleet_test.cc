@@ -233,14 +233,14 @@ constexpr char kPairSystem[] =
     "node B { rel b(x); fact b(1); fact b(2); }\n"
     "rule r: B.b(X) => A.a(X);\n";
 
-/// kPairSystem served by one in-process PeerDaemon per node. Each listens
-/// on a kernel-picked port and knows no other node until a controller's
-/// bootstrap brings the endpoint table.
+/// kPairSystem served by one in-process PeerDaemon per node, provisioned
+/// the way a process fleet is: fixed ports from PickFreePorts and configs
+/// from MakeFleetConfigs, each with every node's `peer` row.
 struct InProcessFleet {
   std::string root;
   core::P2PSystem system;
+  std::vector<PeerdConfig> configs;
   std::vector<std::unique_ptr<PeerDaemon>> daemons;
-  std::vector<core::wire::EndpointEntry> endpoints;
 };
 
 void StartInProcessFleet(const std::string& name, InProcessFleet* fleet) {
@@ -250,29 +250,49 @@ void StartInProcessFleet(const std::string& name, InProcessFleet* fleet) {
   auto system = lang::ParseSystem(kPairSystem);
   ASSERT_TRUE(system.ok()) << system.status().ToString();
   fleet->system = std::move(*system);
-  for (NodeId n = 0; n < fleet->system.node_count(); ++n) {
-    PeerdConfig config;
-    config.node = n;
-    config.name = fleet->system.node(n).name;
-    config.listen = {"127.0.0.1", 0};
-    config.system_file = system_file;
-    config.obs_json = fleet->root + "/peer" + std::to_string(n) + ".obs.json";
+  auto ports = PickFreePorts("127.0.0.1", fleet->system.node_count());
+  ASSERT_TRUE(ports.ok()) << ports.status().ToString();
+  auto configs = MakeFleetConfigs(fleet->system, system_file, fleet->root,
+                                  "127.0.0.1", *ports, /*super_peer=*/0,
+                                  /*no_sync=*/true);
+  ASSERT_TRUE(configs.ok()) << configs.status().ToString();
+  fleet->configs = std::move(*configs);
+  for (const PeerdConfig& config : fleet->configs) {
     auto daemon = PeerDaemon::Start(config);
     ASSERT_TRUE(daemon.ok()) << daemon.status().ToString();
-    fleet->endpoints.push_back(
-        {n, "127.0.0.1", (*daemon)->runtime().ListenPort(n)});
     fleet->daemons.push_back(std::move(*daemon));
   }
 }
 
-std::unique_ptr<FleetController> ConnectTo(const InProcessFleet& fleet,
-                                           std::chrono::milliseconds timeout) {
+/// A controller of `fleet` that holds `system` (the fleet's own by default).
+std::unique_ptr<FleetController> ConnectTo(
+    const InProcessFleet& fleet, std::chrono::milliseconds timeout,
+    const core::P2PSystem* system = nullptr) {
   FleetController::Options options;
   options.timeout = timeout;
-  auto controller = FleetController::Connect(fleet.system, fleet.endpoints,
-                                             /*super_peer=*/0, options);
+  auto controller = FleetController::Connect(
+      system != nullptr ? *system : fleet.system, fleet.configs[0].peers,
+      /*super_peer=*/0, options);
   EXPECT_TRUE(controller.ok()) << controller.status().ToString();
   return controller.ok() ? std::move(*controller) : nullptr;
+}
+
+// The config is the only source of the endpoint table, so a daemon whose
+// config has no row for another system node refuses to start.
+TEST(PeerDaemonTest, StartFailsWithoutARowForEveryOtherNode) {
+  const std::string root = FreshRoot("missing_row");
+  PeerdConfig config;
+  config.node = 0;
+  config.name = "A";
+  config.listen = {"127.0.0.1", 0};
+  config.system_file = root + "/fleet.p2p";
+  config.peers = {{0, "127.0.0.1", 1}};  // Its own row only.
+  ASSERT_TRUE(WriteFile(config.system_file, std::string(kPairSystem)).ok());
+  auto daemon = PeerDaemon::Start(config);
+  ASSERT_FALSE(daemon.ok()) << "Start succeeded with no row for node 1";
+  EXPECT_NE(daemon.status().message().find("no peer row for node 1"),
+            std::string::npos)
+      << daemon.status().ToString();
 }
 
 // A controller that has gone leaves the fleet running, with a status request
@@ -377,10 +397,8 @@ TEST(PeerDaemonTest, BootstrapFromASystemNodeIsRejected) {
   InProcessFleet fleet;
   ASSERT_NO_FATAL_FAILURE(StartInProcessFleet("system_sender", &fleet));
   PeerDaemon& daemon = *fleet.daemons[0];
-  core::wire::SessionBootstrap bootstrap;
-  bootstrap.node = 0;
-  bootstrap.name = "A";
-  bootstrap.endpoints = {{1, "127.0.0.1", 1}};
+  const core::wire::SessionBootstrap bootstrap{SystemDigest(fleet.system),
+                                               "127.0.0.1", 1};
   net::Message msg;
   msg.type = net::MessageType::kBootstrap;
   msg.from = 1;
@@ -388,7 +406,8 @@ TEST(PeerDaemonTest, BootstrapFromASystemNodeIsRejected) {
   msg.payload = bootstrap.Encode();
   ScopedLogCapture capture;
   daemon.runtime().RunExclusive(0, [&] { daemon.OnMessage(msg); });
-  EXPECT_EQ(daemon.runtime().EndpointOf(1).port, 0);
+  EXPECT_EQ(daemon.runtime().EndpointOf(1).port,
+            fleet.configs[1].listen.port);
   bool rejected = false;
   for (const std::string& line : capture.lines()) {
     if (line.find("rejecting bootstrap: InvalidArgument: bootstrap sent by "
@@ -397,6 +416,52 @@ TEST(PeerDaemonTest, BootstrapFromASystemNodeIsRejected) {
     }
   }
   EXPECT_TRUE(rejected);
+}
+
+// A controller whose system differs from the daemons' (here in one fact) is
+// told so within its timeout: the daemon takes the controller's route before
+// it compares digests, so the rejection reaches the controller with its
+// reason. The last bootstrap wins either way, and a controller holding the
+// fleet's system then takes the fleet over and drives it.
+TEST(FleetTest, DigestMismatchReachesTheController) {
+  InProcessFleet fleet;
+  ASSERT_NO_FATAL_FAILURE(StartInProcessFleet("digest", &fleet));
+  const std::vector<NodeId> all = {0, 1};
+  auto drifted = lang::ParseSystem(
+      "node A { rel a(x); }\n"
+      "node B { rel b(x); fact b(1); fact b(3); }\n"
+      "rule r: B.b(X) => A.a(X);\n");
+  ASSERT_TRUE(drifted.ok()) << drifted.status().ToString();
+  ASSERT_NE(SystemDigest(*drifted), SystemDigest(fleet.system));
+  {
+    const auto timeout = std::chrono::seconds(2);
+    auto wrong = ConnectTo(fleet, timeout, &*drifted);
+    ASSERT_NE(wrong, nullptr);
+    const auto start = std::chrono::steady_clock::now();
+    Status bootstrap = wrong->Bootstrap(all);
+    EXPECT_LT(std::chrono::steady_clock::now() - start, timeout);
+    EXPECT_EQ(bootstrap.code(), StatusCode::kProtocolError)
+        << bootstrap.ToString();
+    EXPECT_NE(bootstrap.message().find("rejected bootstrap"),
+              std::string::npos)
+        << bootstrap.ToString();
+    EXPECT_NE(bootstrap.message().find("system digest mismatch"),
+              std::string::npos)
+        << bootstrap.ToString();
+  }
+
+  auto right = ConnectTo(fleet, std::chrono::seconds(10));
+  ASSERT_NE(right, nullptr);
+  Status bootstrap = right->Bootstrap(all);
+  ASSERT_TRUE(bootstrap.ok()) << bootstrap.ToString();
+  ASSERT_TRUE(right->StartDiscovery(all).ok());
+  ASSERT_TRUE(right->AwaitDiscoveryClosed(all).ok());
+  ASSERT_TRUE(right->StartUpdate(1).ok());
+  Status fixpoint = right->AwaitUpdateFixpoint(1, all, nullptr);
+  ASSERT_TRUE(fixpoint.ok()) << fixpoint.ToString();
+  auto dump = right->Dump(0);
+  ASSERT_TRUE(dump.ok()) << dump.status().ToString();
+  EXPECT_EQ(dump->TotalTuples(), 2u);  // B's two facts reached A.
 }
 
 TEST(FleetHelpersTest, PickFreePortsReturnsDistinctPorts) {
@@ -467,19 +532,19 @@ void LaunchFleet(const std::string& name, size_t nodes,
 }
 
 /// Every participant of the update (the super-peer and the nodes reachable
-/// from it) reported its update phase closed.
+/// from it) reported its update phase closed; `rows[i]` is node `nodes[i]`'s.
 void ExpectParticipantsClosed(
-    const core::P2PSystem& system,
+    const core::P2PSystem& system, const std::vector<NodeId>& nodes,
     const std::vector<core::wire::StatusReport>& rows) {
-  std::set<NodeId> participants =
-      core::DependencyGraph::FromRules(system.rules()).ReachableFrom(0);
-  participants.insert(0);
+  const std::set<NodeId> participants =
+      core::UpdateParticipants(system.rules(), 0);
   const auto closed =
       static_cast<uint8_t>(core::UpdateEngine::State::kClosed);
-  for (const core::wire::StatusReport& row : rows) {
-    if (participants.count(row.node) == 0) continue;
-    EXPECT_EQ(row.state_update, closed)
-        << "participant " << row.node << " answered before closing";
+  ASSERT_EQ(rows.size(), nodes.size());
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    if (participants.count(nodes[i]) == 0) continue;
+    EXPECT_EQ(rows[i].state_update, closed)
+        << "participant " << nodes[i] << " answered before closing";
   }
 }
 
@@ -564,7 +629,7 @@ TEST(FleetTest, FleetConvergesAndSurvivesKillNineReExec) {
   Status fixpoint = controller.AwaitUpdateFixpoint(2, all, &reports);
   ASSERT_TRUE(fixpoint.ok()) << fixpoint.ToString();
   ASSERT_EQ(reports.size(), all.size());
-  ExpectParticipantsClosed(fleet.system, reports);
+  ExpectParticipantsClosed(fleet.system, all, reports);
 
   ASSERT_NO_FATAL_FAILURE(ExpectFleetMatchesOracle(fleet));
   ASSERT_NO_FATAL_FAILURE(ShutDownFleet(fleet));
@@ -590,7 +655,7 @@ TEST(FleetTest, FixpointWaitNamesItsSession) {
   std::vector<core::wire::StatusReport> reports;
   Status fixpoint = controller.AwaitUpdateFixpoint(1, all, &reports);
   ASSERT_TRUE(fixpoint.ok()) << fixpoint.ToString();
-  ExpectParticipantsClosed(fleet.system, reports);
+  ExpectParticipantsClosed(fleet.system, all, reports);
 
   // Every peer is closed and idle, but in session 1: a wait for session 7
   // must run into the controller's timeout.
@@ -607,7 +672,7 @@ TEST(FleetTest, FixpointWaitNamesItsSession) {
   EXPECT_LT(std::chrono::steady_clock::now() - start,
             std::chrono::milliseconds(500));
   ASSERT_EQ(reports.size(), all.size());
-  ExpectParticipantsClosed(fleet.system, reports);
+  ExpectParticipantsClosed(fleet.system, all, reports);
 
   ASSERT_NO_FATAL_FAILURE(ExpectFleetMatchesOracle(fleet));
   ASSERT_NO_FATAL_FAILURE(ShutDownFleet(fleet));

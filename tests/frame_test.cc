@@ -11,6 +11,7 @@
 #include <string_view>
 
 #include "src/core/control.h"
+#include "src/daemon/config.h"
 #include "src/util/crc32.h"
 #include "src/util/serde.h"
 #include "src/workload/scenario.h"
@@ -669,50 +670,26 @@ TEST(CreditFrameTest, FramesDecodedCountsWireFramesNotMessages) {
 
 // --- Control-plane handshake codec (src/core/control.h) -------------------
 
-/// A realistic bootstrap built from the Section-2 running example: real
-/// schemas, real coordination rules headed at the bootstrapped node, a full
-/// endpoint table plus the controller's own row.
+/// A realistic bootstrap: the Section-2 running example's digest and a
+/// controller listening on loopback.
 core::wire::SessionBootstrap MakeBootstrap() {
   auto system = p2pdb::workload::MakeRunningExample();
   EXPECT_TRUE(system.ok());
-  const NodeId node = system->rules().front().head_node;
   core::wire::SessionBootstrap b;
-  b.node = node;
-  b.name = system->node(node).name;
-  b.super_peer = 0;
-  for (const rel::Relation& relation : system->node(node).db.relations()) {
-    b.schema.push_back(relation.schema());
-  }
-  for (const core::CoordinationRule* rule : system->RulesWithHead(node)) {
-    b.rules.push_back(*rule);
-  }
-  for (NodeId n = 0; n < system->node_count(); ++n) {
-    b.endpoints.push_back({n, "127.0.0.1", static_cast<uint16_t>(7100 + n)});
-  }
-  b.endpoints.push_back(
-      {static_cast<NodeId>(system->node_count()), "127.0.0.1", 39999});
+  b.system_digest = daemon::SystemDigest(*system);
+  b.controller_host = "127.0.0.1";
+  b.controller_port = 39999;
   return b;
 }
 
 TEST(ControlCodecTest, SessionBootstrapRoundTrips) {
   core::wire::SessionBootstrap b = MakeBootstrap();
-  ASSERT_FALSE(b.schema.empty());
-  ASSERT_FALSE(b.rules.empty());
+  ASSERT_NE(b.system_digest, 0u);
   auto decoded = core::wire::SessionBootstrap::Decode(b.Encode());
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->node, b.node);
-  EXPECT_EQ(decoded->name, b.name);
-  EXPECT_EQ(decoded->super_peer, b.super_peer);
-  ASSERT_EQ(decoded->schema.size(), b.schema.size());
-  for (size_t i = 0; i < b.schema.size(); ++i) {
-    EXPECT_TRUE(decoded->schema[i] == b.schema[i]);
-  }
-  ASSERT_EQ(decoded->rules.size(), b.rules.size());
-  for (size_t i = 0; i < b.rules.size(); ++i) {
-    // CoordinationRule has no operator==; the printable form is canonical.
-    EXPECT_EQ(decoded->rules[i].ToString(), b.rules[i].ToString());
-  }
-  EXPECT_EQ(decoded->endpoints, b.endpoints);
+  EXPECT_EQ(decoded->system_digest, b.system_digest);
+  EXPECT_EQ(decoded->controller_host, b.controller_host);
+  EXPECT_EQ(decoded->controller_port, b.controller_port);
 }
 
 TEST(ControlCodecTest, MalformedBootstrapIsRejected) {
@@ -731,32 +708,25 @@ TEST(ControlCodecTest, MalformedBootstrapIsRejected) {
         << "prefix of " << cut << " bytes decoded";
   }
 
-  // A rule headed at a different node than the bootstrapped one is a
-  // provisioning error the codec itself rejects.
-  core::wire::SessionBootstrap wrong = MakeBootstrap();
-  wrong.rules.front().head_node = wrong.node + 1;
-  auto decoded = core::wire::SessionBootstrap::Decode(wrong.Encode());
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_NE(decoded.status().message().find("not headed"), std::string::npos);
+  // The port is a varint: 65535 decodes, and 65536, which does not fit a
+  // port, is rejected rather than wrapped onto another port.
+  EXPECT_TRUE(core::wire::SessionBootstrap::Decode(
+                  testing_codec::HexBytes("00000000 0168 ffff03"))
+                  .ok());
+  EXPECT_FALSE(core::wire::SessionBootstrap::Decode(
+                   testing_codec::HexBytes("00000000 0168 808004"))
+                   .ok());
 }
 
 TEST(ControlCodecTest, AckStatusAndDumpRoundTrip) {
   core::wire::BootstrapAck ack;
-  ack.node = 3;
-  ack.name = "D";
-  ack.accepted = false;
-  ack.error = "schema drift on relation 'd'";
+  ack.error = "system digest mismatch";
   auto ack2 = core::wire::BootstrapAck::Decode(ack.Encode());
   ASSERT_TRUE(ack2.ok());
-  EXPECT_EQ(ack2->node, ack.node);
-  EXPECT_EQ(ack2->name, ack.name);
-  EXPECT_EQ(ack2->accepted, ack.accepted);
   EXPECT_EQ(ack2->error, ack.error);
 
   core::wire::StatusReport report;
   report.id = 77;
-  report.node = 1;
-  report.name = "B";
   report.state_discovery = 2;
   report.state_update = 1;
   report.tuples = 12345;
@@ -768,8 +738,6 @@ TEST(ControlCodecTest, AckStatusAndDumpRoundTrip) {
   auto report2 = core::wire::StatusReport::Decode(report.Encode());
   ASSERT_TRUE(report2.ok());
   EXPECT_EQ(report2->id, report.id);  // The echoed request id.
-  EXPECT_EQ(report2->node, report.node);
-  EXPECT_EQ(report2->name, report.name);
   EXPECT_EQ(report2->state_discovery, report.state_discovery);
   EXPECT_EQ(report2->state_update, report.state_update);
   EXPECT_EQ(report2->tuples, report.tuples);
@@ -786,7 +754,6 @@ TEST(ControlCodecTest, AckStatusAndDumpRoundTrip) {
   EXPECT_EQ(start2->session, start.session);
 
   core::wire::DumpReply dump;
-  dump.node = 2;
   dump.database = {0xde, 0xad, 0xbe, 0xef};
   auto dump2 = core::wire::DumpReply::Decode(dump.Encode());
   ASSERT_TRUE(dump2.ok());
@@ -841,43 +808,29 @@ ControlCase ControlCaseOf(std::string name, const Payload& payload,
 // trailing byte, every truncation and seeded mutants.
 TEST(ControlCodecTest, EveryPayloadDecodesWholeOrNotAtAll) {
   namespace wire = core::wire;
-  wire::SessionBootstrap bootstrap;
-  bootstrap.node = 200;
-  bootstrap.name = "B";
-  bootstrap.super_peer = 0;
-  bootstrap.schema = {rel::RelationSchema("h", {"x", "y", "w"}),
-                      rel::RelationSchema("e", {})};
-  bootstrap.rules = {testing_codec::RichRule()};
-  bootstrap.endpoints = {{200, "127.0.0.1", 39999}, {0, "h", 7}};
-  wire::BootstrapAck ack{3, "D", false, "schema drift"};
+  wire::SessionBootstrap bootstrap{0xdeadbeef, "127.0.0.1", 39999};
+  wire::BootstrapAck ack{"digest mismatch"};
   wire::StatusRequest request{17, wire::StatusRequest::Until::kUpdateClosed, 2};
   wire::StatusReport report;
   report.id = 17;
-  report.node = 130;
-  report.name = "B";
   report.state_discovery = 2;
   report.state_update = 2;
   report.tuples = 300;
   report.tuples_inserted = 20000;
   report.reopens = 1;
-  wire::DumpReply dump{200, {0xde, 0xad, 0xbe, 0xef}};
+  wire::DumpReply dump{{0xde, 0xad, 0xbe, 0xef}};
 
   const std::vector<ControlCase> cases = {
+      // Digest, controller host, controller port.
       ControlCaseOf("SessionBootstrap", bootstrap,
-                    "c8000000 0142 00000000"      // node, name, super-peer
-                    " 02 0168 03 0178 0179 0177"  // h(x, y, w)
-                    " 0165 00"                    // e()
-                    " 01" + std::string(testing_codec::kRichRuleGolden) +
-                        " 02 c8000000 09 3132372e302e302e31 bfb802"
-                        " 00000000 0168 07"),
-      ControlCaseOf("BootstrapAck", ack,
-                    "03000000 0144 00 0c 736368656d61206472696674"),
+                    "efbeadde 09 3132372e302e302e31 bfb802"),
+      ControlCaseOf("BootstrapAck", ack, "0f 646967657374206d69736d61746368"),
       ControlCaseOf("ControlStartUpdate", wire::ControlStartUpdate{20000},
                     "a09c01"),
       ControlCaseOf("StatusRequest", request, "11 02 02"),
       ControlCaseOf("StatusReport", report,
-                    "11 82000000 0142 02 02 ac02 a09c01 00 00 00 01"),
-      ControlCaseOf("DumpReply", dump, "c8000000 04 deadbeef"),
+                    "11 02 02 ac02 a09c01 00 00 00 01"),
+      ControlCaseOf("DumpReply", dump, "04 deadbeef"),
   };
   uint64_t seed = 100;
   for (const ControlCase& c : cases) {

@@ -15,13 +15,16 @@
 //       in-process simulation of the same system. Sends kShutdown to the
 //       fleet unless --no-shutdown. A fleet left running can be driven again
 //       by a later drive with a new --session: its bootstrap takes the fleet
-//       over from the earlier controller.
+//       over from the earlier controller. A drive whose system file differs
+//       from the daemons' exits 1 at its bootstrap with the first daemon's
+//       "rejected bootstrap" reason, and the fleet keeps running.
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include "src/core/control.h"
 #include "src/core/session.h"
 #include "src/daemon/config.h"
 #include "src/daemon/fleet.h"
@@ -172,7 +175,7 @@ int RunDrive(int argc, char** argv) {
   }
 
   // peer0.conf carries everything the controller needs: the system file, the
-  // full endpoint table, and the super-peer id.
+  // full endpoint table, and the super-peer id (which only fleetctl reads).
   auto cfg = p2pdb::daemon::PeerdConfig::Load(dir + "/peer0.conf");
   if (!cfg.ok()) return Fail(cfg.status());
   std::string text;
@@ -207,17 +210,9 @@ int RunDrive(int argc, char** argv) {
 
   std::printf("update session %llu reached fixpoint:\n",
               static_cast<unsigned long long>(session));
-  std::printf("  %-10s %10s %10s %10s %10s %8s %8s\n", "peer", "tuples",
-              "inserted", "joins", "answers", "tokens", "reopens");
-  for (const auto& r : reports) {
-    std::printf("  %-10s %10llu %10llu %10llu %10llu %8llu %8llu\n",
-                r.name.c_str(), static_cast<unsigned long long>(r.tuples),
-                static_cast<unsigned long long>(r.tuples_inserted),
-                static_cast<unsigned long long>(r.joins_evaluated),
-                static_cast<unsigned long long>(r.answers_sent),
-                static_cast<unsigned long long>(r.token_passes),
-                static_cast<unsigned long long>(r.reopens));
-  }
+  std::vector<std::string> names;
+  for (NodeId n : all) names.push_back(system->node(n).name);
+  std::printf("%s", p2pdb::core::FormatStatistics(names, reports).c_str());
 
   int exit_code = 0;
   if (verify) {
